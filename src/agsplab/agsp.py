@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .effective import EffectiveHamiltonian
-from .spectral import SpectralData
+from .spectral import SpectralData, top_singular_value
 from .truncation import align_phase
 
 SR_REL_TOL = 1e-10
@@ -36,20 +35,6 @@ def chebyshev_T(m: int, x):
     for _ in range(m - 1):
         t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
     return t_cur if t_cur.ndim else float(t_cur)
-
-
-def top_singular_value(M: np.ndarray) -> float:
-    """Largest singular value; iterative for large matrices, dense otherwise."""
-    if M.size == 0:
-        return 0.0
-    if min(M.shape) <= 64 or M.size <= 128 * 128:
-        return float(np.linalg.svd(M, compute_uv=False)[0])
-    v0 = np.ones(min(M.shape)) / math.sqrt(min(M.shape))
-    try:
-        s = scipy.sparse.linalg.svds(M, k=1, v0=v0, return_singular_vectors=False)
-        return float(s[0])
-    except Exception:
-        return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import spectral_norm
-from .spectral import SpectralData, eigendecompose, lowest_eigenpairs
+from .spectral import SpectralData, eigendecompose, lowest_eigenpairs, top_singular_value
 from .truncation import TruncatedHamiltonian, align_phase
 
 E_DIST_PREFACTOR = 4.0 * math.e**1.5 / (math.e - 1.0)  # ~10.43
@@ -221,7 +221,7 @@ def theorem5_check(
                 continue
             proj = high @ high.conj().T
             leak = apply_on_block(T.lattice, T.blocks.blocks[s], proj, v_e)
-            kappa += float(np.linalg.norm(leak, 2))
+            kappa += top_singular_value(leak)
         kappa_bound = 11.0 * (q + 2) * math.exp(-lam_p * (tau - 8.0 * g0))
         e_bot = gap_t * (1.0 - kappa) ** 2 - 2.0 * g0 * kappa * (1.0 + kappa) * (q + 1)
         tau_min = theorem5_precondition_tau(T, gap_t, (lam, lam_p))
@@ -327,9 +327,7 @@ def energy_distribution_check(
         for E_prime in E_prime_grid:
             rows = labels > E_prime
             for E in E_grid:
-                cols_plain = spec_t.eigenvalues <= E
-                sub = M_plain[np.ix_(rows, cols_plain)]
-                lhs = float(np.linalg.svd(sub, compute_uv=False)[0]) if sub.size else 0.0
+                lhs = top_singular_value(M_plain[np.ix_(rows, spec_t.eigenvalues <= E)])
                 expo = lam * ((E_prime - block_e0[s]) - (E - e_t0) - 4.0 * g0)
                 records.append(
                     GridBoundRecord(
@@ -339,9 +337,7 @@ def energy_distribution_check(
                         E_DIST_PREFACTOR * math.exp(-expo),
                     )
                 )
-                cols_eff = spec_e.eigenvalues <= E
-                sub = M_eff[np.ix_(rows, cols_eff)]
-                lhs = float(np.linalg.svd(sub, compute_uv=False)[0]) if sub.size else 0.0
+                lhs = top_singular_value(M_eff[np.ix_(rows, spec_e.eigenvalues <= E)])
                 expo = lam_p * (
                     min(E_prime, eff.tau_s[s]) - block_e0[s] - (E - e_eff0) - 4.0 * g0
                 )
@@ -376,7 +372,7 @@ def effective_difference_check(
     records = []
     for E in E_grid:
         basis = spec_t.eigenvectors[:, spec_t.eigenvalues <= E]
-        lhs = float(np.linalg.norm(diff @ basis, 2)) if basis.size else 0.0
+        lhs = top_singular_value(diff @ basis)
         rhs = (
             27.0
             * (T.q + 2)
@@ -391,8 +387,8 @@ def exponential_filter_check(
     T: TruncatedHamiltonian,
     s: int,
     O_s: np.ndarray,
-    E: float,
-    E_prime: float,
+    E,
+    E_prime,
     spec_t: SpectralData | None = None,
     eff: EffectiveHamiltonian | None = None,
 ) -> list[GridBoundRecord]:
@@ -401,6 +397,9 @@ def exponential_filter_check(
     For a block-s operator commuting with h_s:
     ||P_{>=E'} O_s P_{<=E}|| <= 4 ||O_s|| exp(-lambda (E' - E)); when `eff`
     is supplied, the clamped analogue with lambda' is measured as well.
+    `E` and `E_prime` are scalars or 1-D grids.  The rotation V^dag O_s V is
+    formed once per spectrum; records run E' outer, E inner, with "filter"
+    before "filter-eff" at each grid pair.
     """
     h_s = T.internal[s]
     comm = O_s @ h_s - h_s @ O_s
@@ -410,38 +409,27 @@ def exponential_filter_check(
     g0 = T.envelope.g0
     lam = 1.0 / (12.0 * T.local_g * T.k**2 + 4.0 * g0)
     spec_t = spec_t or eigendecompose(T.assemble_dense(), check=False)
-    norm_O = float(np.linalg.norm(O_s, 2))
-    records = []
-    embedded = T.embed_block_operator(s, O_s)
-    rot = spec_t.eigenvectors.conj().T @ embedded @ spec_t.eigenvectors
-    rows = spec_t.eigenvalues >= E_prime
-    cols = spec_t.eigenvalues <= E
-    sub = rot[np.ix_(rows, cols)]
-    lhs = float(np.linalg.svd(sub, compute_uv=False)[0]) if sub.size else 0.0
-    records.append(
-        GridBoundRecord(
-            "filter",
-            {"s": s, "E_prime": float(E_prime), "E": float(E)},
-            lhs,
-            4.0 * norm_O * math.exp(-lam * (E_prime - E)),
-        )
-    )
+    norm_O = top_singular_value(O_s)
+    variants = [("filter", lam, spec_t)]
     if eff is not None:
-        _, lam_p = eff.lambdas
-        spec_e = eff.spectral()
-        rot = spec_e.eigenvectors.conj().T @ embedded @ spec_e.eigenvectors
-        rows = spec_e.eigenvalues >= E_prime
-        cols = spec_e.eigenvalues <= E
-        sub = rot[np.ix_(rows, cols)]
-        lhs = float(np.linalg.svd(sub, compute_uv=False)[0]) if sub.size else 0.0
-        records.append(
-            GridBoundRecord(
-                "filter-eff",
-                {"s": s, "E_prime": float(E_prime), "E": float(E)},
-                lhs,
-                4.0 * norm_O * math.exp(-lam_p * (E_prime - E)),
-            )
-        )
+        variants.append(("filter-eff", eff.lambdas[1], eff.spectral()))
+    rotated = []
+    for label, rate, sp in variants:
+        V = sp.eigenvectors
+        rot = V.conj().T @ apply_on_block(T.lattice, T.blocks.blocks[s], O_s, V)
+        rotated.append((label, rate, sp.eigenvalues, rot))
+    records = []
+    for Ep in np.atleast_1d(E_prime):
+        for Ei in np.atleast_1d(E):
+            for label, rate, w, rot in rotated:
+                records.append(
+                    GridBoundRecord(
+                        label,
+                        {"s": s, "E_prime": float(Ep), "E": float(Ei)},
+                        top_singular_value(rot[np.ix_(w >= Ep, w <= Ei)]),
+                        4.0 * norm_O * math.exp(-rate * (Ep - Ei)),
+                    )
+                )
     return records
 
 
@@ -456,7 +444,7 @@ def commutator_bound_check(T: TruncatedHamiltonian) -> list[GridBoundRecord]:
     for s in range(T.q + 1):
         emb = _embed_bond(T, s)
         comm = dense @ emb - emb @ dense
-        lhs = spectral_norm(1j * comm) if np.iscomplexobj(comm) else float(np.linalg.norm(comm, 2))
+        lhs = top_singular_value(comm)
         rhs = 6.0 * T.local_g * T.k * (2 * T.k) * spectral_norm(T.bonds[s])
         records.append(GridBoundRecord("commutator", {"s": s}, lhs, rhs))
     return records

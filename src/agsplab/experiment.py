@@ -241,15 +241,19 @@ def _filter_machinery_records(pipe: Pipeline, rng, tol: float) -> list[BoundReco
         diag = rng.uniform(-1.0, 1.0, size=sp.source_dim)
         ops.append(("random-diagonal", (sp.eigenvectors * diag) @ sp.eigenvectors.conj().T))
         for name, O in ops:
-            for E_prime in (e0 + width / 3.0, e0 + 2.0 * width / 3.0):
-                for E in (e0, e0 + width / 4.0):
-                    for rec in eff_mod.exponential_filter_check(
-                        T, s, O, E, E_prime, spec_t=pipe.spec_t, eff=eff
-                    ):
-                        ctx = dict(rec.context)
-                        ctx["operator"] = name
-                        ctx["variant"] = rec.label
-                        records.append(BoundRecord("lemma14.filter", rec.lhs, rec.rhs, ctx, slack=tol))
+            for rec in eff_mod.exponential_filter_check(
+                T,
+                s,
+                O,
+                E=(e0, e0 + width / 4.0),
+                E_prime=(e0 + width / 3.0, e0 + 2.0 * width / 3.0),
+                spec_t=pipe.spec_t,
+                eff=eff,
+            ):
+                ctx = dict(rec.context)
+                ctx["operator"] = name
+                ctx["variant"] = rec.label
+                records.append(BoundRecord("lemma14.filter", rec.lhs, rec.rhs, ctx, slack=tol))
     for rec in eff_mod.commutator_bound_check(T):
         records.append(BoundRecord("lemma15.commutator", rec.lhs, rec.rhs, rec.context, slack=tol))
     return records

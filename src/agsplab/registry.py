@@ -7,6 +7,7 @@ here (machine-checked in the test suite).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 DEFAULT_SLACK = 1e-9
@@ -45,7 +46,7 @@ BOUND_REGISTRY: dict[str, str] = {
 
 @dataclass
 class BoundRecord:
-    """One measured inequality: holds iff lhs <= rhs + slack."""
+    """One measured inequality: holds iff lhs and rhs are finite and lhs <= rhs + slack."""
 
     bound_id: str
     lhs: float
@@ -59,4 +60,4 @@ class BoundRecord:
 
     @property
     def holds(self) -> bool:
-        return self.lhs <= self.rhs + self.slack
+        return math.isfinite(self.lhs) and math.isfinite(self.rhs) and self.lhs <= self.rhs + self.slack

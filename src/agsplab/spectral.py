@@ -3,11 +3,13 @@
 Everything downstream (gaps, ground states, interval projectors, filter
 operators) consumes the `SpectralData` produced here.  All solvers are dense
 LAPACK calls; near-degenerate ground states are rejected rather than
-perturbed.
+perturbed.  `top_singular_value` is the one kernel for operator 2-norms of
+dense blocks: the largest eigenvalue of the smaller Gram matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +79,24 @@ def eigenvalues_only(M: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(M) and np.max(np.abs(M.imag)) < 1e-14:
         M = M.real
     return np.linalg.eigvalsh(M)
+
+
+def top_singular_value(A: np.ndarray) -> float:
+    """Largest singular value (operator 2-norm) of a dense matrix.
+
+    sqrt of the top `eigvalsh` eigenvalue of the smaller Gram matrix, A^dag A
+    or A A^dag; the relative error is O(machine epsilon) for the top value.
+    Full `eigvalsh` on purpose: the LAPACK subset drivers (evr, evx) raised
+    errors on some of these Gram matrices.  Empty input gives 0.0;
+    non-finite input, or a Gram matrix that overflows, gives NaN.
+    """
+    if A.size == 0:
+        return 0.0
+    gram = A.conj().T @ A if A.shape[0] >= A.shape[1] else A @ A.conj().T
+    # A non-finite entry of A always reaches the Gram diagonal (|a|^2 terms).
+    if not np.isfinite(gram).all():
+        return float("nan")
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 def lowest_eigenpairs(M: np.ndarray, count: int = 2, destroy_input: bool = False):
@@ -172,34 +192,8 @@ def interval_projector(
     return V @ V.conj().T
 
 
-def interval_vectors(
-    S: SpectralData,
-    lo: float = -np.inf,
-    hi: float = np.inf,
-    include_lo: bool = True,
-    include_hi: bool = True,
-) -> np.ndarray:
-    """Orthonormal basis of the eigenspace with eigenvalue in the interval.
-
-    Cheaper than the dense projector when only products like ||P A Q|| are
-    needed: ||A Q|| equals the 2-norm of A @ interval_vectors(...).
-    """
-    w = S.eigenvalues
-    mask = (w >= lo) if include_lo else (w > lo)
-    mask &= (w <= hi) if include_hi else (w < hi)
-    return S.eigenvectors[:, mask]
-
-
 def proj_leq(S: SpectralData, x: float) -> np.ndarray:
     return interval_projector(S, hi=x, include_hi=True)
-
-
-def proj_lt(S: SpectralData, x: float) -> np.ndarray:
-    return interval_projector(S, hi=x, include_hi=False)
-
-
-def proj_geq(S: SpectralData, x: float) -> np.ndarray:
-    return interval_projector(S, lo=x, include_lo=True)
 
 
 def proj_gt(S: SpectralData, x: float) -> np.ndarray:

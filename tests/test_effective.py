@@ -234,6 +234,28 @@ class TestExponentialFilter:
         recs = exponential_filter_check(T, s, O, E=0.5, E_prime=4.0, spec_t=spec_t)
         assert all(r.holds for r in recs)
 
+    def test_grid_call_matches_scalar_loop(self, rng):
+        _, T = make_T(n=8, l=2)
+        eff = build_effective(T, 4.0)
+        spec_t = eigendecompose(T.assemble_dense(), check=False)
+        e0, width = spec_t.ground_energy, spec_t.width
+        s = 1
+        sp = T.block_spectra()[s]
+        O = (sp.eigenvectors * rng.uniform(-1, 1, size=sp.source_dim)) @ sp.eigenvectors.T
+        E_grid = [e0, e0 + width / 8, e0 + width / 4]
+        E_prime_grid = [e0 + width / 3, e0 + 2 * width / 3]
+        grid = exponential_filter_check(T, s, O, E=E_grid, E_prime=E_prime_grid, spec_t=spec_t, eff=eff)
+        looped = [
+            rec
+            for E_prime in E_prime_grid
+            for E in E_grid
+            for rec in exponential_filter_check(T, s, O, E=E, E_prime=E_prime, spec_t=spec_t, eff=eff)
+        ]
+        assert len(grid) == len(looped) == 2 * len(E_grid) * len(E_prime_grid)
+        assert [(r.label, r.context, r.lhs, r.rhs) for r in grid] == [
+            (r.label, r.context, r.lhs, r.rhs) for r in looped
+        ]
+
     def test_noncommuting_rejected(self, rng):
         _, T = make_T()
         dim_block = T.internal[1].shape[0]

@@ -111,6 +111,11 @@ class TestBoundRecord:
         assert BoundRecord("weyl", 1.0 + 5e-10, 1.0).holds
         assert not BoundRecord("weyl", 1.0 + 2e-9, 1.0).holds
 
+    def test_non_finite_never_holds(self):
+        assert not BoundRecord("weyl", float("nan"), 1.0).holds
+        assert not BoundRecord("weyl", 0.0, float("inf")).holds
+        assert not BoundRecord("weyl", float("-inf"), 1.0).holds
+
     def test_unregistered_id_rejected(self):
         with pytest.raises(KeyError):
             BoundRecord("not-a-bound", 0.0, 1.0)

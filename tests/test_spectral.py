@@ -18,6 +18,7 @@ from agsplab.spectral import (
     proj_gt,
     proj_leq,
     sector_ground_state,
+    top_singular_value,
 )
 from conftest import PAULI_X, PAULI_Z
 
@@ -144,6 +145,55 @@ class TestIntervalProjector:
         assert np.trace(interval_projector(S, hi=1.0, include_hi=False)) == pytest.approx(1.0)
         assert np.trace(interval_projector(S, lo=1.0, include_lo=True)) == pytest.approx(3.0)
         assert np.trace(interval_projector(S, lo=1.0, include_lo=False)) == pytest.approx(1.0)
+
+
+class TestTopSingularValue:
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (7, 0)])
+    def test_empty_is_zero(self, shape):
+        assert top_singular_value(np.zeros(shape)) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
+    def test_non_finite_input_never_finite(self, rng, shape, bad):
+        A = rng.standard_normal(shape)
+        A[1, 2] = bad
+        try:
+            value = top_singular_value(A)
+        except (ValueError, np.linalg.LinAlgError):
+            return
+        assert np.isnan(value)
+
+    def test_overflowing_gram_never_finite(self, rng):
+        A = 1e200 * rng.standard_normal((6, 4))
+        try:
+            with np.errstate(over="ignore"):
+                value = top_singular_value(A)
+        except (ValueError, np.linalg.LinAlgError):
+            return
+        assert np.isnan(value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    rows=st.integers(min_value=1, max_value=40),
+    aspect=st.sampled_from(["tall", "square", "wide"]),
+    field=st.sampled_from(["real", "complex"]),
+    rank1=st.booleans(),
+    scale=st.sampled_from([1.0, 1e-8]),
+)
+def test_property_top_singular_value_matches_svd(seed, rows, aspect, field, rank1, scale):
+    rng = np.random.default_rng(seed)
+    cols = {"tall": max(1, rows // 3), "square": rows, "wide": 2 * rows + 1}[aspect]
+
+    def draw(*shape):
+        out = rng.standard_normal(shape)
+        return out + 1j * rng.standard_normal(shape) if field == "complex" else out
+
+    A = np.outer(draw(rows), draw(cols).conj()) if rank1 else draw(rows, cols)
+    A = scale * A
+    expected = np.linalg.svd(A, compute_uv=False)[0]
+    assert top_singular_value(A) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=30, deadline=None)
