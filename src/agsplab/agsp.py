@@ -123,6 +123,14 @@ class SchmidtRankResult:
     tolerance_used: float
 
 
+def rank_threshold(svals: np.ndarray, tol: float | None = None) -> float:
+    """Cut-off above which a descending singular value counts toward a Schmidt rank.
+
+    `tol` when given, else max(1e-10 * sigma_max, 1e-12).
+    """
+    return tol if tol is not None else max(SR_REL_TOL * svals[0], SR_ABS_TOL)
+
+
 def operator_schmidt_rank(O: np.ndarray, cut: int, d: int = 2, tol: float | None = None) -> SchmidtRankResult:
     """Numerical Schmidt rank of an operator across a contiguous cut.
 
@@ -139,17 +147,16 @@ def operator_schmidt_rank(O: np.ndarray, cut: int, d: int = 2, tol: float | None
         O.reshape(dL, dR, dL, dR).transpose(0, 2, 1, 3).reshape(dL * dL, dR * dR)
     )
     svals = np.linalg.svd(rearranged, compute_uv=False)
-    threshold = tol if tol is not None else max(SR_REL_TOL * svals[0], SR_ABS_TOL)
+    threshold = rank_threshold(svals, tol)
     rank = int(np.sum(svals > threshold))
-    return SchmidtRankResult(rank=max(rank, 0), singular_values=svals, tolerance_used=float(threshold))
+    return SchmidtRankResult(rank=rank, singular_values=svals, tolerance_used=float(threshold))
 
 
 def state_schmidt_rank(state: np.ndarray, cut: int, d: int = 2, tol: float | None = None) -> int:
     """Numerical Schmidt rank of a pure state across a contiguous cut."""
     dL = d**cut
     svals = np.linalg.svd(state.reshape(dL, -1), compute_uv=False)
-    threshold = tol if tol is not None else max(SR_REL_TOL * svals[0], SR_ABS_TOL)
-    return int(np.sum(svals > threshold))
+    return int(np.sum(svals > rank_threshold(svals, tol)))
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import spectral_norm
+from .hamiltonian import embed_sum, spectral_norm
 from .spectral import SpectralData, eigendecompose, lowest_eigenpairs, top_singular_value
 from .truncation import TruncatedHamiltonian, align_phase
 
@@ -63,12 +63,7 @@ class EffectiveHamiltonian:
 
     def assemble_dense(self) -> np.ndarray:
         if self._dense is None:
-            out = self.base.embed_block_operator(0, self.internal_eff[0])
-            for s in range(1, self.base.q + 2):
-                out += self.base.embed_block_operator(s, self.internal_eff[s])
-            for s in range(self.base.q + 1):
-                out += _embed_bond(self.base, s)
-            self._dense = out
+            self._dense = self.base.assemble_dense(self.internal_eff)
         return self._dense
 
     def spectral(self) -> SpectralData:
@@ -81,12 +76,6 @@ class EffectiveHamiltonian:
         return (self.base.q + 2) * (self.tau + 2.0 * self.base.envelope.g0)
 
 
-def _embed_bond(T: TruncatedHamiltonian, s: int) -> np.ndarray:
-    from .hamiltonian import embed_operator
-
-    return embed_operator(T.lattice, T.bond_support(s), T.bonds[s])
-
-
 def energy_cutoff(h_s: np.ndarray, tau_s: float, spectrum: SpectralData | None = None) -> np.ndarray:
     """Clamp the spectrum of a block Hamiltonian at tau_s.
 
@@ -95,6 +84,16 @@ def energy_cutoff(h_s: np.ndarray, tau_s: float, spectrum: SpectralData | None =
     """
     sp = spectrum or eigendecompose(h_s)
     return sp.apply_function(lambda w: min(w, tau_s))
+
+
+def _clamp(T: TruncatedHamiltonian, tau: float) -> EffectiveHamiltonian:
+    """The clamped operator at tau_s = E_{s,0} + tau, without any checks."""
+    tau_s = [float(e) + tau for e in T.block_ground_energies()]
+    internal_eff = [
+        energy_cutoff(h, ts, spectrum=sp)
+        for h, ts, sp in zip(T.internal, tau_s, T.block_spectra())
+    ]
+    return EffectiveHamiltonian(base=T, tau=tau, tau_s=tau_s, internal_eff=internal_eff)
 
 
 def build_effective(T: TruncatedHamiltonian, tau: float) -> EffectiveHamiltonian:
@@ -108,19 +107,12 @@ def build_effective(T: TruncatedHamiltonian, tau: float) -> EffectiveHamiltonian
         raise ValueError(f"cut-off offset must be positive, got tau={tau}")
     if T.envelope is None:
         raise ValueError("truncated Hamiltonian carries no decay envelope")
-    g0 = T.envelope.g0
-    energies = T.block_ground_energies()
-    if np.max(np.abs(energies)) > g0 + 1e-9:
+    if np.max(np.abs(T.block_ground_energies())) > T.envelope.g0 + 1e-9:
         raise ValueError(
             "block ground energies exceed g0; run shift_block_energies first"
         )
-    tau_s = [float(e) + tau for e in energies]
-    internal_eff = [
-        energy_cutoff(h, ts, spectrum=sp)
-        for h, ts, sp in zip(T.internal, tau_s, T.block_spectra())
-    ]
-    eff = EffectiveHamiltonian(base=T, tau=tau, tau_s=tau_s, internal_eff=internal_eff)
-    norm = spectral_norm(eff.assemble_dense())
+    eff = _clamp(T, tau)
+    norm = eff.spectral().norm
     if norm > eff.norm_budget() + 1e-9:
         raise AssertionError(
             f"||H_eff|| = {norm:.6g} exceeds analytic cap {eff.norm_budget():.6g}"
@@ -194,23 +186,12 @@ def theorem5_check(
     g0 = T.envelope.g0
     q = T.q
     block_specs = T.block_spectra()
-    bond_part = _embed_bond(T, 0)
-    for s in range(1, q + 1):
-        bond_part += _embed_bond(T, s)
     out = []
     for tau in taus:
-        energies = T.block_ground_energies()
-        tau_s = [float(e) + tau for e in energies]
-        internal_eff = [
-            energy_cutoff(h, ts, spectrum=sp)
-            for h, ts, sp in zip(T.internal, tau_s, block_specs)
-        ]
-        dense_eff = bond_part.copy()
-        for s, h in enumerate(internal_eff):
-            dense_eff += T.embed_block_operator(s, h)
-        eff = EffectiveHamiltonian(T, tau, tau_s, internal_eff, _dense=dense_eff)
+        eff = _clamp(T, tau)
+        tau_s = eff.tau_s
         lam, lam_p = eff.lambdas
-        w_e, v_e = lowest_eigenpairs(dense_eff, count=2)
+        w_e, v_e = lowest_eigenpairs(eff.assemble_dense(), count=2)
         gap_eff = float(w_e[1] - w_e[0])
         gs_eff = align_phase(gs_t, v_e[:, 0])
         dist = float(np.linalg.norm(gs_eff - gs_t))
@@ -272,7 +253,8 @@ class GridBoundRecord:
 
     @property
     def holds(self) -> bool:
-        return self.lhs <= self.rhs + 1e-9
+        """False unless lhs and rhs are finite, as for `registry.BoundRecord`."""
+        return math.isfinite(self.lhs) and math.isfinite(self.rhs) and self.lhs <= self.rhs + 1e-9
 
 
 def _block_overlap_matrix(T: TruncatedHamiltonian, s: int, basis: np.ndarray) -> np.ndarray:
@@ -442,7 +424,7 @@ def commutator_bound_check(T: TruncatedHamiltonian) -> list[GridBoundRecord]:
     dense = T.assemble_dense()
     records = []
     for s in range(T.q + 1):
-        emb = _embed_bond(T, s)
+        emb = embed_sum(T.lattice, [(T.bond_support(s), T.bonds[s])])
         comm = dense @ emb - emb @ dense
         lhs = top_singular_value(comm)
         rhs = 6.0 * T.local_g * T.k * (2 * T.k) * spectral_norm(T.bonds[s])

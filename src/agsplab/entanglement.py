@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agsp import SR_ABS_TOL, SR_REL_TOL
+from .agsp import rank_threshold, state_schmidt_rank
 
 
 @dataclass
@@ -30,9 +30,7 @@ class SchmidtData:
         return M.reshape(-1)
 
     def numerical_rank(self, tol: float | None = None) -> int:
-        mu = self.coefficients
-        threshold = tol if tol is not None else max(SR_REL_TOL * mu[0], SR_ABS_TOL)
-        return int(np.sum(mu > threshold))
+        return int(np.sum(self.coefficients > rank_threshold(self.coefficients, tol)))
 
     def tail_weight(self, rank: int) -> float:
         """Sum of squared coefficients beyond the given rank."""
@@ -102,17 +100,12 @@ class EckartYoungRecord:
 def eckart_young_check(psi: np.ndarray, psi_prime: np.ndarray, cut: int, d: int = 2) -> EckartYoungRecord:
     """Tail Schmidt weight of psi beyond rank(psi') against ||psi - psi'||^2."""
     schmidt = schmidt_decompose(psi, cut, d=d)
-    rank = state_rank(psi_prime, cut, d=d)
+    rank = state_schmidt_rank(psi_prime, cut, d=d)
     return EckartYoungRecord(
         comparison_rank=rank,
         tail_weight=schmidt.tail_weight(rank),
         distance_squared=float(np.linalg.norm(psi - psi_prime) ** 2),
     )
-
-
-def state_rank(state: np.ndarray, cut: int, d: int = 2) -> int:
-    svals = np.linalg.svd(state.reshape(d**cut, -1), compute_uv=False)
-    return int(np.sum(svals > max(SR_REL_TOL * svals[0], SR_ABS_TOL)))
 
 
 def truncate_to_rank(schmidt: SchmidtData, rank: int) -> np.ndarray:

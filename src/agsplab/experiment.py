@@ -214,7 +214,7 @@ def _filter_machinery_records(pipe: Pipeline, rng, tol: float) -> list[BoundReco
     records = [
         BoundRecord(
             "effnorm",
-            ham.spectral_norm(eff.assemble_dense()),
+            eff.spectral().norm,
             eff.norm_budget(),
             {"tau": tau_star},
             slack=tol,

@@ -192,51 +192,44 @@ def _embed_indexing(lattice: LatticeSpec, support: tuple[int, ...]):
     return base, offsets
 
 
+def embed_sum(lattice: LatticeSpec, pieces) -> np.ndarray:
+    """Dense d^n x d^n sum of identity-padded support-local matrices.
+
+    `pieces` yields (support, matrix) pairs with 1-based sorted supports; an
+    empty support embeds a 1x1 matrix as a multiple of the identity.  Real
+    output whenever every matrix is real.  Pieces are added in order, each
+    by one scatter of its nonzero entries: within a piece, (complement
+    configuration, a, b) -> (row, col) is injective, so no index repeats.
+    """
+    dim = lattice.dim
+    if dim > dim_ceiling():
+        raise DimensionCeilingError(f"dimension {dim} exceeds ceiling {dim_ceiling()}")
+    pieces = [(tuple(support), np.asarray(m)) for support, m in pieces]
+    dtype = np.complex128 if any(np.iscomplexobj(m) for _, m in pieces) else np.float64
+    out = np.zeros((dim, dim), dtype=dtype)
+    for support, m in pieces:
+        base, offsets = _embed_indexing(lattice, support)
+        a, b = np.nonzero(m)
+        out[base[:, None] + offsets[a], base[:, None] + offsets[b]] += m[a, b]
+    return out
+
+
 def assemble_dense(H: Hamiltonian) -> np.ndarray:
     """Dense d^n x d^n matrix of the Hamiltonian (identity-padded terms).
 
     Real output whenever every term matrix is real; Hermitian to 1e-12 by
     construction.
     """
-    lattice = H.lattice
-    dim = lattice.dim
-    if dim > dim_ceiling():
-        raise DimensionCeilingError(f"dimension {dim} exceeds ceiling {dim_ceiling()}")
-    dtype = np.complex128 if any(np.iscomplexobj(t.matrix) for t in H.terms) else np.float64
-    out = np.zeros((dim, dim), dtype=dtype)
-    for term in H.terms:
-        base, offsets = _embed_indexing(lattice, term.support)
-        m = term.matrix
-        for a in range(m.shape[0]):
-            rows = base + offsets[a]
-            for b in range(m.shape[1]):
-                if m[a, b] != 0:
-                    out[rows, base + offsets[b]] += m[a, b]
-    return out
+    return embed_sum(H.lattice, ((t.support, t.matrix) for t in H.terms))
 
 
-def embed_operator(lattice: LatticeSpec, support: tuple[int, ...], matrix: np.ndarray) -> np.ndarray:
-    """Embed a support-local operator into the full d^n space by identity padding.
-
-    An empty support embeds a 1x1 matrix as a multiple of the identity.
-    """
-    dim = lattice.dim
-    if dim > dim_ceiling():
-        raise DimensionCeilingError(f"dimension {dim} exceeds ceiling {dim_ceiling()}")
-    matrix = np.asarray(matrix)
-    dtype = np.complex128 if np.iscomplexobj(matrix) else np.float64
-    out = np.zeros((dim, dim), dtype=dtype)
-    base, offsets = _embed_indexing(lattice, tuple(support))
-    for a in range(matrix.shape[0]):
-        rows = base + offsets[a]
-        for b in range(matrix.shape[1]):
-            if matrix[a, b] != 0:
-                out[rows, base + offsets[b]] += matrix[a, b]
-    return out
-
-
-def _kron_all(mats) -> np.ndarray:
-    return reduce(np.kron, mats)
+def region_sum(H: Hamiltonian, region: tuple[int, ...], terms) -> np.ndarray:
+    """Sum of the given terms as a dense matrix on the sites of `region` (1x1 zero if empty)."""
+    if len(region) == 0:
+        return np.zeros((1, 1))
+    pos = {site: p + 1 for p, site in enumerate(region)}
+    sub = LatticeSpec(n=len(region), d=H.lattice.d)
+    return embed_sum(sub, ((tuple(pos[s] for s in t.support), t.matrix) for t in terms))
 
 
 def build_long_range_ising(n: int, alpha: float, J: float, B: float) -> Hamiltonian:
@@ -270,8 +263,8 @@ def _window_annihilators(w: int) -> tuple[np.ndarray, np.ndarray]:
     full-chain pair term exactly.
     """
     eye = np.eye(2)
-    a_left = _kron_all([SIGMA_PLUS] + [eye] * (w - 1))
-    a_right = _kron_all([SIGMA_Z] * (w - 1) + [SIGMA_PLUS])
+    a_left = reduce(np.kron, [SIGMA_PLUS] + [eye] * (w - 1))
+    a_right = reduce(np.kron, [SIGMA_Z] * (w - 1) + [SIGMA_PLUS])
     return a_left, a_right
 
 
@@ -342,20 +335,12 @@ def block_interaction(
     Lambda0 = set(Lambda0) if Lambda0 is not None else X | Y
     if not (X | Y) <= Lambda0:
         raise ValueError("Lambda0 must contain X and Y")
-    region = tuple(sorted(Lambda0))
-    sub_lattice = LatticeSpec(n=len(region), d=H.lattice.d)
-    pos = {site: p + 1 for p, site in enumerate(region)}
-    dim = sub_lattice.dim
     picked = [
         t
         for t in H.terms
         if set(t.support) <= Lambda0 and set(t.support) & X and set(t.support) & Y
     ]
-    dtype = np.complex128 if any(np.iscomplexobj(t.matrix) for t in picked) else np.float64
-    out = np.zeros((dim, dim), dtype=dtype)
-    for t in picked:
-        local_support = tuple(pos[s] for s in t.support)
-        out += embed_operator(sub_lattice, local_support, t.matrix)
+    out = region_sum(H, tuple(sorted(Lambda0)), picked)
     return out, spectral_norm(out)
 
 

@@ -41,6 +41,11 @@ class SpectralData:
         return float(self.eigenvalues[1] - self.eigenvalues[0])
 
     @property
+    def norm(self) -> float:
+        """Operator 2-norm max(|w_0|, |w_-1|) of the decomposed matrix."""
+        return max(abs(float(self.eigenvalues[0])), abs(float(self.eigenvalues[-1])))
+
+    @property
     def width(self) -> float:
         """Spectral width above the ground energy."""
         return float(self.eigenvalues[-1] - self.eigenvalues[0])

@@ -19,7 +19,9 @@ from .hamiltonian import (
     Hamiltonian,
     LatticeSpec,
     decay_envelope,
-    embed_operator,
+    embed_sum,
+    local_energy_g,
+    region_sum,
     spectral_norm,
 )
 from .spectral import SpectralData, eigendecompose, eigenvalues_only, lowest_eigenpairs
@@ -130,13 +132,16 @@ class TruncatedHamiltonian:
     def bond_support(self, s: int) -> tuple[int, ...]:
         return self.blocks.blocks[s] + self.blocks.blocks[s + 1]
 
-    def assemble_dense(self) -> np.ndarray:
-        out = embed_operator(self.lattice, self.blocks.blocks[0], self.internal[0])
-        for s in range(1, self.q + 2):
-            out += embed_operator(self.lattice, self.blocks.blocks[s], self.internal[s])
-        for s in range(self.q + 1):
-            out += embed_operator(self.lattice, self.bond_support(s), self.bonds[s])
-        return out
+    def assemble_dense(self, internal: list[np.ndarray] | None = None) -> np.ndarray:
+        """Dense sum of the block terms and the bond terms.
+
+        `internal` replaces the block terms h_s (the clamped operator passes
+        its cut-off blocks); the bonds always pass through.
+        """
+        internal = self.internal if internal is None else internal
+        pieces = list(zip(self.blocks.blocks, internal))
+        pieces += [(self.bond_support(s), bond) for s, bond in enumerate(self.bonds)]
+        return embed_sum(self.lattice, pieces)
 
     def block_spectra(self) -> list[SpectralData]:
         if self._block_spectra is None:
@@ -148,9 +153,6 @@ class TruncatedHamiltonian:
 
     def bond_norms(self) -> list[float]:
         return [spectral_norm(b) for b in self.bonds]
-
-    def embed_block_operator(self, s: int, op: np.ndarray) -> np.ndarray:
-        return embed_operator(self.lattice, self.blocks.blocks[s], op)
 
 
 def _classify_terms(H: Hamiltonian, blocks: BlockDecomposition):
@@ -173,20 +175,6 @@ def _classify_terms(H: Hamiltonian, blocks: BlockDecomposition):
     return internal_terms, bond_terms, dropped
 
 
-def _local_matrix(H: Hamiltonian, region: tuple[int, ...], term_indices) -> np.ndarray:
-    """Sum of the given terms as a dense matrix on `region` (1x1 zero if empty)."""
-    if len(region) == 0:
-        return np.zeros((1, 1))
-    sub = LatticeSpec(n=len(region), d=H.lattice.d)
-    pos = {site: p + 1 for p, site in enumerate(region)}
-    dtype = np.complex128 if any(np.iscomplexobj(H.terms[i].matrix) for i in term_indices) else np.float64
-    out = np.zeros((sub.dim, sub.dim), dtype=dtype)
-    for i in term_indices:
-        t = H.terms[i]
-        out += embed_operator(sub, tuple(pos[s] for s in t.support), t.matrix)
-    return out
-
-
 def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> TruncatedHamiltonian:
     """Drop all interactions between non-adjacent blocks and zero the ground energy.
 
@@ -199,10 +187,11 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
         raise ValueError("block decomposition does not match the lattice")
     internal_terms, bond_terms, dropped = _classify_terms(H, blocks)
     internal = [
-        _local_matrix(H, blocks.blocks[s], internal_terms[s]) for s in range(blocks.q + 2)
+        region_sum(H, blocks.blocks[s], [H.terms[i] for i in internal_terms[s]])
+        for s in range(blocks.q + 2)
     ]
     bonds = [
-        _local_matrix(H, blocks.blocks[s] + blocks.blocks[s + 1], bond_terms[s])
+        region_sum(H, blocks.blocks[s] + blocks.blocks[s + 1], [H.terms[i] for i in bond_terms[s]])
         for s in range(blocks.q + 1)
     ]
     dropped_norm = float(sum(H.term_norm(i) for i in dropped))
@@ -210,8 +199,6 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
         env = decay_envelope(H)
     except ValueError:
         env = None
-    from .hamiltonian import local_energy_g
-
     T = TruncatedHamiltonian(
         lattice=H.lattice,
         blocks=blocks,

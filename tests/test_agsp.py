@@ -14,10 +14,12 @@ from agsplab.agsp import (
     chebyshev_matrix_recurrence,
     measure_agsp,
     operator_schmidt_rank,
+    rank_threshold,
     schmidt_rank_bound_check,
     state_schmidt_rank,
 )
 from agsplab.effective import build_effective
+from agsplab.entanglement import schmidt_decompose
 from agsplab.hamiltonian import build_long_range_ising
 from agsplab.spectral import eigendecompose, lowest_eigenpairs
 from agsplab.truncation import decompose_blocks, shift_block_energies, truncate_interactions
@@ -184,6 +186,19 @@ class TestOperatorSchmidtRank:
         bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
         assert state_schmidt_rank(bell, 1) == 2
         assert state_schmidt_rank(np.array([1.0, 0, 0, 0]), 1) == 1
+
+    def test_rank_threshold(self):
+        assert rank_threshold(np.array([3.0, 1e-11])) == pytest.approx(3e-10)
+        assert rank_threshold(np.array([1e-4, 0.0])) == 1e-12
+        assert rank_threshold(np.array([3.0]), tol=0.5) == 0.5
+
+    def test_one_threshold_for_states_and_schmidt_data(self, rng):
+        # rank 3 across the 2|3 cut, plus a tail below the relative threshold
+        psi = sum(rng.standard_normal(4)[:, None] * rng.standard_normal(8)[None, :] for _ in range(3))
+        psi = psi.reshape(-1) + 1e-13 * rng.standard_normal(32)
+        psi /= np.linalg.norm(psi)
+        assert state_schmidt_rank(psi, 2) == 3
+        assert schmidt_decompose(psi, 2).numerical_rank() == 3
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=9999))

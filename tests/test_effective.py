@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from agsplab.effective import (
+    GridBoundRecord,
     build_effective,
     commutator_bound_check,
     effective_difference_check,
@@ -99,6 +100,12 @@ class TestBuildEffective:
         lam, lam_p = eff.lambdas
         assert lam == pytest.approx(1.0 / (12 * g * 4 + 4 * g0))
         assert lam_p == pytest.approx(min(1.0 / (112 * g0), 1.0 / (12 * g * 4)))
+
+    def test_clamped_blocks_through_truncated_assembly(self):
+        _, T = make_T(n=8, l=2)
+        eff = build_effective(T, 3.0)
+        np.testing.assert_array_equal(T.assemble_dense(eff.internal_eff), eff.assemble_dense())
+        assert eff.spectral().norm == pytest.approx(spectral_norm(eff.assemble_dense()), rel=1e-12)
 
     def test_internal_commute_with_blocks(self):
         _, T = make_T()
@@ -263,6 +270,19 @@ class TestExponentialFilter:
         M = M + M.T
         with pytest.raises(ValueError):
             exponential_filter_check(T, 1, M, E=0.0, E_prime=1.0)
+
+
+class TestGridBoundRecord:
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (math.inf, math.inf)],
+    )
+    def test_non_finite_never_holds(self, lhs, rhs):
+        assert not GridBoundRecord("filter", {}, lhs, rhs).holds
+
+    def test_finite_within_slack_holds(self):
+        assert GridBoundRecord("filter", {}, 1.0 + 5e-10, 1.0).holds
+        assert not GridBoundRecord("filter", {}, 1.0 + 2e-9, 1.0).holds
 
 
 class TestCommutatorBound:

@@ -14,8 +14,10 @@ from agsplab.hamiltonian import (
     build_long_range_ising,
     contiguous_pair_samples,
     decay_envelope,
+    embed_sum,
     local_energy_g,
     power_law_profile,
+    region_sum,
     verify_assumption1,
     verify_power_law,
 )
@@ -148,6 +150,71 @@ class TestAssembleDense:
                 if abits[0] == bbits[0] and abits[1] == bbits[1] and abits[3] == bbits[3]:
                     expected[a, b] += m1[abits[2], bbits[2]]
         np.testing.assert_allclose(assemble_dense(H), expected, atol=1e-13)
+
+
+def _elementary_oracle(n: int, pieces) -> np.ndarray:
+    """Sum of m[a, b] * E_ab over every piece, each E_ab a kron chain of site-local E's."""
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for support, m in pieces:
+        w = len(support)
+        for a in range(m.shape[0]):
+            for b in range(m.shape[1]):
+                ops = {}
+                for k, site in enumerate(support):
+                    e = np.zeros((2, 2))
+                    e[(a >> (w - 1 - k)) & 1, (b >> (w - 1 - k)) & 1] = 1.0
+                    ops[site] = e
+                out += m[a, b] * kron_chain(n, ops)
+    return out
+
+
+@st.composite
+def _pieces(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pieces = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        width = draw(st.integers(min_value=0, max_value=min(3, n)))
+        support = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=width, max_size=width))))
+        m = rng.standard_normal((2**width, 2**width))
+        if draw(st.booleans()):
+            m = m + 1j * rng.standard_normal(m.shape)
+        m[rng.random(m.shape) < 0.3] = 0.0  # explicit zero entries
+        pieces.append((support, m))
+    return n, pieces
+
+
+class TestEmbedSum:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_pieces())
+    def test_property_matches_elementary_kron_oracle(self, case):
+        n, pieces = case
+        got = embed_sum(LatticeSpec(n=n), pieces)
+        assert np.iscomplexobj(got) == any(np.iscomplexobj(m) for _, m in pieces)
+        np.testing.assert_allclose(got, _elementary_oracle(n, pieces), rtol=0, atol=1e-12)
+
+    def test_noncontiguous_support_and_identity_piece(self):
+        m = np.arange(1.0, 65.0).reshape(8, 8)
+        pieces = [((1, 3, 6), m), ((), np.array([[2.5]]))]
+        got = embed_sum(LatticeSpec(n=6), pieces)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, _elementary_oracle(6, pieces).real)
+
+    def test_dimension_ceiling(self, monkeypatch):
+        lat = LatticeSpec(n=4)
+        monkeypatch.setenv("AGSPLAB_DIM_CEILING", "8")
+        with pytest.raises(DimensionCeilingError):
+            embed_sum(lat, [((1,), PAULI_Z)])
+
+    def test_region_sum_relabels_and_empty_region(self):
+        H = build_long_range_ising(5, 2.0, 1.0, 0.5)
+        picked = [t for t in H.terms if set(t.support) <= {2, 4, 5}]
+        pos = {2: 1, 4: 2, 5: 3}
+        expected = _elementary_oracle(
+            3, [(tuple(pos[s] for s in t.support), t.matrix) for t in picked]
+        )
+        np.testing.assert_allclose(region_sum(H, (2, 4, 5), picked), expected.real, atol=1e-14)
+        np.testing.assert_array_equal(region_sum(H, (), []), np.zeros((1, 1)))
 
 
 class TestBlockInteraction:

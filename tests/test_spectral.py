@@ -55,6 +55,13 @@ class TestEigendecompose:
         assert np.all(np.diff(S.eigenvalues) >= 0)
 
 
+    def test_norm_is_largest_absolute_eigenvalue(self, rng):
+        M = rng.standard_normal((7, 7))
+        M = M + M.T
+        assert eigendecompose(M).norm == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
+        assert eigendecompose(-5.0 * PAULI_Z + PAULI_X).norm == pytest.approx(np.sqrt(26.0))
+
+
 class TestGroundState:
     def test_sigma_z(self):
         info = ground_state(PAULI_Z)
