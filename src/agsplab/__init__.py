@@ -12,6 +12,7 @@ from .hamiltonian import (
     InteractionTerm,
     LatticeSpec,
     assemble_dense,
+    assemble_sparse,
     block_interaction,
     build_long_range_fermion_chain,
     build_long_range_ising,

@@ -22,13 +22,7 @@ from . import hamiltonian as ham
 from . import truncation as trunc
 from .config import ExperimentConfig
 from .registry import BoundRecord
-from .spectral import (
-    eigendecompose,
-    eigenvalues_only,
-    ground_state,
-    lowest_eigenpairs,
-    sector_ground_state,
-)
+from .spectral import eigendecompose, ground_state
 
 
 @dataclass
@@ -133,7 +127,9 @@ def _assumption1_records(pipe: Pipeline, tol: float) -> list[BoundRecord]:
 
 
 def _truncation_records(pipe: Pipeline, tol: float) -> list[BoundRecord]:
-    rep = trunc.verify_lemma3_4(pipe.H, pipe.T, pipe.envelope, H_dense=pipe.H_dense)
+    rep = trunc.verify_lemma3_4(
+        pipe.H, pipe.T, pipe.envelope, H_dense=pipe.H_dense, H_ground=pipe.gs_vector
+    )
     records = [
         BoundRecord("lemma3.norm", rep.delta_norm, rep.delta_bound, slack=tol),
         BoundRecord("weyl", rep.weyl_max, rep.delta_norm, slack=tol),
@@ -446,20 +442,11 @@ def _compression_records(pipe: Pipeline, rng, tol: float) -> list[BoundRecord]:
     return records
 
 
-def entropy_row(cfg: ExperimentConfig) -> EntropyRow:
-    """Half-chain (or configured-cut) entropies of the model ground state."""
-    H = build_model(cfg)
-    dense = ham.assemble_dense(H)
-    if cfg.family == "long_range_ising":
-        # spin-flip parity sectors cut the solve cost by 8x at the ceiling
-        gs = sector_ground_state(dense, ham.spin_flip_parity_indices(cfg.n))
-    else:
-        gs = ground_state(dense)
-    dim = dense.shape[0]
-    del dense
+def _entropy_row(cfg: ExperimentConfig, state: np.ndarray, d: int) -> EntropyRow:
+    """Entropies and exact bond dimensions of a normalized state at the configured cut."""
     cut = cfg.cut if cfg.cut is not None else cfg.n // 2
-    sd = ent.schmidt_decompose(gs.state, cut, d=H.lattice.d)
-    exact = ent.mps_compress(gs.state, D=dim, d=H.lattice.d)
+    sd = ent.schmidt_decompose(state, cut, d=d)
+    exact = ent.mps_compress(state, D=state.size, d=d)
     return EntropyRow(
         n=cfg.n,
         cut=cut,
@@ -467,6 +454,17 @@ def entropy_row(cfg: ExperimentConfig) -> EntropyRow:
         S2_nats=ent.renyi2(sd),
         bond_dims=exact.bond_dims,
     )
+
+
+def entropy_row(cfg: ExperimentConfig) -> EntropyRow:
+    """Half-chain (or configured-cut) entropies of the model ground state.
+
+    The ground state comes from Lanczos on the sparse Hamiltonian; no
+    d^n x d^n array is built.
+    """
+    H = build_model(cfg)
+    gs = ground_state(ham.assemble_sparse(H))
+    return _entropy_row(cfg, gs.state, H.lattice.d)
 
 
 def verify_point(cfg: ExperimentConfig) -> PointResult:
@@ -485,7 +483,7 @@ def verify_point(cfg: ExperimentConfig) -> PointResult:
     records.extend(agsp_records)
     records.extend(_sequence_records(pipe, psi, tol))
     records.extend(_compression_records(pipe, rng, tol))
-    row = entropy_row(cfg)
+    row = _entropy_row(cfg, pipe.gs_vector, pipe.H.lattice.d)
     return PointResult(config=cfg, records=records, entropy_rows=[row])
 
 

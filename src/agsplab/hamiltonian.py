@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
+import scipy.sparse
 
 HERMITICITY_ATOL = 1e-12
 DEFAULT_DIM_CEILING = 16384
@@ -207,11 +208,19 @@ def embed_sum(lattice: LatticeSpec, pieces) -> np.ndarray:
     pieces = [(tuple(support), np.asarray(m)) for support, m in pieces]
     dtype = np.complex128 if any(np.iscomplexobj(m) for _, m in pieces) else np.float64
     out = np.zeros((dim, dim), dtype=dtype)
+    for rows, cols, vals in _scatter(lattice, pieces):
+        out[rows, cols] += vals
+    return out
+
+
+def _scatter(lattice: LatticeSpec, pieces):
+    """Flat (rows, cols, values) of each identity-padded piece's nonzero entries."""
     for support, m in pieces:
         base, offsets = _embed_indexing(lattice, support)
         a, b = np.nonzero(m)
-        out[base[:, None] + offsets[a], base[:, None] + offsets[b]] += m[a, b]
-    return out
+        rows = (base[:, None] + offsets[a]).ravel()
+        cols = (base[:, None] + offsets[b]).ravel()
+        yield rows, cols, np.tile(m[a, b], len(base))
 
 
 def assemble_dense(H: Hamiltonian) -> np.ndarray:
@@ -221,6 +230,20 @@ def assemble_dense(H: Hamiltonian) -> np.ndarray:
     construction.
     """
     return embed_sum(H.lattice, ((t.support, t.matrix) for t in H.terms))
+
+
+def assemble_sparse(H: Hamiltonian):
+    """CSR d^n x d^n matrix of the Hamiltonian, from the same scatter as `embed_sum`.
+
+    Duplicate (row, col) entries of different terms are summed by scipy, so
+    entries may differ from `assemble_dense` in the last bit.
+    """
+    dim = H.lattice.dim
+    parts = list(zip(*_scatter(H.lattice, ((t.support, t.matrix) for t in H.terms))))
+    if not parts:
+        return scipy.sparse.csr_array((dim, dim))
+    rows, cols, vals = (np.concatenate(p) for p in parts)
+    return scipy.sparse.csr_array((vals, (rows, cols)), shape=(dim, dim))
 
 
 def region_sum(H: Hamiltonian, region: tuple[int, ...], terms) -> np.ndarray:
@@ -459,23 +482,6 @@ def power_law_profile(H: Hamiltonian) -> dict[int, float]:
         for s in term.support:
             acc[s] += nrm
     return {r: float(acc.max()) for r, acc in sorted(sums.items())}
-
-
-def spin_flip_parity_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices of the even/odd global spin-flip parity sectors (d=2).
-
-    XX couplings flip spins in pairs and diagonal fields flip none, so the
-    Ising family is block-diagonal in these sectors; solving them separately
-    costs an eighth of the flops of the full solve.
-    """
-    idx = np.arange(2**n, dtype=np.int64)
-    pop = np.zeros(2**n, dtype=np.int64)
-    tmp = idx.copy()
-    for _ in range(n):
-        pop += tmp & 1
-        tmp >>= 1
-    even = idx[pop % 2 == 0]
-    return even, idx[pop % 2 == 1]
 
 
 def verify_power_law(H: Hamiltonian, atol: float = 1e-9) -> bool:

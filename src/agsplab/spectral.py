@@ -1,8 +1,9 @@
 """Dense Hermitian eigendecomposition and derived spectral objects.
 
 Everything downstream (gaps, ground states, interval projectors, filter
-operators) consumes the `SpectralData` produced here.  All solvers are dense
-LAPACK calls; near-degenerate ground states are rejected rather than
+operators) consumes the `SpectralData` produced here.  Solvers are dense
+LAPACK calls, except that ground states of sparse matrices come from
+Lanczos (`eigsh`); near-degenerate ground states are rejected rather than
 perturbed.  `top_singular_value` is the one kernel for operator 2-norms of
 dense blocks: the largest eigenvalue of the smaller Gram matrix.
 """
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .hamiltonian import is_hermitian
 
@@ -104,38 +107,42 @@ def top_singular_value(A: np.ndarray) -> float:
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
-def lowest_eigenpairs(M: np.ndarray, count: int = 2, destroy_input: bool = False):
-    """Lowest `count` eigenpairs without forming the full eigenvector set.
-
-    With `destroy_input`, a symmetric real matrix is consumed in place
-    (M.T is an F-contiguous view equal to M), which avoids the workspace
-    copy that matters at the 16384-dim ceiling.
-    """
+def lowest_eigenpairs(M: np.ndarray, count: int = 2):
+    """Lowest `count` eigenpairs without forming the full eigenvector set."""
     if np.iscomplexobj(M) and np.max(np.abs(M.imag)) < 1e-14:
         M = M.real
-    overwrite = False
-    if destroy_input and not np.iscomplexobj(M):
-        if M.flags["C_CONTIGUOUS"]:
-            M = M.T
-        overwrite = M.flags["F_CONTIGUOUS"]
     w, v = scipy.linalg.eigh(
         M,
         subset_by_index=(0, count - 1),
         driver="evr",
-        overwrite_a=overwrite,
         check_finite=False,
     )
     return w, v
 
 
 def ground_state(
-    M: np.ndarray | SpectralData,
+    M: np.ndarray | SpectralData | scipy.sparse.sparray,
     threshold: float = DEGENERACY_THRESHOLD,
 ) -> GroundStateInfo:
-    """Lowest eigenpair and gap; rejects (near-)degenerate ground spaces."""
+    """Lowest eigenpair and gap; rejects (near-)degenerate ground spaces.
+
+    `M` is a `SpectralData`, a dense array (LAPACK) or a scipy sparse matrix
+    (Lanczos, `eigsh`).  The Lanczos start vector is a fixed-seed Gaussian,
+    which overlaps every eigenvector.  A structured one can miss a whole
+    symmetry sector, and with it the gap or a degeneracy; the constant vector
+    is itself an eigenvector of the Ising chain at zero field.
+    Non-convergence raises `ArpackNoConvergence`.
+    """
+    if scipy.sparse.issparse(M) and M.shape[0] <= 2:
+        M = M.toarray()  # ARPACK needs k=2 < dim
     if isinstance(M, SpectralData):
         w = M.eigenvalues[:2]
         vec = M.eigenvectors[:, 0]
+    elif scipy.sparse.issparse(M):
+        v0 = np.random.default_rng(0).standard_normal(M.shape[0])
+        w, v = scipy.sparse.linalg.eigsh(M, k=2, which="SA", tol=0, v0=v0)
+        order = np.argsort(w)
+        w, vec = w[order], v[:, order[0]]
     else:
         w, v = lowest_eigenpairs(M, count=2)
         vec = v[:, 0]
@@ -146,38 +153,6 @@ def ground_state(
         )
     vec = vec / np.linalg.norm(vec)
     return GroundStateInfo(energy=float(w[0]), state=vec, gap=gap)
-
-
-def sector_ground_state(
-    M: np.ndarray,
-    sectors,
-    threshold: float = DEGENERACY_THRESHOLD,
-) -> GroundStateInfo:
-    """Ground state of a matrix that is block-diagonal over given index sets.
-
-    Each sector (an index array) is diagonalized independently
-    (dense LAPACK on the submatrix); energies are merged across sectors, so
-    the returned gap is the true global gap.  The caller is responsible for
-    the sectors actually being invariant subspaces.
-    """
-    best = []  # (energy, sector position, local vector)
-    for pos, sector in enumerate(sectors):
-        sub = M[np.ix_(sector, sector)]
-        count = min(2, sub.shape[0])
-        w, v = lowest_eigenpairs(sub, count=count, destroy_input=True)
-        del sub
-        for j in range(count):
-            best.append((float(w[j]), pos, v[:, j]))
-    best.sort(key=lambda item: item[0])
-    gap = best[1][0] - best[0][0]
-    if gap <= threshold:
-        raise DegenerateGroundStateError(
-            f"gap {gap:g} at or below degeneracy threshold {threshold:g}"
-        )
-    energy, pos, local = best[0]
-    state = np.zeros(M.shape[0], dtype=local.dtype)
-    state[np.asarray(sectors[pos])] = local / np.linalg.norm(local)
-    return GroundStateInfo(energy=energy, state=state, gap=gap)
 
 
 def interval_projector(

@@ -231,16 +231,11 @@ def test_criterion_7_compression_suite(reference_pipeline):
 
 
 def half_chain_entropy(n: int) -> float:
-    from agsplab.spectral import sector_ground_state
-
     H = ham.build_long_range_ising(n, 3.0, 1.0, 2.0)
-    dense = ham.assemble_dense(H)
-    gs = sector_ground_state(dense, ham.spin_flip_parity_indices(n))
-    del dense
+    gs = ground_state(ham.assemble_sparse(H))
     return en.entropy(en.schmidt_decompose(gs.state, n // 2))
 
 
-@pytest.mark.slow
 def test_criterion_8_area_law_saturation():
     start = time.perf_counter()
     sizes = (6, 8, 10, 12, 14)

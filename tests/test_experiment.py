@@ -145,6 +145,12 @@ class TestVerifyPoint:
         [row] = mini_result.entropy_rows
         assert row.n == 4 and row.cut == 2
         assert 0.0 <= row.S2_nats <= row.S_nats + 1e-12
+        # verify_point reuses the pipeline's dense ground state; entropy_row
+        # solves the sparse Hamiltonian on its own.
+        alone = entropy_row(mini_result.config)
+        assert alone.S_nats == pytest.approx(row.S_nats, abs=1e-12)
+        assert alone.S2_nats == pytest.approx(row.S2_nats, abs=1e-12)
+        assert alone.bond_dims == row.bond_dims
 
     def test_alpha_at_pole_surfaces_requirement(self):
         cfg = ExperimentConfig(n=4, alpha=2.0)

@@ -9,6 +9,7 @@ from agsplab.hamiltonian import (
     InteractionTerm,
     LatticeSpec,
     assemble_dense,
+    assemble_sparse,
     block_interaction,
     build_long_range_fermion_chain,
     build_long_range_ising,
@@ -215,6 +216,30 @@ class TestEmbedSum:
         )
         np.testing.assert_allclose(region_sum(H, (2, 4, 5), picked), expected.real, atol=1e-14)
         np.testing.assert_array_equal(region_sum(H, (), []), np.zeros((1, 1)))
+
+
+class TestAssembleSparse:
+    @pytest.mark.parametrize(
+        "H",
+        [
+            build_long_range_ising(2, 3.0, 1.0, 2.0),
+            build_long_range_ising(5, 2.0, -0.7, 0.5),
+            build_long_range_ising(8, 3.0, 1.0, 2.0),
+            build_long_range_fermion_chain(3, 2.0, 1.0, 0.0),
+            build_long_range_fermion_chain(6, 3.0, 1.0, 0.5),
+            build_long_range_fermion_chain(8, 3.0, 1.0, 0.5),
+        ],
+        ids=["ising-n2", "ising-n5", "ising-n8", "fermion-n3", "fermion-n6", "fermion-n8"],
+    )
+    def test_matches_dense(self, H):
+        # Duplicates are summed by scipy in its own order: equal up to rounding.
+        S = assemble_sparse(H)
+        assert S.format == "csr" and S.shape == (H.lattice.dim,) * 2
+        np.testing.assert_allclose(S.toarray(), assemble_dense(H), rtol=0, atol=1e-14)
+
+    def test_empty_terms_zero_matrix(self):
+        S = assemble_sparse(Hamiltonian(LatticeSpec(n=3), []))
+        assert S.shape == (8, 8) and S.nnz == 0
 
 
 class TestBlockInteraction:

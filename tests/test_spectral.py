@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from agsplab.hamiltonian import (
     assemble_dense,
+    assemble_sparse,
+    build_long_range_fermion_chain,
     build_long_range_ising,
     local_energy_g,
-    spin_flip_parity_indices,
 )
 from agsplab.spectral import (
     DegenerateGroundStateError,
@@ -17,7 +18,6 @@ from agsplab.spectral import (
     lowest_eigenpairs,
     proj_gt,
     proj_leq,
-    sector_ground_state,
     top_singular_value,
 )
 from conftest import PAULI_X, PAULI_Z
@@ -98,20 +98,38 @@ class TestGroundState:
         lowest_eigenpairs(H, count=2)
         np.testing.assert_array_equal(H, copy)
 
-    @pytest.mark.parametrize("n,B", [(6, 2.0), (8, 2.0), (8, 0.7)])
-    def test_parity_sector_solve_matches_full(self, n, B):
-        dense = assemble_dense(build_long_range_ising(n, 3.0, 1.0, B))
-        full = ground_state(dense)
-        sector = sector_ground_state(dense.copy(), spin_flip_parity_indices(n))
-        assert sector.energy == pytest.approx(full.energy, abs=1e-10)
-        assert sector.gap == pytest.approx(full.gap, abs=1e-9)
-        assert abs(np.vdot(sector.state, full.state)) == pytest.approx(1.0, abs=1e-9)
+    @pytest.mark.parametrize(
+        "H",
+        [
+            build_long_range_ising(6, 3.0, 1.0, 2.0),
+            build_long_range_ising(8, 3.0, 1.0, 2.0),
+            build_long_range_ising(8, 3.0, 1.0, 0.7),
+            build_long_range_fermion_chain(8, 3.0, 1.0, 0.5),
+        ],
+        ids=["ising-n6-B2", "ising-n8-B2", "ising-n8-B0.7", "fermion-n8"],
+    )
+    def test_sparse_solve_matches_dense(self, H):
+        # The Ising gap is to the odd spin-flip sector: a start vector
+        # confined to one sector would report a wrong gap here.
+        dense = ground_state(assemble_dense(H))
+        sparse = ground_state(assemble_sparse(H))
+        assert sparse.energy == pytest.approx(dense.energy, abs=1e-10)
+        assert sparse.gap == pytest.approx(dense.gap, abs=1e-9)
+        assert abs(np.vdot(sparse.state, dense.state)) == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.norm(sparse.state) == pytest.approx(1.0, abs=1e-12)
 
-    def test_sector_solve_detects_degeneracy(self):
+    def test_sparse_two_dim_input(self):
+        # Below ARPACK's k < dim limit the sparse input is solved densely.
+        info = ground_state(assemble_sparse(build_long_range_ising(1, 3.0, 1.0, 2.0)))
+        assert info.energy == pytest.approx(-2.0)
+        assert info.gap == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_sparse_solve_detects_degeneracy(self, n):
         # B = 0: exact double degeneracy split across parity sectors
-        dense = assemble_dense(build_long_range_ising(4, 3.0, 1.0, 0.0))
+        H = assemble_sparse(build_long_range_ising(n, 3.0, 1.0, 0.0))
         with pytest.raises(DegenerateGroundStateError):
-            sector_ground_state(dense, spin_flip_parity_indices(4))
+            ground_state(H)
 
 
 class TestIntervalProjector:
