@@ -25,7 +25,6 @@ from .spectral import (
     SpectralData,
     eigendecompose,
     ground_state,
-    interval_projector,
 )
 from .truncation import (
     BlockDecomposition,

@@ -11,7 +11,7 @@ turns a good filter into a low-Schmidt-rank approximate ground state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +47,7 @@ class ChebyshevFilter:
     gap_eff: float
     width: float
     eff: EffectiveHamiltonian
+    _ranks: dict[int, int] = field(default_factory=dict, repr=False)
 
     @property
     def cheb_bound(self) -> float:
@@ -58,6 +59,13 @@ class ChebyshevFilter:
         sp = self.eff.spectral()
         vals = _filter_values(self.m, sp.eigenvalues, self.gap_eff, self.width)
         return float(np.max(np.abs(vals[1:]))) if len(vals) > 1 else 0.0
+
+    def schmidt_rank(self, cut: int) -> int:
+        """Operator Schmidt rank of K across `cut`; one SVD per filter and cut."""
+        if cut not in self._ranks:
+            d = self.eff.base.lattice.d
+            self._ranks[cut] = operator_schmidt_rank(self.matrix, cut, d=d).rank
+        return self._ranks[cut]
 
 
 def _filter_values(m: int, eigenvalues: np.ndarray, gap: float, width: float) -> np.ndarray:
@@ -205,13 +213,11 @@ def measure_agsp(
         epsilon = filt.excited_residual()
     if cut is None:
         cut = filt.eff.base.blocks.cut
-    d = filt.eff.base.lattice.d
-    rank = operator_schmidt_rank(K, cut, d=d).rank
     return AgspReport(
         m=filt.m,
         delta_K=delta,
         epsilon_K=float(epsilon),
-        D_K=rank,
+        D_K=filt.schmidt_rank(cut),
         cheb_bound=filt.cheb_bound,
     )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import embed_sum, spectral_norm
-from .spectral import SpectralData, eigendecompose, lowest_eigenpairs, top_singular_value
+from .spectral import SpectralData, eigendecompose, in_window, lowest_eigenpairs, top_singular_value
 from .truncation import TruncatedHamiltonian, align_phase
 
 E_DIST_PREFACTOR = 4.0 * math.e**1.5 / (math.e - 1.0)  # ~10.43
@@ -74,6 +74,18 @@ class EffectiveHamiltonian:
     def norm_budget(self) -> float:
         """Analytic cap (q+2)*(tau + 2*g0) on ||H_eff|| after block balancing."""
         return (self.base.q + 2) * (self.tau + 2.0 * self.base.envelope.g0)
+
+    def tail_projectors(self) -> list[np.ndarray | None]:
+        """Per block, the projector onto the h_s eigenvectors the clamp cuts off.
+
+        A level counts as cut off only above tau_s + ENERGY_TIE_TOL; None for a
+        block with no such level.
+        """
+        out = []
+        for sp, ts in zip(self.base.block_spectra(), self.tau_s):
+            high = sp.eigenvectors[:, ~in_window(sp.eigenvalues, hi=ts)]
+            out.append(high @ high.conj().T if high.size else None)
+        return out
 
 
 def energy_cutoff(h_s: np.ndarray, tau_s: float, spectrum: SpectralData | None = None) -> np.ndarray:
@@ -161,11 +173,7 @@ class Theorem5Diagnostics:
         return self.kappa <= self.kappa_bound + 1e-9
 
 
-def theorem5_check(
-    T: TruncatedHamiltonian,
-    tau_grid,
-    spec_t: SpectralData | None = None,
-) -> list[Theorem5Diagnostics]:
+def theorem5_check(T: TruncatedHamiltonian, tau_grid) -> list[Theorem5Diagnostics]:
     """Gap preservation and ground-state drift of the clamp, per tau.
 
     Wherever the theorem's tau hypothesis is met, asserts gap_eff >= gap_t/2
@@ -177,32 +185,22 @@ def theorem5_check(
     taus = sorted(float(t) for t in tau_grid)
     if not taus or taus[0] <= 0:
         raise ValueError("tau grid must be ascending positives")
-    if spec_t is None:
-        w_t, v_t = lowest_eigenpairs(T.assemble_dense(), count=2)
-    else:
-        w_t, v_t = spec_t.eigenvalues[:2], spec_t.eigenvectors[:, :2]
-    gap_t = float(w_t[1] - w_t[0])
-    gs_t = v_t[:, 0]
+    gap_t = T.spectral().gap
+    gs_t = T.spectral().eigenvectors[:, 0]
     g0 = T.envelope.g0
     q = T.q
-    block_specs = T.block_spectra()
     out = []
     for tau in taus:
         eff = _clamp(T, tau)
-        tau_s = eff.tau_s
         lam, lam_p = eff.lambdas
         w_e, v_e = lowest_eigenpairs(eff.assemble_dense(), count=2)
         gap_eff = float(w_e[1] - w_e[0])
         gs_eff = align_phase(gs_t, v_e[:, 0])
         dist = float(np.linalg.norm(gs_eff - gs_t))
         kappa = 0.0
-        for s, sp in enumerate(block_specs):
-            high = sp.eigenvectors[:, sp.eigenvalues > tau_s[s]]
-            if high.size == 0:
-                continue
-            proj = high @ high.conj().T
-            leak = apply_on_block(T.lattice, T.blocks.blocks[s], proj, v_e)
-            kappa += top_singular_value(leak)
+        for block, proj in zip(T.blocks.blocks, eff.tail_projectors()):
+            if proj is not None:
+                kappa += top_singular_value(apply_on_block(T.lattice, block, proj, v_e))
         kappa_bound = 11.0 * (q + 2) * math.exp(-lam_p * (tau - 8.0 * g0))
         e_bot = gap_t * (1.0 - kappa) ** 2 - 2.0 * g0 * kappa * (1.0 + kappa) * (q + 1)
         tau_min = theorem5_precondition_tau(T, gap_t, (lam, lam_p))
@@ -279,12 +277,7 @@ def _block_row_labels(T: TruncatedHamiltonian, s: int) -> np.ndarray:
     return np.repeat(np.tile(w, dL), dR)
 
 
-def energy_distribution_check(
-    eff: EffectiveHamiltonian,
-    E_prime_grid,
-    E_grid,
-    spec_t: SpectralData | None = None,
-) -> list[GridBoundRecord]:
+def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -> list[GridBoundRecord]:
     """Block high-energy leakage of low-energy projectors, plain and clamped.
 
     For every block s and grid pair: ||P^(s)_{>E'} P_{<=E}|| against
@@ -296,20 +289,21 @@ def energy_distribution_check(
     T = eff.base
     lam, lam_p = eff.lambdas
     g0 = T.envelope.g0
-    spec_t = spec_t or eigendecompose(T.assemble_dense(), check=False)
+    spec_t = T.spectral()
     spec_e = eff.spectral()
     e_t0 = spec_t.ground_energy
     e_eff0 = spec_e.ground_energy
     block_e0 = T.block_ground_energies()
+    low = [(E, in_window(spec_t.eigenvalues, hi=E), in_window(spec_e.eigenvalues, hi=E)) for E in E_grid]
     records = []
     for s in range(T.q + 2):
         labels = _block_row_labels(T, s)
         M_plain = _block_overlap_matrix(T, s, spec_t.eigenvectors)
         M_eff = _block_overlap_matrix(T, s, spec_e.eigenvectors)
         for E_prime in E_prime_grid:
-            rows = labels > E_prime
-            for E in E_grid:
-                lhs = top_singular_value(M_plain[np.ix_(rows, spec_t.eigenvalues <= E)])
+            rows = ~in_window(labels, hi=E_prime)
+            for E, low_t, low_e in low:
+                lhs = top_singular_value(M_plain[np.ix_(rows, low_t)])
                 expo = lam * ((E_prime - block_e0[s]) - (E - e_t0) - 4.0 * g0)
                 records.append(
                     GridBoundRecord(
@@ -319,7 +313,7 @@ def energy_distribution_check(
                         E_DIST_PREFACTOR * math.exp(-expo),
                     )
                 )
-                lhs = top_singular_value(M_eff[np.ix_(rows, spec_e.eigenvalues <= E)])
+                lhs = top_singular_value(M_eff[np.ix_(rows, low_e)])
                 expo = lam_p * (
                     min(E_prime, eff.tau_s[s]) - block_e0[s] - (E - e_eff0) - 4.0 * g0
                 )
@@ -335,10 +329,7 @@ def energy_distribution_check(
 
 
 def effective_difference_check(
-    T: TruncatedHamiltonian,
-    eff: EffectiveHamiltonian,
-    E_grid,
-    spec_t: SpectralData | None = None,
+    T: TruncatedHamiltonian, eff: EffectiveHamiltonian, E_grid
 ) -> list[GridBoundRecord]:
     """Norm of the clamping error on low-energy states.
 
@@ -347,13 +338,12 @@ def effective_difference_check(
     """
     lam, _ = eff.lambdas
     g0 = T.envelope.g0
-    dense_t = T.assemble_dense()
-    spec_t = spec_t or eigendecompose(dense_t, check=False)
-    diff = dense_t - eff.assemble_dense()
+    spec_t = T.spectral()
+    diff = T.assemble_dense() - eff.assemble_dense()
     e_t0 = spec_t.ground_energy
     records = []
     for E in E_grid:
-        basis = spec_t.eigenvectors[:, spec_t.eigenvalues <= E]
+        basis = spec_t.eigenvectors[:, in_window(spec_t.eigenvalues, hi=E)]
         lhs = top_singular_value(diff @ basis)
         rhs = (
             27.0
@@ -371,7 +361,6 @@ def exponential_filter_check(
     O_s: np.ndarray,
     E,
     E_prime,
-    spec_t: SpectralData | None = None,
     eff: EffectiveHamiltonian | None = None,
 ) -> list[GridBoundRecord]:
     """Exponential suppression of block operators between energy sectors.
@@ -390,9 +379,8 @@ def exponential_filter_check(
         raise ValueError("operator does not commute with its block Hamiltonian")
     g0 = T.envelope.g0
     lam = 1.0 / (12.0 * T.local_g * T.k**2 + 4.0 * g0)
-    spec_t = spec_t or eigendecompose(T.assemble_dense(), check=False)
     norm_O = top_singular_value(O_s)
-    variants = [("filter", lam, spec_t)]
+    variants = [("filter", lam, T.spectral())]
     if eff is not None:
         variants.append(("filter-eff", eff.lambdas[1], eff.spectral()))
     rotated = []
@@ -408,7 +396,7 @@ def exponential_filter_check(
                     GridBoundRecord(
                         label,
                         {"s": s, "E_prime": float(Ep), "E": float(Ei)},
-                        top_singular_value(rot[np.ix_(w >= Ep, w <= Ei)]),
+                        top_singular_value(rot[np.ix_(in_window(w, lo=Ep), in_window(w, hi=Ei))]),
                         4.0 * norm_O * math.exp(-rate * (Ep - Ei)),
                     )
                 )

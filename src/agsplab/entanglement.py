@@ -248,7 +248,6 @@ def agsp_sequence(
     base_state: np.ndarray,
     p_max: int,
     cut: int,
-    d: int = 2,
     m_start: int = 4,
     l_start: int = 1,
     tau_start: float = 2.0,
@@ -266,7 +265,6 @@ def agsp_sequence(
     state.  Returns (steps, exhausted) where `exhausted` flags a step whose
     target was unreachable within the budget (iteration stops there).
     """
-    from .agsp import operator_schmidt_rank
     from .truncation import align_phase
 
     nu0 = float(np.linalg.norm(ground - align_phase(ground, base_state)))
@@ -299,7 +297,6 @@ def agsp_sequence(
         filtered = filt.matrix @ (phase * base_state)
         psi = filtered / np.linalg.norm(filtered)
         distance = float(np.linalg.norm(psi - ground))
-        D_p = operator_schmidt_rank(filt.matrix, cut, d=d).rank
         steps.append(
             AgspSequenceStep(
                 p=p,
@@ -309,7 +306,7 @@ def agsp_sequence(
                 gamma=float(gamma),
                 delta=delta,
                 epsilon=epsilon,
-                D=D_p,
+                D=filt.schmidt_rank(cut),
                 distance=distance,
                 target_met=met,
             )

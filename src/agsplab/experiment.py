@@ -8,7 +8,7 @@ grid order.
 
 from __future__ import annotations
 
-import math
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -22,7 +22,7 @@ from . import hamiltonian as ham
 from . import truncation as trunc
 from .config import ExperimentConfig
 from .registry import BoundRecord
-from .spectral import eigendecompose, ground_state
+from .spectral import SpectralData, eigendecompose, ground_state
 
 
 @dataclass
@@ -55,29 +55,48 @@ def build_model(cfg: ExperimentConfig) -> ham.Hamiltonian:
 
 @dataclass
 class Pipeline:
-    """All objects of one fully built experiment point."""
+    """All objects of one experiment point, each built once.
+
+    Truncations (per block length l, at the configured cut) and clamps (per
+    (l, tau)) are built on first use and shared by every check of the point.
+    """
 
     cfg: ExperimentConfig
     H: ham.Hamiltonian
     H_dense: np.ndarray
+    H_spec: SpectralData
     envelope: ham.DecayEnvelope
     g: float
     gs_energy: float
     gs_gap: float
     gs_vector: np.ndarray
-    T: trunc.TruncatedHamiltonian
-    spec_t: object
-    gs_t: np.ndarray
-    effs: dict[float, eff_mod.EffectiveHamiltonian] = field(default_factory=dict)
+    _truncations: dict[int, trunc.TruncatedHamiltonian] = field(default_factory=dict, repr=False)
+    _effs: dict[tuple[int, float], eff_mod.EffectiveHamiltonian] = field(default_factory=dict, repr=False)
+
+    def truncation(self, l: int) -> trunc.TruncatedHamiltonian:
+        if l not in self._truncations:
+            blocks = trunc.decompose_blocks(self.cfg.n, self.cfg.q, l, self.cfg.cut)
+            self._truncations[l] = trunc.shift_block_energies(trunc.truncate_interactions(self.H, blocks))
+        return self._truncations[l]
+
+    def eff_at(self, tau: float, l: int | None = None) -> eff_mod.EffectiveHamiltonian:
+        key = (self.cfg.l if l is None else l, tau)
+        if key not in self._effs:
+            self._effs[key] = eff_mod.build_effective(self.truncation(key[0]), tau)
+        return self._effs[key]
+
+    @property
+    def T(self) -> trunc.TruncatedHamiltonian:
+        return self.truncation(self.cfg.l)
+
+    @functools.cached_property
+    def gs_t(self) -> np.ndarray:
+        """Ground state of T, phase-aligned to the ground state of H."""
+        return trunc.align_phase(self.gs_vector, self.T.spectral().eigenvectors[:, 0])
 
     @property
     def cut(self) -> int:
         return self.T.blocks.cut
-
-    def eff_at(self, tau: float) -> eff_mod.EffectiveHamiltonian:
-        if tau not in self.effs:
-            self.effs[tau] = eff_mod.build_effective(self.T, tau)
-        return self.effs[tau]
 
     def block_width_top(self) -> float:
         """Cut-off beyond which clamping is a no-op (max block width)."""
@@ -87,25 +106,18 @@ class Pipeline:
 def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     H = build_model(cfg)
     H_dense = ham.assemble_dense(H)
-    envelope = ham.decay_envelope(H)
-    g = ham.local_energy_g(H)
-    gs = ground_state(H_dense)
-    blocks = trunc.decompose_blocks(cfg.n, cfg.q, cfg.l, cfg.cut)
-    T = trunc.shift_block_energies(trunc.truncate_interactions(H, blocks))
-    spec_t = eigendecompose(T.assemble_dense(), check=False)
-    gs_t = trunc.align_phase(gs.state, spec_t.eigenvectors[:, 0])
+    H_spec = eigendecompose(H_dense, check=False)
+    gs = ground_state(H_spec)
     return Pipeline(
         cfg=cfg,
         H=H,
         H_dense=H_dense,
-        envelope=envelope,
-        g=g,
+        H_spec=H_spec,
+        envelope=ham.decay_envelope(H),
+        g=ham.local_energy_g(H),
         gs_energy=gs.energy,
         gs_gap=gs.gap,
         gs_vector=gs.state,
-        T=T,
-        spec_t=spec_t,
-        gs_t=gs_t,
     )
 
 
@@ -127,9 +139,7 @@ def _assumption1_records(pipe: Pipeline, tol: float) -> list[BoundRecord]:
 
 
 def _truncation_records(pipe: Pipeline, tol: float) -> list[BoundRecord]:
-    rep = trunc.verify_lemma3_4(
-        pipe.H, pipe.T, pipe.envelope, H_dense=pipe.H_dense, H_ground=pipe.gs_vector
-    )
+    rep = trunc.verify_lemma3_4(pipe.H, pipe.T, pipe.envelope, H_dense=pipe.H_dense, H_spec=pipe.H_spec)
     records = [
         BoundRecord("lemma3.norm", rep.delta_norm, rep.delta_bound, slack=tol),
         BoundRecord("weyl", rep.weyl_max, rep.delta_norm, slack=tol),
@@ -147,7 +157,7 @@ def _truncation_records(pipe: Pipeline, tol: float) -> list[BoundRecord]:
 
 
 def _theorem5_records(pipe: Pipeline, tol: float) -> list[BoundRecord]:
-    diags = eff_mod.theorem5_check(pipe.T, pipe.cfg.taus, spec_t=pipe.spec_t)
+    diags = eff_mod.theorem5_check(pipe.T, pipe.cfg.taus)
     records = []
     met_any = False
     for dg in diags:
@@ -216,24 +226,21 @@ def _filter_machinery_records(pipe: Pipeline, rng, tol: float) -> list[BoundReco
             slack=tol,
         )
     ]
-    e0 = pipe.spec_t.ground_energy
-    width = pipe.spec_t.width
+    e0 = T.spectral().ground_energy
+    width = T.spectral().width
     block_specs = T.block_spectra()
     lo = min(sp.eigenvalues[0] for sp in block_specs)
     hi = max(sp.eigenvalues[-1] for sp in block_specs)
     E_prime_grid = np.linspace(lo - 0.5, hi + 0.5, 5)
     E_grid = np.linspace(e0, e0 + width, 5)
-    for rec in eff_mod.energy_distribution_check(eff, E_prime_grid, E_grid, spec_t=pipe.spec_t):
+    for rec in eff_mod.energy_distribution_check(eff, E_prime_grid, E_grid):
         bid = "prop8.energy-dist" if rec.label == "energy-dist" else "prop8.energy-dist-eff"
         records.append(BoundRecord(bid, rec.lhs, rec.rhs, rec.context, slack=tol))
-    for rec in eff_mod.effective_difference_check(T, eff, np.linspace(e0, e0 + 0.5 * width, 5), spec_t=pipe.spec_t):
+    for rec in eff_mod.effective_difference_check(T, eff, np.linspace(e0, e0 + 0.5 * width, 5)):
         records.append(BoundRecord("prop9.diff", rec.lhs, rec.rhs, rec.context, slack=tol))
-    for s in range(T.q + 2):
+    for s, tail in enumerate(eff.tail_projectors()):
         sp = block_specs[s]
-        high = sp.eigenvectors[:, sp.eigenvalues > eff.tau_s[s]]
-        ops = []
-        if high.size:
-            ops.append(("clamp-tail", high @ high.conj().T))
+        ops = [] if tail is None else [("clamp-tail", tail)]
         diag = rng.uniform(-1.0, 1.0, size=sp.source_dim)
         ops.append(("random-diagonal", (sp.eigenvectors * diag) @ sp.eigenvectors.conj().T))
         for name, O in ops:
@@ -243,7 +250,6 @@ def _filter_machinery_records(pipe: Pipeline, rng, tol: float) -> list[BoundReco
                 O,
                 E=(e0, e0 + width / 4.0),
                 E_prime=(e0 + width / 3.0, e0 + 2.0 * width / 3.0),
-                spec_t=pipe.spec_t,
                 eff=eff,
             ):
                 ctx = dict(rec.context)
@@ -354,18 +360,11 @@ def _sequence_records(pipe: Pipeline, psi_base: np.ndarray | None, tol: float) -
         base = ent.truncate_to_rank(schmidt, max(1, schmidt.numerical_rank() // 2))
     if np.linalg.norm(pipe.gs_vector - trunc.align_phase(pipe.gs_vector, base)) > 0.5:
         base = pipe.gs_vector  # always admissible (zero base drift)
-    truncations: dict[int, trunc.TruncatedHamiltonian] = {}
 
+    @functools.lru_cache(maxsize=1)  # a step that repeats (m, l, tau) reuses its filter
     def factory(m, l, tau):
-        if l not in truncations:
-            blocks = trunc.decompose_blocks(cfg.n, cfg.q, l)
-            truncations[l] = trunc.shift_block_energies(
-                trunc.truncate_interactions(pipe.H, blocks)
-            )
-        T_l = truncations[l]
-        width = max(sp.width for sp in T_l.block_spectra()) + 1.0
-        eff = eff_mod.build_effective(T_l, min(tau, width))
-        return agsp_mod.agsp_filter(eff, m)
+        width = max(sp.width for sp in pipe.truncation(l).block_spectra()) + 1.0
+        return agsp_mod.agsp_filter(pipe.eff_at(min(tau, width), l), m)
 
     steps, exhausted = ent.agsp_sequence(
         factory,
@@ -373,10 +372,10 @@ def _sequence_records(pipe: Pipeline, psi_base: np.ndarray | None, tol: float) -
         base,
         p_max=4,
         cut=cut,
-        d=d,
         l_start=cfg.l,
         tau_start=max(cfg.taus),
-        l_max=cfg.n // cfg.q,
+        # every l whose q bulk blocks fit around the cut (decompose_blocks' domain)
+        l_max=min(cfg.n // cfg.q, 2 * cut // cfg.q, 2 * (cfg.n - cut) // cfg.q),
         tau_max=pipe.block_width_top(),
     )
     records = []

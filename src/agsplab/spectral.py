@@ -1,6 +1,6 @@
 """Dense Hermitian eigendecomposition and derived spectral objects.
 
-Everything downstream (gaps, ground states, interval projectors, filter
+Everything downstream (gaps, ground states, energy windows, filter
 operators) consumes the `SpectralData` produced here.  Solvers are dense
 LAPACK calls, except that ground states of sparse matrices come from
 Lanczos (`eigsh`); near-degenerate ground states are rejected rather than
@@ -21,6 +21,9 @@ import scipy.sparse.linalg
 from .hamiltonian import is_hermitian
 
 DEGENERACY_THRESHOLD = 1e-10
+# Eigenvalues this close to an energy threshold count as lying on it, so that
+# no record depends on the last bits of an eigensolver's rounding.
+ENERGY_TIE_TOL = 1e-9
 
 
 class DegenerateGroundStateError(ValueError):
@@ -81,12 +84,6 @@ def eigendecompose(M: np.ndarray, check: bool = True) -> SpectralData:
         M = M.real
     w, U = np.linalg.eigh(M)
     return SpectralData(eigenvalues=w, eigenvectors=U, source_dim=M.shape[0])
-
-
-def eigenvalues_only(M: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(M) and np.max(np.abs(M.imag)) < 1e-14:
-        M = M.real
-    return np.linalg.eigvalsh(M)
 
 
 def top_singular_value(A: np.ndarray) -> float:
@@ -155,26 +152,9 @@ def ground_state(
     return GroundStateInfo(energy=float(w[0]), state=vec, gap=gap)
 
 
-def interval_projector(
-    S: SpectralData,
-    lo: float = -np.inf,
-    hi: float = np.inf,
-    include_lo: bool = True,
-    include_hi: bool = True,
-) -> np.ndarray:
-    """Projector onto the eigenspaces with eigenvalue in the given interval."""
-    w = S.eigenvalues
-    mask = (w >= lo) if include_lo else (w > lo)
-    mask &= (w <= hi) if include_hi else (w < hi)
-    if not mask.any():
-        return np.zeros((S.source_dim, S.source_dim), dtype=S.eigenvectors.dtype)
-    V = S.eigenvectors[:, mask]
-    return V @ V.conj().T
+def in_window(w: np.ndarray, lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:
+    """Mask of the energies in the closed window lo - tol <= w <= hi + tol.
 
-
-def proj_leq(S: SpectralData, x: float) -> np.ndarray:
-    return interval_projector(S, hi=x, include_hi=True)
-
-
-def proj_gt(S: SpectralData, x: float) -> np.ndarray:
-    return interval_projector(S, lo=x, include_lo=False)
+    tol is `ENERGY_TIE_TOL`; "above x" is the complement of `in_window(w, hi=x)`.
+    """
+    return (w >= lo - ENERGY_TIE_TOL) & (w <= hi + ENERGY_TIE_TOL)

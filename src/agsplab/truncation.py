@@ -24,7 +24,7 @@ from .hamiltonian import (
     region_sum,
     spectral_norm,
 )
-from .spectral import SpectralData, eigendecompose, eigenvalues_only, lowest_eigenpairs
+from .spectral import SpectralData, eigendecompose
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,8 @@ class TruncatedHamiltonian:
     `bonds[s]` on blocks[s] + blocks[s+1].  The represented operator has its
     ground energy at 0; `origin_shift` restores the raw truncation of the
     source Hamiltonian (H_t_raw = H_t + origin_shift * I).  `energy_shifts`
-    records the block-origin redistribution, which always sums to zero.
+    records the block-origin redistribution, which always sums to zero, so
+    the cached spectrum of the represented operator survives it.
     """
 
     lattice: LatticeSpec
@@ -112,22 +113,17 @@ class TruncatedHamiltonian:
     envelope: DecayEnvelope | None = None
     local_g: float = 0.0
     _block_spectra: list[SpectralData] | None = field(default=None, repr=False)
-    _eigenvalues: np.ndarray | None = field(default=None, repr=False)
+    _spectral: SpectralData | None = field(default=None, repr=False)
 
     @property
     def q(self) -> int:
         return self.blocks.q
 
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending spectrum of the represented operator (ground at 0).
-
-        Cached: the block-origin redistribution adds scalars summing to
-        zero, so it leaves the assembled operator, and hence this spectrum,
-        exactly unchanged.
-        """
-        if self._eigenvalues is None:
-            self._eigenvalues = eigenvalues_only(self.assemble_dense())
-        return self._eigenvalues
+    def spectral(self) -> SpectralData:
+        """Eigendecomposition of the represented operator (ground energy 0)."""
+        if self._spectral is None:
+            self._spectral = eigendecompose(self.assemble_dense(), check=False)
+        return self._spectral
 
     def bond_support(self, s: int) -> tuple[int, ...]:
         return self.blocks.blocks[s] + self.blocks.blocks[s + 1]
@@ -181,7 +177,8 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
     Terms inside one block become h_s, terms spanning exactly one adjacent
     pair become h_{s,s+1}, everything else is dropped.  The ground energy is
     removed by an equal per-block shift, so the stored operator satisfies
-    E_t0 = 0 exactly.
+    E_t0 = 0 exactly; the one eigendecomposition that finds it is kept,
+    shifted, as the operator's spectrum (the shift adds -E_t0 * I in total).
     """
     if blocks.n != H.lattice.n:
         raise ValueError("block decomposition does not match the lattice")
@@ -212,13 +209,12 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
         envelope=env,
         local_g=local_energy_g(H),
     )
-    raw_evals = eigenvalues_only(T.assemble_dense())
-    e0 = float(raw_evals[0])
+    raw = eigendecompose(T.assemble_dense(), check=False)
+    e0 = raw.ground_energy
     per_block = e0 / (blocks.q + 2)
     T.internal = [h - per_block * np.eye(h.shape[0]) for h in T.internal]
     T.origin_shift = e0
-    T._block_spectra = None
-    T._eigenvalues = raw_evals - e0
+    T._spectral = SpectralData(raw.eigenvalues - e0, raw.eigenvectors, raw.source_dim)
     return T
 
 
@@ -295,8 +291,7 @@ def verify_lemma3_4(
     T: TruncatedHamiltonian,
     envelope: DecayEnvelope | None = None,
     H_dense: np.ndarray | None = None,
-    H_evals: np.ndarray | None = None,
-    H_ground: np.ndarray | None = None,
+    H_spec: SpectralData | None = None,
 ) -> TruncationReport:
     """Measure the truncation guarantees against their analytic budgets.
 
@@ -305,23 +300,23 @@ def verify_lemma3_4(
     every j; gap_t >= gap - 2*||delta||; and, whenever 4*||delta|| < gap,
     || |0> - |0_t> || <= ||delta|| / (gap - 4*||delta||) with phases aligned.
 
-    `H_evals`/`H_ground` may carry a precomputed spectrum and ground vector
-    of H (sweeps over l reuse them).
+    `H_spec` may carry the eigendecomposition of H (sweeps over l reuse it);
+    H_t's spectrum and ground vector come from `T.spectral()`.
     """
     envelope = envelope or T.envelope
     if H_dense is None:
         from .hamiltonian import assemble_dense
 
         H_dense = assemble_dense(H)
-    Ht = T.assemble_dense()
-    delta = H_dense - Ht
+    delta = H_dense - T.assemble_dense()
     np.fill_diagonal(delta, delta.diagonal() - T.origin_shift)
     delta_norm = spectral_norm(delta)
     bound = None
     if envelope is not None:
         bound = envelope.g0 * T.q * float(T.blocks.l) ** (-envelope.alpha_bar)
-    spec = H_evals if H_evals is not None else eigenvalues_only(H_dense)
-    spec_t = T.eigenvalues() + T.origin_shift
+    H_spec = H_spec or eigendecompose(H_dense, check=False)
+    spec = H_spec.eigenvalues
+    spec_t = T.spectral().eigenvalues + T.origin_shift
     weyl_max = float(np.max(np.abs(spec - spec_t)))
     gap = float(spec[1] - spec[0])
     gap_t = float(spec_t[1] - spec_t[0])
@@ -329,10 +324,8 @@ def verify_lemma3_4(
     applicable = 4.0 * delta_norm < gap
     dist = ov_bound = None
     if applicable:
-        if H_ground is None:
-            H_ground = lowest_eigenpairs(H_dense, count=1)[1][:, 0]
-        _, vt = lowest_eigenpairs(Ht, count=1)
-        gs, gs_t = H_ground, align_phase(H_ground, vt[:, 0])
+        gs = H_spec.eigenvectors[:, 0]
+        gs_t = align_phase(gs, T.spectral().eigenvectors[:, 0])
         dist = float(np.linalg.norm(gs - gs_t))
         ov_bound = delta_norm / (gap - 4.0 * delta_norm)
     triangle_ok = delta_norm <= T.dropped_norm_sum + 1e-9

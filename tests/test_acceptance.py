@@ -17,7 +17,7 @@ from agsplab import effective as em
 from agsplab import entanglement as en
 from agsplab import hamiltonian as ham
 from agsplab import truncation as tr
-from agsplab.spectral import eigenvalues_only, ground_state, lowest_eigenpairs
+from agsplab.spectral import eigendecompose, ground_state
 from conftest import random_state
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "area_law_entropies.json")
@@ -32,7 +32,7 @@ def report(criterion: str, ok: bool, detail: str):
 def reference_tau(pipe) -> float:
     """Cut-off above the gap-preservation hypothesis, or at spectrum top."""
     lam = em.build_effective(pipe.T, 1.0).lambdas
-    gap_t = pipe.spec_t.gap
+    gap_t = pipe.T.spectral().gap
     required = em.theorem5_precondition_tau(pipe.T, gap_t, lam)
     top = pipe.block_width_top()
     return required if required <= top else top
@@ -66,15 +66,12 @@ def test_criterion_2_truncation_suite():
     for n in (8, 10, 12):
         H = ham.build_long_range_ising(n, 3.0, 1.0, 2.0)
         dense = ham.assemble_dense(H)
-        evals = eigenvalues_only(dense)
-        gs_vec = lowest_eigenpairs(dense, count=1)[1][:, 0]
+        spec = eigendecompose(dense)
         for l in (1, 2, 3):
             T = tr.shift_block_energies(
                 tr.truncate_interactions(H, tr.decompose_blocks(n, 2, l))
             )
-            rep = tr.verify_lemma3_4(
-                H, T, H_dense=dense, H_evals=evals, H_ground=gs_vec
-            )
+            rep = tr.verify_lemma3_4(H, T, H_dense=dense, H_spec=spec)
             if rep.delta_norm > rep.delta_bound + TOL:
                 failures.append(f"norm(n={n},l={l})")
             if rep.weyl_max > rep.delta_norm + TOL:
@@ -97,7 +94,7 @@ def test_criterion_3_gap_preservation_decay(reference_pipeline):
     pipe = reference_pipeline
     top = pipe.block_width_top()
     taus = np.linspace(2.0, 0.95 * top, 9)
-    diags = em.theorem5_check(pipe.T, taus, spec_t=pipe.spec_t)
+    diags = em.theorem5_check(pipe.T, taus)
     slope, r2, used = em.fit_log_slope(
         [d.tau for d in diags], [d.overlap_distance for d in diags]
     )
@@ -118,19 +115,16 @@ def test_criterion_4_spectral_filter_machinery(reference_pipeline):
     pipe = reference_pipeline
     T = pipe.T
     eff = pipe.eff_at(reference_tau(pipe))
-    spec_t = pipe.spec_t
-    e0, width = spec_t.ground_energy, spec_t.width
+    e0, width = T.spectral().ground_energy, T.spectral().width
     block_specs = T.block_spectra()
     lo = min(sp.eigenvalues[0] for sp in block_specs)
     hi = max(sp.eigenvalues[-1] for sp in block_specs)
     recs = em.energy_distribution_check(
-        eff, np.linspace(lo - 0.5, hi + 0.5, 5), np.linspace(e0, e0 + width, 5), spec_t=spec_t
+        eff, np.linspace(lo - 0.5, hi + 0.5, 5), np.linspace(e0, e0 + width, 5)
     )
     n_dist = len(recs)
     bad = [r for r in recs if not r.holds]
-    recs9 = em.effective_difference_check(
-        T, eff, np.linspace(e0, e0 + 0.5 * width, 5), spec_t=spec_t
-    )
+    recs9 = em.effective_difference_check(T, eff, np.linspace(e0, e0 + 0.5 * width, 5))
     bad += [r for r in recs9 if not r.holds]
     rng = np.random.default_rng(5)
     n_filter = 0
@@ -139,7 +133,7 @@ def test_criterion_4_spectral_filter_machinery(reference_pipeline):
         diag = rng.uniform(-1, 1, size=sp.source_dim)
         O = (sp.eigenvectors * diag) @ sp.eigenvectors.conj().T
         for rec in em.exponential_filter_check(
-            T, s, O, E=e0 + width / 4, E_prime=e0 + width / 2, spec_t=spec_t, eff=eff
+            T, s, O, E=e0 + width / 4, E_prime=e0 + width / 2, eff=eff
         ):
             n_filter += 1
             if not rec.holds:

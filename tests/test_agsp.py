@@ -171,6 +171,20 @@ class TestOperatorSchmidtRank:
     def test_identity_rank_one(self):
         assert operator_schmidt_rank(np.eye(16), 2).rank == 1
 
+    def test_filter_rank_is_cached(self, monkeypatch):
+        T, eff = make_eff()
+        filt = agsp_filter(eff, 4)
+        cut = T.blocks.cut
+        expected = operator_schmidt_rank(filt.matrix, cut).rank
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+        assert filt.schmidt_rank(cut) == expected
+        assert len(calls) == 1
+        assert filt.schmidt_rank(cut) == expected
+        assert measure_agsp(filt, filt.fixed_state).D_K == expected
+        assert len(calls) == 1
+
     def test_product_operator_rank_one(self):
         O = kron_chain(4, {1: PAULI_X, 3: PAULI_X})
         assert operator_schmidt_rank(O, 2).rank == 1

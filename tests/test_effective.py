@@ -21,7 +21,6 @@ from agsplab.hamiltonian import (
     local_energy_g,
     spectral_norm,
 )
-from agsplab.spectral import eigendecompose, lowest_eigenpairs
 from agsplab.truncation import decompose_blocks, shift_block_energies, truncate_interactions
 from conftest import PAULI_Z
 
@@ -148,17 +147,35 @@ class TestTheorem5:
         assert diag.e_bot == pytest.approx(expected, abs=1e-12)
 
 
+class TestEnergyTies:
+    def test_level_just_above_cutoff_is_a_tie(self):
+        # a block level 1e-13 above tau_s = E_{s,0} + tau (eigensolver noise)
+        # must leave the clamp tails and kappa exactly as the exact tie does
+        _, T = make_T(n=8, l=2)
+        e0 = float(T.block_ground_energies()[1])
+        level = float(T.block_spectra()[1].eigenvalues[1])
+        tau = level - e0
+        near = tau - 1e-13
+        assert e0 + tau == level and 0.0 < level - (e0 + near) < 2e-13
+        tails_tie = build_effective(T, tau).tail_projectors()
+        tails_near = build_effective(T, near).tail_projectors()
+        for a, b in zip(tails_tie, tails_near):
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_allclose(a, b, atol=1e-12)
+        [tie], [off] = theorem5_check(T, [tau]), theorem5_check(T, [near])
+        assert off.kappa == pytest.approx(tie.kappa, abs=1e-9)
+
+
 class TestEnergyDistribution:
     def test_grid_holds(self):
         _, T = make_T(n=8, l=2)
         eff = build_effective(T, 5.0)
-        spec_t = eigendecompose(T.assemble_dense(), check=False)
-        e0, width = spec_t.ground_energy, spec_t.width
+        e0, width = T.spectral().ground_energy, T.spectral().width
         recs = energy_distribution_check(
             eff,
             np.linspace(-2.0, 8.0, 3),
             np.linspace(e0, e0 + width, 3),
-            spec_t=spec_t,
         )
         assert len(recs) == 2 * (T.q + 2) * 9
         assert all(r.holds for r in recs)
@@ -176,9 +193,8 @@ class TestEnergyDistribution:
     def test_high_e_prime_empty_rows(self):
         _, T = make_T()
         eff = build_effective(T, 4.0)
-        spec_t = eigendecompose(T.assemble_dense(), check=False)
-        top = spec_t.eigenvalues[-1]
-        recs = energy_distribution_check(eff, [top + 50.0], [top + 1.0], spec_t=spec_t)
+        top = T.spectral().eigenvalues[-1]
+        recs = energy_distribution_check(eff, [top + 50.0], [top + 1.0])
         assert all(r.lhs == 0.0 for r in recs)
 
 
@@ -195,10 +211,10 @@ class TestEffectiveDifference:
         eff = build_effective(T, 6.0)
         lam, _ = eff.lambdas
         g0 = T.envelope.g0
-        spec_t = eigendecompose(T.assemble_dense(), check=False)
-        e0 = spec_t.ground_energy  # ~0 up to eigensolver noise
+        spec_t = T.spectral()
+        e0 = spec_t.ground_energy
         assert abs(e0) < 1e-9
-        [rec] = effective_difference_check(T, eff, [e0], spec_t=spec_t)
+        [rec] = effective_difference_check(T, eff, [e0])
         # at E = E_t0 the lhs is exactly ||H_eff |0_t>||
         direct = np.linalg.norm(eff.assemble_dense() @ spec_t.eigenvectors[:, 0])
         assert rec.lhs == pytest.approx(direct, abs=1e-9)
@@ -211,52 +227,45 @@ class TestEffectiveDifference:
 class TestExponentialFilter:
     def test_identity_operator(self):
         _, T = make_T()
-        spec_t = eigendecompose(T.assemble_dense(), check=False)
         dim_block = T.internal[1].shape[0]
-        recs = exponential_filter_check(T, 1, np.eye(dim_block), E=1.0, E_prime=2.0, spec_t=spec_t)
+        recs = exponential_filter_check(T, 1, np.eye(dim_block), E=1.0, E_prime=2.0)
         assert recs[0].lhs <= 1e-12  # orthogonal spectral sectors of the same operator
 
     def test_clamp_tail_projector_case(self):
         _, T = make_T(n=8, l=2)
         eff = build_effective(T, 4.0)
-        spec_t = eigendecompose(T.assemble_dense(), check=False)
+        e0 = T.spectral().ground_energy
         s = 1
-        sp = T.block_spectra()[s]
-        high = sp.eigenvectors[:, sp.eigenvalues > eff.tau_s[s]]
-        P = high @ high.conj().T
-        recs = exponential_filter_check(
-            T, s, P, E=spec_t.ground_energy + 1.0, E_prime=spec_t.ground_energy + 6.0,
-            spec_t=spec_t, eff=eff,
-        )
+        P = eff.tail_projectors()[s]
+        assert P is not None
+        recs = exponential_filter_check(T, s, P, E=e0 + 1.0, E_prime=e0 + 6.0, eff=eff)
         assert len(recs) == 2
         assert all(r.holds for r in recs)
 
     def test_random_block_diagonal(self, rng):
         _, T = make_T()
-        spec_t = eigendecompose(T.assemble_dense(), check=False)
         s = 2
         sp = T.block_spectra()[s]
         diag = rng.uniform(-1, 1, size=sp.source_dim)
         O = (sp.eigenvectors * diag) @ sp.eigenvectors.conj().T
-        recs = exponential_filter_check(T, s, O, E=0.5, E_prime=4.0, spec_t=spec_t)
+        recs = exponential_filter_check(T, s, O, E=0.5, E_prime=4.0)
         assert all(r.holds for r in recs)
 
     def test_grid_call_matches_scalar_loop(self, rng):
         _, T = make_T(n=8, l=2)
         eff = build_effective(T, 4.0)
-        spec_t = eigendecompose(T.assemble_dense(), check=False)
-        e0, width = spec_t.ground_energy, spec_t.width
+        e0, width = T.spectral().ground_energy, T.spectral().width
         s = 1
         sp = T.block_spectra()[s]
         O = (sp.eigenvectors * rng.uniform(-1, 1, size=sp.source_dim)) @ sp.eigenvectors.T
         E_grid = [e0, e0 + width / 8, e0 + width / 4]
         E_prime_grid = [e0 + width / 3, e0 + 2 * width / 3]
-        grid = exponential_filter_check(T, s, O, E=E_grid, E_prime=E_prime_grid, spec_t=spec_t, eff=eff)
+        grid = exponential_filter_check(T, s, O, E=E_grid, E_prime=E_prime_grid, eff=eff)
         looped = [
             rec
             for E_prime in E_prime_grid
             for E in E_grid
-            for rec in exponential_filter_check(T, s, O, E=E, E_prime=E_prime, spec_t=spec_t, eff=eff)
+            for rec in exponential_filter_check(T, s, O, E=E, E_prime=E_prime, eff=eff)
         ]
         assert len(grid) == len(looped) == 2 * len(E_grid) * len(E_prime_grid)
         assert [(r.label, r.context, r.lhs, r.rhs) for r in grid] == [

@@ -158,6 +158,40 @@ class TestVerifyPoint:
             verify_point(cfg)
 
 
+class TestSharedBuilds:
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """Block lengths/cuts of every truncation and (l, tau) of every clamp built."""
+        from agsplab import effective, truncation
+
+        seen = {"truncations": [], "clamps": []}
+        truncate, build = truncation.truncate_interactions, effective.build_effective
+
+        def counted_truncate(H, blocks):
+            seen["truncations"].append((blocks.l, blocks.cut))
+            return truncate(H, blocks)
+
+        def counted_build(T, tau):
+            seen["clamps"].append((T.blocks.l, tau))
+            return build(T, tau)
+
+        monkeypatch.setattr(truncation, "truncate_interactions", counted_truncate)
+        monkeypatch.setattr(effective, "build_effective", counted_build)
+        return seen
+
+    def test_each_truncation_and_clamp_built_once(self, small_pipeline, builds):
+        verify_point(small_pipeline.cfg)
+        ls = [l for l, _ in builds["truncations"]]
+        assert 2 in ls and sorted(ls) == sorted(set(ls)), ls
+        assert (2, 5.0) in builds["clamps"]
+        assert len(builds["clamps"]) == len(set(builds["clamps"])), builds["clamps"]
+
+    def test_sequence_truncations_honour_cut(self, builds):
+        cfg = ExperimentConfig(n=8, alpha=3.0, J=1.0, B=2.0, q=2, l=2, cut=3, taus=[5.0], ms=[4], seed=3)
+        verify_point(cfg)
+        assert builds["truncations"] and {cut for _, cut in builds["truncations"]} == {3}
+
+
 class TestReports:
     def _point(self, tmp_path, records):
         cfg = ExperimentConfig(n=4, output_dir=str(tmp_path / "o"))

@@ -11,13 +11,12 @@ from agsplab.hamiltonian import (
     local_energy_g,
 )
 from agsplab.spectral import (
+    ENERGY_TIE_TOL,
     DegenerateGroundStateError,
     eigendecompose,
     ground_state,
-    interval_projector,
+    in_window,
     lowest_eigenpairs,
-    proj_gt,
-    proj_leq,
     top_singular_value,
 )
 from conftest import PAULI_X, PAULI_Z
@@ -132,18 +131,26 @@ class TestGroundState:
             ground_state(H)
 
 
+def window_projector(S, mask) -> np.ndarray:
+    V = S.eigenvectors[:, mask]
+    return V @ V.conj().T
+
+
 class TestIntervalProjector:
+    """Spectral projectors selected by `in_window` masks."""
+
     def test_full_interval_is_identity(self):
         S = eigendecompose(PAULI_Z)
-        np.testing.assert_allclose(interval_projector(S), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(window_projector(S, in_window(S.eigenvalues)), np.eye(2), atol=1e-12)
 
     def test_empty_interval_zero(self):
         S = eigendecompose(PAULI_Z)
-        np.testing.assert_array_equal(interval_projector(S, lo=2.0, hi=3.0), np.zeros((2, 2)))
+        P = window_projector(S, in_window(S.eigenvalues, lo=2.0, hi=3.0))
+        np.testing.assert_array_equal(P, np.zeros((2, 2)))
 
     def test_sigma_z_negative_sector(self):
         S = eigendecompose(PAULI_Z)
-        P = interval_projector(S, hi=0.0)
+        P = window_projector(S, in_window(S.eigenvalues, hi=0.0))
         assert np.trace(P) == pytest.approx(1.0)
         np.testing.assert_allclose(P, np.diag([0.0, 1.0]), atol=1e-12)
 
@@ -151,7 +158,7 @@ class TestIntervalProjector:
         M = rng.standard_normal((12, 12))
         M = M + M.T
         S = eigendecompose(M)
-        P = interval_projector(S, lo=-1.0, hi=1.0)
+        P = window_projector(S, in_window(S.eigenvalues, lo=-1.0, hi=1.0))
         assert np.max(np.abs(P @ P - P)) <= 1e-10
         assert np.max(np.abs(P - P.conj().T)) <= 1e-10
         expected_rank = int(np.sum((S.eigenvalues >= -1.0) & (S.eigenvalues <= 1.0)))
@@ -162,14 +169,24 @@ class TestIntervalProjector:
         M = M + M.T
         S = eigendecompose(M)
         for x in np.linspace(S.eigenvalues[0] - 1, S.eigenvalues[-1] + 1, 7):
-            np.testing.assert_allclose(proj_leq(S, x) + proj_gt(S, x), np.eye(10), atol=1e-10)
+            leq = in_window(S.eigenvalues, hi=x)
+            total = window_projector(S, leq) + window_projector(S, ~leq)
+            np.testing.assert_allclose(total, np.eye(10), atol=1e-10)
 
     def test_open_vs_closed_endpoints(self):
-        S = eigendecompose(np.diag([0.0, 1.0, 1.0, 2.0]))
-        assert np.trace(interval_projector(S, hi=1.0, include_hi=True)) == pytest.approx(3.0)
-        assert np.trace(interval_projector(S, hi=1.0, include_hi=False)) == pytest.approx(1.0)
-        assert np.trace(interval_projector(S, lo=1.0, include_lo=True)) == pytest.approx(3.0)
-        assert np.trace(interval_projector(S, lo=1.0, include_lo=False)) == pytest.approx(1.0)
+        # the window is closed; "above x" and "below x" are its open complements
+        w = np.array([0.0, 1.0, 1.0, 2.0])
+        assert in_window(w, hi=1.0).sum() == 3
+        assert (~in_window(w, hi=1.0)).sum() == 1
+        assert in_window(w, lo=1.0).sum() == 3
+        assert (~in_window(w, lo=1.0)).sum() == 1
+
+    def test_ties_within_tolerance(self):
+        # eigensolver noise around a threshold never moves a level across it
+        w = np.array([1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.0 + 0.5 * ENERGY_TIE_TOL])
+        assert in_window(w, hi=1.0).all() and in_window(w, lo=1.0).all()
+        assert not in_window(np.array([1.0 + 2 * ENERGY_TIE_TOL]), hi=1.0).any()
+        assert not in_window(np.array([1.0 - 2 * ENERGY_TIE_TOL]), lo=1.0).any()
 
 
 class TestTopSingularValue:

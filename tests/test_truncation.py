@@ -9,7 +9,6 @@ from agsplab.hamiltonian import (
     build_long_range_ising,
     decay_envelope,
 )
-from agsplab.spectral import eigenvalues_only
 from agsplab.truncation import (
     align_phase,
     decompose_blocks,
@@ -83,7 +82,7 @@ class TestTruncate:
         dense = T.assemble_dense() + T.origin_shift * np.eye(64)
         np.testing.assert_allclose(dense, assemble_dense(H), atol=1e-10)
         # represented operator has its ground energy pinned at zero
-        assert eigenvalues_only(T.assemble_dense())[0] == pytest.approx(0.0, abs=1e-10)
+        assert np.linalg.eigvalsh(T.assemble_dense())[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_dropped_terms_enumeration(self):
         H = build_long_range_ising(6, 3.0, 1.0, 1.0)
@@ -124,6 +123,29 @@ class TestTruncate:
         assert all(b <= env.g0 + 1e-9 for b in T.bond_norms())
 
 
+class TestSpectral:
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_matches_assembled_operator(self, l):
+        H = build_long_range_ising(8, 3.0, 1.0, 2.0)
+        T = truncate_interactions(H, decompose_blocks(8, 2, l))
+        sp = T.spectral()
+        assert sp.eigenvalues[0] == 0.0
+        np.testing.assert_allclose(sp.eigenvalues, np.linalg.eigvalsh(T.assemble_dense()), atol=1e-10)
+        # the eigenvectors belong to the represented (origin-shifted) operator
+        residual = T.assemble_dense() @ sp.eigenvectors - sp.eigenvectors * sp.eigenvalues
+        assert np.max(np.abs(residual)) <= 1e-10
+
+    def test_survives_block_shift(self):
+        H = build_long_range_ising(8, 3.0, 1.0, 2.0)
+        T0 = truncate_interactions(H, decompose_blocks(8, 2, 2))
+        T1 = shift_block_energies(T0)
+        assert T1.spectral() is T0.spectral()
+        assert T1.spectral().eigenvalues[0] == 0.0
+        np.testing.assert_allclose(
+            T1.spectral().eigenvalues, np.linalg.eigvalsh(T1.assemble_dense()), atol=1e-10
+        )
+
+
 class TestShiftBlockEnergies:
     def test_sum_zero_and_lemma_bound(self):
         H = build_long_range_ising(8, 3.0, 1.0, 2.0)
@@ -146,8 +168,8 @@ class TestShiftBlockEnergies:
         H = build_long_range_ising(6, 3.0, 1.0, 1.0)
         T0 = truncate_interactions(H, decompose_blocks(6, 2, 1))
         T1 = shift_block_energies(T0)
-        w0 = eigenvalues_only(T0.assemble_dense())
-        w1 = eigenvalues_only(T1.assemble_dense())
+        w0 = np.linalg.eigvalsh(T0.assemble_dense())
+        w1 = np.linalg.eigvalsh(T1.assemble_dense())
         np.testing.assert_allclose(w0, w1, atol=1e-10)
 
     def test_symmetric_blocks_get_equal_shifts(self):
