@@ -178,10 +178,6 @@ class AgspReport:
     cheb_bound: float
 
     @property
-    def bound_holds(self) -> bool:
-        return self.epsilon_K <= self.cheb_bound + 1e-9
-
-    @property
     def bootstrap_ready(self) -> bool:
         return self.epsilon_K**2 * self.D_K <= 0.5
 
@@ -233,14 +229,6 @@ class SchmidtRankBoundReport:
     counting_assumption_met: bool
     effective: bool
 
-    @property
-    def product_holds(self) -> bool:
-        return self.measured <= self.product_bound + 1e-9
-
-    @property
-    def counting_holds(self) -> bool:
-        return self.measured <= self.counting_bound + 1e-9
-
 
 def schmidt_rank_bound_check(source, m: int, effective: bool = False) -> SchmidtRankBoundReport:
     """Measure SR(H_t^m) (or the clamped analogue) against both rank bounds.
@@ -289,14 +277,6 @@ class BootstrapDiagnostics:
     state_rank: int | None = None
     distance: float | None = None
     distance_bound: float | None = None
-
-    @property
-    def mu1_holds(self) -> bool:
-        return self.mu1 is None or self.mu1 >= self.mu1_floor - 1e-9
-
-    @property
-    def distance_holds(self) -> bool:
-        return self.distance is None or self.distance <= self.distance_bound + 1e-9
 
 
 def bootstrap_state(

@@ -5,9 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, check_tolerance, parse_config
 from .experiment import run_points, write_reports
 from .hamiltonian import DimensionCeilingError
+from .registry import tally
 from .spectral import DegenerateGroundStateError
 
 
@@ -41,6 +42,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
+        if args.tolerance is not None:
+            cfg.tolerance = check_tolerance(args.tolerance)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -48,8 +51,6 @@ def main(argv=None) -> int:
         cfg.jobs = args.jobs
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.tolerance is not None:
-        cfg.tolerance = args.tolerance
     out_dir = args.out or cfg.output_dir
     if args.command == "sweep" and not cfg.sweep_param:
         print("config error: sweep command needs a [sweep] section", file=sys.stderr)
@@ -60,21 +61,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     paths = write_reports(cfg, points, out_dir=out_dir)
-    failures = 0
-    by_id: dict[str, list[bool]] = {}
-    for point in points:
-        for r in point.records:
-            by_id.setdefault(r.bound_id, []).append(r.holds)
-            failures += 0 if r.holds else 1
-    for bid in sorted(by_id):
-        oks = by_id[bid]
-        status = "PASS" if all(oks) else "FAIL"
-        print(f"{status}  {bid}  ({sum(oks)}/{len(oks)} checks)")
+    counts = tally(r for point in points for r in point.records)
+    for bid, (ok, total) in counts.items():
+        print(f"{'PASS' if ok == total else 'FAIL'}  {bid}  ({ok}/{total} checks)")
     if args.command == "entropy":
         print(f"wrote {paths['entropy']}")
         return 0
     print(f"wrote {paths['results']}, {paths['summary']}, {paths['entropy']}")
-    return 0 if failures == 0 else 1
+    return 0 if all(ok == total for ok, total in counts.values()) else 1
 
 
 if __name__ == "__main__":

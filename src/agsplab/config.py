@@ -7,6 +7,7 @@ config would invalidate the run.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 
 _KNOWN_KEYS = {
@@ -39,6 +40,13 @@ def _float(raw: str) -> float:
     if len(values) != 1:
         raise ConfigError(f"expected a single number, got {raw!r}")
     return values[0]
+
+
+def check_tolerance(value: float) -> float:
+    """The comparison slack of every record; a non-finite or negative one is rejected."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ConfigError(f"tolerance must be finite and >= 0, got {value!r}")
+    return value
 
 
 def _ints(raw: str) -> list[int]:
@@ -161,5 +169,5 @@ def parse_config(path: str) -> ExperimentConfig:
         if "jobs" in r:
             cfg.jobs = _ints(r["jobs"])[0]
         if "tolerance" in r:
-            cfg.tolerance = _float(r["tolerance"])
+            cfg.tolerance = check_tolerance(_float(r["tolerance"]))
     return cfg

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import embed_sum, spectral_norm
+from .registry import BoundRecord
 from .spectral import SpectralData, eigendecompose, in_window, lowest_eigenpairs, top_singular_value
 from .truncation import TruncatedHamiltonian, align_phase
 
@@ -156,28 +157,13 @@ class Theorem5Diagnostics:
     e_bot: float
     precondition_met: bool
 
-    @property
-    def gap_ratio(self) -> float:
-        return self.gap_eff / self.gap_t
-
-    @property
-    def gap_holds(self) -> bool:
-        return (not self.precondition_met) or self.gap_eff >= 0.5 * self.gap_t - 1e-9
-
-    @property
-    def overlap_holds(self) -> bool:
-        return (not self.precondition_met) or self.overlap_distance <= self.overlap_bound + 1e-9
-
-    @property
-    def kappa_holds(self) -> bool:
-        return self.kappa <= self.kappa_bound + 1e-9
-
 
 def theorem5_check(T: TruncatedHamiltonian, tau_grid) -> list[Theorem5Diagnostics]:
     """Gap preservation and ground-state drift of the clamp, per tau.
 
-    Wherever the theorem's tau hypothesis is met, asserts gap_eff >= gap_t/2
-    and the exponential overlap bound; raw distances are always recorded so
+    Records gap_eff against gap_t/2 and the distance against the exponential
+    overlap bound, which hold where the theorem's tau hypothesis (the
+    `precondition_met` flag) is met; raw distances are always recorded so
     decay can be read off by slope even when the hypothesis is vacuous at
     desk scale.  The leakage kappa and its unconditional bound
     11(q+2)exp(-lambda'(tau - 8 g0)) are measured at every point.
@@ -240,21 +226,6 @@ def fit_log_slope(taus, distances, floor: float = 1e-12):
     return float(coeffs[0]), r2, int(keep.sum())
 
 
-@dataclass
-class GridBoundRecord:
-    """One measured inequality instance on a parameter grid."""
-
-    label: str
-    context: dict
-    lhs: float
-    rhs: float
-
-    @property
-    def holds(self) -> bool:
-        """False unless lhs and rhs are finite, as for `registry.BoundRecord`."""
-        return math.isfinite(self.lhs) and math.isfinite(self.rhs) and self.lhs <= self.rhs + 1e-9
-
-
 def _block_overlap_matrix(T: TruncatedHamiltonian, s: int, basis: np.ndarray) -> np.ndarray:
     """Rows: product basis labelled by block-s eigenvalues; cols: given basis."""
     sp = T.block_spectra()[s]
@@ -277,7 +248,7 @@ def _block_row_labels(T: TruncatedHamiltonian, s: int) -> np.ndarray:
     return np.repeat(np.tile(w, dL), dR)
 
 
-def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -> list[GridBoundRecord]:
+def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -> list[BoundRecord]:
     """Block high-energy leakage of low-energy projectors, plain and clamped.
 
     For every block s and grid pair: ||P^(s)_{>E'} P_{<=E}|| against
@@ -306,11 +277,11 @@ def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -
                 lhs = top_singular_value(M_plain[np.ix_(rows, low_t)])
                 expo = lam * ((E_prime - block_e0[s]) - (E - e_t0) - 4.0 * g0)
                 records.append(
-                    GridBoundRecord(
-                        "energy-dist",
-                        {"s": s, "E_prime": float(E_prime), "E": float(E)},
+                    BoundRecord(
+                        "prop8.energy-dist",
                         lhs,
                         E_DIST_PREFACTOR * math.exp(-expo),
+                        {"s": s, "E_prime": float(E_prime), "E": float(E)},
                     )
                 )
                 lhs = top_singular_value(M_eff[np.ix_(rows, low_e)])
@@ -318,11 +289,11 @@ def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -
                     min(E_prime, eff.tau_s[s]) - block_e0[s] - (E - e_eff0) - 4.0 * g0
                 )
                 records.append(
-                    GridBoundRecord(
-                        "energy-dist-eff",
-                        {"s": s, "E_prime": float(E_prime), "E": float(E)},
+                    BoundRecord(
+                        "prop8.energy-dist-eff",
                         lhs,
                         E_DIST_PREFACTOR * math.exp(-expo),
+                        {"s": s, "E_prime": float(E_prime), "E": float(E)},
                     )
                 )
     return records
@@ -330,7 +301,7 @@ def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -
 
 def effective_difference_check(
     T: TruncatedHamiltonian, eff: EffectiveHamiltonian, E_grid
-) -> list[GridBoundRecord]:
+) -> list[BoundRecord]:
     """Norm of the clamping error on low-energy states.
 
     ||(H_t - H_eff) P_{<=E}|| <= (27(q+2)/lambda) exp(-lambda(tau - dE - 4g0))
@@ -351,7 +322,7 @@ def effective_difference_check(
             / lam
             * math.exp(-lam * (eff.tau - (E - e_t0) - 4.0 * g0))
         )
-        records.append(GridBoundRecord("eff-diff", {"E": float(E)}, lhs, rhs))
+        records.append(BoundRecord("prop9.diff", lhs, rhs, {"E": float(E)}))
     return records
 
 
@@ -362,15 +333,15 @@ def exponential_filter_check(
     E,
     E_prime,
     eff: EffectiveHamiltonian | None = None,
-) -> list[GridBoundRecord]:
+) -> list[BoundRecord]:
     """Exponential suppression of block operators between energy sectors.
 
     For a block-s operator commuting with h_s:
     ||P_{>=E'} O_s P_{<=E}|| <= 4 ||O_s|| exp(-lambda (E' - E)); when `eff`
     is supplied, the clamped analogue with lambda' is measured as well.
     `E` and `E_prime` are scalars or 1-D grids.  The rotation V^dag O_s V is
-    formed once per spectrum; records run E' outer, E inner, with "filter"
-    before "filter-eff" at each grid pair.
+    formed once per spectrum; records run E' outer, E inner, with variant
+    "filter" before "filter-eff" at each grid pair.
     """
     h_s = T.internal[s]
     comm = O_s @ h_s - h_s @ O_s
@@ -393,17 +364,17 @@ def exponential_filter_check(
         for Ei in np.atleast_1d(E):
             for label, rate, w, rot in rotated:
                 records.append(
-                    GridBoundRecord(
-                        label,
-                        {"s": s, "E_prime": float(Ep), "E": float(Ei)},
+                    BoundRecord(
+                        "lemma14.filter",
                         top_singular_value(rot[np.ix_(in_window(w, lo=Ep), in_window(w, hi=Ei))]),
                         4.0 * norm_O * math.exp(-rate * (Ep - Ei)),
+                        {"s": s, "E_prime": float(Ep), "E": float(Ei), "variant": label},
                     )
                 )
     return records
 
 
-def commutator_bound_check(T: TruncatedHamiltonian) -> list[GridBoundRecord]:
+def commutator_bound_check(T: TruncatedHamiltonian) -> list[BoundRecord]:
     """Commutator growth of each bond term against the k-local budget.
 
     ||[H_t, h_{s,s+1}]|| <= 6 g k q ||h_{s,s+1}|| with q = 2k (a bond term
@@ -416,5 +387,5 @@ def commutator_bound_check(T: TruncatedHamiltonian) -> list[GridBoundRecord]:
         comm = dense @ emb - emb @ dense
         lhs = top_singular_value(comm)
         rhs = 6.0 * T.local_g * T.k * (2 * T.k) * spectral_norm(T.bonds[s])
-        records.append(GridBoundRecord("commutator", {"s": s}, lhs, rhs))
+        records.append(BoundRecord("lemma15.commutator", lhs, rhs, {"s": s}))
     return records

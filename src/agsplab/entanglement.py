@@ -74,27 +74,11 @@ def renyi2(source) -> float:
     return -math.log(purity)
 
 
-def entropy_from_density(rho: np.ndarray) -> float:
-    """Von Neumann entropy from a density matrix (independent of any SVD path)."""
-    evals = np.linalg.eigvalsh(rho)
-    evals = evals[evals > 1e-15]
-    return float(-np.sum(evals * np.log(evals)))
-
-
-def reduced_density(state: np.ndarray, cut: int, d: int = 2) -> np.ndarray:
-    M = state.reshape(d**cut, -1)
-    return M @ M.conj().T
-
-
 @dataclass
 class EckartYoungRecord:
     comparison_rank: int
     tail_weight: float
     distance_squared: float
-
-    @property
-    def holds(self) -> bool:
-        return self.tail_weight <= self.distance_squared + 1e-12
 
 
 def eckart_young_check(psi: np.ndarray, psi_prime: np.ndarray, cut: int, d: int = 2) -> EckartYoungRecord:
@@ -173,10 +157,6 @@ class MpsCompressionRecord:
     weight_bound: float
     bond_dims: list[int]
 
-    @property
-    def holds(self) -> bool:
-        return self.error_squared <= self.weight_bound + 1e-9
-
 
 def mps_compression_check(state: np.ndarray, D: int, d: int = 2) -> MpsCompressionRecord:
     mps = mps_compress(state, D, d=d)
@@ -236,10 +216,6 @@ class AgspSequenceStep:
     D: int
     distance: float
     target_met: bool
-
-    @property
-    def distance_holds(self) -> bool:
-        return self.distance <= self.gamma + 1e-9
 
 
 def agsp_sequence(

@@ -21,7 +21,7 @@ from . import entanglement as ent
 from . import hamiltonian as ham
 from . import truncation as trunc
 from .config import ExperimentConfig
-from .registry import BoundRecord
+from .registry import BOUND_REGISTRY, BoundRecord, tally
 from .spectral import SpectralData, eigendecompose, ground_state
 
 
@@ -39,10 +39,6 @@ class PointResult:
     config: ExperimentConfig
     records: list[BoundRecord]
     entropy_rows: list[EntropyRow]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(r.holds for r in self.records)
 
 
 def build_model(cfg: ExperimentConfig) -> ham.Hamiltonian:
@@ -121,111 +117,65 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     )
 
 
-def _assumption1_records(pipe: Pipeline, tol: float) -> list[BoundRecord]:
+def _vacuous(bound_id: str, note: str) -> BoundRecord:
+    """Placeholder 0 <= 0 record of a bound whose precondition is unmet."""
+    return BoundRecord(bound_id, 0.0, 0.0, {"note": note})
+
+
+def _assumption1_records(pipe: Pipeline) -> list[BoundRecord]:
     n = pipe.cfg.n
-    cap = None if n <= 8 else 60
-    pairs = ham.contiguous_pair_samples(n, max_pairs=cap)
-    samples = ham.verify_assumption1(pipe.H, pipe.envelope, pairs)
+    pairs = ham.contiguous_pair_samples(n, max_pairs=None if n <= 8 else 60)
     return [
-        BoundRecord(
-            "assumption1",
-            s.norm,
-            s.bound,
-            {"r": s.r, "X": s.X, "Y": s.Y},
-            slack=tol,
-        )
-        for s in samples
+        BoundRecord("assumption1", s.norm, s.bound, {"r": s.r, "X": s.X, "Y": s.Y})
+        for s in ham.verify_assumption1(pipe.H, pipe.envelope, pairs)
     ]
 
 
-def _truncation_records(pipe: Pipeline, tol: float) -> list[BoundRecord]:
+def _truncation_records(pipe: Pipeline) -> list[BoundRecord]:
     rep = trunc.verify_lemma3_4(pipe.H, pipe.T, pipe.envelope, H_dense=pipe.H_dense, H_spec=pipe.H_spec)
-    records = [
-        BoundRecord("lemma3.norm", rep.delta_norm, rep.delta_bound, slack=tol),
-        BoundRecord("weyl", rep.weyl_max, rep.delta_norm, slack=tol),
-        BoundRecord("lemma3.gap", rep.gap - 2.0 * rep.delta_norm, rep.gap_t, slack=tol),
+    return [
+        BoundRecord("lemma3.norm", rep.delta_norm, rep.delta_bound),
+        BoundRecord("weyl", rep.weyl_max, rep.delta_norm),
+        BoundRecord("lemma3.gap", rep.gap - 2.0 * rep.delta_norm, rep.gap_t),
+        BoundRecord("lemma4.overlap", rep.overlap_distance, rep.overlap_bound)
+        if rep.overlap_applicable
+        else _vacuous("lemma4.overlap", "4||dH|| >= gap; bound vacuous"),
     ]
-    if rep.overlap_applicable:
-        records.append(
-            BoundRecord("lemma4.overlap", rep.overlap_distance, rep.overlap_bound, slack=tol)
-        )
-    else:
-        records.append(
-            BoundRecord("lemma4.overlap", 0.0, 0.0, {"note": "4||dH|| >= gap; bound vacuous"}, slack=tol)
-        )
-    return records
 
 
-def _theorem5_records(pipe: Pipeline, tol: float) -> list[BoundRecord]:
+def _theorem5_records(pipe: Pipeline) -> list[BoundRecord]:
     diags = eff_mod.theorem5_check(pipe.T, pipe.cfg.taus)
     records = []
-    met_any = False
     for dg in diags:
-        records.append(
-            BoundRecord("thm5.kappa", dg.kappa, dg.kappa_bound, {"tau": dg.tau}, slack=tol)
-        )
+        records.append(BoundRecord("thm5.kappa", dg.kappa, dg.kappa_bound, {"tau": dg.tau}))
         if dg.precondition_met:
-            met_any = True
+            records.append(BoundRecord("thm5.gap", 0.5 * dg.gap_t, dg.gap_eff, {"tau": dg.tau}))
             records.append(
-                BoundRecord("thm5.gap", 0.5 * dg.gap_t, dg.gap_eff, {"tau": dg.tau}, slack=tol)
+                BoundRecord("thm5.overlap", dg.overlap_distance, dg.overlap_bound, {"tau": dg.tau})
             )
-            records.append(
-                BoundRecord(
-                    "thm5.overlap", dg.overlap_distance, dg.overlap_bound, {"tau": dg.tau}, slack=tol
-                )
-            )
-    if not met_any:
-        # Hypothesis vacuous on this grid: check exponential decay by slope.
-        records.append(
-            BoundRecord("thm5.gap", 0.0, 0.0, {"note": "hypothesis vacuous on grid"}, slack=tol)
+    if any(dg.precondition_met for dg in diags):
+        return records
+    # Hypothesis vacuous on this grid: check exponential decay by slope.
+    records.append(_vacuous("thm5.gap", "hypothesis vacuous on grid"))
+    try:
+        slope, r2, used = eff_mod.fit_log_slope(
+            [dg.tau for dg in diags], [dg.overlap_distance for dg in diags]
         )
-        taus = [dg.tau for dg in diags]
-        dists = [dg.overlap_distance for dg in diags]
-        try:
-            slope, r2, used = eff_mod.fit_log_slope(taus, dists)
-        except ValueError:
-            slope, r2, used = 0.0, 1.0, 0
-        if used >= 5:
-            records.append(
-                BoundRecord(
-                    "thm5.overlap",
-                    slope,
-                    0.0,
-                    {"variant": "decay-slope", "points": used},
-                    slack=tol,
-                )
-            )
-            records.append(
-                BoundRecord(
-                    "thm5.overlap",
-                    0.9,
-                    r2,
-                    {"variant": "decay-fit-r2", "points": used},
-                    slack=tol,
-                )
-            )
-        else:
-            records.append(
-                BoundRecord(
-                    "thm5.overlap", 0.0, 0.0, {"note": "grid too small for slope"}, slack=tol
-                )
-            )
+    except ValueError:
+        used = 0
+    if used >= 5:
+        records.append(BoundRecord("thm5.overlap", slope, 0.0, {"variant": "decay-slope", "points": used}))
+        records.append(BoundRecord("thm5.overlap", 0.9, r2, {"variant": "decay-fit-r2", "points": used}))
+    else:
+        records.append(_vacuous("thm5.overlap", "grid too small for slope"))
     return records
 
 
-def _filter_machinery_records(pipe: Pipeline, rng, tol: float) -> list[BoundRecord]:
+def _filter_machinery_records(pipe: Pipeline, rng) -> list[BoundRecord]:
     T = pipe.T
     tau_star = max(pipe.cfg.taus)
     eff = pipe.eff_at(tau_star)
-    records = [
-        BoundRecord(
-            "effnorm",
-            eff.spectral().norm,
-            eff.norm_budget(),
-            {"tau": tau_star},
-            slack=tol,
-        )
-    ]
+    records = [BoundRecord("effnorm", eff.spectral().norm, eff.norm_budget(), {"tau": tau_star})]
     e0 = T.spectral().ground_energy
     width = T.spectral().width
     block_specs = T.block_spectra()
@@ -233,11 +183,8 @@ def _filter_machinery_records(pipe: Pipeline, rng, tol: float) -> list[BoundReco
     hi = max(sp.eigenvalues[-1] for sp in block_specs)
     E_prime_grid = np.linspace(lo - 0.5, hi + 0.5, 5)
     E_grid = np.linspace(e0, e0 + width, 5)
-    for rec in eff_mod.energy_distribution_check(eff, E_prime_grid, E_grid):
-        bid = "prop8.energy-dist" if rec.label == "energy-dist" else "prop8.energy-dist-eff"
-        records.append(BoundRecord(bid, rec.lhs, rec.rhs, rec.context, slack=tol))
-    for rec in eff_mod.effective_difference_check(T, eff, np.linspace(e0, e0 + 0.5 * width, 5)):
-        records.append(BoundRecord("prop9.diff", rec.lhs, rec.rhs, rec.context, slack=tol))
+    records.extend(eff_mod.energy_distribution_check(eff, E_prime_grid, E_grid))
+    records.extend(eff_mod.effective_difference_check(T, eff, np.linspace(e0, e0 + 0.5 * width, 5)))
     for s, tail in enumerate(eff.tail_projectors()):
         sp = block_specs[s]
         ops = [] if tail is None else [("clamp-tail", tail)]
@@ -252,49 +199,28 @@ def _filter_machinery_records(pipe: Pipeline, rng, tol: float) -> list[BoundReco
                 E_prime=(e0 + width / 3.0, e0 + 2.0 * width / 3.0),
                 eff=eff,
             ):
-                ctx = dict(rec.context)
-                ctx["operator"] = name
-                ctx["variant"] = rec.label
-                records.append(BoundRecord("lemma14.filter", rec.lhs, rec.rhs, ctx, slack=tol))
-    for rec in eff_mod.commutator_bound_check(T):
-        records.append(BoundRecord("lemma15.commutator", rec.lhs, rec.rhs, rec.context, slack=tol))
+                rec.context["operator"] = name
+                records.append(rec)
+    records.extend(eff_mod.commutator_bound_check(T))
     return records
 
 
-def _chebyshev_records(pipe: Pipeline, tol: float) -> list[BoundRecord]:
+def _chebyshev_records(pipe: Pipeline) -> list[BoundRecord]:
     records = []
     xs_in = np.linspace(-1.0, 1.0, 201)
     xs_out = np.linspace(1.0, 3.0, 101)
     for m in sorted({max(m, 1) for m in pipe.cfg.ms}):
         vals_in = np.abs(agsp_mod.chebyshev_T(m, xs_in))
-        records.append(
-            BoundRecord("cheb.lemma11", float(vals_in.max()), 1.0, {"m": m, "regime": "box"}, slack=tol)
-        )
+        records.append(BoundRecord("cheb.lemma11", float(vals_in.max()), 1.0, {"m": m, "regime": "box"}))
         vals_out = np.abs(agsp_mod.chebyshev_T(m, xs_out))
         upper = (2.0 * xs_out) ** m / 2.0
         lower = 0.5 * np.exp(2.0 * m * np.sqrt((xs_out - 1.0) / (xs_out + 1.0)))
-        records.append(
-            BoundRecord(
-                "cheb.lemma11",
-                float(np.max(vals_out / upper)),
-                1.0,
-                {"m": m, "regime": "growth-upper"},
-                slack=tol,
-            )
-        )
-        records.append(
-            BoundRecord(
-                "cheb.lemma11",
-                float(np.max(lower / vals_out)),
-                1.0,
-                {"m": m, "regime": "growth-lower"},
-                slack=tol,
-            )
-        )
+        for regime, ratio in (("growth-upper", vals_out / upper), ("growth-lower", lower / vals_out)):
+            records.append(BoundRecord("cheb.lemma11", float(np.max(ratio)), 1.0, {"m": m, "regime": regime}))
     return records
 
 
-def _agsp_records(pipe: Pipeline, tol: float):
+def _agsp_records(pipe: Pipeline):
     """Filter quality, bootstrap, and the assembled entropy bound."""
     records = []
     tau_star = max(pipe.cfg.taus)
@@ -304,21 +230,16 @@ def _agsp_records(pipe: Pipeline, tol: float):
         filt = agsp_mod.agsp_filter(eff, m)
         rep = agsp_mod.measure_agsp(filt, pipe.gs_t)
         reports[m] = (filt, rep)
-        records.append(
-            BoundRecord("agsp.epsilon", rep.epsilon_K, rep.cheb_bound, {"m": m, "tau": tau_star}, slack=tol)
-        )
+        records.append(BoundRecord("agsp.epsilon", rep.epsilon_K, rep.cheb_bound, {"m": m, "tau": tau_star}))
     for power in pipe.cfg.sr_powers:
         rep = agsp_mod.schmidt_rank_bound_check(pipe.T, power)
-        records.append(
-            BoundRecord("sr.lemma8", rep.measured, rep.product_bound, {"m": power}, slack=tol)
-        )
+        records.append(BoundRecord("sr.lemma8", rep.measured, rep.product_bound, {"m": power}))
         records.append(
             BoundRecord(
                 "sr.prop4",
                 rep.measured,
                 rep.counting_bound,
                 {"m": power, "assumption_met": rep.counting_assumption_met},
-                slack=tol,
             )
         )
     m_boot = max(pipe.cfg.ms)
@@ -334,23 +255,15 @@ def _agsp_records(pipe: Pipeline, tol: float):
             break
         m_boot *= 2
     if diag is not None and diag.precondition_met:
-        records.append(
-            BoundRecord("bootstrap.mu1", diag.mu1_floor, diag.mu1, {"m": m_boot}, slack=tol)
-        )
-        records.append(
-            BoundRecord("prop2.distance", diag.distance, diag.distance_bound, {"m": m_boot}, slack=tol)
-        )
+        records.append(BoundRecord("bootstrap.mu1", diag.mu1_floor, diag.mu1, {"m": m_boot}))
+        records.append(BoundRecord("prop2.distance", diag.distance, diag.distance_bound, {"m": m_boot}))
     else:
-        records.append(
-            BoundRecord("bootstrap.mu1", 0.0, 0.0, {"note": "precondition unmet within budget"}, slack=tol)
-        )
-        records.append(
-            BoundRecord("prop2.distance", 0.0, 0.0, {"note": "precondition unmet within budget"}, slack=tol)
-        )
+        records.append(_vacuous("bootstrap.mu1", "precondition unmet within budget"))
+        records.append(_vacuous("prop2.distance", "precondition unmet within budget"))
     return records, psi
 
 
-def _sequence_records(pipe: Pipeline, psi_base: np.ndarray | None, tol: float) -> list[BoundRecord]:
+def _sequence_records(pipe: Pipeline, psi_base: np.ndarray | None) -> list[BoundRecord]:
     cfg = pipe.cfg
     cut = pipe.cut
     d = pipe.H.lattice.d
@@ -378,32 +291,17 @@ def _sequence_records(pipe: Pipeline, psi_base: np.ndarray | None, tol: float) -
         l_max=min(cfg.n // cfg.q, 2 * cut // cfg.q, 2 * (cfg.n - cut) // cfg.q),
         tau_max=pipe.block_width_top(),
     )
-    records = []
     usable = [s for s in steps if s.target_met and s.gamma <= 1.0]
-    if usable:
-        gammas = [s.gamma for s in usable]
-        Ds = [s.D for s in usable]
-        D_phi = max(1, agsp_mod.state_schmidt_rank(base, cut, d=d))
-        cap = min(d**cut, d ** (cfg.n - cut))
-        bound = ent.agsp_entropy_bound(D_phi, gammas, Ds, schmidt_cap=cap)
-        S = ent.entropy(ent.schmidt_decompose(pipe.gs_vector, cut, d=d))
-        records.append(
-            BoundRecord(
-                "prop3.entropy-bound",
-                S,
-                bound,
-                {"steps": len(usable), "exhausted": exhausted},
-                slack=tol,
-            )
-        )
-    else:
-        records.append(
-            BoundRecord("prop3.entropy-bound", 0.0, 0.0, {"note": "no usable sequence step"}, slack=tol)
-        )
-    return records
+    if not usable:
+        return [_vacuous("prop3.entropy-bound", "no usable sequence step")]
+    D_phi = max(1, agsp_mod.state_schmidt_rank(base, cut, d=d))
+    cap = min(d**cut, d ** (cfg.n - cut))
+    bound = ent.agsp_entropy_bound(D_phi, [s.gamma for s in usable], [s.D for s in usable], schmidt_cap=cap)
+    S = ent.entropy(ent.schmidt_decompose(pipe.gs_vector, cut, d=d))
+    return [BoundRecord("prop3.entropy-bound", S, bound, {"steps": len(usable), "exhausted": exhausted})]
 
 
-def _compression_records(pipe: Pipeline, rng, tol: float) -> list[BoundRecord]:
+def _compression_records(pipe: Pipeline, rng) -> list[BoundRecord]:
     records = []
     d = pipe.H.lattice.d
     cut = pipe.cut
@@ -421,23 +319,12 @@ def _compression_records(pipe: Pipeline, rng, tol: float) -> list[BoundRecord]:
             approx = ent.truncate_to_rank(sd, D)
             rec = ent.eckart_young_check(state, approx, cut, d=d)
             records.append(
-                BoundRecord(
-                    "eckart-young",
-                    rec.tail_weight,
-                    rec.distance_squared,
-                    {"state": name, "D": D},
-                    slack=tol,
-                )
+                BoundRecord("eckart-young", rec.tail_weight, rec.distance_squared, {"state": name, "D": D})
             )
-        S = ent.entropy(sd)
-        records.append(
-            BoundRecord("s2≤s", ent.renyi2(sd), S, {"state": name}, slack=tol)
-        )
+        records.append(BoundRecord("s2≤s", ent.renyi2(sd), ent.entropy(sd), {"state": name}))
     for D in (1, 2, 4, 8, 16):
         rec = ent.mps_compression_check(gs, D, d=d)
-        records.append(
-            BoundRecord("claim7.mps", rec.error_squared, rec.weight_bound, {"D": D}, slack=tol)
-        )
+        records.append(BoundRecord("claim7.mps", rec.error_squared, rec.weight_bound, {"D": D}))
     return records
 
 
@@ -469,26 +356,21 @@ def entropy_row(cfg: ExperimentConfig) -> EntropyRow:
 def verify_point(cfg: ExperimentConfig) -> PointResult:
     """Full single-point pipeline: every registered inequality plus entropies."""
     rng = np.random.default_rng(cfg.seed)
-    tol = cfg.tolerance
     pipe = build_pipeline(cfg)
-    records = []
-    records.append(BoundRecord("gap≤2g", pipe.gs_gap, 2.0 * pipe.g, slack=tol))
-    records.extend(_assumption1_records(pipe, tol))
-    records.extend(_truncation_records(pipe, tol))
-    records.extend(_theorem5_records(pipe, tol))
-    records.extend(_filter_machinery_records(pipe, rng, tol))
-    records.extend(_chebyshev_records(pipe, tol))
-    agsp_records, psi = _agsp_records(pipe, tol)
+    records = [BoundRecord("gap≤2g", pipe.gs_gap, 2.0 * pipe.g)]
+    records.extend(_assumption1_records(pipe))
+    records.extend(_truncation_records(pipe))
+    records.extend(_theorem5_records(pipe))
+    records.extend(_filter_machinery_records(pipe, rng))
+    records.extend(_chebyshev_records(pipe))
+    agsp_records, psi = _agsp_records(pipe)
     records.extend(agsp_records)
-    records.extend(_sequence_records(pipe, psi, tol))
-    records.extend(_compression_records(pipe, rng, tol))
+    records.extend(_sequence_records(pipe, psi))
+    records.extend(_compression_records(pipe, rng))
+    for r in records:
+        r.slack = cfg.tolerance  # the one comparison slack of every record
     row = _entropy_row(cfg, pipe.gs_vector, pipe.H.lattice.d)
     return PointResult(config=cfg, records=records, entropy_rows=[row])
-
-
-def verify_all(cfg: ExperimentConfig) -> list[BoundRecord]:
-    """Records for every grid point of the (possibly swept) config."""
-    return [r for point in run_points(cfg) for r in point.records]
 
 
 def run_points(cfg: ExperimentConfig, entropy_only: bool = False) -> list[PointResult]:
@@ -510,8 +392,6 @@ def _fmt(x: float) -> str:
 
 def write_reports(cfg: ExperimentConfig, points: list[PointResult], out_dir: str | None = None) -> dict:
     """Write results.csv, summary.txt, entropy.csv; returns file paths."""
-    from .registry import BOUND_REGISTRY
-
     out = out_dir or cfg.output_dir
     os.makedirs(out, exist_ok=True)
     sweep_col = [cfg.sweep_param] if cfg.sweep_param else []
@@ -543,20 +423,14 @@ def write_reports(cfg: ExperimentConfig, points: list[PointResult], out_dir: str
                     + "\n"
                 )
     summary_path = os.path.join(out, "summary.txt")
-    by_id: dict[str, list[BoundRecord]] = {}
-    for point in points:
-        for r in point.records:
-            by_id.setdefault(r.bound_id, []).append(r)
+    counts = tally(r for point in points for r in point.records)
     with open(summary_path, "w") as fh:
-        total_fail = 0
-        for bid in sorted(by_id):
-            recs = by_id[bid]
-            fails = sum(1 for r in recs if not r.holds)
-            total_fail += fails
-            status = "PASS" if fails == 0 else f"FAIL ({fails}/{len(recs)})"
-            fh.write(f"{bid}: {status} [{len(recs)} checks]\n")
+        for bid, (ok, total) in counts.items():
+            status = "PASS" if ok == total else f"FAIL ({total - ok}/{total})"
+            fh.write(f"{bid}: {status} [{total} checks]\n")
             fh.write(f"    {BOUND_REGISTRY[bid]}\n")
-        fh.write(f"\noverall: {'PASS' if total_fail == 0 else 'FAIL'}\n")
+        overall = all(ok == total for ok, total in counts.values())
+        fh.write(f"\noverall: {'PASS' if overall else 'FAIL'}\n")
     return {"results": results_path, "entropy": entropy_path, "summary": summary_path}
 
 

@@ -405,14 +405,6 @@ class EnvelopeSample:
     norm: float
     bound: float
 
-    @property
-    def slack(self) -> float:
-        return self.bound - self.norm
-
-    @property
-    def holds(self) -> bool:
-        return self.norm <= self.bound + 1e-9
-
 
 def pair_distance(X, Y) -> int:
     return min(abs(i - j) for i in X for j in Y)
@@ -442,10 +434,9 @@ def verify_assumption1(
     envelope: DecayEnvelope,
     sample_pairs,
 ) -> list[EnvelopeSample]:
-    """Measure ||V_{X,Y}|| <= g0 * r^(-abar) on each sampled pair.
+    """Measure ||V_{X,Y}|| and its budget g0 * r^(-abar) on each sampled pair.
 
-    Violations are flagged in the returned samples, never raised; the caller
-    decides fatality.
+    Samples are returned unjudged; `registry.BoundRecord` decides.
     """
     report = []
     for X, Y in sample_pairs:
@@ -467,33 +458,3 @@ def local_energy_g(H: Hamiltonian) -> float:
         for s in term.support:
             per_site[s] += nrm
     return float(per_site.max())
-
-
-def power_law_profile(H: Hamiltonian) -> dict[int, float]:
-    """max_i sum_{Z containing i, diam(Z)=r} ||h_Z|| for each diameter r >= 1."""
-    n = H.lattice.n
-    sums: dict[int, np.ndarray] = {}
-    for idx, term in enumerate(H.terms):
-        r = term.diameter
-        if r == 0:
-            continue
-        acc = sums.setdefault(r, np.zeros(n + 1))
-        nrm = H.term_norm(idx)
-        for s in term.support:
-            acc[s] += nrm
-    return {r: float(acc.max()) for r, acc in sorted(sums.items())}
-
-
-def verify_power_law(H: Hamiltonian, atol: float = 1e-9) -> bool:
-    """Check the per-pair metadata envelope ||h_Z|| <= J/diam(Z)^alpha, ||h_i|| <= B."""
-    meta = H.metadata
-    if meta is None:
-        raise ValueError("Hamiltonian has no power-law metadata")
-    for idx, term in enumerate(H.terms):
-        nrm = H.term_norm(idx)
-        if term.diameter == 0:
-            if nrm > meta.field + atol:
-                return False
-        elif nrm > meta.coupling / term.diameter**meta.alpha + atol:
-            return False
-    return True

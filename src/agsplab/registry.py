@@ -2,7 +2,8 @@
 
 Each id maps to exactly one human-readable statement of the inequality it
 measures; the experiment runner may emit a bound id only if it is listed
-here (machine-checked in the test suite).
+here (machine-checked in the test suite).  `BoundRecord.holds` is the only
+verdict in the package: the checks return measurements, this judges them.
 """
 
 from __future__ import annotations
@@ -61,3 +62,13 @@ class BoundRecord:
     @property
     def holds(self) -> bool:
         return math.isfinite(self.lhs) and math.isfinite(self.rhs) and self.lhs <= self.rhs + self.slack
+
+
+def tally(records) -> dict[str, tuple[int, int]]:
+    """(records that hold, records) per bound id, in sorted id order."""
+    counts: dict[str, list[int]] = {}
+    for r in records:
+        c = counts.setdefault(r.bound_id, [0, 0])
+        c[0] += r.holds
+        c[1] += 1
+    return {bid: (ok, total) for bid, (ok, total) in sorted(counts.items())}

@@ -247,35 +247,9 @@ class TruncationReport:
     weyl_max: float
     gap: float
     gap_t: float
-    gap_bound_holds: bool
     overlap_applicable: bool
     overlap_distance: float | None
     overlap_bound: float | None
-    dropped_triangle_holds: bool
-
-    @property
-    def norm_bound_holds(self) -> bool:
-        return self.delta_bound is None or self.delta_norm <= self.delta_bound + 1e-9
-
-    @property
-    def weyl_holds(self) -> bool:
-        return self.weyl_max <= self.delta_norm + 1e-9
-
-    @property
-    def overlap_holds(self) -> bool:
-        if not self.overlap_applicable:
-            return True
-        return self.overlap_distance <= self.overlap_bound + 1e-9
-
-    @property
-    def all_hold(self) -> bool:
-        return (
-            self.norm_bound_holds
-            and self.weyl_holds
-            and self.gap_bound_holds
-            and self.overlap_holds
-            and self.dropped_triangle_holds
-        )
 
 
 def align_phase(reference: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -293,9 +267,9 @@ def verify_lemma3_4(
     H_dense: np.ndarray | None = None,
     H_spec: SpectralData | None = None,
 ) -> TruncationReport:
-    """Measure the truncation guarantees against their analytic budgets.
+    """Measure the truncation guarantees and their analytic budgets.
 
-    Checks, with delta = H - H_t (raw truncation, before the energy-origin
+    Measures both sides of each guarantee, with delta = H - H_t (raw truncation, before the energy-origin
     convention): ||delta|| <= g0*q*l^(-abar); |E_j - E_tj| <= ||delta|| for
     every j; gap_t >= gap - 2*||delta||; and, whenever 4*||delta|| < gap,
     || |0> - |0_t> || <= ||delta|| / (gap - 4*||delta||) with phases aligned.
@@ -320,7 +294,6 @@ def verify_lemma3_4(
     weyl_max = float(np.max(np.abs(spec - spec_t)))
     gap = float(spec[1] - spec[0])
     gap_t = float(spec_t[1] - spec_t[0])
-    gap_ok = gap_t >= gap - 2.0 * delta_norm - 1e-9
     applicable = 4.0 * delta_norm < gap
     dist = ov_bound = None
     if applicable:
@@ -328,16 +301,13 @@ def verify_lemma3_4(
         gs_t = align_phase(gs, T.spectral().eigenvectors[:, 0])
         dist = float(np.linalg.norm(gs - gs_t))
         ov_bound = delta_norm / (gap - 4.0 * delta_norm)
-    triangle_ok = delta_norm <= T.dropped_norm_sum + 1e-9
     return TruncationReport(
         delta_norm=delta_norm,
         delta_bound=bound,
         weyl_max=weyl_max,
         gap=gap,
         gap_t=gap_t,
-        gap_bound_holds=gap_ok,
         overlap_applicable=applicable,
         overlap_distance=dist,
         overlap_bound=ov_bound,
-        dropped_triangle_holds=triangle_ok,
     )

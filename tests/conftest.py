@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from agsplab.config import ExperimentConfig
-from agsplab.experiment import Pipeline, build_pipeline
+from agsplab.experiment import Pipeline, build_pipeline, run_points
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -65,6 +65,53 @@ def oracle_fermion_chain(n: int, alpha: float, A: float, B: float) -> np.ndarray
 def random_state(rng, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def power_law_profile(H) -> dict[int, float]:
+    """max_i sum_{Z containing i, diam(Z)=r} ||h_Z|| for each diameter r >= 1."""
+    n = H.lattice.n
+    sums: dict[int, np.ndarray] = {}
+    for idx, term in enumerate(H.terms):
+        r = term.diameter
+        if r == 0:
+            continue
+        acc = sums.setdefault(r, np.zeros(n + 1))
+        nrm = H.term_norm(idx)
+        for s in term.support:
+            acc[s] += nrm
+    return {r: float(acc.max()) for r, acc in sorted(sums.items())}
+
+
+def verify_power_law(H, atol: float = 1e-9) -> bool:
+    """Check the per-pair metadata envelope ||h_Z|| <= J/diam(Z)^alpha, ||h_i|| <= B."""
+    meta = H.metadata
+    if meta is None:
+        raise ValueError("Hamiltonian has no power-law metadata")
+    for idx, term in enumerate(H.terms):
+        nrm = H.term_norm(idx)
+        if term.diameter == 0:
+            if nrm > meta.field + atol:
+                return False
+        elif nrm > meta.coupling / term.diameter**meta.alpha + atol:
+            return False
+    return True
+
+
+def entropy_from_density(rho: np.ndarray) -> float:
+    """Von Neumann entropy from a density matrix (independent of any SVD path)."""
+    evals = np.linalg.eigvalsh(rho)
+    evals = evals[evals > 1e-15]
+    return float(-np.sum(evals * np.log(evals)))
+
+
+def reduced_density(state: np.ndarray, cut: int, d: int = 2) -> np.ndarray:
+    M = state.reshape(d**cut, -1)
+    return M @ M.conj().T
+
+
+def verify_all(cfg: ExperimentConfig) -> list:
+    """Records for every grid point of the (possibly swept) config."""
+    return [r for point in run_points(cfg) for r in point.records]
 
 
 # The reference instance of the acceptance criteria: long-range Ising,

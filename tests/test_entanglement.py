@@ -12,10 +12,8 @@ from agsplab.entanglement import (
     agsp_sequence,
     eckart_young_check,
     entropy,
-    entropy_from_density,
     mps_compress,
     mps_compression_check,
-    reduced_density,
     renyi2,
     schmidt_decompose,
     truncate_to_rank,
@@ -23,7 +21,7 @@ from agsplab.entanglement import (
 from agsplab.hamiltonian import assemble_dense, build_long_range_ising
 from agsplab.spectral import lowest_eigenpairs
 from agsplab.truncation import decompose_blocks, shift_block_energies, truncate_interactions
-from conftest import random_state
+from conftest import entropy_from_density, random_state, reduced_density
 
 # sum_{p>=1} p^{-2} ln(p^2) = -2 zeta'(2); verified against mpmath and
 # direct partial sums with an integral tail bracket.
@@ -105,7 +103,7 @@ class TestEckartYoung:
         v = random_state(rng, 16)
         rec = eckart_young_check(v, v, 2)
         assert rec.tail_weight <= 1e-12
-        assert rec.holds
+        assert rec.tail_weight <= rec.distance_squared + 1e-12
 
     def test_truncations_all_ranks(self, rng):
         v = random_state(rng, 64)
@@ -114,12 +112,13 @@ class TestEckartYoung:
             approx = truncate_to_rank(sd, D)
             rec = eckart_young_check(v, approx, 3)
             assert rec.comparison_rank <= D
-            assert rec.holds
+            assert rec.tail_weight <= rec.distance_squared + 1e-12
 
     def test_random_pairs(self, rng):
         for _ in range(10):
             a, b = random_state(rng, 64), random_state(rng, 64)
-            assert eckart_young_check(a, b, 3).holds
+            rec = eckart_young_check(a, b, 3)
+            assert rec.tail_weight <= rec.distance_squared + 1e-12
 
 
 class TestMpsCompress:
@@ -149,7 +148,7 @@ class TestMpsCompress:
     def test_error_bound(self, rng, D):
         v = random_state(rng, 256)
         rec = mps_compression_check(v, D)
-        assert rec.holds
+        assert rec.error_squared <= rec.weight_bound + 1e-9
 
     def test_error_monotone_in_D_for_ground_state(self):
         H = assemble_dense(build_long_range_ising(8, 3.0, 1.0, 2.0))
@@ -229,7 +228,7 @@ class TestAgspSequence:
         assert len(steps) == 3
         for step in steps:
             assert step.target_met and step.gamma <= 1.0 / step.p + 1e-12
-            assert step.distance_holds
+            assert step.distance <= step.gamma + 1e-9
         Ds = [s.D for s in steps]
         assert all(b >= a for a, b in zip(Ds, Ds[1:]))
 

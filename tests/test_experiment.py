@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +12,11 @@ from agsplab.experiment import (
     PointResult,
     entropy_row,
     run_points,
-    verify_all,
     verify_point,
     write_reports,
 )
 from agsplab.registry import BOUND_REGISTRY, BoundRecord
+from conftest import verify_all
 
 EXPECTED_BOUND_IDS = {
     "assumption1", "gap≤2g", "lemma3.norm", "weyl", "lemma3.gap", "lemma4.overlap",
@@ -116,6 +118,17 @@ class TestBoundRecord:
         assert not BoundRecord("weyl", 0.0, float("inf")).holds
         assert not BoundRecord("weyl", float("-inf"), 1.0).holds
 
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (math.inf, math.inf)],
+    )
+    def test_non_finite_inputs_never_hold(self, lhs, rhs):
+        assert not BoundRecord("lemma14.filter", lhs, rhs).holds
+
+    def test_finite_within_slack_holds(self):
+        assert BoundRecord("lemma14.filter", 1.0 + 5e-10, 1.0).holds
+        assert not BoundRecord("lemma14.filter", 1.0 + 2e-9, 1.0).holds
+
     def test_unregistered_id_rejected(self):
         with pytest.raises(KeyError):
             BoundRecord("not-a-bound", 0.0, 1.0)
@@ -136,6 +149,13 @@ class TestVerifyPoint:
     def test_all_bounds_pass(self, mini_result):
         bad = [r for r in mini_result.records if not r.holds]
         assert bad == []
+
+    def test_tolerance_is_every_slack(self, mini_result):
+        tight = verify_point(replace(mini_result.config, tolerance=1e-6))
+        assert [r.slack for r in tight.records] == [1e-6] * len(mini_result.records)
+        assert [(r.bound_id, r.lhs, r.rhs) for r in tight.records] == [
+            (r.bound_id, r.lhs, r.rhs) for r in mini_result.records
+        ]
 
     def test_every_registered_id_emitted(self, mini_result):
         emitted = {r.bound_id for r in mini_result.records}
@@ -277,6 +297,26 @@ class TestCli:
         )
         assert proc.returncode == 2
         assert "alpha > 2" in proc.stderr
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_tolerance_that_cannot_judge_rejected(self, tmp_path, via, value):
+        out = tmp_path / "out"
+        text, flag = MINI.format(out=out), []
+        if via == "config":
+            text += f"tolerance = {value}\n"  # lands in the trailing [run] section
+        else:
+            flag = ["--tolerance", value]
+        path = tmp_path / "tol.cfg"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "agsplab.cli", "run", str(path), *flag],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and "tolerance" in proc.stderr
+        assert "PASS" not in proc.stdout and not out.exists()
 
     def test_sweep_requires_section(self, mini_cfg_file):
         proc = subprocess.run(

@@ -17,10 +17,8 @@ from agsplab.hamiltonian import (
     decay_envelope,
     embed_sum,
     local_energy_g,
-    power_law_profile,
     region_sum,
     verify_assumption1,
-    verify_power_law,
 )
 from conftest import (
     PAULI_X,
@@ -28,6 +26,8 @@ from conftest import (
     kron_chain,
     oracle_fermion_chain,
     oracle_ising,
+    power_law_profile,
+    verify_power_law,
 )
 
 # Frozen oracle values (computed once with the independent constructions in
@@ -329,7 +329,7 @@ class TestAssumption1:
         pairs = contiguous_pair_samples(6)
         assert len(pairs) > 20
         report = verify_assumption1(H, env, pairs)
-        assert all(s.holds for s in report)
+        assert all(s.norm <= s.bound + 1e-9 for s in report)
 
     def test_adjacent_blocks_read_g0(self):
         H = build_long_range_ising(6, 3.0, 1.0, 1.0)
@@ -345,7 +345,7 @@ class TestAssumption1:
         report = verify_assumption1(H, env, [((1,), (2,)), ((1, 2), (4,))])
         for s in report:
             assert s.norm == 0.0
-            assert s.slack == pytest.approx(env.bound(s.r))
+            assert s.bound - s.norm == pytest.approx(env.bound(s.r))
 
 
 class TestLocalEnergy:
@@ -424,4 +424,4 @@ def test_property_envelope_dominates_all_contiguous_pairs(n, alpha, J, B):
     H = build_long_range_ising(n, alpha, J, B)
     env = decay_envelope(H)
     report = verify_assumption1(H, env, contiguous_pair_samples(n))
-    assert all(s.holds for s in report)
+    assert all(s.norm <= s.bound + 1e-9 for s in report)

@@ -189,18 +189,22 @@ class TestVerifyLemma34:
         assert rep.delta_norm <= 1e-10
         assert rep.weyl_max <= 1e-9
         assert rep.overlap_applicable and rep.overlap_distance <= 1e-7
-        assert rep.all_hold
+        assert rep.delta_bound is None or rep.delta_norm <= rep.delta_bound + 1e-9
+        assert rep.weyl_max <= rep.delta_norm + 1e-9
+        assert rep.gap_t >= rep.gap - 2.0 * rep.delta_norm - 1e-9
+        assert rep.overlap_distance <= rep.overlap_bound + 1e-9
+        assert rep.delta_norm <= T.dropped_norm_sum + 1e-9
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_reference_family_n8(self, l):
         H = build_long_range_ising(8, 3.0, 1.0, 2.0)
         T = shift_block_energies(truncate_interactions(H, decompose_blocks(8, 2, l)))
         rep = verify_lemma3_4(H, T)
-        assert rep.norm_bound_holds
-        assert rep.weyl_holds
-        assert rep.gap_bound_holds
-        assert rep.overlap_holds
-        assert rep.dropped_triangle_holds
+        assert rep.delta_norm <= rep.delta_bound + 1e-9
+        assert rep.weyl_max <= rep.delta_norm + 1e-9
+        assert rep.gap_t >= rep.gap - 2.0 * rep.delta_norm - 1e-9
+        assert not rep.overlap_applicable or rep.overlap_distance <= rep.overlap_bound + 1e-9
+        assert rep.delta_norm <= T.dropped_norm_sum + 1e-9
 
     def test_overlap_guard_when_gap_too_small(self):
         # near-critical field: tiny gap, so 4*||dH|| >= gap and the overlap
@@ -210,7 +214,7 @@ class TestVerifyLemma34:
         rep = verify_lemma3_4(H, T)
         assert not rep.overlap_applicable
         assert rep.overlap_distance is None
-        assert rep.overlap_holds  # vacuously
+        assert not rep.overlap_applicable or rep.overlap_distance <= rep.overlap_bound + 1e-9
 
     def test_phase_alignment_convention(self):
         H = build_long_range_ising(6, 3.0, 1.0, 2.0)
