@@ -11,12 +11,12 @@ turns a good filter into a low-Schmidt-rank approximate ground state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .effective import EffectiveHamiltonian
-from .spectral import SpectralData, top_singular_value
+from .spectral import top_singular_value
 from .truncation import align_phase
 
 SR_REL_TOL = 1e-10
@@ -47,7 +47,6 @@ class ChebyshevFilter:
     gap_eff: float
     width: float
     eff: EffectiveHamiltonian
-    _ranks: dict[int, int] = field(default_factory=dict, repr=False)
 
     @property
     def cheb_bound(self) -> float:
@@ -61,11 +60,17 @@ class ChebyshevFilter:
         return float(np.max(np.abs(vals[1:]))) if len(vals) > 1 else 0.0
 
     def schmidt_rank(self, cut: int) -> int:
-        """Operator Schmidt rank of K across `cut`; one SVD per filter and cut."""
-        if cut not in self._ranks:
+        """Operator Schmidt rank of K across `cut`.
+
+        K is a function of its clamp's spectrum and m, so the rank is cached
+        on the clamp under (m, cut): one SVD per clamp, degree and cut,
+        whichever filter object asks.
+        """
+        key = (self.m, cut)
+        if key not in self.eff.filter_ranks:
             d = self.eff.base.lattice.d
-            self._ranks[cut] = operator_schmidt_rank(self.matrix, cut, d=d).rank
-        return self._ranks[cut]
+            self.eff.filter_ranks[key] = operator_schmidt_rank(self.matrix, cut, d=d).rank
+        return self.eff.filter_ranks[key]
 
 
 def _filter_values(m: int, eigenvalues: np.ndarray, gap: float, width: float) -> np.ndarray:
@@ -75,14 +80,14 @@ def _filter_values(m: int, eigenvalues: np.ndarray, gap: float, width: float) ->
     return chebyshev_T(m, scaled) / denom
 
 
-def agsp_filter(eff: EffectiveHamiltonian, m: int, spectrum: SpectralData | None = None) -> ChebyshevFilter:
+def agsp_filter(eff: EffectiveHamiltonian, m: int) -> ChebyshevFilter:
     """Build the degree-m Chebyshev filter of the clamped Hamiltonian.
 
     The energy origin is shifted to the effective ground energy, so the
     filter satisfies K(ground) = 1 exactly; the suppression window spans
     [gap, width] of the shifted spectrum.
     """
-    sp = spectrum or eff.spectral()
+    sp = eff.spectral()
     gap = sp.gap
     width = sp.width
     if gap <= 1e-10:

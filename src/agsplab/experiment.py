@@ -144,7 +144,7 @@ def _truncation_records(pipe: Pipeline) -> list[BoundRecord]:
 
 
 def _theorem5_records(pipe: Pipeline) -> list[BoundRecord]:
-    diags = eff_mod.theorem5_check(pipe.T, pipe.cfg.taus)
+    diags = eff_mod.theorem5_check(pipe.T, pipe.cfg.taus, eff=pipe.eff_at(max(pipe.cfg.taus)))
     records = []
     for dg in diags:
         records.append(BoundRecord("thm5.kappa", dg.kappa, dg.kappa_bound, {"tau": dg.tau}))

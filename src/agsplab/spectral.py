@@ -5,7 +5,8 @@ operators) consumes the `SpectralData` produced here.  Solvers are dense
 LAPACK calls, except that ground states of sparse matrices come from
 Lanczos (`eigsh`); near-degenerate ground states are rejected rather than
 perturbed.  `top_singular_value` is the one kernel for operator 2-norms of
-dense blocks: the largest eigenvalue of the smaller Gram matrix.
+dense blocks: the largest eigenvalue of the smaller Gram matrix;
+`unitary_block_norm` skips it where a block of a unitary has norm 1 exactly.
 """
 
 from __future__ import annotations
@@ -102,6 +103,22 @@ def top_singular_value(A: np.ndarray) -> float:
     if not np.isfinite(gram).all():
         return float("nan")
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+
+
+def unitary_block_norm(W: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+    """2-norm of the sub-block W[rows, cols] of a unitary matrix W.
+
+    The block is the product P W Q of two coordinate projectors with W, so
+    its norm is ||P (W Q W^dag)||, a norm of a product of two projectors.
+    When their ranks sum past dim their ranges intersect and the norm is 1
+    exactly (the dimension count of Halmos' two-subspace theory); otherwise
+    `top_singular_value` of the block.  A non-finite W gives NaN.
+    """
+    if not np.isfinite(W).all():
+        return float("nan")
+    if rows.sum() + cols.sum() > W.shape[0]:
+        return 1.0
+    return top_singular_value(W[np.ix_(rows, cols)])
 
 
 def lowest_eigenpairs(M: np.ndarray, count: int = 2):

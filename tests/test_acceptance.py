@@ -46,7 +46,7 @@ def test_criterion_1_chebyshev_filter_bound(reference_pipeline):
     fixed = sp.eigenvectors[:, 0]
     worst = -np.inf
     for m in (2, 4, 6, 8, 12, 16):
-        filt = am.agsp_filter(eff, m, spectrum=sp)
+        filt = am.agsp_filter(eff, m)
         complement = filt.matrix - np.outer(filt.matrix @ fixed, fixed.conj())
         eps = am.top_singular_value(complement)
         worst = max(worst, eps - filt.cheb_bound)

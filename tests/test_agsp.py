@@ -86,7 +86,6 @@ class TestFilter:
 
     def test_degenerate_window_rejected(self):
         _, eff = make_eff()
-        sp = eff.spectral()
 
         class Stub:
             eigenvalues = np.array([0.0, 1.0, 1.0 + 1e-14])
@@ -94,8 +93,9 @@ class TestFilter:
             gap = 1.0
             width = 1.0 + 1e-14
 
+        eff._spectral = Stub()  # the clamp's spectrum is the filter's only source
         with pytest.raises(ValueError):
-            agsp_filter(eff, 3, spectrum=Stub())
+            agsp_filter(eff, 3)
 
 
 class TestMeasure:

@@ -10,6 +10,7 @@ import pytest
 from agsplab.config import ConfigError, ExperimentConfig, parse_config
 from agsplab.experiment import (
     PointResult,
+    build_pipeline,
     entropy_row,
     run_points,
     verify_point,
@@ -172,6 +173,14 @@ class TestVerifyPoint:
         assert alone.S2_nats == pytest.approx(row.S2_nats, abs=1e-12)
         assert alone.bond_dims == row.bond_dims
 
+    def test_norm_cap_breach_is_a_failing_record(self, mini_result, monkeypatch):
+        from agsplab import effective
+
+        monkeypatch.setattr(effective.EffectiveHamiltonian, "norm_budget", lambda self: 0.5)
+        result = verify_point(mini_result.config)
+        [rec] = [r for r in result.records if r.bound_id == "effnorm"]
+        assert rec.rhs == 0.5 and rec.lhs > 0.5 and not rec.holds
+
     def test_alpha_at_pole_surfaces_requirement(self):
         cfg = ExperimentConfig(n=4, alpha=2.0)
         with pytest.raises(ValueError, match="alpha > 2"):
@@ -210,6 +219,50 @@ class TestSharedBuilds:
         cfg = ExperimentConfig(n=8, alpha=3.0, J=1.0, B=2.0, q=2, l=2, cut=3, taus=[5.0], ms=[4], seed=3)
         verify_point(cfg)
         assert builds["truncations"] and {cut for _, cut in builds["truncations"]} == {3}
+
+
+class TestSolveCounts:
+    """Each expensive solve of a reference-shaped point runs once."""
+
+    CFG = ExperimentConfig(n=6, alpha=3.0, J=1.0, B=2.0, q=2, l=2, taus=[6.0], ms=[4, 8], seed=7)
+
+    def test_one_schmidt_svd_per_filter_and_one_clamp_solve(self, monkeypatch):
+        import scipy.linalg
+
+        from agsplab import agsp
+
+        tau_star = max(self.CFG.taus)
+        h_eff = build_pipeline(self.CFG).eff_at(tau_star).assemble_dense()
+        filters, ranks, solves = [], {}, []
+        build, rank = agsp.agsp_filter, agsp.operator_schmidt_rank
+
+        def counted_build(eff, m):
+            filt = build(eff, m)
+            filters.append((filt.matrix, (m, eff.base.blocks.l, eff.tau)))
+            return filt
+
+        def counted_rank(O, *args, **kwargs):
+            for K, key in filters:
+                if O is K:
+                    ranks[key] = ranks.get(key, 0) + 1
+            return rank(O, *args, **kwargs)
+
+        def counted_solver(solve):
+            def wrapped(M, *args, **kwargs):
+                if M.shape == h_eff.shape and np.array_equal(M, h_eff):
+                    solves.append(solve.__name__)
+                return solve(M, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(agsp, "agsp_filter", counted_build)
+        monkeypatch.setattr(agsp, "operator_schmidt_rank", counted_rank)
+        for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eigh")):
+            monkeypatch.setattr(module, name, counted_solver(getattr(module, name)))
+        verify_point(self.CFG)
+        assert (4, self.CFG.l, tau_star) in ranks and (8, self.CFG.l, tau_star) in ranks
+        assert set(ranks.values()) == {1}, ranks
+        assert len(solves) == 1, solves
 
 
 class TestReports:

@@ -18,6 +18,7 @@ from agsplab.spectral import (
     in_window,
     lowest_eigenpairs,
     top_singular_value,
+    unitary_block_norm,
 )
 from conftest import PAULI_X, PAULI_Z
 
@@ -236,6 +237,58 @@ def test_property_top_singular_value_matches_svd(seed, rows, aspect, field, rank
     A = scale * A
     expected = np.linalg.svd(A, compute_uv=False)[0]
     assert top_singular_value(A) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def random_unitary(rng, dim: int, field: str) -> np.ndarray:
+    """Q factor of a Gaussian matrix: a random orthogonal or unitary."""
+    G = rng.standard_normal((dim, dim))
+    if field == "complex":
+        G = G + 1j * rng.standard_normal((dim, dim))
+    return np.linalg.qr(G)[0]
+
+
+def random_mask(rng, dim: int, count: int) -> np.ndarray:
+    mask = np.zeros(dim, dtype=bool)
+    mask[rng.choice(dim, size=count, replace=False)] = True
+    return mask
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    dim=st.integers(min_value=1, max_value=24),
+    field=st.sampled_from(["real", "complex"]),
+    past_dim=st.booleans(),
+)
+def test_property_unitary_block_norm_matches_gram_kernel(seed, dim, field, past_dim):
+    rng = np.random.default_rng(seed)
+    W = random_unitary(rng, dim, field)
+    # a rank sum on the requested side of dim
+    r = int(rng.integers(1, dim + 1)) if past_dim else int(rng.integers(0, dim + 1))
+    c = int(rng.integers(dim - r + 1, dim + 1)) if past_dim else int(rng.integers(0, dim - r + 1))
+    rows, cols = random_mask(rng, dim, r), random_mask(rng, dim, c)
+    expected = top_singular_value(W[np.ix_(rows, cols)])
+    value = unitary_block_norm(W, rows, cols)
+    assert abs(value - expected) <= 1e-12
+    if past_dim:
+        assert value == 1.0
+
+
+class TestUnitaryBlockNorm:
+    def test_non_finite_entry_gives_nan(self, rng):
+        W = random_unitary(rng, 8, "real")
+        W[5, 6] = np.nan
+        rows, cols = np.zeros(8, dtype=bool), np.zeros(8, dtype=bool)
+        rows[:2], cols[:2] = True, True  # the NaN lies outside the block
+        assert np.isnan(unitary_block_norm(W, rows, cols))
+        assert np.isnan(unitary_block_norm(W, ~rows, ~cols))  # rank sum past dim
+
+    def test_empty_masks_give_zero(self, rng):
+        W = random_unitary(rng, 8, "complex")
+        none, every = np.zeros(8, dtype=bool), np.ones(8, dtype=bool)
+        assert unitary_block_norm(W, none, every) == 0.0
+        assert unitary_block_norm(W, every, none) == 0.0
+        assert unitary_block_norm(W, none, none) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
