@@ -46,7 +46,6 @@ from .effective import (
 )
 from .agsp import (
     AgspReport,
-    SchmidtRankResult,
     agsp_filter,
     bootstrap_state,
     chebyshev_T,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .effective import EffectiveHamiltonian
 from .spectral import top_singular_value
-from .truncation import align_phase
+from .truncation import TruncatedHamiltonian, align_phase
 
 SR_REL_TOL = 1e-10
 SR_ABS_TOL = 1e-12
@@ -69,7 +69,7 @@ class ChebyshevFilter:
         key = (self.m, cut)
         if key not in self.eff.filter_ranks:
             d = self.eff.base.lattice.d
-            self.eff.filter_ranks[key] = operator_schmidt_rank(self.matrix, cut, d=d).rank
+            self.eff.filter_ranks[key] = operator_schmidt_rank(self.matrix, cut, d=d)
         return self.eff.filter_ranks[key]
 
 
@@ -106,45 +106,15 @@ def agsp_filter(eff: EffectiveHamiltonian, m: int) -> ChebyshevFilter:
     )
 
 
-def chebyshev_matrix_recurrence(filt: ChebyshevFilter) -> np.ndarray:
-    """Re-evaluate the filter by the matrix three-term recurrence.
-
-    Independent of the eigenbasis evaluation; the two agree entrywise to
-    1e-8 on well-conditioned windows (cross-check, not the production path).
-    """
-    sp = filt.eff.spectral()
-    dim = sp.source_dim
-    gap, width = filt.gap_eff, filt.width
-    H = filt.eff.assemble_dense() - sp.ground_energy * np.eye(dim)
-    Y = (2.0 * H - (width + gap) * np.eye(dim)) / (width - gap)
-    t_prev = np.eye(dim)
-    if filt.m == 0:
-        num = t_prev
-    else:
-        t_cur = Y
-        for _ in range(filt.m - 1):
-            t_prev, t_cur = t_cur, 2.0 * Y @ t_cur - t_prev
-        num = t_cur
-    denom = chebyshev_T(filt.m, -(width + gap) / (width - gap))
-    return num / denom
-
-
-@dataclass
-class SchmidtRankResult:
-    rank: int
-    singular_values: np.ndarray
-    tolerance_used: float
-
-
-def rank_threshold(svals: np.ndarray, tol: float | None = None) -> float:
+def rank_threshold(svals: np.ndarray) -> float:
     """Cut-off above which a descending singular value counts toward a Schmidt rank.
 
-    `tol` when given, else max(1e-10 * sigma_max, 1e-12).
+    max(1e-10 * sigma_max, 1e-12): the one threshold of every rank here.
     """
-    return tol if tol is not None else max(SR_REL_TOL * svals[0], SR_ABS_TOL)
+    return max(SR_REL_TOL * svals[0], SR_ABS_TOL)
 
 
-def operator_schmidt_rank(O: np.ndarray, cut: int, d: int = 2, tol: float | None = None) -> SchmidtRankResult:
+def operator_schmidt_rank(O: np.ndarray, cut: int, d: int = 2) -> int:
     """Numerical Schmidt rank of an operator across a contiguous cut.
 
     Reshapes O across the bipartition ((row_L, col_L) x (row_R, col_R)) and
@@ -160,16 +130,14 @@ def operator_schmidt_rank(O: np.ndarray, cut: int, d: int = 2, tol: float | None
         O.reshape(dL, dR, dL, dR).transpose(0, 2, 1, 3).reshape(dL * dL, dR * dR)
     )
     svals = np.linalg.svd(rearranged, compute_uv=False)
-    threshold = rank_threshold(svals, tol)
-    rank = int(np.sum(svals > threshold))
-    return SchmidtRankResult(rank=rank, singular_values=svals, tolerance_used=float(threshold))
+    return int(np.sum(svals > rank_threshold(svals)))
 
 
-def state_schmidt_rank(state: np.ndarray, cut: int, d: int = 2, tol: float | None = None) -> int:
+def state_schmidt_rank(state: np.ndarray, cut: int, d: int = 2) -> int:
     """Numerical Schmidt rank of a pure state across a contiguous cut."""
     dL = d**cut
     svals = np.linalg.svd(state.reshape(dL, -1), compute_uv=False)
-    return int(np.sum(svals > rank_threshold(svals, tol)))
+    return int(np.sum(svals > rank_threshold(svals)))
 
 
 @dataclass
@@ -191,14 +159,13 @@ def measure_agsp(
     filt: ChebyshevFilter,
     target_gs: np.ndarray,
     cut: int | None = None,
-    dense_epsilon: bool = True,
 ) -> AgspReport:
     """Measure (delta_K, epsilon_K, D_K) of a filter against `target_gs`.
 
     delta_K is the phase-aligned distance from the filter's fixed state to
-    the target; epsilon_K the norm of K restricted to the fixed state's
-    complement (dense 2-norm by default, which coincides with the exact
-    eigenbasis supremum); D_K the operator Schmidt rank across the block cut.
+    the target; epsilon_K the dense 2-norm of K restricted to the fixed
+    state's complement (exact for any K, also one that is not a function of
+    its clamp's spectrum); D_K the operator Schmidt rank across the block cut.
     """
     K = filt.matrix
     fixed = filt.fixed_state
@@ -207,17 +174,13 @@ def measure_agsp(
         raise ValueError(f"filter does not fix its ground state: residual {residual:g}")
     aligned = align_phase(target_gs, fixed)
     delta = float(np.linalg.norm(target_gs - aligned))
-    if dense_epsilon:
-        complement = K - np.outer(K @ fixed, fixed.conj())
-        epsilon = top_singular_value(complement)
-    else:
-        epsilon = filt.excited_residual()
+    epsilon = top_singular_value(K - np.outer(K @ fixed, fixed.conj()))
     if cut is None:
         cut = filt.eff.base.blocks.cut
     return AgspReport(
         m=filt.m,
         delta_K=delta,
-        epsilon_K=float(epsilon),
+        epsilon_K=epsilon,
         D_K=filt.schmidt_rank(cut),
         cheb_bound=filt.cheb_bound,
     )
@@ -225,34 +188,28 @@ def measure_agsp(
 
 @dataclass
 class SchmidtRankBoundReport:
-    """Measured SR(H^m) against the product and counting bounds."""
+    """Measured SR(H_t^m) against the product and counting bounds."""
 
     power: int
     measured: int
     product_bound: float
     counting_bound: float
     counting_assumption_met: bool
-    effective: bool
 
 
-def schmidt_rank_bound_check(source, m: int, effective: bool = False) -> SchmidtRankBoundReport:
-    """Measure SR(H_t^m) (or the clamped analogue) against both rank bounds.
+def schmidt_rank_bound_check(T: TruncatedHamiltonian, m: int) -> SchmidtRankBoundReport:
+    """Measure SR(H_t^m) against both rank bounds.
 
     Product bound: [2 + (2 d l)^k]^m.  Counting bound: the simplified form
     d^{2ql}[e(q+1)^2(2dl)^k]^{m/(q+1)} when (q+m+1)^{q+1} <= d^{ql} holds,
     otherwise the unsimplified d^{ql}(q+m+1)^{q+1}[...]^{m/(q+1)}.
     """
-    if isinstance(source, EffectiveHamiltonian):
-        T = source.base
-        dense = source.assemble_dense()
-        effective = True
-    else:
-        T = source
-        dense = T.assemble_dense()
     d = T.lattice.d
     q, l, k = T.q, T.blocks.l, T.k
-    powered = np.linalg.matrix_power(dense, m) if m != 1 else dense
-    measured = operator_schmidt_rank(powered, T.blocks.cut, d=d).rank if m > 0 else 1
+    measured = 1
+    if m > 0:
+        powered = np.linalg.matrix_power(T.assemble_dense(), m)
+        measured = operator_schmidt_rank(powered, T.blocks.cut, d=d)
     product_bound = float(2 + (2 * d * l) ** k) ** m
     base_factor = (math.e * (q + 1) ** 2 * (2 * d * l) ** k) ** (m / (q + 1))
     assumption = (q + m + 1) ** (q + 1) <= d ** (q * l)
@@ -266,7 +223,6 @@ def schmidt_rank_bound_check(source, m: int, effective: bool = False) -> Schmidt
         product_bound=product_bound,
         counting_bound=counting,
         counting_assumption_met=assumption,
-        effective=effective,
     )
 
 
@@ -278,7 +234,6 @@ class BootstrapDiagnostics:
     precondition_met: bool
     mu1: float | None = None
     mu1_floor: float | None = None
-    top_tie: bool = False
     state_rank: int | None = None
     distance: float | None = None
     distance_bound: float | None = None
@@ -311,7 +266,6 @@ def bootstrap_state(
     fixed = align_phase(target_gs, filt.fixed_state)
     M = fixed.reshape(dL, -1)
     U, svals, Vh = np.linalg.svd(M, full_matrices=False)
-    top_tie = len(svals) > 1 and abs(svals[0] - svals[1]) <= 1e-12
     product = np.outer(U[:, 0], Vh[0, :].conj()).reshape(-1)
     filtered = filt.matrix @ product
     psi = filtered / np.linalg.norm(filtered)
@@ -321,7 +275,6 @@ def bootstrap_state(
         precondition_met=True,
         mu1=float(svals[0]),
         mu1_floor=1.0 / math.sqrt(2.0 * report.D_K),
-        top_tie=top_tie,
         state_rank=state_schmidt_rank(psi, cut, d=d),
         distance=distance,
         distance_bound=report.epsilon_K * math.sqrt(2.0 * report.D_K) + report.delta_K,

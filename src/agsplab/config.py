@@ -51,10 +51,16 @@ def check_tolerance(value: float) -> float:
 
 def _ints(raw: str) -> list[int]:
     vals = _floats(raw)
-    out = [int(v) for v in vals]
-    if any(abs(a - b) > 0 for a, b in zip(out, vals)):
+    if not all(math.isfinite(v) and v == int(v) for v in vals):
         raise ConfigError(f"expected integers, got {raw!r}")
-    return out
+    return [int(v) for v in vals]
+
+
+def _int(raw: str) -> int:
+    values = _ints(raw)
+    if len(values) != 1:
+        raise ConfigError(f"expected a single integer, got {raw!r}")
+    return values[0]
 
 
 @dataclass
@@ -121,7 +127,7 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"unknown model family {family!r}")
         cfg.family = family
     if "n" in m:
-        cfg.n = _ints(m["n"])[0]
+        cfg.n = _int(m["n"])
     if "alpha" in m:
         cfg.alpha = _float(m["alpha"])
     if "J" in m:
@@ -132,11 +138,11 @@ def parse_config(path: str) -> ExperimentConfig:
         cfg.A = _float(m["A"])
     b = parser["blocks"] if parser.has_section("blocks") else {}
     if "q" in b:
-        cfg.q = _ints(b["q"])[0]
+        cfg.q = _int(b["q"])
     if "l" in b:
-        cfg.l = _ints(b["l"])[0]
+        cfg.l = _int(b["l"])
     if "cut" in b:
-        cfg.cut = _ints(b["cut"])[0]
+        cfg.cut = _int(b["cut"])
     if parser.has_section("effective") and "tau" in parser["effective"]:
         cfg.taus = _floats(parser["effective"]["tau"])
         if not cfg.taus:
@@ -165,9 +171,9 @@ def parse_config(path: str) -> ExperimentConfig:
     if parser.has_section("run"):
         r = parser["run"]
         if "seed" in r:
-            cfg.seed = _ints(r["seed"])[0]
+            cfg.seed = _int(r["seed"])
         if "jobs" in r:
-            cfg.jobs = _ints(r["jobs"])[0]
+            cfg.jobs = _int(r["jobs"])
         if "tolerance" in r:
             cfg.tolerance = check_tolerance(_float(r["tolerance"]))
     return cfg

@@ -32,16 +32,12 @@ E_DIST_PREFACTOR = 4.0 * math.e**1.5 / (math.e - 1.0)  # ~10.43
 
 
 def apply_on_block(lattice, block_sites: tuple[int, ...], op: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Apply a contiguous-block operator to full-space column vectors."""
+    """Apply a contiguous-block operator to the columns of a (dim, cols) array."""
     if len(block_sites) == 0:
         return op[0, 0] * vecs
-    d, n = lattice.d, lattice.n
-    a, b = block_sites[0], block_sites[-1]
-    dL, ds, dR = d ** (a - 1), d ** (b - a + 1), d ** (n - b)
-    cols = vecs.shape[1] if vecs.ndim == 2 else 1
-    resh = vecs.reshape(dL, ds, dR * cols) if vecs.ndim == 2 else vecs.reshape(dL, ds, dR)
-    out = np.einsum("ij,ajb->aib", op, resh)
-    return out.reshape(vecs.shape)
+    d, a, b = lattice.d, block_sites[0], block_sites[-1]
+    resh = vecs.reshape(d ** (a - 1), d ** (b - a + 1), -1)
+    return np.einsum("ij,ajb->aib", op, resh).reshape(vecs.shape)
 
 
 @dataclass
@@ -56,20 +52,6 @@ class EffectiveHamiltonian:
     _dense: np.ndarray | None = field(default=None, repr=False)
     # Operator Schmidt rank of the filter K(m) of this clamp, per (m, cut).
     filter_ranks: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
-
-    @property
-    def lambdas(self) -> tuple[float, float]:
-        """Decay rates (lambda, lambda') of the filter inequalities.
-
-        lambda = 1/(12 g k^2 + 4 g0), lambda' = min(1/(112 g0), 1/(12 g k^2)),
-        with g the measured one-site energy of the source Hamiltonian.
-        """
-        g = self.base.local_g
-        k = self.base.k
-        g0 = self.base.envelope.g0
-        lam = 1.0 / (12.0 * g * k**2 + 4.0 * g0)
-        lam_p = min(1.0 / (112.0 * g0), 1.0 / (12.0 * g * k**2))
-        return lam, lam_p
 
     def assemble_dense(self) -> np.ndarray:
         if self._dense is None:
@@ -98,23 +80,19 @@ class EffectiveHamiltonian:
         return out
 
 
-def energy_cutoff(h_s: np.ndarray, tau_s: float, spectrum: SpectralData | None = None) -> np.ndarray:
-    """Clamp the spectrum of a block Hamiltonian at tau_s.
+def energy_cutoff(spectrum: SpectralData, tau_s: float) -> np.ndarray:
+    """Clamp a decomposed block Hamiltonian at tau_s.
 
     Eigenvectors are untouched, eigenvalues become min(E, tau_s), so the
-    result commutes with the input exactly.
+    result commutes with the decomposed matrix exactly.
     """
-    sp = spectrum or eigendecompose(h_s)
-    return sp.apply_function(lambda w: min(w, tau_s))
+    return spectrum.apply_function(lambda w: min(w, tau_s))
 
 
 def _clamp(T: TruncatedHamiltonian, tau: float) -> EffectiveHamiltonian:
     """The clamped operator at tau_s = E_{s,0} + tau, without any checks."""
     tau_s = [float(e) + tau for e in T.block_ground_energies()]
-    internal_eff = [
-        energy_cutoff(h, ts, spectrum=sp)
-        for h, ts, sp in zip(T.internal, tau_s, T.block_spectra())
-    ]
+    internal_eff = [energy_cutoff(sp, ts) for sp, ts in zip(T.block_spectra(), tau_s)]
     return EffectiveHamiltonian(base=T, tau=tau, tau_s=tau_s, internal_eff=internal_eff)
 
 
@@ -136,11 +114,11 @@ def build_effective(T: TruncatedHamiltonian, tau: float) -> EffectiveHamiltonian
     return _clamp(T, tau)
 
 
-def theorem5_precondition_tau(T: TruncatedHamiltonian, gap_t: float, lambdas) -> float:
+def theorem5_precondition_tau(T: TruncatedHamiltonian, gap_t: float) -> float:
     """Smallest tau admitted by the gap-preservation theorem's hypothesis."""
     g0 = T.envelope.g0
     q = T.q
-    lam, lam_p = lambdas
+    lam, lam_p = T.lambdas
     first = 8.0 * g0 + math.log(88.0 * g0 * (q + 1) * (q + 2) / gap_t) / lam_p
     second = 4.0 * g0 + math.log(432.0 * (q + 2) / (lam * gap_t)) / lam
     return max(first, second)
@@ -183,6 +161,8 @@ def theorem5_check(
     gs_t = T.spectral().eigenvectors[:, 0]
     g0 = T.envelope.g0
     q = T.q
+    lam, lam_p = T.lambdas
+    tau_min = theorem5_precondition_tau(T, gap_t)
     out = []
     for tau in taus:
         if eff is not None and eff.tau == tau:
@@ -191,7 +171,6 @@ def theorem5_check(
         else:
             clamp = _clamp(T, tau)
             w_e, v_e = lowest_eigenpairs(clamp.assemble_dense(), count=2)
-        lam, lam_p = clamp.lambdas
         gap_eff = float(w_e[1] - w_e[0])
         gs_eff = align_phase(gs_t, v_e[:, 0])
         dist = float(np.linalg.norm(gs_eff - gs_t))
@@ -201,7 +180,6 @@ def theorem5_check(
                 kappa += top_singular_value(apply_on_block(T.lattice, block, proj, v_e))
         kappa_bound = 11.0 * (q + 2) * math.exp(-lam_p * (tau - 8.0 * g0))
         e_bot = gap_t * (1.0 - kappa) ** 2 - 2.0 * g0 * kappa * (1.0 + kappa) * (q + 1)
-        tau_min = theorem5_precondition_tau(T, gap_t, (lam, lam_p))
         overlap_bound = 54.0 * (q + 2) / (lam * gap_t) * math.exp(-lam * (tau - 4.0 * g0))
         out.append(
             Theorem5Diagnostics(
@@ -255,9 +233,8 @@ def _block_row_labels(T: TruncatedHamiltonian, s: int) -> np.ndarray:
         scalar = float(T.block_spectra()[s].eigenvalues[0])
         return np.full(T.lattice.dim, scalar)
     a, b = block[0], block[-1]
-    dL, ds, dR = d ** (a - 1), d ** (b - a + 1), d ** (n - b)
     w = T.block_spectra()[s].eigenvalues
-    return np.repeat(np.tile(w, dL), dR)
+    return np.repeat(np.tile(w, d ** (a - 1)), d ** (n - b))
 
 
 def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -> list[BoundRecord]:
@@ -272,7 +249,7 @@ def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -
     wherever the row and column counts sum past dim.
     """
     T = eff.base
-    lam, lam_p = eff.lambdas
+    lam, lam_p = T.lambdas
     g0 = T.envelope.g0
     spec_t = T.spectral()
     spec_e = eff.spectral()
@@ -321,7 +298,7 @@ def effective_difference_check(
     ||(H_t - H_eff) P_{<=E}|| <= (27(q+2)/lambda) exp(-lambda(tau - dE - 4g0))
     per grid energy; at E = E_t0 this bounds ||H_eff |0_t>||.
     """
-    lam, _ = eff.lambdas
+    lam, _ = T.lambdas
     g0 = T.envelope.g0
     spec_t = T.spectral()
     diff = T.assemble_dense() - eff.assemble_dense()
@@ -359,15 +336,14 @@ def exponential_filter_check(
     """
     h_s = T.internal[s]
     comm = O_s @ h_s - h_s @ O_s
-    scale = max(spectral_norm(h_s), 1.0) * max(np.max(np.abs(O_s)), 1e-30)
+    scale = max(T.block_spectra()[s].norm, 1.0) * max(np.max(np.abs(O_s)), 1e-30)
     if np.max(np.abs(comm)) > 1e-10 * scale:
         raise ValueError("operator does not commute with its block Hamiltonian")
-    g0 = T.envelope.g0
-    lam = 1.0 / (12.0 * T.local_g * T.k**2 + 4.0 * g0)
+    lam, lam_p = T.lambdas
     norm_O = top_singular_value(O_s)
     variants = [("filter", lam, T.spectral())]
     if eff is not None:
-        variants.append(("filter-eff", eff.lambdas[1], eff.spectral()))
+        variants.append(("filter-eff", lam_p, eff.spectral()))
     rotated = []
     for label, rate, sp in variants:
         V = sp.eigenvectors

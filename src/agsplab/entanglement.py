@@ -15,6 +15,11 @@ import numpy as np
 
 from .agsp import rank_threshold, state_schmidt_rank
 
+# First filter degree of `agsp_sequence`, and how many times one of its steps
+# may escalate (m, l, tau) before the target counts as unreachable.
+M_START = 4
+ESCALATION_BUDGET = 14
+
 
 @dataclass
 class SchmidtData:
@@ -29,8 +34,8 @@ class SchmidtData:
         M = (self.left_vectors * self.coefficients) @ self.right_vectors
         return M.reshape(-1)
 
-    def numerical_rank(self, tol: float | None = None) -> int:
-        return int(np.sum(self.coefficients > rank_threshold(self.coefficients, tol)))
+    def numerical_rank(self) -> int:
+        return int(np.sum(self.coefficients > rank_threshold(self.coefficients)))
 
     def tail_weight(self, rank: int) -> float:
         """Sum of squared coefficients beyond the given rank."""
@@ -50,28 +55,16 @@ def schmidt_decompose(state: np.ndarray, cut: int, d: int = 2) -> SchmidtData:
     return SchmidtData(coefficients=mu, left_vectors=U, right_vectors=Vh, cut=cut)
 
 
-def entropy(schmidt: SchmidtData | np.ndarray) -> float:
+def entropy(schmidt: SchmidtData) -> float:
     """Von Neumann entropy -sum mu^2 ln mu^2 (0 ln 0 = 0), in nats."""
-    mu = schmidt.coefficients if isinstance(schmidt, SchmidtData) else np.asarray(schmidt)
-    p = mu**2
+    p = schmidt.coefficients**2
     p = p[p > 0.0]
     return float(-np.sum(p * np.log(p)))
 
 
-def renyi2(source) -> float:
-    """Second Renyi entropy -ln tr(rho_L^2) = -ln sum mu^4, in nats.
-
-    Accepts SchmidtData, a coefficient vector, or a density matrix.
-    """
-    if isinstance(source, SchmidtData):
-        purity = float(np.sum(source.coefficients**4))
-    else:
-        arr = np.asarray(source)
-        if arr.ndim == 1:
-            purity = float(np.sum(arr**4))
-        else:
-            purity = float(np.real(np.trace(arr @ arr)))
-    return -math.log(purity)
+def renyi2(schmidt: SchmidtData) -> float:
+    """Second Renyi entropy -ln tr(rho_L^2) = -ln sum mu^4, in nats."""
+    return -math.log(float(np.sum(schmidt.coefficients**4)))
 
 
 @dataclass
@@ -105,7 +98,6 @@ class MpsState:
     """Left-canonical site tensors (D_left, d, D_right) with D_0 = D_n = 1."""
 
     site_tensors: list[np.ndarray]
-    bond_dims: list[int]
     truncation_weights: list[float]
 
     def contract(self) -> np.ndarray:
@@ -143,11 +135,7 @@ def mps_compress(state: np.ndarray, D: int, d: int = 2) -> MpsState:
         vec = (S[:keep, None] * Vh[:keep]).reshape(-1)
         rank = keep
     tensors.append(vec.reshape(rank, d, 1))
-    return MpsState(
-        site_tensors=tensors,
-        bond_dims=[t.shape[2] for t in tensors[:-1]],
-        truncation_weights=weights,
-    )
+    return MpsState(site_tensors=tensors, truncation_weights=weights)
 
 
 @dataclass
@@ -155,7 +143,6 @@ class MpsCompressionRecord:
     D: int
     error_squared: float
     weight_bound: float
-    bond_dims: list[int]
 
 
 def mps_compression_check(state: np.ndarray, D: int, d: int = 2) -> MpsCompressionRecord:
@@ -165,7 +152,6 @@ def mps_compression_check(state: np.ndarray, D: int, d: int = 2) -> MpsCompressi
         D=D,
         error_squared=err,
         weight_bound=2.0 * float(sum(mps.truncation_weights)),
-        bond_dims=mps.bond_dims,
     )
 
 
@@ -224,22 +210,22 @@ def agsp_sequence(
     base_state: np.ndarray,
     p_max: int,
     cut: int,
-    m_start: int = 4,
     l_start: int = 1,
     tau_start: float = 2.0,
     l_max: int | None = None,
     tau_max: float | None = None,
-    escalation_budget: int = 14,
 ):
     """Escalating filter sequence driving gamma_p below 1/p.
 
     `filter_factory(m, l, tau)` must return a ChebyshevFilter for the
     ground-state problem at hand.  Per step p the schedule (m, l, tau) is
-    escalated (m doubles, l and tau grow to their caps) until the measured
-    gamma_p = epsilon_p / (1 - nu0 - delta_p) + delta_p drops to 1/p; the
+    escalated (m doubles from M_START, l and tau grow to their caps) until
+    the measured gamma_p = epsilon_p / (1 - nu0 - delta_p) + delta_p drops
+    to 1/p; the
     filtered base state is then checked to lie within gamma_p of the ground
     state.  Returns (steps, exhausted) where `exhausted` flags a step whose
-    target was unreachable within the budget (iteration stops there).
+    target was unreachable within ESCALATION_BUDGET escalations (iteration
+    stops there).
     """
     from .truncation import align_phase
 
@@ -247,7 +233,7 @@ def agsp_sequence(
     if nu0 > 0.5 + 1e-12:
         raise ValueError(f"base state is too far from the ground state: nu0 = {nu0:.4g}")
     steps: list[AgspSequenceStep] = []
-    m, l, tau = m_start, l_start, float(tau_start)
+    m, l, tau = M_START, l_start, float(tau_start)
     for p in range(1, p_max + 1):
         target = 1.0 / p
         attempt = 0
@@ -258,7 +244,7 @@ def agsp_sequence(
             epsilon = filt.excited_residual()
             denominator = 1.0 - nu0 - delta
             gamma = epsilon / denominator + delta if denominator > 0 else math.inf
-            if gamma <= target or attempt >= escalation_budget:
+            if gamma <= target or attempt >= ESCALATION_BUDGET:
                 break
             attempt += 1
             m *= 2

@@ -63,7 +63,6 @@ class Pipeline:
     H_spec: SpectralData
     envelope: ham.DecayEnvelope
     g: float
-    gs_energy: float
     gs_gap: float
     gs_vector: np.ndarray
     _truncations: dict[int, trunc.TruncatedHamiltonian] = field(default_factory=dict, repr=False)
@@ -111,7 +110,6 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
         H_spec=H_spec,
         envelope=ham.decay_envelope(H),
         g=ham.local_energy_g(H),
-        gs_energy=gs.energy,
         gs_gap=gs.gap,
         gs_vector=gs.state,
     )
@@ -132,7 +130,7 @@ def _assumption1_records(pipe: Pipeline) -> list[BoundRecord]:
 
 
 def _truncation_records(pipe: Pipeline) -> list[BoundRecord]:
-    rep = trunc.verify_lemma3_4(pipe.H, pipe.T, pipe.envelope, H_dense=pipe.H_dense, H_spec=pipe.H_spec)
+    rep = trunc.verify_lemma3_4(pipe.H, pipe.T, H_dense=pipe.H_dense, H_spec=pipe.H_spec)
     return [
         BoundRecord("lemma3.norm", rep.delta_norm, rep.delta_bound),
         BoundRecord("weyl", rep.weyl_max, rep.delta_norm),
@@ -329,16 +327,20 @@ def _compression_records(pipe: Pipeline, rng) -> list[BoundRecord]:
 
 
 def _entropy_row(cfg: ExperimentConfig, state: np.ndarray, d: int) -> EntropyRow:
-    """Entropies and exact bond dimensions of a normalized state at the configured cut."""
+    """Entropies of a normalized state at the configured cut.
+
+    `bond_dims` is the untruncated bond-dimension profile min(d^i, d^(n-i)),
+    i = 1 .. n-1: the bond dimensions of a lossless left-to-right SVD sweep,
+    which depend on the chain alone.
+    """
     cut = cfg.cut if cfg.cut is not None else cfg.n // 2
     sd = ent.schmidt_decompose(state, cut, d=d)
-    exact = ent.mps_compress(state, D=state.size, d=d)
     return EntropyRow(
         n=cfg.n,
         cut=cut,
         S_nats=ent.entropy(sd),
         S2_nats=ent.renyi2(sd),
-        bond_dims=exact.bond_dims,
+        bond_dims=[min(d**i, d ** (cfg.n - i)) for i in range(1, cfg.n)],
     )
 
 

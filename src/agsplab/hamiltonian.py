@@ -291,16 +291,10 @@ def _window_annihilators(w: int) -> tuple[np.ndarray, np.ndarray]:
     return a_left, a_right
 
 
-def build_long_range_fermion_chain(
-    n: int,
-    alpha: float,
-    A_couplings,
-    B_couplings,
-    local_terms: list[InteractionTerm] | None = None,
-) -> Hamiltonian:
+def build_long_range_fermion_chain(n: int, alpha: float, A_couplings, B_couplings) -> Hamiltonian:
     """Spin representation of the long-range fermionic hopping/pairing chain.
 
-    H = sum_{i<j} r_ij^(-alpha) (A_ij a_i a_j^dag + B_ij a_i a_j + h.c.) + V,
+    H = sum_{i<j} r_ij^(-alpha) (A_ij a_i a_j^dag + B_ij a_i a_j + h.c.),
     mapped through the Jordan-Wigner string; each pair term is recorded with
     its full support {i, ..., j}.  Scalars are broadcast to uniform coupling
     tables.
@@ -319,8 +313,8 @@ def build_long_range_fermion_chain(
             f"coupling tables must be scalars or ({n},{n}) arrays, "
             f"got {A.shape} and {Bp.shape}"
         )
-    terms = list(local_terms or [])
-    max_support = max((len(t.support) for t in terms), default=2)
+    terms = []
+    max_support = 2
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             a, b = A[i - 1, j - 1], Bp[i - 1, j - 1]
@@ -334,8 +328,7 @@ def build_long_range_fermion_chain(
             terms.append(InteractionTerm(tuple(range(i, j + 1)), m))
             max_support = max(max_support, w)
     j_tilde = max(np.max(np.abs(A)), np.max(np.abs(Bp)))
-    field_bound = max((t.norm for t in terms if len(t.support) == 1), default=0.0)
-    meta = PowerLawMetadata("long_range_fermion", alpha, float(j_tilde), field_bound)
+    meta = PowerLawMetadata("long_range_fermion", alpha, float(j_tilde), 0.0)
     return Hamiltonian(lattice, terms, k=max_support, metadata=meta)
 
 

@@ -51,14 +51,6 @@ class BlockDecomposition:
         """Last site of the left half (cut sits between `cut` and `cut + 1`)."""
         return max(s for block in self.blocks[: self.q // 2 + 1] for s in block)
 
-    @property
-    def left(self) -> tuple[int, ...]:
-        return tuple(s for block in self.blocks[: self.q // 2 + 1] for s in block)
-
-    @property
-    def right(self) -> tuple[int, ...]:
-        return tuple(s for block in self.blocks[self.q // 2 + 1 :] for s in block)
-
 
 def decompose_blocks(n: int, q: int, l: int, cut_position: int | None = None) -> BlockDecomposition:
     """Partition [1, n] into q+2 blocks with q/2 bulk blocks on each side of the cut.
@@ -119,6 +111,18 @@ class TruncatedHamiltonian:
     def q(self) -> int:
         return self.blocks.q
 
+    @property
+    def lambdas(self) -> tuple[float, float]:
+        """Decay rates (lambda, lambda') of the filter inequalities.
+
+        lambda = 1/(12 g k^2 + 4 g0), lambda' = min(1/(112 g0), 1/(12 g k^2)),
+        with g the measured one-site energy of the source Hamiltonian.
+        """
+        g, k, g0 = self.local_g, self.k, self.envelope.g0
+        lam = 1.0 / (12.0 * g * k**2 + 4.0 * g0)
+        lam_p = min(1.0 / (112.0 * g0), 1.0 / (12.0 * g * k**2))
+        return lam, lam_p
+
     def spectral(self) -> SpectralData:
         """Eigendecomposition of the represented operator (ground energy 0)."""
         if self._spectral is None:
@@ -146,9 +150,6 @@ class TruncatedHamiltonian:
 
     def block_ground_energies(self) -> np.ndarray:
         return np.array([sp.ground_energy for sp in self.block_spectra()])
-
-    def bond_norms(self) -> list[float]:
-        return [spectral_norm(b) for b in self.bonds]
 
 
 def _classify_terms(H: Hamiltonian, blocks: BlockDecomposition):
@@ -263,7 +264,6 @@ def align_phase(reference: np.ndarray, state: np.ndarray) -> np.ndarray:
 def verify_lemma3_4(
     H: Hamiltonian,
     T: TruncatedHamiltonian,
-    envelope: DecayEnvelope | None = None,
     H_dense: np.ndarray | None = None,
     H_spec: SpectralData | None = None,
 ) -> TruncationReport:
@@ -275,9 +275,9 @@ def verify_lemma3_4(
     || |0> - |0_t> || <= ||delta|| / (gap - 4*||delta||) with phases aligned.
 
     `H_spec` may carry the eigendecomposition of H (sweeps over l reuse it);
-    H_t's spectrum and ground vector come from `T.spectral()`.
+    H_t's spectrum and ground vector come from `T.spectral()`, the norm
+    budget from `T.envelope` (None when H has no decay envelope).
     """
-    envelope = envelope or T.envelope
     if H_dense is None:
         from .hamiltonian import assemble_dense
 
@@ -286,8 +286,8 @@ def verify_lemma3_4(
     np.fill_diagonal(delta, delta.diagonal() - T.origin_shift)
     delta_norm = spectral_norm(delta)
     bound = None
-    if envelope is not None:
-        bound = envelope.g0 * T.q * float(T.blocks.l) ** (-envelope.alpha_bar)
+    if T.envelope is not None:
+        bound = T.envelope.g0 * T.q * float(T.blocks.l) ** (-T.envelope.alpha_bar)
     H_spec = H_spec or eigendecompose(H_dense, check=False)
     spec = H_spec.eigenvalues
     spec_t = T.spectral().eigenvalues + T.origin_shift

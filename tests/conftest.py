@@ -104,9 +104,34 @@ def entropy_from_density(rho: np.ndarray) -> float:
     return float(-np.sum(evals * np.log(evals)))
 
 
+def renyi2_from_density(rho: np.ndarray) -> float:
+    """Second Renyi entropy -ln tr(rho^2) from a density matrix."""
+    return -float(np.log(np.real(np.trace(rho @ rho))))
+
+
 def reduced_density(state: np.ndarray, cut: int, d: int = 2) -> np.ndarray:
     M = state.reshape(d**cut, -1)
     return M @ M.conj().T
+
+
+def chebyshev_matrix_recurrence(filt) -> np.ndarray:
+    """A Chebyshev filter re-evaluated by the matrix three-term recurrence.
+
+    Shares nothing with the package's eigenbasis evaluation but the clamp's
+    dense matrix and ground energy; the normalization T_m at the window edge
+    comes from numpy's Chebyshev series.
+    """
+    sp = filt.eff.spectral()
+    dim = sp.source_dim
+    gap, width = filt.gap_eff, filt.width
+    H = filt.eff.assemble_dense() - sp.ground_energy * np.eye(dim)
+    Y = (2.0 * H - (width + gap) * np.eye(dim)) / (width - gap)
+    t_prev, t_cur = np.eye(dim), Y
+    for _ in range(filt.m - 1):
+        t_prev, t_cur = t_cur, 2.0 * Y @ t_cur - t_prev
+    num = t_prev if filt.m == 0 else t_cur
+    edge = -(width + gap) / (width - gap)
+    return num / np.polynomial.chebyshev.chebval(edge, [0.0] * filt.m + [1.0])
 
 
 def verify_all(cfg: ExperimentConfig) -> list:

@@ -31,9 +31,7 @@ def report(criterion: str, ok: bool, detail: str):
 
 def reference_tau(pipe) -> float:
     """Cut-off above the gap-preservation hypothesis, or at spectrum top."""
-    lam = em.build_effective(pipe.T, 1.0).lambdas
-    gap_t = pipe.T.spectral().gap
-    required = em.theorem5_precondition_tau(pipe.T, gap_t, lam)
+    required = em.theorem5_precondition_tau(pipe.T, pipe.T.spectral().gap)
     top = pipe.block_width_top()
     return required if required <= top else top
 

@@ -14,12 +14,12 @@ from agsplab.effective import (
     theorem5_check,
 )
 from agsplab.hamiltonian import (
-    assemble_dense,
     build_long_range_ising,
     decay_envelope,
     local_energy_g,
     spectral_norm,
 )
+from agsplab.spectral import eigendecompose
 from agsplab.truncation import decompose_blocks, shift_block_energies, truncate_interactions
 from conftest import PAULI_Z
 
@@ -34,22 +34,22 @@ class TestEnergyCutoff:
         M = rng.standard_normal((6, 6))
         M = M + M.T
         top = np.max(np.linalg.eigvalsh(M))
-        np.testing.assert_allclose(energy_cutoff(M, top + 1.0), M, atol=1e-12)
+        np.testing.assert_allclose(energy_cutoff(eigendecompose(M), top + 1.0), M, atol=1e-12)
 
     def test_at_ground_flattens(self, rng):
         M = rng.standard_normal((5, 5))
         M = M + M.T
         e0 = np.linalg.eigvalsh(M)[0]
-        np.testing.assert_allclose(energy_cutoff(M, e0), e0 * np.eye(5), atol=1e-12)
+        np.testing.assert_allclose(energy_cutoff(eigendecompose(M), e0), e0 * np.eye(5), atol=1e-12)
 
     def test_sigma_z_clamp_at_zero(self):
-        clamped = energy_cutoff(PAULI_Z, 0.0)
+        clamped = energy_cutoff(eigendecompose(PAULI_Z), 0.0)
         np.testing.assert_allclose(np.linalg.eigvalsh(clamped), [-1.0, 0.0], atol=1e-12)
 
     def test_commutes_with_input(self, rng):
         M = rng.standard_normal((8, 8))
         M = M + M.T
-        C = energy_cutoff(M, 0.3)
+        C = energy_cutoff(eigendecompose(M), 0.3)
         assert np.max(np.abs(C @ M - M @ C)) <= 1e-10
 
 
@@ -92,10 +92,9 @@ class TestBuildEffective:
 
     def test_lambda_formulas(self):
         H, T = make_T()
-        eff = build_effective(T, 4.0)
         g = local_energy_g(H)
         g0 = decay_envelope(H).g0
-        lam, lam_p = eff.lambdas
+        lam, lam_p = T.lambdas
         assert lam == pytest.approx(1.0 / (12 * g * 4 + 4 * g0))
         assert lam_p == pytest.approx(min(1.0 / (112 * g0), 1.0 / (12 * g * 4)))
 
@@ -208,7 +207,7 @@ class TestEffectiveDifference:
     def test_ground_energy_case(self):
         _, T = make_T(n=8, l=2)
         eff = build_effective(T, 6.0)
-        lam, _ = eff.lambdas
+        lam, _ = T.lambdas
         g0 = T.envelope.g0
         spec_t = T.spectral()
         e0 = spec_t.ground_energy

@@ -53,6 +53,12 @@ seed = 3
 """
 
 
+# Keys that take exactly one integer.
+SINGLE_INT_KEYS = [
+    ("model", "n"), ("blocks", "q"), ("blocks", "l"), ("blocks", "cut"), ("run", "seed"), ("run", "jobs"),
+]
+
+
 @pytest.fixture()
 def mini_cfg_file(tmp_path):
     path = tmp_path / "mini.cfg"
@@ -99,6 +105,14 @@ class TestConfig:
         path = tmp_path / "nan.cfg"
         path.write_text("[model]\nalpha = banana\n")
         with pytest.raises(ConfigError, match="banana"):
+            parse_config(str(path))
+
+    @pytest.mark.parametrize("value", ["8 10", "", "2.5", "inf", "nan"])
+    @pytest.mark.parametrize("section,key", SINGLE_INT_KEYS)
+    def test_single_integer_key_rejects(self, tmp_path, section, key, value):
+        path = tmp_path / "int.cfg"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match="integer"):
             parse_config(str(path))
 
     def test_grid_points(self):
@@ -370,6 +384,20 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error" in proc.stderr and "tolerance" in proc.stderr
         assert "PASS" not in proc.stdout and not out.exists()
+
+    @pytest.mark.parametrize("value", ["8 10", ""])
+    def test_malformed_single_integer_is_config_error(self, tmp_path, value):
+        out = tmp_path / "out"
+        path = tmp_path / "n.cfg"
+        path.write_text(MINI.format(out=out).replace("n = 4", f"n = {value}"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "agsplab.cli", "entropy", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_sweep_requires_section(self, mini_cfg_file):
         proc = subprocess.run(

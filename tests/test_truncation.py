@@ -8,6 +8,7 @@ from agsplab.hamiltonian import (
     assemble_dense,
     build_long_range_ising,
     decay_envelope,
+    spectral_norm,
 )
 from agsplab.truncation import (
     align_phase,
@@ -23,7 +24,6 @@ class TestDecomposeBlocks:
         b = decompose_blocks(8, 2, 2)
         assert b.blocks == ((1, 2), (3, 4), (5, 6), (7, 8))
         assert b.cut == 4
-        assert b.left == (1, 2, 3, 4) and b.right == (5, 6, 7, 8)
 
     def test_n4_q2_l1(self):
         b = decompose_blocks(4, 2, 1)
@@ -120,7 +120,7 @@ class TestTruncate:
         H = build_long_range_ising(8, 3.0, 1.0, 2.0)
         env = decay_envelope(H)
         T = truncate_interactions(H, decompose_blocks(8, 2, 2))
-        assert all(b <= env.g0 + 1e-9 for b in T.bond_norms())
+        assert all(spectral_norm(b) <= env.g0 + 1e-9 for b in T.bonds)
 
 
 class TestSpectral:
