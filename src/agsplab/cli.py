@@ -5,8 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, check_tolerance, parse_config
-from .experiment import run_points, write_reports
+from .config import ConfigError, check_non_negative, check_tolerance, parse_config
+from .experiment import run_points, write_entropy_report, write_reports
 from .hamiltonian import DimensionCeilingError
 from .registry import tally
 from .spectral import DegenerateGroundStateError
@@ -44,13 +44,13 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.tolerance is not None:
             cfg.tolerance = check_tolerance(args.tolerance)
+        if args.seed is not None:
+            cfg.seed = check_non_negative("--seed", args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.jobs is not None:
         cfg.jobs = args.jobs
-    if args.seed is not None:
-        cfg.seed = args.seed
     out_dir = args.out or cfg.output_dir
     if args.command == "sweep" and not cfg.sweep_param:
         print("config error: sweep command needs a [sweep] section", file=sys.stderr)
@@ -60,13 +60,13 @@ def main(argv=None) -> int:
     except (DimensionCeilingError, DegenerateGroundStateError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.command == "entropy":
+        print(f"wrote {write_entropy_report(cfg, points, out_dir)}")
+        return 0
     paths = write_reports(cfg, points, out_dir=out_dir)
     counts = tally(r for point in points for r in point.records)
     for bid, (ok, total) in counts.items():
         print(f"{'PASS' if ok == total else 'FAIL'}  {bid}  ({ok}/{total} checks)")
-    if args.command == "entropy":
-        print(f"wrote {paths['entropy']}")
-        return 0
     print(f"wrote {paths['results']}, {paths['summary']}, {paths['entropy']}")
     return 0 if all(ok == total for ok, total in counts.values()) else 1
 

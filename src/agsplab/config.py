@@ -49,6 +49,13 @@ def check_tolerance(value: float) -> float:
     return value
 
 
+def check_non_negative(key: str, value: int) -> int:
+    """A seed, filter degree or Schmidt-rank power; a negative one is rejected by `key`."""
+    if value < 0:
+        raise ConfigError(f"{key} must be >= 0, got {value}")
+    return value
+
+
 def _ints(raw: str) -> list[int]:
     vals = _floats(raw)
     if not all(math.isfinite(v) and v == int(v) for v in vals):
@@ -150,11 +157,11 @@ def parse_config(path: str) -> ExperimentConfig:
     if parser.has_section("agsp"):
         a = parser["agsp"]
         if "m" in a:
-            cfg.ms = _ints(a["m"])
+            cfg.ms = [check_non_negative("[agsp] m", v) for v in _ints(a["m"])]
             if not cfg.ms:
                 raise ConfigError("empty m grid")
         if "powers" in a:
-            cfg.sr_powers = _ints(a["powers"])
+            cfg.sr_powers = [check_non_negative("[agsp] powers", v) for v in _ints(a["powers"])]
     if parser.has_section("sweep"):
         s = parser["sweep"]
         if "param" not in s or "values" not in s:
@@ -171,7 +178,7 @@ def parse_config(path: str) -> ExperimentConfig:
     if parser.has_section("run"):
         r = parser["run"]
         if "seed" in r:
-            cfg.seed = _int(r["seed"])
+            cfg.seed = check_non_negative("[run] seed", _int(r["seed"]))
         if "jobs" in r:
             cfg.jobs = _int(r["jobs"])
         if "tolerance" in r:

@@ -115,9 +115,9 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     )
 
 
-def _vacuous(bound_id: str, note: str) -> BoundRecord:
+def _vacuous(bound_id: str, note: str, **context) -> BoundRecord:
     """Placeholder 0 <= 0 record of a bound whose precondition is unmet."""
-    return BoundRecord(bound_id, 0.0, 0.0, {"note": note})
+    return BoundRecord(bound_id, 0.0, 0.0, {**context, "note": note})
 
 
 def _assumption1_records(pipe: Pipeline) -> list[BoundRecord]:
@@ -320,7 +320,12 @@ def _compression_records(pipe: Pipeline, rng) -> list[BoundRecord]:
                 BoundRecord("eckart-young", rec.tail_weight, rec.distance_squared, {"state": name, "D": D})
             )
         records.append(BoundRecord("s2≤s", ent.renyi2(sd), ent.entropy(sd), {"state": name}))
+    n = pipe.cfg.n
+    full = max(min(d**i, d ** (n - i)) for i in range(1, n))
     for D in (1, 2, 4, 8, 16):
+        if D >= full:
+            records.append(_vacuous("claim7.mps", "D at or above the full bond dimension; lossless", D=D))
+            continue
         rec = ent.mps_compression_check(gs, D, d=d)
         records.append(BoundRecord("claim7.mps", rec.error_squared, rec.weight_bound, {"D": D}))
     return records
@@ -392,30 +397,21 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_reports(cfg: ExperimentConfig, points: list[PointResult], out_dir: str | None = None) -> dict:
-    """Write results.csv, summary.txt, entropy.csv; returns file paths."""
+def _sweep_value(cfg: ExperimentConfig, point: PointResult) -> list[str]:
+    """The sweep column of one point's rows (empty without a sweep)."""
+    return [_fmt(getattr_point(point.config, cfg.sweep_param))] if cfg.sweep_param else []
+
+
+def write_entropy_report(cfg: ExperimentConfig, points: list[PointResult], out_dir: str | None = None) -> str:
+    """Write entropy.csv alone; returns its path."""
     out = out_dir or cfg.output_dir
     os.makedirs(out, exist_ok=True)
     sweep_col = [cfg.sweep_param] if cfg.sweep_param else []
-    results_path = os.path.join(out, "results.csv")
-    with open(results_path, "w") as fh:
-        fh.write(",".join(["bound_id", "lhs", "rhs", "holds"] + sweep_col) + "\n")
-        for point in points:
-            extra = []
-            if cfg.sweep_param:
-                extra = [_fmt(getattr_point(point.config, cfg.sweep_param))]
-            for r in point.records:
-                fh.write(
-                    ",".join([r.bound_id, _fmt(r.lhs), _fmt(r.rhs), str(r.holds).lower()] + extra)
-                    + "\n"
-                )
     entropy_path = os.path.join(out, "entropy.csv")
     with open(entropy_path, "w") as fh:
         fh.write(",".join(["n", "cut", "S_nats", "S2_nats", "bond_dims"] + sweep_col) + "\n")
         for point in points:
-            extra = []
-            if cfg.sweep_param:
-                extra = [_fmt(getattr_point(point.config, cfg.sweep_param))]
+            extra = _sweep_value(cfg, point)
             for row in point.entropy_rows:
                 dims = "|".join(str(b) for b in row.bond_dims)
                 fh.write(
@@ -424,6 +420,25 @@ def write_reports(cfg: ExperimentConfig, points: list[PointResult], out_dir: str
                     )
                     + "\n"
                 )
+    return entropy_path
+
+
+def write_reports(cfg: ExperimentConfig, points: list[PointResult], out_dir: str | None = None) -> dict:
+    """Write results.csv, entropy.csv, summary.txt; returns file paths."""
+    out = out_dir or cfg.output_dir
+    os.makedirs(out, exist_ok=True)
+    sweep_col = [cfg.sweep_param] if cfg.sweep_param else []
+    results_path = os.path.join(out, "results.csv")
+    with open(results_path, "w") as fh:
+        fh.write(",".join(["bound_id", "lhs", "rhs", "holds"] + sweep_col) + "\n")
+        for point in points:
+            extra = _sweep_value(cfg, point)
+            for r in point.records:
+                fh.write(
+                    ",".join([r.bound_id, _fmt(r.lhs), _fmt(r.rhs), str(r.holds).lower()] + extra)
+                    + "\n"
+                )
+    entropy_path = write_entropy_report(cfg, points, out)
     summary_path = os.path.join(out, "summary.txt")
     counts = tally(r for point in points for r in point.records)
     with open(summary_path, "w") as fh:

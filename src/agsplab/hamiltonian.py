@@ -97,6 +97,10 @@ class InteractionTerm:
         if not is_hermitian(m):
             raise ValueError("term matrix is not Hermitian to 1e-12")
 
+    def __iter__(self):
+        """Unpack as the (support, matrix) piece that `embed_sum` takes."""
+        return iter((self.support, self.matrix))
+
     @property
     def diameter(self) -> int:
         return self.support[-1] - self.support[0]
@@ -229,7 +233,7 @@ def assemble_dense(H: Hamiltonian) -> np.ndarray:
     Real output whenever every term matrix is real; Hermitian to 1e-12 by
     construction.
     """
-    return embed_sum(H.lattice, ((t.support, t.matrix) for t in H.terms))
+    return embed_sum(H.lattice, H.terms)
 
 
 def assemble_sparse(H: Hamiltonian):
@@ -239,20 +243,24 @@ def assemble_sparse(H: Hamiltonian):
     entries may differ from `assemble_dense` in the last bit.
     """
     dim = H.lattice.dim
-    parts = list(zip(*_scatter(H.lattice, ((t.support, t.matrix) for t in H.terms))))
+    parts = list(zip(*_scatter(H.lattice, H.terms)))
     if not parts:
         return scipy.sparse.csr_array((dim, dim))
     rows, cols, vals = (np.concatenate(p) for p in parts)
     return scipy.sparse.csr_array((vals, (rows, cols)), shape=(dim, dim))
 
 
-def region_sum(H: Hamiltonian, region: tuple[int, ...], terms) -> np.ndarray:
-    """Sum of the given terms as a dense matrix on the sites of `region` (1x1 zero if empty)."""
+def region_sum(lattice: LatticeSpec, region: tuple[int, ...], pieces) -> np.ndarray:
+    """Sum of (support, matrix) pieces as a dense matrix on the sites of `region`.
+
+    `region` lists sites of `lattice` that contain every piece's support; the
+    result acts on them in their order (1x1 zero if `region` is empty).
+    """
     if len(region) == 0:
         return np.zeros((1, 1))
     pos = {site: p + 1 for p, site in enumerate(region)}
-    sub = LatticeSpec(n=len(region), d=H.lattice.d)
-    return embed_sum(sub, ((tuple(pos[s] for s in t.support), t.matrix) for t in terms))
+    sub = LatticeSpec(n=len(region), d=lattice.d)
+    return embed_sum(sub, ((tuple(pos[s] for s in support), m) for support, m in pieces))
 
 
 def build_long_range_ising(n: int, alpha: float, J: float, B: float) -> Hamiltonian:
@@ -356,7 +364,7 @@ def block_interaction(
         for t in H.terms
         if set(t.support) <= Lambda0 and set(t.support) & X and set(t.support) & Y
     ]
-    out = region_sum(H, tuple(sorted(Lambda0)), picked)
+    out = region_sum(H.lattice, tuple(sorted(Lambda0)), picked)
     return out, spectral_norm(out)
 
 

@@ -132,16 +132,19 @@ class TruncatedHamiltonian:
     def bond_support(self, s: int) -> tuple[int, ...]:
         return self.blocks.blocks[s] + self.blocks.blocks[s + 1]
 
-    def assemble_dense(self, internal: list[np.ndarray] | None = None) -> np.ndarray:
-        """Dense sum of the block terms and the bond terms.
+    def pieces(self, internal: list[np.ndarray] | None = None) -> list[tuple]:
+        """(support, matrix) of every block term, then of every bond term.
 
         `internal` replaces the block terms h_s (the clamped operator passes
         its cut-off blocks); the bonds always pass through.
         """
         internal = self.internal if internal is None else internal
         pieces = list(zip(self.blocks.blocks, internal))
-        pieces += [(self.bond_support(s), bond) for s, bond in enumerate(self.bonds)]
-        return embed_sum(self.lattice, pieces)
+        return pieces + [(self.bond_support(s), bond) for s, bond in enumerate(self.bonds)]
+
+    def assemble_dense(self, internal: list[np.ndarray] | None = None) -> np.ndarray:
+        """Dense sum of `pieces(internal)`."""
+        return embed_sum(self.lattice, self.pieces(internal))
 
     def block_spectra(self) -> list[SpectralData]:
         if self._block_spectra is None:
@@ -185,11 +188,11 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
         raise ValueError("block decomposition does not match the lattice")
     internal_terms, bond_terms, dropped = _classify_terms(H, blocks)
     internal = [
-        region_sum(H, blocks.blocks[s], [H.terms[i] for i in internal_terms[s]])
+        region_sum(H.lattice, blocks.blocks[s], [H.terms[i] for i in internal_terms[s]])
         for s in range(blocks.q + 2)
     ]
     bonds = [
-        region_sum(H, blocks.blocks[s] + blocks.blocks[s + 1], [H.terms[i] for i in bond_terms[s]])
+        region_sum(H.lattice, blocks.blocks[s] + blocks.blocks[s + 1], [H.terms[i] for i in bond_terms[s]])
         for s in range(blocks.q + 1)
     ]
     dropped_norm = float(sum(H.term_norm(i) for i in dropped))

@@ -13,8 +13,10 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from agsplab.agsp import operator_schmidt_rank
 from agsplab.config import ExperimentConfig
 from agsplab.experiment import Pipeline, build_pipeline, run_points
+from agsplab.spectral import in_window
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -132,6 +134,36 @@ def chebyshev_matrix_recurrence(filt) -> np.ndarray:
     num = t_prev if filt.m == 0 else t_cur
     edge = -(width + gap) / (width - gap)
     return num / np.polynomial.chebyshev.chebval(edge, [0.0] * filt.m + [1.0])
+
+
+def kron_embed(T, sites: tuple[int, ...], op: np.ndarray) -> np.ndarray:
+    """Oracle embedding of an operator on contiguous `sites` into the full chain."""
+    d, n = T.lattice.d, T.lattice.n
+    return reduce(np.kron, [np.eye(d ** (sites[0] - 1)), op, np.eye(d ** (n - sites[-1]))])
+
+
+def dense_power_schmidt_rank(T, m: int) -> int:
+    """SR(H_t^m) across the block cut from the d^n x d^n power of H_t."""
+    powered = np.linalg.matrix_power(T.assemble_dense(), m)
+    return operator_schmidt_rank(powered, T.blocks.cut, d=T.lattice.d)
+
+
+def dense_commutator_norms(T) -> list[float]:
+    """||[H_t, h_{s,s+1}]|| of every bond, formed on the full chain."""
+    H = T.assemble_dense()
+    norms = []
+    for s, bond in enumerate(T.bonds):
+        emb = kron_embed(T, T.bond_support(s), bond)
+        norms.append(float(np.linalg.norm(H @ emb - emb @ H, 2)))
+    return norms
+
+
+def dense_filter_lhs(T, s: int, O: np.ndarray, E: float, E_prime: float, spectrum) -> float:
+    """||P_{>=E'} O_s P_{<=E}|| from the full rotation V^dag O_s V of `spectrum`."""
+    V, w = spectrum.eigenvectors, spectrum.eigenvalues
+    rot = V.conj().T @ kron_embed(T, T.blocks.blocks[s], O) @ V
+    block = rot[np.ix_(in_window(w, lo=E_prime), in_window(w, hi=E))]
+    return float(np.linalg.norm(block, 2)) if block.size else 0.0
 
 
 def verify_all(cfg: ExperimentConfig) -> list:

@@ -19,10 +19,10 @@ from agsplab.agsp import (
 )
 from agsplab.effective import build_effective
 from agsplab.entanglement import schmidt_decompose
-from agsplab.hamiltonian import build_long_range_ising
+from agsplab.hamiltonian import build_long_range_fermion_chain, build_long_range_ising
 from agsplab.spectral import lowest_eigenpairs
 from agsplab.truncation import decompose_blocks, shift_block_energies, truncate_interactions
-from conftest import PAULI_X, chebyshev_matrix_recurrence, kron_chain
+from conftest import PAULI_X, chebyshev_matrix_recurrence, dense_power_schmidt_rank, kron_chain
 
 
 def make_eff(n=8, l=2, tau=6.0, B=2.0):
@@ -254,6 +254,36 @@ class TestSchmidtRankBounds:
         T = shift_block_energies(truncate_interactions(H, decompose_blocks(6, 2, 1)))
         rep = schmidt_rank_bound_check(T, 1)
         assert rep.measured <= 2 + (2 * 2 * 1) ** 2
+
+
+class TestPowerSchmidtRank:
+    """SR(H_t^m) from the cut factors against the d^n x d^n power."""
+
+    @pytest.mark.parametrize("l", [1, 2])
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("family", ["ising", "fermion"])
+    def test_matches_dense_power(self, family, n, l):
+        if family == "ising":
+            H = build_long_range_ising(n, 3.0, 1.0, 2.0)
+        else:
+            H = build_long_range_fermion_chain(n, 3.0, 1.0, 0.5)
+        # One cut with both edge blocks occupied, one with an empty right edge.
+        for cut in (l + 1, n - l):
+            T = shift_block_energies(truncate_interactions(H, decompose_blocks(n, 2, l, cut)))
+            for m in range(4):
+                measured = schmidt_rank_bound_check(T, m).measured
+                assert measured == dense_power_schmidt_rank(T, m), (cut, m)
+
+    def test_zero_hamiltonian_powers_vanish(self):
+        H = build_long_range_ising(6, 3.0, 0.0, 0.0)
+        T = truncate_interactions(H, decompose_blocks(6, 2, 2))
+        assert [schmidt_rank_bound_check(T, m).measured for m in range(3)] == [1, 0, 0]
+        assert [dense_power_schmidt_rank(T, m) for m in range(3)] == [1, 0, 0]
+
+    def test_negative_power_rejected(self):
+        T, _ = make_eff(n=6)
+        with pytest.raises(ValueError, match="non-negative"):
+            schmidt_rank_bound_check(T, -1)
 
 
 class TestBootstrap:

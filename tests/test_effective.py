@@ -14,6 +14,7 @@ from agsplab.effective import (
     theorem5_check,
 )
 from agsplab.hamiltonian import (
+    build_long_range_fermion_chain,
     build_long_range_ising,
     decay_envelope,
     local_energy_g,
@@ -21,12 +22,25 @@ from agsplab.hamiltonian import (
 )
 from agsplab.spectral import eigendecompose
 from agsplab.truncation import decompose_blocks, shift_block_energies, truncate_interactions
-from conftest import PAULI_Z
+from conftest import PAULI_Z, dense_commutator_norms, dense_filter_lhs
 
 
 def make_T(n=6, alpha=3.0, J=1.0, B=2.0, q=2, l=1):
     H = build_long_range_ising(n, alpha, J, B)
     return H, shift_block_energies(truncate_interactions(H, decompose_blocks(n, q, l)))
+
+
+def fermion_T(n=8, l=2):
+    H = build_long_range_fermion_chain(n, 3.0, 1.0, 0.5)
+    return shift_block_energies(truncate_interactions(H, decompose_blocks(n, 2, l)))
+
+
+LOCAL_CASES = {
+    "ising-n8-l1": lambda: make_T(n=8, l=1)[1],
+    "ising-n8-l2": lambda: make_T(n=8, l=2)[1],
+    "fermion-n7-l2": lambda: fermion_T(n=7, l=2),
+    "fermion-n8-l2": lambda: fermion_T(n=8, l=2),
+}
 
 
 class TestEnergyCutoff:
@@ -270,6 +284,23 @@ class TestExponentialFilter:
             (r.bound_id, r.context, r.lhs, r.rhs) for r in looped
         ]
 
+    @pytest.mark.parametrize("case", sorted(LOCAL_CASES))
+    def test_window_lhs_matches_full_rotation(self, case, rng):
+        T = LOCAL_CASES[case]()
+        eff = build_effective(T, 4.0)
+        e0, width = T.spectral().ground_energy, T.spectral().width
+        E_grid = [e0, e0 + width / 4]
+        E_prime_grid = [e0 + width / 3, e0 + 2 * width / 3]
+        for s in range(1, T.q + 1):
+            sp = T.block_spectra()[s]
+            O = (sp.eigenvectors * rng.uniform(-1, 1, size=sp.source_dim)) @ sp.eigenvectors.conj().T
+            recs = iter(exponential_filter_check(T, s, O, E=E_grid, E_prime=E_prime_grid, eff=eff))
+            for E_prime in E_prime_grid:
+                for E in E_grid:
+                    for spectrum in (T.spectral(), eff.spectral()):
+                        expected = dense_filter_lhs(T, s, O, E, E_prime, spectrum)
+                        assert next(recs).lhs == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
     def test_noncommuting_rejected(self, rng):
         _, T = make_T()
         dim_block = T.internal[1].shape[0]
@@ -292,3 +323,9 @@ class TestCommutatorBound:
         recs = commutator_bound_check(T)
         for r, bond in zip(recs, T.bonds):
             assert r.rhs == pytest.approx(6 * g * 2 * 4 * spectral_norm(bond), rel=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(LOCAL_CASES))
+    def test_bond_neighbourhood_matches_full_chain(self, case):
+        T = LOCAL_CASES[case]()
+        got = [r.lhs for r in commutator_bound_check(T)]
+        assert got == pytest.approx(dense_commutator_norms(T), rel=1e-12)

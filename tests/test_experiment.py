@@ -115,6 +115,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="integer"):
             parse_config(str(path))
 
+    @pytest.mark.parametrize(
+        "section,key,value", [("run", "seed", "-1"), ("agsp", "m", "4 -1"), ("agsp", "powers", "-1")]
+    )
+    def test_negative_count_names_key(self, tmp_path, section, key, value):
+        path = tmp_path / "neg.cfg"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be >= 0"):
+            parse_config(str(path))
+
     def test_grid_points(self):
         cfg = ExperimentConfig(n=4, sweep_param="n", sweep_values=[4, 6])
         pts = cfg.grid_points()
@@ -279,6 +288,28 @@ class TestSolveCounts:
         assert len(solves) == 1, solves
 
 
+    def test_schmidt_rank_bounds_build_no_full_matrix(self, monkeypatch):
+        from agsplab import agsp, hamiltonian, truncation
+
+        T = build_pipeline(self.CFG).T
+        sizes = []
+        embed = hamiltonian.embed_sum
+
+        def counted_embed(lattice, pieces):
+            sizes.append(lattice.n)
+            return embed(lattice, pieces)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("d^n x d^n matrix requested")
+
+        monkeypatch.setattr(hamiltonian, "embed_sum", counted_embed)
+        monkeypatch.setattr(truncation.TruncatedHamiltonian, "assemble_dense", refused)
+        monkeypatch.setattr(np.linalg, "matrix_power", refused)
+        for m in (0, 1, 2, 3):
+            agsp.schmidt_rank_bound_check(T, m)
+        assert sizes and max(sizes) < self.CFG.n
+
+
 class TestReports:
     def _point(self, tmp_path, records):
         cfg = ExperimentConfig(n=4, output_dir=str(tmp_path / "o"))
@@ -398,6 +429,53 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error" in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit,flag,key",
+        [
+            (("seed = 3", "seed = -1"), [], "[run] seed"),
+            (("m = 4", "m = 4\npowers = 1 -1"), [], "[agsp] powers"),
+            (("m = 4", "m = -4"), [], "[agsp] m"),
+            (None, ["--seed", "-1"], "--seed"),
+        ],
+    )
+    def test_negative_count_is_config_error(self, tmp_path, edit, flag, key):
+        out = tmp_path / "out"
+        text = MINI.format(out=out)
+        if edit is not None:
+            text = text.replace(*edit)
+        path = tmp_path / "neg.cfg"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "agsplab.cli", "run", str(path), *flag],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert f"config error: {key} must be >= 0" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_entropy_leaves_run_reports_alone(self, mini_cfg_file, tmp_path):
+        out = tmp_path / "out"
+        run = subprocess.run([sys.executable, "-m", "agsplab.cli", "run", mini_cfg_file], capture_output=True)
+        assert run.returncode == 0, run.stderr
+        before = {name: (out / name).read_bytes() for name in ("results.csv", "summary.txt")}
+        (out / "entropy.csv").unlink()
+        proc = subprocess.run(
+            [sys.executable, "-m", "agsplab.cli", "entropy", mini_cfg_file], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert {name: (out / name).read_bytes() for name in before} == before
+        assert (out / "entropy.csv").exists()
+        assert proc.stdout == f"wrote {out / 'entropy.csv'}\n"
+
+    def test_zero_tolerance_lossless_mps_passes(self, mini_cfg_file):
+        proc = subprocess.run(
+            [sys.executable, "-m", "agsplab.cli", "run", mini_cfg_file, "--tolerance", "0"],
+            capture_output=True,
+            text=True,
+        )
+        assert "PASS  claim7.mps  (5/5 checks)" in proc.stdout, proc.stdout
 
     def test_sweep_requires_section(self, mini_cfg_file):
         proc = subprocess.run(

@@ -214,8 +214,8 @@ class TestEmbedSum:
         expected = _elementary_oracle(
             3, [(tuple(pos[s] for s in t.support), t.matrix) for t in picked]
         )
-        np.testing.assert_allclose(region_sum(H, (2, 4, 5), picked), expected.real, atol=1e-14)
-        np.testing.assert_array_equal(region_sum(H, (), []), np.zeros((1, 1)))
+        np.testing.assert_allclose(region_sum(H.lattice, (2, 4, 5), picked), expected.real, atol=1e-14)
+        np.testing.assert_array_equal(region_sum(H.lattice, (), []), np.zeros((1, 1)))
 
 
 class TestAssembleSparse:
