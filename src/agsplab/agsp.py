@@ -216,9 +216,8 @@ def _cut_factors(T: TruncatedHamiltonian) -> tuple[np.ndarray, np.ndarray]:
             right_pieces.append((support, m))
         else:
             crossing.append((support, m))
-    eye_L, eye_R = np.eye(T.lattice.d**cut), np.eye(T.lattice.d ** (n - cut))
-    Ls = [region_sum(T.lattice, left, left_pieces), eye_L]
-    Rs = [eye_R, region_sum(T.lattice, right, right_pieces)]
+    Ls = [region_sum(T.lattice, left, left_pieces), np.eye(T.lattice.d**cut)]
+    Rs = [np.eye(T.lattice.d ** (n - cut)), region_sum(T.lattice, right, right_pieces)]
     for support, m in crossing:
         sl = tuple(s for s in support if s <= cut)
         sr = support[len(sl) :]
