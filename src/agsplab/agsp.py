@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effective import EffectiveHamiltonian
-from .hamiltonian import region_sum
+from .hamiltonian import parity_sectors, region_sum
 from .spectral import top_singular_value
 from .truncation import TruncatedHamiltonian, align_phase
 
@@ -120,7 +120,10 @@ def operator_schmidt_rank(O: np.ndarray, cut: int, d: int = 2) -> int:
 
     Reshapes O across the bipartition ((row_L, col_L) x (row_R, col_R)) and
     counts singular values above max(1e-10 * sigma_max, 1e-12); undercounting
-    is safe because every rank bound checked here is one-sided.
+    is safe because every rank bound checked here is one-sided.  The reshape
+    keeps popcount parity (popcount(i_L d_L + j_L) = popcount(i_L) +
+    popcount(j_L) for d_L = 2^cut), so the SVD runs per `parity_sectors`
+    sector of the rearranged matrix.
     """
     dim = O.shape[0]
     dL = d**cut
@@ -130,7 +133,8 @@ def operator_schmidt_rank(O: np.ndarray, cut: int, d: int = 2) -> int:
     rearranged = (
         O.reshape(dL, dR, dL, dR).transpose(0, 2, 1, 3).reshape(dL * dL, dR * dR)
     )
-    svals = np.linalg.svd(rearranged, compute_uv=False)
+    sectors = parity_sectors(rearranged)
+    svals = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for _, _, b in sectors]))[::-1]
     return int(np.sum(svals > rank_threshold(svals)))
 
 

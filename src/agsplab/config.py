@@ -102,6 +102,8 @@ class ExperimentConfig:
 
     def with_param(self, name: str, value) -> "ExperimentConfig":
         if name in _INT_PARAMS:
+            if not float(value).is_integer():
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
             value = int(value)
         if name == "tau":
             return replace(self, taus=[float(value)])
@@ -173,6 +175,10 @@ def parse_config(path: str) -> ExperimentConfig:
         cfg.sweep_values = _floats(s["values"])
         if not cfg.sweep_values:
             raise ConfigError("empty sweep grid")
+        if param in _INT_PARAMS:
+            if not all(v.is_integer() for v in cfg.sweep_values):
+                raise ConfigError(f"[sweep] values of {param} must be integers, got {s['values']!r}")
+            cfg.sweep_values = [check_non_negative("[sweep] values", int(v)) for v in cfg.sweep_values]
     if parser.has_section("output") and "dir" in parser["output"]:
         cfg.output_dir = parser["output"]["dir"].strip()
     if parser.has_section("run"):

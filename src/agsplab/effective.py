@@ -296,17 +296,19 @@ def effective_difference_check(
     """Norm of the clamping error on low-energy states.
 
     ||(H_t - H_eff) P_{<=E}|| <= (27(q+2)/lambda) exp(-lambda(tau - dE - 4g0))
-    per grid energy; at E = E_t0 this bounds ||H_eff |0_t>||.
+    per grid energy; at E = E_t0 this bounds ||H_eff |0_t>||.  The bonds
+    cancel exactly, so H_t - H_eff is the sum of the block differences
+    h_s - h_s^eff, each applied on its own block.
     """
     lam, _ = T.lambdas
     g0 = T.envelope.g0
     spec_t = T.spectral()
-    diff = T.assemble_dense() - eff.assemble_dense()
+    diffs = [(block, h - h_eff) for block, h, h_eff in zip(T.blocks.blocks, T.internal, eff.internal_eff)]
     e_t0 = spec_t.ground_energy
     records = []
     for E in E_grid:
         basis = spec_t.eigenvectors[:, in_window(spec_t.eigenvalues, hi=E)]
-        lhs = top_singular_value(diff @ basis)
+        lhs = top_singular_value(sum(apply_on_block(T.lattice, block, h, basis) for block, h in diffs))
         rhs = (
             27.0
             * (T.q + 2)

@@ -59,7 +59,6 @@ class Pipeline:
 
     cfg: ExperimentConfig
     H: ham.Hamiltonian
-    H_dense: np.ndarray
     H_spec: SpectralData
     envelope: ham.DecayEnvelope
     g: float
@@ -100,13 +99,11 @@ class Pipeline:
 
 def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     H = build_model(cfg)
-    H_dense = ham.assemble_dense(H)
-    H_spec = eigendecompose(H_dense, check=False)
+    H_spec = eigendecompose(ham.assemble_dense(H), check=False)
     gs = ground_state(H_spec)
     return Pipeline(
         cfg=cfg,
         H=H,
-        H_dense=H_dense,
         H_spec=H_spec,
         envelope=ham.decay_envelope(H),
         g=ham.local_energy_g(H),
@@ -130,7 +127,7 @@ def _assumption1_records(pipe: Pipeline) -> list[BoundRecord]:
 
 
 def _truncation_records(pipe: Pipeline) -> list[BoundRecord]:
-    rep = trunc.verify_lemma3_4(pipe.H, pipe.T, H_dense=pipe.H_dense, H_spec=pipe.H_spec)
+    rep = trunc.verify_lemma3_4(pipe.H, pipe.T, H_spec=pipe.H_spec)
     return [
         BoundRecord("lemma3.norm", rep.delta_norm, rep.delta_bound),
         BoundRecord("weyl", rep.weyl_max, rep.delta_norm),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse
@@ -38,11 +38,52 @@ def dim_ceiling() -> int:
     return int(raw) if raw else DEFAULT_DIM_CEILING
 
 
+@lru_cache(maxsize=None)
+def _parity_halves(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices 0 .. dim-1 of even and of odd popcount."""
+    idx = np.arange(dim)
+    odd = np.zeros(dim, dtype=bool)
+    for bit in range(dim.bit_length()):
+        odd ^= ((idx >> bit) & 1).astype(bool)
+    halves = np.flatnonzero(~odd), np.flatnonzero(odd)
+    for half in halves:
+        half.setflags(write=False)  # shared by every caller through the cache
+    return halves
+
+
+def parity_sectors(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Diagonal blocks of a matrix over the popcount parity of its indices.
+
+    Returns [(rows, cols, block)] with block = matrix[rows][:, cols].  When
+    both dimensions are powers of two (at least 2) and both cross blocks
+    (even rows x odd columns, odd rows x even columns) are exactly zero,
+    these are the even and the odd sector; otherwise the one entry holds the
+    whole matrix.  A split is a permutation similarity (an equivalence for
+    rectangular input), so eigenvalues and singular values are exactly the
+    union of the sectors'.  On the computational basis of qubits the
+    popcount parity is the eigenvalue of prod Z, so every operator that
+    commutes with prod Z (the Ising and fermion families, their blocks,
+    clamps and filters, and the operator-Schmidt reshape of such a filter)
+    splits; a single nonzero cross entry, rounding noise included, does not.
+    A non-finite entry raises `LinAlgError`: LAPACK may return a finite
+    value for it (a NaN on the diagonal can vanish from `eigvalsh`).
+    """
+    if not np.isfinite(matrix).all():
+        raise np.linalg.LinAlgError("matrix has a non-finite entry")
+    shape = matrix.shape
+    if all(m >= 2 and m & (m - 1) == 0 for m in shape):
+        (even_r, odd_r), (even_c, odd_c) = _parity_halves(shape[0]), _parity_halves(shape[1])
+        if not (matrix[np.ix_(even_r, odd_c)].any() or matrix[np.ix_(odd_r, even_c)].any()):
+            return [(r, c, matrix[np.ix_(r, c)]) for r, c in ((even_r, even_c), (odd_r, odd_c))]
+    return [(np.arange(shape[0]), np.arange(shape[1]), matrix)]
+
+
 def spectral_norm(matrix: np.ndarray) -> float:
-    """Operator 2-norm of a Hermitian matrix via dense eigensolve."""
+    """Operator 2-norm of a Hermitian matrix via dense eigensolves of its parity sectors."""
     if matrix.size == 0:
         return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(matrix))))
+    w = np.concatenate([np.linalg.eigvalsh(block) for _, _, block in parity_sectors(matrix)])
+    return float(np.max(np.abs(w)))
 
 
 def is_hermitian(matrix: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
@@ -350,8 +391,8 @@ def block_interaction(
 
     Sums exactly the terms h_Z with Z inside Lambda0 touching both X and Y;
     returns the operator embedded on the sites of Lambda0 together with its
-    operator norm (dense eigensolve).  For 2-local Hamiltonians the result is
-    independent of Lambda0.
+    operator norm (dense eigensolve; exactly 0.0 when no term is picked).  For
+    2-local Hamiltonians the result is independent of Lambda0.
     """
     X, Y = set(X), set(Y)
     if X & Y:
@@ -365,7 +406,7 @@ def block_interaction(
         if set(t.support) <= Lambda0 and set(t.support) & X and set(t.support) & Y
     ]
     out = region_sum(H.lattice, tuple(sorted(Lambda0)), picked)
-    return out, spectral_norm(out)
+    return out, spectral_norm(out) if picked else 0.0
 
 
 def decay_envelope(H: Hamiltonian) -> DecayEnvelope:

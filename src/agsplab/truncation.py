@@ -18,6 +18,7 @@ from .hamiltonian import (
     DecayEnvelope,
     Hamiltonian,
     LatticeSpec,
+    assemble_dense,
     decay_envelope,
     embed_sum,
     local_energy_g,
@@ -267,7 +268,6 @@ def align_phase(reference: np.ndarray, state: np.ndarray) -> np.ndarray:
 def verify_lemma3_4(
     H: Hamiltonian,
     T: TruncatedHamiltonian,
-    H_dense: np.ndarray | None = None,
     H_spec: SpectralData | None = None,
 ) -> TruncationReport:
     """Measure the truncation guarantees and their analytic budgets.
@@ -277,21 +277,18 @@ def verify_lemma3_4(
     every j; gap_t >= gap - 2*||delta||; and, whenever 4*||delta|| < gap,
     || |0> - |0_t> || <= ||delta|| / (gap - 4*||delta||) with phases aligned.
 
+    delta is the sum of the dropped terms (the block origins and
+    `origin_shift` cancel exactly), assembled from those terms alone.
     `H_spec` may carry the eigendecomposition of H (sweeps over l reuse it);
     H_t's spectrum and ground vector come from `T.spectral()`, the norm
     budget from `T.envelope` (None when H has no decay envelope).
     """
-    if H_dense is None:
-        from .hamiltonian import assemble_dense
-
-        H_dense = assemble_dense(H)
-    delta = H_dense - T.assemble_dense()
-    np.fill_diagonal(delta, delta.diagonal() - T.origin_shift)
-    delta_norm = spectral_norm(delta)
+    _, _, dropped = _classify_terms(H, T.blocks)
+    delta_norm = spectral_norm(embed_sum(H.lattice, [H.terms[i] for i in dropped]))
     bound = None
     if T.envelope is not None:
         bound = T.envelope.g0 * T.q * float(T.blocks.l) ** (-T.envelope.alpha_bar)
-    H_spec = H_spec or eigendecompose(H_dense, check=False)
+    H_spec = H_spec or eigendecompose(assemble_dense(H), check=False)
     spec = H_spec.eigenvalues
     spec_t = T.spectral().eigenvalues + T.origin_shift
     weyl_max = float(np.max(np.abs(spec - spec_t)))

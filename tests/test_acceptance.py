@@ -69,7 +69,7 @@ def test_criterion_2_truncation_suite():
             T = tr.shift_block_energies(
                 tr.truncate_interactions(H, tr.decompose_blocks(n, 2, l))
             )
-            rep = tr.verify_lemma3_4(H, T, H_dense=dense, H_spec=spec)
+            rep = tr.verify_lemma3_4(H, T, H_spec=spec)
             if rep.delta_norm > rep.delta_bound + TOL:
                 failures.append(f"norm(n={n},l={l})")
             if rep.weyl_max > rep.delta_norm + TOL:

@@ -218,6 +218,17 @@ class TestEffectiveDifference:
         recs = effective_difference_check(T, eff, [0.0, 1.0])
         assert all(r.lhs <= 1e-10 for r in recs)
 
+    @pytest.mark.parametrize("family", ["ising", "fermion"])
+    def test_block_differences_match_dense_difference(self, family):
+        T = make_T(n=8, l=2)[1] if family == "ising" else fermion_T()
+        eff = build_effective(T, 1.0)
+        spec_t = T.spectral()
+        grid = np.linspace(0.0, 0.5 * spec_t.width, 4)
+        diff = T.assemble_dense() - eff.assemble_dense()
+        for E, rec in zip(grid, effective_difference_check(T, eff, grid)):
+            basis = spec_t.eigenvectors[:, spec_t.eigenvalues <= E + 1e-9]
+            assert rec.lhs == pytest.approx(np.linalg.norm(diff @ basis, 2), abs=1e-12)
+
     def test_ground_energy_case(self):
         _, T = make_T(n=8, l=2)
         eff = build_effective(T, 6.0)

@@ -130,6 +130,12 @@ class TestConfig:
         assert [p.n for p in pts] == [4, 6]
         assert cfg.with_param("tau", 3.0).taus == [3.0]
 
+    def test_with_param_refuses_to_cut_an_integer(self):
+        cfg = ExperimentConfig(n=4)
+        assert cfg.with_param("m", 8.0).ms == [8]
+        with pytest.raises(ConfigError, match="m must be an integer"):
+            cfg.with_param("m", 2.5)
+
 
 class TestBoundRecord:
     def test_holds_definition(self):
@@ -250,9 +256,7 @@ class TestSolveCounts:
     CFG = ExperimentConfig(n=6, alpha=3.0, J=1.0, B=2.0, q=2, l=2, taus=[6.0], ms=[4, 8], seed=7)
 
     def test_one_schmidt_svd_per_filter_and_one_clamp_solve(self, monkeypatch):
-        import scipy.linalg
-
-        from agsplab import agsp
+        from agsplab import agsp, effective, spectral
 
         tau_star = max(self.CFG.taus)
         h_eff = build_pipeline(self.CFG).eff_at(tau_star).assemble_dense()
@@ -280,8 +284,12 @@ class TestSolveCounts:
 
         monkeypatch.setattr(agsp, "agsp_filter", counted_build)
         monkeypatch.setattr(agsp, "operator_schmidt_rank", counted_rank)
-        for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eigh")):
-            monkeypatch.setattr(module, name, counted_solver(getattr(module, name)))
+        # Counted at the functions that own the solve: a parity-split matrix
+        # reaches LAPACK only as its two sectors.
+        for name in ("eigendecompose", "lowest_eigenpairs"):
+            wrapped = counted_solver(getattr(spectral, name))
+            for module in (spectral, effective):
+                monkeypatch.setattr(module, name, wrapped)
         verify_point(self.CFG)
         assert (4, self.CFG.l, tau_star) in ranks and (8, self.CFG.l, tau_star) in ranks
         assert set(ranks.values()) == {1}, ranks
@@ -454,6 +462,21 @@ class TestCli:
         assert proc.returncode == 2
         assert f"config error: {key} must be >= 0" in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("param", ["n", "q", "l", "m"])
+    @pytest.mark.parametrize("value,message", [("2.5", "must be integers"), ("-1", "must be >= 0")])
+    def test_bad_integer_sweep_value_is_config_error(self, tmp_path, param, value, message):
+        out = tmp_path / "out"
+        path = tmp_path / "sweep.cfg"
+        path.write_text(MINI.format(out=out) + f"\n[sweep]\nparam = {param}\nvalues = 4 {value}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "agsplab.cli", "sweep", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "config error: [sweep] values" in proc.stderr and message in proc.stderr
+        assert "Traceback" not in proc.stderr and not out.exists()
 
     def test_entropy_leaves_run_reports_alone(self, mini_cfg_file, tmp_path):
         out = tmp_path / "out"

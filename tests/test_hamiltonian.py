@@ -249,6 +249,19 @@ class TestBlockInteraction:
         assert norm == 0.0
         np.testing.assert_array_equal(V, np.zeros_like(V))
 
+    def test_no_picked_term_needs_no_eigensolve(self, monkeypatch):
+        # Fermion pair terms span every site between their ends, so none lies
+        # inside X | Y once X and Y are separated by a gap.
+        H = build_long_range_fermion_chain(6, 3.0, 1.0, 0.5)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("eigensolve requested")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        V, norm = block_interaction(H, {1, 2}, {4, 5})
+        assert norm == 0.0
+        np.testing.assert_array_equal(V, np.zeros((16, 16)))
+
     def test_n4_example_matrix_and_norm(self):
         H = build_long_range_ising(4, 2.0, 1.0, 0.7)
         V, norm = block_interaction(H, {1, 2}, {3, 4})

@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agsplab.agsp import operator_schmidt_rank, rank_threshold
 from agsplab.hamiltonian import (
     assemble_dense,
     assemble_sparse,
     build_long_range_fermion_chain,
     build_long_range_ising,
     local_energy_g,
+    parity_sectors,
+    spectral_norm,
 )
 from agsplab.spectral import (
     ENERGY_TIE_TOL,
@@ -302,3 +307,176 @@ def test_property_weyl_inequality(seed, dim):
     wa, wb = np.linalg.eigvalsh(A), np.linalg.eigvalsh(B)
     diff_norm = np.max(np.abs(np.linalg.eigvalsh(A - B)))
     assert np.max(np.abs(wa - wb)) <= diff_norm + 1e-9
+
+
+def popcount_parity(dim: int) -> np.ndarray:
+    """Parity of the number of set bits of each index 0 .. dim-1 (string count, no bit tricks)."""
+    return np.array([bin(i).count("1") % 2 for i in range(dim)])
+
+
+def parity_conserving(rng, rows: int, cols: int, field: str, hermitian: bool = False) -> np.ndarray:
+    """Gaussian matrix with every entry between indices of unequal parity set to zero."""
+    A = rng.standard_normal((rows, cols))
+    if field == "complex":
+        A = A + 1j * rng.standard_normal((rows, cols))
+    if hermitian:
+        A = A + A.conj().T
+    A = A / np.sqrt(max(rows, cols))
+    return A * (popcount_parity(rows)[:, None] == popcount_parity(cols)[None, :])
+
+
+def unsplit_gram_top(A: np.ndarray) -> float:
+    """`top_singular_value` without the split: the Gram kernel on the whole matrix."""
+    gram = A.conj().T @ A if A.shape[0] >= A.shape[1] else A @ A.conj().T
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+
+
+def schmidt_reshape(O: np.ndarray, cut: int) -> np.ndarray:
+    dL = 2**cut
+    dR = O.shape[0] // dL
+    return O.reshape(dL, dR, dL, dR).transpose(0, 2, 1, 3).reshape(dL * dL, dR * dR)
+
+
+def unsplit_schmidt_rank(O: np.ndarray, cut: int) -> int:
+    svals = np.linalg.svd(schmidt_reshape(O, cut), compute_uv=False)
+    return int(np.sum(svals > rank_threshold(svals)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    log_dim=st.integers(min_value=2, max_value=6),
+    field=st.sampled_from(["real", "complex"]),
+)
+def test_property_split_spectrum_matches_unsplit_oracle(seed, log_dim, field):
+    rng = np.random.default_rng(seed)
+    dim = 2**log_dim
+    M = parity_conserving(rng, dim, dim, field, hermitian=True)
+    assert len(parity_sectors(M)) == 2
+    expected = np.linalg.eigvalsh(M)
+    S = eigendecompose(M)
+    assert np.all(np.diff(S.eigenvalues) >= 0.0)
+    assert np.max(np.abs(S.eigenvalues - expected)) <= 1e-12
+    U = S.eigenvectors
+    assert np.max(np.abs(U.conj().T @ U - np.eye(dim))) <= 1e-12
+    assert np.max(np.abs(S.reconstruct() - M)) <= 1e-12
+    assert abs(spectral_norm(M) - np.max(np.abs(expected))) <= 1e-12
+    assert abs(top_singular_value(M) - np.linalg.svd(M, compute_uv=False)[0]) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    log_rows=st.integers(min_value=1, max_value=6),
+    log_cols=st.integers(min_value=1, max_value=6),
+    field=st.sampled_from(["real", "complex"]),
+)
+def test_property_split_singular_values_match_unsplit_oracle(seed, log_rows, log_cols, field):
+    rng = np.random.default_rng(seed)
+    A = parity_conserving(rng, 2**log_rows, 2**log_cols, field)
+    sectors = parity_sectors(A)
+    assert len(sectors) == 2
+    for rows, cols, block in sectors:
+        assert np.array_equal(block, A[np.ix_(rows, cols)])
+    split = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for _, _, b in sectors]))[::-1]
+    expected = np.linalg.svd(A, compute_uv=False)
+    assert np.max(np.abs(split - expected)) <= 1e-12
+    assert abs(top_singular_value(A) - expected[0]) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n=st.integers(min_value=2, max_value=6),
+    words=st.integers(min_value=1, max_value=6),
+    field=st.sampled_from(["real", "complex"]),
+)
+def test_property_split_schmidt_rank_matches_unsplit_oracle(seed, n, words, field):
+    # A sum of `words` products of parity-conserving factors conserves parity
+    # and has operator Schmidt rank at most `words` across the factor cut.
+    rng = np.random.default_rng(seed)
+    cut = int(rng.integers(1, n))
+    O = sum(
+        np.kron(parity_conserving(rng, 2**cut, 2**cut, field), parity_conserving(rng, 2 ** (n - cut), 2 ** (n - cut), field))
+        for _ in range(words)
+    )
+    assert len(parity_sectors(schmidt_reshape(O, cut))) == 2
+    assert operator_schmidt_rank(O, cut) == unsplit_schmidt_rank(O, cut)
+
+
+class TestParitySectors:
+    def test_sector_indices_are_popcount_parity(self):
+        parity = popcount_parity(16)
+        (even_r, _, _), (odd_r, _, _) = parity_sectors(np.eye(16))
+        assert np.array_equal(even_r, np.flatnonzero(parity == 0))
+        assert np.array_equal(odd_r, np.flatnonzero(parity == 1))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_tiny_cross_entry_keeps_the_unsplit_result(self, rng, field):
+        M = parity_conserving(rng, 16, 16, field, hermitian=True)
+        M[0, 1] = 1e-300  # index 0 is even, index 1 odd
+        M[1, 0] = np.conj(M[0, 1])
+        assert len(parity_sectors(M)) == 1
+        w, U = np.linalg.eigh(M)
+        S = eigendecompose(M)
+        assert np.array_equal(S.eigenvalues, w) and np.array_equal(S.eigenvectors, U)
+        assert spectral_norm(M) == float(np.max(np.abs(np.linalg.eigvalsh(M))))
+        assert top_singular_value(M) == unsplit_gram_top(M)
+        assert operator_schmidt_rank(M, 2) == unsplit_schmidt_rank(M, 2)
+
+    @pytest.mark.parametrize("dim", [3, 6, 12, 24])
+    def test_dimension_not_a_power_of_two_stays_unsplit(self, rng, dim):
+        M = parity_conserving(rng, dim, dim, "real", hermitian=True)
+        assert len(parity_sectors(M)) == 1
+        w, U = np.linalg.eigh(M)
+        S = eigendecompose(M)
+        assert np.array_equal(S.eigenvalues, w) and np.array_equal(S.eigenvectors, U)
+        assert spectral_norm(M) == float(np.max(np.abs(np.linalg.eigvalsh(M))))
+        assert top_singular_value(M) == unsplit_gram_top(M)
+        A = parity_conserving(rng, dim, 8, "complex")
+        assert top_singular_value(A) == unsplit_gram_top(A)
+
+    @pytest.mark.parametrize("cross", [(0, 1), (1, 0)], ids=["even-rows-odd-cols", "odd-rows-even-cols"])
+    def test_either_cross_block_alone_keeps_the_matrix_whole(self, rng, cross):
+        # `cross` is the (row, column) parity of the one nonzero cross block.
+        # Only a non-Hermitian matrix can have one, so this is the case that
+        # tells a check of both cross blocks from a check of one.
+        A = parity_conserving(rng, 8, 16, "real")
+        A[cross] = 1.0  # index 0 has parity 0, index 1 parity 1
+        assert len(parity_sectors(A)) == 1
+        assert top_singular_value(A) == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], rel=1e-12)
+        # A rank-one parity-conserving product plus one unit whose Schmidt
+        # reshape lands in the same cross block: rank 2, and 1 if split.
+        O = np.kron(np.diag([1.0, 2.0]), np.diag([1.0, 3.0]))
+        O[(0, 1) if cross == (0, 1) else (2, 0)] = 1.0
+        R = schmidt_reshape(O, 1)
+        parity = popcount_parity(4)
+        assert [(parity[r], parity[c]) for r, c in zip(*np.nonzero(R)) if parity[r] != parity[c]] == [cross]
+        assert len(parity_sectors(R)) == 1
+        assert operator_schmidt_rank(O, 1) == unsplit_schmidt_rank(O, 1) == 2
+
+
+def _expect_loud(kernel, M):
+    if kernel == "top_singular_value":
+        assert np.isnan(top_singular_value(M))
+        return
+    solve = {
+        "spectral_norm": spectral_norm,
+        "eigendecompose": lambda A: eigendecompose(A, check=False),
+        "operator_schmidt_rank": lambda A: operator_schmidt_rank(A, 1),
+    }[kernel]
+    with pytest.raises(np.linalg.LinAlgError):
+        solve(M)
+
+
+@pytest.mark.parametrize("kernel", ["spectral_norm", "eigendecompose", "top_singular_value", "operator_schmidt_rank"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (3, 3), (1, 1), (2, 2), (0, 1), (3, 2)])
+def test_non_finite_entry_fails_loudly_through_the_split(kernel, bad, where):
+    # diag(1, 2, 3, 4): indices 0, 3 form the even sector, 1, 2 the odd one;
+    # (0, 1) and (3, 2) are cross entries.  The unsplit `eigvalsh` returns
+    # 4.0 for a NaN at (0, 0); no kernel may return a finite number.
+    M = np.diag([1.0, 2.0, 3.0, 4.0])
+    M[where] = bad
+    M[where[::-1]] = bad
+    _expect_loud(kernel, M)

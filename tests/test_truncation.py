@@ -6,6 +6,7 @@ from agsplab.hamiltonian import (
     InteractionTerm,
     LatticeSpec,
     assemble_dense,
+    build_long_range_fermion_chain,
     build_long_range_ising,
     decay_envelope,
     spectral_norm,
@@ -205,6 +206,22 @@ class TestVerifyLemma34:
         assert rep.gap_t >= rep.gap - 2.0 * rep.delta_norm - 1e-9
         assert not rep.overlap_applicable or rep.overlap_distance <= rep.overlap_bound + 1e-9
         assert rep.delta_norm <= T.dropped_norm_sum + 1e-9
+
+    @pytest.mark.parametrize(
+        "H,l",
+        [
+            (build_long_range_ising(8, 3.0, 1.0, 2.0), 1),
+            (build_long_range_ising(8, 3.0, 1.0, 2.0), 2),
+            (build_long_range_ising(9, 2.5, 1.0, 1.0), 2),
+            (build_long_range_fermion_chain(8, 3.0, 1.0, 0.5), 2),
+        ],
+    )
+    def test_delta_from_dropped_terms_matches_dense_difference(self, H, l):
+        # delta = H - H_t(raw), with H_t(raw) = H_t + origin_shift * I
+        T = shift_block_energies(truncate_interactions(H, decompose_blocks(H.lattice.n, 2, l)))
+        dense = assemble_dense(H) - T.assemble_dense() - T.origin_shift * np.eye(H.lattice.dim)
+        rep = verify_lemma3_4(H, T)
+        assert rep.delta_norm == pytest.approx(float(np.max(np.abs(np.linalg.eigvalsh(dense)))), abs=1e-12)
 
     def test_overlap_guard_when_gap_too_small(self):
         # near-critical field: tiny gap, so 4*||dH|| >= gap and the overlap
