@@ -60,18 +60,18 @@ class ChebyshevFilter:
         vals = _filter_values(self.m, sp.eigenvalues, self.gap_eff, self.width)
         return float(np.max(np.abs(vals[1:]))) if len(vals) > 1 else 0.0
 
-    def schmidt_rank(self, cut: int) -> int:
-        """Operator Schmidt rank of K across `cut`.
+    def schmidt_rank(self) -> int:
+        """Operator Schmidt rank of K across its clamp's block cut.
 
         K is a function of its clamp's spectrum and m, so the rank is cached
-        on the clamp under (m, cut): one SVD per clamp, degree and cut,
-        whichever filter object asks.
+        on the clamp under m: one SVD per clamp and degree, whichever filter
+        object asks.
         """
-        key = (self.m, cut)
-        if key not in self.eff.filter_ranks:
-            d = self.eff.base.lattice.d
-            self.eff.filter_ranks[key] = operator_schmidt_rank(self.matrix, cut, d=d)
-        return self.eff.filter_ranks[key]
+        ranks = self.eff.filter_ranks
+        if self.m not in ranks:
+            blocks, d = self.eff.base.blocks, self.eff.base.lattice.d
+            ranks[self.m] = operator_schmidt_rank(self.matrix, blocks.cut, d=d)
+        return ranks[self.m]
 
 
 def _filter_values(m: int, eigenvalues: np.ndarray, gap: float, width: float) -> np.ndarray:
@@ -160,11 +160,7 @@ class AgspReport:
         return self.epsilon_K**2 * self.D_K <= 0.5
 
 
-def measure_agsp(
-    filt: ChebyshevFilter,
-    target_gs: np.ndarray,
-    cut: int | None = None,
-) -> AgspReport:
+def measure_agsp(filt: ChebyshevFilter, target_gs: np.ndarray) -> AgspReport:
     """Measure (delta_K, epsilon_K, D_K) of a filter against `target_gs`.
 
     delta_K is the phase-aligned distance from the filter's fixed state to
@@ -180,13 +176,11 @@ def measure_agsp(
     aligned = align_phase(target_gs, fixed)
     delta = float(np.linalg.norm(target_gs - aligned))
     epsilon = top_singular_value(K - np.outer(K @ fixed, fixed.conj()))
-    if cut is None:
-        cut = filt.eff.base.blocks.cut
     return AgspReport(
         m=filt.m,
         delta_K=delta,
         epsilon_K=epsilon,
-        D_K=filt.schmidt_rank(cut),
+        D_K=filt.schmidt_rank(),
         cheb_bound=filt.cheb_bound,
     )
 
@@ -341,25 +335,17 @@ class BootstrapDiagnostics:
     distance_bound: float | None = None
 
 
-def bootstrap_state(
-    filt: ChebyshevFilter,
-    target_gs: np.ndarray,
-    cut: int | None = None,
-    report: AgspReport | None = None,
-):
+def bootstrap_state(filt: ChebyshevFilter, target_gs: np.ndarray, report: AgspReport):
     """Filtered top-Schmidt product state: a low-rank approximate ground state.
 
-    Requires epsilon_K^2 * D_K <= 1/2; then the top Schmidt coefficient of
-    the fixed state obeys mu_1 >= 1/sqrt(2 D_K), and psi = K|P_1>/||K|P_1>||
-    lands within epsilon_K*sqrt(2 D_K) + delta_K of the target with Schmidt
-    rank at most D_K.  Returns (psi, diagnostics); psi is None when the
-    precondition fails.
+    `report` is `measure_agsp(filt, target_gs)`.  Requires epsilon_K^2 * D_K
+    <= 1/2; then the top Schmidt coefficient of the fixed state obeys
+    mu_1 >= 1/sqrt(2 D_K), and psi = K|P_1>/||K|P_1>|| lands within
+    epsilon_K*sqrt(2 D_K) + delta_K of the target with Schmidt rank at most
+    D_K, across the clamp's block cut.  Returns (psi, diagnostics); psi is
+    None when the precondition fails.
     """
-    if cut is None:
-        cut = filt.eff.base.blocks.cut
-    d = filt.eff.base.lattice.d
-    if report is None:
-        report = measure_agsp(filt, target_gs, cut=cut)
+    cut, d = filt.eff.base.blocks.cut, filt.eff.base.lattice.d
     if not report.bootstrap_ready:
         return None, BootstrapDiagnostics(report=report, precondition_met=False)
     dL = d**cut

@@ -5,11 +5,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, check_non_negative, check_tolerance, parse_config
+from .config import ConfigError, check_jobs, check_non_negative, check_tolerance, parse_config
 from .experiment import run_points, write_entropy_report, write_reports
-from .hamiltonian import DimensionCeilingError
 from .registry import tally
-from .spectral import DegenerateGroundStateError
 
 
 def _add_common(sub):
@@ -46,18 +44,18 @@ def main(argv=None) -> int:
             cfg.tolerance = check_tolerance(args.tolerance)
         if args.seed is not None:
             cfg.seed = check_non_negative("--seed", args.seed)
+        if args.jobs is not None:
+            cfg.jobs = check_jobs("--jobs", args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
     out_dir = args.out or cfg.output_dir
     if args.command == "sweep" and not cfg.sweep_param:
         print("config error: sweep command needs a [sweep] section", file=sys.stderr)
         return 2
     try:
         points = run_points(cfg, entropy_only=(args.command == "entropy"))
-    except (DimensionCeilingError, DegenerateGroundStateError, ValueError) as exc:
+    except ValueError as exc:  # DimensionCeilingError, DegenerateGroundStateError, LinAlgError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.command == "entropy":

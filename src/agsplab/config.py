@@ -30,9 +30,12 @@ class ConfigError(ValueError):
 
 def _floats(raw: str) -> list[float]:
     try:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
+        values = [float(tok) for tok in raw.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"expected numbers, got {raw!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"expected finite numbers, got {raw!r}")
+    return values
 
 
 def _float(raw: str) -> float:
@@ -56,9 +59,19 @@ def check_non_negative(key: str, value: int) -> int:
     return value
 
 
+def check_jobs(key: str, value: int) -> int:
+    """The worker count of a sweep; below 1 is rejected by `key`."""
+    if value < 1:
+        raise ConfigError(f"{key} must be >= 1, got {value}")
+    return value
+
+
 def _ints(raw: str) -> list[int]:
-    vals = _floats(raw)
-    if not all(math.isfinite(v) and v == int(v) for v in vals):
+    try:
+        vals = _floats(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"expected integers, got {raw!r}") from exc
+    if not all(v.is_integer() for v in vals):
         raise ConfigError(f"expected integers, got {raw!r}")
     return [int(v) for v in vals]
 
@@ -129,41 +142,40 @@ def parse_config(path: str) -> ExperimentConfig:
         for key in parser[section]:
             if key not in _KNOWN_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] of {path}")
-    m = parser["model"] if parser.has_section("model") else {}
-    if "family" in m:
-        family = m["family"].strip()
+
+    def get(section: str, key: str, parse):
+        """`parse` of the value of `key`, None when it is absent; an error names the key."""
+        if not parser.has_section(section) or key not in parser[section]:
+            return None
+        try:
+            return parse(parser[section][key])
+        except ConfigError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from exc
+
+    family = get("model", "family", str.strip)
+    if family is not None:
         if family not in ("long_range_ising", "long_range_fermion"):
             raise ConfigError(f"unknown model family {family!r}")
         cfg.family = family
-    if "n" in m:
-        cfg.n = _int(m["n"])
-    if "alpha" in m:
-        cfg.alpha = _float(m["alpha"])
-    if "J" in m:
-        cfg.J = _float(m["J"])
-    if "B" in m:
-        cfg.B = _float(m["B"])
-    if "A" in m:
-        cfg.A = _float(m["A"])
-    b = parser["blocks"] if parser.has_section("blocks") else {}
-    if "q" in b:
-        cfg.q = _int(b["q"])
-    if "l" in b:
-        cfg.l = _int(b["l"])
-    if "cut" in b:
-        cfg.cut = _int(b["cut"])
-    if parser.has_section("effective") and "tau" in parser["effective"]:
-        cfg.taus = _floats(parser["effective"]["tau"])
-        if not cfg.taus:
+    scalars = [("model", "n", _int)] + [("model", k, _float) for k in ("alpha", "J", "B", "A")]
+    scalars += [("blocks", k, _int) for k in ("q", "l", "cut")]
+    for section, key, parse in scalars:
+        value = get(section, key, parse)
+        if value is not None:
+            setattr(cfg, key, value)
+    taus = get("effective", "tau", _floats)
+    if taus is not None:
+        if not taus:
             raise ConfigError("empty tau grid")
-    if parser.has_section("agsp"):
-        a = parser["agsp"]
-        if "m" in a:
-            cfg.ms = [check_non_negative("[agsp] m", v) for v in _ints(a["m"])]
-            if not cfg.ms:
-                raise ConfigError("empty m grid")
-        if "powers" in a:
-            cfg.sr_powers = [check_non_negative("[agsp] powers", v) for v in _ints(a["powers"])]
+        cfg.taus = taus
+    ms = get("agsp", "m", _ints)
+    if ms is not None:
+        if not ms:
+            raise ConfigError("empty m grid")
+        cfg.ms = [check_non_negative("[agsp] m", v) for v in ms]
+    powers = get("agsp", "powers", _ints)
+    if powers is not None:
+        cfg.sr_powers = [check_non_negative("[agsp] powers", v) for v in powers]
     if parser.has_section("sweep"):
         s = parser["sweep"]
         if "param" not in s or "values" not in s:
@@ -172,7 +184,7 @@ def parse_config(path: str) -> ExperimentConfig:
         if param not in _SWEEPABLE:
             raise ConfigError(f"cannot sweep {param!r}; choose from {sorted(_SWEEPABLE)}")
         cfg.sweep_param = param
-        cfg.sweep_values = _floats(s["values"])
+        cfg.sweep_values = get("sweep", "values", _floats)
         if not cfg.sweep_values:
             raise ConfigError("empty sweep grid")
         if param in _INT_PARAMS:
@@ -181,12 +193,13 @@ def parse_config(path: str) -> ExperimentConfig:
             cfg.sweep_values = [check_non_negative("[sweep] values", int(v)) for v in cfg.sweep_values]
     if parser.has_section("output") and "dir" in parser["output"]:
         cfg.output_dir = parser["output"]["dir"].strip()
-    if parser.has_section("run"):
-        r = parser["run"]
-        if "seed" in r:
-            cfg.seed = check_non_negative("[run] seed", _int(r["seed"]))
-        if "jobs" in r:
-            cfg.jobs = _int(r["jobs"])
-        if "tolerance" in r:
-            cfg.tolerance = check_tolerance(_float(r["tolerance"]))
+    seed = get("run", "seed", _int)
+    if seed is not None:
+        cfg.seed = check_non_negative("[run] seed", seed)
+    jobs = get("run", "jobs", _int)
+    if jobs is not None:
+        cfg.jobs = check_jobs("[run] jobs", jobs)
+    tolerance = get("run", "tolerance", _float)
+    if tolerance is not None:
+        cfg.tolerance = check_tolerance(tolerance)
     return cfg

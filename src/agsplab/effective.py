@@ -22,7 +22,6 @@ from .spectral import (
     SpectralData,
     eigendecompose,
     in_window,
-    lowest_eigenpairs,
     top_singular_value,
     unitary_block_norm,
 )
@@ -50,8 +49,8 @@ class EffectiveHamiltonian:
     internal_eff: list[np.ndarray]
     _spectral: SpectralData | None = field(default=None, repr=False)
     _dense: np.ndarray | None = field(default=None, repr=False)
-    # Operator Schmidt rank of the filter K(m) of this clamp, per (m, cut).
-    filter_ranks: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
+    # Operator Schmidt rank of the filter K(m) of this clamp across the block cut, per m.
+    filter_ranks: dict[int, int] = field(default_factory=dict, repr=False)
 
     def assemble_dense(self) -> np.ndarray:
         if self._dense is None:
@@ -60,7 +59,7 @@ class EffectiveHamiltonian:
 
     def spectral(self) -> SpectralData:
         if self._spectral is None:
-            self._spectral = eigendecompose(self.assemble_dense(), check=False)
+            self._spectral = eigendecompose(self.assemble_dense())
         return self._spectral
 
     def norm_budget(self) -> float:
@@ -149,10 +148,10 @@ def theorem5_check(
     `precondition_met` flag) is met; raw distances are always recorded so
     decay can be read off by slope even when the hypothesis is vacuous at
     desk scale.  The leakage kappa and its unconditional bound
-    11(q+2)exp(-lambda'(tau - 8 g0)) are measured at every point.  `eff`, a
-    clamp of T at one grid tau, supplies that tau's eigenpairs from its own
-    decomposition; every other tau gets a transient clamp and a lowest-pair
-    solve.
+    11(q+2)exp(-lambda'(tau - 8 g0)) are measured at every point.  Each tau
+    takes its two lowest eigenpairs from its clamp's own `spectral()`: `eff`,
+    a clamp of T at one grid tau, serves that tau, and every other tau gets a
+    transient clamp.
     """
     taus = sorted(float(t) for t in tau_grid)
     if not taus or taus[0] <= 0:
@@ -165,12 +164,9 @@ def theorem5_check(
     tau_min = theorem5_precondition_tau(T, gap_t)
     out = []
     for tau in taus:
-        if eff is not None and eff.tau == tau:
-            clamp, sp = eff, eff.spectral()
-            w_e, v_e = sp.eigenvalues[:2], sp.eigenvectors[:, :2]
-        else:
-            clamp = _clamp(T, tau)
-            w_e, v_e = lowest_eigenpairs(clamp.assemble_dense(), count=2)
+        clamp = eff if eff is not None and eff.tau == tau else _clamp(T, tau)
+        sp = clamp.spectral()
+        w_e, v_e = sp.eigenvalues[:2], sp.eigenvectors[:, :2]
         gap_eff = float(w_e[1] - w_e[0])
         gs_eff = align_phase(gs_t, v_e[:, 0])
         dist = float(np.linalg.norm(gs_eff - gs_t))

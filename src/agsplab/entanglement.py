@@ -209,23 +209,22 @@ def agsp_sequence(
     ground: np.ndarray,
     base_state: np.ndarray,
     p_max: int,
-    cut: int,
-    l_start: int = 1,
-    tau_start: float = 2.0,
-    l_max: int | None = None,
-    tau_max: float | None = None,
+    l_start: int,
+    tau_start: float,
+    l_max: int,
+    tau_max: float,
 ):
     """Escalating filter sequence driving gamma_p below 1/p.
 
     `filter_factory(m, l, tau)` must return a ChebyshevFilter for the
     ground-state problem at hand.  Per step p the schedule (m, l, tau) is
-    escalated (m doubles from M_START, l and tau grow to their caps) until
-    the measured gamma_p = epsilon_p / (1 - nu0 - delta_p) + delta_p drops
-    to 1/p; the
-    filtered base state is then checked to lie within gamma_p of the ground
-    state.  Returns (steps, exhausted) where `exhausted` flags a step whose
-    target was unreachable within ESCALATION_BUDGET escalations (iteration
-    stops there).
+    escalated (m doubles from M_START, l and tau grow to their caps l_max
+    and tau_max) until the measured gamma_p = epsilon_p / (1 - nu0 -
+    delta_p) + delta_p drops to 1/p; the filtered base state is then checked
+    to lie within gamma_p of the ground state, and D_p is the filter's
+    Schmidt rank across its clamp's block cut.  Returns (steps, exhausted)
+    where `exhausted` flags a step whose target was unreachable within
+    ESCALATION_BUDGET escalations (iteration stops there).
     """
     from .truncation import align_phase
 
@@ -249,10 +248,10 @@ def agsp_sequence(
             attempt += 1
             m *= 2
             if attempt % 2 == 0:
-                if l_max is None or l < l_max:
+                if l < l_max:
                     l += 1
-                if tau_max is None or tau < tau_max:
-                    tau = min(tau * 1.5, tau_max) if tau_max else tau * 1.5
+                if tau < tau_max:
+                    tau = min(tau * 1.5, tau_max)
         met = gamma <= target
         overlap = np.vdot(fixed, base_state)
         phase = overlap.conjugate() / abs(overlap) if abs(overlap) > 0 else 1.0
@@ -268,7 +267,7 @@ def agsp_sequence(
                 gamma=float(gamma),
                 delta=delta,
                 epsilon=epsilon,
-                D=filt.schmidt_rank(cut),
+                D=filt.schmidt_rank(),
                 distance=distance,
                 target_met=met,
             )

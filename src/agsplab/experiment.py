@@ -99,7 +99,7 @@ class Pipeline:
 
 def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     H = build_model(cfg)
-    H_spec = eigendecompose(ham.assemble_dense(H), check=False)
+    H_spec = eigendecompose(ham.assemble_dense(H))
     gs = ground_state(H_spec)
     return Pipeline(
         cfg=cfg,
@@ -279,7 +279,6 @@ def _sequence_records(pipe: Pipeline, psi_base: np.ndarray | None) -> list[Bound
         pipe.gs_vector,
         base,
         p_max=4,
-        cut=cut,
         l_start=cfg.l,
         tau_start=max(cfg.taus),
         # every l whose q bulk blocks fit around the cut (decompose_blocks' domain)
@@ -381,7 +380,8 @@ def run_points(cfg: ExperimentConfig, entropy_only: bool = False) -> list[PointR
     points = cfg.grid_points()
     worker = _entropy_point if entropy_only else verify_point
     if cfg.jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # Linux's fork start method starts every worker at the first submit.
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(points))) as pool:
             return list(pool.map(worker, points))
     return [worker(p) for p in points]
 

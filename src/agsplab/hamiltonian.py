@@ -86,10 +86,6 @@ def spectral_norm(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(w)))
 
 
-def is_hermitian(matrix: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
-    return bool(np.max(np.abs(matrix - matrix.conj().T)) <= atol)
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """Open 1D chain of n sites with local dimension d."""
@@ -135,7 +131,7 @@ class InteractionTerm:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"term matrix must be square, got shape {m.shape}")
-        if not is_hermitian(m):
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_ATOL:  # NaN fails too
             raise ValueError("term matrix is not Hermitian to 1e-12")
 
     def __iter__(self):
@@ -385,27 +381,23 @@ def block_interaction(
     H: Hamiltonian,
     X: set[int] | tuple[int, ...],
     Y: set[int] | tuple[int, ...],
-    Lambda0: set[int] | tuple[int, ...] | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Interaction operator between site sets X and Y, restricted to Lambda0.
+    """Interaction operator between site sets X and Y.
 
-    Sums exactly the terms h_Z with Z inside Lambda0 touching both X and Y;
-    returns the operator embedded on the sites of Lambda0 together with its
-    operator norm (dense eigensolve; exactly 0.0 when no term is picked).  For
-    2-local Hamiltonians the result is independent of Lambda0.
+    Sums exactly the terms h_Z with Z inside X | Y touching both X and Y;
+    returns the operator embedded on the sites of X | Y together with its
+    operator norm (dense eigensolve; exactly 0.0 when no term is picked).
     """
     X, Y = set(X), set(Y)
     if X & Y:
         raise ValueError(f"X and Y overlap: {sorted(X & Y)}")
-    Lambda0 = set(Lambda0) if Lambda0 is not None else X | Y
-    if not (X | Y) <= Lambda0:
-        raise ValueError("Lambda0 must contain X and Y")
+    region = X | Y
     picked = [
         t
         for t in H.terms
-        if set(t.support) <= Lambda0 and set(t.support) & X and set(t.support) & Y
+        if set(t.support) <= region and set(t.support) & X and set(t.support) & Y
     ]
-    out = region_sum(H.lattice, tuple(sorted(Lambda0)), picked)
+    out = region_sum(H.lattice, tuple(sorted(region)), picked)
     return out, spectral_norm(out) if picked else 0.0
 
 

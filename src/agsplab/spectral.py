@@ -18,7 +18,6 @@ quarter of the flops of one solve.  Both families conserve prod Z, so on
 the reference config H, H_t, every block h_s, H_eff, the Assumption-1
 interactions and delta split; a split eigendecomposition has exact zeros,
 so the clamps, the filters K and K's Schmidt reshape split exactly too.
-`lowest_eigenpairs` (a LAPACK subset solve) is not split.
 """
 
 from __future__ import annotations
@@ -27,11 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .hamiltonian import is_hermitian, parity_sectors
+from .hamiltonian import parity_sectors
 
 DEGENERACY_THRESHOLD = 1e-10
 # Eigenvalues this close to an energy threshold count as lying on it, so that
@@ -85,16 +83,16 @@ class GroundStateInfo:
     gap: float
 
 
-def eigendecompose(M: np.ndarray, check: bool = True) -> SpectralData:
+def eigendecompose(M: np.ndarray) -> SpectralData:
     """Eigendecompose a Hermitian matrix.
 
-    Prefers the symmetric real path (the built families are real symmetric);
-    raises on non-Hermitian input.  A matrix that `parity_sectors` splits is
-    solved per sector, and each sector's eigenvectors are written straight
-    into their ascending-order columns of one output array (zero elsewhere).
+    Prefers the symmetric real path (the built families are real symmetric).
+    Hermiticity is not checked: `eigh` reads the lower triangle.  A matrix
+    that `parity_sectors` splits is solved per sector, and each sector's
+    eigenvectors are written straight into their ascending-order columns of
+    one output array (zero elsewhere).  A non-finite entry raises
+    `LinAlgError`.
     """
-    if check and not is_hermitian(M, atol=1e-10 * (1.0 + np.max(np.abs(M)))):
-        raise ValueError("matrix is not Hermitian")
     if np.iscomplexobj(M) and np.max(np.abs(M.imag)) < 1e-14:
         M = M.real
     sectors = parity_sectors(M)
@@ -155,49 +153,30 @@ def unitary_block_norm(W: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> flo
     return top_singular_value(W[np.ix_(rows, cols)])
 
 
-def lowest_eigenpairs(M: np.ndarray, count: int = 2):
-    """Lowest `count` eigenpairs without forming the full eigenvector set."""
-    if np.iscomplexobj(M) and np.max(np.abs(M.imag)) < 1e-14:
-        M = M.real
-    w, v = scipy.linalg.eigh(
-        M,
-        subset_by_index=(0, count - 1),
-        driver="evr",
-        check_finite=False,
-    )
-    return w, v
+def ground_state(M: np.ndarray | SpectralData | scipy.sparse.sparray) -> GroundStateInfo:
+    """Lowest eigenpair and gap; rejects gaps at or below `DEGENERACY_THRESHOLD`.
 
-
-def ground_state(
-    M: np.ndarray | SpectralData | scipy.sparse.sparray,
-    threshold: float = DEGENERACY_THRESHOLD,
-) -> GroundStateInfo:
-    """Lowest eigenpair and gap; rejects (near-)degenerate ground spaces.
-
-    `M` is a `SpectralData`, a dense array (LAPACK) or a scipy sparse matrix
-    (Lanczos, `eigsh`).  The Lanczos start vector is a fixed-seed Gaussian,
-    which overlaps every eigenvector.  A structured one can miss a whole
-    symmetry sector, and with it the gap or a degeneracy; the constant vector
-    is itself an eigenvector of the Ising chain at zero field.
-    Non-convergence raises `ArpackNoConvergence`.
+    `M` is a `SpectralData`, a dense array (`eigendecompose`) or a scipy
+    sparse matrix (Lanczos, `eigsh`).  The Lanczos start vector is a
+    fixed-seed Gaussian, which overlaps every eigenvector.  A structured one
+    can miss a whole symmetry sector, and with it the gap or a degeneracy;
+    the constant vector is itself an eigenvector of the Ising chain at zero
+    field.  Non-convergence raises `ArpackNoConvergence`.
     """
-    if scipy.sparse.issparse(M) and M.shape[0] <= 2:
-        M = M.toarray()  # ARPACK needs k=2 < dim
-    if isinstance(M, SpectralData):
-        w = M.eigenvalues[:2]
-        vec = M.eigenvectors[:, 0]
-    elif scipy.sparse.issparse(M):
+    if scipy.sparse.issparse(M) and M.shape[0] > 2:  # ARPACK needs k=2 < dim
         v0 = np.random.default_rng(0).standard_normal(M.shape[0])
         w, v = scipy.sparse.linalg.eigsh(M, k=2, which="SA", tol=0, v0=v0)
         order = np.argsort(w)
         w, vec = w[order], v[:, order[0]]
     else:
-        w, v = lowest_eigenpairs(M, count=2)
-        vec = v[:, 0]
+        if scipy.sparse.issparse(M):
+            M = M.toarray()
+        sp = M if isinstance(M, SpectralData) else eigendecompose(M)
+        w, vec = sp.eigenvalues[:2], sp.eigenvectors[:, 0]
     gap = float(w[1] - w[0])
-    if gap <= threshold:
+    if gap <= DEGENERACY_THRESHOLD:
         raise DegenerateGroundStateError(
-            f"gap {gap:g} at or below degeneracy threshold {threshold:g}"
+            f"gap {gap:g} at or below degeneracy threshold {DEGENERACY_THRESHOLD:g}"
         )
     vec = vec / np.linalg.norm(vec)
     return GroundStateInfo(energy=float(w[0]), state=vec, gap=gap)

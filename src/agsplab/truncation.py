@@ -18,7 +18,6 @@ from .hamiltonian import (
     DecayEnvelope,
     Hamiltonian,
     LatticeSpec,
-    assemble_dense,
     decay_envelope,
     embed_sum,
     local_energy_g,
@@ -127,7 +126,7 @@ class TruncatedHamiltonian:
     def spectral(self) -> SpectralData:
         """Eigendecomposition of the represented operator (ground energy 0)."""
         if self._spectral is None:
-            self._spectral = eigendecompose(self.assemble_dense(), check=False)
+            self._spectral = eigendecompose(self.assemble_dense())
         return self._spectral
 
     def bond_support(self, s: int) -> tuple[int, ...]:
@@ -149,7 +148,7 @@ class TruncatedHamiltonian:
 
     def block_spectra(self) -> list[SpectralData]:
         if self._block_spectra is None:
-            self._block_spectra = [eigendecompose(h, check=False) for h in self.internal]
+            self._block_spectra = [eigendecompose(h) for h in self.internal]
         return self._block_spectra
 
     def block_ground_energies(self) -> np.ndarray:
@@ -214,7 +213,7 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
         envelope=env,
         local_g=local_energy_g(H),
     )
-    raw = eigendecompose(T.assemble_dense(), check=False)
+    raw = eigendecompose(T.assemble_dense())
     e0 = raw.ground_energy
     per_block = e0 / (blocks.q + 2)
     T.internal = [h - per_block * np.eye(h.shape[0]) for h in T.internal]
@@ -265,11 +264,7 @@ def align_phase(reference: np.ndarray, state: np.ndarray) -> np.ndarray:
     return state * (overlap.conjugate() / abs(overlap))
 
 
-def verify_lemma3_4(
-    H: Hamiltonian,
-    T: TruncatedHamiltonian,
-    H_spec: SpectralData | None = None,
-) -> TruncationReport:
+def verify_lemma3_4(H: Hamiltonian, T: TruncatedHamiltonian, H_spec: SpectralData) -> TruncationReport:
     """Measure the truncation guarantees and their analytic budgets.
 
     Measures both sides of each guarantee, with delta = H - H_t (raw truncation, before the energy-origin
@@ -279,7 +274,7 @@ def verify_lemma3_4(
 
     delta is the sum of the dropped terms (the block origins and
     `origin_shift` cancel exactly), assembled from those terms alone.
-    `H_spec` may carry the eigendecomposition of H (sweeps over l reuse it);
+    `H_spec` is the eigendecomposition of H (sweeps over l reuse it);
     H_t's spectrum and ground vector come from `T.spectral()`, the norm
     budget from `T.envelope` (None when H has no decay envelope).
     """
@@ -288,7 +283,6 @@ def verify_lemma3_4(
     bound = None
     if T.envelope is not None:
         bound = T.envelope.g0 * T.q * float(T.blocks.l) ** (-T.envelope.alpha_bar)
-    H_spec = H_spec or eigendecompose(assemble_dense(H), check=False)
     spec = H_spec.eigenvalues
     spec_t = T.spectral().eigenvalues + T.origin_shift
     weyl_max = float(np.max(np.abs(spec - spec_t)))

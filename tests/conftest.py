@@ -64,6 +64,11 @@ def oracle_fermion_chain(n: int, alpha: float, A: float, B: float) -> np.ndarray
     return H
 
 
+def oracle_ground_vector(M: np.ndarray) -> np.ndarray:
+    """Lowest eigenvector of a dense Hermitian matrix from one unsplit `eigh`."""
+    return np.linalg.eigh(M)[1][:, 0]
+
+
 def random_state(rng, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)

@@ -272,7 +272,7 @@ def test_criterion_9_entropy_bound_consistency(reference_pipeline):
         return am.agsp_filter(em.build_effective(T, min(tau, width)), m)
 
     steps, exhausted = en.agsp_sequence(
-        factory, pipe.gs_vector, base, p_max=3, cut=cut,
+        factory, pipe.gs_vector, base, p_max=3,
         l_start=2, tau_start=6.0, l_max=pipe.cfg.n // 2, tau_max=pipe.block_width_top(),
     )
     usable = [s for s in steps if s.target_met and s.gamma <= 1.0]

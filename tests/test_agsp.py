@@ -20,9 +20,14 @@ from agsplab.agsp import (
 from agsplab.effective import build_effective
 from agsplab.entanglement import schmidt_decompose
 from agsplab.hamiltonian import build_long_range_fermion_chain, build_long_range_ising
-from agsplab.spectral import lowest_eigenpairs
 from agsplab.truncation import decompose_blocks, shift_block_energies, truncate_interactions
-from conftest import PAULI_X, chebyshev_matrix_recurrence, dense_power_schmidt_rank, kron_chain
+from conftest import (
+    PAULI_X,
+    chebyshev_matrix_recurrence,
+    dense_power_schmidt_rank,
+    kron_chain,
+    oracle_ground_vector,
+)
 
 
 def make_eff(n=8, l=2, tau=6.0, B=2.0):
@@ -101,15 +106,14 @@ class TestMeasure:
     def test_identity_filter(self):
         T, eff = make_eff()
         filt = agsp_filter(eff, 0)
-        _, v = lowest_eigenpairs(T.assemble_dense(), count=1)
-        rep = measure_agsp(filt, v[:, 0])
+        v = oracle_ground_vector(T.assemble_dense())
+        rep = measure_agsp(filt, v)
         assert rep.epsilon_K == pytest.approx(1.0, abs=1e-9)
         assert rep.D_K == 1
 
     def test_exact_projector(self):
         T, eff = make_eff()
-        _, v = lowest_eigenpairs(T.assemble_dense(), count=1)
-        gs = v[:, 0]
+        gs = oracle_ground_vector(T.assemble_dense())
         proj = ChebyshevFilter(
             m=0, matrix=np.outer(gs, gs), fixed_state=gs, gap_eff=1.0, width=2.0, eff=eff
         )
@@ -125,22 +129,22 @@ class TestMeasure:
             m=4, matrix=filt.matrix, fixed_state=sp.eigenvectors[:, 1],
             gap_eff=filt.gap_eff, width=filt.width, eff=eff,
         )
-        _, v = lowest_eigenpairs(T.assemble_dense(), count=1)
+        v = oracle_ground_vector(T.assemble_dense())
         with pytest.raises(ValueError, match="does not fix"):
-            measure_agsp(broken, v[:, 0])
+            measure_agsp(broken, v)
 
     def test_dense_epsilon_equals_eigenbasis_sup(self):
         T, eff = make_eff()
         filt = agsp_filter(eff, 4)
-        _, v = lowest_eigenpairs(T.assemble_dense(), count=1)
-        dense = measure_agsp(filt, v[:, 0]).epsilon_K
+        v = oracle_ground_vector(T.assemble_dense())
+        dense = measure_agsp(filt, v).epsilon_K
         assert dense == pytest.approx(filt.excited_residual(), abs=1e-10)
 
     def test_chebyshev_bound_holds(self):
         T, eff = make_eff()
-        _, v = lowest_eigenpairs(T.assemble_dense(), count=1)
+        v = oracle_ground_vector(T.assemble_dense())
         for m in (2, 4, 6):
-            rep = measure_agsp(agsp_filter(eff, m), v[:, 0])
+            rep = measure_agsp(agsp_filter(eff, m), v)
             assert rep.epsilon_K <= rep.cheb_bound + 1e-9
 
     def test_pipeline_delta_triangle(self):
@@ -151,14 +155,13 @@ class TestMeasure:
         from agsplab.hamiltonian import assemble_dense
 
         dense = assemble_dense(H)
-        _, v = lowest_eigenpairs(dense, count=1)
-        gs = v[:, 0]
+        gs = oracle_ground_vector(dense)
         T = shift_block_energies(truncate_interactions(H, decompose_blocks(n, 2, 2)))
         eff = build_effective(T, 6.0)
-        _, vt = lowest_eigenpairs(T.assemble_dense(), count=1)
+        vt = oracle_ground_vector(T.assemble_dense())
         from agsplab.truncation import align_phase
 
-        gs_t = align_phase(gs, vt[:, 0])
+        gs_t = align_phase(gs, vt)
         filt = agsp_filter(eff, 6)
         rep = measure_agsp(filt, gs)
         d_trunc = np.linalg.norm(gs - gs_t)
@@ -181,9 +184,9 @@ class TestOperatorSchmidtRank:
 
         rank = agsp.operator_schmidt_rank
         monkeypatch.setattr(agsp, "operator_schmidt_rank", lambda *a, **k: calls.append(a[0].shape) or rank(*a, **k))
-        assert filt.schmidt_rank(cut) == expected
+        assert filt.schmidt_rank() == expected
         assert len(calls) == 1
-        assert filt.schmidt_rank(cut) == expected
+        assert filt.schmidt_rank() == expected
         assert measure_agsp(filt, filt.fixed_state).D_K == expected
         assert len(calls) == 1
 
@@ -292,10 +295,9 @@ class TestPowerSchmidtRank:
 class TestBootstrap:
     def test_reference_instance(self):
         T, eff = make_eff()
-        _, v = lowest_eigenpairs(T.assemble_dense(), count=1)
-        gs_t = v[:, 0]
+        gs_t = oracle_ground_vector(T.assemble_dense())
         filt = agsp_filter(eff, 8)
-        psi, diag = bootstrap_state(filt, gs_t)
+        psi, diag = bootstrap_state(filt, gs_t, measure_agsp(filt, gs_t))
         assert diag.precondition_met
         assert diag.mu1 >= diag.mu1_floor - 1e-9
         assert diag.distance <= diag.distance_bound + 1e-9
@@ -303,9 +305,9 @@ class TestBootstrap:
 
     def test_precondition_failure_returns_none(self):
         T, eff = make_eff()
-        _, v = lowest_eigenpairs(T.assemble_dense(), count=1)
+        v = oracle_ground_vector(T.assemble_dense())
         filt = agsp_filter(eff, 0)  # identity: epsilon = 1, precondition fails
-        psi, diag = bootstrap_state(filt, v[:, 0])
+        psi, diag = bootstrap_state(filt, v, measure_agsp(filt, v))
         assert psi is None and not diag.precondition_met
 
     def test_exact_projector_on_product_ground_state(self):
@@ -314,14 +316,14 @@ class TestBootstrap:
         H = build_long_range_ising(4, 3.0, 0.0, 1.0)
         from agsplab.hamiltonian import assemble_dense
 
-        _, v = lowest_eigenpairs(assemble_dense(H), count=1)
-        gs = v[:, 0]
+        gs = oracle_ground_vector(assemble_dense(H))
         T, eff = make_eff(n=4, l=1, tau=3.0)
         proj = ChebyshevFilter(
             m=1, matrix=np.outer(gs, gs), fixed_state=gs, gap_eff=1.0, width=2.0, eff=eff
         )
-        rep = measure_agsp(proj, gs, cut=2)
-        psi, diag = bootstrap_state(proj, gs, cut=2, report=rep)
+        assert eff.base.blocks.cut == 2
+        rep = measure_agsp(proj, gs)
+        psi, diag = bootstrap_state(proj, gs, rep)
         assert diag.precondition_met
         np.testing.assert_allclose(np.abs(np.vdot(psi, gs)), 1.0, atol=1e-10)
         assert diag.distance <= 1e-9

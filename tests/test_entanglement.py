@@ -19,9 +19,14 @@ from agsplab.entanglement import (
     truncate_to_rank,
 )
 from agsplab.hamiltonian import assemble_dense, build_long_range_ising
-from agsplab.spectral import lowest_eigenpairs
 from agsplab.truncation import decompose_blocks, shift_block_energies, truncate_interactions
-from conftest import entropy_from_density, random_state, reduced_density, renyi2_from_density
+from conftest import (
+    entropy_from_density,
+    oracle_ground_vector,
+    random_state,
+    reduced_density,
+    renyi2_from_density,
+)
 
 # sum_{p>=1} p^{-2} ln(p^2) = -2 zeta'(2); verified against mpmath and
 # direct partial sums with an integral tail bracket.
@@ -152,8 +157,8 @@ class TestMpsCompress:
 
     def test_error_monotone_in_D_for_ground_state(self):
         H = assemble_dense(build_long_range_ising(8, 3.0, 1.0, 2.0))
-        _, v = lowest_eigenpairs(H, count=1)
-        errors = [mps_compression_check(v[:, 0], D).error_squared for D in (1, 2, 4, 8)]
+        gs = oracle_ground_vector(H)
+        errors = [mps_compression_check(gs, D).error_squared for D in (1, 2, 4, 8)]
         assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
     def test_invalid_bond_dimension(self):
@@ -202,8 +207,7 @@ class TestAgspSequence:
     def _setup(self, n=6):
         H = build_long_range_ising(n, 3.0, 1.0, 2.0)
         dense = assemble_dense(H)
-        _, v = lowest_eigenpairs(dense, count=1)
-        gs = v[:, 0]
+        gs = oracle_ground_vector(dense)
         truncs = {}
 
         def factory(m, l, tau):
@@ -221,8 +225,7 @@ class TestAgspSequence:
         sd = schmidt_decompose(gs, 3)
         base = truncate_to_rank(sd, 2)
         steps, exhausted = agsp_sequence(
-            factory, gs, base, p_max=3, cut=3, l_start=1, tau_start=3.0,
-            l_max=3, tau_max=40.0,
+            factory, gs, base, p_max=3, l_start=1, tau_start=3.0, l_max=3, tau_max=40.0
         )
         assert not exhausted
         assert len(steps) == 3
@@ -237,8 +240,7 @@ class TestAgspSequence:
         sd = schmidt_decompose(gs, 3)
         base = truncate_to_rank(sd, 2)
         steps, _ = agsp_sequence(
-            factory, gs, base, p_max=3, cut=3, l_start=1, tau_start=3.0,
-            l_max=3, tau_max=40.0,
+            factory, gs, base, p_max=3, l_start=1, tau_start=3.0, l_max=3, tau_max=40.0
         )
         usable = [s for s in steps if s.target_met]
         bound = agsp_entropy_bound(
@@ -252,4 +254,6 @@ class TestAgspSequence:
         bad[-1] = 1.0
         if abs(np.vdot(bad, gs)) < 0.4:  # ensure it is actually far
             with pytest.raises(ValueError):
-                agsp_sequence(factory, gs, bad, p_max=1, cut=3)
+                agsp_sequence(
+                    factory, gs, bad, p_max=1, l_start=1, tau_start=3.0, l_max=3, tau_max=40.0
+                )

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from agsplab.cli import main
 from agsplab.config import ConfigError, ExperimentConfig, parse_config
 from agsplab.experiment import (
     PointResult,
@@ -105,6 +106,24 @@ class TestConfig:
         path = tmp_path / "nan.cfg"
         path.write_text("[model]\nalpha = banana\n")
         with pytest.raises(ConfigError, match="banana"):
+            parse_config(str(path))
+
+    @pytest.mark.parametrize("value", ["banana", "inf", "nan", "-inf"])
+    @pytest.mark.parametrize(
+        "section,key,text",
+        [
+            ("model", "alpha", "alpha = {}"),
+            ("model", "J", "J = {}"),
+            ("model", "B", "B = {}"),
+            ("model", "A", "A = {}"),
+            ("effective", "tau", "tau = 2.0 {}"),
+            ("sweep", "values", "param = alpha\nvalues = 3.0 {}"),
+        ],
+    )
+    def test_bad_number_names_key_and_value(self, tmp_path, section, key, text, value):
+        path = tmp_path / "num.cfg"
+        path.write_text(f"[{section}]\n{text.format(value)}\n")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: expected .*numbers, got .*{value}"):
             parse_config(str(path))
 
     @pytest.mark.parametrize("value", ["8 10", "", "2.5", "inf", "nan"])
@@ -286,10 +305,9 @@ class TestSolveCounts:
         monkeypatch.setattr(agsp, "operator_schmidt_rank", counted_rank)
         # Counted at the functions that own the solve: a parity-split matrix
         # reaches LAPACK only as its two sectors.
-        for name in ("eigendecompose", "lowest_eigenpairs"):
-            wrapped = counted_solver(getattr(spectral, name))
-            for module in (spectral, effective):
-                monkeypatch.setattr(module, name, wrapped)
+        wrapped = counted_solver(spectral.eigendecompose)
+        for module in (spectral, effective):
+            monkeypatch.setattr(module, "eigendecompose", wrapped)
         verify_point(self.CFG)
         assert (4, self.CFG.l, tau_star) in ranks and (8, self.CFG.l, tau_star) in ranks
         assert set(ranks.values()) == {1}, ranks
@@ -371,6 +389,52 @@ class TestSweepAndDeterminism:
         serial = run_points(cfg_serial, entropy_only=True)
         for a, b in zip(parallel, serial):
             assert a.entropy_rows[0].S_nats == b.entropy_rows[0].S_nats
+
+    def test_workers_capped_by_grid_size(self, monkeypatch):
+        from agsplab import experiment
+
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        cfg = ExperimentConfig(n=4, sweep_param="n", sweep_values=[4, 5], jobs=100_000)
+        points = run_points(cfg, entropy_only=True)
+        assert pools == [2] and [p.config.n for p in points] == [4, 5]
+        run_points(replace(cfg, jobs=1), entropy_only=True)
+        assert pools == [2]  # one worker: no pool at all
+
+    def test_theorem5_grid_matches_single_tau_runs(self):
+        # taus other than the pipeline's max(taus) get transient clamps
+        cfg = ExperimentConfig(n=6, alpha=3.0, J=1.0, B=2.0, q=2, l=1, taus=[2.0, 4.0, 6.0], ms=[4], seed=7)
+
+        def thm5(point):
+            return {
+                (r.bound_id, r.context["tau"]): (r.lhs, r.rhs)
+                for r in point.records
+                if r.bound_id.startswith("thm5.") and "tau" in r.context
+            }
+
+        grid = thm5(verify_point(cfg))
+        single = {}
+        for tau in cfg.taus:
+            single.update(thm5(verify_point(replace(cfg, taus=[tau]))))
+        assert {tau for _, tau in grid} == set(cfg.taus)
+        assert grid.keys() == single.keys()
+        for key, (lhs, rhs) in grid.items():
+            assert lhs == pytest.approx(single[key][0], abs=1e-12, rel=0), key
+            assert rhs == pytest.approx(single[key][1], abs=1e-12, rel=0), key
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = ExperimentConfig(n=4, q=2, l=1, taus=[5.0], ms=[4], seed=11)
@@ -462,6 +526,41 @@ class TestCli:
         assert proc.returncode == 2
         assert f"config error: {key} must be >= 0" in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error(self, tmp_path, capsys, via, jobs):
+        out = tmp_path / "out"
+        text, flag = MINI.format(out=out), []
+        if via == "config":
+            text += f"jobs = {jobs}\n"  # lands in the trailing [run] section
+        else:
+            flag = ["--jobs", jobs]
+        path = tmp_path / "jobs.cfg"
+        path.write_text(text)
+        assert main(["run", str(path), *flag]) == 2
+        key = "[run] jobs" if via == "config" else "--jobs"
+        assert f"config error: {key} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "nan.cfg"
+        path.write_text(MINI.format(out=out).replace("alpha = 3.0", "alpha = nan"))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: [model] alpha" in err and "nan" in err
+        assert not out.exists()
+
+    def test_solver_failure_exits_two(self, mini_cfg_file, capsys, monkeypatch):
+        from agsplab import cli
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "run_points", failing)
+        assert main(["run", mini_cfg_file]) == 2
+        assert "error: Eigenvalues did not converge" in capsys.readouterr().err
 
     @pytest.mark.parametrize("param", ["n", "q", "l", "m"])
     @pytest.mark.parametrize("value,message", [("2.5", "must be integers"), ("-1", "must be >= 0")])

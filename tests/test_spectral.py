@@ -21,7 +21,6 @@ from agsplab.spectral import (
     eigendecompose,
     ground_state,
     in_window,
-    lowest_eigenpairs,
     top_singular_value,
     unitary_block_norm,
 )
@@ -49,9 +48,14 @@ class TestEigendecompose:
         gram = S.eigenvectors.conj().T @ S.eigenvectors
         assert np.max(np.abs(gram - np.eye(8))) <= 1e-10
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    def test_preserves_input(self, rng):
+        split = assemble_dense(build_long_range_ising(4, 3.0, 1.0, 2.0)) + 0j
+        assert len(parity_sectors(split)) == 2
+        whole = rng.standard_normal((16, 16))
+        for H in (split, whole + whole.T):
+            copy = H.copy()
+            eigendecompose(H)
+            np.testing.assert_array_equal(H, copy)
 
     def test_eigenvalues_ascending(self, rng):
         M = rng.standard_normal((16, 16))
@@ -97,11 +101,13 @@ class TestGroundState:
             info = ground_state(assemble_dense(H))
             assert 0.0 < info.gap <= 2.0 * local_energy_g(H) + 1e-9
 
-    def test_lowest_eigenpairs_preserves_input(self):
-        H = assemble_dense(build_long_range_ising(4, 3.0, 1.0, 2.0))
-        copy = H.copy()
-        lowest_eigenpairs(H, count=2)
-        np.testing.assert_array_equal(H, copy)
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "cross-pair"])
+    def test_non_finite_dense_input_raises(self, where):
+        # (0, 1) couples the even and odd parity sectors of diag(1, 2, 3, 4)
+        M = np.diag([1.0, 2.0, 3.0, 4.0])
+        M[where] = M[where[::-1]] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            ground_state(M)
 
     @pytest.mark.parametrize(
         "H",
@@ -462,7 +468,7 @@ def _expect_loud(kernel, M):
         return
     solve = {
         "spectral_norm": spectral_norm,
-        "eigendecompose": lambda A: eigendecompose(A, check=False),
+        "eigendecompose": eigendecompose,
         "operator_schmidt_rank": lambda A: operator_schmidt_rank(A, 1),
     }[kernel]
     with pytest.raises(np.linalg.LinAlgError):

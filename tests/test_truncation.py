@@ -11,6 +11,7 @@ from agsplab.hamiltonian import (
     decay_envelope,
     spectral_norm,
 )
+from agsplab.spectral import eigendecompose
 from agsplab.truncation import (
     align_phase,
     decompose_blocks,
@@ -18,6 +19,7 @@ from agsplab.truncation import (
     truncate_interactions,
     verify_lemma3_4,
 )
+from conftest import oracle_ground_vector
 
 
 class TestDecomposeBlocks:
@@ -186,7 +188,7 @@ class TestVerifyLemma34:
     def test_no_tail_truncation_is_exact(self):
         H = nearest_neighbor_chain(6)
         T = shift_block_energies(truncate_interactions(H, decompose_blocks(6, 2, 1)))
-        rep = verify_lemma3_4(H, T)
+        rep = verify_lemma3_4(H, T, eigendecompose(assemble_dense(H)))
         assert rep.delta_norm <= 1e-10
         assert rep.weyl_max <= 1e-9
         assert rep.overlap_applicable and rep.overlap_distance <= 1e-7
@@ -200,7 +202,7 @@ class TestVerifyLemma34:
     def test_reference_family_n8(self, l):
         H = build_long_range_ising(8, 3.0, 1.0, 2.0)
         T = shift_block_energies(truncate_interactions(H, decompose_blocks(8, 2, l)))
-        rep = verify_lemma3_4(H, T)
+        rep = verify_lemma3_4(H, T, eigendecompose(assemble_dense(H)))
         assert rep.delta_norm <= rep.delta_bound + 1e-9
         assert rep.weyl_max <= rep.delta_norm + 1e-9
         assert rep.gap_t >= rep.gap - 2.0 * rep.delta_norm - 1e-9
@@ -220,7 +222,7 @@ class TestVerifyLemma34:
         # delta = H - H_t(raw), with H_t(raw) = H_t + origin_shift * I
         T = shift_block_energies(truncate_interactions(H, decompose_blocks(H.lattice.n, 2, l)))
         dense = assemble_dense(H) - T.assemble_dense() - T.origin_shift * np.eye(H.lattice.dim)
-        rep = verify_lemma3_4(H, T)
+        rep = verify_lemma3_4(H, T, eigendecompose(assemble_dense(H)))
         assert rep.delta_norm == pytest.approx(float(np.max(np.abs(np.linalg.eigvalsh(dense)))), abs=1e-12)
 
     def test_overlap_guard_when_gap_too_small(self):
@@ -228,18 +230,14 @@ class TestVerifyLemma34:
         # bound is recorded as inapplicable rather than asserted
         H = build_long_range_ising(8, 2.2, 1.0, 1.0)
         T = shift_block_energies(truncate_interactions(H, decompose_blocks(8, 2, 1)))
-        rep = verify_lemma3_4(H, T)
+        rep = verify_lemma3_4(H, T, eigendecompose(assemble_dense(H)))
         assert not rep.overlap_applicable
         assert rep.overlap_distance is None
         assert not rep.overlap_applicable or rep.overlap_distance <= rep.overlap_bound + 1e-9
 
     def test_phase_alignment_convention(self):
         H = build_long_range_ising(6, 3.0, 1.0, 2.0)
-        from agsplab.spectral import lowest_eigenpairs
-
-        dense = assemble_dense(H)
-        _, v = lowest_eigenpairs(dense, count=1)
-        gs = v[:, 0]
+        gs = oracle_ground_vector(assemble_dense(H))
         flipped = -gs.copy()
         aligned = align_phase(gs, flipped)
         assert np.vdot(gs, aligned).real >= 0
