@@ -17,6 +17,7 @@ import numpy as np
 
 from .effective import EffectiveHamiltonian
 from .hamiltonian import parity_sectors, region_sum
+from .registry import BoundRecord, vacuous
 from .spectral import top_singular_value
 from .truncation import TruncatedHamiltonian, align_phase
 
@@ -185,17 +186,6 @@ def measure_agsp(filt: ChebyshevFilter, target_gs: np.ndarray) -> AgspReport:
     )
 
 
-@dataclass
-class SchmidtRankBoundReport:
-    """Measured SR(H_t^m) against the product and counting bounds."""
-
-    power: int
-    measured: int
-    product_bound: float
-    counting_bound: float
-    counting_assumption_met: bool
-
-
 def _cut_factors(T: TruncatedHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """Stacked factors L_a, R_a with H_t = sum_a L_a (x) R_a across the block cut.
 
@@ -296,12 +286,13 @@ def _power_schmidt_rank(T: TruncatedHamiltonian, m: int) -> int:
     return _sum_schmidt_rank(A, B)
 
 
-def schmidt_rank_bound_check(T: TruncatedHamiltonian, m: int) -> SchmidtRankBoundReport:
-    """Measure SR(H_t^m) (see `_power_schmidt_rank`) against both rank bounds.
+def schmidt_rank_bound_check(T: TruncatedHamiltonian, m: int) -> list[BoundRecord]:
+    """`sr.lemma8` and `sr.prop4` records of SR(H_t^m) (see `_power_schmidt_rank`).
 
     Product bound: [2 + (2 d l)^k]^m.  Counting bound: the simplified form
     d^{2ql}[e(q+1)^2(2dl)^k]^{m/(q+1)} when (q+m+1)^{q+1} <= d^{ql} holds,
-    otherwise the unsimplified d^{ql}(q+m+1)^{q+1}[...]^{m/(q+1)}.
+    otherwise the unsimplified d^{ql}(q+m+1)^{q+1}[...]^{m/(q+1)}; the
+    `sr.prop4` context says which (`assumption_met`).
     """
     d = T.lattice.d
     q, l, k = T.q, T.blocks.l, T.k
@@ -313,26 +304,10 @@ def schmidt_rank_bound_check(T: TruncatedHamiltonian, m: int) -> SchmidtRankBoun
         counting = float(d) ** (2 * q * l) * base_factor
     else:
         counting = float(d) ** (q * l) * (q + m + 1) ** (q + 1) * base_factor
-    return SchmidtRankBoundReport(
-        power=m,
-        measured=measured,
-        product_bound=product_bound,
-        counting_bound=counting,
-        counting_assumption_met=assumption,
-    )
-
-
-@dataclass
-class BootstrapDiagnostics:
-    """Outcome of the product-state bootstrap for one filter."""
-
-    report: AgspReport
-    precondition_met: bool
-    mu1: float | None = None
-    mu1_floor: float | None = None
-    state_rank: int | None = None
-    distance: float | None = None
-    distance_bound: float | None = None
+    return [
+        BoundRecord("sr.lemma8", measured, product_bound, {"m": m}),
+        BoundRecord("sr.prop4", measured, counting, {"m": m, "assumption_met": assumption}),
+    ]
 
 
 def bootstrap_state(filt: ChebyshevFilter, target_gs: np.ndarray, report: AgspReport):
@@ -342,13 +317,15 @@ def bootstrap_state(filt: ChebyshevFilter, target_gs: np.ndarray, report: AgspRe
     <= 1/2; then the top Schmidt coefficient of the fixed state obeys
     mu_1 >= 1/sqrt(2 D_K), and psi = K|P_1>/||K|P_1>|| lands within
     epsilon_K*sqrt(2 D_K) + delta_K of the target with Schmidt rank at most
-    D_K, across the clamp's block cut.  Returns (psi, diagnostics); psi is
-    None when the precondition fails.
+    D_K, across the clamp's block cut.  Returns (psi, records): the
+    `bootstrap.mu1` and `prop2.distance` records, with context m.  When the
+    precondition fails psi is None and both records are not-applicable
+    placeholders.
     """
-    cut, d = filt.eff.base.blocks.cut, filt.eff.base.lattice.d
     if not report.bootstrap_ready:
-        return None, BootstrapDiagnostics(report=report, precondition_met=False)
-    dL = d**cut
+        note = "epsilon_K^2 * D_K > 1/2"
+        return None, [vacuous("bootstrap.mu1", note, m=filt.m), vacuous("prop2.distance", note, m=filt.m)]
+    dL = filt.eff.base.lattice.d ** filt.eff.base.blocks.cut
     # The distance bound chains through delta_K, which is measured with the
     # fixed state phase-aligned to the target; bootstrap from the same gauge.
     fixed = align_phase(target_gs, filt.fixed_state)
@@ -357,14 +334,8 @@ def bootstrap_state(filt: ChebyshevFilter, target_gs: np.ndarray, report: AgspRe
     product = np.outer(U[:, 0], Vh[0, :].conj()).reshape(-1)
     filtered = filt.matrix @ product
     psi = filtered / np.linalg.norm(filtered)
-    distance = float(np.linalg.norm(psi - target_gs))
-    diag = BootstrapDiagnostics(
-        report=report,
-        precondition_met=True,
-        mu1=float(svals[0]),
-        mu1_floor=1.0 / math.sqrt(2.0 * report.D_K),
-        state_rank=state_schmidt_rank(psi, cut, d=d),
-        distance=distance,
-        distance_bound=report.epsilon_K * math.sqrt(2.0 * report.D_K) + report.delta_K,
-    )
-    return psi, diag
+    distance_bound = report.epsilon_K * math.sqrt(2.0 * report.D_K) + report.delta_K
+    return psi, [
+        BoundRecord("bootstrap.mu1", 1.0 / math.sqrt(2.0 * report.D_K), float(svals[0]), {"m": filt.m}),
+        BoundRecord("prop2.distance", float(np.linalg.norm(psi - target_gs)), distance_bound, {"m": filt.m}),
+    ]

@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, descr in [
         ("run", "full pipeline: verify every bound and write all reports"),
-        ("verify", "verify every bound; print one pass/fail line per bound id"),
+        ("verify", "verify every bound; print one pass/fail line per bound id, write no file"),
         ("entropy", "ground-state entropies only (entropy.csv)"),
         ("sweep", "run the configured sweep grid (requires a [sweep] section)"),
     ]:
@@ -61,11 +61,12 @@ def main(argv=None) -> int:
     if args.command == "entropy":
         print(f"wrote {write_entropy_report(cfg, points, out_dir)}")
         return 0
-    paths = write_reports(cfg, points, out_dir=out_dir)
+    paths = None if args.command == "verify" else write_reports(cfg, points, out_dir=out_dir)
     counts = tally(r for point in points for r in point.records)
     for bid, (ok, total) in counts.items():
         print(f"{'PASS' if ok == total else 'FAIL'}  {bid}  ({ok}/{total} checks)")
-    print(f"wrote {paths['results']}, {paths['summary']}, {paths['entropy']}")
+    if paths:
+        print(f"wrote {paths['results']}, {paths['summary']}, {paths['entropy']}")
     return 0 if all(ok == total for ok, total in counts.values()) else 1
 
 

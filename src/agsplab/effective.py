@@ -48,14 +48,12 @@ class EffectiveHamiltonian:
     tau_s: list[float]
     internal_eff: list[np.ndarray]
     _spectral: SpectralData | None = field(default=None, repr=False)
-    _dense: np.ndarray | None = field(default=None, repr=False)
     # Operator Schmidt rank of the filter K(m) of this clamp across the block cut, per m.
     filter_ranks: dict[int, int] = field(default_factory=dict, repr=False)
 
     def assemble_dense(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = self.base.assemble_dense(self.internal_eff)
-        return self._dense
+        """Dense H_eff, assembled anew on every call (only `spectral()` needs it)."""
+        return self.base.assemble_dense(self.internal_eff)
 
     def spectral(self) -> SpectralData:
         if self._spectral is None:
@@ -134,7 +132,6 @@ class Theorem5Diagnostics:
     overlap_bound: float
     kappa: float
     kappa_bound: float
-    e_bot: float
     precondition_met: bool
 
 
@@ -175,7 +172,6 @@ def theorem5_check(
             if proj is not None:
                 kappa += top_singular_value(apply_on_block(T.lattice, block, proj, v_e))
         kappa_bound = 11.0 * (q + 2) * math.exp(-lam_p * (tau - 8.0 * g0))
-        e_bot = gap_t * (1.0 - kappa) ** 2 - 2.0 * g0 * kappa * (1.0 + kappa) * (q + 1)
         overlap_bound = 54.0 * (q + 2) / (lam * gap_t) * math.exp(-lam * (tau - 4.0 * g0))
         out.append(
             Theorem5Diagnostics(
@@ -186,7 +182,6 @@ def theorem5_check(
                 overlap_bound=overlap_bound,
                 kappa=kappa,
                 kappa_bound=kappa_bound,
-                e_bot=e_bot,
                 precondition_met=tau >= tau_min,
             )
         )

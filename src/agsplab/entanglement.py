@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agsp import rank_threshold, state_schmidt_rank
+from .registry import BoundRecord, vacuous
+from .truncation import align_phase
 
 # First filter degree of `agsp_sequence`, and how many times one of its steps
 # may escalate (m, l, tau) before the target counts as unreachable.
@@ -67,22 +69,14 @@ def renyi2(schmidt: SchmidtData) -> float:
     return -math.log(float(np.sum(schmidt.coefficients**4)))
 
 
-@dataclass
-class EckartYoungRecord:
-    comparison_rank: int
-    tail_weight: float
-    distance_squared: float
+def eckart_young_check(psi: np.ndarray, psi_prime: np.ndarray, cut: int, d: int = 2) -> BoundRecord:
+    """`eckart-young` record: tail Schmidt weight of psi beyond rank(psi') against ||psi - psi'||^2.
 
-
-def eckart_young_check(psi: np.ndarray, psi_prime: np.ndarray, cut: int, d: int = 2) -> EckartYoungRecord:
-    """Tail Schmidt weight of psi beyond rank(psi') against ||psi - psi'||^2."""
-    schmidt = schmidt_decompose(psi, cut, d=d)
+    The context carries that comparison rank.
+    """
     rank = state_schmidt_rank(psi_prime, cut, d=d)
-    return EckartYoungRecord(
-        comparison_rank=rank,
-        tail_weight=schmidt.tail_weight(rank),
-        distance_squared=float(np.linalg.norm(psi - psi_prime) ** 2),
-    )
+    tail = schmidt_decompose(psi, cut, d=d).tail_weight(rank)
+    return BoundRecord("eckart-young", tail, float(np.linalg.norm(psi - psi_prime) ** 2), {"rank": rank})
 
 
 def truncate_to_rank(schmidt: SchmidtData, rank: int) -> np.ndarray:
@@ -108,6 +102,14 @@ class MpsState:
         return acc.reshape(-1)
 
 
+def _chain_length(state: np.ndarray, d: int) -> int:
+    """Number of sites n of a state of dimension d^n."""
+    n = int(round(math.log(state.size, d)))
+    if d**n != state.size:
+        raise ValueError(f"state dimension {state.size} is not a power of {d}")
+    return n
+
+
 def mps_compress(state: np.ndarray, D: int, d: int = 2) -> MpsState:
     """One left-to-right sweep of rank-D SVD truncations.
 
@@ -117,9 +119,7 @@ def mps_compress(state: np.ndarray, D: int, d: int = 2) -> MpsState:
     """
     if D < 1:
         raise ValueError(f"bond dimension must be >= 1, got {D}")
-    n = int(round(math.log(state.size, d)))
-    if d**n != state.size:
-        raise ValueError(f"state dimension {state.size} is not a power of {d}")
+    n = _chain_length(state, d)
     weights = []
     for i in range(1, n):
         mu = np.linalg.svd(state.reshape(d**i, -1), compute_uv=False)
@@ -138,21 +138,18 @@ def mps_compress(state: np.ndarray, D: int, d: int = 2) -> MpsState:
     return MpsState(site_tensors=tensors, truncation_weights=weights)
 
 
-@dataclass
-class MpsCompressionRecord:
-    D: int
-    error_squared: float
-    weight_bound: float
+def mps_compression_check(state: np.ndarray, D: int, d: int = 2) -> BoundRecord:
+    """`claim7.mps` record: ||state - psi_D||^2 against 2 * sum_i delta_i for the swept rank-D compression.
 
-
-def mps_compression_check(state: np.ndarray, D: int, d: int = 2) -> MpsCompressionRecord:
+    At D at or above the full bond dimension max_i min(d^i, d^(n-i)) =
+    d^(n//2) the sweep is lossless and the bound reads 0, so the record is
+    a not-applicable placeholder.
+    """
+    if D >= d ** (_chain_length(state, d) // 2):
+        return vacuous("claim7.mps", "D at or above the full bond dimension; lossless", D=D)
     mps = mps_compress(state, D, d=d)
     err = float(np.linalg.norm(state - mps.contract()) ** 2)
-    return MpsCompressionRecord(
-        D=D,
-        error_squared=err,
-        weight_bound=2.0 * float(sum(mps.truncation_weights)),
-    )
+    return BoundRecord("claim7.mps", err, 2.0 * float(sum(mps.truncation_weights)), {"D": D})
 
 
 def agsp_entropy_bound(
@@ -226,8 +223,6 @@ def agsp_sequence(
     where `exhausted` flags a step whose target was unreachable within
     ESCALATION_BUDGET escalations (iteration stops there).
     """
-    from .truncation import align_phase
-
     nu0 = float(np.linalg.norm(ground - align_phase(ground, base_state)))
     if nu0 > 0.5 + 1e-12:
         raise ValueError(f"base state is too far from the ground state: nu0 = {nu0:.4g}")
@@ -253,9 +248,7 @@ def agsp_sequence(
                 if tau < tau_max:
                     tau = min(tau * 1.5, tau_max)
         met = gamma <= target
-        overlap = np.vdot(fixed, base_state)
-        phase = overlap.conjugate() / abs(overlap) if abs(overlap) > 0 else 1.0
-        filtered = filt.matrix @ (phase * base_state)
+        filtered = filt.matrix @ align_phase(fixed, base_state)
         psi = filtered / np.linalg.norm(filtered)
         distance = float(np.linalg.norm(psi - ground))
         steps.append(

@@ -21,7 +21,7 @@ from . import entanglement as ent
 from . import hamiltonian as ham
 from . import truncation as trunc
 from .config import ExperimentConfig
-from .registry import BOUND_REGISTRY, BoundRecord, tally
+from .registry import BOUND_REGISTRY, BoundRecord, tally, vacuous
 from .spectral import SpectralData, eigendecompose, ground_state
 
 
@@ -112,32 +112,6 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     )
 
 
-def _vacuous(bound_id: str, note: str, **context) -> BoundRecord:
-    """Placeholder 0 <= 0 record of a bound whose precondition is unmet."""
-    return BoundRecord(bound_id, 0.0, 0.0, {**context, "note": note})
-
-
-def _assumption1_records(pipe: Pipeline) -> list[BoundRecord]:
-    n = pipe.cfg.n
-    pairs = ham.contiguous_pair_samples(n, max_pairs=None if n <= 8 else 60)
-    return [
-        BoundRecord("assumption1", s.norm, s.bound, {"r": s.r, "X": s.X, "Y": s.Y})
-        for s in ham.verify_assumption1(pipe.H, pipe.envelope, pairs)
-    ]
-
-
-def _truncation_records(pipe: Pipeline) -> list[BoundRecord]:
-    rep = trunc.verify_lemma3_4(pipe.H, pipe.T, H_spec=pipe.H_spec)
-    return [
-        BoundRecord("lemma3.norm", rep.delta_norm, rep.delta_bound),
-        BoundRecord("weyl", rep.weyl_max, rep.delta_norm),
-        BoundRecord("lemma3.gap", rep.gap - 2.0 * rep.delta_norm, rep.gap_t),
-        BoundRecord("lemma4.overlap", rep.overlap_distance, rep.overlap_bound)
-        if rep.overlap_applicable
-        else _vacuous("lemma4.overlap", "4||dH|| >= gap; bound vacuous"),
-    ]
-
-
 def _theorem5_records(pipe: Pipeline) -> list[BoundRecord]:
     diags = eff_mod.theorem5_check(pipe.T, pipe.cfg.taus, eff=pipe.eff_at(max(pipe.cfg.taus)))
     records = []
@@ -151,7 +125,7 @@ def _theorem5_records(pipe: Pipeline) -> list[BoundRecord]:
     if any(dg.precondition_met for dg in diags):
         return records
     # Hypothesis vacuous on this grid: check exponential decay by slope.
-    records.append(_vacuous("thm5.gap", "hypothesis vacuous on grid"))
+    records.append(vacuous("thm5.gap", "hypothesis vacuous on grid"))
     try:
         slope, r2, used = eff_mod.fit_log_slope(
             [dg.tau for dg in diags], [dg.overlap_distance for dg in diags]
@@ -162,7 +136,7 @@ def _theorem5_records(pipe: Pipeline) -> list[BoundRecord]:
         records.append(BoundRecord("thm5.overlap", slope, 0.0, {"variant": "decay-slope", "points": used}))
         records.append(BoundRecord("thm5.overlap", 0.9, r2, {"variant": "decay-fit-r2", "points": used}))
     else:
-        records.append(_vacuous("thm5.overlap", "grid too small for slope"))
+        records.append(vacuous("thm5.overlap", "grid too small for slope"))
     return records
 
 
@@ -227,35 +201,18 @@ def _agsp_records(pipe: Pipeline):
         reports[m] = (filt, rep)
         records.append(BoundRecord("agsp.epsilon", rep.epsilon_K, rep.cheb_bound, {"m": m, "tau": tau_star}))
     for power in pipe.cfg.sr_powers:
-        rep = agsp_mod.schmidt_rank_bound_check(pipe.T, power)
-        records.append(BoundRecord("sr.lemma8", rep.measured, rep.product_bound, {"m": power}))
-        records.append(
-            BoundRecord(
-                "sr.prop4",
-                rep.measured,
-                rep.counting_bound,
-                {"m": power, "assumption_met": rep.counting_assumption_met},
-            )
-        )
+        records.extend(agsp_mod.schmidt_rank_bound_check(pipe.T, power))
     m_boot = max(pipe.cfg.ms)
-    psi = diag = None
-    for _ in range(8):
-        filt, rep = reports.get(m_boot, (None, None))
-        if filt is None:
+    for _ in range(8):  # double m until the bootstrap precondition holds
+        if m_boot not in reports:
             filt = agsp_mod.agsp_filter(eff, m_boot)
-            rep = agsp_mod.measure_agsp(filt, pipe.gs_t)
-            reports[m_boot] = (filt, rep)
-        psi, diag = agsp_mod.bootstrap_state(filt, pipe.gs_t, report=rep)
-        if diag.precondition_met:
+            reports[m_boot] = (filt, agsp_mod.measure_agsp(filt, pipe.gs_t))
+        filt, rep = reports[m_boot]
+        psi, boot_records = agsp_mod.bootstrap_state(filt, pipe.gs_t, rep)
+        if psi is not None:
             break
         m_boot *= 2
-    if diag is not None and diag.precondition_met:
-        records.append(BoundRecord("bootstrap.mu1", diag.mu1_floor, diag.mu1, {"m": m_boot}))
-        records.append(BoundRecord("prop2.distance", diag.distance, diag.distance_bound, {"m": m_boot}))
-    else:
-        records.append(_vacuous("bootstrap.mu1", "precondition unmet within budget"))
-        records.append(_vacuous("prop2.distance", "precondition unmet within budget"))
-    return records, psi
+    return records + boot_records, psi
 
 
 def _sequence_records(pipe: Pipeline, psi_base: np.ndarray | None) -> list[BoundRecord]:
@@ -287,7 +244,7 @@ def _sequence_records(pipe: Pipeline, psi_base: np.ndarray | None) -> list[Bound
     )
     usable = [s for s in steps if s.target_met and s.gamma <= 1.0]
     if not usable:
-        return [_vacuous("prop3.entropy-bound", "no usable sequence step")]
+        return [vacuous("prop3.entropy-bound", "no usable sequence step")]
     D_phi = max(1, agsp_mod.state_schmidt_rank(base, cut, d=d))
     cap = min(d**cut, d ** (cfg.n - cut))
     bound = ent.agsp_entropy_bound(D_phi, [s.gamma for s in usable], [s.D for s in usable], schmidt_cap=cap)
@@ -310,20 +267,11 @@ def _compression_records(pipe: Pipeline, rng) -> list[BoundRecord]:
         for D in (1, 2, 4):
             if D >= len(sd.coefficients):
                 continue
-            approx = ent.truncate_to_rank(sd, D)
-            rec = ent.eckart_young_check(state, approx, cut, d=d)
-            records.append(
-                BoundRecord("eckart-young", rec.tail_weight, rec.distance_squared, {"state": name, "D": D})
-            )
+            rec = ent.eckart_young_check(state, ent.truncate_to_rank(sd, D), cut, d=d)
+            rec.context.update(state=name, D=D)
+            records.append(rec)
         records.append(BoundRecord("s2≤s", ent.renyi2(sd), ent.entropy(sd), {"state": name}))
-    n = pipe.cfg.n
-    full = max(min(d**i, d ** (n - i)) for i in range(1, n))
-    for D in (1, 2, 4, 8, 16):
-        if D >= full:
-            records.append(_vacuous("claim7.mps", "D at or above the full bond dimension; lossless", D=D))
-            continue
-        rec = ent.mps_compression_check(gs, D, d=d)
-        records.append(BoundRecord("claim7.mps", rec.error_squared, rec.weight_bound, {"D": D}))
+    records.extend(ent.mps_compression_check(gs, D, d=d) for D in (1, 2, 4, 8, 16))
     return records
 
 
@@ -361,8 +309,9 @@ def verify_point(cfg: ExperimentConfig) -> PointResult:
     rng = np.random.default_rng(cfg.seed)
     pipe = build_pipeline(cfg)
     records = [BoundRecord("gap≤2g", pipe.gs_gap, 2.0 * pipe.g)]
-    records.extend(_assumption1_records(pipe))
-    records.extend(_truncation_records(pipe))
+    pairs = ham.contiguous_pair_samples(cfg.n, max_pairs=None if cfg.n <= 8 else 60)
+    records.extend(ham.verify_assumption1(pipe.H, pipe.envelope, pairs))
+    records.extend(trunc.verify_lemma3_4(pipe.H, pipe.T, pipe.H_spec))
     records.extend(_theorem5_records(pipe))
     records.extend(_filter_machinery_records(pipe, rng))
     records.extend(_chebyshev_records(pipe))

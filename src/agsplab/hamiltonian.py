@@ -18,6 +18,8 @@ from functools import lru_cache, reduce
 import numpy as np
 import scipy.sparse
 
+from .registry import BoundRecord
+
 HERMITICITY_ATOL = 1e-12
 DEFAULT_DIM_CEILING = 16384
 DIM_CEILING_ENV = "AGSPLAB_DIM_CEILING"
@@ -429,17 +431,6 @@ def decay_envelope(H: Hamiltonian) -> DecayEnvelope:
     return DecayEnvelope(g0=max(float(g0), 1.0), alpha_bar=float(abar))
 
 
-@dataclass(frozen=True)
-class EnvelopeSample:
-    """One measured ||V_{X,Y}|| against its g0 * r^(-abar) budget."""
-
-    X: tuple[int, ...]
-    Y: tuple[int, ...]
-    r: int
-    norm: float
-    bound: float
-
-
 def pair_distance(X, Y) -> int:
     return min(abs(i - j) for i in X for j in Y)
 
@@ -463,25 +454,19 @@ def contiguous_pair_samples(n: int, max_pairs: int | None = None):
     return pairs
 
 
-def verify_assumption1(
-    H: Hamiltonian,
-    envelope: DecayEnvelope,
-    sample_pairs,
-) -> list[EnvelopeSample]:
-    """Measure ||V_{X,Y}|| and its budget g0 * r^(-abar) on each sampled pair.
+def verify_assumption1(H: Hamiltonian, envelope: DecayEnvelope, sample_pairs) -> list[BoundRecord]:
+    """One `assumption1` record per sampled pair: ||V_{X,Y}|| against g0 * r^(-abar).
 
-    Samples are returned unjudged; `registry.BoundRecord` decides.
+    Each record's context carries the pair distance r and the sites X, Y.
     """
-    report = []
+    records = []
     for X, Y in sample_pairs:
         r = pair_distance(X, Y)
         if r < 1:
             raise ValueError(f"pair {X}, {Y} is not separated")
         _, norm = block_interaction(H, X, Y)
-        report.append(
-            EnvelopeSample(tuple(X), tuple(Y), r, norm, envelope.bound(r))
-        )
-    return report
+        records.append(BoundRecord("assumption1", norm, envelope.bound(r), {"r": r, "X": tuple(X), "Y": tuple(Y)}))
+    return records
 
 
 def local_energy_g(H: Hamiltonian) -> float:

@@ -3,7 +3,8 @@
 Each id maps to exactly one human-readable statement of the inequality it
 measures; the experiment runner may emit a bound id only if it is listed
 here (machine-checked in the test suite).  `BoundRecord.holds` is the only
-verdict in the package: the checks return measurements, this judges them.
+verdict in the package: each check returns the records of its measurements,
+this judges them.
 """
 
 from __future__ import annotations
@@ -72,3 +73,8 @@ def tally(records) -> dict[str, tuple[int, int]]:
         c[0] += r.holds
         c[1] += 1
     return {bid: (ok, total) for bid, (ok, total) in sorted(counts.items())}
+
+
+def vacuous(bound_id: str, note: str, **context) -> BoundRecord:
+    """Not-applicable placeholder 0 <= 0 of a bound whose precondition is unmet; `note` says which."""
+    return BoundRecord(bound_id, 0.0, 0.0, {**context, "note": note})

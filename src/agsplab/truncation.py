@@ -24,6 +24,7 @@ from .hamiltonian import (
     region_sum,
     spectral_norm,
 )
+from .registry import BoundRecord, vacuous
 from .spectral import SpectralData, eigendecompose
 
 
@@ -242,20 +243,6 @@ def shift_block_energies(T: TruncatedHamiltonian) -> TruncatedHamiltonian:
     )
 
 
-@dataclass
-class TruncationReport:
-    """Measured Lemma-level guarantees for one (H, H_t) pair."""
-
-    delta_norm: float
-    delta_bound: float | None
-    weyl_max: float
-    gap: float
-    gap_t: float
-    overlap_applicable: bool
-    overlap_distance: float | None
-    overlap_bound: float | None
-
-
 def align_phase(reference: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Multiply `state` by the unit phase making <reference|state> real >= 0."""
     overlap = np.vdot(reference, state)
@@ -264,44 +251,40 @@ def align_phase(reference: np.ndarray, state: np.ndarray) -> np.ndarray:
     return state * (overlap.conjugate() / abs(overlap))
 
 
-def verify_lemma3_4(H: Hamiltonian, T: TruncatedHamiltonian, H_spec: SpectralData) -> TruncationReport:
-    """Measure the truncation guarantees and their analytic budgets.
+def verify_lemma3_4(H: Hamiltonian, T: TruncatedHamiltonian, H_spec: SpectralData) -> list[BoundRecord]:
+    """Records of the truncation guarantees: lemma3.norm, weyl, lemma3.gap, lemma4.overlap.
 
-    Measures both sides of each guarantee, with delta = H - H_t (raw truncation, before the energy-origin
+    With delta = H - H_t (raw truncation, before the energy-origin
     convention): ||delta|| <= g0*q*l^(-abar); |E_j - E_tj| <= ||delta|| for
     every j; gap_t >= gap - 2*||delta||; and, whenever 4*||delta|| < gap,
     || |0> - |0_t> || <= ||delta|| / (gap - 4*||delta||) with phases aligned.
+    The norm budget is a not-applicable placeholder when `T.envelope` is
+    None (H has no decay envelope), the overlap bound one when
+    4*||delta|| >= gap.
 
     delta is the sum of the dropped terms (the block origins and
     `origin_shift` cancel exactly), assembled from those terms alone.
     `H_spec` is the eigendecomposition of H (sweeps over l reuse it);
-    H_t's spectrum and ground vector come from `T.spectral()`, the norm
-    budget from `T.envelope` (None when H has no decay envelope).
+    H_t's spectrum and ground vector come from `T.spectral()`.
     """
     _, _, dropped = _classify_terms(H, T.blocks)
     delta_norm = spectral_norm(embed_sum(H.lattice, [H.terms[i] for i in dropped]))
-    bound = None
-    if T.envelope is not None:
-        bound = T.envelope.g0 * T.q * float(T.blocks.l) ** (-T.envelope.alpha_bar)
     spec = H_spec.eigenvalues
     spec_t = T.spectral().eigenvalues + T.origin_shift
-    weyl_max = float(np.max(np.abs(spec - spec_t)))
     gap = float(spec[1] - spec[0])
-    gap_t = float(spec_t[1] - spec_t[0])
-    applicable = 4.0 * delta_norm < gap
-    dist = ov_bound = None
-    if applicable:
+    env = T.envelope
+    records = [
+        vacuous("lemma3.norm", "no decay envelope")
+        if env is None
+        else BoundRecord("lemma3.norm", delta_norm, env.g0 * T.q * float(T.blocks.l) ** (-env.alpha_bar)),
+        BoundRecord("weyl", float(np.max(np.abs(spec - spec_t))), delta_norm),
+        BoundRecord("lemma3.gap", gap - 2.0 * delta_norm, float(spec_t[1] - spec_t[0])),
+    ]
+    if 4.0 * delta_norm < gap:
         gs = H_spec.eigenvectors[:, 0]
         gs_t = align_phase(gs, T.spectral().eigenvectors[:, 0])
         dist = float(np.linalg.norm(gs - gs_t))
-        ov_bound = delta_norm / (gap - 4.0 * delta_norm)
-    return TruncationReport(
-        delta_norm=delta_norm,
-        delta_bound=bound,
-        weyl_max=weyl_max,
-        gap=gap,
-        gap_t=gap_t,
-        overlap_applicable=applicable,
-        overlap_distance=dist,
-        overlap_bound=ov_bound,
-    )
+        records.append(BoundRecord("lemma4.overlap", dist, delta_norm / (gap - 4.0 * delta_norm)))
+    else:
+        records.append(vacuous("lemma4.overlap", "4||dH|| >= gap; bound vacuous"))
+    return records

@@ -69,15 +69,10 @@ def test_criterion_2_truncation_suite():
             T = tr.shift_block_energies(
                 tr.truncate_interactions(H, tr.decompose_blocks(n, 2, l))
             )
-            rep = tr.verify_lemma3_4(H, T, H_spec=spec)
-            if rep.delta_norm > rep.delta_bound + TOL:
-                failures.append(f"norm(n={n},l={l})")
-            if rep.weyl_max > rep.delta_norm + TOL:
-                failures.append(f"weyl(n={n},l={l})")
-            if rep.gap_t < rep.gap - 2 * rep.delta_norm - TOL:
-                failures.append(f"gap(n={n},l={l})")
-            if rep.overlap_applicable and rep.overlap_distance > rep.overlap_bound + TOL:
-                failures.append(f"overlap(n={n},l={l})")
+            # lemma3.norm, weyl, lemma3.gap, lemma4.overlap (0 <= 0 when 4||dH|| >= gap)
+            for rec in tr.verify_lemma3_4(H, T, spec):
+                if rec.lhs > rec.rhs + TOL or (rec.bound_id == "lemma3.norm" and "note" in rec.context):
+                    failures.append(f"{rec.bound_id}(n={n},l={l})")
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed <= 120.0
     report(
@@ -152,23 +147,22 @@ def test_criterion_4_spectral_filter_machinery(reference_pipeline):
 def test_criterion_5_bootstrapping(reference_pipeline):
     pipe = reference_pipeline
     eff = pipe.eff_at(reference_tau(pipe))
-    m, diag = 4, None
+    m, psi = 4, None
     for _ in range(7):
         filt = am.agsp_filter(eff, m)
         rep = am.measure_agsp(filt, pipe.gs_t)
         if rep.bootstrap_ready:
-            _, diag = am.bootstrap_state(filt, pipe.gs_t, report=rep)
+            psi, (mu1, dist) = am.bootstrap_state(filt, pipe.gs_t, rep)
             break
         m *= 2
     ok = (
-        diag is not None
-        and diag.precondition_met
-        and diag.mu1 >= diag.mu1_floor - TOL
-        and diag.distance <= diag.distance_bound + TOL
+        psi is not None
+        and mu1.rhs >= mu1.lhs - TOL  # mu_1 >= 1/sqrt(2 D_K)
+        and dist.lhs <= dist.rhs + TOL
     )
-    detail = "precondition never met" if diag is None else (
-        f"m = {m}: mu1 = {diag.mu1:.4f} >= {diag.mu1_floor:.4f}, "
-        f"distance = {diag.distance:.3e} <= {diag.distance_bound:.3e}"
+    detail = "precondition never met" if psi is None else (
+        f"m = {m}: mu1 = {mu1.rhs:.4f} >= {mu1.lhs:.4f}, "
+        f"distance = {dist.lhs:.3e} <= {dist.rhs:.3e}"
     )
     report("5 bootstrapping", ok, detail)
 
@@ -179,11 +173,11 @@ def test_criterion_6_schmidt_rank_bounds():
         H = ham.build_long_range_ising(8, 3.0, 1.0, 2.0)
         T = tr.shift_block_energies(tr.truncate_interactions(H, tr.decompose_blocks(8, 2, l)))
         for m in (1, 2, 3):
-            rep = am.schmidt_rank_bound_check(T, m)
-            if rep.measured > rep.product_bound + TOL:
+            product, counting = am.schmidt_rank_bound_check(T, m)
+            if product.lhs > product.rhs + TOL:
                 failures.append(f"product(l={l},m={m})")
-            if rep.measured > rep.counting_bound + TOL:
-                failures.append(f"counting(l={l},m={m},assumption={rep.counting_assumption_met})")
+            if counting.lhs > counting.rhs + TOL:
+                failures.append(f"counting(l={l},m={m},assumption={counting.context['assumption_met']})")
     report(
         "6 schmidt-rank",
         not failures,
@@ -202,13 +196,13 @@ def test_criterion_7_compression_suite(reference_pipeline):
             approx = en.truncate_to_rank(sd, D)
             rec = en.eckart_young_check(state, approx, 3)
             checked += 1
-            if rec.tail_weight > rec.distance_squared + 1e-12:
+            if rec.lhs > rec.rhs + 1e-12:
                 ey_bad += 1
     gs = reference_pipeline.gs_vector
     mps_bad = []
     for D in (1, 2, 4, 8, 16):
         rec = en.mps_compression_check(gs, D)
-        if rec.error_squared > rec.weight_bound + TOL:
+        if "note" in rec.context or rec.lhs > rec.rhs + TOL:
             mps_bad.append(D)
     s2_ok = True
     for state, cut in [(gs, 5)] + [(random_state(rng, 64), 3) for _ in range(5)]:

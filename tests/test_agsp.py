@@ -239,27 +239,35 @@ class TestOperatorSchmidtRank:
         assert r1 <= 4 * r2 and r3 <= 4 * r2
 
 
+def measured_rank(T, m) -> int:
+    """SR(H_t^m), the lhs shared by both records of `schmidt_rank_bound_check`."""
+    product, counting = schmidt_rank_bound_check(T, m)
+    assert product.lhs == counting.lhs
+    return product.lhs
+
+
 class TestSchmidtRankBounds:
     def test_power_zero(self):
         T, _ = make_eff()
-        rep = schmidt_rank_bound_check(T, 0)
-        assert rep.measured == 1
-        assert rep.measured <= rep.product_bound + 1e-9
-        assert rep.measured <= rep.counting_bound + 1e-9
+        product, counting = schmidt_rank_bound_check(T, 0)
+        assert product.lhs == 1
+        assert product.lhs <= product.rhs + 1e-9
+        assert counting.lhs <= counting.rhs + 1e-9
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_n8_powers(self, m):
         T, _ = make_eff()
-        rep = schmidt_rank_bound_check(T, m)
-        assert rep.measured <= rep.product_bound + 1e-9
-        assert rep.measured <= rep.counting_bound + 1e-9
+        product, counting = schmidt_rank_bound_check(T, m)
+        assert (product.bound_id, counting.bound_id) == ("sr.lemma8", "sr.prop4")
+        assert product.context == {"m": m} and counting.context["m"] == m
+        assert product.lhs <= product.rhs + 1e-9
+        assert counting.lhs <= counting.rhs + 1e-9
 
     def test_nearest_neighbor_single_power(self):
         # H with only adjacent-bond terms at l=1: SR(H_t) <= 2 + (2dl)^k = 18
         H = build_long_range_ising(6, 6.0, 1.0, 1.0)
         T = shift_block_energies(truncate_interactions(H, decompose_blocks(6, 2, 1)))
-        rep = schmidt_rank_bound_check(T, 1)
-        assert rep.measured <= 2 + (2 * 2 * 1) ** 2
+        assert measured_rank(T, 1) <= 2 + (2 * 2 * 1) ** 2
 
 
 class TestPowerSchmidtRank:
@@ -277,13 +285,13 @@ class TestPowerSchmidtRank:
         for cut in (l + 1, n - l):
             T = shift_block_energies(truncate_interactions(H, decompose_blocks(n, 2, l, cut)))
             for m in range(4):
-                measured = schmidt_rank_bound_check(T, m).measured
+                measured = measured_rank(T, m)
                 assert measured == dense_power_schmidt_rank(T, m), (cut, m)
 
     def test_zero_hamiltonian_powers_vanish(self):
         H = build_long_range_ising(6, 3.0, 0.0, 0.0)
         T = truncate_interactions(H, decompose_blocks(6, 2, 2))
-        assert [schmidt_rank_bound_check(T, m).measured for m in range(3)] == [1, 0, 0]
+        assert [measured_rank(T, m) for m in range(3)] == [1, 0, 0]
         assert [dense_power_schmidt_rank(T, m) for m in range(3)] == [1, 0, 0]
 
     def test_negative_power_rejected(self):
@@ -297,18 +305,28 @@ class TestBootstrap:
         T, eff = make_eff()
         gs_t = oracle_ground_vector(T.assemble_dense())
         filt = agsp_filter(eff, 8)
-        psi, diag = bootstrap_state(filt, gs_t, measure_agsp(filt, gs_t))
-        assert diag.precondition_met
-        assert diag.mu1 >= diag.mu1_floor - 1e-9
-        assert diag.distance <= diag.distance_bound + 1e-9
-        assert diag.state_rank <= diag.report.D_K
+        rep = measure_agsp(filt, gs_t)
+        psi, (mu1, dist) = bootstrap_state(filt, gs_t, rep)
+        assert psi is not None
+        assert (mu1.bound_id, dist.bound_id) == ("bootstrap.mu1", "prop2.distance")
+        assert mu1.context == dist.context == {"m": 8}
+        assert mu1.rhs >= mu1.lhs - 1e-9  # mu_1 >= 1/sqrt(2 D_K)
+        assert dist.lhs <= dist.rhs + 1e-9
+        assert state_schmidt_rank(psi, T.blocks.cut) <= rep.D_K
 
     def test_precondition_failure_returns_none(self):
         T, eff = make_eff()
         v = oracle_ground_vector(T.assemble_dense())
         filt = agsp_filter(eff, 0)  # identity: epsilon = 1, precondition fails
-        psi, diag = bootstrap_state(filt, v, measure_agsp(filt, v))
-        assert psi is None and not diag.precondition_met
+        rep = measure_agsp(filt, v)
+        assert rep.epsilon_K**2 * rep.D_K > 0.5
+        psi, records = bootstrap_state(filt, v, rep)
+        assert psi is None
+        note = "epsilon_K^2 * D_K > 1/2"
+        assert [(r.bound_id, r.lhs, r.rhs, r.context) for r in records] == [
+            ("bootstrap.mu1", 0.0, 0.0, {"m": 0, "note": note}),
+            ("prop2.distance", 0.0, 0.0, {"m": 0, "note": note}),
+        ]
 
     def test_exact_projector_on_product_ground_state(self):
         # field-only chain: the ground state is a product state, and the
@@ -323,10 +341,10 @@ class TestBootstrap:
         )
         assert eff.base.blocks.cut == 2
         rep = measure_agsp(proj, gs)
-        psi, diag = bootstrap_state(proj, gs, rep)
-        assert diag.precondition_met
+        psi, (_, dist) = bootstrap_state(proj, gs, rep)
+        assert psi is not None
         np.testing.assert_allclose(np.abs(np.vdot(psi, gs)), 1.0, atol=1e-10)
-        assert diag.distance <= 1e-9
+        assert dist.lhs <= 1e-9
 
     def test_zero_epsilon_rank_one_bound_reads_delta(self):
         rep = AgspReport(m=1, delta_K=0.125, epsilon_K=0.0, D_K=1, cheb_bound=1.0)

@@ -149,15 +149,6 @@ class TestTheorem5:
         )
         assert slope < 0 and r2 >= 0.9 and used >= 5
 
-    def test_e_bot_formula(self):
-        H, T = make_T(n=8, l=2)
-        g0 = decay_envelope(H).g0
-        [diag] = theorem5_check(T, [5.0])
-        expected = diag.gap_t * (1 - diag.kappa) ** 2 - 2 * g0 * diag.kappa * (
-            1 + diag.kappa
-        ) * (T.q + 1)
-        assert diag.e_bot == pytest.approx(expected, abs=1e-12)
-
 
 class TestEnergyTies:
     def test_level_just_above_cutoff_is_a_tie(self):

@@ -107,8 +107,9 @@ class TestEckartYoung:
     def test_identical_states(self, rng):
         v = random_state(rng, 16)
         rec = eckart_young_check(v, v, 2)
-        assert rec.tail_weight <= 1e-12
-        assert rec.tail_weight <= rec.distance_squared + 1e-12
+        assert rec.bound_id == "eckart-young" and rec.context == {"rank": 4}
+        assert rec.lhs <= 1e-12
+        assert rec.lhs <= rec.rhs + 1e-12
 
     def test_truncations_all_ranks(self, rng):
         v = random_state(rng, 64)
@@ -116,14 +117,14 @@ class TestEckartYoung:
         for D in range(1, len(sd.coefficients)):
             approx = truncate_to_rank(sd, D)
             rec = eckart_young_check(v, approx, 3)
-            assert rec.comparison_rank <= D
-            assert rec.tail_weight <= rec.distance_squared + 1e-12
+            assert rec.context["rank"] <= D
+            assert rec.lhs <= rec.rhs + 1e-12
 
     def test_random_pairs(self, rng):
         for _ in range(10):
             a, b = random_state(rng, 64), random_state(rng, 64)
             rec = eckart_young_check(a, b, 3)
-            assert rec.tail_weight <= rec.distance_squared + 1e-12
+            assert rec.lhs <= rec.rhs + 1e-12
 
 
 class TestMpsCompress:
@@ -153,17 +154,34 @@ class TestMpsCompress:
     def test_error_bound(self, rng, D):
         v = random_state(rng, 256)
         rec = mps_compression_check(v, D)
-        assert rec.error_squared <= rec.weight_bound + 1e-9
+        assert rec.bound_id == "claim7.mps" and rec.context == {"D": D}
+        assert rec.lhs <= rec.rhs + 1e-9
 
     def test_error_monotone_in_D_for_ground_state(self):
         H = assemble_dense(build_long_range_ising(8, 3.0, 1.0, 2.0))
         gs = oracle_ground_vector(H)
-        errors = [mps_compression_check(gs, D).error_squared for D in (1, 2, 4, 8)]
+        errors = [mps_compression_check(gs, D).lhs for D in (1, 2, 4, 8)]
         assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
+
+    @pytest.mark.parametrize("n,full", [(5, 4), (6, 8)])
+    def test_full_bond_dimension_is_a_placeholder(self, rng, n, full):
+        # max_i min(d^i, d^(n-i)) = d^(n//2): from there the sweep is lossless
+        v = random_state(rng, 2**n)
+        assert mps_compression_check(v, full - 1).context == {"D": full - 1}
+        for D in (full, 2 * full):
+            rec = mps_compression_check(v, D)
+            note = "D at or above the full bond dimension; lossless"
+            assert (rec.bound_id, rec.lhs, rec.rhs, rec.context) == ("claim7.mps", 0.0, 0.0, {"D": D, "note": note})
 
     def test_invalid_bond_dimension(self):
         with pytest.raises(ValueError):
             mps_compress(np.ones(4) / 2.0, 0)
+
+    @pytest.mark.parametrize("D", [1, 2, 8])
+    def test_check_rejects_a_state_of_no_chain(self, D):
+        # dimension 6 is no power of 2: an error, never a lossless placeholder
+        with pytest.raises(ValueError, match="not a power of 2"):
+            mps_compression_check(np.ones(6) / math.sqrt(6.0), D)
 
 
 class TestEntropyBound:

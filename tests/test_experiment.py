@@ -20,13 +20,15 @@ from agsplab.experiment import (
 from agsplab.registry import BOUND_REGISTRY, BoundRecord
 from conftest import verify_all
 
-EXPECTED_BOUND_IDS = {
-    "assumption1", "gap≤2g", "lemma3.norm", "weyl", "lemma3.gap", "lemma4.overlap",
-    "effnorm", "thm5.gap", "thm5.overlap", "thm5.kappa", "prop8.energy-dist",
+# Every registered id, in the order of its first record in `verify_point`.
+BOUND_IDS_IN_ORDER = [
+    "gap≤2g", "assumption1", "lemma3.norm", "weyl", "lemma3.gap", "lemma4.overlap",
+    "thm5.kappa", "thm5.gap", "thm5.overlap", "effnorm", "prop8.energy-dist",
     "prop8.energy-dist-eff", "prop9.diff", "lemma14.filter", "lemma15.commutator",
     "cheb.lemma11", "agsp.epsilon", "sr.lemma8", "sr.prop4", "bootstrap.mu1",
-    "prop2.distance", "eckart-young", "claim7.mps", "s2≤s", "prop3.entropy-bound",
-}
+    "prop2.distance", "prop3.entropy-bound", "eckart-young", "s2≤s", "claim7.mps",
+]
+EXPECTED_BOUND_IDS = set(BOUND_IDS_IN_ORDER)
 
 MINI = """
 [model]
@@ -209,6 +211,10 @@ class TestVerifyPoint:
     def test_every_registered_id_emitted(self, mini_result):
         emitted = {r.bound_id for r in mini_result.records}
         assert emitted == EXPECTED_BOUND_IDS
+
+    def test_bound_ids_in_pipeline_order(self, mini_result):
+        # each check returns its own records; verify_point keeps them in its call order
+        assert list(dict.fromkeys(r.bound_id for r in mini_result.records)) == BOUND_IDS_IN_ORDER
 
     def test_entropy_row(self, mini_result):
         [row] = mini_result.entropy_rows
@@ -590,6 +596,28 @@ class TestCli:
         assert {name: (out / name).read_bytes() for name in before} == before
         assert (out / "entropy.csv").exists()
         assert proc.stdout == f"wrote {out / 'entropy.csv'}\n"
+
+    def test_verify_prints_run_lines_and_writes_nothing(self, mini_cfg_file, tmp_path, capsys):
+        out = tmp_path / "verify_out"
+        out.mkdir()
+        assert main(["verify", mini_cfg_file, "--out", str(out)]) == 0
+        verify_lines = capsys.readouterr().out.splitlines()
+        assert list(out.iterdir()) == []
+        assert main(["run", mini_cfg_file, "--out", str(out)]) == 0
+        run_lines = capsys.readouterr().out.splitlines()
+        assert sorted(p.name for p in out.iterdir()) == ["entropy.csv", "results.csv", "summary.txt"]
+        assert run_lines[-1].startswith("wrote ") and verify_lines == run_lines[:-1]
+        assert len(verify_lines) == len(EXPECTED_BOUND_IDS)
+
+    def test_verify_exit_code_follows_failures(self, mini_cfg_file, tmp_path, capsys, monkeypatch):
+        from agsplab import effective
+
+        monkeypatch.setattr(effective.EffectiveHamiltonian, "norm_budget", lambda self: 0.5)
+        out = tmp_path / "verify_out"
+        out.mkdir()
+        assert main(["verify", mini_cfg_file, "--out", str(out)]) == 1
+        assert "FAIL  effnorm  (0/1 checks)" in capsys.readouterr().out
+        assert list(out.iterdir()) == []
 
     def test_zero_tolerance_lossless_mps_passes(self, mini_cfg_file):
         proc = subprocess.run(

@@ -337,24 +337,24 @@ class TestAssumption1:
         env = decay_envelope(H)
         pairs = contiguous_pair_samples(6)
         assert len(pairs) > 20
-        report = verify_assumption1(H, env, pairs)
-        assert all(s.norm <= s.bound + 1e-9 for s in report)
+        records = verify_assumption1(H, env, pairs)
+        assert len(records) == len(pairs) and {r.bound_id for r in records} == {"assumption1"}
+        assert all(r.lhs <= r.rhs + 1e-9 for r in records)
 
     def test_adjacent_blocks_read_g0(self):
         H = build_long_range_ising(6, 3.0, 1.0, 1.0)
         env = decay_envelope(H)
-        [sample] = verify_assumption1(H, env, [((1, 2, 3), (4, 5, 6))])
-        assert sample.r == 1
-        assert sample.bound == pytest.approx(env.g0)
-        assert sample.norm <= env.g0
+        [rec] = verify_assumption1(H, env, [((1, 2, 3), (4, 5, 6))])
+        assert rec.context == {"r": 1, "X": (1, 2, 3), "Y": (4, 5, 6)}
+        assert rec.rhs == pytest.approx(env.g0)
+        assert rec.lhs <= env.g0
 
     def test_zero_coupling_full_slack(self):
         H = build_long_range_ising(4, 3.0, 0.0, 1.0)
         env = decay_envelope(build_long_range_ising(4, 3.0, 1.0, 1.0))
-        report = verify_assumption1(H, env, [((1,), (2,)), ((1, 2), (4,))])
-        for s in report:
-            assert s.norm == 0.0
-            assert s.bound - s.norm == pytest.approx(env.bound(s.r))
+        for rec in verify_assumption1(H, env, [((1,), (2,)), ((1, 2), (4,))]):
+            assert rec.lhs == 0.0
+            assert rec.rhs - rec.lhs == pytest.approx(env.bound(rec.context["r"]))
 
 
 class TestLocalEnergy:
@@ -432,5 +432,5 @@ class TestFermionChain:
 def test_property_envelope_dominates_all_contiguous_pairs(n, alpha, J, B):
     H = build_long_range_ising(n, alpha, J, B)
     env = decay_envelope(H)
-    report = verify_assumption1(H, env, contiguous_pair_samples(n))
-    assert all(s.norm <= s.bound + 1e-9 for s in report)
+    records = verify_assumption1(H, env, contiguous_pair_samples(n))
+    assert all(r.lhs <= r.rhs + 1e-9 for r in records)

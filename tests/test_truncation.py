@@ -184,30 +184,39 @@ class TestShiftBlockEnergies:
         assert shifts[1] == pytest.approx(shifts[2], abs=1e-10)
 
 
+def lemma34_records(H, T) -> list:
+    """The lemma3.norm, weyl, lemma3.gap and lemma4.overlap records of `verify_lemma3_4`, in that order."""
+    records = verify_lemma3_4(H, T, eigendecompose(assemble_dense(H)))
+    assert [r.bound_id for r in records] == ["lemma3.norm", "weyl", "lemma3.gap", "lemma4.overlap"]
+    return records
+
+
 class TestVerifyLemma34:
     def test_no_tail_truncation_is_exact(self):
-        H = nearest_neighbor_chain(6)
+        H = nearest_neighbor_chain(6)  # no power-law metadata, so no decay envelope
         T = shift_block_energies(truncate_interactions(H, decompose_blocks(6, 2, 1)))
-        rep = verify_lemma3_4(H, T, eigendecompose(assemble_dense(H)))
-        assert rep.delta_norm <= 1e-10
-        assert rep.weyl_max <= 1e-9
-        assert rep.overlap_applicable and rep.overlap_distance <= 1e-7
-        assert rep.delta_bound is None or rep.delta_norm <= rep.delta_bound + 1e-9
-        assert rep.weyl_max <= rep.delta_norm + 1e-9
-        assert rep.gap_t >= rep.gap - 2.0 * rep.delta_norm - 1e-9
-        assert rep.overlap_distance <= rep.overlap_bound + 1e-9
-        assert rep.delta_norm <= T.dropped_norm_sum + 1e-9
+        norm, weyl, gap, overlap = lemma34_records(H, T)
+        delta_norm = weyl.rhs
+        assert delta_norm <= 1e-10
+        assert weyl.lhs <= 1e-9
+        assert "note" not in overlap.context and overlap.lhs <= 1e-7
+        assert (norm.lhs, norm.rhs, norm.context) == (0.0, 0.0, {"note": "no decay envelope"})
+        assert weyl.lhs <= weyl.rhs + 1e-9
+        assert gap.rhs >= gap.lhs - 1e-9
+        assert overlap.lhs <= overlap.rhs + 1e-9
+        assert delta_norm <= T.dropped_norm_sum + 1e-9
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_reference_family_n8(self, l):
         H = build_long_range_ising(8, 3.0, 1.0, 2.0)
         T = shift_block_energies(truncate_interactions(H, decompose_blocks(8, 2, l)))
-        rep = verify_lemma3_4(H, T, eigendecompose(assemble_dense(H)))
-        assert rep.delta_norm <= rep.delta_bound + 1e-9
-        assert rep.weyl_max <= rep.delta_norm + 1e-9
-        assert rep.gap_t >= rep.gap - 2.0 * rep.delta_norm - 1e-9
-        assert not rep.overlap_applicable or rep.overlap_distance <= rep.overlap_bound + 1e-9
-        assert rep.delta_norm <= T.dropped_norm_sum + 1e-9
+        norm, weyl, gap, overlap = lemma34_records(H, T)
+        assert norm.context == {} and norm.lhs == weyl.rhs  # ||delta||, measured against its budget
+        assert norm.lhs <= norm.rhs + 1e-9
+        assert weyl.lhs <= weyl.rhs + 1e-9
+        assert gap.rhs >= gap.lhs - 1e-9
+        assert overlap.lhs <= overlap.rhs + 1e-9  # 0 <= 0 when 4||delta|| >= gap
+        assert weyl.rhs <= T.dropped_norm_sum + 1e-9
 
     @pytest.mark.parametrize(
         "H,l",
@@ -222,18 +231,19 @@ class TestVerifyLemma34:
         # delta = H - H_t(raw), with H_t(raw) = H_t + origin_shift * I
         T = shift_block_energies(truncate_interactions(H, decompose_blocks(H.lattice.n, 2, l)))
         dense = assemble_dense(H) - T.assemble_dense() - T.origin_shift * np.eye(H.lattice.dim)
-        rep = verify_lemma3_4(H, T, eigendecompose(assemble_dense(H)))
-        assert rep.delta_norm == pytest.approx(float(np.max(np.abs(np.linalg.eigvalsh(dense)))), abs=1e-12)
+        _, weyl, _, _ = lemma34_records(H, T)
+        delta_norm = weyl.rhs
+        assert delta_norm == pytest.approx(float(np.max(np.abs(np.linalg.eigvalsh(dense)))), abs=1e-12)
 
     def test_overlap_guard_when_gap_too_small(self):
         # near-critical field: tiny gap, so 4*||dH|| >= gap and the overlap
         # bound is recorded as inapplicable rather than asserted
         H = build_long_range_ising(8, 2.2, 1.0, 1.0)
         T = shift_block_energies(truncate_interactions(H, decompose_blocks(8, 2, 1)))
-        rep = verify_lemma3_4(H, T, eigendecompose(assemble_dense(H)))
-        assert not rep.overlap_applicable
-        assert rep.overlap_distance is None
-        assert not rep.overlap_applicable or rep.overlap_distance <= rep.overlap_bound + 1e-9
+        _, weyl, gap, overlap = lemma34_records(H, T)
+        assert 4.0 * weyl.rhs >= gap.lhs + 2.0 * weyl.rhs  # 4||dH|| >= gap, as gap.lhs = gap - 2||dH||
+        assert (overlap.lhs, overlap.rhs) == (0.0, 0.0)
+        assert overlap.context == {"note": "4||dH|| >= gap; bound vacuous"}
 
     def test_phase_alignment_convention(self):
         H = build_long_range_ising(6, 3.0, 1.0, 2.0)
