@@ -5,7 +5,9 @@ normalized to 1 at the (shifted) ground energy.  Its quality is measured by
 three numbers: the drift delta_K of its fixed state from the target ground
 state, the residual action epsilon_K on the orthogonal complement, and the
 operator Schmidt rank D_K across the cut.  The bootstrapping construction
-turns a good filter into a low-Schmidt-rank approximate ground state.
+turns a good filter into a low-Schmidt-rank approximate ground state.  Every
+rank here is counted by `entanglement.numerical_rank`, and the fixed state's
+Schmidt spectrum comes from `entanglement.schmidt_decompose`.
 """
 
 from __future__ import annotations
@@ -16,13 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effective import EffectiveHamiltonian
+from .entanglement import numerical_rank, schmidt_decompose, truncate_to_rank
 from .hamiltonian import parity_sectors, region_sum
 from .registry import BoundRecord, vacuous
 from .spectral import top_singular_value
 from .truncation import TruncatedHamiltonian, align_phase
-
-SR_REL_TOL = 1e-10
-SR_ABS_TOL = 1e-12
 
 
 def chebyshev_T(m: int, x):
@@ -70,8 +70,7 @@ class ChebyshevFilter:
         """
         ranks = self.eff.filter_ranks
         if self.m not in ranks:
-            blocks, d = self.eff.base.blocks, self.eff.base.lattice.d
-            ranks[self.m] = operator_schmidt_rank(self.matrix, blocks.cut, d=d)
+            ranks[self.m] = operator_schmidt_rank(self.matrix, self.eff.base.blocks.cut)
         return ranks[self.m]
 
 
@@ -108,26 +107,17 @@ def agsp_filter(eff: EffectiveHamiltonian, m: int) -> ChebyshevFilter:
     )
 
 
-def rank_threshold(svals: np.ndarray) -> float:
-    """Cut-off above which a descending singular value counts toward a Schmidt rank.
-
-    max(1e-10 * sigma_max, 1e-12): the one threshold of every rank here.
-    """
-    return max(SR_REL_TOL * svals[0], SR_ABS_TOL)
-
-
-def operator_schmidt_rank(O: np.ndarray, cut: int, d: int = 2) -> int:
+def operator_schmidt_rank(O: np.ndarray, cut: int) -> int:
     """Numerical Schmidt rank of an operator across a contiguous cut.
 
     Reshapes O across the bipartition ((row_L, col_L) x (row_R, col_R)) and
-    counts singular values above max(1e-10 * sigma_max, 1e-12); undercounting
-    is safe because every rank bound checked here is one-sided.  The reshape
-    keeps popcount parity (popcount(i_L d_L + j_L) = popcount(i_L) +
-    popcount(j_L) for d_L = 2^cut), so the SVD runs per `parity_sectors`
-    sector of the rearranged matrix.
+    counts its singular values by `numerical_rank`.  The reshape keeps
+    popcount parity (popcount(i_L d_L + j_L) = popcount(i_L) + popcount(j_L)
+    for d_L = 2^cut), so the SVD runs per `parity_sectors` sector of the
+    rearranged matrix.
     """
     dim = O.shape[0]
-    dL = d**cut
+    dL = 2**cut
     if dim % dL != 0:
         raise ValueError(f"cut at {cut} sites does not divide dimension {dim}")
     dR = dim // dL
@@ -135,15 +125,7 @@ def operator_schmidt_rank(O: np.ndarray, cut: int, d: int = 2) -> int:
         O.reshape(dL, dR, dL, dR).transpose(0, 2, 1, 3).reshape(dL * dL, dR * dR)
     )
     sectors = parity_sectors(rearranged)
-    svals = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for _, _, b in sectors]))[::-1]
-    return int(np.sum(svals > rank_threshold(svals)))
-
-
-def state_schmidt_rank(state: np.ndarray, cut: int, d: int = 2) -> int:
-    """Numerical Schmidt rank of a pure state across a contiguous cut."""
-    dL = d**cut
-    svals = np.linalg.svd(state.reshape(dL, -1), compute_uv=False)
-    return int(np.sum(svals > rank_threshold(svals)))
+    return numerical_rank(np.concatenate([np.linalg.svd(b, compute_uv=False) for _, _, b in sectors]))
 
 
 @dataclass
@@ -204,12 +186,12 @@ def _cut_factors(T: TruncatedHamiltonian) -> tuple[np.ndarray, np.ndarray]:
             right_pieces.append((support, m))
         else:
             crossing.append((support, m))
-    Ls = [region_sum(T.lattice, left, left_pieces), np.eye(T.lattice.d**cut)]
-    Rs = [np.eye(T.lattice.d ** (n - cut)), region_sum(T.lattice, right, right_pieces)]
+    Ls = [region_sum(T.lattice, left, left_pieces), np.eye(2**cut)]
+    Rs = [np.eye(2 ** (n - cut)), region_sum(T.lattice, right, right_pieces)]
     for support, m in crossing:
         sl = tuple(s for s in support if s <= cut)
         sr = support[len(sl) :]
-        dl, dr = T.lattice.d ** len(sl), T.lattice.d ** len(sr)
+        dl, dr = 2 ** len(sl), 2 ** len(sr)
         slices = m.reshape(dl, dr, dl, dr)
         for i in range(dl):
             for j in range(dl):
@@ -257,8 +239,7 @@ def _sum_schmidt_rank(A: np.ndarray, B: np.ndarray) -> int:
         return 0
     r_p = np.linalg.qr(A.reshape(len(A), -1).T, mode="r")
     r_q = np.linalg.qr(B.reshape(len(B), -1).T, mode="r")
-    svals = np.linalg.svd(r_p @ r_q.T, compute_uv=False)
-    return int(np.sum(svals > rank_threshold(svals)))
+    return numerical_rank(np.linalg.svd(r_p @ r_q.T, compute_uv=False))
 
 
 def _power_schmidt_rank(T: TruncatedHamiltonian, m: int) -> int:
@@ -289,21 +270,21 @@ def _power_schmidt_rank(T: TruncatedHamiltonian, m: int) -> int:
 def schmidt_rank_bound_check(T: TruncatedHamiltonian, m: int) -> list[BoundRecord]:
     """`sr.lemma8` and `sr.prop4` records of SR(H_t^m) (see `_power_schmidt_rank`).
 
-    Product bound: [2 + (2 d l)^k]^m.  Counting bound: the simplified form
-    d^{2ql}[e(q+1)^2(2dl)^k]^{m/(q+1)} when (q+m+1)^{q+1} <= d^{ql} holds,
-    otherwise the unsimplified d^{ql}(q+m+1)^{q+1}[...]^{m/(q+1)}; the
-    `sr.prop4` context says which (`assumption_met`).
+    With the local dimension d = 2 of qubits, product bound: [2 + (2 d l)^k]^m.
+    Counting bound: the simplified form d^{2ql}[e(q+1)^2(2dl)^k]^{m/(q+1)}
+    when (q+m+1)^{q+1} <= d^{ql} holds, otherwise the unsimplified
+    d^{ql}(q+m+1)^{q+1}[...]^{m/(q+1)}; the `sr.prop4` context says which
+    (`assumption_met`).
     """
-    d = T.lattice.d
     q, l, k = T.q, T.blocks.l, T.k
     measured = _power_schmidt_rank(T, m)
-    product_bound = float(2 + (2 * d * l) ** k) ** m
-    base_factor = (math.e * (q + 1) ** 2 * (2 * d * l) ** k) ** (m / (q + 1))
-    assumption = (q + m + 1) ** (q + 1) <= d ** (q * l)
+    product_bound = float(2 + (2 * 2 * l) ** k) ** m
+    base_factor = (math.e * (q + 1) ** 2 * (2 * 2 * l) ** k) ** (m / (q + 1))
+    assumption = (q + m + 1) ** (q + 1) <= 2 ** (q * l)
     if assumption:
-        counting = float(d) ** (2 * q * l) * base_factor
+        counting = 2.0 ** (2 * q * l) * base_factor
     else:
-        counting = float(d) ** (q * l) * (q + m + 1) ** (q + 1) * base_factor
+        counting = 2.0 ** (q * l) * (q + m + 1) ** (q + 1) * base_factor
     return [
         BoundRecord("sr.lemma8", measured, product_bound, {"m": m}),
         BoundRecord("sr.prop4", measured, counting, {"m": m, "assumption_met": assumption}),
@@ -325,17 +306,14 @@ def bootstrap_state(filt: ChebyshevFilter, target_gs: np.ndarray, report: AgspRe
     if not report.bootstrap_ready:
         note = "epsilon_K^2 * D_K > 1/2"
         return None, [vacuous("bootstrap.mu1", note, m=filt.m), vacuous("prop2.distance", note, m=filt.m)]
-    dL = filt.eff.base.lattice.d ** filt.eff.base.blocks.cut
     # The distance bound chains through delta_K, which is measured with the
     # fixed state phase-aligned to the target; bootstrap from the same gauge.
-    fixed = align_phase(target_gs, filt.fixed_state)
-    M = fixed.reshape(dL, -1)
-    U, svals, Vh = np.linalg.svd(M, full_matrices=False)
-    product = np.outer(U[:, 0], Vh[0, :].conj()).reshape(-1)
-    filtered = filt.matrix @ product
+    schmidt = schmidt_decompose(align_phase(target_gs, filt.fixed_state), filt.eff.base.blocks.cut)
+    filtered = filt.matrix @ truncate_to_rank(schmidt, 1)
     psi = filtered / np.linalg.norm(filtered)
+    mu1 = float(schmidt.coefficients[0])
     distance_bound = report.epsilon_K * math.sqrt(2.0 * report.D_K) + report.delta_K
     return psi, [
-        BoundRecord("bootstrap.mu1", 1.0 / math.sqrt(2.0 * report.D_K), float(svals[0]), {"m": filt.m}),
+        BoundRecord("bootstrap.mu1", 1.0 / math.sqrt(2.0 * report.D_K), mu1, {"m": filt.m}),
         BoundRecord("prop2.distance", float(np.linalg.norm(psi - target_gs)), distance_bound, {"m": filt.m}),
     ]

@@ -30,12 +30,12 @@ from .truncation import TruncatedHamiltonian, align_phase
 E_DIST_PREFACTOR = 4.0 * math.e**1.5 / (math.e - 1.0)  # ~10.43
 
 
-def apply_on_block(lattice, block_sites: tuple[int, ...], op: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+def apply_on_block(block_sites: tuple[int, ...], op: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Apply a contiguous-block operator to the columns of a (dim, cols) array."""
     if len(block_sites) == 0:
         return op[0, 0] * vecs
-    d, a, b = lattice.d, block_sites[0], block_sites[-1]
-    resh = vecs.reshape(d ** (a - 1), d ** (b - a + 1), -1)
+    a, b = block_sites[0], block_sites[-1]
+    resh = vecs.reshape(2 ** (a - 1), 2 ** (b - a + 1), -1)
     return np.einsum("ij,ajb->aib", op, resh).reshape(vecs.shape)
 
 
@@ -170,7 +170,7 @@ def theorem5_check(
         kappa = 0.0
         for block, proj in zip(T.blocks.blocks, clamp.tail_projectors()):
             if proj is not None:
-                kappa += top_singular_value(apply_on_block(T.lattice, block, proj, v_e))
+                kappa += top_singular_value(apply_on_block(block, proj, v_e))
         kappa_bound = 11.0 * (q + 2) * math.exp(-lam_p * (tau - 8.0 * g0))
         overlap_bound = 54.0 * (q + 2) / (lam * gap_t) * math.exp(-lam * (tau - 4.0 * g0))
         out.append(
@@ -210,22 +210,19 @@ def fit_log_slope(taus, distances, floor: float = 1e-12):
 def _block_overlap_matrix(T: TruncatedHamiltonian, s: int, basis: np.ndarray) -> np.ndarray:
     """Rows: product basis labelled by block-s eigenvalues; cols: given basis."""
     sp = T.block_spectra()[s]
-    rotated = apply_on_block(
-        T.lattice, T.blocks.blocks[s], sp.eigenvectors.conj().T, basis
-    )
-    return rotated
+    return apply_on_block(T.blocks.blocks[s], sp.eigenvectors.conj().T, basis)
 
 
 def _block_row_labels(T: TruncatedHamiltonian, s: int) -> np.ndarray:
     """Block-s eigenvalue attached to each product-basis row index."""
-    d, n = T.lattice.d, T.lattice.n
+    n = T.lattice.n
     block = T.blocks.blocks[s]
     if len(block) == 0:
         scalar = float(T.block_spectra()[s].eigenvalues[0])
         return np.full(T.lattice.dim, scalar)
     a, b = block[0], block[-1]
     w = T.block_spectra()[s].eigenvalues
-    return np.repeat(np.tile(w, d ** (a - 1)), d ** (n - b))
+    return np.repeat(np.tile(w, 2 ** (a - 1)), 2 ** (n - b))
 
 
 def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -> list[BoundRecord]:
@@ -299,7 +296,7 @@ def effective_difference_check(
     records = []
     for E in E_grid:
         basis = spec_t.eigenvectors[:, in_window(spec_t.eigenvalues, hi=E)]
-        lhs = top_singular_value(sum(apply_on_block(T.lattice, block, h, basis) for block, h in diffs))
+        lhs = top_singular_value(sum(apply_on_block(block, h, basis) for block, h in diffs))
         rhs = (
             27.0
             * (T.q + 2)
@@ -347,7 +344,7 @@ def exponential_filter_check(
                 V, w = sp.eigenvectors, sp.eigenvalues
                 first_row = len(w) - int(in_window(w, lo=Ep).sum())
                 cols = int(in_window(w, hi=Ei).sum())
-                right = apply_on_block(T.lattice, T.blocks.blocks[s], O_s, V[:, :cols])
+                right = apply_on_block(T.blocks.blocks[s], O_s, V[:, :cols])
                 records.append(
                     BoundRecord(
                         "lemma14.filter",

@@ -1,9 +1,12 @@
-"""Schmidt decompositions, entanglement entropies, and MPS compression.
+"""Schmidt decompositions, ranks, entanglement entropies, and MPS compression.
 
-Entropies are in natural-log units everywhere.  The compression routine is
-a single left-to-right sweep of truncated SVDs, which is exactly the
-construction whose error is controlled by twice the summed tail weights of
-the original state's Schmidt spectra.
+`schmidt_decompose` is the one place a state's Schmidt spectrum is computed,
+and `numerical_rank` the one rule that turns singular values into a rank;
+`agsp` counts its operator Schmidt ranks with the same rule.  Entropies are in
+natural-log units everywhere.  The compression routine is a single
+left-to-right sweep of truncated SVDs, which is exactly the construction whose
+error is controlled by twice the summed tail weights of the original state's
+Schmidt spectra.  States live on chains of qubits.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agsp import rank_threshold, state_schmidt_rank
 from .registry import BoundRecord, vacuous
 from .truncation import align_phase
 
@@ -21,6 +23,17 @@ from .truncation import align_phase
 # may escalate (m, l, tau) before the target counts as unreachable.
 M_START = 4
 ESCALATION_BUDGET = 14
+
+SR_REL_TOL = 1e-10
+SR_ABS_TOL = 1e-12
+
+
+def numerical_rank(svals: np.ndarray) -> int:
+    """Number of singular values above max(1e-10 * sigma_max, 1e-12): the one rank rule here.
+
+    Undercounting is safe because every rank bound checked here is one-sided.
+    """
+    return int(np.sum(svals > max(SR_REL_TOL * np.max(svals, initial=0.0), SR_ABS_TOL)))
 
 
 @dataclass
@@ -37,23 +50,21 @@ class SchmidtData:
         return M.reshape(-1)
 
     def numerical_rank(self) -> int:
-        return int(np.sum(self.coefficients > rank_threshold(self.coefficients)))
+        return numerical_rank(self.coefficients)
 
     def tail_weight(self, rank: int) -> float:
         """Sum of squared coefficients beyond the given rank."""
         return float(np.sum(self.coefficients[rank:] ** 2))
 
 
-def schmidt_decompose(state: np.ndarray, cut: int, d: int = 2) -> SchmidtData:
+def schmidt_decompose(state: np.ndarray, cut: int) -> SchmidtData:
     """Schmidt decomposition of a unit vector across sites [1..cut] | rest."""
     nrm = np.linalg.norm(state)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"state is not normalized: ||state|| = {nrm:.12g}")
-    dL = d**cut
-    if state.size % dL != 0:
+    if state.size % 2**cut != 0:
         raise ValueError(f"cut at {cut} sites does not divide dimension {state.size}")
-    M = state.reshape(dL, -1)
-    U, mu, Vh = np.linalg.svd(M, full_matrices=False)
+    U, mu, Vh = np.linalg.svd(state.reshape(2**cut, -1), full_matrices=False)
     return SchmidtData(coefficients=mu, left_vectors=U, right_vectors=Vh, cut=cut)
 
 
@@ -69,14 +80,15 @@ def renyi2(schmidt: SchmidtData) -> float:
     return -math.log(float(np.sum(schmidt.coefficients**4)))
 
 
-def eckart_young_check(psi: np.ndarray, psi_prime: np.ndarray, cut: int, d: int = 2) -> BoundRecord:
+def eckart_young_check(schmidt: SchmidtData, psi_prime: np.ndarray) -> BoundRecord:
     """`eckart-young` record: tail Schmidt weight of psi beyond rank(psi') against ||psi - psi'||^2.
 
-    The context carries that comparison rank.
+    psi is the state that `schmidt` decomposes; the rank of psi' is taken at
+    the same cut, and the context carries it.
     """
-    rank = state_schmidt_rank(psi_prime, cut, d=d)
-    tail = schmidt_decompose(psi, cut, d=d).tail_weight(rank)
-    return BoundRecord("eckart-young", tail, float(np.linalg.norm(psi - psi_prime) ** 2), {"rank": rank})
+    rank = schmidt_decompose(psi_prime, schmidt.cut).numerical_rank()
+    err = float(np.linalg.norm(schmidt.reconstruct() - psi_prime) ** 2)
+    return BoundRecord("eckart-young", schmidt.tail_weight(rank), err, {"rank": rank})
 
 
 def truncate_to_rank(schmidt: SchmidtData, rank: int) -> np.ndarray:
@@ -89,10 +101,9 @@ def truncate_to_rank(schmidt: SchmidtData, rank: int) -> np.ndarray:
 
 @dataclass
 class MpsState:
-    """Left-canonical site tensors (D_left, d, D_right) with D_0 = D_n = 1."""
+    """Left-canonical site tensors (D_left, 2, D_right) with D_0 = D_n = 1."""
 
     site_tensors: list[np.ndarray]
-    truncation_weights: list[float]
 
     def contract(self) -> np.ndarray:
         acc = self.site_tensors[0].reshape(-1, self.site_tensors[0].shape[2])
@@ -102,54 +113,52 @@ class MpsState:
         return acc.reshape(-1)
 
 
-def _chain_length(state: np.ndarray, d: int) -> int:
-    """Number of sites n of a state of dimension d^n."""
-    n = int(round(math.log(state.size, d)))
-    if d**n != state.size:
-        raise ValueError(f"state dimension {state.size} is not a power of {d}")
+def _chain_length(state: np.ndarray) -> int:
+    """Number of sites n of a state of dimension 2^n."""
+    n = int(round(math.log2(state.size)))
+    if 2**n != state.size:
+        raise ValueError(f"state dimension {state.size} is not a power of 2")
     return n
 
 
-def mps_compress(state: np.ndarray, D: int, d: int = 2) -> MpsState:
-    """One left-to-right sweep of rank-D SVD truncations.
-
-    Truncation weights are the tail weights of the *original* state's
-    Schmidt spectrum at each bond, which is what controls the final error:
-    ||state - contraction||^2 <= 2 * sum_i delta_i.
-    """
+def mps_compress(state: np.ndarray, D: int) -> MpsState:
+    """One left-to-right sweep of rank-D SVD truncations."""
     if D < 1:
         raise ValueError(f"bond dimension must be >= 1, got {D}")
-    n = _chain_length(state, d)
-    weights = []
-    for i in range(1, n):
-        mu = np.linalg.svd(state.reshape(d**i, -1), compute_uv=False)
-        weights.append(float(np.sum(mu[D:] ** 2)))
+    n = _chain_length(state)
     tensors = []
     rank = 1
     vec = state
     for _ in range(n - 1):
-        M = vec.reshape(rank * d, -1)
+        M = vec.reshape(rank * 2, -1)
         U, S, Vh = np.linalg.svd(M, full_matrices=False)
         keep = min(D, len(S))
-        tensors.append(U[:, :keep].reshape(rank, d, keep))
+        tensors.append(U[:, :keep].reshape(rank, 2, keep))
         vec = (S[:keep, None] * Vh[:keep]).reshape(-1)
         rank = keep
-    tensors.append(vec.reshape(rank, d, 1))
-    return MpsState(site_tensors=tensors, truncation_weights=weights)
+    tensors.append(vec.reshape(rank, 2, 1))
+    return MpsState(site_tensors=tensors)
 
 
-def mps_compression_check(state: np.ndarray, D: int, d: int = 2) -> BoundRecord:
-    """`claim7.mps` record: ||state - psi_D||^2 against 2 * sum_i delta_i for the swept rank-D compression.
+def mps_compression_check(state: np.ndarray, Ds) -> list[BoundRecord]:
+    """`claim7.mps` records: ||state - psi_D||^2 against 2 * sum_i delta_i(D), per D in `Ds`.
 
-    At D at or above the full bond dimension max_i min(d^i, d^(n-i)) =
-    d^(n//2) the sweep is lossless and the bound reads 0, so the record is
-    a not-applicable placeholder.
+    psi_D is the swept rank-D compression and delta_i(D) the tail weight of
+    the state's own Schmidt spectrum beyond rank D at bond i; each bond is
+    decomposed once for every D.  At D at or above the full bond dimension
+    max_i min(2^i, 2^(n-i)) = 2^(n//2) the sweep is lossless and the bound
+    reads 0, so that record is a not-applicable placeholder.
     """
-    if D >= d ** (_chain_length(state, d) // 2):
-        return vacuous("claim7.mps", "D at or above the full bond dimension; lossless", D=D)
-    mps = mps_compress(state, D, d=d)
-    err = float(np.linalg.norm(state - mps.contract()) ** 2)
-    return BoundRecord("claim7.mps", err, 2.0 * float(sum(mps.truncation_weights)), {"D": D})
+    n = _chain_length(state)
+    spectra = [schmidt_decompose(state, i) for i in range(1, n)]
+    records = []
+    for D in Ds:
+        if D >= 2 ** (n // 2):
+            records.append(vacuous("claim7.mps", "D at or above the full bond dimension; lossless", D=D))
+            continue
+        err = float(np.linalg.norm(state - mps_compress(state, D).contract()) ** 2)
+        records.append(BoundRecord("claim7.mps", err, 2.0 * sum(sd.tail_weight(D) for sd in spectra), {"D": D}))
+    return records
 
 
 def agsp_entropy_bound(

@@ -53,8 +53,9 @@ def build_model(cfg: ExperimentConfig) -> ham.Hamiltonian:
 class Pipeline:
     """All objects of one experiment point, each built once.
 
-    Truncations (per block length l, at the configured cut) and clamps (per
-    (l, tau)) are built on first use and shared by every check of the point.
+    Truncations (per block length l, at the configured cut), clamps (per
+    (l, tau)) and the ground state's Schmidt decomposition at the block cut
+    are built on first use and shared by every check of the point.
     """
 
     cfg: ExperimentConfig
@@ -91,6 +92,11 @@ class Pipeline:
     @property
     def cut(self) -> int:
         return self.T.blocks.cut
+
+    @functools.cached_property
+    def gs_schmidt(self) -> ent.SchmidtData:
+        """Schmidt decomposition of the ground state of H across the block cut."""
+        return ent.schmidt_decompose(self.gs_vector, self.cut)
 
     def block_width_top(self) -> float:
         """Cut-off beyond which clamping is a no-op (max block width)."""
@@ -218,10 +224,9 @@ def _agsp_records(pipe: Pipeline):
 def _sequence_records(pipe: Pipeline, psi_base: np.ndarray | None) -> list[BoundRecord]:
     cfg = pipe.cfg
     cut = pipe.cut
-    d = pipe.H.lattice.d
+    schmidt = pipe.gs_schmidt
     base = psi_base
     if base is None or np.linalg.norm(pipe.gs_vector - trunc.align_phase(pipe.gs_vector, base)) > 0.5:
-        schmidt = ent.schmidt_decompose(pipe.gs_vector, cut, d=d)
         base = ent.truncate_to_rank(schmidt, max(1, schmidt.numerical_rank() // 2))
     if np.linalg.norm(pipe.gs_vector - trunc.align_phase(pipe.gs_vector, base)) > 0.5:
         base = pipe.gs_vector  # always admissible (zero base drift)
@@ -245,51 +250,49 @@ def _sequence_records(pipe: Pipeline, psi_base: np.ndarray | None) -> list[Bound
     usable = [s for s in steps if s.target_met and s.gamma <= 1.0]
     if not usable:
         return [vacuous("prop3.entropy-bound", "no usable sequence step")]
-    D_phi = max(1, agsp_mod.state_schmidt_rank(base, cut, d=d))
-    cap = min(d**cut, d ** (cfg.n - cut))
+    D_phi = max(1, ent.schmidt_decompose(base, cut).numerical_rank())
+    cap = min(2**cut, 2 ** (cfg.n - cut))
     bound = ent.agsp_entropy_bound(D_phi, [s.gamma for s in usable], [s.D for s in usable], schmidt_cap=cap)
-    S = ent.entropy(ent.schmidt_decompose(pipe.gs_vector, cut, d=d))
+    S = ent.entropy(schmidt)
     return [BoundRecord("prop3.entropy-bound", S, bound, {"steps": len(usable), "exhausted": exhausted})]
 
 
 def _compression_records(pipe: Pipeline, rng) -> list[BoundRecord]:
     records = []
-    d = pipe.H.lattice.d
-    cut = pipe.cut
     gs = pipe.gs_vector
-    schmidt = ent.schmidt_decompose(gs, cut, d=d)
-    states = [("ground", gs, schmidt)]
+    states = [("ground", pipe.gs_schmidt)]
     for idx in range(2):
         v = rng.standard_normal(gs.size)
         v /= np.linalg.norm(v)
-        states.append((f"random{idx}", v, ent.schmidt_decompose(v, cut, d=d)))
-    for name, state, sd in states:
+        states.append((f"random{idx}", ent.schmidt_decompose(v, pipe.cut)))
+    for name, sd in states:
         for D in (1, 2, 4):
             if D >= len(sd.coefficients):
                 continue
-            rec = ent.eckart_young_check(state, ent.truncate_to_rank(sd, D), cut, d=d)
+            rec = ent.eckart_young_check(sd, ent.truncate_to_rank(sd, D))
             rec.context.update(state=name, D=D)
             records.append(rec)
         records.append(BoundRecord("s2≤s", ent.renyi2(sd), ent.entropy(sd), {"state": name}))
-    records.extend(ent.mps_compression_check(gs, D, d=d) for D in (1, 2, 4, 8, 16))
+    records.extend(ent.mps_compression_check(gs, (1, 2, 4, 8, 16)))
     return records
 
 
-def _entropy_row(cfg: ExperimentConfig, state: np.ndarray, d: int) -> EntropyRow:
-    """Entropies of a normalized state at the configured cut.
+def _entropy_row(cfg: ExperimentConfig, state: np.ndarray) -> EntropyRow:
+    """Entropies of a normalized state at the configured cut (n//2 without one).
 
-    `bond_dims` is the untruncated bond-dimension profile min(d^i, d^(n-i)),
-    i = 1 .. n-1: the bond dimensions of a lossless left-to-right SVD sweep,
-    which depend on the chain alone.
+    That cut can differ from the block cut (at odd n), so the row decomposes
+    the state itself.  `bond_dims` is the untruncated bond-dimension profile
+    min(2^i, 2^(n-i)), i = 1 .. n-1: the bond dimensions of a lossless
+    left-to-right SVD sweep, which depend on the chain alone.
     """
     cut = cfg.cut if cfg.cut is not None else cfg.n // 2
-    sd = ent.schmidt_decompose(state, cut, d=d)
+    sd = ent.schmidt_decompose(state, cut)
     return EntropyRow(
         n=cfg.n,
         cut=cut,
         S_nats=ent.entropy(sd),
         S2_nats=ent.renyi2(sd),
-        bond_dims=[min(d**i, d ** (cfg.n - i)) for i in range(1, cfg.n)],
+        bond_dims=[min(2**i, 2 ** (cfg.n - i)) for i in range(1, cfg.n)],
     )
 
 
@@ -301,7 +304,7 @@ def entropy_row(cfg: ExperimentConfig) -> EntropyRow:
     """
     H = build_model(cfg)
     gs = ground_state(ham.assemble_sparse(H))
-    return _entropy_row(cfg, gs.state, H.lattice.d)
+    return _entropy_row(cfg, gs.state)
 
 
 def verify_point(cfg: ExperimentConfig) -> PointResult:
@@ -321,7 +324,7 @@ def verify_point(cfg: ExperimentConfig) -> PointResult:
     records.extend(_compression_records(pipe, rng))
     for r in records:
         r.slack = cfg.tolerance  # the one comparison slack of every record
-    row = _entropy_row(cfg, pipe.gs_vector, pipe.H.lattice.d)
+    row = _entropy_row(cfg, pipe.gs_vector)
     return PointResult(config=cfg, records=records, entropy_rows=[row])
 
 

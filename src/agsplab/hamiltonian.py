@@ -1,4 +1,4 @@
-"""Long-range spin-chain Hamiltonians as explicit interaction-term lists.
+"""Long-range qubit-chain Hamiltonians as explicit interaction-term lists.
 
 Builds named Hamiltonian families (power-law transverse Ising, long-range
 fermionic hopping chains in their spin representation), extracts block-block
@@ -6,14 +6,15 @@ interactions, and provides the algebraic decay envelopes (g0, abar) that
 every downstream truncation/filter bound is measured against.
 
 Site indices are 1-based throughout the public API; distances are
-r_ij = |i - j|.
+r_ij = |i - j|.  Every site is a qubit (local dimension 2), and each term
+owns its operator norm (`InteractionTerm.norm`, computed once).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.sparse
@@ -90,27 +91,19 @@ def spectral_norm(matrix: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Open 1D chain of n sites with local dimension d."""
+    """Open 1D chain of n qubits."""
 
     n: int
-    d: int = 2
-    boundary: str = "open"
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one site, got n={self.n}")
-        if self.d < 2:
-            raise ValueError(f"local dimension must be >= 2, got d={self.d}")
-        if self.boundary != "open":
-            raise ValueError(f"only open boundaries are supported, got {self.boundary!r}")
         if self.dim > dim_ceiling():
-            raise DimensionCeilingError(
-                f"d^n = {self.d}**{self.n} = {self.dim} exceeds ceiling {dim_ceiling()}"
-            )
+            raise DimensionCeilingError(f"2^n = 2**{self.n} = {self.dim} exceeds ceiling {dim_ceiling()}")
 
     @property
     def dim(self) -> int:
-        return self.d**self.n
+        return 2**self.n
 
     @property
     def sites(self) -> range:
@@ -144,8 +137,9 @@ class InteractionTerm:
     def diameter(self) -> int:
         return self.support[-1] - self.support[0]
 
-    @property
+    @cached_property
     def norm(self) -> float:
+        """Operator norm of the term, computed on first use and kept."""
         return spectral_norm(self.matrix)
 
 
@@ -188,7 +182,6 @@ class Hamiltonian:
     terms: list[InteractionTerm]
     k: int = 2
     metadata: PowerLawMetadata | None = None
-    _norms: dict[int, float] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         n = self.lattice.n
@@ -199,39 +192,33 @@ class Hamiltonian:
                 raise ValueError(
                     f"term on {term.support} exceeds locality k={self.k}"
                 )
-            expected = self.lattice.d ** len(term.support)
+            expected = 2 ** len(term.support)
             if term.matrix.shape[0] != expected:
                 raise ValueError(
                     f"term on {term.support} has dimension {term.matrix.shape[0]}, "
                     f"expected {expected}"
                 )
 
-    def term_norm(self, idx: int) -> float:
-        if idx not in self._norms:
-            self._norms[idx] = self.terms[idx].norm
-        return self._norms[idx]
-
 
 def _embed_indexing(lattice: LatticeSpec, support: tuple[int, ...]):
-    """Index arithmetic for embedding a support-local matrix into d^n.
+    """Index arithmetic for embedding a support-local matrix into 2^n.
 
     Returns (base, offsets): `base` enumerates all configurations of the
-    complement sites (support digits frozen at zero) and `offsets[a]` is the
+    complement sites (support bits frozen at zero) and `offsets[a]` is the
     index shift realizing local configuration `a` on the support.
     """
-    n, d = lattice.n, lattice.d
-    dim = lattice.dim
-    places = np.array([d ** (n - s) for s in support], dtype=np.int64)
+    n, dim = lattice.n, lattice.dim
+    places = np.array([2 ** (n - s) for s in support], dtype=np.int64)
     idx = np.arange(dim, dtype=np.int64)
     on_support = np.zeros(dim, dtype=bool)
     for p in places:
-        on_support |= (idx // p) % d != 0
+        on_support |= (idx // p) % 2 != 0
     base = idx[~on_support]
-    ds = d ** len(support)
+    ds = 2 ** len(support)
     local = np.arange(ds, dtype=np.int64)
     offsets = np.zeros(ds, dtype=np.int64)
     for axis, p in enumerate(places):
-        digit = (local // d ** (len(support) - 1 - axis)) % d
+        digit = (local // 2 ** (len(support) - 1 - axis)) % 2
         offsets += digit * p
     return base, offsets
 
@@ -298,7 +285,7 @@ def region_sum(lattice: LatticeSpec, region: tuple[int, ...], pieces) -> np.ndar
     if len(region) == 0:
         return np.zeros((1, 1))
     pos = {site: p + 1 for p, site in enumerate(region)}
-    sub = LatticeSpec(n=len(region), d=lattice.d)
+    sub = LatticeSpec(n=len(region))
     return embed_sum(sub, ((tuple(pos[s] for s in support), m) for support, m in pieces))
 
 
@@ -310,7 +297,7 @@ def build_long_range_ising(n: int, alpha: float, J: float, B: float) -> Hamilton
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    lattice = LatticeSpec(n=n, d=2)
+    lattice = LatticeSpec(n=n)
     xx = np.kron(SIGMA_X, SIGMA_X)
     terms = []
     if J != 0.0:
@@ -348,7 +335,7 @@ def build_long_range_fermion_chain(n: int, alpha: float, A_couplings, B_coupling
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    lattice = LatticeSpec(n=n, d=2)
+    lattice = LatticeSpec(n=n)
     A = np.asarray(A_couplings, dtype=float)
     Bp = np.asarray(B_couplings, dtype=float)
     if A.ndim == 0:
@@ -472,8 +459,7 @@ def verify_assumption1(H: Hamiltonian, envelope: DecayEnvelope, sample_pairs) ->
 def local_energy_g(H: Hamiltonian) -> float:
     """One-site energy scale g = max_i sum_{Z containing i} ||h_Z||."""
     per_site = np.zeros(H.lattice.n + 1)
-    for idx, term in enumerate(H.terms):
-        nrm = H.term_norm(idx)
+    for term in H.terms:
         for s in term.support:
-            per_site[s] += nrm
+            per_site[s] += term.norm
     return float(per_site.max())

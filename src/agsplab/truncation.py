@@ -89,19 +89,16 @@ class TruncatedHamiltonian:
     `internal[s]` lives on blocks[s] (a 1x1 scalar for empty edge blocks),
     `bonds[s]` on blocks[s] + blocks[s+1].  The represented operator has its
     ground energy at 0; `origin_shift` restores the raw truncation of the
-    source Hamiltonian (H_t_raw = H_t + origin_shift * I).  `energy_shifts`
-    records the block-origin redistribution, which always sums to zero, so
-    the cached spectrum of the represented operator survives it.
+    source Hamiltonian (H_t_raw = H_t + origin_shift * I).  The block-origin
+    redistribution of `shift_block_energies` always sums to zero, so the
+    cached spectrum of the represented operator survives it.
     """
 
     lattice: LatticeSpec
     blocks: BlockDecomposition
     internal: list[np.ndarray]
     bonds: list[np.ndarray]
-    energy_shifts: list[float]
     origin_shift: float
-    dropped_norm_sum: float
-    dropped_count: int
     k: int
     envelope: DecayEnvelope | None = None
     local_g: float = 0.0
@@ -187,7 +184,7 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
     """
     if blocks.n != H.lattice.n:
         raise ValueError("block decomposition does not match the lattice")
-    internal_terms, bond_terms, dropped = _classify_terms(H, blocks)
+    internal_terms, bond_terms, _ = _classify_terms(H, blocks)
     internal = [
         region_sum(H.lattice, blocks.blocks[s], [H.terms[i] for i in internal_terms[s]])
         for s in range(blocks.q + 2)
@@ -196,7 +193,6 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
         region_sum(H.lattice, blocks.blocks[s] + blocks.blocks[s + 1], [H.terms[i] for i in bond_terms[s]])
         for s in range(blocks.q + 1)
     ]
-    dropped_norm = float(sum(H.term_norm(i) for i in dropped))
     try:
         env = decay_envelope(H)
     except ValueError:
@@ -206,10 +202,7 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
         blocks=blocks,
         internal=internal,
         bonds=bonds,
-        energy_shifts=[0.0] * (blocks.q + 2),
         origin_shift=0.0,
-        dropped_norm_sum=dropped_norm,
-        dropped_count=len(dropped),
         k=H.k,
         envelope=env,
         local_g=local_energy_g(H),
@@ -235,12 +228,7 @@ def shift_block_energies(T: TruncatedHamiltonian) -> TruncatedHamiltonian:
     mean = float(e.sum()) / (T.q + 2)
     shifts = [mean - float(es) for es in e]
     internal = [h + c * np.eye(h.shape[0]) for h, c in zip(T.internal, shifts)]
-    return replace(
-        T,
-        internal=internal,
-        energy_shifts=[a + b for a, b in zip(T.energy_shifts, shifts)],
-        _block_spectra=None,
-    )
+    return replace(T, internal=internal, _block_spectra=None)
 
 
 def align_phase(reference: np.ndarray, state: np.ndarray) -> np.ndarray:

@@ -78,14 +78,13 @@ def power_law_profile(H) -> dict[int, float]:
     """max_i sum_{Z containing i, diam(Z)=r} ||h_Z|| for each diameter r >= 1."""
     n = H.lattice.n
     sums: dict[int, np.ndarray] = {}
-    for idx, term in enumerate(H.terms):
+    for term in H.terms:
         r = term.diameter
         if r == 0:
             continue
         acc = sums.setdefault(r, np.zeros(n + 1))
-        nrm = H.term_norm(idx)
         for s in term.support:
-            acc[s] += nrm
+            acc[s] += term.norm
     return {r: float(acc.max()) for r, acc in sorted(sums.items())}
 
 
@@ -94,8 +93,8 @@ def verify_power_law(H, atol: float = 1e-9) -> bool:
     meta = H.metadata
     if meta is None:
         raise ValueError("Hamiltonian has no power-law metadata")
-    for idx, term in enumerate(H.terms):
-        nrm = H.term_norm(idx)
+    for term in H.terms:
+        nrm = term.norm
         if term.diameter == 0:
             if nrm > meta.field + atol:
                 return False
@@ -116,9 +115,19 @@ def renyi2_from_density(rho: np.ndarray) -> float:
     return -float(np.log(np.real(np.trace(rho @ rho))))
 
 
-def reduced_density(state: np.ndarray, cut: int, d: int = 2) -> np.ndarray:
-    M = state.reshape(d**cut, -1)
+def reduced_density(state: np.ndarray, cut: int) -> np.ndarray:
+    M = state.reshape(2**cut, -1)
     return M @ M.conj().T
+
+
+def bond_tail_weights(state: np.ndarray, D: int) -> list[float]:
+    """Squared singular values beyond rank D at every bond, one full SVD per bond."""
+    n = int(np.log2(state.size))
+    weights = []
+    for i in range(1, n):
+        svals = np.linalg.svd(state.reshape(2**i, -1), compute_uv=False)
+        weights.append(float(np.sum(svals[D:] ** 2)))
+    return weights
 
 
 def chebyshev_matrix_recurrence(filt) -> np.ndarray:
@@ -143,14 +152,14 @@ def chebyshev_matrix_recurrence(filt) -> np.ndarray:
 
 def kron_embed(T, sites: tuple[int, ...], op: np.ndarray) -> np.ndarray:
     """Oracle embedding of an operator on contiguous `sites` into the full chain."""
-    d, n = T.lattice.d, T.lattice.n
-    return reduce(np.kron, [np.eye(d ** (sites[0] - 1)), op, np.eye(d ** (n - sites[-1]))])
+    n = T.lattice.n
+    return reduce(np.kron, [np.eye(2 ** (sites[0] - 1)), op, np.eye(2 ** (n - sites[-1]))])
 
 
 def dense_power_schmidt_rank(T, m: int) -> int:
     """SR(H_t^m) across the block cut from the d^n x d^n power of H_t."""
     powered = np.linalg.matrix_power(T.assemble_dense(), m)
-    return operator_schmidt_rank(powered, T.blocks.cut, d=T.lattice.d)
+    return operator_schmidt_rank(powered, T.blocks.cut)
 
 
 def dense_commutator_norms(T) -> list[float]:

@@ -194,16 +194,15 @@ def test_criterion_7_compression_suite(reference_pipeline):
         sd = en.schmidt_decompose(state, 3)
         for D in range(1, 8):
             approx = en.truncate_to_rank(sd, D)
-            rec = en.eckart_young_check(state, approx, 3)
+            rec = en.eckart_young_check(sd, approx)
             checked += 1
             if rec.lhs > rec.rhs + 1e-12:
                 ey_bad += 1
     gs = reference_pipeline.gs_vector
     mps_bad = []
-    for D in (1, 2, 4, 8, 16):
-        rec = en.mps_compression_check(gs, D)
+    for rec in en.mps_compression_check(gs, (1, 2, 4, 8, 16)):
         if "note" in rec.context or rec.lhs > rec.rhs + TOL:
-            mps_bad.append(D)
+            mps_bad.append(rec.context["D"])
     s2_ok = True
     for state, cut in [(gs, 5)] + [(random_state(rng, 64), 3) for _ in range(5)]:
         sd = en.schmidt_decompose(state, cut)
@@ -271,7 +270,7 @@ def test_criterion_9_entropy_bound_consistency(reference_pipeline):
     )
     usable = [s for s in steps if s.target_met and s.gamma <= 1.0]
     assert usable, f"no usable sequence step (exhausted={exhausted})"
-    D_phi = max(1, am.state_schmidt_rank(base, cut))
+    D_phi = max(1, en.schmidt_decompose(base, cut).numerical_rank())
     cap = min(2**cut, 2 ** (pipe.cfg.n - cut))
     bound = en.agsp_entropy_bound(
         D_phi, [s.gamma for s in usable], [s.D for s in usable], schmidt_cap=cap

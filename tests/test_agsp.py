@@ -13,12 +13,10 @@ from agsplab.agsp import (
     chebyshev_T,
     measure_agsp,
     operator_schmidt_rank,
-    rank_threshold,
     schmidt_rank_bound_check,
-    state_schmidt_rank,
 )
 from agsplab.effective import build_effective
-from agsplab.entanglement import schmidt_decompose
+from agsplab.entanglement import numerical_rank, schmidt_decompose
 from agsplab.hamiltonian import build_long_range_fermion_chain, build_long_range_ising
 from agsplab.truncation import decompose_blocks, shift_block_energies, truncate_interactions
 from conftest import (
@@ -203,19 +201,24 @@ class TestOperatorSchmidtRank:
 
     def test_state_rank(self):
         bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
-        assert state_schmidt_rank(bell, 1) == 2
-        assert state_schmidt_rank(np.array([1.0, 0, 0, 0]), 1) == 1
+        assert schmidt_decompose(bell, 1).numerical_rank() == 2
+        assert schmidt_decompose(np.array([1.0, 0, 0, 0]), 1).numerical_rank() == 1
 
     def test_rank_threshold(self):
-        assert rank_threshold(np.array([3.0, 1e-11])) == pytest.approx(3e-10)
-        assert rank_threshold(np.array([1e-4, 0.0])) == 1e-12
+        # the threshold is max(1e-10 * sigma_max, 1e-12): 3e-10 here ...
+        assert numerical_rank(np.array([3.0, 3.1e-10])) == 2
+        assert numerical_rank(np.array([3.0, 2.9e-10])) == 1
+        # ... and the absolute floor 1e-12 here
+        assert numerical_rank(np.array([1e-4, 1.1e-12])) == 2
+        assert numerical_rank(np.array([1e-4, 0.9e-12])) == 1
+        assert numerical_rank(np.array([1e-4, 0.0])) == 1
 
     def test_one_threshold_for_states_and_schmidt_data(self, rng):
         # rank 3 across the 2|3 cut, plus a tail below the relative threshold
         psi = sum(rng.standard_normal(4)[:, None] * rng.standard_normal(8)[None, :] for _ in range(3))
         psi = psi.reshape(-1) + 1e-13 * rng.standard_normal(32)
         psi /= np.linalg.norm(psi)
-        assert state_schmidt_rank(psi, 2) == 3
+        assert numerical_rank(np.linalg.svd(psi.reshape(4, 8), compute_uv=False)) == 3
         assert schmidt_decompose(psi, 2).numerical_rank() == 3
 
     @settings(max_examples=20, deadline=None)
@@ -312,7 +315,7 @@ class TestBootstrap:
         assert mu1.context == dist.context == {"m": 8}
         assert mu1.rhs >= mu1.lhs - 1e-9  # mu_1 >= 1/sqrt(2 D_K)
         assert dist.lhs <= dist.rhs + 1e-9
-        assert state_schmidt_rank(psi, T.blocks.cut) <= rep.D_K
+        assert schmidt_decompose(psi, T.blocks.cut).numerical_rank() <= rep.D_K
 
     def test_precondition_failure_returns_none(self):
         T, eff = make_eff()
@@ -345,6 +348,16 @@ class TestBootstrap:
         assert psi is not None
         np.testing.assert_allclose(np.abs(np.vdot(psi, gs)), 1.0, atol=1e-10)
         assert dist.lhs <= 1e-9
+
+    def test_complex_fixed_state_bootstraps_its_top_schmidt_product(self, rng):
+        # K = I keeps the product state, so |<fixed|psi>| must be mu_1 itself
+        _, eff = make_eff(n=4, l=1, tau=3.0)
+        fixed = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        fixed /= np.linalg.norm(fixed)
+        filt = ChebyshevFilter(m=1, matrix=np.eye(16), fixed_state=fixed, gap_eff=1.0, width=2.0, eff=eff)
+        rep = AgspReport(m=1, delta_K=0.0, epsilon_K=0.0, D_K=1, cheb_bound=1.0)
+        psi, (mu1, _) = bootstrap_state(filt, fixed, rep)
+        assert abs(np.vdot(fixed, psi)) == pytest.approx(mu1.rhs, abs=1e-12)
 
     def test_zero_epsilon_rank_one_bound_reads_delta(self):
         rep = AgspReport(m=1, delta_K=0.125, epsilon_K=0.0, D_K=1, cheb_bound=1.0)

@@ -21,6 +21,7 @@ from agsplab.entanglement import (
 from agsplab.hamiltonian import assemble_dense, build_long_range_ising
 from agsplab.truncation import decompose_blocks, shift_block_energies, truncate_interactions
 from conftest import (
+    bond_tail_weights,
     entropy_from_density,
     oracle_ground_vector,
     random_state,
@@ -106,7 +107,7 @@ class TestEntropies:
 class TestEckartYoung:
     def test_identical_states(self, rng):
         v = random_state(rng, 16)
-        rec = eckart_young_check(v, v, 2)
+        rec = eckart_young_check(schmidt_decompose(v, 2), v)
         assert rec.bound_id == "eckart-young" and rec.context == {"rank": 4}
         assert rec.lhs <= 1e-12
         assert rec.lhs <= rec.rhs + 1e-12
@@ -116,14 +117,14 @@ class TestEckartYoung:
         sd = schmidt_decompose(v, 3)
         for D in range(1, len(sd.coefficients)):
             approx = truncate_to_rank(sd, D)
-            rec = eckart_young_check(v, approx, 3)
+            rec = eckart_young_check(sd, approx)
             assert rec.context["rank"] <= D
             assert rec.lhs <= rec.rhs + 1e-12
 
     def test_random_pairs(self, rng):
         for _ in range(10):
             a, b = random_state(rng, 64), random_state(rng, 64)
-            rec = eckart_young_check(a, b, 3)
+            rec = eckart_young_check(schmidt_decompose(a, 3), b)
             assert rec.lhs <= rec.rhs + 1e-12
 
 
@@ -132,7 +133,7 @@ class TestMpsCompress:
         v = random_state(rng, 64)
         mps = mps_compress(v, D=64)
         assert np.linalg.norm(v - mps.contract()) <= 1e-10
-        assert all(w <= 1e-20 for w in mps.truncation_weights)
+        assert all(schmidt_decompose(v, i).tail_weight(64) <= 1e-20 for i in range(1, 6))
 
     def test_product_state_bond_one(self):
         v = np.kron(np.kron([1.0, 0.0], [0.6, 0.8]), [0.0, 1.0])
@@ -153,23 +154,23 @@ class TestMpsCompress:
     @pytest.mark.parametrize("D", [1, 2, 4, 8])
     def test_error_bound(self, rng, D):
         v = random_state(rng, 256)
-        rec = mps_compression_check(v, D)
+        (rec,) = mps_compression_check(v, (D,))
         assert rec.bound_id == "claim7.mps" and rec.context == {"D": D}
         assert rec.lhs <= rec.rhs + 1e-9
 
     def test_error_monotone_in_D_for_ground_state(self):
         H = assemble_dense(build_long_range_ising(8, 3.0, 1.0, 2.0))
         gs = oracle_ground_vector(H)
-        errors = [mps_compression_check(gs, D).lhs for D in (1, 2, 4, 8)]
+        errors = [rec.lhs for rec in mps_compression_check(gs, (1, 2, 4, 8))]
         assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
     @pytest.mark.parametrize("n,full", [(5, 4), (6, 8)])
     def test_full_bond_dimension_is_a_placeholder(self, rng, n, full):
         # max_i min(d^i, d^(n-i)) = d^(n//2): from there the sweep is lossless
         v = random_state(rng, 2**n)
-        assert mps_compression_check(v, full - 1).context == {"D": full - 1}
+        assert mps_compression_check(v, (full - 1,))[0].context == {"D": full - 1}
         for D in (full, 2 * full):
-            rec = mps_compression_check(v, D)
+            (rec,) = mps_compression_check(v, (D,))
             note = "D at or above the full bond dimension; lossless"
             assert (rec.bound_id, rec.lhs, rec.rhs, rec.context) == ("claim7.mps", 0.0, 0.0, {"D": D, "note": note})
 
@@ -181,7 +182,16 @@ class TestMpsCompress:
     def test_check_rejects_a_state_of_no_chain(self, D):
         # dimension 6 is no power of 2: an error, never a lossless placeholder
         with pytest.raises(ValueError, match="not a power of 2"):
-            mps_compression_check(np.ones(6) / math.sqrt(6.0), D)
+            mps_compression_check(np.ones(6) / math.sqrt(6.0), (D,))
+
+    def test_one_call_per_D_list_matches_single_D_calls_and_full_svd_tails(self, rng):
+        v = random_state(rng, 256)
+        Ds = (1, 2, 4, 8)
+        records = mps_compression_check(v, Ds)
+        for D, rec in zip(Ds, records):
+            (single,) = mps_compression_check(v, (D,))
+            assert (rec.lhs, rec.rhs, rec.context) == (single.lhs, single.rhs, {"D": D})
+            assert rec.rhs == pytest.approx(2.0 * sum(bond_tail_weights(v, D)), rel=1e-12, abs=1e-15)
 
 
 class TestEntropyBound:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agsplab.agsp import operator_schmidt_rank, rank_threshold
+from agsplab.agsp import operator_schmidt_rank
+from agsplab.entanglement import numerical_rank
 from agsplab.hamiltonian import (
     assemble_dense,
     assemble_sparse,
@@ -344,8 +345,7 @@ def schmidt_reshape(O: np.ndarray, cut: int) -> np.ndarray:
 
 
 def unsplit_schmidt_rank(O: np.ndarray, cut: int) -> int:
-    svals = np.linalg.svd(schmidt_reshape(O, cut), compute_uv=False)
-    return int(np.sum(svals > rank_threshold(svals)))
+    return numerical_rank(np.linalg.svd(schmidt_reshape(O, cut), compute_uv=False))
 
 
 @settings(max_examples=60, deadline=None)

@@ -77,11 +77,22 @@ def nearest_neighbor_chain(n, J=1.0, B=0.5):
     return Hamiltonian(LatticeSpec(n=n), terms)
 
 
+def dropped_terms(H, blocks) -> list:
+    """Terms of H that touch more than one block, other than two adjacent ones."""
+    owner = {site: s for s, blk in enumerate(blocks.blocks) for site in blk}
+    return [t for t in H.terms if max(owner[x] for x in t.support) - min(owner[x] for x in t.support) > 1]
+
+
+def dropped_norm_sum(H, T) -> float:
+    return sum(t.norm for t in dropped_terms(H, T.blocks))
+
+
 class TestTruncate:
     def test_nearest_neighbor_nothing_dropped(self):
         H = nearest_neighbor_chain(6)
-        T = truncate_interactions(H, decompose_blocks(6, 2, 1))
-        assert T.dropped_count == 0
+        blocks = decompose_blocks(6, 2, 1)
+        T = truncate_interactions(H, blocks)
+        assert dropped_terms(H, blocks) == []
         dense = T.assemble_dense() + T.origin_shift * np.eye(64)
         np.testing.assert_allclose(dense, assemble_dense(H), atol=1e-10)
         # represented operator has its ground energy pinned at zero
@@ -103,8 +114,10 @@ class TestTruncate:
                 abs(owner[t.support[0]] - owner[t.support[1]]) > 1
             )
         ]
-        assert T.dropped_count == len(expected_dropped)
         delta = assemble_dense(H) - (T.assemble_dense() + T.origin_shift * np.eye(64))
+        # exactly the expected terms are dropped: delta is their sum
+        expected_terms = [t for t in H.terms if t.support in expected_dropped]
+        np.testing.assert_allclose(delta, assemble_dense(Hamiltonian(H.lattice, expected_terms)), atol=1e-12)
         triangle = sum(
             1.0 / (j - i) ** 3 for (i, j) in expected_dropped
         )
@@ -153,8 +166,13 @@ class TestShiftBlockEnergies:
     def test_sum_zero_and_lemma_bound(self):
         H = build_long_range_ising(8, 3.0, 1.0, 2.0)
         env = decay_envelope(H)
-        T = shift_block_energies(truncate_interactions(H, decompose_blocks(8, 2, 2)))
-        assert sum(T.energy_shifts) == pytest.approx(0.0, abs=1e-10)
+        T0 = truncate_interactions(H, decompose_blocks(8, 2, 2))
+        T = shift_block_energies(T0)
+        # the shifts sum to zero: equal block ground energies, same total spectrum
+        e = T.block_ground_energies()
+        np.testing.assert_allclose(e, e.mean(), atol=1e-10)
+        assert e.sum() == pytest.approx(T0.block_ground_energies().sum(), abs=1e-10)
+        np.testing.assert_allclose(np.linalg.eigvalsh(T.assemble_dense()), T0.spectral().eigenvalues, atol=1e-10)
         q = T.q
         for e in T.block_ground_energies():
             assert abs(e) <= (q + 1) / (q + 2) * env.g0 + 1e-9
@@ -165,7 +183,7 @@ class TestShiftBlockEnergies:
         T2 = shift_block_energies(T1)
         for a, b in zip(T1.internal, T2.internal):
             np.testing.assert_allclose(a, b, atol=1e-12)
-        np.testing.assert_allclose(T1.energy_shifts, T2.energy_shifts, atol=1e-12)
+        np.testing.assert_allclose(T2.block_ground_energies(), T1.block_ground_energies(), atol=1e-12)
 
     def test_spectrum_invariant(self):
         H = build_long_range_ising(6, 3.0, 1.0, 1.0)
@@ -177,8 +195,8 @@ class TestShiftBlockEnergies:
 
     def test_symmetric_blocks_get_equal_shifts(self):
         H = nearest_neighbor_chain(4, J=0.3, B=1.0)
-        T = shift_block_energies(truncate_interactions(H, decompose_blocks(4, 2, 1)))
-        shifts = np.asarray(T.energy_shifts)
+        T0 = truncate_interactions(H, decompose_blocks(4, 2, 1))
+        shifts = shift_block_energies(T0).block_ground_energies() - T0.block_ground_energies()
         # mirror symmetry of the chain pairs blocks (0,3) and (1,2)
         assert shifts[0] == pytest.approx(shifts[3], abs=1e-10)
         assert shifts[1] == pytest.approx(shifts[2], abs=1e-10)
@@ -204,7 +222,7 @@ class TestVerifyLemma34:
         assert weyl.lhs <= weyl.rhs + 1e-9
         assert gap.rhs >= gap.lhs - 1e-9
         assert overlap.lhs <= overlap.rhs + 1e-9
-        assert delta_norm <= T.dropped_norm_sum + 1e-9
+        assert delta_norm <= dropped_norm_sum(H, T) + 1e-9
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_reference_family_n8(self, l):
@@ -216,7 +234,7 @@ class TestVerifyLemma34:
         assert weyl.lhs <= weyl.rhs + 1e-9
         assert gap.rhs >= gap.lhs - 1e-9
         assert overlap.lhs <= overlap.rhs + 1e-9  # 0 <= 0 when 4||delta|| >= gap
-        assert weyl.rhs <= T.dropped_norm_sum + 1e-9
+        assert weyl.rhs <= dropped_norm_sum(H, T) + 1e-9
 
     @pytest.mark.parametrize(
         "H,l",
