@@ -75,10 +75,28 @@ class ChebyshevFilter:
 
 
 def _filter_values(m: int, eigenvalues: np.ndarray, gap: float, width: float) -> np.ndarray:
+    """K's eigenvalues T_m(x)/T_m(x0), x the spectrum mapped so that [gap, width] is [-1, 1].
+
+    With x0 < -1 the ground's image and phi0 = acosh|x0|, the ratio is
+    cos(m acos x) / ((-1)^m cosh(m phi0)) inside the window and
+    +-exp(m (phi - phi0)) (1 + e^{-2 m phi}) / (1 + e^{-2 m phi0}) outside,
+    phi = acosh|x|.  No factor overflows (the raw recurrence does past
+    m ~ 1000), and the ground's value is exactly 1.
+    """
     x = eigenvalues - eigenvalues[0]
     scaled = (2.0 * x - (width + gap)) / (width - gap)
-    denom = chebyshev_T(m, -(width + gap) / (width - gap))
-    return chebyshev_T(m, scaled) / denom
+    phi0 = np.arccosh((width + gap) / (width - gap))
+    sign0 = -1.0 if m % 2 else 1.0
+    decay0 = np.exp(-2.0 * m * phi0)
+    inside = np.abs(scaled) <= 1.0
+    out = np.empty_like(scaled)
+    # 1 / cosh(m phi0) = 2 e^{-m phi0} / (1 + e^{-2 m phi0})
+    out[inside] = sign0 * np.cos(m * np.arccos(scaled[inside])) * 2.0 * np.exp(-m * phi0) / (1.0 + decay0)
+    outside = scaled[~inside]
+    phi = np.arccosh(np.abs(outside))
+    growth = np.exp(m * (phi - phi0)) * (1.0 + np.exp(-2.0 * m * phi)) / (1.0 + decay0)
+    out[~inside] = np.where(outside < 0.0, 1.0, sign0) * growth
+    return out
 
 
 def agsp_filter(eff: EffectiveHamiltonian, m: int) -> ChebyshevFilter:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .spectral import (
     eigendecompose,
     in_window,
     top_singular_value,
-    unitary_block_norm,
+    unitary_block_norms,
 )
 from .truncation import TruncatedHamiltonian, align_phase
 
@@ -208,21 +209,20 @@ def fit_log_slope(taus, distances, floor: float = 1e-12):
 
 
 def _block_overlap_matrix(T: TruncatedHamiltonian, s: int, basis: np.ndarray) -> np.ndarray:
-    """Rows: product basis labelled by block-s eigenvalues; cols: given basis."""
-    sp = T.block_spectra()[s]
-    return apply_on_block(T.blocks.blocks[s], sp.eigenvectors.conj().T, basis)
+    """Overlaps of the columns of `basis` with block-s eigenvectors times product states.
 
-
-def _block_row_labels(T: TruncatedHamiltonian, s: int) -> np.ndarray:
-    """Block-s eigenvalue attached to each product-basis row index."""
-    n = T.lattice.n
-    block = T.blocks.blocks[s]
+    Rows run over (block-s level, other sites), the level slowest; levels
+    ascend, so those above any energy are a row suffix.
+    """
+    U_dag, block = T.block_spectra()[s].eigenvectors.conj().T, T.blocks.blocks[s]
     if len(block) == 0:
-        scalar = float(T.block_spectra()[s].eigenvalues[0])
-        return np.full(T.lattice.dim, scalar)
+        return U_dag[0, 0] * basis
     a, b = block[0], block[-1]
-    w = T.block_spectra()[s].eigenvalues
-    return np.repeat(np.tile(w, 2 ** (a - 1)), 2 ** (n - b))
+    resh = basis.reshape(2 ** (a - 1), 2 ** (b - a + 1), -1)
+    # One BLAS product per prefix configuration, written straight into level-major rows.
+    out = np.empty((resh.shape[1], resh.shape[0], resh.shape[2]), dtype=np.result_type(U_dag, basis))
+    np.matmul(U_dag, resh, out=out.transpose(1, 0, 2))
+    return out.reshape(basis.shape)
 
 
 def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -> list[BoundRecord]:
@@ -232,9 +232,11 @@ def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -
     C*exp(-lambda*(E' - E_{s,0} - (E - E_t0) - 4 g0)) and the clamped
     analogue ||P^(s)_{>E'} P_eff_{<=E}|| against
     C*exp(-lambda'*(min(E', tau_s) - E_{s,0} - (E - E_eff0) - 4 g0)), with
-    C = 4 e^{3/2} / (e - 1).  Each lhs is a sub-block of the unitary
-    `_block_overlap_matrix`, so `unitary_block_norm` decides it exactly
-    wherever the row and column counts sum past dim.
+    C = 4 e^{3/2} / (e - 1).  Each lhs is a corner of the unitary
+    `_block_overlap_matrix`: the block levels above E' (a row suffix) against
+    the eigenvectors of H_t, or H_eff, at or below E (a column prefix).
+    `unitary_block_norms` reads it as a view and decides it exactly wherever
+    the row and column counts sum past dim.
     """
     T = eff.base
     lam, lam_p = T.lambdas
@@ -244,37 +246,24 @@ def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -
     e_t0 = spec_t.ground_energy
     e_eff0 = spec_e.ground_energy
     block_e0 = T.block_ground_energies()
-    low = [(E, in_window(spec_t.eigenvalues, hi=E), in_window(spec_e.eigenvalues, hi=E)) for E in E_grid]
+    E_primes, E_grid = [float(Ep) for Ep in E_prime_grid], [float(E) for E in E_grid]
+    low = [[int(in_window(spec.eigenvalues, hi=E).sum()) for E in E_grid] for spec in (spec_t, spec_e)]
     records = []
-    for s in range(T.q + 2):
-        labels = _block_row_labels(T, s)
-        M_plain = _block_overlap_matrix(T, s, spec_t.eigenvectors)
-        M_eff = _block_overlap_matrix(T, s, spec_e.eigenvectors)
-        for E_prime in E_prime_grid:
-            rows = ~in_window(labels, hi=E_prime)
-            for E, low_t, low_e in low:
-                lhs = unitary_block_norm(M_plain, rows, low_t)
-                expo = lam * ((E_prime - block_e0[s]) - (E - e_t0) - 4.0 * g0)
-                records.append(
-                    BoundRecord(
-                        "prop8.energy-dist",
-                        lhs,
-                        E_DIST_PREFACTOR * math.exp(-expo),
-                        {"s": s, "E_prime": float(E_prime), "E": float(E)},
-                    )
-                )
-                lhs = unitary_block_norm(M_eff, rows, low_e)
-                expo = lam_p * (
-                    min(E_prime, eff.tau_s[s]) - block_e0[s] - (E - e_eff0) - 4.0 * g0
-                )
-                records.append(
-                    BoundRecord(
-                        "prop8.energy-dist-eff",
-                        lhs,
-                        E_DIST_PREFACTOR * math.exp(-expo),
-                        {"s": s, "E_prime": float(E_prime), "E": float(E)},
-                    )
-                )
+    for s, sp in enumerate(T.block_spectra()):
+        per_level = T.lattice.dim // len(sp.eigenvalues)
+        first_rows = [per_level * int(in_window(sp.eigenvalues, hi=Ep).sum()) for Ep in E_primes]
+        lhs_t, lhs_e = (
+            unitary_block_norms(_block_overlap_matrix(T, s, spec.eigenvectors), list(product(first_rows, cols)))
+            for spec, cols in zip((spec_t, spec_e), low)
+        )
+        for (E_prime, E), plain, clamped in zip(product(E_primes, E_grid), lhs_t, lhs_e):
+            context = {"s": s, "E_prime": E_prime, "E": E}
+            expo = lam * ((E_prime - block_e0[s]) - (E - e_t0) - 4.0 * g0)
+            records.append(BoundRecord("prop8.energy-dist", plain, E_DIST_PREFACTOR * math.exp(-expo), context))
+            expo = lam_p * (min(E_prime, eff.tau_s[s]) - block_e0[s] - (E - e_eff0) - 4.0 * g0)
+            records.append(
+                BoundRecord("prop8.energy-dist-eff", clamped, E_DIST_PREFACTOR * math.exp(-expo), dict(context))
+            )
     return records
 
 

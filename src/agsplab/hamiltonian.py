@@ -89,6 +89,33 @@ def spectral_norm(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(w)))
 
 
+def interaction_norm(V: np.ndarray, x_sites: int) -> float:
+    """Operator 2-norm of a Hermitian V on the sites of X (the high bits, |X| = `x_sites`), then Y.
+
+    If every term flips an odd number of X sites and keeps the total parity,
+    each total-parity sector of V, ordered by X parity, is [[0, B], [B^dag, 0]]
+    with eigenvalues exactly +-sigma(B): the norm is the larger
+    `top_singular_value` of the two D/4 x D/4 blocks B.  As in
+    `parity_sectors`, the matrix decides: the split is taken only when the
+    four blocks that flip both parities hold all of V's nonzero entries, else
+    `spectral_norm`.  A non-finite entry raises `LinAlgError`.
+    """
+    from .spectral import top_singular_value  # spectral imports this module
+
+    dx, dy = 2**x_sites, V.shape[0] >> x_sites
+    if dx >= 2 and dy >= 2:
+        (xe, xo), (ye, yo) = _parity_halves(dx), _parity_halves(dy)
+        V4, q = V.reshape(dx, dy, dx, dy), V.shape[0] // 4
+        # B of the even and of the odd total-parity sector, then their adjoints.
+        corners = ((xo, yo, xe, ye), (xo, ye, xe, yo), (xe, ye, xo, yo), (xe, yo, xo, ye))
+        quads = [V4[np.ix_(*idx)].reshape(q, q) for idx in corners]
+        if sum(map(np.count_nonzero, quads)) == np.count_nonzero(V):
+            if not all(np.isfinite(b).all() for b in quads):
+                raise np.linalg.LinAlgError("matrix has a non-finite entry")
+            return max(top_singular_value(B) for B in quads[:2])
+    return spectral_norm(V)
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Open 1D chain of n qubits."""
@@ -374,8 +401,9 @@ def block_interaction(
     """Interaction operator between site sets X and Y.
 
     Sums exactly the terms h_Z with Z inside X | Y touching both X and Y;
-    returns the operator embedded on the sites of X | Y together with its
-    operator norm (dense eigensolve; exactly 0.0 when no term is picked).
+    returns the operator on the sites of X, then of Y (each ascending), and
+    its norm: `interaction_norm`, or exactly 0.0 with no solve when no term
+    is picked.
     """
     X, Y = set(X), set(Y)
     if X & Y:
@@ -386,8 +414,8 @@ def block_interaction(
         for t in H.terms
         if set(t.support) <= region and set(t.support) & X and set(t.support) & Y
     ]
-    out = region_sum(H.lattice, tuple(sorted(region)), picked)
-    return out, spectral_norm(out) if picked else 0.0
+    out = region_sum(H.lattice, tuple(sorted(X)) + tuple(sorted(Y)), picked)
+    return out, interaction_norm(out, len(X)) if picked else 0.0
 
 
 def decay_envelope(H: Hamiltonian) -> DecayEnvelope:

@@ -6,7 +6,8 @@ LAPACK calls, except that ground states of sparse matrices come from
 Lanczos (`eigsh`); near-degenerate ground states are rejected rather than
 perturbed.  `top_singular_value` is the one kernel for operator 2-norms of
 dense blocks: the largest eigenvalue of the smaller Gram matrix;
-`unitary_block_norm` skips it where a block of a unitary has norm 1 exactly.
+`unitary_block_norms` skips it where a corner block of a unitary has norm 1
+exactly, and reads every other corner as a view.
 
 `eigendecompose` and `top_singular_value`, like `hamiltonian.spectral_norm`
 and the operator Schmidt SVD, solve on the spin-flip parity sectors that
@@ -15,9 +16,12 @@ are split by the popcount parity of their index, and the split is taken
 only when both cross blocks are exactly zero.  It is then a permutation
 similarity, so the spectrum is exactly the union of the two sectors', at a
 quarter of the flops of one solve.  Both families conserve prod Z, so on
-the reference config H, H_t, every block h_s, H_eff, the Assumption-1
-interactions and delta split; a split eigendecomposition has exact zeros,
-so the clamps, the filters K and K's Schmidt reshape split exactly too.
+the reference config H, H_t, every block h_s, H_eff and delta split; a split
+eigendecomposition has exact zeros, so the clamps, the filters K and K's
+Schmidt reshape split exactly too.  The Assumption-1 interactions V_{X,Y}
+split further: `hamiltonian.interaction_norm` solves each on the two
+D/4 x D/4 blocks that flip both the X and the Y parity, through
+`top_singular_value`, where the matrix has only those blocks.
 """
 
 from __future__ import annotations
@@ -137,20 +141,20 @@ def _gram_top(A: np.ndarray) -> float:
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
-def unitary_block_norm(W: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
-    """2-norm of the sub-block W[rows, cols] of a unitary matrix W.
+def unitary_block_norms(W: np.ndarray, corners) -> list[float]:
+    """2-norms of the corner blocks W[r:, :c] of a unitary W, one per (r, c) in `corners`.
 
-    The block is the product P W Q of two coordinate projectors with W, so
-    its norm is ||P (W Q W^dag)||, a norm of a product of two projectors.
-    When their ranks sum past dim their ranges intersect and the norm is 1
-    exactly (the dimension count of Halmos' two-subspace theory); otherwise
-    `top_singular_value` of the block.  A non-finite W gives NaN.
+    A block is the product P W Q of two coordinate projectors with W, so its
+    norm is ||P (W Q W^dag)||, a norm of a product of two projectors.  When
+    their ranks (dim - r) + c sum past dim their ranges intersect and the
+    norm is 1 exactly (the dimension count of Halmos' two-subspace theory);
+    otherwise `top_singular_value` of the block, read as a view.  W is
+    checked for finiteness once: a non-finite W gives NaN for every corner.
     """
     if not np.isfinite(W).all():
-        return float("nan")
-    if rows.sum() + cols.sum() > W.shape[0]:
-        return 1.0
-    return top_singular_value(W[np.ix_(rows, cols)])
+        return [float("nan")] * len(corners)
+    dim = W.shape[0]
+    return [1.0 if (dim - r) + c > dim else top_singular_value(W[r:, :c]) for r, c in corners]
 
 
 def ground_state(M: np.ndarray | SpectralData | scipy.sparse.sparray) -> GroundStateInfo:

@@ -180,6 +180,61 @@ def dense_filter_lhs(T, s: int, O: np.ndarray, E: float, E_prime: float, spectru
     return float(np.linalg.norm(block, 2)) if block.size else 0.0
 
 
+def unsplit_hermitian_norm(M: np.ndarray) -> float:
+    """Operator 2-norm of a Hermitian matrix from one unsplit `eigvalsh`."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(M))))
+
+
+def x_parity_flipping(rng, x_sites: int, y_sites: int, field: str) -> np.ndarray:
+    """Random Hermitian matrix on X then Y qubits whose every entry flips both the X and the Y parity.
+
+    Parities are counted as strings of bits (no shared index arithmetic); the
+    X bits are the high bits of an index.
+    """
+    dim = 2 ** (x_sites + y_sites)
+    A = rng.standard_normal((dim, dim))
+    if field == "complex":
+        A = A + 1j * rng.standard_normal((dim, dim))
+    bits = [format(i, f"0{x_sites + y_sites}b") for i in range(dim)]
+    px = np.array([b[:x_sites].count("1") % 2 for b in bits])
+    py = np.array([b[x_sites:].count("1") % 2 for b in bits])
+    flips = (px[:, None] != px[None, :]) & (py[:, None] != py[None, :])
+    return (A + A.conj().T) / np.sqrt(dim) * flips
+
+
+def dense_energy_dist_lhs(T, s: int, spectrum, E_prime: float, E: float) -> float:
+    """||P^(s)_{>E'} P_{<=E}|| from the product-basis overlap, by `np.ix_` and an unsplit SVD.
+
+    The overlap is kron(I, U_s, I)^dag V with rows in product order and each
+    row labelled by its block-s eigenvalue through a Kronecker product.
+    """
+    n, sp = T.lattice.n, T.block_spectra()[s]
+    block = T.blocks.blocks[s]
+    if block:
+        U = kron_embed(T, block, sp.eigenvectors)
+        labels = np.kron(np.kron(np.ones(2 ** (block[0] - 1)), sp.eigenvalues), np.ones(2 ** (n - block[-1])))
+    else:
+        U = sp.eigenvectors[0, 0] * np.eye(2**n)
+        labels = np.full(2**n, sp.eigenvalues[0])
+    overlap = U.conj().T @ spectrum.eigenvectors
+    sub = overlap[np.ix_(~in_window(labels, hi=E_prime), in_window(spectrum.eigenvalues, hi=E))]
+    return float(np.linalg.svd(sub, compute_uv=False)[0]) if sub.size else 0.0
+
+
+def mp_chebyshev_ratio(m: int, x: float, x0: float):
+    """T_m(x) / T_m(x0) in mpmath at the working precision, from cos/cosh (no recurrence)."""
+    import mpmath
+
+    def T(y):
+        y = mpmath.mpf(float(y))
+        if abs(y) <= 1:
+            return mpmath.cos(m * mpmath.acos(y))
+        return mpmath.sign(y) ** m * mpmath.cosh(m * mpmath.acosh(abs(y)))
+
+    with mpmath.workdps(60):
+        return T(x) / T(x0)
+
+
 def verify_all(cfg: ExperimentConfig) -> list:
     """Records for every grid point of the (possibly swept) config."""
     return [r for point in run_points(cfg) for r in point.records]

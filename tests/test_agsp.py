@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from agsplab.agsp import (
     AgspReport,
     ChebyshevFilter,
+    _filter_values,
     agsp_filter,
     bootstrap_state,
     chebyshev_T,
@@ -24,6 +25,7 @@ from conftest import (
     chebyshev_matrix_recurrence,
     dense_power_schmidt_rank,
     kron_chain,
+    mp_chebyshev_ratio,
     oracle_ground_vector,
 )
 
@@ -61,6 +63,35 @@ class TestChebyshev:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             chebyshev_T(-1, 0.5)
+
+
+class TestFilterValues:
+    # (gap, width) of the window: every excited value underflows to 0 at these
+    # degrees; an O(1) window near the ground (small gap, one to three levels
+    # inside); and a window that leaves the level at 0.2 below it.
+    WINDOWS = [(0.1, 1.0), (1e-6, 1.0), (1e-7, 3.0), (0.3, 1.0)]
+
+    @pytest.mark.parametrize("m", [2048, 8192])
+    @pytest.mark.parametrize("gap, width", WINDOWS)
+    def test_high_degree_matches_mpmath(self, m, gap, width):
+        # The raw recurrence overflows here: all-NaN at (2048, 0.1, 1.0).
+        w = np.linspace(0.0, 1.0, 6)
+        vals = _filter_values(m, w, gap, width)
+        assert vals[0] == 1.0
+        # The oracle takes the same double-rounded window coordinates.
+        scaled = (2.0 * w - (width + gap)) / (width - gap)
+        x0 = -(width + gap) / (width - gap)
+        for got, x in zip(vals, scaled):
+            exact = float(mp_chebyshev_ratio(m, x, x0))
+            assert abs(got - exact) <= m * 1e-15 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 8, 64])
+    def test_low_degree_matches_recurrence(self, m):
+        w = np.array([0.0, 0.4, 0.55, 1.3, 2.0])
+        gap, width = 0.4, 2.0
+        x0 = -(width + gap) / (width - gap)
+        expected = chebyshev_T(m, (2.0 * w - (width + gap)) / (width - gap)) / chebyshev_T(m, x0)
+        np.testing.assert_allclose(_filter_values(m, w, gap, width), expected, rtol=0, atol=1e-13)
 
 
 class TestFilter:

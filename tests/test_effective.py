@@ -20,9 +20,9 @@ from agsplab.hamiltonian import (
     local_energy_g,
     spectral_norm,
 )
-from agsplab.spectral import eigendecompose
+from agsplab.spectral import SpectralData, eigendecompose
 from agsplab.truncation import decompose_blocks, shift_block_energies, truncate_interactions
-from conftest import PAULI_Z, dense_commutator_norms, dense_filter_lhs
+from conftest import PAULI_Z, dense_commutator_norms, dense_energy_dist_lhs, dense_filter_lhs
 
 
 def make_T(n=6, alpha=3.0, J=1.0, B=2.0, q=2, l=1):
@@ -199,6 +199,47 @@ class TestEnergyDistribution:
         top = T.spectral().eigenvalues[-1]
         recs = energy_distribution_check(eff, [top + 50.0], [top + 1.0])
         assert all(r.lhs == 0.0 for r in recs)
+
+    @staticmethod
+    def pipeline_grids(T):
+        """The E' and E grids `verify_point` uses, plus a tie with a block level."""
+        e0, width = T.spectral().ground_energy, T.spectral().width
+        lo = min(sp.eigenvalues[0] for sp in T.block_spectra())
+        hi = max(sp.eigenvalues[-1] for sp in T.block_spectra())
+        tie = float(T.block_spectra()[1].eigenvalues[1])
+        return [*np.linspace(lo - 0.5, hi + 0.5, 5), tie], np.linspace(e0, e0 + width, 5)
+
+    @pytest.mark.parametrize("l", [1, 3], ids=["edge-blocks", "empty-edge-blocks"])
+    def test_every_lhs_matches_the_product_basis_oracle(self, l):
+        _, T = make_T(n=6, l=l)
+        eff = build_effective(T, 4.0)
+        E_primes, Es = self.pipeline_grids(T)
+        recs = energy_distribution_check(eff, E_primes, Es)
+        assert len(recs) == 2 * (T.q + 2) * len(E_primes) * len(Es)
+        spectra = {"prop8.energy-dist": T.spectral(), "prop8.energy-dist-eff": eff.spectral()}
+        solved = 0
+        for r in recs:
+            c = r.context
+            expected = dense_energy_dist_lhs(T, c["s"], spectra[r.bound_id], c["E_prime"], c["E"])
+            assert abs(r.lhs - expected) <= 1e-12
+            solved += 0.0 < r.lhs < 1.0
+        assert solved > 0  # some corners go through the Gram kernel, not only the identities
+
+    def test_non_finite_eigenvector_gives_nan_for_every_record_read_from_it(self):
+        _, T = make_T()
+        eff = build_effective(T, 4.0)
+        E_primes, Es = self.pipeline_grids(T)
+        sp = eff.spectral()
+        poisoned = sp.eigenvectors.copy()
+        poisoned[7, 40] = np.nan
+        eff._spectral = SpectralData(sp.eigenvalues, poisoned, sp.source_dim)
+        recs = energy_distribution_check(eff, E_primes, Es)
+        assert all(np.isnan(r.lhs) for r in recs if r.bound_id == "prop8.energy-dist-eff")
+        assert all(np.isfinite(r.lhs) for r in recs if r.bound_id == "prop8.energy-dist")
+        block = T.block_spectra()[2]
+        block.eigenvectors[0, 1] = np.nan
+        recs = energy_distribution_check(eff, E_primes, Es)
+        assert all(np.isnan(r.lhs) == (r.context["s"] == 2 or r.bound_id == "prop8.energy-dist-eff") for r in recs)
 
 
 class TestEffectiveDifference:

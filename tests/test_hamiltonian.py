@@ -17,18 +17,24 @@ from agsplab.hamiltonian import (
     contiguous_pair_samples,
     decay_envelope,
     embed_sum,
+    interaction_norm,
     local_energy_g,
     region_sum,
+    spectral_norm,
     verify_assumption1,
 )
+from agsplab.experiment import build_model
 from conftest import (
     PAULI_X,
     PAULI_Z,
+    REFERENCE_CONFIG,
     kron_chain,
     oracle_fermion_chain,
     oracle_ising,
     power_law_profile,
+    unsplit_hermitian_norm,
     verify_power_law,
+    x_parity_flipping,
 )
 
 # Frozen oracle values (computed once with the independent constructions in
@@ -304,6 +310,78 @@ class TestBlockInteraction:
             _, norm = block_interaction(H, X, Y)
             triangle = sum(t.norm for t in H.terms if set(t.support) & X and set(t.support) & Y)
             assert norm <= triangle + 1e-12
+
+
+    @pytest.mark.parametrize("family", ["ising", "fermion"])
+    @pytest.mark.parametrize("X, Y", [((5, 6), (1, 2, 3)), ((4,), (1, 2, 3)), ((1,), (2, 3, 4, 5)), ((6,), (1, 3))])
+    def test_x_after_y_and_single_site_x(self, family, X, Y):
+        if family == "ising":
+            H = build_long_range_ising(6, 3.0, 1.0, 1.0)
+        else:
+            H = build_long_range_fermion_chain(6, 3.0, 1.0, 0.5)
+        V, norm = block_interaction(H, X, Y)
+        # On the sites of X, then of Y: the same operator as on the sorted region, reordered.
+        W, _ = block_interaction(H, Y, X)
+        nx, ny = len(X), len(Y)
+        swapped = W.reshape(2**ny, 2**nx, 2**ny, 2**nx).transpose(1, 0, 3, 2).reshape(V.shape)
+        np.testing.assert_array_equal(V, swapped)
+        assert norm == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    x_sites=st.integers(min_value=1, max_value=4),
+    y_sites=st.integers(min_value=1, max_value=4),
+    field=st.sampled_from(["real", "complex"]),
+)
+def test_property_x_parity_norm_matches_unsplit_oracle(seed, x_sites, y_sites, field):
+    V = x_parity_flipping(np.random.default_rng(seed), x_sites, y_sites, field)
+    assert interaction_norm(V, x_sites) == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
+
+
+class TestInteractionNorm:
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        calls = []
+        full = hamiltonian.spectral_norm
+        monkeypatch.setattr(hamiltonian, "spectral_norm", lambda M: calls.append(M.shape) or full(M))
+        return calls
+
+    def test_block_structure_skips_the_full_solve(self, rng, monkeypatch):
+        calls = self.spy(monkeypatch)
+        V = x_parity_flipping(rng, 2, 3, "complex")
+        assert interaction_norm(V, 2) == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (3, 7)], ids=["diagonal", "y-flip-only", "x-flip-only"])
+    def test_tiny_forbidden_entry_takes_the_full_path(self, rng, monkeypatch, where):
+        # X = 2 high bits, Y = 2 low bits: index 1 flips only a Y bit of 0,
+        # and 7 = 0b0111 flips only an X bit of 3 = 0b0011.
+        V = x_parity_flipping(rng, 2, 2, "real")
+        V[where] = V[where[::-1]] = 1e-300
+        calls = self.spy(monkeypatch)
+        value = interaction_norm(V, 2)
+        assert calls == [(16, 16)]
+        assert value == spectral_norm(V)
+        assert value == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 15), (0, 0)], ids=["in-a-block", "forbidden"])
+    def test_non_finite_entry_raises(self, rng, bad, where):
+        V = x_parity_flipping(rng, 2, 2, "real")
+        V[where] = V[where[::-1]] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            interaction_norm(V, 2)
+
+    def test_reference_records_match_the_oracle(self):
+        H = build_model(REFERENCE_CONFIG)
+        pairs = contiguous_pair_samples(REFERENCE_CONFIG.n, max_pairs=60)
+        records = verify_assumption1(H, decay_envelope(H), pairs)
+        assert len(records) == 60
+        for (X, Y), rec in zip(pairs, records):
+            V, _ = block_interaction(H, X, Y)
+            assert rec.lhs == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
 
 
 class TestDecayEnvelope:

@@ -23,7 +23,7 @@ from agsplab.spectral import (
     ground_state,
     in_window,
     top_singular_value,
-    unitary_block_norm,
+    unitary_block_norms,
 )
 from conftest import PAULI_X, PAULI_Z
 
@@ -280,7 +280,10 @@ def test_property_unitary_block_norm_matches_gram_kernel(seed, dim, field, past_
     c = int(rng.integers(dim - r + 1, dim + 1)) if past_dim else int(rng.integers(0, dim - r + 1))
     rows, cols = random_mask(rng, dim, r), random_mask(rng, dim, c)
     expected = top_singular_value(W[np.ix_(rows, cols)])
-    value = unitary_block_norm(W, rows, cols)
+    # The same block as a corner of a unitary: the chosen rows last, the chosen columns first.
+    P = W[np.concatenate([np.flatnonzero(~rows), np.flatnonzero(rows)])]
+    P = P[:, np.concatenate([np.flatnonzero(cols), np.flatnonzero(~cols)])]
+    [value] = unitary_block_norms(P, [(dim - r, c)])
     assert abs(value - expected) <= 1e-12
     if past_dim:
         assert value == 1.0
@@ -290,17 +293,20 @@ class TestUnitaryBlockNorm:
     def test_non_finite_entry_gives_nan(self, rng):
         W = random_unitary(rng, 8, "real")
         W[5, 6] = np.nan
-        rows, cols = np.zeros(8, dtype=bool), np.zeros(8, dtype=bool)
-        rows[:2], cols[:2] = True, True  # the NaN lies outside the block
-        assert np.isnan(unitary_block_norm(W, rows, cols))
-        assert np.isnan(unitary_block_norm(W, ~rows, ~cols))  # rank sum past dim
+        # The first corner misses the NaN; the second has a rank sum past dim.
+        values = unitary_block_norms(W, [(6, 2), (2, 8)])
+        assert len(values) == 2 and all(np.isnan(v) for v in values)
 
     def test_empty_masks_give_zero(self, rng):
         W = random_unitary(rng, 8, "complex")
-        none, every = np.zeros(8, dtype=bool), np.ones(8, dtype=bool)
-        assert unitary_block_norm(W, none, every) == 0.0
-        assert unitary_block_norm(W, every, none) == 0.0
-        assert unitary_block_norm(W, none, none) == 0.0
+        assert unitary_block_norms(W, [(8, 8), (0, 0), (8, 0)]) == [0.0, 0.0, 0.0]
+
+    def test_each_corner_is_read_in_order(self, rng):
+        W = random_unitary(rng, 8, "complex")
+        corners = [(5, 2), (0, 1), (3, 6), (6, 5)]
+        expected = [top_singular_value(W[r:, :c]) if (8 - r) + c <= 8 else 1.0 for r, c in corners]
+        assert unitary_block_norms(W, corners) == expected
+        assert unitary_block_norms(W, []) == []
 
 
 @settings(max_examples=30, deadline=None)
