@@ -45,11 +45,9 @@ from .effective import (
     theorem5_check,
 )
 from .agsp import (
-    AgspReport,
     agsp_filter,
     bootstrap_state,
     chebyshev_T,
-    measure_agsp,
     operator_schmidt_rank,
     schmidt_rank_bound_check,
 )

@@ -1,19 +1,20 @@
 """Chebyshev ground-state filters and their measured quality parameters.
 
 A filter K is a degree-m Chebyshev polynomial of the clamped Hamiltonian,
-normalized to 1 at the (shifted) ground energy.  Its quality is measured by
-three numbers: the drift delta_K of its fixed state from the target ground
-state, the residual action epsilon_K on the orthogonal complement, and the
-operator Schmidt rank D_K across the cut.  The bootstrapping construction
-turns a good filter into a low-Schmidt-rank approximate ground state.  Every
-rank here is counted by `entanglement.numerical_rank`, and the fixed state's
-Schmidt spectrum comes from `entanglement.schmidt_decompose`.
+normalized to 1 at the (shifted) ground energy.  Its quality is three numbers,
+each measured along one path by `ChebyshevFilter`: the drift delta_K of its
+fixed state from a target (`drift`), the residual epsilon_K on the fixed
+state's complement, exactly max_{j>=1} |f(E_j)| (`excited_residual`), and the
+operator Schmidt rank D_K across the cut (`schmidt_rank`).  Bootstrapping
+turns a filter with epsilon_K^2 D_K <= 1/2 into a low-Schmidt-rank
+approximate ground state.  Every rank is counted by `numerical_rank`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,34 +22,63 @@ from .effective import EffectiveHamiltonian
 from .entanglement import numerical_rank, schmidt_decompose, truncate_to_rank
 from .hamiltonian import parity_sectors, region_sum
 from .registry import BoundRecord, vacuous
-from .spectral import top_singular_value
 from .truncation import TruncatedHamiltonian, align_phase
 
 
 def chebyshev_T(m: int, x):
-    """Chebyshev polynomial T_m(x) by the three-term recurrence (vectorized)."""
+    """Chebyshev polynomial T_m(x) by the three-term recurrence (vectorized); numpy warns past the float range."""
+    t, e = scaled_chebyshev_T(m, x)
+    value = t * np.exp2(e)
+    return value if value.ndim else float(value)
+
+
+def scaled_chebyshev_T(m: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """T_m(x) = t * 2^e by the recurrence, both terms divided by 2^1000 (exactly) when one reaches it.
+
+    No term overflows for |x| < 2^20; where |T_m(x)| < 2^1000, t is the plain recurrence value.
+    """
     if m < 0:
         raise ValueError(f"degree must be non-negative, got {m}")
     x = np.asarray(x, dtype=float)
-    t_prev = np.ones_like(x)
+    t_prev, t_cur, e = np.ones_like(x), x.copy(), np.zeros(x.shape, dtype=int)
     if m == 0:
-        return t_prev if t_prev.ndim else float(t_prev)
-    t_cur = x.copy()
+        return t_prev, e
     for _ in range(m - 1):
         t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
-    return t_cur if t_cur.ndim else float(t_cur)
+        shift = np.where(np.maximum(np.abs(t_prev), np.abs(t_cur)) >= 2.0**1000, 1000, 0)
+        t_prev, t_cur, e = np.ldexp(t_prev, -shift), np.ldexp(t_cur, -shift), e + shift
+    return t_cur, e
 
 
 @dataclass
 class ChebyshevFilter:
-    """Polynomial filter K(m, H_eff) pinned to 1 at the effective ground energy."""
+    """Degree-m filter K = V f(w) V^dag of a clamp's spectrum V, w, built by `agsp_filter`.
 
-    m: int
-    matrix: np.ndarray
-    fixed_state: np.ndarray
-    gap_eff: float
-    width: float
+    f = T_m(x)/T_m(x0) (`_filter_values`) has f(E_0) = 1 exactly, so the fixed
+    state is the clamp's ground state.  K is formed on first use.
+    """
+
     eff: EffectiveHamiltonian
+    m: int
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """K itself, a dense matrix of the clamp's dimension."""
+        sp = self.eff.spectral()
+        vals = _filter_values(self.m, sp.eigenvalues, sp.gap, sp.width)
+        return (sp.eigenvectors * vals) @ sp.eigenvectors.conj().T
+
+    @property
+    def fixed_state(self) -> np.ndarray:
+        return self.eff.spectral().eigenvectors[:, 0]
+
+    @property
+    def gap_eff(self) -> float:
+        return self.eff.spectral().gap
+
+    @property
+    def width(self) -> float:
+        return self.eff.spectral().width
 
     @property
     def cheb_bound(self) -> float:
@@ -56,13 +86,18 @@ class ChebyshevFilter:
         return 2.0 * math.exp(-2.0 * self.m * math.sqrt(self.gap_eff / self.width))
 
     def excited_residual(self) -> float:
-        """Exact sup of |K| over excited eigenvalues (shares the K eigenbasis)."""
+        """epsilon_K = ||K (1 - |fixed><fixed|)|| = max_{j>=1} |f(E_j)|, exact (K shares the clamp's eigenbasis)."""
         sp = self.eff.spectral()
-        vals = _filter_values(self.m, sp.eigenvalues, self.gap_eff, self.width)
+        vals = _filter_values(self.m, sp.eigenvalues, sp.gap, sp.width)
         return float(np.max(np.abs(vals[1:]))) if len(vals) > 1 else 0.0
 
+    def drift(self, target: np.ndarray) -> tuple[float, np.ndarray]:
+        """delta_K = ||target - fixed||, with the fixed state phase-aligned to `target`; returns both."""
+        fixed = align_phase(target, self.fixed_state)
+        return float(np.linalg.norm(target - fixed)), fixed
+
     def schmidt_rank(self) -> int:
-        """Operator Schmidt rank of K across its clamp's block cut.
+        """Operator Schmidt rank D_K of K across its clamp's block cut.
 
         K is a function of its clamp's spectrum and m, so the rank is cached
         on the clamp under m: one SVD per clamp and degree, whichever filter
@@ -100,29 +135,16 @@ def _filter_values(m: int, eigenvalues: np.ndarray, gap: float, width: float) ->
 
 
 def agsp_filter(eff: EffectiveHamiltonian, m: int) -> ChebyshevFilter:
-    """Build the degree-m Chebyshev filter of the clamped Hamiltonian.
+    """The degree-m Chebyshev filter of a clamp, suppressing [gap, width] above its ground energy.
 
-    The energy origin is shifted to the effective ground energy, so the
-    filter satisfies K(ground) = 1 exactly; the suppression window spans
-    [gap, width] of the shifted spectrum.
+    A (near-)degenerate spectrum, or one with no level above the gap, is refused.
     """
     sp = eff.spectral()
-    gap = sp.gap
-    width = sp.width
-    if gap <= 1e-10:
-        raise ValueError(f"effective spectrum is (near-)degenerate: gap = {gap:g}")
-    if width - gap <= 1e-10:
+    if sp.gap <= 1e-10:
+        raise ValueError(f"effective spectrum is (near-)degenerate: gap = {sp.gap:g}")
+    if sp.width - sp.gap <= 1e-10:
         raise ValueError("effective spectrum has no excited window above the gap")
-    vals = _filter_values(m, sp.eigenvalues, gap, width)
-    K = (sp.eigenvectors * vals) @ sp.eigenvectors.conj().T
-    return ChebyshevFilter(
-        m=m,
-        matrix=K,
-        fixed_state=sp.eigenvectors[:, 0],
-        gap_eff=gap,
-        width=width,
-        eff=eff,
-    )
+    return ChebyshevFilter(eff=eff, m=m)
 
 
 def operator_schmidt_rank(O: np.ndarray, cut: int) -> int:
@@ -144,46 +166,6 @@ def operator_schmidt_rank(O: np.ndarray, cut: int) -> int:
     )
     sectors = parity_sectors(rearranged)
     return numerical_rank(np.concatenate([np.linalg.svd(b, compute_uv=False) for _, _, b in sectors]))
-
-
-@dataclass
-class AgspReport:
-    """Measured quality triple of a filter against a target ground state."""
-
-    m: int
-    delta_K: float
-    epsilon_K: float
-    D_K: int
-    cheb_bound: float
-
-    @property
-    def bootstrap_ready(self) -> bool:
-        return self.epsilon_K**2 * self.D_K <= 0.5
-
-
-def measure_agsp(filt: ChebyshevFilter, target_gs: np.ndarray) -> AgspReport:
-    """Measure (delta_K, epsilon_K, D_K) of a filter against `target_gs`.
-
-    delta_K is the phase-aligned distance from the filter's fixed state to
-    the target; epsilon_K the dense 2-norm of K restricted to the fixed
-    state's complement (exact for any K, also one that is not a function of
-    its clamp's spectrum); D_K the operator Schmidt rank across the block cut.
-    """
-    K = filt.matrix
-    fixed = filt.fixed_state
-    residual = np.linalg.norm(K @ fixed - fixed)
-    if residual > 1e-8:
-        raise ValueError(f"filter does not fix its ground state: residual {residual:g}")
-    aligned = align_phase(target_gs, fixed)
-    delta = float(np.linalg.norm(target_gs - aligned))
-    epsilon = top_singular_value(K - np.outer(K @ fixed, fixed.conj()))
-    return AgspReport(
-        m=filt.m,
-        delta_K=delta,
-        epsilon_K=epsilon,
-        D_K=filt.schmidt_rank(),
-        cheb_bound=filt.cheb_bound,
-    )
 
 
 def _cut_factors(T: TruncatedHamiltonian) -> tuple[np.ndarray, np.ndarray]:
@@ -309,29 +291,30 @@ def schmidt_rank_bound_check(T: TruncatedHamiltonian, m: int) -> list[BoundRecor
     ]
 
 
-def bootstrap_state(filt: ChebyshevFilter, target_gs: np.ndarray, report: AgspReport):
+def bootstrap_state(filt: ChebyshevFilter, target_gs: np.ndarray):
     """Filtered top-Schmidt product state: a low-rank approximate ground state.
 
-    `report` is `measure_agsp(filt, target_gs)`.  Requires epsilon_K^2 * D_K
-    <= 1/2; then the top Schmidt coefficient of the fixed state obeys
-    mu_1 >= 1/sqrt(2 D_K), and psi = K|P_1>/||K|P_1>|| lands within
-    epsilon_K*sqrt(2 D_K) + delta_K of the target with Schmidt rank at most
-    D_K, across the clamp's block cut.  Returns (psi, records): the
-    `bootstrap.mu1` and `prop2.distance` records, with context m.  When the
-    precondition fails psi is None and both records are not-applicable
+    Requires epsilon_K^2 * D_K <= 1/2; then the top Schmidt coefficient of
+    the fixed state obeys mu_1 >= 1/sqrt(2 D_K), and psi = K|P_1>/||K|P_1>||
+    lands within epsilon_K*sqrt(2 D_K) + delta_K of `target_gs` with Schmidt
+    rank at most D_K, across the clamp's block cut.  Returns (psi, records):
+    the `bootstrap.mu1` and `prop2.distance` records, with context m.  When
+    the precondition fails psi is None and both records are not-applicable
     placeholders.
     """
-    if not report.bootstrap_ready:
+    epsilon, D = filt.excited_residual(), filt.schmidt_rank()
+    if epsilon**2 * D > 0.5:
         note = "epsilon_K^2 * D_K > 1/2"
         return None, [vacuous("bootstrap.mu1", note, m=filt.m), vacuous("prop2.distance", note, m=filt.m)]
     # The distance bound chains through delta_K, which is measured with the
     # fixed state phase-aligned to the target; bootstrap from the same gauge.
-    schmidt = schmidt_decompose(align_phase(target_gs, filt.fixed_state), filt.eff.base.blocks.cut)
+    delta, fixed = filt.drift(target_gs)
+    schmidt = schmidt_decompose(fixed, filt.eff.base.blocks.cut)
     filtered = filt.matrix @ truncate_to_rank(schmidt, 1)
     psi = filtered / np.linalg.norm(filtered)
     mu1 = float(schmidt.coefficients[0])
-    distance_bound = report.epsilon_K * math.sqrt(2.0 * report.D_K) + report.delta_K
+    distance_bound = epsilon * math.sqrt(2.0 * D) + delta
     return psi, [
-        BoundRecord("bootstrap.mu1", 1.0 / math.sqrt(2.0 * report.D_K), mu1, {"m": filt.m}),
+        BoundRecord("bootstrap.mu1", 1.0 / math.sqrt(2.0 * D), mu1, {"m": filt.m}),
         BoundRecord("prop2.distance", float(np.linalg.norm(psi - target_gs)), distance_bound, {"m": filt.m}),
     ]

@@ -242,8 +242,7 @@ def agsp_sequence(
         attempt = 0
         while True:
             filt = filter_factory(m, l, tau)
-            fixed = align_phase(ground, filt.fixed_state)
-            delta = float(np.linalg.norm(ground - fixed))
+            delta, fixed = filt.drift(ground)
             epsilon = filt.excited_residual()
             denominator = 1.0 - nu0 - delta
             gamma = epsilon / denominator + delta if denominator > 0 else math.inf

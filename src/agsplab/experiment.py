@@ -163,7 +163,7 @@ def _filter_machinery_records(pipe: Pipeline, rng) -> list[BoundRecord]:
     for s, tail in enumerate(eff.tail_projectors()):
         sp = block_specs[s]
         ops = [] if tail is None else [("clamp-tail", tail)]
-        diag = rng.uniform(-1.0, 1.0, size=sp.source_dim)
+        diag = rng.uniform(-1.0, 1.0, size=sp.eigenvectors.shape[0])
         ops.append(("random-diagonal", (sp.eigenvectors * diag) @ sp.eigenvectors.conj().T))
         for name, O in ops:
             for rec in eff_mod.exponential_filter_check(
@@ -180,18 +180,25 @@ def _filter_machinery_records(pipe: Pipeline, rng) -> list[BoundRecord]:
     return records
 
 
-def _chebyshev_records(pipe: Pipeline) -> list[BoundRecord]:
+def _chebyshev_records(ms) -> list[BoundRecord]:
+    """`cheb.lemma11` records of T_m on [-1, 1] and [1, 3], per degree m in `ms` (0 read as 1).
+
+    The growth ratios |T_m(x)| / ((2x)^m / 2) and e^{2m sqrt((x-1)/(x+1))} / (2 |T_m(x)|)
+    are taken in log form from `scaled_chebyshev_T`, so no degree overflows.
+    """
     records = []
     xs_in = np.linspace(-1.0, 1.0, 201)
     xs_out = np.linspace(1.0, 3.0, 101)
-    for m in sorted({max(m, 1) for m in pipe.cfg.ms}):
+    for m in sorted({max(m, 1) for m in ms}):
         vals_in = np.abs(agsp_mod.chebyshev_T(m, xs_in))
         records.append(BoundRecord("cheb.lemma11", float(vals_in.max()), 1.0, {"m": m, "regime": "box"}))
-        vals_out = np.abs(agsp_mod.chebyshev_T(m, xs_out))
-        upper = (2.0 * xs_out) ** m / 2.0
-        lower = 0.5 * np.exp(2.0 * m * np.sqrt((xs_out - 1.0) / (xs_out + 1.0)))
-        for regime, ratio in (("growth-upper", vals_out / upper), ("growth-lower", lower / vals_out)):
-            records.append(BoundRecord("cheb.lemma11", float(np.max(ratio)), 1.0, {"m": m, "regime": regime}))
+        t, e = agsp_mod.scaled_chebyshev_T(m, xs_out)
+        log_out = np.log(np.abs(t)) + e * np.log(2.0)
+        log_upper = m * np.log(2.0 * xs_out) - np.log(2.0)
+        log_lower = np.log(0.5) + 2.0 * m * np.sqrt((xs_out - 1.0) / (xs_out + 1.0))
+        for regime, log_ratio in (("growth-upper", log_out - log_upper), ("growth-lower", log_lower - log_out)):
+            ratio = float(np.exp(np.max(log_ratio)))
+            records.append(BoundRecord("cheb.lemma11", ratio, 1.0, {"m": m, "regime": regime}))
     return records
 
 
@@ -200,21 +207,15 @@ def _agsp_records(pipe: Pipeline):
     records = []
     tau_star = max(pipe.cfg.taus)
     eff = pipe.eff_at(tau_star)
-    reports = {}
     for m in pipe.cfg.ms:
         filt = agsp_mod.agsp_filter(eff, m)
-        rep = agsp_mod.measure_agsp(filt, pipe.gs_t)
-        reports[m] = (filt, rep)
-        records.append(BoundRecord("agsp.epsilon", rep.epsilon_K, rep.cheb_bound, {"m": m, "tau": tau_star}))
+        epsilon = filt.excited_residual()
+        records.append(BoundRecord("agsp.epsilon", epsilon, filt.cheb_bound, {"m": m, "tau": tau_star}))
     for power in pipe.cfg.sr_powers:
         records.extend(agsp_mod.schmidt_rank_bound_check(pipe.T, power))
     m_boot = max(pipe.cfg.ms)
     for _ in range(8):  # double m until the bootstrap precondition holds
-        if m_boot not in reports:
-            filt = agsp_mod.agsp_filter(eff, m_boot)
-            reports[m_boot] = (filt, agsp_mod.measure_agsp(filt, pipe.gs_t))
-        filt, rep = reports[m_boot]
-        psi, boot_records = agsp_mod.bootstrap_state(filt, pipe.gs_t, rep)
+        psi, boot_records = agsp_mod.bootstrap_state(agsp_mod.agsp_filter(eff, m_boot), pipe.gs_t)
         if psi is not None:
             break
         m_boot *= 2
@@ -317,7 +318,7 @@ def verify_point(cfg: ExperimentConfig) -> PointResult:
     records.extend(trunc.verify_lemma3_4(pipe.H, pipe.T, pipe.H_spec))
     records.extend(_theorem5_records(pipe))
     records.extend(_filter_machinery_records(pipe, rng))
-    records.extend(_chebyshev_records(pipe))
+    records.extend(_chebyshev_records(pipe.cfg.ms))
     agsp_records, psi = _agsp_records(pipe)
     records.extend(agsp_records)
     records.extend(_sequence_records(pipe, psi))

@@ -12,7 +12,6 @@ owns its operator norm (`InteractionTerm.norm`, computed once).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -22,8 +21,10 @@ import scipy.sparse
 from .registry import BoundRecord
 
 HERMITICITY_ATOL = 1e-12
-DEFAULT_DIM_CEILING = 16384
-DIM_CEILING_ENV = "AGSPLAB_DIM_CEILING"
+# Largest dimensions built: a dense array by `embed_sum` (2 GiB of float64 at
+# n = 14), a CSR Hamiltonian by `assemble_sparse` (`entropy_row` 2.8 GiB at n = 18).
+DENSE_DIM_CEILING = 2**14
+SPARSE_DIM_CEILING = 2**18
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -32,13 +33,7 @@ SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # (sigma_x + i sigma_y)/2
 
 
 class DimensionCeilingError(ValueError):
-    """Requested Hilbert-space dimension exceeds the configured desk-scale ceiling."""
-
-
-def dim_ceiling() -> int:
-    """Active Hilbert-space dimension ceiling (env override wins)."""
-    raw = os.environ.get(DIM_CEILING_ENV)
-    return int(raw) if raw else DEFAULT_DIM_CEILING
+    """A dense or sparse build past its desk-scale Hilbert-space ceiling."""
 
 
 @lru_cache(maxsize=None)
@@ -125,8 +120,6 @@ class LatticeSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one site, got n={self.n}")
-        if self.dim > dim_ceiling():
-            raise DimensionCeilingError(f"2^n = 2**{self.n} = {self.dim} exceeds ceiling {dim_ceiling()}")
 
     @property
     def dim(self) -> int:
@@ -159,10 +152,6 @@ class InteractionTerm:
     def __iter__(self):
         """Unpack as the (support, matrix) piece that `embed_sum` takes."""
         return iter((self.support, self.matrix))
-
-    @property
-    def diameter(self) -> int:
-        return self.support[-1] - self.support[0]
 
     @cached_property
     def norm(self) -> float:
@@ -260,8 +249,8 @@ def embed_sum(lattice: LatticeSpec, pieces) -> np.ndarray:
     configuration, a, b) -> (row, col) is injective, so no index repeats.
     """
     dim = lattice.dim
-    if dim > dim_ceiling():
-        raise DimensionCeilingError(f"dimension {dim} exceeds ceiling {dim_ceiling()}")
+    if dim > DENSE_DIM_CEILING:
+        raise DimensionCeilingError(f"dense dimension {dim} exceeds ceiling {DENSE_DIM_CEILING}")
     pieces = [(tuple(support), np.asarray(m)) for support, m in pieces]
     dtype = np.complex128 if any(np.iscomplexobj(m) for _, m in pieces) else np.float64
     out = np.zeros((dim, dim), dtype=dtype)
@@ -296,6 +285,8 @@ def assemble_sparse(H: Hamiltonian):
     entries may differ from `assemble_dense` in the last bit.
     """
     dim = H.lattice.dim
+    if dim > SPARSE_DIM_CEILING:
+        raise DimensionCeilingError(f"sparse dimension {dim} exceeds ceiling {SPARSE_DIM_CEILING}")
     parts = list(zip(*_scatter(H.lattice, H.terms)))
     if not parts:
         return scipy.sparse.csr_array((dim, dim))

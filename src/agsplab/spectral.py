@@ -51,7 +51,6 @@ class SpectralData:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    source_dim: int
 
     @property
     def ground_energy(self) -> float:
@@ -70,9 +69,6 @@ class SpectralData:
     def width(self) -> float:
         """Spectral width above the ground energy."""
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
     def apply_function(self, f) -> np.ndarray:
         """Matrix function f(M) evaluated in the eigenbasis."""
@@ -102,7 +98,7 @@ def eigendecompose(M: np.ndarray) -> SpectralData:
     sectors = parity_sectors(M)
     if len(sectors) == 1:
         w, U = np.linalg.eigh(M)
-        return SpectralData(eigenvalues=w, eigenvectors=U, source_dim=M.shape[0])
+        return SpectralData(eigenvalues=w, eigenvectors=U)
     solved = [(rows, *np.linalg.eigh(block)) for rows, _, block in sectors]
     w = np.concatenate([w_s for _, w_s, _ in solved])
     order = np.argsort(w, kind="stable")
@@ -114,7 +110,7 @@ def eigendecompose(M: np.ndarray) -> SpectralData:
     for rows, w_s, U_s in solved:
         U[np.ix_(rows, column[start : start + len(w_s)])] = U_s
         start += len(w_s)
-    return SpectralData(eigenvalues=w[order], eigenvectors=U, source_dim=M.shape[0])
+    return SpectralData(eigenvalues=w[order], eigenvectors=U)
 
 
 def top_singular_value(A: np.ndarray) -> float:

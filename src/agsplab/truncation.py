@@ -212,7 +212,7 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
     per_block = e0 / (blocks.q + 2)
     T.internal = [h - per_block * np.eye(h.shape[0]) for h in T.internal]
     T.origin_shift = e0
-    T._spectral = SpectralData(raw.eigenvalues - e0, raw.eigenvectors, raw.source_dim)
+    T._spectral = SpectralData(raw.eigenvalues - e0, raw.eigenvectors)
     return T
 
 

@@ -79,7 +79,7 @@ def power_law_profile(H) -> dict[int, float]:
     n = H.lattice.n
     sums: dict[int, np.ndarray] = {}
     for term in H.terms:
-        r = term.diameter
+        r = term.support[-1] - term.support[0]
         if r == 0:
             continue
         acc = sums.setdefault(r, np.zeros(n + 1))
@@ -95,10 +95,11 @@ def verify_power_law(H, atol: float = 1e-9) -> bool:
         raise ValueError("Hamiltonian has no power-law metadata")
     for term in H.terms:
         nrm = term.norm
-        if term.diameter == 0:
+        diameter = term.support[-1] - term.support[0]
+        if diameter == 0:
             if nrm > meta.field + atol:
                 return False
-        elif nrm > meta.coupling / term.diameter**meta.alpha + atol:
+        elif nrm > meta.coupling / diameter**meta.alpha + atol:
             return False
     return True
 
@@ -137,10 +138,10 @@ def chebyshev_matrix_recurrence(filt) -> np.ndarray:
     dense matrix and ground energy; the normalization T_m at the window edge
     comes from numpy's Chebyshev series.
     """
-    sp = filt.eff.spectral()
-    dim = sp.source_dim
+    H = filt.eff.assemble_dense()
+    dim = H.shape[0]
     gap, width = filt.gap_eff, filt.width
-    H = filt.eff.assemble_dense() - sp.ground_energy * np.eye(dim)
+    H = H - filt.eff.spectral().ground_energy * np.eye(dim)
     Y = (2.0 * H - (width + gap) * np.eye(dim)) / (width - gap)
     t_prev, t_cur = np.eye(dim), Y
     for _ in range(filt.m - 1):
@@ -148,6 +149,13 @@ def chebyshev_matrix_recurrence(filt) -> np.ndarray:
     num = t_prev if filt.m == 0 else t_cur
     edge = -(width + gap) / (width - gap)
     return num / np.polynomial.chebyshev.chebval(edge, [0.0] * filt.m + [1.0])
+
+
+def dense_epsilon(filt) -> float:
+    """epsilon_K = ||K (1 - |g><g|)|| by one unsplit SVD, g the clamp's ground state from an unsplit `eigh`."""
+    g = oracle_ground_vector(filt.eff.assemble_dense())
+    K = filt.matrix
+    return float(np.linalg.svd(K - np.outer(K @ g, g.conj()), compute_uv=False)[0])
 
 
 def kron_embed(T, sites: tuple[int, ...], op: np.ndarray) -> np.ndarray:
@@ -233,6 +241,23 @@ def mp_chebyshev_ratio(m: int, x: float, x0: float):
 
     with mpmath.workdps(60):
         return T(x) / T(x0)
+
+
+def mp_chebyshev_growth(m: int, xs) -> tuple:
+    """max over `xs` (all >= 1) of |T_m(x)| / ((2x)^m / 2) and of e^{2m sqrt((x-1)/(x+1))} / (2 |T_m(x)|).
+
+    In mpmath at the working precision, with T_m(x) = cosh(m acosh x) (no recurrence).
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+        upper, lower = [], []
+        for x in xs:
+            x = mpmath.mpf(float(x))
+            T = mpmath.cosh(m * mpmath.acosh(x))
+            upper.append(T / ((2 * x) ** m / 2))
+            lower.append(mpmath.exp(2 * m * mpmath.sqrt((x - 1) / (x + 1))) / (2 * T))
+        return max(upper), max(lower)
 
 
 def verify_all(cfg: ExperimentConfig) -> list:

@@ -6,23 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agsplab.agsp import (
-    AgspReport,
-    ChebyshevFilter,
     _filter_values,
     agsp_filter,
     bootstrap_state,
     chebyshev_T,
-    measure_agsp,
     operator_schmidt_rank,
     schmidt_rank_bound_check,
 )
+from agsplab.config import ExperimentConfig
 from agsplab.effective import build_effective
 from agsplab.entanglement import numerical_rank, schmidt_decompose
-from agsplab.hamiltonian import build_long_range_fermion_chain, build_long_range_ising
-from agsplab.truncation import decompose_blocks, shift_block_energies, truncate_interactions
+from agsplab.experiment import _agsp_records, build_pipeline
+from agsplab.hamiltonian import assemble_dense, build_long_range_fermion_chain, build_long_range_ising
+from agsplab.spectral import SpectralData
+from agsplab.truncation import align_phase, decompose_blocks, shift_block_energies, truncate_interactions
 from conftest import (
     PAULI_X,
+    REFERENCE_CONFIG,
     chebyshev_matrix_recurrence,
+    dense_epsilon,
     dense_power_schmidt_rank,
     kron_chain,
     mp_chebyshev_ratio,
@@ -133,69 +135,66 @@ class TestFilter:
 
 class TestMeasure:
     def test_identity_filter(self):
-        T, eff = make_eff()
+        _, eff = make_eff()
         filt = agsp_filter(eff, 0)
-        v = oracle_ground_vector(T.assemble_dense())
-        rep = measure_agsp(filt, v)
-        assert rep.epsilon_K == pytest.approx(1.0, abs=1e-9)
-        assert rep.D_K == 1
+        assert filt.excited_residual() == pytest.approx(1.0, abs=1e-9)
+        assert filt.schmidt_rank() == 1
 
     def test_exact_projector(self):
-        T, eff = make_eff()
-        gs = oracle_ground_vector(T.assemble_dense())
-        proj = ChebyshevFilter(
-            m=0, matrix=np.outer(gs, gs), fixed_state=gs, gap_eff=1.0, width=2.0, eff=eff
-        )
-        rep = measure_agsp(proj, gs)
-        assert rep.delta_K <= 1e-10
-        assert rep.epsilon_K <= 1e-10
-
-    def test_broken_fixed_state_rejected(self):
-        T, eff = make_eff()
-        filt = agsp_filter(eff, 4)
-        sp = eff.spectral()
-        broken = ChebyshevFilter(
-            m=4, matrix=filt.matrix, fixed_state=sp.eigenvectors[:, 1],
-            gap_eff=filt.gap_eff, width=filt.width, eff=eff,
-        )
-        v = oracle_ground_vector(T.assemble_dense())
-        with pytest.raises(ValueError, match="does not fix"):
-            measure_agsp(broken, v)
+        # At this degree every excited value underflows to 0: K is the
+        # projector onto the clamp's ground state, with no residual.
+        _, eff = make_eff()
+        filt = agsp_filter(eff, 2048)
+        gs = oracle_ground_vector(eff.assemble_dense())
+        delta, fixed = filt.drift(gs)
+        assert delta <= 1e-10
+        assert filt.excited_residual() <= 1e-10
+        np.testing.assert_allclose(filt.matrix, np.outer(gs, gs), rtol=0, atol=1e-10)
 
     def test_dense_epsilon_equals_eigenbasis_sup(self):
-        T, eff = make_eff()
-        filt = agsp_filter(eff, 4)
-        v = oracle_ground_vector(T.assemble_dense())
-        dense = measure_agsp(filt, v).epsilon_K
-        assert dense == pytest.approx(filt.excited_residual(), abs=1e-10)
+        _, eff = make_eff()
+        for m in (0, 2, 4, 6):
+            filt = agsp_filter(eff, m)
+            assert filt.excited_residual() == pytest.approx(dense_epsilon(filt), abs=1e-12)
 
     def test_chebyshev_bound_holds(self):
-        T, eff = make_eff()
-        v = oracle_ground_vector(T.assemble_dense())
+        _, eff = make_eff()
         for m in (2, 4, 6):
-            rep = measure_agsp(agsp_filter(eff, m), v)
-            assert rep.epsilon_K <= rep.cheb_bound + 1e-9
+            filt = agsp_filter(eff, m)
+            assert filt.excited_residual() <= filt.cheb_bound + 1e-9
 
     def test_pipeline_delta_triangle(self):
         # delta against the untruncated ground state is at most the
         # truncation drift plus the clamping drift
         n = 8
         H = build_long_range_ising(n, 3.0, 1.0, 2.0)
-        from agsplab.hamiltonian import assemble_dense
-
-        dense = assemble_dense(H)
-        gs = oracle_ground_vector(dense)
+        gs = oracle_ground_vector(assemble_dense(H))
         T = shift_block_energies(truncate_interactions(H, decompose_blocks(n, 2, 2)))
         eff = build_effective(T, 6.0)
         vt = oracle_ground_vector(T.assemble_dense())
-        from agsplab.truncation import align_phase
-
         gs_t = align_phase(gs, vt)
         filt = agsp_filter(eff, 6)
-        rep = measure_agsp(filt, gs)
+        delta, _ = filt.drift(gs)
         d_trunc = np.linalg.norm(gs - gs_t)
         d_clamp = np.linalg.norm(gs_t - align_phase(gs_t, filt.fixed_state))
-        assert rep.delta_K <= d_trunc + d_clamp + 1e-9
+        assert delta <= d_trunc + d_clamp + 1e-9
+
+
+FERMION_CONFIG = ExperimentConfig(
+    family="long_range_fermion", n=8, alpha=3.0, A=1.0, B=0.5, q=2, l=2, taus=[2.0, 8.0], ms=[4, 8, 16], seed=7
+)
+
+
+@pytest.mark.parametrize("cfg", [REFERENCE_CONFIG, FERMION_CONFIG], ids=["reference", "fermion-n8"])
+def test_every_epsilon_record_matches_the_dense_oracle(cfg):
+    """Each `agsp.epsilon` lhs is the dense ||K (1 - |g><g|)|| of its filter."""
+    pipe = build_pipeline(cfg)
+    records, _ = _agsp_records(pipe)
+    checked = [r for r in records if r.bound_id == "agsp.epsilon"]
+    assert [r.context["m"] for r in checked] == cfg.ms
+    for r in checked:
+        oracle = dense_epsilon(agsp_filter(pipe.eff_at(r.context["tau"]), r.context["m"]))
+        assert abs(r.lhs - oracle) <= 1e-12, r.context
 
 
 class TestOperatorSchmidtRank:
@@ -216,7 +215,7 @@ class TestOperatorSchmidtRank:
         assert filt.schmidt_rank() == expected
         assert len(calls) == 1
         assert filt.schmidt_rank() == expected
-        assert measure_agsp(filt, filt.fixed_state).D_K == expected
+        assert agsp_filter(eff, 4).schmidt_rank() == expected
         assert len(calls) == 1
 
     def test_product_operator_rank_one(self):
@@ -334,27 +333,32 @@ class TestPowerSchmidtRank:
             schmidt_rank_bound_check(T, -1)
 
 
+def field_only_eff(n=4, tau=3.0):
+    """Clamp of the field-only chain (J = 0), whose ground state is a product state."""
+    H = build_long_range_ising(n, 3.0, 0.0, 1.0)
+    T = shift_block_energies(truncate_interactions(H, decompose_blocks(n, 2, 1)))
+    return H, build_effective(T, tau)
+
+
 class TestBootstrap:
     def test_reference_instance(self):
         T, eff = make_eff()
         gs_t = oracle_ground_vector(T.assemble_dense())
         filt = agsp_filter(eff, 8)
-        rep = measure_agsp(filt, gs_t)
-        psi, (mu1, dist) = bootstrap_state(filt, gs_t, rep)
+        psi, (mu1, dist) = bootstrap_state(filt, gs_t)
         assert psi is not None
         assert (mu1.bound_id, dist.bound_id) == ("bootstrap.mu1", "prop2.distance")
         assert mu1.context == dist.context == {"m": 8}
         assert mu1.rhs >= mu1.lhs - 1e-9  # mu_1 >= 1/sqrt(2 D_K)
         assert dist.lhs <= dist.rhs + 1e-9
-        assert schmidt_decompose(psi, T.blocks.cut).numerical_rank() <= rep.D_K
+        assert schmidt_decompose(psi, T.blocks.cut).numerical_rank() <= filt.schmidt_rank()
 
     def test_precondition_failure_returns_none(self):
         T, eff = make_eff()
         v = oracle_ground_vector(T.assemble_dense())
         filt = agsp_filter(eff, 0)  # identity: epsilon = 1, precondition fails
-        rep = measure_agsp(filt, v)
-        assert rep.epsilon_K**2 * rep.D_K > 0.5
-        psi, records = bootstrap_state(filt, v, rep)
+        assert filt.excited_residual() ** 2 * filt.schmidt_rank() > 0.5
+        psi, records = bootstrap_state(filt, v)
         assert psi is None
         note = "epsilon_K^2 * D_K > 1/2"
         assert [(r.bound_id, r.lhs, r.rhs, r.context) for r in records] == [
@@ -364,33 +368,45 @@ class TestBootstrap:
 
     def test_exact_projector_on_product_ground_state(self):
         # field-only chain: the ground state is a product state, and the
-        # exact projector bootstraps it with zero error
-        H = build_long_range_ising(4, 3.0, 0.0, 1.0)
-        from agsplab.hamiltonian import assemble_dense
-
+        # filter at a degree where it is the exact projector bootstraps it
+        # with zero error
+        H, eff = field_only_eff()
         gs = oracle_ground_vector(assemble_dense(H))
-        T, eff = make_eff(n=4, l=1, tau=3.0)
-        proj = ChebyshevFilter(
-            m=1, matrix=np.outer(gs, gs), fixed_state=gs, gap_eff=1.0, width=2.0, eff=eff
-        )
+        filt = agsp_filter(eff, 2048)
         assert eff.base.blocks.cut == 2
-        rep = measure_agsp(proj, gs)
-        psi, (_, dist) = bootstrap_state(proj, gs, rep)
+        assert filt.excited_residual() == 0.0 and filt.schmidt_rank() == 1
+        psi, (_, dist) = bootstrap_state(filt, gs)
         assert psi is not None
         np.testing.assert_allclose(np.abs(np.vdot(psi, gs)), 1.0, atol=1e-10)
         assert dist.lhs <= 1e-9
 
     def test_complex_fixed_state_bootstraps_its_top_schmidt_product(self, rng):
-        # K = I keeps the product state, so |<fixed|psi>| must be mu_1 itself
+        # A clamp whose eigenvectors are a complex unitary: psi must be K
+        # applied to the top Schmidt product of the phase-aligned fixed
+        # state.  Built from outer(U[:, 0], Vh[0].conj()), the product
+        # state's overlap with the fixed state carries a phase, and psi
+        # lands a phase away from the target, far outside the distance bound.
         _, eff = make_eff(n=4, l=1, tau=3.0)
-        fixed = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        fixed /= np.linalg.norm(fixed)
-        filt = ChebyshevFilter(m=1, matrix=np.eye(16), fixed_state=fixed, gap_eff=1.0, width=2.0, eff=eff)
-        rep = AgspReport(m=1, delta_K=0.0, epsilon_K=0.0, D_K=1, cheb_bound=1.0)
-        psi, (mu1, _) = bootstrap_state(filt, fixed, rep)
-        assert abs(np.vdot(fixed, psi)) == pytest.approx(mu1.rhs, abs=1e-12)
+        Q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+        eff._spectral = SpectralData(np.concatenate([[0.0], np.linspace(1.0, 3.0, 15)]), Q)
+        fixed = Q[:, 0]
+        filt = agsp_filter(eff, 16)
+        psi, (mu1, dist) = bootstrap_state(filt, fixed)
+        assert psi is not None
+        assert abs(np.vdot(fixed, psi)) == pytest.approx(1.0, abs=1e-12)
+        assert dist.rhs <= 1e-6
+        assert dist.lhs <= dist.rhs + 1e-12
 
     def test_zero_epsilon_rank_one_bound_reads_delta(self):
-        rep = AgspReport(m=1, delta_K=0.125, epsilon_K=0.0, D_K=1, cheb_bound=1.0)
-        assert rep.bootstrap_ready
-        assert rep.epsilon_K * math.sqrt(2 * rep.D_K) + rep.delta_K == pytest.approx(0.125)
+        # epsilon_K = 0 and D_K = 1: the distance bound is delta_K itself
+        H, eff = field_only_eff()
+        gs = oracle_ground_vector(assemble_dense(H))
+        filt = agsp_filter(eff, 2048)
+        target = gs + 0.125 * np.roll(gs, 1)
+        target /= np.linalg.norm(target)
+        delta, _ = filt.drift(target)
+        assert delta > 0.1
+        psi, (_, dist) = bootstrap_state(filt, target)
+        assert psi is not None
+        assert dist.rhs == delta
+        assert dist.lhs <= dist.rhs + 1e-9

@@ -232,7 +232,7 @@ class TestEnergyDistribution:
         sp = eff.spectral()
         poisoned = sp.eigenvectors.copy()
         poisoned[7, 40] = np.nan
-        eff._spectral = SpectralData(sp.eigenvalues, poisoned, sp.source_dim)
+        eff._spectral = SpectralData(sp.eigenvalues, poisoned)
         recs = energy_distribution_check(eff, E_primes, Es)
         assert all(np.isnan(r.lhs) for r in recs if r.bound_id == "prop8.energy-dist-eff")
         assert all(np.isfinite(r.lhs) for r in recs if r.bound_id == "prop8.energy-dist")
@@ -301,7 +301,7 @@ class TestExponentialFilter:
         _, T = make_T()
         s = 2
         sp = T.block_spectra()[s]
-        diag = rng.uniform(-1, 1, size=sp.source_dim)
+        diag = rng.uniform(-1, 1, size=sp.eigenvectors.shape[0])
         O = (sp.eigenvectors * diag) @ sp.eigenvectors.conj().T
         recs = exponential_filter_check(T, s, O, E=0.5, E_prime=4.0)
         assert all(r.holds for r in recs)
@@ -312,7 +312,7 @@ class TestExponentialFilter:
         e0, width = T.spectral().ground_energy, T.spectral().width
         s = 1
         sp = T.block_spectra()[s]
-        O = (sp.eigenvectors * rng.uniform(-1, 1, size=sp.source_dim)) @ sp.eigenvectors.T
+        O = (sp.eigenvectors * rng.uniform(-1, 1, size=sp.eigenvectors.shape[0])) @ sp.eigenvectors.T
         E_grid = [e0, e0 + width / 8, e0 + width / 4]
         E_prime_grid = [e0 + width / 3, e0 + 2 * width / 3]
         grid = exponential_filter_check(T, s, O, E=E_grid, E_prime=E_prime_grid, eff=eff)
@@ -336,7 +336,7 @@ class TestExponentialFilter:
         E_prime_grid = [e0 + width / 3, e0 + 2 * width / 3]
         for s in range(1, T.q + 1):
             sp = T.block_spectra()[s]
-            O = (sp.eigenvectors * rng.uniform(-1, 1, size=sp.source_dim)) @ sp.eigenvectors.conj().T
+            O = (sp.eigenvectors * rng.uniform(-1, 1, size=sp.eigenvectors.shape[0])) @ sp.eigenvectors.conj().T
             recs = iter(exponential_filter_check(T, s, O, E=E_grid, E_prime=E_prime_grid, eff=eff))
             for E_prime in E_prime_grid:
                 for E in E_grid:

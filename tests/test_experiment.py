@@ -11,6 +11,7 @@ from agsplab.cli import main
 from agsplab.config import ConfigError, ExperimentConfig, parse_config
 from agsplab.experiment import (
     PointResult,
+    _chebyshev_records,
     build_pipeline,
     entropy_row,
     run_points,
@@ -18,7 +19,7 @@ from agsplab.experiment import (
     write_reports,
 )
 from agsplab.registry import BOUND_REGISTRY, BoundRecord
-from conftest import verify_all
+from conftest import mp_chebyshev_growth, verify_all
 
 # Every registered id, in the order of its first record in `verify_point`.
 BOUND_IDS_IN_ORDER = [
@@ -239,6 +240,24 @@ class TestVerifyPoint:
         cfg = ExperimentConfig(n=4, alpha=2.0)
         with pytest.raises(ValueError, match="alpha > 2"):
             verify_point(cfg)
+
+
+class TestChebyshevRecords:
+    @pytest.mark.parametrize("m", [512, 1024, 4096])
+    def test_high_degree_growth_matches_mpmath(self, m):
+        # The raw recurrence and (2x)^m overflow here: NaN records before the log form.
+        records = {r.context["regime"]: r for r in _chebyshev_records([m])}
+        upper, lower = mp_chebyshev_growth(m, np.linspace(1.0, 3.0, 101))
+        for regime, exact in (("growth-upper", upper), ("growth-lower", lower)):
+            assert abs(records[regime].lhs - float(exact)) <= m * 1e-15 * float(exact), regime
+        assert records["box"].lhs == pytest.approx(1.0, abs=1e-9)
+        assert all(r.holds for r in records.values())
+
+    def test_high_degree_point_passes(self):
+        result = verify_point(ExperimentConfig(n=6, q=2, l=1, taus=[4.0], ms=[4, 1024]))
+        cheb = [r for r in result.records if r.bound_id == "cheb.lemma11"]
+        assert len(cheb) == 6 and all(math.isfinite(r.lhs) for r in cheb)
+        assert [r for r in result.records if not r.holds] == []
 
 
 class TestSharedBuilds:
@@ -644,6 +663,12 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert os.path.exists(tmp_path / "e" / "entropy.csv")
 
+    def test_dense_run_past_the_ceiling_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "big.cfg"
+        path.write_text("[model]\nn = 15\n")
+        assert main(["verify", str(path)]) == 2
+        assert "exceeds ceiling" in capsys.readouterr().err
+
     def test_fermion_family_config(self, tmp_path):
         path = tmp_path / "f.cfg"
         path.write_text(
@@ -665,3 +690,11 @@ def test_verify_all_returns_flat_records():
     records = verify_all(cfg)
     assert all(isinstance(r, BoundRecord) for r in records)
     assert {r.bound_id for r in records} == EXPECTED_BOUND_IDS
+
+
+@pytest.mark.slow
+def test_sparse_entropy_past_the_dense_ceiling():
+    # n=16 is past the dense ceiling; the entropy is saturated at the n=14 value.
+    row = entropy_row(ExperimentConfig(n=16, alpha=3.0, J=1.0, B=2.0))
+    assert row.cut == 8
+    assert row.S_nats == pytest.approx(0.07531685939191048, abs=1e-6)

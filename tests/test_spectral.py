@@ -31,6 +31,11 @@ from conftest import PAULI_X, PAULI_Z
 GAP_N8_A3_J1_B2 = 2.397328047305237
 
 
+def reconstruct(S) -> np.ndarray:
+    """U diag(w) U^dag of a decomposition."""
+    return (S.eigenvectors * S.eigenvalues) @ S.eigenvectors.conj().T
+
+
 class TestEigendecompose:
     def test_identity(self):
         S = eigendecompose(np.eye(4))
@@ -45,7 +50,7 @@ class TestEigendecompose:
         M = M + M.conj().T
         S = eigendecompose(M)
         scale = 1.0 + np.max(np.abs(S.eigenvalues))
-        assert np.max(np.abs(S.reconstruct() - M)) <= 1e-9 * scale
+        assert np.max(np.abs(reconstruct(S) - M)) <= 1e-9 * scale
         gram = S.eigenvectors.conj().T @ S.eigenvectors
         assert np.max(np.abs(gram - np.eye(8))) <= 1e-10
 
@@ -371,7 +376,7 @@ def test_property_split_spectrum_matches_unsplit_oracle(seed, log_dim, field):
     assert np.max(np.abs(S.eigenvalues - expected)) <= 1e-12
     U = S.eigenvectors
     assert np.max(np.abs(U.conj().T @ U - np.eye(dim))) <= 1e-12
-    assert np.max(np.abs(S.reconstruct() - M)) <= 1e-12
+    assert np.max(np.abs(reconstruct(S) - M)) <= 1e-12
     assert abs(spectral_norm(M) - np.max(np.abs(expected))) <= 1e-12
     assert abs(top_singular_value(M) - np.linalg.svd(M, compute_uv=False)[0]) <= 1e-12
 
