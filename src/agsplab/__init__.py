@@ -36,7 +36,6 @@ from .truncation import (
 )
 from .effective import (
     EffectiveHamiltonian,
-    Theorem5Diagnostics,
     build_effective,
     energy_cutoff,
     energy_distribution_check,

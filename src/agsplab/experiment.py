@@ -118,34 +118,6 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     )
 
 
-def _theorem5_records(pipe: Pipeline) -> list[BoundRecord]:
-    diags = eff_mod.theorem5_check(pipe.T, pipe.cfg.taus, eff=pipe.eff_at(max(pipe.cfg.taus)))
-    records = []
-    for dg in diags:
-        records.append(BoundRecord("thm5.kappa", dg.kappa, dg.kappa_bound, {"tau": dg.tau}))
-        if dg.precondition_met:
-            records.append(BoundRecord("thm5.gap", 0.5 * dg.gap_t, dg.gap_eff, {"tau": dg.tau}))
-            records.append(
-                BoundRecord("thm5.overlap", dg.overlap_distance, dg.overlap_bound, {"tau": dg.tau})
-            )
-    if any(dg.precondition_met for dg in diags):
-        return records
-    # Hypothesis vacuous on this grid: check exponential decay by slope.
-    records.append(vacuous("thm5.gap", "hypothesis vacuous on grid"))
-    try:
-        slope, r2, used = eff_mod.fit_log_slope(
-            [dg.tau for dg in diags], [dg.overlap_distance for dg in diags]
-        )
-    except ValueError:
-        used = 0
-    if used >= 5:
-        records.append(BoundRecord("thm5.overlap", slope, 0.0, {"variant": "decay-slope", "points": used}))
-        records.append(BoundRecord("thm5.overlap", 0.9, r2, {"variant": "decay-fit-r2", "points": used}))
-    else:
-        records.append(vacuous("thm5.overlap", "grid too small for slope"))
-    return records
-
-
 def _filter_machinery_records(pipe: Pipeline, rng) -> list[BoundRecord]:
     T = pipe.T
     tau_star = max(pipe.cfg.taus)
@@ -316,7 +288,7 @@ def verify_point(cfg: ExperimentConfig) -> PointResult:
     pairs = ham.contiguous_pair_samples(cfg.n, max_pairs=None if cfg.n <= 8 else 60)
     records.extend(ham.verify_assumption1(pipe.H, pipe.envelope, pairs))
     records.extend(trunc.verify_lemma3_4(pipe.H, pipe.T, pipe.H_spec))
-    records.extend(_theorem5_records(pipe))
+    records.extend(eff_mod.theorem5_check(pipe.T, cfg.taus, pipe.eff_at(max(cfg.taus))))
     records.extend(_filter_machinery_records(pipe, rng))
     records.extend(_chebyshev_records(pipe.cfg.ms))
     agsp_records, psi = _agsp_records(pipe)

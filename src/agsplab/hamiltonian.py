@@ -53,16 +53,18 @@ def parity_sectors(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.
     """Diagonal blocks of a matrix over the popcount parity of its indices.
 
     Returns [(rows, cols, block)] with block = matrix[rows][:, cols].  When
-    both dimensions are powers of two (at least 2) and both cross blocks
-    (even rows x odd columns, odd rows x even columns) are exactly zero,
-    these are the even and the odd sector; otherwise the one entry holds the
-    whole matrix.  A split is a permutation similarity (an equivalence for
-    rectangular input), so eigenvalues and singular values are exactly the
-    union of the sectors'.  On the computational basis of qubits the
-    popcount parity is the eigenvalue of prod Z, so every operator that
-    commutes with prod Z (the Ising and fermion families, their blocks,
-    clamps and filters, and the operator-Schmidt reshape of such a filter)
-    splits; a single nonzero cross entry, rounding noise included, does not.
+    both dimensions are powers of two (at least 2) and the two diagonal
+    blocks (even rows x even columns, odd rows x odd columns) hold every
+    nonzero entry, so that both cross blocks are exactly zero, these are the
+    even and the odd sector; otherwise the one entry holds the whole matrix.
+    The cross blocks are never copied: the nonzero counts decide.  A split
+    is a permutation similarity (an equivalence for rectangular input), so
+    eigenvalues and singular values are exactly the union of the sectors'.
+    On the computational basis of qubits the popcount parity is the
+    eigenvalue of prod Z, so every operator that commutes with prod Z (the
+    Ising and fermion families, their blocks, clamps and filters, and the
+    operator-Schmidt reshape of such a filter) splits; a single nonzero cross
+    entry, rounding noise included, does not.
     A non-finite entry raises `LinAlgError`: LAPACK may return a finite
     value for it (a NaN on the diagonal can vanish from `eigvalsh`).
     """
@@ -71,8 +73,9 @@ def parity_sectors(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.
     shape = matrix.shape
     if all(m >= 2 and m & (m - 1) == 0 for m in shape):
         (even_r, odd_r), (even_c, odd_c) = _parity_halves(shape[0]), _parity_halves(shape[1])
-        if not (matrix[np.ix_(even_r, odd_c)].any() or matrix[np.ix_(odd_r, even_c)].any()):
-            return [(r, c, matrix[np.ix_(r, c)]) for r, c in ((even_r, even_c), (odd_r, odd_c))]
+        sectors = [(r, c, matrix[np.ix_(r, c)]) for r, c in ((even_r, even_c), (odd_r, odd_c))]
+        if sum(np.count_nonzero(block) for _, _, block in sectors) == np.count_nonzero(matrix):
+            return sectors
     return [(np.arange(shape[0]), np.arange(shape[1]), matrix)]
 
 

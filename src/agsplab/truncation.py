@@ -3,9 +3,12 @@
 Partitions the chain into q+2 blocks, drops every interaction between
 non-adjacent blocks, fixes the energy origin of the truncated operator at
 its ground energy, and redistributes block energy origins so that every
-block ground energy is O(g0).  The verification routine measures the norm
-distance, the eigenvalue displacement (Weyl), the gap loss, and the
-ground-state overlap bound.
+block ground energy is O(g0).  The source Hamiltonian must carry
+power-law metadata: its decay envelope (g0, abar) travels with the
+truncation and sets the norm budget, the block balancing and the decay
+rates downstream.  The verification routine measures the norm distance,
+the eigenvalue displacement (Weyl), the gap loss, and the ground-state
+overlap bound.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ class TruncatedHamiltonian:
     bonds: list[np.ndarray]
     origin_shift: float
     k: int
-    envelope: DecayEnvelope | None = None
+    envelope: DecayEnvelope
     local_g: float = 0.0
     _block_spectra: list[SpectralData] | None = field(default=None, repr=False)
     _spectral: SpectralData | None = field(default=None, repr=False)
@@ -181,6 +184,8 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
     removed by an equal per-block shift, so the stored operator satisfies
     E_t0 = 0 exactly; the one eigendecomposition that finds it is kept,
     shifted, as the operator's spectrum (the shift adds -E_t0 * I in total).
+    A Hamiltonian without a decay envelope (no power-law metadata) raises
+    `ValueError`.
     """
     if blocks.n != H.lattice.n:
         raise ValueError("block decomposition does not match the lattice")
@@ -193,10 +198,6 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
         region_sum(H.lattice, blocks.blocks[s] + blocks.blocks[s + 1], [H.terms[i] for i in bond_terms[s]])
         for s in range(blocks.q + 1)
     ]
-    try:
-        env = decay_envelope(H)
-    except ValueError:
-        env = None
     T = TruncatedHamiltonian(
         lattice=H.lattice,
         blocks=blocks,
@@ -204,7 +205,7 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
         bonds=bonds,
         origin_shift=0.0,
         k=H.k,
-        envelope=env,
+        envelope=decay_envelope(H),
         local_g=local_energy_g(H),
     )
     raw = eigendecompose(T.assemble_dense())
@@ -246,8 +247,7 @@ def verify_lemma3_4(H: Hamiltonian, T: TruncatedHamiltonian, H_spec: SpectralDat
     convention): ||delta|| <= g0*q*l^(-abar); |E_j - E_tj| <= ||delta|| for
     every j; gap_t >= gap - 2*||delta||; and, whenever 4*||delta|| < gap,
     || |0> - |0_t> || <= ||delta|| / (gap - 4*||delta||) with phases aligned.
-    The norm budget is a not-applicable placeholder when `T.envelope` is
-    None (H has no decay envelope), the overlap bound one when
+    The overlap bound is a not-applicable placeholder when
     4*||delta|| >= gap.
 
     delta is the sum of the dropped terms (the block origins and
@@ -262,9 +262,7 @@ def verify_lemma3_4(H: Hamiltonian, T: TruncatedHamiltonian, H_spec: SpectralDat
     gap = float(spec[1] - spec[0])
     env = T.envelope
     records = [
-        vacuous("lemma3.norm", "no decay envelope")
-        if env is None
-        else BoundRecord("lemma3.norm", delta_norm, env.g0 * T.q * float(T.blocks.l) ** (-env.alpha_bar)),
+        BoundRecord("lemma3.norm", delta_norm, env.g0 * T.q * float(T.blocks.l) ** (-env.alpha_bar)),
         BoundRecord("weyl", float(np.max(np.abs(spec - spec_t))), delta_norm),
         BoundRecord("lemma3.gap", gap - 2.0 * delta_norm, float(spec_t[1] - spec_t[0])),
     ]

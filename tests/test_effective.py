@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from agsplab import effective
 from agsplab.effective import (
     build_effective,
     commutator_bound_check,
@@ -10,8 +11,8 @@ from agsplab.effective import (
     energy_cutoff,
     energy_distribution_check,
     exponential_filter_check,
-    fit_log_slope,
     theorem5_check,
+    theorem5_precondition_tau,
 )
 from agsplab.hamiltonian import (
     build_long_range_fermion_chain,
@@ -125,29 +126,58 @@ class TestBuildEffective:
             assert np.max(np.abs(h @ ht - ht @ h)) <= 1e-10
 
 
-class TestTheorem5:
-    def test_distances_decay_and_kappa_bound(self):
-        _, T = make_T(n=8, l=2)
-        diags = theorem5_check(T, [2, 3, 4, 5, 6, 7, 8, 9])
-        dists = [d.overlap_distance for d in diags]
-        assert all(b <= a + 1e-9 for a, b in zip(dists, dists[1:]))
-        assert all(d.kappa <= d.kappa_bound + 1e-9 for d in diags)
-        assert all(d.kappa >= 0 for d in diags)
+def per_tau(records, bound_id: str) -> dict:
+    """{tau: record} of the per-tau `bound_id` records of `theorem5_check`."""
+    return {r.context["tau"]: r for r in records if r.bound_id == bound_id and "tau" in r.context}
 
-    def test_saturated_tau_zero_distance(self):
+
+@pytest.fixture()
+def hypothesis_everywhere(monkeypatch):
+    """Theorem 5's tau threshold lowered to 0: every grid tau records its gap and drift."""
+    monkeypatch.setattr(effective, "theorem5_precondition_tau", lambda T, gap_t: 0.0)
+
+
+class TestTheorem5:
+    def test_distances_decay_and_kappa_bound(self, hypothesis_everywhere):
+        _, T = make_T(n=8, l=2)
+        taus = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
+        recs = theorem5_check(T, taus, build_effective(T, 9.0))
+        overlap, kappa = per_tau(recs, "thm5.overlap"), per_tau(recs, "thm5.kappa")
+        assert sorted(overlap) == sorted(kappa) == taus
+        dists = [overlap[tau].lhs for tau in taus]
+        assert all(b <= a + 1e-9 for a, b in zip(dists, dists[1:]))
+        assert all(r.lhs <= r.rhs + 1e-9 for r in kappa.values())
+        assert all(r.lhs >= 0 for r in kappa.values())
+
+    def test_saturated_tau_zero_distance(self, hypothesis_everywhere):
         _, T = make_T()
-        width = max(sp.width for sp in T.block_spectra())
-        [diag] = theorem5_check(T, [width + 1.0])
-        assert diag.overlap_distance <= 1e-9
-        assert diag.gap_eff / diag.gap_t == pytest.approx(1.0, abs=1e-9)
+        tau = max(sp.width for sp in T.block_spectra()) + 1.0
+        recs = theorem5_check(T, [tau], build_effective(T, tau))
+        [overlap], [gap] = per_tau(recs, "thm5.overlap").values(), per_tau(recs, "thm5.gap").values()
+        assert overlap.lhs <= 1e-9
+        # the gap record is gap_t / 2 <= gap_eff
+        assert gap.rhs / (2.0 * gap.lhs) == pytest.approx(1.0, abs=1e-9)
 
     def test_slope_fit_negative(self):
         _, T = make_T(n=8, l=2)
-        diags = theorem5_check(T, np.linspace(2, 10, 8))
-        slope, r2, used = fit_log_slope(
-            [d.tau for d in diags], [d.overlap_distance for d in diags]
-        )
+        recs = theorem5_check(T, np.linspace(2, 10, 8), build_effective(T, 10.0))
+        fit = {r.context["variant"]: r for r in recs if "variant" in r.context}
+        slope, r2, used = fit["decay-slope"].lhs, fit["decay-fit-r2"].rhs, fit["decay-slope"].context["points"]
         assert slope < 0 and r2 >= 0.9 and used >= 5
+
+    def test_hypothesis_met_on_reference(self, reference_pipeline):
+        # tau_min (2667 on the reference chain) clamps above every block level:
+        # real gap and drift records, no placeholder, and all of them hold
+        T = reference_pipeline.T
+        tau_min = theorem5_precondition_tau(T, T.spectral().gap)
+        assert tau_min > reference_pipeline.block_width_top()
+        recs = theorem5_check(T, [tau_min], build_effective(T, tau_min))
+        assert [r.bound_id for r in recs] == ["thm5.kappa", "thm5.gap", "thm5.overlap"]
+        assert all(r.context == {"tau": tau_min} and r.holds for r in recs)
+        kappa, gap, overlap = recs
+        assert kappa.lhs == 0.0
+        assert gap.rhs == pytest.approx(2.0 * gap.lhs, rel=1e-9)
+        assert overlap.lhs <= 1e-9 < overlap.rhs
 
 
 class TestEnergyTies:
@@ -160,14 +190,14 @@ class TestEnergyTies:
         tau = level - e0
         near = tau - 1e-13
         assert e0 + tau == level and 0.0 < level - (e0 + near) < 2e-13
-        tails_tie = build_effective(T, tau).tail_projectors()
-        tails_near = build_effective(T, near).tail_projectors()
-        for a, b in zip(tails_tie, tails_near):
+        eff_tie, eff_near = build_effective(T, tau), build_effective(T, near)
+        for a, b in zip(eff_tie.tail_projectors(), eff_near.tail_projectors()):
             assert (a is None) == (b is None)
             if a is not None:
                 np.testing.assert_allclose(a, b, atol=1e-12)
-        [tie], [off] = theorem5_check(T, [tau]), theorem5_check(T, [near])
-        assert off.kappa == pytest.approx(tie.kappa, abs=1e-9)
+        [tie] = per_tau(theorem5_check(T, [tau], eff_tie), "thm5.kappa").values()
+        [off] = per_tau(theorem5_check(T, [near], eff_near), "thm5.kappa").values()
+        assert off.lhs == pytest.approx(tie.lhs, abs=1e-9)
 
 
 class TestEnergyDistribution:
@@ -283,7 +313,7 @@ class TestExponentialFilter:
     def test_identity_operator(self):
         _, T = make_T()
         dim_block = T.internal[1].shape[0]
-        recs = exponential_filter_check(T, 1, np.eye(dim_block), E=1.0, E_prime=2.0)
+        recs = exponential_filter_check(T, 1, np.eye(dim_block), E=1.0, E_prime=2.0, eff=build_effective(T, 4.0))
         assert recs[0].lhs <= 1e-12  # orthogonal spectral sectors of the same operator
 
     def test_clamp_tail_projector_case(self):
@@ -303,7 +333,7 @@ class TestExponentialFilter:
         sp = T.block_spectra()[s]
         diag = rng.uniform(-1, 1, size=sp.eigenvectors.shape[0])
         O = (sp.eigenvectors * diag) @ sp.eigenvectors.conj().T
-        recs = exponential_filter_check(T, s, O, E=0.5, E_prime=4.0)
+        recs = exponential_filter_check(T, s, O, E=0.5, E_prime=4.0, eff=build_effective(T, 4.0))
         assert all(r.holds for r in recs)
 
     def test_grid_call_matches_scalar_loop(self, rng):
@@ -350,7 +380,7 @@ class TestExponentialFilter:
         M = rng.standard_normal((dim_block, dim_block))
         M = M + M.T
         with pytest.raises(ValueError):
-            exponential_filter_check(T, 1, M, E=0.0, E_prime=1.0)
+            exponential_filter_check(T, 1, M, E=0.0, E_prime=1.0, eff=build_effective(T, 4.0))
 
 
 class TestCommutatorBound:

@@ -5,6 +5,7 @@ from agsplab.hamiltonian import (
     Hamiltonian,
     InteractionTerm,
     LatticeSpec,
+    PowerLawMetadata,
     assemble_dense,
     build_long_range_fermion_chain,
     build_long_range_ising,
@@ -67,6 +68,11 @@ class TestDecomposeBlocks:
 
 
 def nearest_neighbor_chain(n, J=1.0, B=0.5):
+    """XX chain with nearest-neighbour couplings only and a Z field.
+
+    Its one-bond terms sit inside every power-law envelope J / r^alpha; the
+    metadata names alpha = 3, which gives the generic decay envelope.
+    """
     terms = []
     xx = np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]]).astype(float)
     z = np.diag([1.0, -1.0])
@@ -74,7 +80,7 @@ def nearest_neighbor_chain(n, J=1.0, B=0.5):
         terms.append(InteractionTerm((i, i + 1), J * xx))
     for i in range(1, n + 1):
         terms.append(InteractionTerm((i,), B * z))
-    return Hamiltonian(LatticeSpec(n=n), terms)
+    return Hamiltonian(LatticeSpec(n=n), terms, metadata=PowerLawMetadata("nearest_neighbor", 3.0, abs(J), abs(B)))
 
 
 def dropped_terms(H, blocks) -> list:
@@ -88,6 +94,11 @@ def dropped_norm_sum(H, T) -> float:
 
 
 class TestTruncate:
+    def test_requires_decay_envelope(self):
+        H = nearest_neighbor_chain(4)
+        with pytest.raises(ValueError, match="no power-law metadata"):
+            truncate_interactions(Hamiltonian(H.lattice, H.terms), decompose_blocks(4, 2, 1))
+
     def test_nearest_neighbor_nothing_dropped(self):
         H = nearest_neighbor_chain(6)
         blocks = decompose_blocks(6, 2, 1)
@@ -211,14 +222,13 @@ def lemma34_records(H, T) -> list:
 
 class TestVerifyLemma34:
     def test_no_tail_truncation_is_exact(self):
-        H = nearest_neighbor_chain(6)  # no power-law metadata, so no decay envelope
+        H = nearest_neighbor_chain(6)
         T = shift_block_energies(truncate_interactions(H, decompose_blocks(6, 2, 1)))
         norm, weyl, gap, overlap = lemma34_records(H, T)
         delta_norm = weyl.rhs
         assert delta_norm <= 1e-10
         assert weyl.lhs <= 1e-9
         assert "note" not in overlap.context and overlap.lhs <= 1e-7
-        assert (norm.lhs, norm.rhs, norm.context) == (0.0, 0.0, {"note": "no decay envelope"})
         assert weyl.lhs <= weyl.rhs + 1e-9
         assert gap.rhs >= gap.lhs - 1e-9
         assert overlap.lhs <= overlap.rhs + 1e-9
