@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from scipy.sparse.linalg import ArpackError
+
 from .config import ConfigError, check_jobs, check_non_negative, check_tolerance, parse_config
 from .experiment import run_points, write_entropy_report, write_reports
 from .registry import tally
@@ -55,7 +57,8 @@ def main(argv=None) -> int:
         return 2
     try:
         points = run_points(cfg, entropy_only=(args.command == "entropy"))
-    except ValueError as exc:  # DimensionCeilingError, DegenerateGroundStateError, LinAlgError
+    except (ValueError, ArpackError) as exc:
+        # DimensionCeilingError, DegenerateGroundStateError, LinAlgError, ArpackNoConvergence
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.command == "entropy":

@@ -2,16 +2,24 @@
 
 Builds the model, runs truncation -> energy cut-off -> Chebyshev filter ->
 compression, measures every registered inequality, and persists CSV/text
-reports.  Sweep grid points are independent pure computations merged in
-grid order.
+reports.
+
+Sweep grid points that agree on the model (family, n, alpha, J, A, B) and on
+the blocks (q, l, cut) share one `Pipeline`: H, its spectrum, the ground
+state, envelope, g and the truncations, with their `gap≤2g`, `assumption1`
+and Lemma 3-4 records, are built once per model and copied into each point.
+The stages that read tau, m or the seeded rng (Theorem 5, the filter
+machinery, the AGSP and compression checks, and every clamp) run per point.
+Results come back in grid order.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,7 +63,10 @@ class Pipeline:
 
     Truncations (per block length l, at the configured cut), clamps (per
     (l, tau)) and the ground state's Schmidt decomposition at the block cut
-    are built on first use and shared by every check of the point.
+    are built on first use and shared by every check of the point.  The
+    sweep points of one model share a pipeline's H, spectrum, ground state
+    and truncations through `dataclasses.replace`, each with its own `cfg`
+    and clamps (see `_verify_group`).
     """
 
     cfg: ExperimentConfig
@@ -280,39 +291,73 @@ def entropy_row(cfg: ExperimentConfig) -> EntropyRow:
     return _entropy_row(cfg, gs.state)
 
 
-def verify_point(cfg: ExperimentConfig) -> PointResult:
-    """Full single-point pipeline: every registered inequality plus entropies."""
-    rng = np.random.default_rng(cfg.seed)
-    pipe = build_pipeline(cfg)
+def _pipeline_key(cfg: ExperimentConfig) -> tuple:
+    """The config fields `build_pipeline` and `Pipeline` read; points that agree on them share a model."""
+    return (cfg.family, cfg.n, cfg.alpha, cfg.J, cfg.A, cfg.B, cfg.q, cfg.l, cfg.cut)
+
+
+def _model_records(pipe: Pipeline) -> list[BoundRecord]:
+    """`gap≤2g`, `assumption1` and Lemma 3-4 records: they read H and the blocks, not tau or m."""
     records = [BoundRecord("gap≤2g", pipe.gs_gap, 2.0 * pipe.g)]
-    pairs = ham.contiguous_pair_samples(cfg.n, max_pairs=None if cfg.n <= 8 else 60)
+    pairs = ham.contiguous_pair_samples(pipe.cfg.n, max_pairs=None if pipe.cfg.n <= 8 else 60)
     records.extend(ham.verify_assumption1(pipe.H, pipe.envelope, pairs))
     records.extend(trunc.verify_lemma3_4(pipe.H, pipe.T, pipe.H_spec))
-    records.extend(eff_mod.theorem5_check(pipe.T, cfg.taus, pipe.eff_at(max(cfg.taus))))
-    records.extend(_filter_machinery_records(pipe, rng))
-    records.extend(_chebyshev_records(pipe.cfg.ms))
-    agsp_records, psi = _agsp_records(pipe)
-    records.extend(agsp_records)
-    records.extend(_sequence_records(pipe, psi))
-    records.extend(_compression_records(pipe, rng))
-    for r in records:
-        r.slack = cfg.tolerance  # the one comparison slack of every record
-    row = _entropy_row(cfg, pipe.gs_vector)
-    return PointResult(config=cfg, records=records, entropy_rows=[row])
+    return records
+
+
+def _verify_group(points: list[ExperimentConfig]) -> list[PointResult]:
+    """`verify_point` of grid points with one `_pipeline_key`, the model built once."""
+    shared = build_pipeline(points[0])
+    model_records = _model_records(shared)
+    results = []
+    for cfg in points:
+        # The point's own cfg and clamps; H, its spectrum and the truncations are shared.
+        pipe = replace(shared, cfg=cfg, _effs={})
+        rng = np.random.default_rng(cfg.seed)
+        records = copy.deepcopy(model_records)
+        records.extend(eff_mod.theorem5_check(pipe.T, cfg.taus, pipe.eff_at(max(cfg.taus))))
+        records.extend(_filter_machinery_records(pipe, rng))
+        records.extend(_chebyshev_records(cfg.ms))
+        agsp_records, psi = _agsp_records(pipe)
+        records.extend(agsp_records)
+        records.extend(_sequence_records(pipe, psi))
+        records.extend(_compression_records(pipe, rng))
+        for r in records:
+            r.slack = cfg.tolerance  # the one comparison slack of every record
+        row = _entropy_row(cfg, pipe.gs_vector)
+        results.append(PointResult(config=cfg, records=records, entropy_rows=[row]))
+    return results
+
+
+def verify_point(cfg: ExperimentConfig) -> PointResult:
+    """Full single-point pipeline: every registered inequality plus entropies."""
+    return _verify_group([cfg])[0]
+
+
+def _entropy_group(points: list[ExperimentConfig]) -> list[PointResult]:
+    row = entropy_row(points[0])
+    return [PointResult(config=cfg, records=[], entropy_rows=[copy.deepcopy(row)]) for cfg in points]
 
 
 def run_points(cfg: ExperimentConfig, entropy_only: bool = False) -> list[PointResult]:
+    """Every grid point, one model build per `_pipeline_key` group, in grid order."""
     points = cfg.grid_points()
-    worker = _entropy_point if entropy_only else verify_point
-    if cfg.jobs > 1 and len(points) > 1:
+    groups: dict[tuple, list[int]] = {}
+    for i, point in enumerate(points):
+        groups.setdefault(_pipeline_key(point), []).append(i)
+    batches = [[points[i] for i in idx] for idx in groups.values()]
+    worker = _entropy_group if entropy_only else _verify_group
+    if cfg.jobs > 1 and len(batches) > 1:
         # Linux's fork start method starts every worker at the first submit.
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(points))) as pool:
-            return list(pool.map(worker, points))
-    return [worker(p) for p in points]
-
-
-def _entropy_point(cfg: ExperimentConfig) -> PointResult:
-    return PointResult(config=cfg, records=[], entropy_rows=[entropy_row(cfg)])
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(batches))) as pool:
+            done = list(pool.map(worker, batches))
+    else:
+        done = [worker(batch) for batch in batches]
+    results = [None] * len(points)
+    for idx, batch_results in zip(groups.values(), done):
+        for i, result in zip(idx, batch_results):
+            results[i] = result
+    return results
 
 
 def _fmt(x: float) -> str:

@@ -94,9 +94,12 @@ def interaction_norm(V: np.ndarray, x_sites: int) -> float:
     each total-parity sector of V, ordered by X parity, is [[0, B], [B^dag, 0]]
     with eigenvalues exactly +-sigma(B): the norm is the larger
     `top_singular_value` of the two D/4 x D/4 blocks B.  As in
-    `parity_sectors`, the matrix decides: the split is taken only when the
-    four blocks that flip both parities hold all of V's nonzero entries, else
-    `spectral_norm`.  A non-finite entry raises `LinAlgError`.
+    `parity_sectors`, the matrix decides: the adjoint blocks of a Hermitian V
+    hold as many nonzero entries as the B blocks, so the split is taken only
+    when V has exactly twice the nonzero entries of the two B (none outside
+    the four blocks that flip both parities), else `spectral_norm`.  The
+    adjoints are never copied.  A non-finite entry raises `LinAlgError` (one
+    in an adjoint block through its mirror in B).
     """
     from .spectral import top_singular_value  # spectral imports this module
 
@@ -104,13 +107,12 @@ def interaction_norm(V: np.ndarray, x_sites: int) -> float:
     if dx >= 2 and dy >= 2:
         (xe, xo), (ye, yo) = _parity_halves(dx), _parity_halves(dy)
         V4, q = V.reshape(dx, dy, dx, dy), V.shape[0] // 4
-        # B of the even and of the odd total-parity sector, then their adjoints.
-        corners = ((xo, yo, xe, ye), (xo, ye, xe, yo), (xe, ye, xo, yo), (xe, yo, xo, ye))
-        quads = [V4[np.ix_(*idx)].reshape(q, q) for idx in corners]
-        if sum(map(np.count_nonzero, quads)) == np.count_nonzero(V):
-            if not all(np.isfinite(b).all() for b in quads):
+        # B of the even and of the odd total-parity sector.
+        Bs = [V4[np.ix_(*idx)].reshape(q, q) for idx in ((xo, yo, xe, ye), (xo, ye, xe, yo))]
+        if 2 * sum(map(np.count_nonzero, Bs)) == np.count_nonzero(V):
+            if not all(np.isfinite(B).all() for B in Bs):
                 raise np.linalg.LinAlgError("matrix has a non-finite entry")
-            return max(top_singular_value(B) for B in quads[:2])
+            return max(top_singular_value(B) for B in Bs)
     return spectral_norm(V)
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from agsplab.cli import main
 from agsplab.config import ConfigError, ExperimentConfig, parse_config
@@ -195,6 +196,35 @@ class TestBoundRecord:
 def mini_result():
     cfg = ExperimentConfig(n=4, alpha=3.0, J=1.0, B=2.0, q=2, l=1, taus=[5.0], ms=[4], seed=3)
     return verify_point(cfg)
+
+
+@pytest.fixture()
+def serial_pool(monkeypatch):
+    """Replace the process pool by an in-process map; returns the max_workers of every pool made."""
+    from agsplab import experiment
+
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    return pools
+
+
+def record_keys(point: PointResult) -> list[tuple]:
+    """Everything a record reports, with lhs and rhs to the last bit."""
+    return [(r.bound_id, repr(r.lhs), repr(r.rhs), r.context, r.holds) for r in point.records]
 
 
 class TestVerifyPoint:
@@ -415,30 +445,12 @@ class TestSweepAndDeterminism:
         for a, b in zip(parallel, serial):
             assert a.entropy_rows[0].S_nats == b.entropy_rows[0].S_nats
 
-    def test_workers_capped_by_grid_size(self, monkeypatch):
-        from agsplab import experiment
-
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    def test_workers_capped_by_grid_size(self, serial_pool):
         cfg = ExperimentConfig(n=4, sweep_param="n", sweep_values=[4, 5], jobs=100_000)
         points = run_points(cfg, entropy_only=True)
-        assert pools == [2] and [p.config.n for p in points] == [4, 5]
+        assert serial_pool == [2] and [p.config.n for p in points] == [4, 5]
         run_points(replace(cfg, jobs=1), entropy_only=True)
-        assert pools == [2]  # one worker: no pool at all
+        assert serial_pool == [2]  # one worker: no pool at all
 
     def test_theorem5_grid_matches_single_tau_runs(self):
         # taus other than the pipeline's max(taus) get transient clamps
@@ -468,6 +480,64 @@ class TestSweepAndDeterminism:
         pb = write_reports(cfg, [verify_point(cfg)], out_dir=out_b)
         for key in ("results", "entropy", "summary"):
             assert open(pa[key], "rb").read() == open(pb[key], "rb").read()
+
+
+class TestSweepSharing:
+    """Grid points of one model share its pipeline and model-level records, and nothing else."""
+
+    CFG = ExperimentConfig(n=6, alpha=3.0, J=1.0, B=2.0, q=2, l=2, taus=[6.0], ms=[4], seed=7)
+
+    @pytest.mark.parametrize(
+        "param,values", [("tau", [2.0, 4.0, 6.0]), ("m", [4, 8, 16]), ("l", [1, 2, 3])], ids=["tau", "m", "l"]
+    )
+    def test_points_match_standalone_runs(self, param, values):
+        cfg = replace(self.CFG, sweep_param=param, sweep_values=values)
+        points = run_points(cfg)
+        assert [p.config for p in points] == cfg.grid_points()
+        for point in points:
+            assert record_keys(point) == record_keys(verify_point(point.config))
+
+    def test_model_record_copies_are_independent(self):
+        points = run_points(replace(self.CFG, sweep_param="tau", sweep_values=[2.0, 4.0, 6.0]))
+        before = [record_keys(p) for p in points[1:]]
+        rec = next(r for r in points[0].records if r.bound_id == "assumption1")
+        rec.lhs, rec.context["r"] = -1.0, -1
+        assert [record_keys(p) for p in points[1:]] == before
+
+    def test_repeated_model_keeps_grid_order(self, serial_pool):
+        cfg = replace(self.CFG, sweep_param="n", sweep_values=[5, 6, 5])
+        serial = run_points(cfg)
+        pooled = run_points(replace(cfg, jobs=2))
+        assert serial_pool == [2]  # one worker per distinct model
+        for points in (serial, pooled):
+            assert [p.config.n for p in points] == [5, 6, 5]
+        assert [record_keys(p) for p in pooled] == [record_keys(p) for p in serial]
+        assert record_keys(serial[0]) == record_keys(serial[2])
+        assert record_keys(serial[0]) != record_keys(serial[1])
+
+    @pytest.mark.parametrize(
+        "param,values,builds", [("tau", [3.0, 4.0, 5.0], 1), ("alpha", [2.5, 3.0, 3.5], 3)], ids=["tau", "alpha"]
+    )
+    def test_model_work_once_per_model(self, monkeypatch, param, values, builds):
+        from agsplab import experiment, hamiltonian
+
+        calls = {"assumption1": 0, "H": 0}
+        verify, decompose = hamiltonian.verify_assumption1, experiment.eigendecompose
+
+        def counted_verify(*args):
+            calls["assumption1"] += 1
+            return verify(*args)
+
+        def counted_decompose(M):
+            calls["H"] += 1
+            return decompose(M)
+
+        monkeypatch.setattr(hamiltonian, "verify_assumption1", counted_verify)
+        # experiment's own eigendecompose solves H alone (build_pipeline)
+        monkeypatch.setattr(experiment, "eigendecompose", counted_decompose)
+        cfg = ExperimentConfig(n=4, q=2, l=1, taus=[5.0], ms=[4], seed=3, sweep_param=param, sweep_values=values)
+        assert len(run_points(cfg)) == 3
+        assert calls == {"assumption1": builds, "H": builds}
 
 
 class TestCli:
@@ -577,15 +647,23 @@ class TestCli:
         assert "config error: [model] alpha" in err and "nan" in err
         assert not out.exists()
 
-    def test_solver_failure_exits_two(self, mini_cfg_file, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "error",
+        [
+            np.linalg.LinAlgError("Eigenvalues did not converge"),
+            ArpackNoConvergence("No convergence", np.empty(0), np.empty((0, 0))),
+        ],
+        ids=["LinAlgError", "ArpackNoConvergence"],
+    )
+    def test_solver_failure_exits_two(self, mini_cfg_file, capsys, monkeypatch, error):
         from agsplab import cli
 
         def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            raise error
 
         monkeypatch.setattr(cli, "run_points", failing)
         assert main(["run", mini_cfg_file]) == 2
-        assert "error: Eigenvalues did not converge" in capsys.readouterr().err
+        assert f"error: {error}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("param", ["n", "q", "l", "m"])
     @pytest.mark.parametrize("value,message", [("2.5", "must be integers"), ("-1", "must be >= 0")])

@@ -359,6 +359,18 @@ class TestInteractionNorm:
         assert value == spectral_norm(V)
         assert value == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("where", [(5, 0), (4, 1)], ids=["even-sector", "odd-sector"])
+    def test_entry_in_one_adjoint_block_alone_takes_the_full_path(self, rng, monkeypatch, where):
+        # X = 2 high bits, Y = 2 low bits: 5 = 0b0101 and 0 lie in the even
+        # total-parity sector's B, 4 = 0b0100 and 1 in the odd one's.  With the
+        # B entry zeroed, its adjoint entry stands alone; the split is refused.
+        V = x_parity_flipping(rng, 2, 2, "real")
+        V[where] = 0.0
+        calls = self.spy(monkeypatch)
+        value = interaction_norm(V, 2)
+        assert calls == [(16, 16)]
+        assert value == spectral_norm(V)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", [(0, 15), (0, 0)], ids=["in-a-block", "forbidden"])
     def test_non_finite_entry_raises(self, rng, bad, where):
