@@ -10,7 +10,9 @@ state, envelope, g and the truncations, with their `gap≤2g`, `assumption1`
 and Lemma 3-4 records, are built once per model and copied into each point.
 The stages that read tau, m or the seeded rng (Theorem 5, the filter
 machinery, the AGSP and compression checks, and every clamp) run per point.
-Results come back in grid order.
+With `jobs` > 1 a model's points are cut into batches, one model build each,
+so the workers share a sweep of one model too.  Results come back in grid
+order.
 """
 
 from __future__ import annotations
@@ -340,12 +342,20 @@ def _entropy_group(points: list[ExperimentConfig]) -> list[PointResult]:
 
 
 def run_points(cfg: ExperimentConfig, entropy_only: bool = False) -> list[PointResult]:
-    """Every grid point, one model build per `_pipeline_key` group, in grid order."""
+    """Every grid point, in grid order, one model build per batch.
+
+    Points that agree on `_pipeline_key` form a group.  With `jobs` workers
+    each group is cut into batches of at most ceil(points / jobs) points, so a
+    sweep of one model still spreads over the workers; each batch builds its
+    model once.
+    """
     points = cfg.grid_points()
     groups: dict[tuple, list[int]] = {}
     for i, point in enumerate(points):
         groups.setdefault(_pipeline_key(point), []).append(i)
-    batches = [[points[i] for i in idx] for idx in groups.values()]
+    size = -(-len(points) // max(cfg.jobs, 1))
+    batch_idx = [idx[k : k + size] for idx in groups.values() for k in range(0, len(idx), size)]
+    batches = [[points[i] for i in idx] for idx in batch_idx]
     worker = _entropy_group if entropy_only else _verify_group
     if cfg.jobs > 1 and len(batches) > 1:
         # Linux's fork start method starts every worker at the first submit.
@@ -354,7 +364,7 @@ def run_points(cfg: ExperimentConfig, entropy_only: bool = False) -> list[PointR
     else:
         done = [worker(batch) for batch in batches]
     results = [None] * len(points)
-    for idx, batch_results in zip(groups.values(), done):
+    for idx, batch_results in zip(batch_idx, done):
         for i, result in zip(idx, batch_results):
             results[i] = result
     return results

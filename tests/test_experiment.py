@@ -516,9 +516,17 @@ class TestSweepSharing:
         assert record_keys(serial[0]) != record_keys(serial[1])
 
     @pytest.mark.parametrize(
-        "param,values,builds", [("tau", [3.0, 4.0, 5.0], 1), ("alpha", [2.5, 3.0, 3.5], 3)], ids=["tau", "alpha"]
+        "param,values,jobs,builds",
+        [
+            ("tau", [3.0, 4.0, 5.0], 1, 1),
+            ("tau", [3.0, 4.0, 5.0], 2, 2),  # batches of 2 and 1 points, one per worker
+            ("tau", [3.0, 4.0, 5.0], 3, 3),
+            ("alpha", [2.5, 3.0, 3.5], 1, 3),
+            ("alpha", [2.5, 3.0, 3.5], 2, 3),
+        ],
+        ids=["tau", "tau-jobs2", "tau-jobs3", "alpha", "alpha-jobs2"],
     )
-    def test_model_work_once_per_model(self, monkeypatch, param, values, builds):
+    def test_model_work_once_per_batch(self, monkeypatch, serial_pool, param, values, jobs, builds):
         from agsplab import experiment, hamiltonian
 
         calls = {"assumption1": 0, "H": 0}
@@ -535,9 +543,16 @@ class TestSweepSharing:
         monkeypatch.setattr(hamiltonian, "verify_assumption1", counted_verify)
         # experiment's own eigendecompose solves H alone (build_pipeline)
         monkeypatch.setattr(experiment, "eigendecompose", counted_decompose)
-        cfg = ExperimentConfig(n=4, q=2, l=1, taus=[5.0], ms=[4], seed=3, sweep_param=param, sweep_values=values)
-        assert len(run_points(cfg)) == 3
+        cfg = ExperimentConfig(
+            n=4, q=2, l=1, taus=[5.0], ms=[4], seed=3, sweep_param=param, sweep_values=values, jobs=jobs
+        )
+        points = run_points(cfg)
         assert calls == {"assumption1": builds, "H": builds}
+        assert serial_pool == ([] if jobs == 1 else [min(jobs, builds)])
+        assert [p.config for p in points] == cfg.grid_points()
+        if jobs > 1:
+            serial = run_points(replace(cfg, jobs=1))
+            assert [record_keys(p) for p in points] == [record_keys(p) for p in serial]
 
 
 class TestCli:
