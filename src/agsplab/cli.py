@@ -7,14 +7,13 @@ import sys
 
 from scipy.sparse.linalg import ArpackError
 
-from .config import ConfigError, check_jobs, check_non_negative, check_tolerance, parse_config
+from .config import ConfigError, check_non_negative, check_tolerance, parse_config
 from .experiment import run_points, write_entropy_report, write_reports
 from .registry import tally
 
 
 def _add_common(sub):
     sub.add_argument("config", help="experiment config file")
-    sub.add_argument("--jobs", type=int, default=None, help="max concurrent grid workers")
     sub.add_argument("--out", default=None, help="output directory (overrides [output] dir)")
     sub.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
     sub.add_argument(
@@ -46,8 +45,6 @@ def main(argv=None) -> int:
             cfg.tolerance = check_tolerance(args.tolerance)
         if args.seed is not None:
             cfg.seed = check_non_negative("--seed", args.seed)
-        if args.jobs is not None:
-            cfg.jobs = check_jobs("--jobs", args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

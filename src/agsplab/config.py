@@ -17,7 +17,7 @@ _KNOWN_KEYS = {
     "agsp": {"m", "powers"},
     "sweep": {"param", "values"},
     "output": {"dir"},
-    "run": {"seed", "jobs", "tolerance"},
+    "run": {"seed", "tolerance"},
 }
 
 _SWEEPABLE = {"n", "alpha", "J", "B", "q", "l", "tau", "m"}
@@ -59,13 +59,6 @@ def check_non_negative(key: str, value: int) -> int:
     return value
 
 
-def check_jobs(key: str, value: int) -> int:
-    """The worker count of a sweep; below 1 is rejected by `key`."""
-    if value < 1:
-        raise ConfigError(f"{key} must be >= 1, got {value}")
-    return value
-
-
 def _ints(raw: str) -> list[int]:
     try:
         vals = _floats(raw)
@@ -101,7 +94,6 @@ class ExperimentConfig:
     sweep_values: list[float] = field(default_factory=list)
     output_dir: str = "results"
     seed: int = 0
-    jobs: int = 1
     tolerance: float = 1e-9
 
     def grid_points(self) -> list["ExperimentConfig"]:
@@ -196,9 +188,6 @@ def parse_config(path: str) -> ExperimentConfig:
     seed = get("run", "seed", _int)
     if seed is not None:
         cfg.seed = check_non_negative("[run] seed", seed)
-    jobs = get("run", "jobs", _int)
-    if jobs is not None:
-        cfg.jobs = check_jobs("[run] jobs", jobs)
     tolerance = get("run", "tolerance", _float)
     if tolerance is not None:
         cfg.tolerance = check_tolerance(tolerance)

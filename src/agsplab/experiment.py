@@ -4,15 +4,15 @@ Builds the model, runs truncation -> energy cut-off -> Chebyshev filter ->
 compression, measures every registered inequality, and persists CSV/text
 reports.
 
-Sweep grid points that agree on the model (family, n, alpha, J, A, B) and on
-the blocks (q, l, cut) share one `Pipeline`: H, its spectrum, the ground
-state, envelope, g and the truncations, with their `gap≤2g`, `assumption1`
-and Lemma 3-4 records, are built once per model and copied into each point.
-The stages that read tau, m or the seeded rng (Theorem 5, the filter
-machinery, the AGSP and compression checks, and every clamp) run per point.
-With `jobs` > 1 a model's points are cut into batches, one model build each,
-so the workers share a sweep of one model too.  Results come back in grid
-order.
+Sweep grid points run in one process.  Points that agree on the model
+(family, n, alpha, J, A, B, cut) and on the blocks (q, l) share one
+`Pipeline`: H, its spectrum, the ground state and its Schmidt decomposition
+at the block cut, envelope, g and the truncations, with their `gap≤2g`,
+`assumption1` and Lemma 3-4 records, are built once per model and copied
+into each point.  The stages that read tau, m or the seeded rng (Theorem 5,
+the filter machinery, the AGSP and compression checks, and every clamp) run
+per point.  Entropy runs solve one ground state per model, whatever q and l
+say.  Results come back in grid order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import copy
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,12 +62,12 @@ def build_model(cfg: ExperimentConfig) -> ham.Hamiltonian:
 class Pipeline:
     """All objects of one experiment point, each built once.
 
-    Truncations (per block length l, at the configured cut), clamps (per
-    (l, tau)) and the ground state's Schmidt decomposition at the block cut
-    are built on first use and shared by every check of the point.  The
-    sweep points of one model share a pipeline's H, spectrum, ground state
-    and truncations through `dataclasses.replace`, each with its own `cfg`
-    and clamps (see `_verify_group`).
+    Truncations (per block length l, at the configured cut) and clamps (per
+    (l, tau)) are built on first use and shared by every check of the point.
+    The sweep points of one model share a pipeline's H, spectrum, ground
+    state, its Schmidt decomposition at the block cut and the truncations
+    through `dataclasses.replace`, each with its own `cfg` and clamps (see
+    `_verify_group`).
     """
 
     cfg: ExperimentConfig
@@ -78,6 +77,7 @@ class Pipeline:
     g: float
     gs_gap: float
     gs_vector: np.ndarray
+    gs_schmidt: ent.SchmidtData  # of the ground state of H across the block cut
     _truncations: dict[int, trunc.TruncatedHamiltonian] = field(default_factory=dict, repr=False)
     _effs: dict[tuple[int, float], eff_mod.EffectiveHamiltonian] = field(default_factory=dict, repr=False)
 
@@ -106,11 +106,6 @@ class Pipeline:
     def cut(self) -> int:
         return self.T.blocks.cut
 
-    @functools.cached_property
-    def gs_schmidt(self) -> ent.SchmidtData:
-        """Schmidt decomposition of the ground state of H across the block cut."""
-        return ent.schmidt_decompose(self.gs_vector, self.cut)
-
     def block_width_top(self) -> float:
         """Cut-off beyond which clamping is a no-op (max block width)."""
         return max(sp.width for sp in self.T.block_spectra()) + 1.0
@@ -120,6 +115,7 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     H = build_model(cfg)
     H_spec = eigendecompose(ham.assemble_dense(H))
     gs = ground_state(H_spec)
+    cut = trunc.decompose_blocks(cfg.n, cfg.q, cfg.l, cfg.cut).cut
     return Pipeline(
         cfg=cfg,
         H=H,
@@ -128,6 +124,7 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
         g=ham.local_energy_g(H),
         gs_gap=gs.gap,
         gs_vector=gs.state,
+        gs_schmidt=ent.schmidt_decompose(gs.state, cut),
     )
 
 
@@ -293,9 +290,14 @@ def entropy_row(cfg: ExperimentConfig) -> EntropyRow:
     return _entropy_row(cfg, gs.state)
 
 
+def _model_key(cfg: ExperimentConfig) -> tuple:
+    """The config fields `entropy_row` reads; points that agree on them share a ground state."""
+    return (cfg.family, cfg.n, cfg.alpha, cfg.J, cfg.A, cfg.B, cfg.cut)
+
+
 def _pipeline_key(cfg: ExperimentConfig) -> tuple:
-    """The config fields `build_pipeline` and `Pipeline` read; points that agree on them share a model."""
-    return (cfg.family, cfg.n, cfg.alpha, cfg.J, cfg.A, cfg.B, cfg.q, cfg.l, cfg.cut)
+    """The config fields `build_pipeline` and `Pipeline` read: the model and its blocks."""
+    return _model_key(cfg) + (cfg.q, cfg.l)
 
 
 def _model_records(pipe: Pipeline) -> list[BoundRecord]:
@@ -342,30 +344,19 @@ def _entropy_group(points: list[ExperimentConfig]) -> list[PointResult]:
 
 
 def run_points(cfg: ExperimentConfig, entropy_only: bool = False) -> list[PointResult]:
-    """Every grid point, in grid order, one model build per batch.
+    """Every grid point, in grid order, one model build per distinct model.
 
-    Points that agree on `_pipeline_key` form a group.  With `jobs` workers
-    each group is cut into batches of at most ceil(points / jobs) points, so a
-    sweep of one model still spreads over the workers; each batch builds its
-    model once.
+    Points that agree on `_pipeline_key` (`_model_key` for entropy runs)
+    form a group, and each group builds its model once.
     """
     points = cfg.grid_points()
+    key, run_group = (_model_key, _entropy_group) if entropy_only else (_pipeline_key, _verify_group)
     groups: dict[tuple, list[int]] = {}
     for i, point in enumerate(points):
-        groups.setdefault(_pipeline_key(point), []).append(i)
-    size = -(-len(points) // max(cfg.jobs, 1))
-    batch_idx = [idx[k : k + size] for idx in groups.values() for k in range(0, len(idx), size)]
-    batches = [[points[i] for i in idx] for idx in batch_idx]
-    worker = _entropy_group if entropy_only else _verify_group
-    if cfg.jobs > 1 and len(batches) > 1:
-        # Linux's fork start method starts every worker at the first submit.
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(batches))) as pool:
-            done = list(pool.map(worker, batches))
-    else:
-        done = [worker(batch) for batch in batches]
+        groups.setdefault(key(point), []).append(i)
     results = [None] * len(points)
-    for idx, batch_results in zip(batch_idx, done):
-        for i, result in zip(idx, batch_results):
+    for idx in groups.values():
+        for i, result in zip(idx, run_group([points[i] for i in idx])):
             results[i] = result
     return results
 

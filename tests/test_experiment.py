@@ -60,7 +60,7 @@ seed = 3
 
 # Keys that take exactly one integer.
 SINGLE_INT_KEYS = [
-    ("model", "n"), ("blocks", "q"), ("blocks", "l"), ("blocks", "cut"), ("run", "seed"), ("run", "jobs"),
+    ("model", "n"), ("blocks", "q"), ("blocks", "l"), ("blocks", "cut"), ("run", "seed"),
 ]
 
 
@@ -196,30 +196,6 @@ class TestBoundRecord:
 def mini_result():
     cfg = ExperimentConfig(n=4, alpha=3.0, J=1.0, B=2.0, q=2, l=1, taus=[5.0], ms=[4], seed=3)
     return verify_point(cfg)
-
-
-@pytest.fixture()
-def serial_pool(monkeypatch):
-    """Replace the process pool by an in-process map; returns the max_workers of every pool made."""
-    from agsplab import experiment
-
-    pools = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
-    return pools
 
 
 def record_keys(point: PointResult) -> list[tuple]:
@@ -437,21 +413,6 @@ class TestSweepAndDeterminism:
         assert len(lines) == 5  # header + one row per grid point
         assert [ln.split(",")[0] for ln in lines[1:]] == ["6", "8", "10", "12"]
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        cfg = ExperimentConfig(n=4, sweep_param="n", sweep_values=[4, 5], jobs=2)
-        parallel = run_points(cfg, entropy_only=True)
-        cfg_serial = ExperimentConfig(n=4, sweep_param="n", sweep_values=[4, 5], jobs=1)
-        serial = run_points(cfg_serial, entropy_only=True)
-        for a, b in zip(parallel, serial):
-            assert a.entropy_rows[0].S_nats == b.entropy_rows[0].S_nats
-
-    def test_workers_capped_by_grid_size(self, serial_pool):
-        cfg = ExperimentConfig(n=4, sweep_param="n", sweep_values=[4, 5], jobs=100_000)
-        points = run_points(cfg, entropy_only=True)
-        assert serial_pool == [2] and [p.config.n for p in points] == [4, 5]
-        run_points(replace(cfg, jobs=1), entropy_only=True)
-        assert serial_pool == [2]  # one worker: no pool at all
-
     def test_theorem5_grid_matches_single_tau_runs(self):
         # taus other than the pipeline's max(taus) get transient clamps
         cfg = ExperimentConfig(n=6, alpha=3.0, J=1.0, B=2.0, q=2, l=1, taus=[2.0, 4.0, 6.0], ms=[4], seed=7)
@@ -504,29 +465,18 @@ class TestSweepSharing:
         rec.lhs, rec.context["r"] = -1.0, -1
         assert [record_keys(p) for p in points[1:]] == before
 
-    def test_repeated_model_keeps_grid_order(self, serial_pool):
-        cfg = replace(self.CFG, sweep_param="n", sweep_values=[5, 6, 5])
-        serial = run_points(cfg)
-        pooled = run_points(replace(cfg, jobs=2))
-        assert serial_pool == [2]  # one worker per distinct model
-        for points in (serial, pooled):
-            assert [p.config.n for p in points] == [5, 6, 5]
-        assert [record_keys(p) for p in pooled] == [record_keys(p) for p in serial]
-        assert record_keys(serial[0]) == record_keys(serial[2])
-        assert record_keys(serial[0]) != record_keys(serial[1])
+    def test_repeated_model_keeps_grid_order(self):
+        points = run_points(replace(self.CFG, sweep_param="n", sweep_values=[5, 6, 5]))
+        assert [p.config.n for p in points] == [5, 6, 5]
+        assert record_keys(points[0]) == record_keys(points[2])
+        assert record_keys(points[0]) != record_keys(points[1])
 
     @pytest.mark.parametrize(
-        "param,values,jobs,builds",
-        [
-            ("tau", [3.0, 4.0, 5.0], 1, 1),
-            ("tau", [3.0, 4.0, 5.0], 2, 2),  # batches of 2 and 1 points, one per worker
-            ("tau", [3.0, 4.0, 5.0], 3, 3),
-            ("alpha", [2.5, 3.0, 3.5], 1, 3),
-            ("alpha", [2.5, 3.0, 3.5], 2, 3),
-        ],
-        ids=["tau", "tau-jobs2", "tau-jobs3", "alpha", "alpha-jobs2"],
+        "param,values,builds",
+        [("tau", [3.0, 4.0, 5.0], 1), ("alpha", [2.5, 3.0, 3.5], 3)],
+        ids=["tau", "alpha"],
     )
-    def test_model_work_once_per_batch(self, monkeypatch, serial_pool, param, values, jobs, builds):
+    def test_model_work_once_per_model(self, monkeypatch, param, values, builds):
         from agsplab import experiment, hamiltonian
 
         calls = {"assumption1": 0, "H": 0}
@@ -543,16 +493,48 @@ class TestSweepSharing:
         monkeypatch.setattr(hamiltonian, "verify_assumption1", counted_verify)
         # experiment's own eigendecompose solves H alone (build_pipeline)
         monkeypatch.setattr(experiment, "eigendecompose", counted_decompose)
-        cfg = ExperimentConfig(
-            n=4, q=2, l=1, taus=[5.0], ms=[4], seed=3, sweep_param=param, sweep_values=values, jobs=jobs
-        )
+        cfg = ExperimentConfig(n=4, q=2, l=1, taus=[5.0], ms=[4], seed=3, sweep_param=param, sweep_values=values)
         points = run_points(cfg)
         assert calls == {"assumption1": builds, "H": builds}
-        assert serial_pool == ([] if jobs == 1 else [min(jobs, builds)])
         assert [p.config for p in points] == cfg.grid_points()
-        if jobs > 1:
-            serial = run_points(replace(cfg, jobs=1))
-            assert [record_keys(p) for p in points] == [record_keys(p) for p in serial]
+
+    def test_ground_state_schmidt_once_per_model(self, monkeypatch):
+        from agsplab import entanglement
+
+        calls = [0]
+        decompose = entanglement.schmidt_decompose
+
+        def counted(*args):
+            calls[0] += 1
+            return decompose(*args)
+
+        monkeypatch.setattr(entanglement, "schmidt_decompose", counted)
+        cfg = replace(self.CFG, sweep_param="tau", sweep_values=[2.0, 4.0, 6.0])
+        standalone = [verify_point(point) for point in cfg.grid_points()]
+        standalone_calls, calls[0] = calls[0], 0
+        points = run_points(cfg)
+        # The ground state's decomposition at the block cut is made once, not once per point.
+        assert calls[0] == standalone_calls - 2
+        assert [record_keys(p) for p in points] == [record_keys(p) for p in standalone]
+        assert [p.entropy_rows for p in points] == [p.entropy_rows for p in standalone]
+
+    @pytest.mark.parametrize("param", ["l", "q"])
+    def test_entropy_sweep_of_blocks_solves_once(self, monkeypatch, param):
+        from agsplab import experiment
+
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return entropy_row(cfg)
+
+        monkeypatch.setattr(experiment, "entropy_row", counted)
+        values = [1, 2, 3] if param == "l" else [2, 4, 6]
+        cfg = ExperimentConfig(n=6, l=1, sweep_param=param, sweep_values=values)
+        points = run_points(cfg, entropy_only=True)
+        assert len(calls) == 1
+        assert [getattr(p.config, param) for p in points] == values
+        assert [p.entropy_rows for p in points] == [points[0].entropy_rows] * 3
 
 
 class TestCli:
@@ -638,19 +620,23 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("via", ["config", "flag"])
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_config_error(self, tmp_path, capsys, via, jobs):
+    def test_removed_jobs_setting_exits_two(self, tmp_path, via):
         out = tmp_path / "out"
         text, flag = MINI.format(out=out), []
         if via == "config":
-            text += f"jobs = {jobs}\n"  # lands in the trailing [run] section
+            text += "jobs = 2\n"  # lands in the trailing [run] section
         else:
-            flag = ["--jobs", jobs]
+            flag = ["--jobs", "2"]
         path = tmp_path / "jobs.cfg"
         path.write_text(text)
-        assert main(["run", str(path), *flag]) == 2
-        key = "[run] jobs" if via == "config" else "--jobs"
-        assert f"config error: {key} must be >= 1" in capsys.readouterr().err
+        proc = subprocess.run(
+            [sys.executable, "-m", "agsplab.cli", "run", str(path), *flag],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        expected = "unknown key 'jobs'" if via == "config" else "unrecognized arguments: --jobs 2"
+        assert expected in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_non_finite_number_is_config_error(self, tmp_path, capsys):
