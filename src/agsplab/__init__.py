@@ -30,7 +30,6 @@ from .truncation import (
     BlockDecomposition,
     TruncatedHamiltonian,
     decompose_blocks,
-    shift_block_energies,
     truncate_interactions,
     verify_lemma3_4,
 )

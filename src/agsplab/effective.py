@@ -98,16 +98,15 @@ def _clamp(T: TruncatedHamiltonian, tau: float) -> EffectiveHamiltonian:
 def build_effective(T: TruncatedHamiltonian, tau: float) -> EffectiveHamiltonian:
     """Apply the per-block cut-off at tau_s = E_{s,0} + tau.
 
-    Requires balanced block origins (|E_{s,0}| <= g0, see
-    shift_block_energies); the `effnorm` record measures ||H_eff|| against
-    the analytic cap (q+2)(tau + 2 g0).
+    Requires balanced block origins (|E_{s,0}| <= g0), which
+    `truncate_interactions` sets up for a chain that meets Assumption 1; a
+    block ground energy above g0 raises `ValueError`.  The `effnorm` record
+    measures ||H_eff|| against the analytic cap (q+2)(tau + 2 g0).
     """
     if tau <= 0:
         raise ValueError(f"cut-off offset must be positive, got tau={tau}")
     if np.max(np.abs(T.block_ground_energies())) > T.envelope.g0 + 1e-9:
-        raise ValueError(
-            "block ground energies exceed g0; run shift_block_energies first"
-        )
+        raise ValueError("block ground energies exceed g0: unbalanced block origins or Assumption 1 violated")
     return _clamp(T, tau)
 
 

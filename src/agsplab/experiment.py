@@ -7,10 +7,11 @@ reports.
 Sweep grid points run in one process.  Points that agree on the model
 (family, n, alpha, J, A, B, cut) and on the blocks (q, l) share one
 `Pipeline`: H, its spectrum, the ground state and its Schmidt decomposition
-at the block cut, envelope, g and the truncations, with their `gap≤2g`,
-`assumption1` and Lemma 3-4 records, are built once per model and copied
-into each point.  The stages that read tau, m or the seeded rng (Theorem 5,
-the filter machinery, the AGSP and compression checks, and every clamp) run
+at the block cut and the truncations are built once per model, and so are
+the records that read only them (`gap≤2g`, `assumption1`, Lemma 3-4 and
+the ground state's `claim7.mps`) and the entropy row, which are copied into
+each point.  The stages that read tau, m or the seeded rng (Theorem 5,
+the filter machinery, the AGSP and Eckart-Young checks, and every clamp) run
 per point.  Entropy runs solve one ground state per model, whatever q and l
 say.  Results come back in grid order.
 """
@@ -67,15 +68,14 @@ class Pipeline:
     The sweep points of one model share a pipeline's H, spectrum, ground
     state, its Schmidt decomposition at the block cut and the truncations
     through `dataclasses.replace`, each with its own `cfg` and clamps (see
-    `_verify_group`).
+    `_verify_group`).  The model scalars live with their owners: g and the
+    decay envelope on each truncation (`T.local_g`, `T.envelope`), the gap
+    on `H_spec`.
     """
 
     cfg: ExperimentConfig
     H: ham.Hamiltonian
     H_spec: SpectralData
-    envelope: ham.DecayEnvelope
-    g: float
-    gs_gap: float
     gs_vector: np.ndarray
     gs_schmidt: ent.SchmidtData  # of the ground state of H across the block cut
     _truncations: dict[int, trunc.TruncatedHamiltonian] = field(default_factory=dict, repr=False)
@@ -84,7 +84,7 @@ class Pipeline:
     def truncation(self, l: int) -> trunc.TruncatedHamiltonian:
         if l not in self._truncations:
             blocks = trunc.decompose_blocks(self.cfg.n, self.cfg.q, l, self.cfg.cut)
-            self._truncations[l] = trunc.shift_block_energies(trunc.truncate_interactions(self.H, blocks))
+            self._truncations[l] = trunc.truncate_interactions(self.H, blocks)
         return self._truncations[l]
 
     def eff_at(self, tau: float, l: int | None = None) -> eff_mod.EffectiveHamiltonian:
@@ -106,23 +106,16 @@ class Pipeline:
     def cut(self) -> int:
         return self.T.blocks.cut
 
-    def block_width_top(self) -> float:
-        """Cut-off beyond which clamping is a no-op (max block width)."""
-        return max(sp.width for sp in self.T.block_spectra()) + 1.0
-
 
 def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     H = build_model(cfg)
     H_spec = eigendecompose(ham.assemble_dense(H))
-    gs = ground_state(H_spec)
+    gs = ground_state(H_spec)  # rejects a degenerate ground state
     cut = trunc.decompose_blocks(cfg.n, cfg.q, cfg.l, cfg.cut).cut
     return Pipeline(
         cfg=cfg,
         H=H,
         H_spec=H_spec,
-        envelope=ham.decay_envelope(H),
-        g=ham.local_energy_g(H),
-        gs_gap=gs.gap,
         gs_vector=gs.state,
         gs_schmidt=ent.schmidt_decompose(gs.state, cut),
     )
@@ -216,8 +209,7 @@ def _sequence_records(pipe: Pipeline, psi_base: np.ndarray | None) -> list[Bound
 
     @functools.lru_cache(maxsize=1)  # a step that repeats (m, l, tau) reuses its filter
     def factory(m, l, tau):
-        width = max(sp.width for sp in pipe.truncation(l).block_spectra()) + 1.0
-        return agsp_mod.agsp_filter(pipe.eff_at(min(tau, width), l), m)
+        return agsp_mod.agsp_filter(pipe.eff_at(min(tau, pipe.truncation(l).clamp_ceiling()), l), m)
 
     steps, exhausted = ent.agsp_sequence(
         factory,
@@ -228,7 +220,7 @@ def _sequence_records(pipe: Pipeline, psi_base: np.ndarray | None) -> list[Bound
         tau_start=max(cfg.taus),
         # every l whose q bulk blocks fit around the cut (decompose_blocks' domain)
         l_max=min(cfg.n // cfg.q, 2 * cut // cfg.q, 2 * (cfg.n - cut) // cfg.q),
-        tau_max=pipe.block_width_top(),
+        tau_max=pipe.T.clamp_ceiling(),
     )
     usable = [s for s in steps if s.target_met and s.gamma <= 1.0]
     if not usable:
@@ -241,6 +233,7 @@ def _sequence_records(pipe: Pipeline, psi_base: np.ndarray | None) -> list[Bound
 
 
 def _compression_records(pipe: Pipeline, rng) -> list[BoundRecord]:
+    """Eckart-Young and `s2≤s` records of the ground state and two random states at the block cut."""
     records = []
     gs = pipe.gs_vector
     states = [("ground", pipe.gs_schmidt)]
@@ -256,7 +249,6 @@ def _compression_records(pipe: Pipeline, rng) -> list[BoundRecord]:
             rec.context.update(state=name, D=D)
             records.append(rec)
         records.append(BoundRecord("s2≤s", ent.renyi2(sd), ent.entropy(sd), {"state": name}))
-    records.extend(ent.mps_compression_check(gs, (1, 2, 4, 8, 16)))
     return records
 
 
@@ -264,9 +256,10 @@ def _entropy_row(cfg: ExperimentConfig, state: np.ndarray) -> EntropyRow:
     """Entropies of a normalized state at the configured cut (n//2 without one).
 
     That cut can differ from the block cut (at odd n), so the row decomposes
-    the state itself.  `bond_dims` is the untruncated bond-dimension profile
-    min(2^i, 2^(n-i)), i = 1 .. n-1: the bond dimensions of a lossless
-    left-to-right SVD sweep, which depend on the chain alone.
+    the state itself, once per model (`_verify_group`).  `bond_dims` is the
+    untruncated bond-dimension profile min(2^i, 2^(n-i)), i = 1 .. n-1: the
+    bond dimensions of a lossless left-to-right SVD sweep, which depend on
+    the chain alone.
     """
     cut = cfg.cut if cfg.cut is not None else cfg.n // 2
     sd = ent.schmidt_decompose(state, cut)
@@ -302,9 +295,9 @@ def _pipeline_key(cfg: ExperimentConfig) -> tuple:
 
 def _model_records(pipe: Pipeline) -> list[BoundRecord]:
     """`gap≤2g`, `assumption1` and Lemma 3-4 records: they read H and the blocks, not tau or m."""
-    records = [BoundRecord("gap≤2g", pipe.gs_gap, 2.0 * pipe.g)]
+    records = [BoundRecord("gap≤2g", pipe.H_spec.gap, 2.0 * pipe.T.local_g)]
     pairs = ham.contiguous_pair_samples(pipe.cfg.n, max_pairs=None if pipe.cfg.n <= 8 else 60)
-    records.extend(ham.verify_assumption1(pipe.H, pipe.envelope, pairs))
+    records.extend(ham.verify_assumption1(pipe.H, pipe.T.envelope, pairs))
     records.extend(trunc.verify_lemma3_4(pipe.H, pipe.T, pipe.H_spec))
     return records
 
@@ -313,6 +306,9 @@ def _verify_group(points: list[ExperimentConfig]) -> list[PointResult]:
     """`verify_point` of grid points with one `_pipeline_key`, the model built once."""
     shared = build_pipeline(points[0])
     model_records = _model_records(shared)
+    # The ground state's MPS records and entropy row read no tau, m or rng either.
+    mps_records = ent.mps_compression_check(shared.gs_vector, (1, 2, 4, 8, 16))
+    row = _entropy_row(points[0], shared.gs_vector)
     results = []
     for cfg in points:
         # The point's own cfg and clamps; H, its spectrum and the truncations are shared.
@@ -326,10 +322,10 @@ def _verify_group(points: list[ExperimentConfig]) -> list[PointResult]:
         records.extend(agsp_records)
         records.extend(_sequence_records(pipe, psi))
         records.extend(_compression_records(pipe, rng))
+        records.extend(copy.deepcopy(mps_records))
         for r in records:
             r.slack = cfg.tolerance  # the one comparison slack of every record
-        row = _entropy_row(cfg, pipe.gs_vector)
-        results.append(PointResult(config=cfg, records=records, entropy_rows=[row]))
+        results.append(PointResult(config=cfg, records=records, entropy_rows=[copy.deepcopy(row)]))
     return results
 
 

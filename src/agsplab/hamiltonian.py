@@ -130,10 +130,6 @@ class LatticeSpec:
     def dim(self) -> int:
         return 2**self.n
 
-    @property
-    def sites(self) -> range:
-        return range(1, self.n + 1)
-
 
 @dataclass(frozen=True)
 class InteractionTerm:

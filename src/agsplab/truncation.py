@@ -1,10 +1,10 @@
 """Interaction truncation around the entanglement cut.
 
 Partitions the chain into q+2 blocks, drops every interaction between
-non-adjacent blocks, fixes the energy origin of the truncated operator at
-its ground energy, and redistributes block energy origins so that every
-block ground energy is O(g0).  The source Hamiltonian must carry
-power-law metadata: its decay envelope (g0, abar) travels with the
+non-adjacent blocks, and, in the same step, shifts each block's energy
+origin so that the truncated operator has its ground energy at 0 and every
+block ground energy is the same O(g0) level.  The source Hamiltonian must
+carry power-law metadata: its decay envelope (g0, abar) travels with the
 truncation and sets the norm budget, the block balancing and the decay
 rates downstream.  The verification routine measures the norm distance,
 the eigenvalue displacement (Weyl), the gap loss, and the ground-state
@@ -13,7 +13,7 @@ overlap bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,10 +91,11 @@ class TruncatedHamiltonian:
 
     `internal[s]` lives on blocks[s] (a 1x1 scalar for empty edge blocks),
     `bonds[s]` on blocks[s] + blocks[s+1].  The represented operator has its
-    ground energy at 0; `origin_shift` restores the raw truncation of the
-    source Hamiltonian (H_t_raw = H_t + origin_shift * I).  The block-origin
-    redistribution of `shift_block_energies` always sums to zero, so the
-    cached spectrum of the represented operator survives it.
+    ground energy at 0 and equal block ground energies; `origin_shift`
+    restores the raw truncation of the source Hamiltonian
+    (H_t_raw = H_t + origin_shift * I).  `truncate_interactions` fills both
+    cached spectra: the blocks' (`block_spectra()`) and the represented
+    operator's (`spectral()`).
     """
 
     lattice: LatticeSpec
@@ -104,8 +105,8 @@ class TruncatedHamiltonian:
     origin_shift: float
     k: int
     envelope: DecayEnvelope
-    local_g: float = 0.0
-    _block_spectra: list[SpectralData] | None = field(default=None, repr=False)
+    local_g: float
+    _block_spectra: list[SpectralData] = field(repr=False)
     _spectral: SpectralData | None = field(default=None, repr=False)
 
     @property
@@ -148,12 +149,14 @@ class TruncatedHamiltonian:
         return embed_sum(self.lattice, self.pieces(internal))
 
     def block_spectra(self) -> list[SpectralData]:
-        if self._block_spectra is None:
-            self._block_spectra = [eigendecompose(h) for h in self.internal]
         return self._block_spectra
 
     def block_ground_energies(self) -> np.ndarray:
         return np.array([sp.ground_energy for sp in self.block_spectra()])
+
+    def clamp_ceiling(self) -> float:
+        """Cut-off offset tau beyond which clamping is a no-op (max block width + 1)."""
+        return max(sp.width for sp in self.block_spectra()) + 1.0
 
 
 def _classify_terms(H: Hamiltonian, blocks: BlockDecomposition):
@@ -177,13 +180,17 @@ def _classify_terms(H: Hamiltonian, blocks: BlockDecomposition):
 
 
 def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> TruncatedHamiltonian:
-    """Drop all interactions between non-adjacent blocks and zero the ground energy.
+    """Drop all non-adjacent-block interactions; balance block origins and zero E_t0.
 
     Terms inside one block become h_s, terms spanning exactly one adjacent
-    pair become h_{s,s+1}, everything else is dropped.  The ground energy is
-    removed by an equal per-block shift, so the stored operator satisfies
-    E_t0 = 0 exactly; the one eigendecomposition that finds it is kept,
-    shifted, as the operator's spectrum (the shift adds -E_t0 * I in total).
+    pair become h_{s,s+1}, everything else is dropped.  Each raw block is
+    decomposed once and shifted by c_s = level - E_{s,0}, with
+    level = (sum_s E_{s,0} - E_t0) / (q+2).  Every block ground energy then
+    sits at `level`, at most (q+1)/(q+2) * g0 in magnitude (`build_effective`
+    checks |E_{s,0}| <= g0), and the shifts sum to -E_t0, so the stored
+    operator satisfies E_t0 = 0 exactly.  h + cI has the eigenvectors of h,
+    so each block keeps its one decomposition, shifted, and the operator
+    keeps the one eigendecomposition of the raw truncation that finds E_t0.
     A Hamiltonian without a decay envelope (no power-law metadata) raises
     `ValueError`.
     """
@@ -198,6 +205,7 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
         region_sum(H.lattice, blocks.blocks[s] + blocks.blocks[s + 1], [H.terms[i] for i in bond_terms[s]])
         for s in range(blocks.q + 1)
     ]
+    block_spectra = [eigendecompose(h) for h in internal]
     T = TruncatedHamiltonian(
         lattice=H.lattice,
         blocks=blocks,
@@ -207,29 +215,17 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
         k=H.k,
         envelope=decay_envelope(H),
         local_g=local_energy_g(H),
+        _block_spectra=block_spectra,
     )
     raw = eigendecompose(T.assemble_dense())
     e0 = raw.ground_energy
-    per_block = e0 / (blocks.q + 2)
-    T.internal = [h - per_block * np.eye(h.shape[0]) for h in T.internal]
+    level = (sum(sp.ground_energy for sp in block_spectra) - e0) / (blocks.q + 2)
+    shifts = [level - sp.ground_energy for sp in block_spectra]
+    T.internal = [h + c * np.eye(h.shape[0]) for h, c in zip(internal, shifts)]
+    T._block_spectra = [SpectralData(sp.eigenvalues + c, sp.eigenvectors) for sp, c in zip(block_spectra, shifts)]
     T.origin_shift = e0
     T._spectral = SpectralData(raw.eigenvalues - e0, raw.eigenvectors)
     return T
-
-
-def shift_block_energies(T: TruncatedHamiltonian) -> TruncatedHamiltonian:
-    """Redistribute block energy origins so all block ground energies coincide.
-
-    Applies shifts E_s -> E_s + shift_s with shift_s = -E_{s,0} + mean and
-    sum(shift_s) = 0: the total spectrum is untouched while every shifted
-    block ground energy lands at sum_s E_{s,0} / (q+2), whose magnitude is at
-    most (q+1)/(q+2) * g0.  Already-balanced input comes back unchanged.
-    """
-    e = T.block_ground_energies()
-    mean = float(e.sum()) / (T.q + 2)
-    shifts = [mean - float(es) for es in e]
-    internal = [h + c * np.eye(h.shape[0]) for h, c in zip(T.internal, shifts)]
-    return replace(T, internal=internal, _block_spectra=None)
 
 
 def align_phase(reference: np.ndarray, state: np.ndarray) -> np.ndarray:

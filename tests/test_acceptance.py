@@ -32,7 +32,7 @@ def report(criterion: str, ok: bool, detail: str):
 def reference_tau(pipe) -> float:
     """Cut-off above the gap-preservation hypothesis, or at spectrum top."""
     required = em.theorem5_precondition_tau(pipe.T, pipe.T.spectral().gap)
-    top = pipe.block_width_top()
+    top = pipe.T.clamp_ceiling()
     return required if required <= top else top
 
 
@@ -62,9 +62,7 @@ def test_criterion_2_truncation_suite():
         dense = ham.assemble_dense(H)
         spec = eigendecompose(dense)
         for l in (1, 2, 3):
-            T = tr.shift_block_energies(
-                tr.truncate_interactions(H, tr.decompose_blocks(n, 2, l))
-            )
+            T = tr.truncate_interactions(H, tr.decompose_blocks(n, 2, l))
             # lemma3.norm, weyl, lemma3.gap, lemma4.overlap (0 <= 0 when 4||dH|| >= gap)
             for rec in tr.verify_lemma3_4(H, T, spec):
                 if rec.lhs > rec.rhs + TOL or (rec.bound_id == "lemma3.norm" and "note" in rec.context):
@@ -81,7 +79,7 @@ def test_criterion_2_truncation_suite():
 def test_criterion_3_gap_preservation_decay(reference_pipeline):
     start = time.perf_counter()
     pipe = reference_pipeline
-    top = pipe.block_width_top()
+    top = pipe.T.clamp_ceiling()
     taus = np.linspace(2.0, 0.95 * top, 9)
     recs = em.theorem5_check(pipe.T, taus, em.build_effective(pipe.T, taus[-1]))
     fit = {r.context["variant"]: r for r in recs if "variant" in r.context}
@@ -163,7 +161,7 @@ def test_criterion_6_schmidt_rank_bounds():
     failures = []
     for l in (1, 2):
         H = ham.build_long_range_ising(8, 3.0, 1.0, 2.0)
-        T = tr.shift_block_energies(tr.truncate_interactions(H, tr.decompose_blocks(8, 2, l)))
+        T = tr.truncate_interactions(H, tr.decompose_blocks(8, 2, l))
         for m in (1, 2, 3):
             product, counting = am.schmidt_rank_bound_check(T, m)
             if product.lhs > product.rhs + TOL:
@@ -251,14 +249,13 @@ def test_criterion_9_entropy_bound_consistency(reference_pipeline):
     def factory(m, l, tau):
         if l not in truncs:
             blocks = tr.decompose_blocks(pipe.cfg.n, 2, l)
-            truncs[l] = tr.shift_block_energies(tr.truncate_interactions(pipe.H, blocks))
+            truncs[l] = tr.truncate_interactions(pipe.H, blocks)
         T = truncs[l]
-        width = max(sp.width for sp in T.block_spectra()) + 1.0
-        return am.agsp_filter(em.build_effective(T, min(tau, width)), m)
+        return am.agsp_filter(em.build_effective(T, min(tau, T.clamp_ceiling())), m)
 
     steps, exhausted = en.agsp_sequence(
         factory, pipe.gs_vector, base, p_max=3,
-        l_start=2, tau_start=6.0, l_max=pipe.cfg.n // 2, tau_max=pipe.block_width_top(),
+        l_start=2, tau_start=6.0, l_max=pipe.cfg.n // 2, tau_max=pipe.T.clamp_ceiling(),
     )
     usable = [s for s in steps if s.target_met and s.gamma <= 1.0]
     assert usable, f"no usable sequence step (exhausted={exhausted})"

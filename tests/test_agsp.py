@@ -19,7 +19,7 @@ from agsplab.entanglement import numerical_rank, schmidt_decompose
 from agsplab.experiment import _agsp_records, build_pipeline
 from agsplab.hamiltonian import assemble_dense, build_long_range_fermion_chain, build_long_range_ising
 from agsplab.spectral import SpectralData
-from agsplab.truncation import align_phase, decompose_blocks, shift_block_energies, truncate_interactions
+from agsplab.truncation import align_phase, decompose_blocks, truncate_interactions
 from conftest import (
     PAULI_X,
     REFERENCE_CONFIG,
@@ -34,7 +34,7 @@ from conftest import (
 
 def make_eff(n=8, l=2, tau=6.0, B=2.0):
     H = build_long_range_ising(n, 3.0, 1.0, B)
-    T = shift_block_energies(truncate_interactions(H, decompose_blocks(n, 2, l)))
+    T = truncate_interactions(H, decompose_blocks(n, 2, l))
     return T, build_effective(T, tau)
 
 
@@ -169,7 +169,7 @@ class TestMeasure:
         n = 8
         H = build_long_range_ising(n, 3.0, 1.0, 2.0)
         gs = oracle_ground_vector(assemble_dense(H))
-        T = shift_block_energies(truncate_interactions(H, decompose_blocks(n, 2, 2)))
+        T = truncate_interactions(H, decompose_blocks(n, 2, 2))
         eff = build_effective(T, 6.0)
         vt = oracle_ground_vector(T.assemble_dense())
         gs_t = align_phase(gs, vt)
@@ -299,7 +299,7 @@ class TestSchmidtRankBounds:
     def test_nearest_neighbor_single_power(self):
         # H with only adjacent-bond terms at l=1: SR(H_t) <= 2 + (2dl)^k = 18
         H = build_long_range_ising(6, 6.0, 1.0, 1.0)
-        T = shift_block_energies(truncate_interactions(H, decompose_blocks(6, 2, 1)))
+        T = truncate_interactions(H, decompose_blocks(6, 2, 1))
         assert measured_rank(T, 1) <= 2 + (2 * 2 * 1) ** 2
 
 
@@ -316,7 +316,7 @@ class TestPowerSchmidtRank:
             H = build_long_range_fermion_chain(n, 3.0, 1.0, 0.5)
         # One cut with both edge blocks occupied, one with an empty right edge.
         for cut in (l + 1, n - l):
-            T = shift_block_energies(truncate_interactions(H, decompose_blocks(n, 2, l, cut)))
+            T = truncate_interactions(H, decompose_blocks(n, 2, l, cut))
             for m in range(4):
                 measured = measured_rank(T, m)
                 assert measured == dense_power_schmidt_rank(T, m), (cut, m)
@@ -336,7 +336,7 @@ class TestPowerSchmidtRank:
 def field_only_eff(n=4, tau=3.0):
     """Clamp of the field-only chain (J = 0), whose ground state is a product state."""
     H = build_long_range_ising(n, 3.0, 0.0, 1.0)
-    T = shift_block_energies(truncate_interactions(H, decompose_blocks(n, 2, 1)))
+    T = truncate_interactions(H, decompose_blocks(n, 2, 1))
     return H, build_effective(T, tau)
 
 

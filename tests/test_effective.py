@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,18 +23,18 @@ from agsplab.hamiltonian import (
     spectral_norm,
 )
 from agsplab.spectral import SpectralData, eigendecompose
-from agsplab.truncation import decompose_blocks, shift_block_energies, truncate_interactions
+from agsplab.truncation import decompose_blocks, truncate_interactions
 from conftest import PAULI_Z, dense_commutator_norms, dense_energy_dist_lhs, dense_filter_lhs
 
 
 def make_T(n=6, alpha=3.0, J=1.0, B=2.0, q=2, l=1):
     H = build_long_range_ising(n, alpha, J, B)
-    return H, shift_block_energies(truncate_interactions(H, decompose_blocks(n, q, l)))
+    return H, truncate_interactions(H, decompose_blocks(n, q, l))
 
 
 def fermion_T(n=8, l=2):
     H = build_long_range_fermion_chain(n, 3.0, 1.0, 0.5)
-    return shift_block_energies(truncate_interactions(H, decompose_blocks(n, 2, l)))
+    return truncate_interactions(H, decompose_blocks(n, 2, l))
 
 
 LOCAL_CASES = {
@@ -91,14 +92,21 @@ class TestBuildEffective:
             assert eff.spectral().gap <= 4.0 * env.g0 + 1e-9
 
     def test_requires_balanced_blocks(self):
-        # weak coupling (g0 clamps to 1) with lopsided block sizes: the raw
-        # block origins sit far from zero until shift_block_energies runs
+        # zero-sum block shifts keep the operator but move two block ground energies past g0
         H = build_long_range_ising(8, 3.0, 0.05, 2.0)
-        T = truncate_interactions(H, decompose_blocks(8, 2, 1))  # not shifted
-        assert np.max(np.abs(T.block_ground_energies())) > T.envelope.g0
-        with pytest.raises(ValueError):
-            build_effective(T, 4.0)
-        build_effective(shift_block_energies(T), 4.0)
+        T = truncate_interactions(H, decompose_blocks(8, 2, 1))
+        build_effective(T, 4.0)
+        c = 2.0 * T.envelope.g0
+        shifts = [c, -c] + [0.0] * T.q
+        unbalanced = replace(
+            T,
+            internal=[h + cs * np.eye(h.shape[0]) for h, cs in zip(T.internal, shifts)],
+            _block_spectra=[SpectralData(sp.eigenvalues + cs, sp.eigenvectors) for sp, cs in zip(T.block_spectra(), shifts)],
+        )
+        np.testing.assert_allclose(unbalanced.assemble_dense(), T.assemble_dense(), atol=1e-12)
+        assert np.max(np.abs(unbalanced.block_ground_energies())) > T.envelope.g0
+        with pytest.raises(ValueError, match="exceed g0"):
+            build_effective(unbalanced, 4.0)
 
     def test_rejects_nonpositive_tau(self):
         _, T = make_T()
@@ -170,7 +178,7 @@ class TestTheorem5:
         # real gap and drift records, no placeholder, and all of them hold
         T = reference_pipeline.T
         tau_min = theorem5_precondition_tau(T, T.spectral().gap)
-        assert tau_min > reference_pipeline.block_width_top()
+        assert tau_min > reference_pipeline.T.clamp_ceiling()
         recs = theorem5_check(T, [tau_min], build_effective(T, tau_min))
         assert [r.bound_id for r in recs] == ["thm5.kappa", "thm5.gap", "thm5.overlap"]
         assert all(r.context == {"tau": tau_min} and r.holds for r in recs)

@@ -19,7 +19,7 @@ from agsplab.entanglement import (
     truncate_to_rank,
 )
 from agsplab.hamiltonian import assemble_dense, build_long_range_ising
-from agsplab.truncation import decompose_blocks, shift_block_energies, truncate_interactions
+from agsplab.truncation import decompose_blocks, truncate_interactions
 from conftest import (
     bond_tail_weights,
     entropy_from_density,
@@ -241,10 +241,9 @@ class TestAgspSequence:
         def factory(m, l, tau):
             if l not in truncs:
                 blocks = decompose_blocks(n, 2, l)
-                truncs[l] = shift_block_energies(truncate_interactions(H, blocks))
+                truncs[l] = truncate_interactions(H, blocks)
             T = truncs[l]
-            width = max(sp.width for sp in T.block_spectra()) + 1.0
-            return agsp_filter(build_effective(T, min(tau, width)), m)
+            return agsp_filter(build_effective(T, min(tau, T.clamp_ceiling())), m)
 
         return H, gs, factory
 

@@ -513,8 +513,9 @@ class TestSweepSharing:
         standalone = [verify_point(point) for point in cfg.grid_points()]
         standalone_calls, calls[0] = calls[0], 0
         points = run_points(cfg)
-        # The ground state's decomposition at the block cut is made once, not once per point.
-        assert calls[0] == standalone_calls - 2
+        # The ground state's decompositions are made once, not once per point: at the block
+        # cut, at each of the n-1 = 5 bonds of `claim7.mps` and at the entropy row's cut.
+        assert calls[0] == standalone_calls - 2 * (1 + 5 + 1)
         assert [record_keys(p) for p in points] == [record_keys(p) for p in standalone]
         assert [p.entropy_rows for p in points] == [p.entropy_rows for p in standalone]
 

@@ -16,7 +16,6 @@ from agsplab.spectral import eigendecompose
 from agsplab.truncation import (
     align_phase,
     decompose_blocks,
-    shift_block_energies,
     truncate_interactions,
     verify_lemma3_4,
 )
@@ -163,54 +162,81 @@ class TestSpectral:
         assert np.max(np.abs(residual)) <= 1e-10
 
     def test_survives_block_shift(self):
-        H = build_long_range_ising(8, 3.0, 1.0, 2.0)
-        T0 = truncate_interactions(H, decompose_blocks(8, 2, 2))
-        T1 = shift_block_energies(T0)
-        assert T1.spectral() is T0.spectral()
-        assert T1.spectral().eigenvalues[0] == 0.0
-        np.testing.assert_allclose(
-            T1.spectral().eigenvalues, np.linalg.eigvalsh(T1.assemble_dense()), atol=1e-10
-        )
+        # lopsided weak-coupling chain: large block shifts, which cancel against origin_shift
+        H = build_long_range_ising(8, 3.0, 0.05, 2.0)
+        blocks = decompose_blocks(8, 2, 1)
+        T = truncate_interactions(H, blocks)
+        raw = assemble_dense(Hamiltonian(H.lattice, kept_terms(H, blocks)))
+        np.testing.assert_allclose(T.assemble_dense() + T.origin_shift * np.eye(256), raw, atol=1e-12)
+        sp = T.spectral()
+        assert sp.eigenvalues[0] == 0.0
+        np.testing.assert_allclose(sp.eigenvalues, np.linalg.eigvalsh(T.assemble_dense()), atol=1e-10)
+        residual = T.assemble_dense() @ sp.eigenvectors - sp.eigenvectors * sp.eigenvalues
+        assert np.max(np.abs(residual)) <= 1e-10
+
+
+def kept_terms(H, blocks) -> list:
+    """Terms of H inside one block or two adjacent ones: the raw truncation."""
+    dropped = {id(t) for t in dropped_terms(H, blocks)}
+    return [t for t in H.terms if id(t) not in dropped]
 
 
 class TestShiftBlockEnergies:
+    """The block balancing that `truncate_interactions` applies."""
+
     def test_sum_zero_and_lemma_bound(self):
         H = build_long_range_ising(8, 3.0, 1.0, 2.0)
         env = decay_envelope(H)
-        T0 = truncate_interactions(H, decompose_blocks(8, 2, 2))
-        T = shift_block_energies(T0)
-        # the shifts sum to zero: equal block ground energies, same total spectrum
-        e = T.block_ground_energies()
-        np.testing.assert_allclose(e, e.mean(), atol=1e-10)
-        assert e.sum() == pytest.approx(T0.block_ground_energies().sum(), abs=1e-10)
-        np.testing.assert_allclose(np.linalg.eigvalsh(T.assemble_dense()), T0.spectral().eigenvalues, atol=1e-10)
-        q = T.q
-        for e in T.block_ground_energies():
-            assert abs(e) <= (q + 1) / (q + 2) * env.g0 + 1e-9
-
-    def test_idempotent(self):
-        H = build_long_range_ising(6, 3.0, 1.0, 1.0)
-        T1 = shift_block_energies(truncate_interactions(H, decompose_blocks(6, 2, 1)))
-        T2 = shift_block_energies(T1)
-        for a, b in zip(T1.internal, T2.internal):
-            np.testing.assert_allclose(a, b, atol=1e-12)
-        np.testing.assert_allclose(T2.block_ground_energies(), T1.block_ground_energies(), atol=1e-12)
+        T = truncate_interactions(H, decompose_blocks(8, 2, 2))
+        # equal block ground energies, each within (q+1)/(q+2) g0
+        e = np.array([np.linalg.eigvalsh(h)[0] for h in T.internal])
+        np.testing.assert_allclose(e, e[0], atol=1e-10)
+        np.testing.assert_allclose(T.block_ground_energies(), e, atol=1e-10)
+        assert np.all(np.abs(e) <= (T.q + 1) / (T.q + 2) * env.g0 + 1e-9)
+        # the represented operator keeps its ground energy at 0
+        assert T.spectral().eigenvalues[0] == 0.0
+        np.testing.assert_allclose(T.spectral().eigenvalues, np.linalg.eigvalsh(T.assemble_dense()), atol=1e-10)
 
     def test_spectrum_invariant(self):
+        # balancing moves only the energy origin: the raw truncation's spectrum, less E_t0
         H = build_long_range_ising(6, 3.0, 1.0, 1.0)
-        T0 = truncate_interactions(H, decompose_blocks(6, 2, 1))
-        T1 = shift_block_energies(T0)
-        w0 = np.linalg.eigvalsh(T0.assemble_dense())
-        w1 = np.linalg.eigvalsh(T1.assemble_dense())
-        np.testing.assert_allclose(w0, w1, atol=1e-10)
+        blocks = decompose_blocks(6, 2, 1)
+        T = truncate_interactions(H, blocks)
+        w_raw = np.linalg.eigvalsh(assemble_dense(Hamiltonian(H.lattice, kept_terms(H, blocks))))
+        assert T.origin_shift == pytest.approx(w_raw[0], abs=1e-10)
+        np.testing.assert_allclose(T.spectral().eigenvalues, w_raw - w_raw[0], atol=1e-10)
 
     def test_symmetric_blocks_get_equal_shifts(self):
         H = nearest_neighbor_chain(4, J=0.3, B=1.0)
-        T0 = truncate_interactions(H, decompose_blocks(4, 2, 1))
-        shifts = shift_block_energies(T0).block_ground_energies() - T0.block_ground_energies()
+        T = truncate_interactions(H, decompose_blocks(4, 2, 1))
+        # each one-site block term is its raw field Z plus a multiple of I
+        shifts = [h[0, 0] - 1.0 for h in T.internal]
+        for h, c in zip(T.internal, shifts):
+            np.testing.assert_allclose(h, np.diag([1.0 + c, -1.0 + c]), atol=1e-12)
+        assert sum(shifts) == pytest.approx(-T.origin_shift, abs=1e-10)
         # mirror symmetry of the chain pairs blocks (0,3) and (1,2)
         assert shifts[0] == pytest.approx(shifts[3], abs=1e-10)
         assert shifts[1] == pytest.approx(shifts[2], abs=1e-10)
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_one_eigendecompose_per_block(self, monkeypatch, q):
+        from agsplab import truncation
+
+        dims = []
+
+        def counted(M):
+            dims.append(M.shape[0])
+            return eigendecompose(M)
+
+        monkeypatch.setattr(truncation, "eigendecompose", counted)
+        H = build_long_range_ising(8, 3.0, 1.0, 2.0)
+        T = truncate_interactions(H, decompose_blocks(8, q, 2))  # q=4 has empty edge blocks
+        # q+2 block solves and the one of the whole truncation
+        assert sorted(dims) == sorted([h.shape[0] for h in T.internal] + [256])
+        assert len(dims) == q + 3
+        for h, sp in zip(T.internal, T.block_spectra()):
+            U, w = sp.eigenvectors, sp.eigenvalues
+            assert np.max(np.abs(h @ U - U * w)) <= 1e-10
 
 
 def lemma34_records(H, T) -> list:
@@ -223,7 +249,7 @@ def lemma34_records(H, T) -> list:
 class TestVerifyLemma34:
     def test_no_tail_truncation_is_exact(self):
         H = nearest_neighbor_chain(6)
-        T = shift_block_energies(truncate_interactions(H, decompose_blocks(6, 2, 1)))
+        T = truncate_interactions(H, decompose_blocks(6, 2, 1))
         norm, weyl, gap, overlap = lemma34_records(H, T)
         delta_norm = weyl.rhs
         assert delta_norm <= 1e-10
@@ -237,7 +263,7 @@ class TestVerifyLemma34:
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_reference_family_n8(self, l):
         H = build_long_range_ising(8, 3.0, 1.0, 2.0)
-        T = shift_block_energies(truncate_interactions(H, decompose_blocks(8, 2, l)))
+        T = truncate_interactions(H, decompose_blocks(8, 2, l))
         norm, weyl, gap, overlap = lemma34_records(H, T)
         assert norm.context == {} and norm.lhs == weyl.rhs  # ||delta||, measured against its budget
         assert norm.lhs <= norm.rhs + 1e-9
@@ -257,7 +283,7 @@ class TestVerifyLemma34:
     )
     def test_delta_from_dropped_terms_matches_dense_difference(self, H, l):
         # delta = H - H_t(raw), with H_t(raw) = H_t + origin_shift * I
-        T = shift_block_energies(truncate_interactions(H, decompose_blocks(H.lattice.n, 2, l)))
+        T = truncate_interactions(H, decompose_blocks(H.lattice.n, 2, l))
         dense = assemble_dense(H) - T.assemble_dense() - T.origin_shift * np.eye(H.lattice.dim)
         _, weyl, _, _ = lemma34_records(H, T)
         delta_norm = weyl.rhs
@@ -267,7 +293,7 @@ class TestVerifyLemma34:
         # near-critical field: tiny gap, so 4*||dH|| >= gap and the overlap
         # bound is recorded as inapplicable rather than asserted
         H = build_long_range_ising(8, 2.2, 1.0, 1.0)
-        T = shift_block_energies(truncate_interactions(H, decompose_blocks(8, 2, 1)))
+        T = truncate_interactions(H, decompose_blocks(8, 2, 1))
         _, weyl, gap, overlap = lemma34_records(H, T)
         assert 4.0 * weyl.rhs >= gap.lhs + 2.0 * weyl.rhs  # 4||dH|| >= gap, as gap.lhs = gap - 2||dH||
         assert (overlap.lhs, overlap.rhs) == (0.0, 0.0)
