@@ -66,6 +66,14 @@ class EffectiveHamiltonian:
         """Analytic cap (q+2)*(tau + 2*g0) on ||H_eff|| after block balancing."""
         return (self.base.q + 2) * (self.tau + 2.0 * self.base.envelope.g0)
 
+    def cuts_nothing(self) -> bool:
+        """True when every block level w obeys `energy_cutoff`'s w <= tau_s.
+
+        Such a clamp keeps every eigenvalue, so it is one operator for every
+        tau that cuts nothing in its truncation.
+        """
+        return all(np.all(sp.eigenvalues <= ts) for sp, ts in zip(self.base.block_spectra(), self.tau_s))
+
     def tail_projectors(self) -> list[np.ndarray | None]:
         """Per block, the projector onto the h_s eigenvectors the clamp cuts off.
 

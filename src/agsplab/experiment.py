@@ -11,9 +11,10 @@ at the block cut and the truncations are built once per model, and so are
 the records that read only them (`gap≤2g`, `assumption1`, Lemma 3-4 and
 the ground state's `claim7.mps`) and the entropy row, which are copied into
 each point.  The stages that read tau, m or the seeded rng (Theorem 5,
-the filter machinery, the AGSP and Eckart-Young checks, and every clamp) run
-per point.  Entropy runs solve one ground state per model, whatever q and l
-say.  Results come back in grid order.
+the filter machinery, the AGSP and Eckart-Young checks, and every clamp that
+cuts something) run per point; the clamps that cut nothing share one
+spectrum per truncation (`Pipeline.eff_at`).  Entropy runs solve one ground
+state per model, whatever q and l say.  Results come back in grid order.
 """
 
 from __future__ import annotations
@@ -66,11 +67,13 @@ class Pipeline:
     Truncations (per block length l, at the configured cut) and clamps (per
     (l, tau)) are built on first use and shared by every check of the point.
     The sweep points of one model share a pipeline's H, spectrum, ground
-    state, its Schmidt decomposition at the block cut and the truncations
-    through `dataclasses.replace`, each with its own `cfg` and clamps (see
-    `_verify_group`).  The model scalars live with their owners: g and the
-    decay envelope on each truncation (`T.local_g`, `T.envelope`), the gap
-    on `H_spec`.
+    state, its Schmidt decomposition at the block cut, the truncations and
+    `_uncut`, the first clamp that cuts nothing per l, through
+    `dataclasses.replace`, each with its own `cfg` and clamps (see
+    `_verify_group`); every clamp that cuts nothing takes its spectrum and
+    filter ranks from `_uncut` (`eff_at`).  The model scalars live with
+    their owners: g and the decay envelope on each truncation (`T.local_g`,
+    `T.envelope`), the gap on `H_spec`.
     """
 
     cfg: ExperimentConfig
@@ -80,6 +83,8 @@ class Pipeline:
     gs_schmidt: ent.SchmidtData  # of the ground state of H across the block cut
     _truncations: dict[int, trunc.TruncatedHamiltonian] = field(default_factory=dict, repr=False)
     _effs: dict[tuple[int, float], eff_mod.EffectiveHamiltonian] = field(default_factory=dict, repr=False)
+    # Per block length l, the first clamp that cuts nothing (`cuts_nothing`).
+    _uncut: dict[int, eff_mod.EffectiveHamiltonian] = field(default_factory=dict, repr=False)
 
     def truncation(self, l: int) -> trunc.TruncatedHamiltonian:
         if l not in self._truncations:
@@ -88,9 +93,22 @@ class Pipeline:
         return self._truncations[l]
 
     def eff_at(self, tau: float, l: int | None = None) -> eff_mod.EffectiveHamiltonian:
+        """The clamp of truncation l (default: the configured one) at tau, built once per point.
+
+        A clamp that cuts nothing is one operator whatever tau is: it takes
+        its blocks, spectrum and `filter_ranks` from the first such clamp of
+        truncation l, which the points of a sweep group share, and keeps its
+        own tau and tau_s.
+        """
         key = (self.cfg.l if l is None else l, tau)
         if key not in self._effs:
-            self._effs[key] = eff_mod.build_effective(self.truncation(key[0]), tau)
+            eff = eff_mod.build_effective(self.truncation(key[0]), tau)
+            if eff.cuts_nothing():
+                first = self._uncut.setdefault(key[0], eff)
+                eff = replace(
+                    eff, internal_eff=first.internal_eff, _spectral=first.spectral(), filter_ranks=first.filter_ranks
+                )
+            self._effs[key] = eff
         return self._effs[key]
 
     @property
@@ -207,9 +225,11 @@ def _sequence_records(pipe: Pipeline, psi_base: np.ndarray | None) -> list[Bound
     if np.linalg.norm(pipe.gs_vector - trunc.align_phase(pipe.gs_vector, base)) > 0.5:
         base = pipe.gs_vector  # always admissible (zero base drift)
 
-    @functools.lru_cache(maxsize=1)  # a step that repeats (m, l, tau) reuses its filter
+    # A step that repeats (m, l, tau) reuses its filter.  A tau past a
+    # truncation's widest block cuts nothing there, so its clamp is shared.
+    @functools.lru_cache(maxsize=1)
     def factory(m, l, tau):
-        return agsp_mod.agsp_filter(pipe.eff_at(min(tau, pipe.truncation(l).clamp_ceiling()), l), m)
+        return agsp_mod.agsp_filter(pipe.eff_at(tau, l), m)
 
     steps, exhausted = ent.agsp_sequence(
         factory,

@@ -93,9 +93,9 @@ class TruncatedHamiltonian:
     `bonds[s]` on blocks[s] + blocks[s+1].  The represented operator has its
     ground energy at 0 and equal block ground energies; `origin_shift`
     restores the raw truncation of the source Hamiltonian
-    (H_t_raw = H_t + origin_shift * I).  `truncate_interactions` fills both
-    cached spectra: the blocks' (`block_spectra()`) and the represented
-    operator's (`spectral()`).
+    (H_t_raw = H_t + origin_shift * I).  Both spectra are required fields,
+    filled by `truncate_interactions`: the blocks' (`block_spectra()`) and
+    the represented operator's (`spectral()`).
     """
 
     lattice: LatticeSpec
@@ -107,7 +107,7 @@ class TruncatedHamiltonian:
     envelope: DecayEnvelope
     local_g: float
     _block_spectra: list[SpectralData] = field(repr=False)
-    _spectral: SpectralData | None = field(default=None, repr=False)
+    _spectral: SpectralData = field(repr=False)
 
     @property
     def q(self) -> int:
@@ -127,8 +127,6 @@ class TruncatedHamiltonian:
 
     def spectral(self) -> SpectralData:
         """Eigendecomposition of the represented operator (ground energy 0)."""
-        if self._spectral is None:
-            self._spectral = eigendecompose(self.assemble_dense())
         return self._spectral
 
     def bond_support(self, s: int) -> tuple[int, ...]:
@@ -201,31 +199,26 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
         region_sum(H.lattice, blocks.blocks[s], [H.terms[i] for i in internal_terms[s]])
         for s in range(blocks.q + 2)
     ]
-    bonds = [
-        region_sum(H.lattice, blocks.blocks[s] + blocks.blocks[s + 1], [H.terms[i] for i in bond_terms[s]])
-        for s in range(blocks.q + 1)
-    ]
+    bond_sites = [blocks.blocks[s] + blocks.blocks[s + 1] for s in range(blocks.q + 1)]
+    bonds = [region_sum(H.lattice, sites, [H.terms[i] for i in bond_terms[s]]) for s, sites in enumerate(bond_sites)]
     block_spectra = [eigendecompose(h) for h in internal]
-    T = TruncatedHamiltonian(
-        lattice=H.lattice,
-        blocks=blocks,
-        internal=internal,
-        bonds=bonds,
-        origin_shift=0.0,
-        k=H.k,
-        envelope=decay_envelope(H),
-        local_g=local_energy_g(H),
-        _block_spectra=block_spectra,
-    )
-    raw = eigendecompose(T.assemble_dense())
+    # The raw kept-term sum, in the order of `TruncatedHamiltonian.pieces`.
+    raw = eigendecompose(embed_sum(H.lattice, list(zip(blocks.blocks, internal)) + list(zip(bond_sites, bonds))))
     e0 = raw.ground_energy
     level = (sum(sp.ground_energy for sp in block_spectra) - e0) / (blocks.q + 2)
     shifts = [level - sp.ground_energy for sp in block_spectra]
-    T.internal = [h + c * np.eye(h.shape[0]) for h, c in zip(internal, shifts)]
-    T._block_spectra = [SpectralData(sp.eigenvalues + c, sp.eigenvectors) for sp, c in zip(block_spectra, shifts)]
-    T.origin_shift = e0
-    T._spectral = SpectralData(raw.eigenvalues - e0, raw.eigenvectors)
-    return T
+    return TruncatedHamiltonian(
+        lattice=H.lattice,
+        blocks=blocks,
+        internal=[h + c * np.eye(h.shape[0]) for h, c in zip(internal, shifts)],
+        bonds=bonds,
+        origin_shift=e0,
+        k=H.k,
+        envelope=decay_envelope(H),
+        local_g=local_energy_g(H),
+        _block_spectra=[SpectralData(sp.eigenvalues + c, sp.eigenvectors) for sp, c in zip(block_spectra, shifts)],
+        _spectral=SpectralData(raw.eigenvalues - e0, raw.eigenvectors),
+    )
 
 
 def align_phase(reference: np.ndarray, state: np.ndarray) -> np.ndarray:

@@ -119,6 +119,21 @@ class TestFilter:
         K2 = chebyshev_matrix_recurrence(filt)
         assert np.max(np.abs(filt.matrix - K2)) <= 1e-8
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_matrix_is_hermitian_to_the_last_bit(self, rng, field):
+        # The swap split of `operator_schmidt_rank` needs K == K^T exactly;
+        # a complex K must stay Hermitian, so it is mirrored with the conjugate.
+        _, eff = make_eff(n=4, l=1, tau=3.0)
+        if field == "complex":
+            Q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+            eff._spectral = SpectralData(np.concatenate([[0.0], np.linspace(1.0, 3.0, 15)]), Q)
+        sp = eff.spectral()
+        K = agsp_filter(eff, 5).matrix
+        assert np.array_equal(K, K.conj().T)
+        assert np.array_equal(K, K.T) == (field == "real")
+        vals = _filter_values(5, sp.eigenvalues, sp.gap, sp.width)
+        assert np.max(np.abs(K - (sp.eigenvectors * vals) @ sp.eigenvectors.conj().T)) <= 1e-13
+
     def test_degenerate_window_rejected(self):
         _, eff = make_eff()
 

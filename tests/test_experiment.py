@@ -519,6 +519,45 @@ class TestSweepSharing:
         assert [record_keys(p) for p in points] == [record_keys(p) for p in standalone]
         assert [p.entropy_rows for p in points] == [p.entropy_rows for p in standalone]
 
+    def test_clamps_that_cut_nothing_share_one_spectrum(self, monkeypatch):
+        from agsplab import agsp, effective
+
+        cfg = ExperimentConfig(
+            family="long_range_fermion", n=6, alpha=3.0, A=1.0, B=0.5, q=2, l=2, taus=[2.0], ms=[4, 8, 16],
+            seed=7, sweep_param="tau", sweep_values=[2.0, 4.0, 6.0],
+        )
+        standalone = [verify_point(point) for point in cfg.grid_points()]
+        solved, ranked = [], []
+        decompose, rank = effective.eigendecompose, agsp.operator_schmidt_rank
+
+        def counted_decompose(M):
+            solved.append(M)
+            return decompose(M)
+
+        def counted_rank(O, cut):
+            ranked.append(O)
+            return rank(O, cut)
+
+        # effective's eigendecompose solves the clamps alone (`EffectiveHamiltonian.spectral`)
+        monkeypatch.setattr(effective, "eigendecompose", counted_decompose)
+        monkeypatch.setattr(agsp, "operator_schmidt_rank", counted_rank)
+        points = run_points(cfg)
+        assert [record_keys(p) for p in points] == [record_keys(p) for p in standalone]
+
+        def pairwise_distinct(mats):
+            return not any(a.shape == b.shape and np.array_equal(a, b) for i, a in enumerate(mats) for b in mats[:i])
+
+        # Every main clamp (tau 2, 4, 6 at l=2) and the sequence's l=3 clamps at
+        # tau 4 and 4.24 cut nothing: one solve per block length.  The l=3,
+        # tau=3 clamp cuts, and is solved on its own.
+        assert len(solved) == 3 and pairwise_distinct(solved)
+        cutting = build_pipeline(cfg.grid_points()[0]).eff_at(3.0, 3)
+        assert not cutting.cuts_nothing()
+        assert any(np.array_equal(M, cutting.assemble_dense()) for M in solved)
+        # One rank per (operator, m): the shared l=2 clamp at m = 4, 16, 32, the
+        # shared l=3 one and the cutting one at m = 16.
+        assert len(ranked) == 5 and pairwise_distinct(ranked)
+
     @pytest.mark.parametrize("param", ["l", "q"])
     def test_entropy_sweep_of_blocks_solves_once(self, monkeypatch, param):
         from agsplab import experiment

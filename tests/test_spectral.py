@@ -407,16 +407,22 @@ def test_property_split_singular_values_match_unsplit_oracle(seed, log_rows, log
     n=st.integers(min_value=2, max_value=6),
     words=st.integers(min_value=1, max_value=6),
     field=st.sampled_from(["real", "complex"]),
+    hermitian=st.booleans(),
 )
-def test_property_split_schmidt_rank_matches_unsplit_oracle(seed, n, words, field):
+def test_property_split_schmidt_rank_matches_unsplit_oracle(seed, n, words, field, hermitian):
     # A sum of `words` products of parity-conserving factors conserves parity
-    # and has operator Schmidt rank at most `words` across the factor cut.
+    # and has operator Schmidt rank at most `words` across the factor cut;
+    # O + O^dag has at most twice that.  A real O + O^T is exactly symmetric
+    # and takes the swap split on top of the parity split.
     rng = np.random.default_rng(seed)
     cut = int(rng.integers(1, n))
     O = sum(
         np.kron(parity_conserving(rng, 2**cut, 2**cut, field), parity_conserving(rng, 2 ** (n - cut), 2 ** (n - cut), field))
         for _ in range(words)
     )
+    if hermitian:
+        O = O + O.conj().T
+        assert np.array_equal(O, O.T) == (field == "real")
     assert len(parity_sectors(schmidt_reshape(O, cut))) == 2
     assert operator_schmidt_rank(O, cut) == unsplit_schmidt_rank(O, cut)
 
@@ -471,6 +477,68 @@ class TestParitySectors:
         assert [(parity[r], parity[c]) for r, c in zip(*np.nonzero(R)) if parity[r] != parity[c]] == [cross]
         assert len(parity_sectors(R)) == 1
         assert operator_schmidt_rank(O, 1) == unsplit_schmidt_rank(O, 1) == 2
+
+
+class TestSwapSplit:
+    """`operator_schmidt_rank` splits the reshape of an exactly symmetric real operator by the pair swap."""
+
+    @staticmethod
+    def spy(monkeypatch) -> list[tuple]:
+        """Shapes of the blocks of every `_swap_halves` call."""
+        from agsplab import agsp
+
+        calls = []
+        halves = agsp._swap_halves
+
+        def counted(*args):
+            out = halves(*args)
+            calls.append(tuple(b.shape for b in out))
+            return out
+
+        monkeypatch.setattr(agsp, "_swap_halves", counted)
+        return calls
+
+    @staticmethod
+    def low_rank(rng, n, cut, words, field="real"):
+        """A generic sum of `words` products across the cut: no parity conservation."""
+
+        def draw(d):
+            M = rng.standard_normal((d, d))
+            return M if field == "real" else M + 1j * rng.standard_normal((d, d))
+
+        return sum(np.kron(draw(2**cut), draw(2 ** (n - cut))) for _ in range(words))
+
+    def test_parity_conserving_symmetric_splits_four_ways(self, rng, monkeypatch):
+        calls = self.spy(monkeypatch)
+        O = parity_conserving(rng, 256, 256, "real", hermitian=True)
+        assert np.array_equal(O, O.T)
+        assert operator_schmidt_rank(O, 4) == unsplit_schmidt_rank(O, 4) == 256
+        # even sector: 16 diagonal + 56 same-parity pairs (72 symmetric, 56 antisymmetric);
+        # odd sector: 64 mixed pairs each way.
+        assert calls == [((72, 72), (56, 56)), ((64, 64), (64, 64))]
+
+    def test_symmetric_parity_breaking_splits_by_swap_alone(self, rng, monkeypatch):
+        calls = self.spy(monkeypatch)
+        A = self.low_rank(rng, 4, 2, 3)
+        O = A + A.T
+        assert np.array_equal(O, O.T) and len(parity_sectors(schmidt_reshape(O, 2))) == 1
+        assert operator_schmidt_rank(O, 2) == unsplit_schmidt_rank(O, 2) == 6
+        assert calls == [((10, 10), (6, 6))]
+
+    def test_non_symmetric_takes_no_swap_split(self, rng, monkeypatch):
+        calls = self.spy(monkeypatch)
+        O = self.low_rank(rng, 4, 2, 3)
+        assert not np.array_equal(O, O.T)
+        assert operator_schmidt_rank(O, 2) == unsplit_schmidt_rank(O, 2) == 3
+        assert calls == []
+
+    def test_complex_hermitian_takes_no_swap_split(self, rng, monkeypatch):
+        calls = self.spy(monkeypatch)
+        A = self.low_rank(rng, 4, 2, 2, field="complex")
+        O = A + A.conj().T
+        assert np.array_equal(O, O.conj().T) and not np.array_equal(O, O.T)
+        assert operator_schmidt_rank(O, 2) == unsplit_schmidt_rank(O, 2) == 4
+        assert calls == []
 
 
 def _expect_loud(kernel, M):
