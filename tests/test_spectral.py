@@ -422,7 +422,9 @@ def test_property_split_schmidt_rank_matches_unsplit_oracle(seed, n, words, fiel
     )
     if hermitian:
         O = O + O.conj().T
-        assert np.array_equal(O, O.T) == (field == "real")
+        # A Hermitian O is symmetric exactly when it is real: always for a real
+        # field, and for a complex one when n = 2 makes both factors diagonal.
+        assert np.array_equal(O, O.T) == (field == "real" or not O.imag.any())
     assert len(parity_sectors(schmidt_reshape(O, cut))) == 2
     assert operator_schmidt_rank(O, cut) == unsplit_schmidt_rank(O, cut)
 
