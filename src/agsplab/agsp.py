@@ -12,8 +12,8 @@ approximate ground state.  Every rank is counted by `numerical_rank`.
 K is Hermitian to the last bit by construction, so a real K is exactly
 symmetric, and `operator_schmidt_rank` splits its Schmidt reshape into the
 blocks of swap-symmetric and -antisymmetric index pairs on top of the
-parity sectors.  D_K is cached on the clamp (`filter_ranks`), and clamps
-that cut nothing share one cache per truncation (`Pipeline.eff_at`).
+parity sectors.  D_K is cached on the clamp (`filter_ranks`); a clamp that
+cuts nothing is T and uses T's cache (`effective.build_effective`).
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ class EffectiveHamiltonian:
     tau_s: list[float]
     internal_eff: list[np.ndarray]
     _spectral: SpectralData | None = field(default=None, repr=False)
-    # Operator Schmidt rank of the filter K(m) of this clamp across the block cut, per m.
+    # Operator Schmidt rank of the filter K(m) of this clamp across the block cut, per m; T's if it cuts nothing.
     filter_ranks: dict[int, int] = field(default_factory=dict, repr=False)
 
     def assemble_dense(self) -> np.ndarray:
@@ -69,8 +69,8 @@ class EffectiveHamiltonian:
     def cuts_nothing(self) -> bool:
         """True when every block level w obeys `energy_cutoff`'s w <= tau_s.
 
-        Such a clamp keeps every eigenvalue, so it is one operator for every
-        tau that cuts nothing in its truncation.
+        Such a clamp keeps every eigenvalue: it is T itself, and
+        `build_effective` gives it T's blocks, spectrum and filter ranks.
         """
         return all(np.all(sp.eigenvalues <= ts) for sp, ts in zip(self.base.block_spectra(), self.tau_s))
 
@@ -96,26 +96,26 @@ def energy_cutoff(spectrum: SpectralData, tau_s: float) -> np.ndarray:
     return spectrum.apply_function(lambda w: min(w, tau_s))
 
 
-def _clamp(T: TruncatedHamiltonian, tau: float) -> EffectiveHamiltonian:
-    """The clamped operator at tau_s = E_{s,0} + tau, without any checks."""
-    tau_s = [float(e) + tau for e in T.block_ground_energies()]
-    internal_eff = [energy_cutoff(sp, ts) for sp, ts in zip(T.block_spectra(), tau_s)]
-    return EffectiveHamiltonian(base=T, tau=tau, tau_s=tau_s, internal_eff=internal_eff)
-
-
 def build_effective(T: TruncatedHamiltonian, tau: float) -> EffectiveHamiltonian:
     """Apply the per-block cut-off at tau_s = E_{s,0} + tau.
 
-    Requires balanced block origins (|E_{s,0}| <= g0), which
-    `truncate_interactions` sets up for a chain that meets Assumption 1; a
-    block ground energy above g0 raises `ValueError`.  The `effnorm` record
-    measures ||H_eff|| against the analytic cap (q+2)(tau + 2 g0).
+    A clamp that cuts nothing (`cuts_nothing`) is T: it keeps its own tau
+    and tau_s and takes T's blocks, `T.spectral()` and `T.filter_ranks`, so
+    it is never solved.  Requires balanced block origins (|E_{s,0}| <= g0),
+    which `truncate_interactions` sets up for a chain that meets
+    Assumption 1; a block ground energy above g0 raises `ValueError`.  The
+    `effnorm` record measures ||H_eff|| against the analytic cap
+    (q+2)(tau + 2 g0).
     """
     if tau <= 0:
         raise ValueError(f"cut-off offset must be positive, got tau={tau}")
     if np.max(np.abs(T.block_ground_energies())) > T.envelope.g0 + 1e-9:
         raise ValueError("block ground energies exceed g0: unbalanced block origins or Assumption 1 violated")
-    return _clamp(T, tau)
+    tau_s = [float(e) + tau for e in T.block_ground_energies()]
+    eff = EffectiveHamiltonian(T, tau, tau_s, T.internal, T.spectral(), T.filter_ranks)
+    if eff.cuts_nothing():
+        return eff
+    return EffectiveHamiltonian(T, tau, tau_s, [energy_cutoff(sp, ts) for sp, ts in zip(T.block_spectra(), tau_s)])
 
 
 def theorem5_precondition_tau(T: TruncatedHamiltonian, gap_t: float) -> float:
@@ -128,7 +128,7 @@ def theorem5_precondition_tau(T: TruncatedHamiltonian, gap_t: float) -> float:
     return max(first, second)
 
 
-def theorem5_check(T: TruncatedHamiltonian, tau_grid, eff: EffectiveHamiltonian) -> list[BoundRecord]:
+def theorem5_check(T: TruncatedHamiltonian, tau_grid, clamp_at) -> list[BoundRecord]:
     """Gap preservation, ground-state drift and leakage of the clamp, per tau.
 
     Every grid tau gets a `thm5.kappa` record, the leakage kappa against its
@@ -140,9 +140,8 @@ def theorem5_check(T: TruncatedHamiltonian, tau_grid, eff: EffectiveHamiltonian)
     drift read off by slope: a least-squares fit of log(drift) against tau
     over the unsaturated (> 1e-12) points, recorded as slope <= 0 and
     R^2 >= 0.9 with at least 5 points, else a placeholder.  Each tau takes
-    its two lowest eigenpairs from its clamp's own `spectral()`: `eff`, a
-    clamp of T at one grid tau, serves that tau, and every other tau gets a
-    transient clamp.
+    its two lowest eigenpairs from the `spectral()` of `clamp_at(tau)`, the
+    caller's clamp of T at tau (`Pipeline.eff_at`); this check builds none.
     """
     taus = sorted(float(t) for t in tau_grid)
     if not taus or taus[0] <= 0:
@@ -155,7 +154,7 @@ def theorem5_check(T: TruncatedHamiltonian, tau_grid, eff: EffectiveHamiltonian)
     tau_min = theorem5_precondition_tau(T, gap_t)
     records, dists = [], []
     for tau in taus:
-        clamp = eff if eff.tau == tau else _clamp(T, tau)
+        clamp = clamp_at(tau)
         sp = clamp.spectral()
         w_e, v_e = sp.eigenvalues[:2], sp.eigenvectors[:, :2]
         dist = float(np.linalg.norm(align_phase(gs_t, v_e[:, 0]) - gs_t))

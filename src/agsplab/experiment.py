@@ -9,17 +9,17 @@ Sweep grid points run in one process.  Points that agree on the model
 `Pipeline`: H, its spectrum, the ground state and its Schmidt decomposition
 at the block cut and the truncations are built once per model, and so are
 the records that read only them (`gap≤2g`, `assumption1`, Lemma 3-4 and
-the ground state's `claim7.mps`) and the entropy row, which are copied into
-each point.  The stages that read tau, m or the seeded rng (Theorem 5,
-the filter machinery, the AGSP and Eckart-Young checks, and every clamp that
-cuts something) run per point; the clamps that cut nothing share one
-spectrum per truncation (`Pipeline.eff_at`).  Entropy runs solve one ground
-state per model, whatever q and l say.  Results come back in grid order.
+the ground state's `claim7.mps`) and the entropy row, which every point
+holds by reference (records and rows are frozen).  The stages that read
+tau, m or the seeded rng (Theorem 5, the filter machinery, the AGSP and
+Eckart-Young checks, and every clamp that cuts something) run per point; a
+clamp that cuts nothing is T, with T's spectrum and filter ranks
+(`effective.build_effective`).  Entropy runs solve one ground state per
+model, whatever q and l say.  Results come back in grid order.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import os
 from dataclasses import dataclass, field, replace
@@ -36,7 +36,7 @@ from .registry import BOUND_REGISTRY, BoundRecord, tally, vacuous
 from .spectral import SpectralData, eigendecompose, ground_state
 
 
-@dataclass
+@dataclass(frozen=True)
 class EntropyRow:
     n: int
     cut: int
@@ -67,13 +67,12 @@ class Pipeline:
     Truncations (per block length l, at the configured cut) and clamps (per
     (l, tau)) are built on first use and shared by every check of the point.
     The sweep points of one model share a pipeline's H, spectrum, ground
-    state, its Schmidt decomposition at the block cut, the truncations and
-    `_uncut`, the first clamp that cuts nothing per l, through
-    `dataclasses.replace`, each with its own `cfg` and clamps (see
-    `_verify_group`); every clamp that cuts nothing takes its spectrum and
-    filter ranks from `_uncut` (`eff_at`).  The model scalars live with
-    their owners: g and the decay envelope on each truncation (`T.local_g`,
-    `T.envelope`), the gap on `H_spec`.
+    state, its Schmidt decomposition at the block cut and the truncations,
+    through `dataclasses.replace`, each with its own `cfg` and clamps (see
+    `_verify_group`).  A clamp that cuts nothing takes its spectrum and
+    filter ranks from its truncation, so the points share those too.  The
+    model scalars live with their owners: g and the decay envelope on each
+    truncation (`T.local_g`, `T.envelope`), the gap on `H_spec`.
     """
 
     cfg: ExperimentConfig
@@ -83,8 +82,6 @@ class Pipeline:
     gs_schmidt: ent.SchmidtData  # of the ground state of H across the block cut
     _truncations: dict[int, trunc.TruncatedHamiltonian] = field(default_factory=dict, repr=False)
     _effs: dict[tuple[int, float], eff_mod.EffectiveHamiltonian] = field(default_factory=dict, repr=False)
-    # Per block length l, the first clamp that cuts nothing (`cuts_nothing`).
-    _uncut: dict[int, eff_mod.EffectiveHamiltonian] = field(default_factory=dict, repr=False)
 
     def truncation(self, l: int) -> trunc.TruncatedHamiltonian:
         if l not in self._truncations:
@@ -95,20 +92,12 @@ class Pipeline:
     def eff_at(self, tau: float, l: int | None = None) -> eff_mod.EffectiveHamiltonian:
         """The clamp of truncation l (default: the configured one) at tau, built once per point.
 
-        A clamp that cuts nothing is one operator whatever tau is: it takes
-        its blocks, spectrum and `filter_ranks` from the first such clamp of
-        truncation l, which the points of a sweep group share, and keeps its
-        own tau and tau_s.
+        It is the one owner of that clamp for the point's lifetime: Theorem 5,
+        the filter machinery and the AGSP sequence all read it from here.
         """
         key = (self.cfg.l if l is None else l, tau)
         if key not in self._effs:
-            eff = eff_mod.build_effective(self.truncation(key[0]), tau)
-            if eff.cuts_nothing():
-                first = self._uncut.setdefault(key[0], eff)
-                eff = replace(
-                    eff, internal_eff=first.internal_eff, _spectral=first.spectral(), filter_ranks=first.filter_ranks
-                )
-            self._effs[key] = eff
+            self._effs[key] = eff_mod.build_effective(self.truncation(key[0]), tau)
         return self._effs[key]
 
     @property
@@ -226,7 +215,7 @@ def _sequence_records(pipe: Pipeline, psi_base: np.ndarray | None) -> list[Bound
         base = pipe.gs_vector  # always admissible (zero base drift)
 
     # A step that repeats (m, l, tau) reuses its filter.  A tau past a
-    # truncation's widest block cuts nothing there, so its clamp is shared.
+    # truncation's widest block cuts nothing there, so its clamp is T.
     @functools.lru_cache(maxsize=1)
     def factory(m, l, tau):
         return agsp_mod.agsp_filter(pipe.eff_at(tau, l), m)
@@ -322,30 +311,37 @@ def _model_records(pipe: Pipeline) -> list[BoundRecord]:
     return records
 
 
+def _with_slack(records: list[BoundRecord], slack: float) -> list[BoundRecord]:
+    """`records`, each judged with `slack`; a record is copied only if its own slack differs."""
+    return [r if r.slack == slack else replace(r, slack=slack) for r in records]
+
+
 def _verify_group(points: list[ExperimentConfig]) -> list[PointResult]:
-    """`verify_point` of grid points with one `_pipeline_key`, the model built once."""
+    """`verify_point` of grid points with one `_pipeline_key`, the model built once.
+
+    `tolerance` is not sweepable, so one slack serves every point, and the
+    points hold the model records, the MPS records and the entropy row by reference.
+    """
     shared = build_pipeline(points[0])
-    model_records = _model_records(shared)
+    slack = points[0].tolerance
+    model_records = _with_slack(_model_records(shared), slack)
     # The ground state's MPS records and entropy row read no tau, m or rng either.
-    mps_records = ent.mps_compression_check(shared.gs_vector, (1, 2, 4, 8, 16))
+    mps_records = _with_slack(ent.mps_compression_check(shared.gs_vector, (1, 2, 4, 8, 16)), slack)
     row = _entropy_row(points[0], shared.gs_vector)
     results = []
     for cfg in points:
         # The point's own cfg and clamps; H, its spectrum and the truncations are shared.
         pipe = replace(shared, cfg=cfg, _effs={})
         rng = np.random.default_rng(cfg.seed)
-        records = copy.deepcopy(model_records)
-        records.extend(eff_mod.theorem5_check(pipe.T, cfg.taus, pipe.eff_at(max(cfg.taus))))
+        records = eff_mod.theorem5_check(pipe.T, cfg.taus, pipe.eff_at)
         records.extend(_filter_machinery_records(pipe, rng))
         records.extend(_chebyshev_records(cfg.ms))
         agsp_records, psi = _agsp_records(pipe)
         records.extend(agsp_records)
         records.extend(_sequence_records(pipe, psi))
         records.extend(_compression_records(pipe, rng))
-        records.extend(copy.deepcopy(mps_records))
-        for r in records:
-            r.slack = cfg.tolerance  # the one comparison slack of every record
-        results.append(PointResult(config=cfg, records=records, entropy_rows=[copy.deepcopy(row)]))
+        records = model_records + _with_slack(records, slack) + mps_records
+        results.append(PointResult(config=cfg, records=records, entropy_rows=[row]))
     return results
 
 
@@ -356,7 +352,7 @@ def verify_point(cfg: ExperimentConfig) -> PointResult:
 
 def _entropy_group(points: list[ExperimentConfig]) -> list[PointResult]:
     row = entropy_row(points[0])
-    return [PointResult(config=cfg, records=[], entropy_rows=[copy.deepcopy(row)]) for cfg in points]
+    return [PointResult(config=cfg, records=[], entropy_rows=[row]) for cfg in points]
 
 
 def run_points(cfg: ExperimentConfig, entropy_only: bool = False) -> list[PointResult]:

@@ -46,9 +46,9 @@ BOUND_REGISTRY: dict[str, str] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundRecord:
-    """One measured inequality: holds iff lhs and rhs are finite and lhs <= rhs + slack."""
+    """One measured inequality, frozen: holds iff lhs and rhs are finite and lhs <= rhs + slack."""
 
     bound_id: str
     lhs: float

@@ -20,8 +20,8 @@ the reference config H, H_t, every block h_s, H_eff and delta split; a split
 eigendecomposition has exact zeros, so the clamps, the filters K and K's
 Schmidt reshape split exactly too.  That reshape splits once more by the
 swap of its pair indices, because K is exactly symmetric
-(`agsp.operator_schmidt_rank`).  A clamp that cuts nothing is solved once
-per truncation and sweep group (`experiment.Pipeline.eff_at`).  The
+(`agsp.operator_schmidt_rank`).  A clamp that cuts nothing is T and takes
+`T.spectral()`, so it is never solved (`effective.build_effective`).  The
 Assumption-1 interactions V_{X,Y}
 split further: `hamiltonian.interaction_norm` solves each on the two
 D/4 x D/4 blocks that flip both the X and the Y parity, through

@@ -108,6 +108,8 @@ class TruncatedHamiltonian:
     local_g: float
     _block_spectra: list[SpectralData] = field(repr=False)
     _spectral: SpectralData = field(repr=False)
+    # Operator Schmidt rank of the filter K(m) of T, per m; shared by every clamp that cuts nothing.
+    filter_ranks: dict[int, int] = field(default_factory=dict, repr=False)
 
     @property
     def q(self) -> int:

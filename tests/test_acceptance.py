@@ -8,6 +8,7 @@ import json
 import math
 import os
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ def test_criterion_3_gap_preservation_decay(reference_pipeline):
     pipe = reference_pipeline
     top = pipe.T.clamp_ceiling()
     taus = np.linspace(2.0, 0.95 * top, 9)
-    recs = em.theorem5_check(pipe.T, taus, em.build_effective(pipe.T, taus[-1]))
+    recs = em.theorem5_check(pipe.T, taus, partial(em.build_effective, pipe.T))
     fit = {r.context["variant"]: r for r in recs if "variant" in r.context}
     slope, r2, used = fit["decay-slope"].lhs, fit["decay-fit-r2"].rhs, fit["decay-slope"].context["points"]
     # gap_t / 2 <= gap_eff and drift <= bound, at every tau that meets the hypothesis

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ class TestTheorem5:
     def test_distances_decay_and_kappa_bound(self, hypothesis_everywhere):
         _, T = make_T(n=8, l=2)
         taus = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
-        recs = theorem5_check(T, taus, build_effective(T, 9.0))
+        recs = theorem5_check(T, taus, partial(build_effective, T))
         overlap, kappa = per_tau(recs, "thm5.overlap"), per_tau(recs, "thm5.kappa")
         assert sorted(overlap) == sorted(kappa) == taus
         dists = [overlap[tau].lhs for tau in taus]
@@ -160,7 +161,7 @@ class TestTheorem5:
     def test_saturated_tau_zero_distance(self, hypothesis_everywhere):
         _, T = make_T()
         tau = max(sp.width for sp in T.block_spectra()) + 1.0
-        recs = theorem5_check(T, [tau], build_effective(T, tau))
+        recs = theorem5_check(T, [tau], partial(build_effective, T))
         [overlap], [gap] = per_tau(recs, "thm5.overlap").values(), per_tau(recs, "thm5.gap").values()
         assert overlap.lhs <= 1e-9
         # the gap record is gap_t / 2 <= gap_eff
@@ -168,7 +169,7 @@ class TestTheorem5:
 
     def test_slope_fit_negative(self):
         _, T = make_T(n=8, l=2)
-        recs = theorem5_check(T, np.linspace(2, 10, 8), build_effective(T, 10.0))
+        recs = theorem5_check(T, np.linspace(2, 10, 8), partial(build_effective, T))
         fit = {r.context["variant"]: r for r in recs if "variant" in r.context}
         slope, r2, used = fit["decay-slope"].lhs, fit["decay-fit-r2"].rhs, fit["decay-slope"].context["points"]
         assert slope < 0 and r2 >= 0.9 and used >= 5
@@ -179,7 +180,7 @@ class TestTheorem5:
         T = reference_pipeline.T
         tau_min = theorem5_precondition_tau(T, T.spectral().gap)
         assert tau_min > reference_pipeline.T.clamp_ceiling()
-        recs = theorem5_check(T, [tau_min], build_effective(T, tau_min))
+        recs = theorem5_check(T, [tau_min], partial(build_effective, T))
         assert [r.bound_id for r in recs] == ["thm5.kappa", "thm5.gap", "thm5.overlap"]
         assert all(r.context == {"tau": tau_min} and r.holds for r in recs)
         kappa, gap, overlap = recs
@@ -203,8 +204,9 @@ class TestEnergyTies:
             assert (a is None) == (b is None)
             if a is not None:
                 np.testing.assert_allclose(a, b, atol=1e-12)
-        [tie] = per_tau(theorem5_check(T, [tau], eff_tie), "thm5.kappa").values()
-        [off] = per_tau(theorem5_check(T, [near], eff_near), "thm5.kappa").values()
+        clamp_at = partial(build_effective, T)
+        [tie] = per_tau(theorem5_check(T, [tau], clamp_at), "thm5.kappa").values()
+        [off] = per_tau(theorem5_check(T, [near], clamp_at), "thm5.kappa").values()
         assert off.lhs == pytest.approx(tie.lhs, abs=1e-9)
 
 

@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -344,6 +344,32 @@ class TestSolveCounts:
         assert set(ranks.values()) == {1}, ranks
         assert len(solves) == 1, solves
 
+    def test_one_solve_per_theorem5_clamp_that_cuts(self, monkeypatch):
+        from agsplab import effective
+
+        # The theorem-5 grid of CI's ising8-taus config: taus 8.25 and up cut nothing.
+        cfg = ExperimentConfig(n=8, alpha=3.0, J=1.0, B=2.0, taus=[2.0, 3.25, 4.5, 5.75, 7.0, 8.25, 9.5, 10.75, 12.0])
+        built, solved = [], []
+        build, decompose = effective.build_effective, effective.eigendecompose
+
+        def collected_build(T, tau):
+            built.append(build(T, tau))
+            return built[-1]
+
+        def counted_decompose(M):
+            solved.append(M)
+            return decompose(M)
+
+        monkeypatch.setattr(effective, "build_effective", collected_build)
+        # effective's eigendecompose solves the clamps alone (`EffectiveHamiltonian.spectral`)
+        monkeypatch.setattr(effective, "eigendecompose", counted_decompose)
+        verify_point(cfg)
+        assert [eff.tau for eff in built if eff.cuts_nothing()] == [8.25, 9.5, 10.75, 12.0]
+        assert all(eff.spectral() is eff.base.spectral() for eff in built if eff.cuts_nothing())
+        cutting = [eff.assemble_dense() for eff in built if not eff.cuts_nothing()]
+        assert len(solved) == len(cutting) == 5
+        assert all(np.array_equal(M, H_eff) for M, H_eff in zip(solved, cutting))
+
 
     def test_schmidt_rank_bounds_build_no_full_matrix(self, monkeypatch):
         from agsplab import agsp, hamiltonian, truncation
@@ -414,7 +440,7 @@ class TestSweepAndDeterminism:
         assert [ln.split(",")[0] for ln in lines[1:]] == ["6", "8", "10", "12"]
 
     def test_theorem5_grid_matches_single_tau_runs(self):
-        # taus other than the pipeline's max(taus) get transient clamps
+        # every grid tau reads its clamp from the point's pipeline (`Pipeline.eff_at`)
         cfg = ExperimentConfig(n=6, alpha=3.0, J=1.0, B=2.0, q=2, l=1, taus=[2.0, 4.0, 6.0], ms=[4], seed=7)
 
         def thm5(point):
@@ -458,12 +484,16 @@ class TestSweepSharing:
         for point in points:
             assert record_keys(point) == record_keys(verify_point(point.config))
 
-    def test_model_record_copies_are_independent(self):
+    def test_points_share_frozen_model_records(self):
         points = run_points(replace(self.CFG, sweep_param="tau", sweep_values=[2.0, 4.0, 6.0]))
-        before = [record_keys(p) for p in points[1:]]
-        rec = next(r for r in points[0].records if r.bound_id == "assumption1")
-        rec.lhs, rec.context["r"] = -1.0, -1
-        assert [record_keys(p) for p in points[1:]] == before
+        model = [r for r in points[0].records if r.bound_id == "assumption1"]
+        for point in points[1:]:
+            shared = [r for r in point.records if r.bound_id == "assumption1"]
+            assert len(shared) == len(model) and all(a is b for a, b in zip(shared, model))
+        with pytest.raises(FrozenInstanceError):
+            model[0].lhs = -1.0
+        with pytest.raises(FrozenInstanceError):
+            model[0].slack = 1.0
 
     def test_repeated_model_keeps_grid_order(self):
         points = run_points(replace(self.CFG, sweep_param="n", sweep_values=[5, 6, 5]))
@@ -527,8 +557,12 @@ class TestSweepSharing:
             seed=7, sweep_param="tau", sweep_values=[2.0, 4.0, 6.0],
         )
         standalone = [verify_point(point) for point in cfg.grid_points()]
-        solved, ranked = [], []
-        decompose, rank = effective.eigendecompose, agsp.operator_schmidt_rank
+        built, solved, ranked = [], [], []
+        build, decompose, rank = effective.build_effective, effective.eigendecompose, agsp.operator_schmidt_rank
+
+        def collected_build(T, tau):
+            built.append(build(T, tau))
+            return built[-1]
 
         def counted_decompose(M):
             solved.append(M)
@@ -538,6 +572,7 @@ class TestSweepSharing:
             ranked.append(O)
             return rank(O, cut)
 
+        monkeypatch.setattr(effective, "build_effective", collected_build)
         # effective's eigendecompose solves the clamps alone (`EffectiveHamiltonian.spectral`)
         monkeypatch.setattr(effective, "eigendecompose", counted_decompose)
         monkeypatch.setattr(agsp, "operator_schmidt_rank", counted_rank)
@@ -548,12 +583,13 @@ class TestSweepSharing:
             return not any(a.shape == b.shape and np.array_equal(a, b) for i, a in enumerate(mats) for b in mats[:i])
 
         # Every main clamp (tau 2, 4, 6 at l=2) and the sequence's l=3 clamps at
-        # tau 4 and 4.24 cut nothing: one solve per block length.  The l=3,
-        # tau=3 clamp cuts, and is solved on its own.
-        assert len(solved) == 3 and pairwise_distinct(solved)
+        # tau 4 and 4.24 cut nothing: each takes its truncation's spectrum.  The
+        # l=3, tau=3 clamp cuts, and is the one clamp solved.
+        uncut = [eff for eff in built if eff.cuts_nothing()]
+        assert uncut and all(eff.spectral() is eff.base.spectral() for eff in uncut)
         cutting = build_pipeline(cfg.grid_points()[0]).eff_at(3.0, 3)
         assert not cutting.cuts_nothing()
-        assert any(np.array_equal(M, cutting.assemble_dense()) for M in solved)
+        assert len(solved) == 1 and np.array_equal(solved[0], cutting.assemble_dense())
         # One rank per (operator, m): the shared l=2 clamp at m = 4, 16, 32, the
         # shared l=3 one and the cutting one at m = 16.
         assert len(ranked) == 5 and pairwise_distinct(ranked)
