@@ -65,7 +65,9 @@ class Pipeline:
     """All objects of one experiment point, each built once.
 
     Truncations (per block length l, at the configured cut) and clamps (per
-    (l, tau)) are built on first use and shared by every check of the point.
+    (l, tau)) are built on first use and shared by every check of the point,
+    except the Theorem-5 clamps below max(taus), which one check reads once
+    (`eff_at`).
     The sweep points of one model share a pipeline's H, spectrum, ground
     state, its Schmidt decomposition at the block cut and the truncations,
     through `dataclasses.replace`, each with its own `cfg` and clamps (see
@@ -90,15 +92,23 @@ class Pipeline:
         return self._truncations[l]
 
     def eff_at(self, tau: float, l: int | None = None) -> eff_mod.EffectiveHamiltonian:
-        """The clamp of truncation l (default: the configured one) at tau, built once per point.
+        """The clamp of truncation l (default: the configured one) at tau.
 
-        It is the one owner of that clamp for the point's lifetime: Theorem 5,
-        the filter machinery and the AGSP sequence all read it from here.
+        It is the one owner of that clamp: Theorem 5, the filter machinery and
+        the AGSP sequence all read it from here.  Only Theorem 5 reads a clamp
+        of the configured l below max(taus), once per grid tau (the filter
+        machinery reads max(taus), and `agsp_sequence` only raises tau from
+        there), so such a clamp is not kept: its spectrum is released before
+        the next grid tau's is solved.  Every other clamp is kept for the
+        point's lifetime.
         """
         key = (self.cfg.l if l is None else l, tau)
-        if key not in self._effs:
-            self._effs[key] = eff_mod.build_effective(self.truncation(key[0]), tau)
-        return self._effs[key]
+        if key in self._effs:
+            return self._effs[key]
+        eff = eff_mod.build_effective(self.truncation(key[0]), tau)
+        if key[0] != self.cfg.l or tau >= max(self.cfg.taus):
+            self._effs[key] = eff
+        return eff
 
     @property
     def T(self) -> trunc.TruncatedHamiltonian:
@@ -156,8 +166,7 @@ def _filter_machinery_records(pipe: Pipeline, rng) -> list[BoundRecord]:
                 E_prime=(e0 + width / 3.0, e0 + 2.0 * width / 3.0),
                 eff=eff,
             ):
-                rec.context["operator"] = name
-                records.append(rec)
+                records.append(replace(rec, context={**rec.context, "operator": name}))
     records.extend(eff_mod.commutator_bound_check(T))
     return records
 
@@ -255,8 +264,7 @@ def _compression_records(pipe: Pipeline, rng) -> list[BoundRecord]:
             if D >= len(sd.coefficients):
                 continue
             rec = ent.eckart_young_check(sd, ent.truncate_to_rank(sd, D))
-            rec.context.update(state=name, D=D)
-            records.append(rec)
+            records.append(replace(rec, context={**rec.context, "state": name, "D": D}))
         records.append(BoundRecord("s2≤s", ent.renyi2(sd), ent.entropy(sd), {"state": name}))
     return records
 

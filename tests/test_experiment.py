@@ -1,8 +1,11 @@
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import FrozenInstanceError, replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -370,6 +373,31 @@ class TestSolveCounts:
         assert len(solved) == len(cutting) == 5
         assert all(np.array_equal(M, H_eff) for M, H_eff in zip(solved, cutting))
 
+    def test_theorem5_clamps_below_max_tau_are_released(self, monkeypatch):
+        from agsplab import effective, experiment
+
+        taus = [2.0, 3.25, 4.5, 5.75, 7.0, 8.25, 9.5, 10.75, 12.0]
+        cfg = ExperimentConfig(n=8, alpha=3.0, J=1.0, B=2.0, taus=taus)
+        clamps, alive = [], []
+        build, machinery = effective.build_effective, experiment._filter_machinery_records
+
+        def weakly_collected_build(T, tau):
+            eff = build(T, tau)
+            clamps.append(((T.blocks.l, tau), weakref.ref(eff)))
+            return eff
+
+        def noting_machinery(pipe, rng):
+            gc.collect()
+            alive.extend(key for key, ref in clamps if ref() is not None)
+            return machinery(pipe, rng)
+
+        monkeypatch.setattr(effective, "build_effective", weakly_collected_build)
+        monkeypatch.setattr(experiment, "_filter_machinery_records", noting_machinery)
+        verify_point(cfg)
+        # Theorem 5 built every grid clamp; once it has returned, only the max(taus) one lives on.
+        assert [key for key, _ in clamps][: len(taus)] == [(cfg.l, tau) for tau in taus]
+        assert alive == [(cfg.l, 12.0)]
+
 
     def test_schmidt_rank_bounds_build_no_full_matrix(self, monkeypatch):
         from agsplab import agsp, hamiltonian, truncation
@@ -483,6 +511,24 @@ class TestSweepSharing:
         assert [p.config for p in points] == cfg.grid_points()
         for point in points:
             assert record_keys(point) == record_keys(verify_point(point.config))
+
+    def test_returned_record_contexts_are_not_written(self, monkeypatch):
+        from agsplab import effective, entanglement
+
+        def read_only(check):
+            def wrapped(*args, **kwargs):
+                out = check(*args, **kwargs)
+                records = [out] if isinstance(out, BoundRecord) else out
+                frozen = [replace(r, context=MappingProxyType(r.context)) for r in records]
+                return frozen[0] if isinstance(out, BoundRecord) else frozen
+
+            return wrapped
+
+        # The checks whose records the experiment labels with the operator, state and D.
+        expected = record_keys(verify_point(self.CFG))
+        monkeypatch.setattr(effective, "exponential_filter_check", read_only(effective.exponential_filter_check))
+        monkeypatch.setattr(entanglement, "eckart_young_check", read_only(entanglement.eckart_young_check))
+        assert record_keys(verify_point(self.CFG)) == expected
 
     def test_points_share_frozen_model_records(self):
         points = run_points(replace(self.CFG, sweep_param="tau", sweep_values=[2.0, 4.0, 6.0]))

@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agsplab import hamiltonian
 from agsplab.hamiltonian import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     DimensionCeilingError,
     Hamiltonian,
     InteractionTerm,
@@ -243,6 +249,57 @@ class TestAssembleSparse:
     def test_empty_terms_zero_matrix(self):
         S = assemble_sparse(Hamiltonian(LatticeSpec(n=3), []))
         assert S.shape == (8, 8) and S.nnz == 0
+
+    @staticmethod
+    def concatenated_csr(H):
+        """The COO of every term's int64 scatter, concatenated, then converted to CSR in one call."""
+        dim = H.lattice.dim
+        parts = list(zip(*hamiltonian._scatter(H.lattice, H.terms)))
+        if not parts:
+            return scipy.sparse.csr_array((dim, dim))
+        rows, cols, vals = (np.concatenate(p) for p in parts)
+        return scipy.sparse.csr_array((vals, (rows, cols)), shape=(dim, dim))
+
+    @pytest.mark.parametrize(
+        "H",
+        [
+            # even n: the field diagonal 2 (n - 2 popcount) cancels to exactly 0, stored C(8, 4) times
+            build_long_range_ising(8, 3.0, 1.0, 2.0),
+            build_long_range_fermion_chain(6, 3.0, 1.0, 0.5),
+            Hamiltonian(
+                LatticeSpec(n=4),
+                [
+                    InteractionTerm((1, 3), 0.3 * np.kron(SIGMA_Y, SIGMA_X)),
+                    InteractionTerm((2, 3), np.kron(SIGMA_X, SIGMA_X)),
+                    InteractionTerm((2,), 0.5 * SIGMA_Y),
+                    # diagonal sums +-0.1 +-0.2 +-0.3 round differently in another order
+                    InteractionTerm((1,), 0.1 * SIGMA_Z),
+                    InteractionTerm((3,), 0.2 * SIGMA_Z),
+                    InteractionTerm((4,), 0.3 * SIGMA_Z),
+                ],
+            ),
+            Hamiltonian(LatticeSpec(n=3), []),
+        ],
+        ids=["ising-n8", "fermion-n6", "complex-n4", "empty"],
+    )
+    def test_csr_is_bit_identical_to_the_concatenated_build(self, H):
+        S, ref = assemble_sparse(H), self.concatenated_csr(H)
+        assert S.nnz == ref.nnz and S.data.dtype == ref.data.dtype
+        np.testing.assert_array_equal(S.indptr, ref.indptr)
+        np.testing.assert_array_equal(S.indices, ref.indices)
+        np.testing.assert_array_equal(S.data, ref.data)
+        assert S.indptr.dtype == S.indices.dtype == np.int32
+
+    def test_assembly_peak_is_bounded_by_three_csrs(self):
+        H = build_long_range_ising(12, 3.0, 1.0, 2.0)
+        tracemalloc.start()
+        try:
+            S = assemble_sparse(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The concatenated int64 build peaks at 4.6 CSRs, the preallocated int32 COO at 2.7.
+        assert peak <= 3 * (S.data.nbytes + S.indices.nbytes + S.indptr.nbytes)
 
 
 class TestBlockInteraction:
