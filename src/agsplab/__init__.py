@@ -25,6 +25,7 @@ from .spectral import (
     SpectralData,
     eigendecompose,
     ground_state,
+    operator_schmidt_rank,
 )
 from .truncation import (
     BlockDecomposition,
@@ -46,7 +47,6 @@ from .agsp import (
     agsp_filter,
     bootstrap_state,
     chebyshev_T,
-    operator_schmidt_rank,
     schmidt_rank_bound_check,
 )
 from .entanglement import (

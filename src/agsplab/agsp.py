@@ -7,13 +7,13 @@ fixed state from a target (`drift`), the residual epsilon_K on the fixed
 state's complement, exactly max_{j>=1} |f(E_j)| (`excited_residual`), and the
 operator Schmidt rank D_K across the cut (`schmidt_rank`).  Bootstrapping
 turns a filter with epsilon_K^2 D_K <= 1/2 into a low-Schmidt-rank
-approximate ground state.  Every rank is counted by `numerical_rank`.
+approximate ground state.  Every rank is counted by `spectral.numerical_rank`.
 
 K is Hermitian to the last bit by construction, so a real K is exactly
-symmetric, and `operator_schmidt_rank` splits its Schmidt reshape into the
-blocks of swap-symmetric and -antisymmetric index pairs on top of the
-parity sectors.  D_K is cached on the clamp (`filter_ranks`); a clamp that
-cuts nothing is T and uses T's cache (`effective.build_effective`).
+symmetric, and `spectral.operator_schmidt_rank` splits its Schmidt reshape
+into the blocks of swap-symmetric and -antisymmetric index pairs on top of
+the parity sectors.  D_K is cached on the clamp (`filter_ranks`); a clamp
+that cuts nothing is T and uses T's cache (`effective.build_effective`).
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from functools import cached_property
 import numpy as np
 
 from .effective import EffectiveHamiltonian
-from .entanglement import numerical_rank, schmidt_decompose, truncate_to_rank
-from .hamiltonian import parity_sectors, region_sum
+from .entanglement import schmidt_decompose, truncate_to_rank
+from .hamiltonian import region_sum
 from .registry import BoundRecord, vacuous
-from .truncation import TruncatedHamiltonian, align_phase
+from .spectral import DEGENERACY_THRESHOLD, align_phase, numerical_rank, operator_schmidt_rank
+from .truncation import TruncatedHamiltonian
 
 
 def chebyshev_T(m: int, x):
@@ -157,76 +158,11 @@ def agsp_filter(eff: EffectiveHamiltonian, m: int) -> ChebyshevFilter:
     A (near-)degenerate spectrum, or one with no level above the gap, is refused.
     """
     sp = eff.spectral()
-    if sp.gap <= 1e-10:
+    if sp.gap <= DEGENERACY_THRESHOLD:
         raise ValueError(f"effective spectrum is (near-)degenerate: gap = {sp.gap:g}")
     if sp.width - sp.gap <= 1e-10:
         raise ValueError("effective spectrum has no excited window above the gap")
     return ChebyshevFilter(eff=eff, m=m)
-
-
-def operator_schmidt_rank(O: np.ndarray, cut: int) -> int:
-    """Numerical Schmidt rank of an operator across a contiguous cut.
-
-    Reshapes O across the bipartition ((row_L, col_L) x (row_R, col_R)) and
-    counts its singular values by `numerical_rank`.  The reshape keeps
-    popcount parity (popcount(i_L d_L + j_L) = popcount(i_L) + popcount(j_L)
-    for d_L = 2^cut), so the SVD runs per `parity_sectors` sector of the
-    rearranged matrix.  A real O that is exactly symmetric (read by
-    `np.array_equal(O, O.T)`, as every real filter K is) gives a reshape R
-    with R[(j_L, i_L), (j_R, i_R)] = R[(i_L, j_L), (i_R, j_R)]: it maps
-    swap-symmetric pairs to swap-symmetric ones and antisymmetric to
-    antisymmetric, so each sector splits further into those two blocks
-    (`_swap_halves`, Nielsen et al., PRA 67, 052301).  Both splits are
-    orthogonal changes of basis: the singular values are the union of the
-    blocks', at n = 8 four blocks of 72/56/64/64 in place of 2 x 128.  A
-    complex O is never swap-split.
-    """
-    dim = O.shape[0]
-    dL = 2**cut
-    if dim % dL != 0:
-        raise ValueError(f"cut at {cut} sites does not divide dimension {dim}")
-    dR = dim // dL
-    rearranged = (
-        O.reshape(dL, dR, dL, dR).transpose(0, 2, 1, 3).reshape(dL * dL, dR * dR)
-    )
-    sectors = parity_sectors(rearranged)  # also rejects a non-finite entry
-    if np.isrealobj(O) and np.array_equal(O, O.T):
-        blocks = [half for rows, cols, b in sectors for half in _swap_halves(b, rows, cols, dL, dR)]
-    else:
-        blocks = [b for _, _, b in sectors]
-    return numerical_rank(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks]))
-
-
-def _swap_halves(block: np.ndarray, rows: np.ndarray, cols: np.ndarray, dL: int, dR: int) -> list[np.ndarray]:
-    """The swap-symmetric and -antisymmetric blocks of a swap-invariant Schmidt-reshape block.
-
-    `rows` (`cols`) are the flat pair indices i d_L + j (k d_R + l) of the
-    block's rows (columns), a set closed under the swap (i, j) -> (j, i).  In
-    the orthonormal bases e_ii, (e_ij +- e_ji)/sqrt(2) (i < j) the block is
-    [[B_dd, sqrt2 B_du], [sqrt2 B_ud, B_uu + B_ul]] on the symmetric pairs and
-    B_uu - B_ul on the antisymmetric ones; d, u and l index the pairs with
-    i = j, i < j and the mirror j d + i of each i < j.
-    """
-    r_diag, r_up, r_mirror = _pair_classes(rows, dL)
-    c_diag, c_up, c_mirror = _pair_classes(cols, dR)
-    up, mirror = block[np.ix_(r_up, c_up)], block[np.ix_(r_up, c_mirror)]
-    root2 = math.sqrt(2.0)
-    symmetric = np.block(
-        [
-            [block[np.ix_(r_diag, c_diag)], root2 * block[np.ix_(r_diag, c_up)]],
-            [root2 * block[np.ix_(r_up, c_diag)], up + mirror],
-        ]
-    )
-    return [symmetric, up - mirror]
-
-
-def _pair_classes(index: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions in `index` (flat pairs i d + j) of the pairs i = j, the pairs i < j and their mirrors."""
-    i, j = np.divmod(index, d)
-    position = np.empty(d * d, dtype=int)
-    position[index] = np.arange(len(index))
-    up = i < j
-    return np.flatnonzero(i == j), np.flatnonzero(up), position[j[up] * d + i[up]]
 
 
 def _cut_factors(T: TruncatedHamiltonian) -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +183,8 @@ def _cut_factors(T: TruncatedHamiltonian) -> tuple[np.ndarray, np.ndarray]:
             right_pieces.append((support, m))
         else:
             crossing.append((support, m))
-    Ls = [region_sum(T.lattice, left, left_pieces), np.eye(2**cut)]
-    Rs = [np.eye(2 ** (n - cut)), region_sum(T.lattice, right, right_pieces)]
+    Ls = [region_sum(left, left_pieces), np.eye(2**cut)]
+    Rs = [np.eye(2 ** (n - cut)), region_sum(right, right_pieces)]
     for support, m in crossing:
         sl = tuple(s for s in support if s <= cut)
         sr = support[len(sl) :]
@@ -259,8 +195,8 @@ def _cut_factors(T: TruncatedHamiltonian) -> tuple[np.ndarray, np.ndarray]:
                 if np.any(slices[i, :, j, :]):
                     unit = np.zeros((dl, dl))
                     unit[i, j] = 1.0
-                    Ls.append(region_sum(T.lattice, left, [(sl, unit)]))
-                    Rs.append(region_sum(T.lattice, right, [(sr, slices[i, :, j, :])]))
+                    Ls.append(region_sum(left, [(sl, unit)]))
+                    Rs.append(region_sum(right, [(sr, slices[i, :, j, :])]))
     return np.array(Ls), np.array(Rs)
 
 

@@ -10,6 +10,8 @@ import configparser
 import math
 from dataclasses import dataclass, field, replace
 
+from .registry import DEFAULT_SLACK
+
 _KNOWN_KEYS = {
     "model": {"family", "n", "alpha", "J", "B", "A"},
     "blocks": {"q", "l", "cut"},
@@ -94,7 +96,7 @@ class ExperimentConfig:
     sweep_values: list[float] = field(default_factory=list)
     output_dir: str = "results"
     seed: int = 0
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_SLACK
 
     def grid_points(self) -> list["ExperimentConfig"]:
         """One config per sweep value (just [self] without a sweep)."""

@@ -18,16 +18,17 @@ from itertools import product
 
 import numpy as np
 
-from .hamiltonian import region_sum, spectral_norm
+from .hamiltonian import region_sum
 from .registry import BoundRecord, vacuous
 from .spectral import (
     SpectralData,
+    align_phase,
     eigendecompose,
     in_window,
     top_singular_value,
     unitary_block_norms,
 )
-from .truncation import TruncatedHamiltonian, align_phase
+from .truncation import TruncatedHamiltonian
 
 E_DIST_PREFACTOR = 4.0 * math.e**1.5 / (math.e - 1.0)  # ~10.43
 
@@ -329,16 +330,20 @@ def commutator_bound_check(T: TruncatedHamiltonian) -> list[BoundRecord]:
     ||[H_t, h_{s,s+1}]|| <= 6 g k q ||h_{s,s+1}|| with q = 2k (a bond term
     spans sites drawn from two blocks).  Only the pieces of H_t whose support
     meets the bond's fail to commute with it, and ||A (x) I|| = ||A||, so the
-    commutator is formed on the union of those supports.
+    commutator is formed on the union of those supports, a contiguous
+    region.  Both operators are Hermitian, so with X = bond . local, formed
+    by one `apply_on_block` of the bond on its positions in the region, the
+    commutator is [local, bond] = X^dag - X.
     """
     records = []
     for s in range(T.q + 1):
-        sites = set(T.bond_support(s))
-        near = [(support, m) for support, m in T.pieces() if sites.intersection(support)]
-        region = tuple(sorted(sites.union(*(support for support, _ in near))))
-        local = region_sum(T.lattice, region, near)
-        bond = region_sum(T.lattice, region, [(T.bond_support(s), T.bonds[s])])
-        lhs = top_singular_value(local @ bond - bond @ local)
-        rhs = 6.0 * T.local_g * T.k * (2 * T.k) * spectral_norm(T.bonds[s])
+        sites = T.bond_support(s)
+        near = [(support, m) for support, m in T.pieces() if set(sites).intersection(support)]
+        region = tuple(sorted(set(sites).union(*(support for support, _ in near))))
+        local = region_sum(region, near)
+        X = apply_on_block(tuple(region.index(site) + 1 for site in sites), T.bonds[s], local)
+        del local  # the norm below needs X and the commutator only
+        lhs = top_singular_value(X.conj().T - X)
+        rhs = 6.0 * T.local_g * T.k * (2 * T.k) * top_singular_value(T.bonds[s])
         records.append(BoundRecord("lemma15.commutator", lhs, rhs, {"s": s}))
     return records

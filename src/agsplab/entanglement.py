@@ -1,12 +1,12 @@
 """Schmidt decompositions, ranks, entanglement entropies, and MPS compression.
 
-`schmidt_decompose` is the one place a state's Schmidt spectrum is computed,
-and `numerical_rank` the one rule that turns singular values into a rank;
-`agsp` counts its operator Schmidt ranks with the same rule.  Entropies are in
-natural-log units everywhere.  The compression routine is a single
-left-to-right sweep of truncated SVDs, which is exactly the construction whose
-error is controlled by twice the summed tail weights of the original state's
-Schmidt spectra.  States live on chains of qubits.
+`schmidt_decompose` is the one place a state's Schmidt spectrum is computed;
+its ranks are counted by `spectral.numerical_rank`, the rule that counts
+every operator Schmidt rank too.  Entropies are in natural-log units
+everywhere.  The compression routine is a single left-to-right sweep of
+truncated SVDs, which is exactly the construction whose error is controlled
+by twice the summed tail weights of the original state's Schmidt spectra.
+States live on chains of qubits.
 """
 
 from __future__ import annotations
@@ -17,24 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .registry import BoundRecord, vacuous
-from .truncation import align_phase
+from .spectral import align_phase, numerical_rank
 
 # First filter degree of `agsp_sequence`, and how many times one of its steps
 # may escalate (m, l, tau) before the target counts as unreachable.
 M_START = 4
 ESCALATION_BUDGET = 14
-
-SR_REL_TOL = 1e-10
-SR_ABS_TOL = 1e-12
-
-
-def numerical_rank(svals: np.ndarray) -> int:
-    """Number of singular values above max(1e-10 * sigma_max, 1e-12): the one rank rule here.
-
-    Undercounting is safe because every rank bound checked here is one-sided.
-    """
-    return int(np.sum(svals > max(SR_REL_TOL * np.max(svals, initial=0.0), SR_ABS_TOL)))
-
 
 @dataclass
 class SchmidtData:

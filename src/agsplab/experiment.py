@@ -33,7 +33,7 @@ from . import hamiltonian as ham
 from . import truncation as trunc
 from .config import ExperimentConfig
 from .registry import BOUND_REGISTRY, BoundRecord, tally, vacuous
-from .spectral import SpectralData, eigendecompose, ground_state
+from .spectral import SpectralData, align_phase, eigendecompose, ground_state
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class Pipeline:
     @functools.cached_property
     def gs_t(self) -> np.ndarray:
         """Ground state of T, phase-aligned to the ground state of H."""
-        return trunc.align_phase(self.gs_vector, self.T.spectral().eigenvectors[:, 0])
+        return align_phase(self.gs_vector, self.T.spectral().eigenvectors[:, 0])
 
     @property
     def cut(self) -> int:
@@ -218,9 +218,9 @@ def _sequence_records(pipe: Pipeline, psi_base: np.ndarray | None) -> list[Bound
     cut = pipe.cut
     schmidt = pipe.gs_schmidt
     base = psi_base
-    if base is None or np.linalg.norm(pipe.gs_vector - trunc.align_phase(pipe.gs_vector, base)) > 0.5:
+    if base is None or np.linalg.norm(pipe.gs_vector - align_phase(pipe.gs_vector, base)) > 0.5:
         base = ent.truncate_to_rank(schmidt, max(1, schmidt.numerical_rank() // 2))
-    if np.linalg.norm(pipe.gs_vector - trunc.align_phase(pipe.gs_vector, base)) > 0.5:
+    if np.linalg.norm(pipe.gs_vector - align_phase(pipe.gs_vector, base)) > 0.5:
         base = pipe.gs_vector  # always admissible (zero base drift)
 
     # A step that repeats (m, l, tau) reuses its filter.  A tau past a

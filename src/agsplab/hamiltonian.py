@@ -7,18 +7,21 @@ every downstream truncation/filter bound is measured against.
 
 Site indices are 1-based throughout the public API; distances are
 r_ij = |i - j|.  Every site is a qubit (local dimension 2), and each term
-owns its operator norm (`InteractionTerm.norm`, computed once).
+owns its operator norm (`InteractionTerm.norm`, computed once).  Every norm
+is solved by `spectral` (`top_singular_value`, `interaction_norm`); this
+module builds the matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse
 
 from .registry import BoundRecord
+from .spectral import interaction_norm, top_singular_value
 
 HERMITICITY_ATOL = 1e-12
 # Largest dimensions built: a dense array by `embed_sum` (2 GiB of float64 at
@@ -35,86 +38,6 @@ SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # (sigma_x + i sigma_y)/2
 
 class DimensionCeilingError(ValueError):
     """A dense or sparse build past its desk-scale Hilbert-space ceiling."""
-
-
-@lru_cache(maxsize=None)
-def _parity_halves(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices 0 .. dim-1 of even and of odd popcount."""
-    idx = np.arange(dim)
-    odd = np.zeros(dim, dtype=bool)
-    for bit in range(dim.bit_length()):
-        odd ^= ((idx >> bit) & 1).astype(bool)
-    halves = np.flatnonzero(~odd), np.flatnonzero(odd)
-    for half in halves:
-        half.setflags(write=False)  # shared by every caller through the cache
-    return halves
-
-
-def parity_sectors(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Diagonal blocks of a matrix over the popcount parity of its indices.
-
-    Returns [(rows, cols, block)] with block = matrix[rows][:, cols].  When
-    both dimensions are powers of two (at least 2) and the two diagonal
-    blocks (even rows x even columns, odd rows x odd columns) hold every
-    nonzero entry, so that both cross blocks are exactly zero, these are the
-    even and the odd sector; otherwise the one entry holds the whole matrix.
-    The cross blocks are never copied: the nonzero counts decide.  A split
-    is a permutation similarity (an equivalence for rectangular input), so
-    eigenvalues and singular values are exactly the union of the sectors'.
-    On the computational basis of qubits the popcount parity is the
-    eigenvalue of prod Z, so every operator that commutes with prod Z (the
-    Ising and fermion families, their blocks, clamps and filters, and the
-    operator-Schmidt reshape of such a filter) splits; a single nonzero cross
-    entry, rounding noise included, does not.
-    A non-finite entry raises `LinAlgError`: LAPACK may return a finite
-    value for it (a NaN on the diagonal can vanish from `eigvalsh`).
-    """
-    if not np.isfinite(matrix).all():
-        raise np.linalg.LinAlgError("matrix has a non-finite entry")
-    shape = matrix.shape
-    if all(m >= 2 and m & (m - 1) == 0 for m in shape):
-        (even_r, odd_r), (even_c, odd_c) = _parity_halves(shape[0]), _parity_halves(shape[1])
-        sectors = [(r, c, matrix[np.ix_(r, c)]) for r, c in ((even_r, even_c), (odd_r, odd_c))]
-        if sum(np.count_nonzero(block) for _, _, block in sectors) == np.count_nonzero(matrix):
-            return sectors
-    return [(np.arange(shape[0]), np.arange(shape[1]), matrix)]
-
-
-def spectral_norm(matrix: np.ndarray) -> float:
-    """Operator 2-norm of a Hermitian matrix via dense eigensolves of its parity sectors."""
-    if matrix.size == 0:
-        return 0.0
-    w = np.concatenate([np.linalg.eigvalsh(block) for _, _, block in parity_sectors(matrix)])
-    return float(np.max(np.abs(w)))
-
-
-def interaction_norm(V: np.ndarray, x_sites: int) -> float:
-    """Operator 2-norm of a Hermitian V on the sites of X (the high bits, |X| = `x_sites`), then Y.
-
-    If every term flips an odd number of X sites and keeps the total parity,
-    each total-parity sector of V, ordered by X parity, is [[0, B], [B^dag, 0]]
-    with eigenvalues exactly +-sigma(B): the norm is the larger
-    `top_singular_value` of the two D/4 x D/4 blocks B.  As in
-    `parity_sectors`, the matrix decides: the adjoint blocks of a Hermitian V
-    hold as many nonzero entries as the B blocks, so the split is taken only
-    when V has exactly twice the nonzero entries of the two B (none outside
-    the four blocks that flip both parities), else `spectral_norm`.  The
-    adjoints are never copied.  A non-finite entry raises `LinAlgError` (one
-    in an adjoint block through its mirror in B).
-    """
-    from .spectral import top_singular_value  # spectral imports this module
-
-    dx, dy = 2**x_sites, V.shape[0] >> x_sites
-    if dx >= 2 and dy >= 2:
-        (xe, xo), (ye, yo) = _parity_halves(dx), _parity_halves(dy)
-        V4, q = V.reshape(dx, dy, dx, dy), V.shape[0] // 4
-        # B of the even and of the odd total-parity sector.
-        Bs = [V4[np.ix_(*idx)].reshape(q, q) for idx in ((xo, yo, xe, ye), (xo, ye, xe, yo))]
-        if 2 * sum(map(np.count_nonzero, Bs)) == np.count_nonzero(V):
-            if not all(np.isfinite(B).all() for B in Bs):
-                raise np.linalg.LinAlgError("matrix has a non-finite entry")
-            return max(top_singular_value(B) for B in Bs)
-    return spectral_norm(V)
 
 
 @dataclass(frozen=True)
@@ -158,7 +81,7 @@ class InteractionTerm:
     @cached_property
     def norm(self) -> float:
         """Operator norm of the term, computed on first use and kept."""
-        return spectral_norm(self.matrix)
+        return top_singular_value(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -310,10 +233,10 @@ def assemble_sparse(H: Hamiltonian):
     return scipy.sparse.csr_array((vals, (rows, cols)), shape=(dim, dim))
 
 
-def region_sum(lattice: LatticeSpec, region: tuple[int, ...], pieces) -> np.ndarray:
+def region_sum(region: tuple[int, ...], pieces) -> np.ndarray:
     """Sum of (support, matrix) pieces as a dense matrix on the sites of `region`.
 
-    `region` lists sites of `lattice` that contain every piece's support; the
+    `region` lists distinct sites that contain every piece's support; the
     result acts on them in their order (1x1 zero if `region` is empty).
     """
     if len(region) == 0:
@@ -359,44 +282,30 @@ def _window_annihilators(w: int) -> tuple[np.ndarray, np.ndarray]:
     return a_left, a_right
 
 
-def build_long_range_fermion_chain(n: int, alpha: float, A_couplings, B_couplings) -> Hamiltonian:
+def build_long_range_fermion_chain(n: int, alpha: float, A: float, B: float) -> Hamiltonian:
     """Spin representation of the long-range fermionic hopping/pairing chain.
 
-    H = sum_{i<j} r_ij^(-alpha) (A_ij a_i a_j^dag + B_ij a_i a_j + h.c.),
-    mapped through the Jordan-Wigner string; each pair term is recorded with
-    its full support {i, ..., j}.  Scalars are broadcast to uniform coupling
-    tables.
+    H = sum_{i<j} r_ij^(-alpha) (A a_i a_j^dag + B a_i a_j + h.c.), with
+    uniform couplings A and B, mapped through the Jordan-Wigner string; each
+    pair term is recorded with its full support {i, ..., j}.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     lattice = LatticeSpec(n=n)
-    A = np.asarray(A_couplings, dtype=float)
-    Bp = np.asarray(B_couplings, dtype=float)
-    if A.ndim == 0:
-        A = np.full((n, n), float(A))
-    if Bp.ndim == 0:
-        Bp = np.full((n, n), float(Bp))
-    if A.shape != (n, n) or Bp.shape != (n, n):
-        raise ValueError(
-            f"coupling tables must be scalars or ({n},{n}) arrays, "
-            f"got {A.shape} and {Bp.shape}"
-        )
+    A, B = float(A), float(B)
     terms = []
     max_support = 2
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            a, b = A[i - 1, j - 1], Bp[i - 1, j - 1]
-            if a == 0.0 and b == 0.0:
-                continue
-            w = j - i + 1
-            a_i, a_j = _window_annihilators(w)
-            hop = a * (a_i @ a_j.conj().T)
-            pair = b * (a_i @ a_j)
-            m = (hop + pair + hop.conj().T + pair.conj().T) / float(j - i) ** alpha
-            terms.append(InteractionTerm(tuple(range(i, j + 1)), m))
-            max_support = max(max_support, w)
-    j_tilde = max(np.max(np.abs(A)), np.max(np.abs(Bp)))
-    meta = PowerLawMetadata("long_range_fermion", alpha, float(j_tilde), 0.0)
+    if A != 0.0 or B != 0.0:
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                w = j - i + 1
+                a_i, a_j = _window_annihilators(w)
+                hop = A * (a_i @ a_j.conj().T)
+                pair = B * (a_i @ a_j)
+                m = (hop + pair + hop.conj().T + pair.conj().T) / float(j - i) ** alpha
+                terms.append(InteractionTerm(tuple(range(i, j + 1)), m))
+                max_support = max(max_support, w)
+    meta = PowerLawMetadata("long_range_fermion", alpha, max(abs(A), abs(B)), 0.0)
     return Hamiltonian(lattice, terms, k=max_support, metadata=meta)
 
 
@@ -421,7 +330,7 @@ def block_interaction(
         for t in H.terms
         if set(t.support) <= region and set(t.support) & X and set(t.support) & Y
     ]
-    out = region_sum(H.lattice, tuple(sorted(X)) + tuple(sorted(Y)), picked)
+    out = region_sum(tuple(sorted(X)) + tuple(sorted(Y)), picked)
     return out, interaction_norm(out, len(X)) if picked else 0.0
 
 

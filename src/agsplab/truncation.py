@@ -25,10 +25,9 @@ from .hamiltonian import (
     embed_sum,
     local_energy_g,
     region_sum,
-    spectral_norm,
 )
 from .registry import BoundRecord, vacuous
-from .spectral import SpectralData, eigendecompose
+from .spectral import SpectralData, align_phase, eigendecompose, top_singular_value
 
 
 @dataclass(frozen=True)
@@ -198,11 +197,11 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
         raise ValueError("block decomposition does not match the lattice")
     internal_terms, bond_terms, _ = _classify_terms(H, blocks)
     internal = [
-        region_sum(H.lattice, blocks.blocks[s], [H.terms[i] for i in internal_terms[s]])
+        region_sum(blocks.blocks[s], [H.terms[i] for i in internal_terms[s]])
         for s in range(blocks.q + 2)
     ]
     bond_sites = [blocks.blocks[s] + blocks.blocks[s + 1] for s in range(blocks.q + 1)]
-    bonds = [region_sum(H.lattice, sites, [H.terms[i] for i in bond_terms[s]]) for s, sites in enumerate(bond_sites)]
+    bonds = [region_sum(sites, [H.terms[i] for i in bond_terms[s]]) for s, sites in enumerate(bond_sites)]
     block_spectra = [eigendecompose(h) for h in internal]
     # The raw kept-term sum, in the order of `TruncatedHamiltonian.pieces`.
     raw = eigendecompose(embed_sum(H.lattice, list(zip(blocks.blocks, internal)) + list(zip(bond_sites, bonds))))
@@ -223,14 +222,6 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
     )
 
 
-def align_phase(reference: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Multiply `state` by the unit phase making <reference|state> real >= 0."""
-    overlap = np.vdot(reference, state)
-    if abs(overlap) < 1e-300:
-        return state
-    return state * (overlap.conjugate() / abs(overlap))
-
-
 def verify_lemma3_4(H: Hamiltonian, T: TruncatedHamiltonian, H_spec: SpectralData) -> list[BoundRecord]:
     """Records of the truncation guarantees: lemma3.norm, weyl, lemma3.gap, lemma4.overlap.
 
@@ -247,7 +238,7 @@ def verify_lemma3_4(H: Hamiltonian, T: TruncatedHamiltonian, H_spec: SpectralDat
     H_t's spectrum and ground vector come from `T.spectral()`.
     """
     _, _, dropped = _classify_terms(H, T.blocks)
-    delta_norm = spectral_norm(embed_sum(H.lattice, [H.terms[i] for i in dropped]))
+    delta_norm = top_singular_value(embed_sum(H.lattice, [H.terms[i] for i in dropped]))
     spec = H_spec.eigenvalues
     spec_t = T.spectral().eigenvalues + T.origin_shift
     gap = float(spec[1] - spec[0])

@@ -13,10 +13,9 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from agsplab.agsp import operator_schmidt_rank
 from agsplab.config import ExperimentConfig
 from agsplab.experiment import Pipeline, build_pipeline, run_points
-from agsplab.spectral import in_window
+from agsplab.spectral import in_window, operator_schmidt_rank
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])

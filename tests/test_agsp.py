@@ -10,16 +10,15 @@ from agsplab.agsp import (
     agsp_filter,
     bootstrap_state,
     chebyshev_T,
-    operator_schmidt_rank,
     schmidt_rank_bound_check,
 )
 from agsplab.config import ExperimentConfig
 from agsplab.effective import build_effective
-from agsplab.entanglement import numerical_rank, schmidt_decompose
+from agsplab.entanglement import schmidt_decompose
 from agsplab.experiment import _agsp_records, build_pipeline
 from agsplab.hamiltonian import assemble_dense, build_long_range_fermion_chain, build_long_range_ising
-from agsplab.spectral import SpectralData
-from agsplab.truncation import align_phase, decompose_blocks, truncate_interactions
+from agsplab.spectral import SpectralData, align_phase, numerical_rank, operator_schmidt_rank
+from agsplab.truncation import decompose_blocks, truncate_interactions
 from conftest import (
     PAULI_X,
     REFERENCE_CONFIG,

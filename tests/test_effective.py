@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -21,11 +22,10 @@ from agsplab.hamiltonian import (
     build_long_range_ising,
     decay_envelope,
     local_energy_g,
-    spectral_norm,
 )
 from agsplab.spectral import SpectralData, eigendecompose
 from agsplab.truncation import decompose_blocks, truncate_interactions
-from conftest import PAULI_Z, dense_commutator_norms, dense_energy_dist_lhs, dense_filter_lhs
+from conftest import PAULI_Z, dense_commutator_norms, dense_energy_dist_lhs, dense_filter_lhs, unsplit_hermitian_norm
 
 
 def make_T(n=6, alpha=3.0, J=1.0, B=2.0, q=2, l=1):
@@ -81,7 +81,7 @@ class TestBuildEffective:
         H, T = make_T(n=8, l=2)
         env = decay_envelope(H)
         eff = build_effective(T, 6.0)
-        norm = spectral_norm(eff.assemble_dense())
+        norm = unsplit_hermitian_norm(eff.assemble_dense())
         assert norm <= (T.q + 2) * (6.0 + 2 * env.g0) + 1e-9
 
     def test_gap_of_clamp_below_4g0(self):
@@ -126,7 +126,7 @@ class TestBuildEffective:
         _, T = make_T(n=8, l=2)
         eff = build_effective(T, 3.0)
         np.testing.assert_array_equal(T.assemble_dense(eff.internal_eff), eff.assemble_dense())
-        assert eff.spectral().norm == pytest.approx(spectral_norm(eff.assemble_dense()), rel=1e-12)
+        assert eff.spectral().norm == pytest.approx(unsplit_hermitian_norm(eff.assemble_dense()), rel=1e-12)
 
     def test_internal_commute_with_blocks(self):
         _, T = make_T()
@@ -405,10 +405,25 @@ class TestCommutatorBound:
         g = local_energy_g(H)
         recs = commutator_bound_check(T)
         for r, bond in zip(recs, T.bonds):
-            assert r.rhs == pytest.approx(6 * g * 2 * 4 * spectral_norm(bond), rel=1e-12)
+            assert r.rhs == pytest.approx(6 * g * 2 * 4 * unsplit_hermitian_norm(bond), rel=1e-12)
 
     @pytest.mark.parametrize("case", sorted(LOCAL_CASES))
     def test_bond_neighbourhood_matches_full_chain(self, case):
         T = LOCAL_CASES[case]()
         got = [r.lhs for r in commutator_bound_check(T)]
         assert got == pytest.approx(dense_commutator_norms(T), rel=1e-12)
+
+    def test_peak_stays_within_three_dense_arrays(self, reference_pipeline):
+        # The middle bond's region is the whole n=10 chain, so one region
+        # array is a d^n x d^n float64.
+        T = reference_pipeline.T
+        dense = T.lattice.dim**2 * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            commutator_bound_check(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two region products and both operators peak at 4.0 arrays; X = bond . local
+        # with `local` released before the norm stays below 3.
+        assert peak <= 3 * dense

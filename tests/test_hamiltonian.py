@@ -6,7 +6,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agsplab import hamiltonian
+from agsplab import hamiltonian, spectral
 from agsplab.hamiltonian import (
     SIGMA_X,
     SIGMA_Y,
@@ -23,13 +23,12 @@ from agsplab.hamiltonian import (
     contiguous_pair_samples,
     decay_envelope,
     embed_sum,
-    interaction_norm,
     local_energy_g,
     region_sum,
-    spectral_norm,
     verify_assumption1,
 )
 from agsplab.experiment import build_model
+from agsplab.spectral import interaction_norm, top_singular_value
 from conftest import (
     PAULI_X,
     PAULI_Z,
@@ -73,7 +72,7 @@ class TestLatticeAndTerms:
     def test_term_norm_is_computed_once(self, monkeypatch):
         t = InteractionTerm((1, 2), -0.5 * np.kron(PAULI_X, PAULI_X))
         calls = []
-        monkeypatch.setattr(hamiltonian, "spectral_norm", lambda m: calls.append(m) or 0.5)
+        monkeypatch.setattr(hamiltonian, "top_singular_value", lambda m: calls.append(m) or 0.5)
         assert t.norm == t.norm == 0.5
         assert len(calls) == 1
 
@@ -223,8 +222,8 @@ class TestEmbedSum:
         expected = _elementary_oracle(
             3, [(tuple(pos[s] for s in t.support), t.matrix) for t in picked]
         )
-        np.testing.assert_allclose(region_sum(H.lattice, (2, 4, 5), picked), expected.real, atol=1e-14)
-        np.testing.assert_array_equal(region_sum(H.lattice, (), []), np.zeros((1, 1)))
+        np.testing.assert_allclose(region_sum((2, 4, 5), picked), expected.real, atol=1e-14)
+        np.testing.assert_array_equal(region_sum((), []), np.zeros((1, 1)))
 
 
 class TestAssembleSparse:
@@ -394,15 +393,15 @@ class TestInteractionNorm:
     @staticmethod
     def spy(monkeypatch) -> list:
         calls = []
-        full = hamiltonian.spectral_norm
-        monkeypatch.setattr(hamiltonian, "spectral_norm", lambda M: calls.append(M.shape) or full(M))
+        full = spectral.top_singular_value
+        monkeypatch.setattr(spectral, "top_singular_value", lambda M: calls.append(M.shape) or full(M))
         return calls
 
     def test_block_structure_skips_the_full_solve(self, rng, monkeypatch):
         calls = self.spy(monkeypatch)
         V = x_parity_flipping(rng, 2, 3, "complex")
         assert interaction_norm(V, 2) == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
-        assert calls == []
+        assert calls == [(8, 8), (8, 8)]  # the two B blocks, never the 32 x 32 V
 
     @pytest.mark.parametrize("where", [(0, 0), (0, 1), (3, 7)], ids=["diagonal", "y-flip-only", "x-flip-only"])
     def test_tiny_forbidden_entry_takes_the_full_path(self, rng, monkeypatch, where):
@@ -413,7 +412,7 @@ class TestInteractionNorm:
         calls = self.spy(monkeypatch)
         value = interaction_norm(V, 2)
         assert calls == [(16, 16)]
-        assert value == spectral_norm(V)
+        assert value == top_singular_value(V)
         assert value == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("where", [(5, 0), (4, 1)], ids=["even-sector", "odd-sector"])
@@ -426,7 +425,7 @@ class TestInteractionNorm:
         calls = self.spy(monkeypatch)
         value = interaction_norm(V, 2)
         assert calls == [(16, 16)]
-        assert value == spectral_norm(V)
+        assert value == top_singular_value(V)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", [(0, 15), (0, 0)], ids=["in-a-block", "forbidden"])
@@ -558,8 +557,10 @@ class TestFermionChain:
         np.testing.assert_allclose(w, sums, atol=1e-10)
 
     def test_coupling_table_shape_error(self):
-        with pytest.raises(ValueError):
-            build_long_range_fermion_chain(4, 2.0, np.ones((3, 3)), 0.0)
+        # The couplings are uniform scalars; a table of any shape is refused.
+        for table in (np.ones((3, 3)), np.ones((4, 4))):
+            with pytest.raises(TypeError):
+                build_long_range_fermion_chain(4, 2.0, table, 0.0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agsplab.agsp import operator_schmidt_rank
-from agsplab.entanglement import numerical_rank
+from agsplab import spectral
 from agsplab.hamiltonian import (
     assemble_dense,
     assemble_sparse,
     build_long_range_fermion_chain,
     build_long_range_ising,
     local_energy_g,
-    parity_sectors,
-    spectral_norm,
 )
 from agsplab.spectral import (
     ENERGY_TIE_TOL,
@@ -22,6 +19,10 @@ from agsplab.spectral import (
     eigendecompose,
     ground_state,
     in_window,
+    interaction_norm,
+    numerical_rank,
+    operator_schmidt_rank,
+    parity_sectors,
     top_singular_value,
     unitary_block_norms,
 )
@@ -377,7 +378,6 @@ def test_property_split_spectrum_matches_unsplit_oracle(seed, log_dim, field):
     U = S.eigenvectors
     assert np.max(np.abs(U.conj().T @ U - np.eye(dim))) <= 1e-12
     assert np.max(np.abs(reconstruct(S) - M)) <= 1e-12
-    assert abs(spectral_norm(M) - np.max(np.abs(expected))) <= 1e-12
     assert abs(top_singular_value(M) - np.linalg.svd(M, compute_uv=False)[0]) <= 1e-12
 
 
@@ -445,8 +445,7 @@ class TestParitySectors:
         w, U = np.linalg.eigh(M)
         S = eigendecompose(M)
         assert np.array_equal(S.eigenvalues, w) and np.array_equal(S.eigenvectors, U)
-        assert spectral_norm(M) == float(np.max(np.abs(np.linalg.eigvalsh(M))))
-        assert top_singular_value(M) == unsplit_gram_top(M)
+        assert top_singular_value(M) == float(np.max(np.abs(np.linalg.eigvalsh(M))))
         assert operator_schmidt_rank(M, 2) == unsplit_schmidt_rank(M, 2)
 
     @pytest.mark.parametrize("dim", [3, 6, 12, 24])
@@ -456,10 +455,12 @@ class TestParitySectors:
         w, U = np.linalg.eigh(M)
         S = eigendecompose(M)
         assert np.array_equal(S.eigenvalues, w) and np.array_equal(S.eigenvectors, U)
-        assert spectral_norm(M) == float(np.max(np.abs(np.linalg.eigvalsh(M))))
-        assert top_singular_value(M) == unsplit_gram_top(M)
+        # The matrix decides the path: a Hermitian one is read by `eigvalsh`, any other by its Gram.
+        assert top_singular_value(M) == float(np.max(np.abs(np.linalg.eigvalsh(M))))
         A = parity_conserving(rng, dim, 8, "complex")
         assert top_singular_value(A) == unsplit_gram_top(A)
+        N = parity_conserving(rng, dim, dim, "real")
+        assert top_singular_value(N) == unsplit_gram_top(N)
 
     @pytest.mark.parametrize("cross", [(0, 1), (1, 0)], ids=["even-rows-odd-cols", "odd-rows-even-cols"])
     def test_either_cross_block_alone_keeps_the_matrix_whole(self, rng, cross):
@@ -487,17 +488,15 @@ class TestSwapSplit:
     @staticmethod
     def spy(monkeypatch) -> list[tuple]:
         """Shapes of the blocks of every `_swap_halves` call."""
-        from agsplab import agsp
-
         calls = []
-        halves = agsp._swap_halves
+        halves = spectral._swap_halves
 
         def counted(*args):
             out = halves(*args)
             calls.append(tuple(b.shape for b in out))
             return out
 
-        monkeypatch.setattr(agsp, "_swap_halves", counted)
+        monkeypatch.setattr(spectral, "_swap_halves", counted)
         return calls
 
     @staticmethod
@@ -548,7 +547,7 @@ def _expect_loud(kernel, M):
         assert np.isnan(top_singular_value(M))
         return
     solve = {
-        "spectral_norm": spectral_norm,
+        "interaction": lambda A: interaction_norm(A, 1),
         "eigendecompose": eigendecompose,
         "operator_schmidt_rank": lambda A: operator_schmidt_rank(A, 1),
     }[kernel]
@@ -556,7 +555,7 @@ def _expect_loud(kernel, M):
         solve(M)
 
 
-@pytest.mark.parametrize("kernel", ["spectral_norm", "eigendecompose", "top_singular_value", "operator_schmidt_rank"])
+@pytest.mark.parametrize("kernel", ["interaction", "eigendecompose", "top_singular_value", "operator_schmidt_rank"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [(0, 0), (3, 3), (1, 1), (2, 2), (0, 1), (3, 2)])
 def test_non_finite_entry_fails_loudly_through_the_split(kernel, bad, where):

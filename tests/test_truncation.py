@@ -10,16 +10,14 @@ from agsplab.hamiltonian import (
     build_long_range_fermion_chain,
     build_long_range_ising,
     decay_envelope,
-    spectral_norm,
 )
-from agsplab.spectral import eigendecompose
+from agsplab.spectral import align_phase, eigendecompose
 from agsplab.truncation import (
-    align_phase,
     decompose_blocks,
     truncate_interactions,
     verify_lemma3_4,
 )
-from conftest import oracle_ground_vector
+from conftest import oracle_ground_vector, unsplit_hermitian_norm
 
 
 class TestDecomposeBlocks:
@@ -146,7 +144,7 @@ class TestTruncate:
         H = build_long_range_ising(8, 3.0, 1.0, 2.0)
         env = decay_envelope(H)
         T = truncate_interactions(H, decompose_blocks(8, 2, 2))
-        assert all(spectral_norm(b) <= env.g0 + 1e-9 for b in T.bonds)
+        assert all(unsplit_hermitian_norm(b) <= env.g0 + 1e-9 for b in T.bonds)
 
 
 class TestSpectral:
