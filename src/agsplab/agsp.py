@@ -72,23 +72,22 @@ class ChebyshevFilter:
     def matrix(self) -> np.ndarray:
         """K itself, a dense matrix of the clamp's dimension, Hermitian to the last bit.
 
-        K is formed as (K' + K'^dag) / 2 from K' = (V f) V^dag: floating-point
-        addition commutes, so entries (i, j) and (j, i) are exact conjugates
-        and a real K is exactly symmetric, which `operator_schmidt_rank` reads.
-        The buffer of V f holds K'^dag, so no further d x d array is made.
+        K is formed per sector of the clamp's spectrum: each block K'_s =
+        (U_s f_s) U_s^dag is written as (K'_s + K'_s^dag) / 2, and every
+        entry between sectors is zero.  Floating-point addition commutes, so
+        entries (i, j) and (j, i) are exact conjugates and a real K is exactly
+        symmetric, which `operator_schmidt_rank` reads.
         """
         sp = self.eff.spectral()
         vals = _filter_values(self.m, sp.eigenvalues, sp.gap, sp.width)
-        scaled = sp.eigenvectors * vals
-        K = scaled @ sp.eigenvectors.conj().T
-        np.conjugate(K.T, out=scaled)
-        K += scaled
-        K *= 0.5
+        K = np.zeros((sp.dim, sp.dim), dtype=np.result_type(*(sec.vectors for sec in sp.sectors)))
+        for rows, block in sp.function_blocks(vals):
+            K[np.ix_(rows, rows)] = 0.5 * (block + block.conj().T)
         return K
 
     @property
     def fixed_state(self) -> np.ndarray:
-        return self.eff.spectral().eigenvectors[:, 0]
+        return self.eff.spectral().columns([0])[:, 0]
 
     @property
     def gap_eff(self) -> float:
@@ -160,7 +159,7 @@ def agsp_filter(eff: EffectiveHamiltonian, m: int) -> ChebyshevFilter:
     sp = eff.spectral()
     if sp.gap <= DEGENERACY_THRESHOLD:
         raise ValueError(f"effective spectrum is (near-)degenerate: gap = {sp.gap:g}")
-    if sp.width - sp.gap <= 1e-10:
+    if sp.width - sp.gap <= DEGENERACY_THRESHOLD:
         raise ValueError("effective spectrum has no excited window above the gap")
     return ChebyshevFilter(eff=eff, m=m)
 

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import ArpackError
 
 from .config import ConfigError, check_non_negative, check_tolerance, parse_config
 from .experiment import run_points, write_entropy_report, write_reports
-from .registry import tally
+from .registry import DEFAULT_SLACK, tally
 
 
 def _add_common(sub):
@@ -17,7 +17,7 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="output directory (overrides [output] dir)")
     sub.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
     sub.add_argument(
-        "--tolerance", type=float, default=None, help="comparison slack (default 1e-9)"
+        "--tolerance", type=float, default=None, help=f"comparison slack (default {DEFAULT_SLACK:g})"
     )
 
 

@@ -21,16 +21,21 @@ import numpy as np
 from .hamiltonian import region_sum
 from .registry import BoundRecord, vacuous
 from .spectral import (
+    ENERGY_TIE_TOL,
     SpectralData,
     align_phase,
     eigendecompose,
     in_window,
+    popcount_parity,
     top_singular_value,
     unitary_block_norms,
 )
 from .truncation import TruncatedHamiltonian
 
 E_DIST_PREFACTOR = 4.0 * math.e**1.5 / (math.e - 1.0)  # ~10.43
+# Largest entry of [O_s, h_s], relative to max(||h_s||, 1) max|O_s|, that
+# `exponential_filter_check` accepts as commuting.
+COMMUTATION_TOL = 1e-10
 
 
 def apply_on_block(block_sites: tuple[int, ...], op: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -83,7 +88,7 @@ class EffectiveHamiltonian:
         """
         out = []
         for sp, ts in zip(self.base.block_spectra(), self.tau_s):
-            high = sp.eigenvectors[:, ~in_window(sp.eigenvalues, hi=ts)]
+            high = sp.columns(np.flatnonzero(~in_window(sp.eigenvalues, hi=ts)))
             out.append(high @ high.conj().T if high.size else None)
         return out
 
@@ -110,7 +115,7 @@ def build_effective(T: TruncatedHamiltonian, tau: float) -> EffectiveHamiltonian
     """
     if tau <= 0:
         raise ValueError(f"cut-off offset must be positive, got tau={tau}")
-    if np.max(np.abs(T.block_ground_energies())) > T.envelope.g0 + 1e-9:
+    if np.max(np.abs(T.block_ground_energies())) > T.envelope.g0 + ENERGY_TIE_TOL:
         raise ValueError("block ground energies exceed g0: unbalanced block origins or Assumption 1 violated")
     tau_s = [float(e) + tau for e in T.block_ground_energies()]
     eff = EffectiveHamiltonian(T, tau, tau_s, T.internal, T.spectral(), T.filter_ranks)
@@ -148,7 +153,7 @@ def theorem5_check(T: TruncatedHamiltonian, tau_grid, clamp_at) -> list[BoundRec
     if not taus or taus[0] <= 0:
         raise ValueError("tau grid must be ascending positives")
     gap_t = T.spectral().gap
-    gs_t = T.spectral().eigenvectors[:, 0]
+    gs_t = T.spectral().columns([0])[:, 0]
     g0 = T.envelope.g0
     q = T.q
     lam, lam_p = T.lambdas
@@ -157,7 +162,7 @@ def theorem5_check(T: TruncatedHamiltonian, tau_grid, clamp_at) -> list[BoundRec
     for tau in taus:
         clamp = clamp_at(tau)
         sp = clamp.spectral()
-        w_e, v_e = sp.eigenvalues[:2], sp.eigenvectors[:, :2]
+        w_e, v_e = sp.eigenvalues[:2], sp.columns([0, 1])
         dist = float(np.linalg.norm(align_phase(gs_t, v_e[:, 0]) - gs_t))
         dists.append(dist)
         kappa = 0.0
@@ -195,7 +200,8 @@ def _block_overlap_matrix(T: TruncatedHamiltonian, s: int, basis: np.ndarray) ->
     Rows run over (block-s level, other sites), the level slowest; levels
     ascend, so those above any energy are a row suffix.
     """
-    U_dag, block = T.block_spectra()[s].eigenvectors.conj().T, T.blocks.blocks[s]
+    sp, block = T.block_spectra()[s], T.blocks.blocks[s]
+    U_dag = sp.columns(np.arange(len(sp.eigenvalues))).conj().T
     if len(block) == 0:
         return U_dag[0, 0] * basis
     a, b = block[0], block[-1]
@@ -204,6 +210,33 @@ def _block_overlap_matrix(T: TruncatedHamiltonian, s: int, basis: np.ndarray) ->
     out = np.empty((resh.shape[1], resh.shape[0], resh.shape[2]), dtype=np.result_type(U_dag, basis))
     np.matmul(U_dag, resh, out=out.transpose(1, 0, 2))
     return out.reshape(basis.shape)
+
+
+def _overlap_row_parities(T: TruncatedHamiltonian, s: int) -> np.ndarray:
+    """Popcount parity of each row (level, prefix, suffix) of `_block_overlap_matrix`.
+
+    A row's parity is its level's (`SpectralData.parities`) plus the
+    popcounts of the sites before and after the block; -1 for a level whose
+    sector holds both parities.
+    """
+    levels, block = T.block_spectra()[s].parities(), T.blocks.blocks[s]
+    before, after = (T.lattice.dim, 1) if len(block) == 0 else (2 ** (block[0] - 1), 2 ** (T.lattice.n - block[-1]))
+    rows = levels[:, None, None] ^ popcount_parity(before)[:, None] ^ popcount_parity(after)
+    return np.where(levels[:, None, None] < 0, -1, rows).ravel()
+
+
+def _corner_norms(spec: SpectralData, apply, labels: np.ndarray, corners: list[tuple[int, int]]) -> list[float]:
+    """2-norms of the corners (r, c), rows r: and columns :c, of the unitary apply(V) of `spec`'s eigenvectors V.
+
+    `SpectralData.images` splits the product by sector; each corner is then
+    the max over the sectors' corners, each read by `unitary_block_norms`.
+    """
+    parts = spec.images(np.arange(max((c for _, c in corners), default=0)), apply, labels)
+    norms = [
+        unitary_block_norms(Y, [(np.searchsorted(rows, r), np.searchsorted(sec.positions, c)) for r, c in corners])
+        for sec, rows, Y in parts
+    ]
+    return [float(np.max(values)) for values in zip(*norms)]
 
 
 def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -> list[BoundRecord]:
@@ -215,9 +248,11 @@ def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -
     C*exp(-lambda'*(min(E', tau_s) - E_{s,0} - (E - E_eff0) - 4 g0)), with
     C = 4 e^{3/2} / (e - 1).  Each lhs is a corner of the unitary
     `_block_overlap_matrix`: the block levels above E' (a row suffix) against
-    the eigenvectors of H_t, or H_eff, at or below E (a column prefix).
-    `unitary_block_norms` reads it as a view and decides it exactly wherever
-    the row and column counts sum past dim.
+    the eigenvectors of H_t, or H_eff, at or below E (a column prefix).  The
+    overlap is taken per sector of the spectrum, its rows labelled by
+    `_overlap_row_parities` (`_corner_norms`), and `unitary_block_norms`
+    decides a corner exactly wherever its row and column counts sum past the
+    sector's.
     """
     T = eff.base
     lam, lam_p = T.lambdas
@@ -233,8 +268,9 @@ def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -
     for s, sp in enumerate(T.block_spectra()):
         per_level = T.lattice.dim // len(sp.eigenvalues)
         first_rows = [per_level * int(in_window(sp.eigenvalues, hi=Ep).sum()) for Ep in E_primes]
+        labels = _overlap_row_parities(T, s)
         lhs_t, lhs_e = (
-            unitary_block_norms(_block_overlap_matrix(T, s, spec.eigenvectors), list(product(first_rows, cols)))
+            _corner_norms(spec, lambda X: _block_overlap_matrix(T, s, X), labels, list(product(first_rows, cols)))
             for spec, cols in zip((spec_t, spec_e), low)
         )
         for (E_prime, E), plain, clamped in zip(product(E_primes, E_grid), lhs_t, lhs_e):
@@ -256,17 +292,22 @@ def effective_difference_check(
     ||(H_t - H_eff) P_{<=E}|| <= (27(q+2)/lambda) exp(-lambda(tau - dE - 4g0))
     per grid energy; at E = E_t0 this bounds ||H_eff |0_t>||.  The bonds
     cancel exactly, so H_t - H_eff is the sum of the block differences
-    h_s - h_s^eff, each applied on its own block.
+    h_s - h_s^eff, each applied on its own block, to the eigenvectors of H_t
+    at or below E one sector at a time (`SpectralData.images`).
     """
     lam, _ = T.lambdas
     g0 = T.envelope.g0
     spec_t = T.spectral()
     diffs = [(block, h - h_eff) for block, h, h_eff in zip(T.blocks.blocks, T.internal, eff.internal_eff)]
+
+    def block_differences(X: np.ndarray) -> np.ndarray:
+        return sum(apply_on_block(block, h, X) for block, h in diffs)
+
     e_t0 = spec_t.ground_energy
     records = []
     for E in E_grid:
-        basis = spec_t.eigenvectors[:, in_window(spec_t.eigenvalues, hi=E)]
-        lhs = top_singular_value(sum(apply_on_block(block, h, basis) for block, h in diffs))
+        parts = spec_t.images(np.flatnonzero(in_window(spec_t.eigenvalues, hi=E)), block_differences)
+        lhs = float(np.max([top_singular_value(Y) for _, _, Y in parts]))
         rhs = (
             27.0
             * (T.q + 2)
@@ -291,7 +332,8 @@ def exponential_filter_check(
     ||P_{>=E'} O_s P_{<=E}|| <= 4 ||O_s|| exp(-lambda (E' - E)), and the
     clamped analogue with lambda' on the spectrum of `eff`.
     `E` and `E_prime` are scalars or 1-D grids.  Each record forms only its
-    own block V_{>=E'}^dag O_s V_{<=E} of the rotation V^dag O_s V, so a grid
+    own block V_{>=E'}^dag O_s V_{<=E} of the rotation V^dag O_s V, one
+    sector of the spectrum at a time (`SpectralData.images`), so a grid
     call and a loop of scalar calls compute the same products.  Records run
     E' outer, E inner, with variant "filter" before "filter-eff" at each grid
     pair.
@@ -299,24 +341,27 @@ def exponential_filter_check(
     h_s = T.internal[s]
     comm = O_s @ h_s - h_s @ O_s
     scale = max(T.block_spectra()[s].norm, 1.0) * max(np.max(np.abs(O_s)), 1e-30)
-    if np.max(np.abs(comm)) > 1e-10 * scale:
+    if np.max(np.abs(comm)) > COMMUTATION_TOL * scale:
         raise ValueError("operator does not commute with its block Hamiltonian")
     lam, lam_p = T.lambdas
     norm_O = top_singular_value(O_s)
     variants = [("filter", lam, T.spectral()), ("filter-eff", lam_p, eff.spectral())]
+
+    def apply_O(X: np.ndarray) -> np.ndarray:
+        return apply_on_block(T.blocks.blocks[s], O_s, X)
+
     records = []
     for Ep in np.atleast_1d(E_prime):
         for Ei in np.atleast_1d(E):
             for label, rate, sp in variants:
                 # Ascending eigenvalues: the rows are a suffix, the columns a prefix.
-                V, w = sp.eigenvectors, sp.eigenvalues
-                first_row = len(w) - int(in_window(w, lo=Ep).sum())
-                cols = int(in_window(w, hi=Ei).sum())
-                right = apply_on_block(T.blocks.blocks[s], O_s, V[:, :cols])
+                above = np.flatnonzero(in_window(sp.eigenvalues, lo=Ep))
+                parts = sp.images(np.flatnonzero(in_window(sp.eigenvalues, hi=Ei)), apply_O)
+                lhs = np.max([top_singular_value(sec.columns(above).conj().T @ Y) for sec, _, Y in parts])
                 records.append(
                     BoundRecord(
                         "lemma14.filter",
-                        top_singular_value(V[:, first_row:].conj().T @ right),
+                        float(lhs),
                         4.0 * norm_O * math.exp(-rate * (Ep - Ei)),
                         {"s": s, "E_prime": float(Ep), "E": float(Ei), "variant": label},
                     )
@@ -342,8 +387,9 @@ def commutator_bound_check(T: TruncatedHamiltonian) -> list[BoundRecord]:
         region = tuple(sorted(set(sites).union(*(support for support, _ in near))))
         local = region_sum(region, near)
         X = apply_on_block(tuple(region.index(site) + 1 for site in sites), T.bonds[s], local)
-        del local  # the norm below needs X and the commutator only
-        lhs = top_singular_value(X.conj().T - X)
+        del local
+        X = X.conj().T - X  # the commutator; the norm below needs it alone
+        lhs = top_singular_value(X)
         rhs = 6.0 * T.local_g * T.k * (2 * T.k) * top_singular_value(T.bonds[s])
         records.append(BoundRecord("lemma15.commutator", lhs, rhs, {"s": s}))
     return records

@@ -6,7 +6,7 @@ reports.
 
 Sweep grid points run in one process.  Points that agree on the model
 (family, n, alpha, J, A, B, cut) and on the blocks (q, l) share one
-`Pipeline`: H, its spectrum, the ground state and its Schmidt decomposition
+`Pipeline`: H, its levels, the ground state and its Schmidt decomposition
 at the block cut and the truncations are built once per model, and so are
 the records that read only them (`gap≤2g`, `assumption1`, Lemma 3-4 and
 the ground state's `claim7.mps`) and the entropy row, which every point
@@ -33,7 +33,7 @@ from . import hamiltonian as ham
 from . import truncation as trunc
 from .config import ExperimentConfig
 from .registry import BOUND_REGISTRY, BoundRecord, tally, vacuous
-from .spectral import SpectralData, align_phase, eigendecompose, ground_state
+from .spectral import align_phase, eigendecompose, ground_state
 
 
 @dataclass(frozen=True)
@@ -68,18 +68,20 @@ class Pipeline:
     (l, tau)) are built on first use and shared by every check of the point,
     except the Theorem-5 clamps below max(taus), which one check reads once
     (`eff_at`).
-    The sweep points of one model share a pipeline's H, spectrum, ground
-    state, its Schmidt decomposition at the block cut and the truncations,
-    through `dataclasses.replace`, each with its own `cfg` and clamps (see
-    `_verify_group`).  A clamp that cuts nothing takes its spectrum and
-    filter ranks from its truncation, so the points share those too.  The
-    model scalars live with their owners: g and the decay envelope on each
-    truncation (`T.local_g`, `T.envelope`), the gap on `H_spec`.
+    The sweep points of one model share a pipeline's H, its levels and
+    ground state, the ground state's Schmidt decomposition at the block cut
+    and the truncations, through `dataclasses.replace`, each with its own
+    `cfg` and clamps (see `_verify_group`).  A clamp that cuts nothing takes
+    its spectrum and filter ranks from its truncation, so the points share
+    those too.  The model scalars live with their owners: g and the decay
+    envelope on each truncation (`T.local_g`, `T.envelope`), the gap on
+    `H_levels`.  No check reads an excited eigenvector of H, so H keeps
+    only its levels and its ground vector.
     """
 
     cfg: ExperimentConfig
     H: ham.Hamiltonian
-    H_spec: SpectralData
+    H_levels: np.ndarray  # every eigenvalue of H, ascending
     gs_vector: np.ndarray
     gs_schmidt: ent.SchmidtData  # of the ground state of H across the block cut
     _truncations: dict[int, trunc.TruncatedHamiltonian] = field(default_factory=dict, repr=False)
@@ -117,7 +119,7 @@ class Pipeline:
     @functools.cached_property
     def gs_t(self) -> np.ndarray:
         """Ground state of T, phase-aligned to the ground state of H."""
-        return align_phase(self.gs_vector, self.T.spectral().eigenvectors[:, 0])
+        return align_phase(self.gs_vector, self.T.spectral().columns([0])[:, 0])
 
     @property
     def cut(self) -> int:
@@ -132,7 +134,7 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     return Pipeline(
         cfg=cfg,
         H=H,
-        H_spec=H_spec,
+        H_levels=H_spec.eigenvalues,
         gs_vector=gs.state,
         gs_schmidt=ent.schmidt_decompose(gs.state, cut),
     )
@@ -155,8 +157,7 @@ def _filter_machinery_records(pipe: Pipeline, rng) -> list[BoundRecord]:
     for s, tail in enumerate(eff.tail_projectors()):
         sp = block_specs[s]
         ops = [] if tail is None else [("clamp-tail", tail)]
-        diag = rng.uniform(-1.0, 1.0, size=sp.eigenvectors.shape[0])
-        ops.append(("random-diagonal", (sp.eigenvectors * diag) @ sp.eigenvectors.conj().T))
+        ops.append(("random-diagonal", sp.matrix_of(rng.uniform(-1.0, 1.0, size=len(sp.eigenvalues)))))
         for name, O in ops:
             for rec in eff_mod.exponential_filter_check(
                 T,
@@ -312,10 +313,10 @@ def _pipeline_key(cfg: ExperimentConfig) -> tuple:
 
 def _model_records(pipe: Pipeline) -> list[BoundRecord]:
     """`gap≤2g`, `assumption1` and Lemma 3-4 records: they read H and the blocks, not tau or m."""
-    records = [BoundRecord("gap≤2g", pipe.H_spec.gap, 2.0 * pipe.T.local_g)]
+    records = [BoundRecord("gap≤2g", float(pipe.H_levels[1] - pipe.H_levels[0]), 2.0 * pipe.T.local_g)]
     pairs = ham.contiguous_pair_samples(pipe.cfg.n, max_pairs=None if pipe.cfg.n <= 8 else 60)
     records.extend(ham.verify_assumption1(pipe.H, pipe.T.envelope, pairs))
-    records.extend(trunc.verify_lemma3_4(pipe.H, pipe.T, pipe.H_spec))
+    records.extend(trunc.verify_lemma3_4(pipe.H, pipe.T, pipe.H_levels, pipe.gs_vector))
     return records
 
 
@@ -338,7 +339,7 @@ def _verify_group(points: list[ExperimentConfig]) -> list[PointResult]:
     row = _entropy_row(points[0], shared.gs_vector)
     results = []
     for cfg in points:
-        # The point's own cfg and clamps; H, its spectrum and the truncations are shared.
+        # The point's own cfg and clamps; H, its levels, its ground state and the truncations are shared.
         pipe = replace(shared, cfg=cfg, _effs={})
         rng = np.random.default_rng(cfg.seed)
         records = eff_mod.theorem5_check(pipe.T, cfg.taus, pipe.eff_at)

@@ -22,13 +22,20 @@ and the split is taken only when both cross blocks are exactly zero.  It is
 then a permutation similarity, so the spectrum is exactly the union of the
 two sectors', at a quarter of the flops of one solve.  Both families
 conserve prod Z, so on the reference config H, H_t, every block h_s, H_eff
-and delta split; a split eigendecomposition has exact zeros, so the clamps,
-the filters K and K's Schmidt reshape split exactly too.  That reshape
-splits once more by the swap of its pair indices, because K is exactly
-symmetric (`operator_schmidt_rank`).  The Assumption-1 interactions V_{X,Y}
-split further: `interaction_norm` solves each on the two D/4 x D/4 blocks
-that flip both the X and the Y parity, through `top_singular_value`, where
-the matrix has only those blocks.
+and delta split.  A `SpectralData` keeps each sector's eigenvectors as its
+own block (`Sector`: basis rows, ascending level positions, U_s) and never
+writes them into a d x d array that would be half zeros; a matrix that does
+not split is one sector.  Its readers work per sector: `columns` gives the
+few dense columns that ground states and the clamp's tails need,
+`function_blocks` forms f(M) one sector block at a time (the clamps and the
+filters K), and `images` applies an operator to wide column sets one sector
+at a time and keeps the split only where the image says the operator kept
+parity.  K's Schmidt reshape splits by parity too, and once more by the
+swap of its pair indices, because K is exactly symmetric
+(`operator_schmidt_rank`).  The Assumption-1 interactions V_{X,Y} split
+further: `interaction_norm` solves each on the two D/4 x D/4 blocks that
+flip both the X and the Y parity, through `top_singular_value`, where the
+matrix has only those blocks.
 """
 
 from __future__ import annotations
@@ -54,12 +61,60 @@ class DegenerateGroundStateError(ValueError):
     """Ground-state gap below threshold; instance violates the non-degeneracy assumption."""
 
 
+@dataclass(frozen=True, eq=False)
+class Sector:
+    """One sector of a decomposition: eigenvectors on the basis `rows`, at ascending `positions` of the spectrum.
+
+    `vectors` is (len(rows), len(positions)); column j is the eigenvector of
+    level `positions[j]`, zero off `rows`.
+    """
+
+    rows: np.ndarray
+    positions: np.ndarray
+    vectors: np.ndarray
+
+    def columns(self, positions) -> np.ndarray:
+        """The sector's own columns among the ascending `positions`, on its rows.
+
+        A contiguous run of columns (a prefix or a suffix of the levels) is
+        returned as a read-only view.
+        """
+        take = _members(self.positions, np.asarray(positions, dtype=np.intp))
+        if len(take) and take[-1] - take[0] + 1 == len(take):
+            view = self.vectors[:, take[0] : take[-1] + 1]
+            view.flags.writeable = False
+            return view
+        return self.vectors[:, take]
+
+
+def _members(levels: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Indices into the ascending `levels` of those that are in the ascending `positions`."""
+    at = np.searchsorted(positions, levels)
+    found = at < len(positions)
+    found[found] = positions[at[found]] == levels[found]
+    return np.flatnonzero(found)
+
+
 @dataclass
 class SpectralData:
-    """Full eigendecomposition M = U diag(w) U^dag with w ascending."""
+    """Eigendecomposition M = sum_s U_s diag(w_s) U_s^dag with the levels w ascending.
+
+    `sectors` holds each parity sector's eigenvectors as its own block
+    (`Sector`); the d x d eigenvector matrix, half zeros when M splits, is
+    never formed.  A dense unitary passed as `sectors` is one sector whose
+    rows are every index.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    sectors: tuple[Sector, ...]
+
+    def __post_init__(self):
+        if isinstance(self.sectors, np.ndarray):
+            self.sectors = (Sector(np.arange(self.sectors.shape[0]), np.arange(self.sectors.shape[1]), self.sectors),)
+
+    @property
+    def dim(self) -> int:
+        return sum(len(sec.rows) for sec in self.sectors)
 
     @property
     def ground_energy(self) -> float:
@@ -79,10 +134,87 @@ class SpectralData:
         """Spectral width above the ground energy."""
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
+    def columns(self, positions) -> np.ndarray:
+        """Dense eigenvectors of the levels at the ascending `positions`, one full-length column each.
+
+        The one reader of a few columns: ground vectors, the lowest pairs and
+        the small block spectra.
+        """
+        positions = np.asarray(positions, dtype=np.intp)
+        out = np.zeros((self.dim, len(positions)), dtype=np.result_type(*(sec.vectors for sec in self.sectors)))
+        for sec in self.sectors:
+            take = _members(sec.positions, positions)
+            out[np.ix_(sec.rows, np.searchsorted(positions, sec.positions[take]))] = sec.vectors[:, take]
+        return out
+
+    def parities(self) -> np.ndarray:
+        """Per level (ascending), the popcount parity of its sector's rows; -1 where they hold both parities."""
+        out = np.empty(len(self.eigenvalues), dtype=np.int8)
+        parity = popcount_parity(self.dim)
+        for sec in self.sectors:
+            p = parity[sec.rows]
+            out[sec.positions] = p[0] if np.all(p == p[0]) else -1
+        return out
+
+    def function_blocks(self, values: np.ndarray):
+        """Per sector, its rows and its block (U_s diag(values_s)) U_s^dag of U diag(values) U^dag.
+
+        `values` holds one value per level, in ascending order.  The blocks
+        are yielded one at a time; every other entry of the matrix is zero.
+        """
+        for sec in self.sectors:
+            yield sec.rows, (sec.vectors * values[sec.positions]) @ sec.vectors.conj().T
+
+    def matrix_of(self, values: np.ndarray) -> np.ndarray:
+        """U diag(values) U^dag, one value per ascending level, formed per sector."""
+        dtype = np.result_type(values, *(sec.vectors for sec in self.sectors))
+        out = np.zeros((self.dim, self.dim), dtype=dtype)
+        for rows, block in self.function_blocks(values):
+            out[np.ix_(rows, rows)] = block
+        return out
+
     def apply_function(self, f) -> np.ndarray:
         """Matrix function f(M) evaluated in the eigenbasis."""
-        vals = np.asarray([f(w) for w in self.eigenvalues])
-        return (self.eigenvectors * vals) @ self.eigenvectors.conj().T
+        return self.matrix_of(np.asarray([f(w) for w in self.eigenvalues]))
+
+    def images(self, positions, apply, labels: np.ndarray | None = None) -> list[tuple[Sector, np.ndarray, np.ndarray]]:
+        """apply(V) for the eigenvectors V of the levels at the ascending `positions`, per sector.
+
+        Each sector's columns go in as full-length columns, zero off its rows,
+        and only that sector's rows of the image come back: the output rows
+        whose parity in `labels` is the sector's (default: the popcount
+        parity of the output index, so the sector's own rows).  Returns
+        [(sector, rows read, image rows)], the image's columns the sector's
+        levels among `positions`.  As in `parity_sectors`, the matrix decides:
+        the split is kept only when every image has as many nonzero entries
+        on the rows read as in all, so that an operator keeping parity gives
+        norms that are the max over the sectors'.  Otherwise, or for a
+        spectrum that is one sector, the one entry holds the whole image of
+        the dense columns, all rows read.
+        """
+        positions = np.asarray(positions, dtype=np.intp)
+        if len(self.sectors) > 1:
+            parity = popcount_parity(self.dim)
+            parts = []
+            for sec in self.sectors:
+                cols = sec.columns(positions)
+                X = np.zeros((self.dim, cols.shape[1]), dtype=cols.dtype)
+                X[sec.rows] = cols
+                Y = apply(X)
+                del X
+                rows = sec.rows if labels is None else np.flatnonzero(labels == parity[sec.rows[0]])
+                part = Y[rows]
+                if np.count_nonzero(part) != np.count_nonzero(Y):
+                    break
+                parts.append((sec, rows, part))
+            else:
+                return parts
+            levels = np.arange(len(self.eigenvalues))
+            whole = Sector(np.arange(self.dim), levels, self.columns(levels))
+        else:
+            [whole] = self.sectors
+        Y = apply(whole.columns(positions))
+        return [(whole, np.arange(Y.shape[0]), Y)]
 
 
 @dataclass
@@ -93,13 +225,21 @@ class GroundStateInfo:
 
 
 @lru_cache(maxsize=None)
+def popcount_parity(dim: int) -> np.ndarray:
+    """Popcount parity (0 or 1) of each index 0 .. dim-1."""
+    idx = np.arange(dim)
+    odd = np.zeros(dim, dtype=np.int8)
+    for bit in range(dim.bit_length()):
+        odd ^= ((idx >> bit) & 1).astype(np.int8)
+    odd.setflags(write=False)  # shared by every caller through the cache
+    return odd
+
+
+@lru_cache(maxsize=None)
 def _parity_halves(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices 0 .. dim-1 of even and of odd popcount."""
-    idx = np.arange(dim)
-    odd = np.zeros(dim, dtype=bool)
-    for bit in range(dim.bit_length()):
-        odd ^= ((idx >> bit) & 1).astype(bool)
-    halves = np.flatnonzero(~odd), np.flatnonzero(odd)
+    odd = popcount_parity(dim)
+    halves = np.flatnonzero(odd == 0), np.flatnonzero(odd)
     for half in halves:
         half.setflags(write=False)  # shared by every caller through the cache
     return halves
@@ -139,30 +279,24 @@ def eigendecompose(M: np.ndarray) -> SpectralData:
     """Eigendecompose a Hermitian matrix.
 
     Prefers the symmetric real path (the built families are real symmetric).
-    Hermiticity is not checked: `eigh` reads the lower triangle.  A matrix
-    that `parity_sectors` splits is solved per sector, and each sector's
-    eigenvectors are written straight into their ascending-order columns of
-    one output array (zero elsewhere).  A non-finite entry raises
+    Hermiticity is not checked: `eigh` reads the lower triangle.  Each
+    `parity_sectors` sector of M is solved on its own and kept as its own
+    `Sector`, labelled with the ascending positions of its levels; a matrix
+    that does not split is the one sector.  A non-finite entry raises
     `LinAlgError`.
     """
     if np.iscomplexobj(M) and np.max(np.abs(M.imag)) < 1e-14:
         M = M.real
-    sectors = parity_sectors(M)
-    if len(sectors) == 1:
-        w, U = np.linalg.eigh(M)
-        return SpectralData(eigenvalues=w, eigenvectors=U)
-    solved = [(rows, *np.linalg.eigh(block)) for rows, _, block in sectors]
+    solved = [(rows, *np.linalg.eigh(block)) for rows, _, block in parity_sectors(M)]
     w = np.concatenate([w_s for _, w_s, _ in solved])
     order = np.argsort(w, kind="stable")
-    # column[j]: ascending position of the j-th sector eigenvalue
-    column = np.empty_like(order)
-    column[order] = np.arange(len(order))
-    U = np.zeros(M.shape, dtype=np.result_type(*(U_s for _, _, U_s in solved)))
-    start = 0
+    position = np.empty_like(order)  # position[j]: ascending position of the j-th sector level
+    position[order] = np.arange(len(order))
+    sectors, start = [], 0
     for rows, w_s, U_s in solved:
-        U[np.ix_(rows, column[start : start + len(w_s)])] = U_s
+        sectors.append(Sector(rows, position[start : start + len(w_s)], U_s))
         start += len(w_s)
-    return SpectralData(eigenvalues=w[order], eigenvectors=U)
+    return SpectralData(eigenvalues=w[order], sectors=tuple(sectors))
 
 
 def top_singular_value(A: np.ndarray) -> float:
@@ -194,12 +328,14 @@ def _block_top(A: np.ndarray) -> float:
 
 
 def unitary_block_norms(W: np.ndarray, corners) -> list[float]:
-    """2-norms of the corner blocks W[r:, :c] of a unitary W, one per (r, c) in `corners`.
+    """2-norms of the corner blocks W[r:, :c] of a W with orthonormal columns, one per (r, c) in `corners`.
 
-    A block is the product P W Q of two coordinate projectors with W, so its
-    norm is ||P (W Q W^dag)||, a norm of a product of two projectors.  When
-    their ranks (dim - r) + c sum past dim their ranges intersect and the
-    norm is 1 exactly (the dimension count of Halmos' two-subspace theory);
+    W is a unitary or its leading columns (one parity sector of one, in
+    `effective._corner_norms`), with dim = W.shape[0] rows.  A block is the
+    product P W Q of two coordinate projectors with W, so its norm is
+    ||P (W Q W^dag)||, a norm of a product of two projectors.  When their
+    ranks (dim - r) + c sum past dim their ranges intersect and the norm is
+    1 exactly (the dimension count of Halmos' two-subspace theory);
     otherwise `top_singular_value` of the block, read as a view.  W is
     checked for finiteness once: a non-finite W gives NaN for every corner.
     """
@@ -250,8 +386,8 @@ def operator_schmidt_rank(O: np.ndarray, cut: int) -> int:
     Reshapes O across the bipartition ((row_L, col_L) x (row_R, col_R)) and
     counts its singular values by `numerical_rank`.  The reshape keeps
     popcount parity (popcount(i_L d_L + j_L) = popcount(i_L) + popcount(j_L)
-    for d_L = 2^cut), so the SVD runs per `parity_sectors` sector of the
-    rearranged matrix.  A real O that is exactly symmetric (read by
+    for d_L = 2^cut), so the SVD runs per parity sector of the rearranged
+    matrix (`_schmidt_sectors`).  A real O that is exactly symmetric (read by
     `np.array_equal(O, O.T)`, as every real filter K is) gives a reshape R
     with R[(j_L, i_L), (j_R, i_R)] = R[(i_L, j_L), (i_R, j_R)]: it maps
     swap-symmetric pairs to swap-symmetric ones and antisymmetric to
@@ -259,22 +395,41 @@ def operator_schmidt_rank(O: np.ndarray, cut: int) -> int:
     (`_swap_halves`, Nielsen et al., PRA 67, 052301).  Both splits are
     orthogonal changes of basis: the singular values are the union of the
     blocks', at n = 8 four blocks of 72/56/64/64 in place of 2 x 128.  A
-    complex O is never swap-split.
+    complex O is never swap-split.  A non-finite entry raises `LinAlgError`.
     """
     dim = O.shape[0]
     dL = 2**cut
     if dim % dL != 0:
         raise ValueError(f"cut at {cut} sites does not divide dimension {dim}")
-    dR = dim // dL
-    rearranged = (
-        O.reshape(dL, dR, dL, dR).transpose(0, 2, 1, 3).reshape(dL * dL, dR * dR)
-    )
-    sectors = parity_sectors(rearranged)  # also rejects a non-finite entry
+    sectors = _schmidt_sectors(O, dL, dim // dL)
     if np.isrealobj(O) and np.array_equal(O, O.T):
-        blocks = [half for rows, cols, b in sectors for half in _swap_halves(b, rows, cols, dL, dR)]
+        blocks = [half for rows, cols, b in sectors for half in _swap_halves(b, rows, cols, dL, dim // dL)]
     else:
         blocks = [b for _, _, b in sectors]
     return numerical_rank(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks]))
+
+
+def _schmidt_sectors(O: np.ndarray, dL: int, dR: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """`parity_sectors` of the Schmidt reshape R[(i_L, j_L), (i_R, j_R)] = O[(i_L, i_R), (j_L, j_R)].
+
+    The two diagonal blocks are indexed straight out of O.reshape(d_L, d_R,
+    d_L, d_R), so the reshape itself is never copied.  As in
+    `parity_sectors`, the nonzero counts decide: the split is taken when the
+    blocks hold every nonzero entry of O, and only otherwise is the whole
+    reshape formed.  A non-finite entry raises `LinAlgError`.
+    """
+    if not np.isfinite(O).all():
+        raise np.linalg.LinAlgError("matrix has a non-finite entry")
+    O4 = O.reshape(dL, dR, dL, dR)
+    if all(m >= 2 and m & (m - 1) == 0 for m in (dL * dL, dR * dR)):
+        sectors = []
+        for rows, cols in zip(_parity_halves(dL * dL), _parity_halves(dR * dR)):
+            (iL, jL), (iR, jR) = np.divmod(rows, dL), np.divmod(cols, dR)
+            sectors.append((rows, cols, O4[iL[:, None], iR, jL[:, None], jR]))
+        if sum(np.count_nonzero(block) for _, _, block in sectors) == np.count_nonzero(O):
+            return sectors
+    rearranged = O4.transpose(0, 2, 1, 3).reshape(dL * dL, dR * dR)
+    return [(np.arange(dL * dL), np.arange(dR * dR), rearranged)]
 
 
 def _swap_halves(block: np.ndarray, rows: np.ndarray, cols: np.ndarray, dL: int, dR: int) -> list[np.ndarray]:
@@ -328,7 +483,7 @@ def ground_state(M: np.ndarray | SpectralData | scipy.sparse.sparray) -> GroundS
         if scipy.sparse.issparse(M):
             M = M.toarray()
         sp = M if isinstance(M, SpectralData) else eigendecompose(M)
-        w, vec = sp.eigenvalues[:2], sp.eigenvectors[:, 0]
+        w, vec = sp.eigenvalues[:2], sp.columns([0])[:, 0]
     gap = float(w[1] - w[0])
     if gap <= DEGENERACY_THRESHOLD:
         raise DegenerateGroundStateError(

@@ -13,7 +13,7 @@ overlap bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -217,12 +217,12 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
         k=H.k,
         envelope=decay_envelope(H),
         local_g=local_energy_g(H),
-        _block_spectra=[SpectralData(sp.eigenvalues + c, sp.eigenvectors) for sp, c in zip(block_spectra, shifts)],
-        _spectral=SpectralData(raw.eigenvalues - e0, raw.eigenvectors),
+        _block_spectra=[replace(sp, eigenvalues=sp.eigenvalues + c) for sp, c in zip(block_spectra, shifts)],
+        _spectral=replace(raw, eigenvalues=raw.eigenvalues - e0),
     )
 
 
-def verify_lemma3_4(H: Hamiltonian, T: TruncatedHamiltonian, H_spec: SpectralData) -> list[BoundRecord]:
+def verify_lemma3_4(H: Hamiltonian, T: TruncatedHamiltonian, levels: np.ndarray, gs: np.ndarray) -> list[BoundRecord]:
     """Records of the truncation guarantees: lemma3.norm, weyl, lemma3.gap, lemma4.overlap.
 
     With delta = H - H_t (raw truncation, before the energy-origin
@@ -234,23 +234,22 @@ def verify_lemma3_4(H: Hamiltonian, T: TruncatedHamiltonian, H_spec: SpectralDat
 
     delta is the sum of the dropped terms (the block origins and
     `origin_shift` cancel exactly), assembled from those terms alone.
-    `H_spec` is the eigendecomposition of H (sweeps over l reuse it);
+    `levels` are every eigenvalue of H, ascending, and `gs` its ground
+    vector (sweeps over l reuse both); no excited eigenvector of H is read.
     H_t's spectrum and ground vector come from `T.spectral()`.
     """
     _, _, dropped = _classify_terms(H, T.blocks)
     delta_norm = top_singular_value(embed_sum(H.lattice, [H.terms[i] for i in dropped]))
-    spec = H_spec.eigenvalues
     spec_t = T.spectral().eigenvalues + T.origin_shift
-    gap = float(spec[1] - spec[0])
+    gap = float(levels[1] - levels[0])
     env = T.envelope
     records = [
         BoundRecord("lemma3.norm", delta_norm, env.g0 * T.q * float(T.blocks.l) ** (-env.alpha_bar)),
-        BoundRecord("weyl", float(np.max(np.abs(spec - spec_t))), delta_norm),
+        BoundRecord("weyl", float(np.max(np.abs(levels - spec_t))), delta_norm),
         BoundRecord("lemma3.gap", gap - 2.0 * delta_norm, float(spec_t[1] - spec_t[0])),
     ]
     if 4.0 * delta_norm < gap:
-        gs = H_spec.eigenvectors[:, 0]
-        gs_t = align_phase(gs, T.spectral().eigenvectors[:, 0])
+        gs_t = align_phase(gs, T.spectral().columns([0])[:, 0])
         dist = float(np.linalg.norm(gs - gs_t))
         records.append(BoundRecord("lemma4.overlap", dist, delta_norm / (gap - 4.0 * delta_norm)))
     else:

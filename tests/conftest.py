@@ -63,6 +63,29 @@ def oracle_fermion_chain(n: int, alpha: float, A: float, B: float) -> np.ndarray
     return H
 
 
+def dense_eigenvectors(spectrum) -> np.ndarray:
+    """The d x d eigenvector matrix of a decomposition, column j the level at ascending position j.
+
+    Written from the sector blocks themselves, zero between sectors.
+    """
+    dtype = np.result_type(*(sec.vectors for sec in spectrum.sectors))
+    U = np.zeros((len(spectrum.eigenvalues),) * 2, dtype=dtype)
+    for sec in spectrum.sectors:
+        U[np.ix_(sec.rows, sec.positions)] = sec.vectors
+    return U
+
+
+def held_matrices(obj) -> list[np.ndarray]:
+    """Every 2-D array that an object holds, through its fields, tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.ndim == 2 else []
+    if isinstance(obj, (tuple, list)):
+        return [m for item in obj for m in held_matrices(item)]
+    if hasattr(obj, "__dict__"):
+        return [m for value in vars(obj).values() for m in held_matrices(value)]
+    return []
+
+
 def oracle_ground_vector(M: np.ndarray) -> np.ndarray:
     """Lowest eigenvector of a dense Hermitian matrix from one unsplit `eigh`."""
     return np.linalg.eigh(M)[1][:, 0]
@@ -181,7 +204,7 @@ def dense_commutator_norms(T) -> list[float]:
 
 def dense_filter_lhs(T, s: int, O: np.ndarray, E: float, E_prime: float, spectrum) -> float:
     """||P_{>=E'} O_s P_{<=E}|| from the full rotation V^dag O_s V of `spectrum`."""
-    V, w = spectrum.eigenvectors, spectrum.eigenvalues
+    V, w = dense_eigenvectors(spectrum), spectrum.eigenvalues
     rot = V.conj().T @ kron_embed(T, T.blocks.blocks[s], O) @ V
     block = rot[np.ix_(in_window(w, lo=E_prime), in_window(w, hi=E))]
     return float(np.linalg.norm(block, 2)) if block.size else 0.0
@@ -218,12 +241,12 @@ def dense_energy_dist_lhs(T, s: int, spectrum, E_prime: float, E: float) -> floa
     n, sp = T.lattice.n, T.block_spectra()[s]
     block = T.blocks.blocks[s]
     if block:
-        U = kron_embed(T, block, sp.eigenvectors)
+        U = kron_embed(T, block, dense_eigenvectors(sp))
         labels = np.kron(np.kron(np.ones(2 ** (block[0] - 1)), sp.eigenvalues), np.ones(2 ** (n - block[-1])))
     else:
-        U = sp.eigenvectors[0, 0] * np.eye(2**n)
+        U = dense_eigenvectors(sp)[0, 0] * np.eye(2**n)
         labels = np.full(2**n, sp.eigenvalues[0])
-    overlap = U.conj().T @ spectrum.eigenvectors
+    overlap = U.conj().T @ dense_eigenvectors(spectrum)
     sub = overlap[np.ix_(~in_window(labels, hi=E_prime), in_window(spectrum.eigenvalues, hi=E))]
     return float(np.linalg.svd(sub, compute_uv=False)[0]) if sub.size else 0.0
 

@@ -19,7 +19,7 @@ from agsplab import entanglement as en
 from agsplab import hamiltonian as ham
 from agsplab import truncation as tr
 from agsplab.spectral import eigendecompose, ground_state
-from conftest import dense_epsilon, random_state
+from conftest import dense_eigenvectors, dense_epsilon, random_state
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "area_law_entropies.json")
 TOL = 1e-9
@@ -62,10 +62,11 @@ def test_criterion_2_truncation_suite():
         H = ham.build_long_range_ising(n, 3.0, 1.0, 2.0)
         dense = ham.assemble_dense(H)
         spec = eigendecompose(dense)
+        gs = ground_state(spec).state
         for l in (1, 2, 3):
             T = tr.truncate_interactions(H, tr.decompose_blocks(n, 2, l))
             # lemma3.norm, weyl, lemma3.gap, lemma4.overlap (0 <= 0 when 4||dH|| >= gap)
-            for rec in tr.verify_lemma3_4(H, T, spec):
+            for rec in tr.verify_lemma3_4(H, T, spec.eigenvalues, gs):
                 if rec.lhs > rec.rhs + TOL or (rec.bound_id == "lemma3.norm" and "note" in rec.context):
                     failures.append(f"{rec.bound_id}(n={n},l={l})")
     elapsed = time.perf_counter() - start
@@ -118,8 +119,9 @@ def test_criterion_4_spectral_filter_machinery(reference_pipeline):
     n_filter = 0
     for s in range(T.q + 2):
         sp = block_specs[s]
-        diag = rng.uniform(-1, 1, size=sp.eigenvectors.shape[0])
-        O = (sp.eigenvectors * diag) @ sp.eigenvectors.conj().T
+        U = dense_eigenvectors(sp)
+        diag = rng.uniform(-1, 1, size=U.shape[0])
+        O = (U * diag) @ U.conj().T
         for rec in em.exponential_filter_check(
             T, s, O, E=e0 + width / 4, E_prime=e0 + width / 2, eff=eff
         ):

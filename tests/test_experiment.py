@@ -23,7 +23,7 @@ from agsplab.experiment import (
     write_reports,
 )
 from agsplab.registry import BOUND_REGISTRY, BoundRecord
-from conftest import mp_chebyshev_growth, verify_all
+from conftest import held_matrices, mp_chebyshev_growth, verify_all
 
 # Every registered id, in the order of its first record in `verify_point`.
 BOUND_IDS_IN_ORDER = [
@@ -398,6 +398,45 @@ class TestSolveCounts:
         assert [key for key, _ in clamps][: len(taus)] == [(cfg.l, tau) for tau in taus]
         assert alive == [(cfg.l, 12.0)]
 
+
+    def test_no_full_eigenvector_matrix(self, monkeypatch):
+        from agsplab import effective, experiment, spectral, truncation
+
+        cfg = ExperimentConfig(n=8, alpha=3.0, J=1.0, B=2.0, q=2, l=2, taus=[4.0, 6.0], ms=[4, 8], seed=7)
+        dim = 2**cfg.n
+        spectra, read = [], []
+        decompose = spectral.eigendecompose
+
+        def collected(M):
+            spectra.append(decompose(M))
+            return spectra[-1]
+
+        for module in (spectral, effective, truncation, experiment):
+            monkeypatch.setattr(module, "eigendecompose", collected)
+        columns = getattr(spectral.SpectralData, "columns", None)
+
+        def counted_columns(self, positions):
+            read.append(len(positions))
+            return columns(self, positions)
+
+        monkeypatch.setattr(spectral.SpectralData, "columns", counted_columns, raising=False)
+        verify_point(cfg)
+        # H, T and the clamps at both taus are solved at d^n; none holds a d^n x d^n block.
+        assert sum(len(sp.eigenvalues) == dim for sp in spectra) >= 4
+        assert all(m.shape != (dim, dim) for sp in spectra for m in held_matrices(sp))
+        assert read and max(read) < dim
+
+    def test_pipeline_holds_no_eigenvector_matrix_of_H(self):
+        from agsplab.spectral import SpectralData
+
+        dim = 2**self.CFG.n
+        pipe = build_pipeline(self.CFG)
+        # The truncations and clamps (private fields) own the spectra of H_t and H_eff.
+        fields = [value for name, value in vars(pipe).items() if not name.startswith("_")]
+        assert not any(isinstance(value, SpectralData) for value in fields)
+        assert all(m.shape != (dim, dim) for m in held_matrices(fields))
+        assert pipe.H_levels.shape == (dim,) and np.all(np.diff(pipe.H_levels) >= 0)
+        assert pipe.gs_vector.shape == (dim,)
 
     def test_schmidt_rank_bounds_build_no_full_matrix(self, monkeypatch):
         from agsplab import agsp, hamiltonian, truncation

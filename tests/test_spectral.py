@@ -16,6 +16,7 @@ from agsplab.hamiltonian import (
 from agsplab.spectral import (
     ENERGY_TIE_TOL,
     DegenerateGroundStateError,
+    SpectralData,
     eigendecompose,
     ground_state,
     in_window,
@@ -26,7 +27,7 @@ from agsplab.spectral import (
     top_singular_value,
     unitary_block_norms,
 )
-from conftest import PAULI_X, PAULI_Z
+from conftest import PAULI_X, PAULI_Z, dense_eigenvectors, held_matrices
 
 # Frozen at first run: gap of the n=8, alpha=3, J=1, B=2 chain.
 GAP_N8_A3_J1_B2 = 2.397328047305237
@@ -34,7 +35,8 @@ GAP_N8_A3_J1_B2 = 2.397328047305237
 
 def reconstruct(S) -> np.ndarray:
     """U diag(w) U^dag of a decomposition."""
-    return (S.eigenvectors * S.eigenvalues) @ S.eigenvectors.conj().T
+    U = dense_eigenvectors(S)
+    return (U * S.eigenvalues) @ U.conj().T
 
 
 class TestEigendecompose:
@@ -52,7 +54,8 @@ class TestEigendecompose:
         S = eigendecompose(M)
         scale = 1.0 + np.max(np.abs(S.eigenvalues))
         assert np.max(np.abs(reconstruct(S) - M)) <= 1e-9 * scale
-        gram = S.eigenvectors.conj().T @ S.eigenvectors
+        U = dense_eigenvectors(S)
+        gram = U.conj().T @ U
         assert np.max(np.abs(gram - np.eye(8))) <= 1e-10
 
     def test_preserves_input(self, rng):
@@ -151,7 +154,7 @@ class TestGroundState:
 
 
 def window_projector(S, mask) -> np.ndarray:
-    V = S.eigenvectors[:, mask]
+    V = dense_eigenvectors(S)[:, mask]
     return V @ V.conj().T
 
 
@@ -375,7 +378,7 @@ def test_property_split_spectrum_matches_unsplit_oracle(seed, log_dim, field):
     S = eigendecompose(M)
     assert np.all(np.diff(S.eigenvalues) >= 0.0)
     assert np.max(np.abs(S.eigenvalues - expected)) <= 1e-12
-    U = S.eigenvectors
+    U = dense_eigenvectors(S)
     assert np.max(np.abs(U.conj().T @ U - np.eye(dim))) <= 1e-12
     assert np.max(np.abs(reconstruct(S) - M)) <= 1e-12
     assert abs(top_singular_value(M) - np.linalg.svd(M, compute_uv=False)[0]) <= 1e-12
@@ -444,7 +447,7 @@ class TestParitySectors:
         assert len(parity_sectors(M)) == 1
         w, U = np.linalg.eigh(M)
         S = eigendecompose(M)
-        assert np.array_equal(S.eigenvalues, w) and np.array_equal(S.eigenvectors, U)
+        assert np.array_equal(S.eigenvalues, w) and np.array_equal(dense_eigenvectors(S), U)
         assert top_singular_value(M) == float(np.max(np.abs(np.linalg.eigvalsh(M))))
         assert operator_schmidt_rank(M, 2) == unsplit_schmidt_rank(M, 2)
 
@@ -454,7 +457,7 @@ class TestParitySectors:
         assert len(parity_sectors(M)) == 1
         w, U = np.linalg.eigh(M)
         S = eigendecompose(M)
-        assert np.array_equal(S.eigenvalues, w) and np.array_equal(S.eigenvectors, U)
+        assert np.array_equal(S.eigenvalues, w) and np.array_equal(dense_eigenvectors(S), U)
         # The matrix decides the path: a Hermitian one is read by `eigvalsh`, any other by its Gram.
         assert top_singular_value(M) == float(np.max(np.abs(np.linalg.eigvalsh(M))))
         A = parity_conserving(rng, dim, 8, "complex")
@@ -566,3 +569,73 @@ def test_non_finite_entry_fails_loudly_through_the_split(kernel, bad, where):
     M[where] = bad
     M[where[::-1]] = bad
     _expect_loud(kernel, M)
+
+
+def sector_case(rng, case: str, dim: int = 32) -> tuple[np.ndarray, SpectralData]:
+    """A Hermitian matrix and its decomposition: split in two sectors, or one sector.
+
+    "split" is parity conserving; "complex" is a dense complex unitary passed
+    to `SpectralData`; "cross-entry" is parity conserving but for one pair of
+    cross entries, so it does not split.
+    """
+    if case == "complex":
+        Q = random_unitary(rng, dim, "complex")
+        w = np.sort(rng.standard_normal(dim))
+        return (Q * w) @ Q.conj().T, SpectralData(w, Q)
+    M = parity_conserving(rng, dim, dim, "real", hermitian=True)
+    if case == "cross-entry":
+        M[0, 1] = M[1, 0] = 0.25  # index 0 is even, index 1 odd
+    return M, eigendecompose(M)
+
+
+class TestSectorStorage:
+    """`SpectralData` keeps each sector's eigenvectors as their own block."""
+
+    def test_split_spectrum_stores_at_most_half_the_eigenvector_entries(self):
+        M = assemble_dense(build_long_range_ising(6, 3.0, 1.0, 2.0))
+        assert len(parity_sectors(M)) == 2
+        S = eigendecompose(M)
+        assert sum(a.size for a in held_matrices(S)) <= M.size // 2
+
+    @pytest.mark.parametrize("case", ["split", "complex", "cross-entry"])
+    def test_sector_count(self, rng, case):
+        _, S = sector_case(rng, case)
+        assert len(S.sectors) == (2 if case == "split" else 1)
+        for sec in S.sectors:
+            assert np.all(np.diff(sec.positions) > 0) and sec.vectors.shape == (len(sec.rows), len(sec.positions))
+
+    @pytest.mark.parametrize("case", ["split", "complex", "cross-entry"])
+    def test_columns_and_apply_function_match_the_unsplit_oracle(self, rng, case):
+        M, S = sector_case(rng, case)
+        w, V = np.linalg.eigh(M)
+        assert np.max(np.abs(S.eigenvalues - w)) <= 1e-12
+        # Column phases are free: compare the projectors onto the columns read.
+        for positions in ([0], [0, 1], np.arange(5, 20), np.arange(32)):
+            C, D = S.columns(positions), V[:, positions]
+            assert np.max(np.abs(C @ C.conj().T - D @ D.conj().T)) <= 1e-12
+
+        def f(x):
+            return math.exp(-0.5 * x) - x**2
+
+        expected = (V * np.array([f(x) for x in w])) @ V.conj().T
+        assert np.max(np.abs(S.apply_function(f) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("operator", ["parity-conserving", "cross-entry"])
+    @pytest.mark.parametrize("case", ["split", "complex", "cross-entry"])
+    def test_images_match_the_unsplit_product(self, rng, case, operator):
+        M, S = sector_case(rng, case)
+        A = parity_conserving(rng, 32, 32, "real")
+        if operator == "cross-entry":
+            A[2, 0] = 0.5  # even column 0 to odd row 2
+        below, above = np.arange(11), np.arange(20, 32)
+        parts = S.images(below, lambda X: A @ X)
+        split = case == "split" and operator == "parity-conserving"
+        assert len(parts) == (2 if split else 1)
+        if split:
+            assert [len(rows) for _, rows, _ in parts] == [16, 16]
+        _, V = np.linalg.eigh(M)
+        image = A @ V[:, below]
+        got = float(np.max([top_singular_value(Y) for _, _, Y in parts]))
+        assert abs(got - np.linalg.norm(image, 2)) <= 1e-12
+        got = float(np.max([top_singular_value(sec.columns(above).conj().T @ Y) for sec, _, Y in parts]))
+        assert abs(got - np.linalg.norm(V[:, above].conj().T @ image, 2)) <= 1e-12
