@@ -278,9 +278,7 @@ def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -
             expo = lam * ((E_prime - block_e0[s]) - (E - e_t0) - 4.0 * g0)
             records.append(BoundRecord("prop8.energy-dist", plain, E_DIST_PREFACTOR * math.exp(-expo), context))
             expo = lam_p * (min(E_prime, eff.tau_s[s]) - block_e0[s] - (E - e_eff0) - 4.0 * g0)
-            records.append(
-                BoundRecord("prop8.energy-dist-eff", clamped, E_DIST_PREFACTOR * math.exp(-expo), dict(context))
-            )
+            records.append(BoundRecord("prop8.energy-dist-eff", clamped, E_DIST_PREFACTOR * math.exp(-expo), context))
     return records
 
 
@@ -334,9 +332,10 @@ def exponential_filter_check(
     `E` and `E_prime` are scalars or 1-D grids.  Each record forms only its
     own block V_{>=E'}^dag O_s V_{<=E} of the rotation V^dag O_s V, one
     sector of the spectrum at a time (`SpectralData.images`), so a grid
-    call and a loop of scalar calls compute the same products.  Records run
-    E' outer, E inner, with variant "filter" before "filter-eff" at each grid
-    pair.
+    call and a loop of scalar calls compute the same products.  The image
+    O_s V_{<=E} depends on the variant and E alone: it is formed once and
+    read for every E'.  Records run E' outer, E inner, with variant
+    "filter" before "filter-eff" at each grid pair.
     """
     h_s = T.internal[s]
     comm = O_s @ h_s - h_s @ O_s
@@ -346,27 +345,30 @@ def exponential_filter_check(
     lam, lam_p = T.lambdas
     norm_O = top_singular_value(O_s)
     variants = [("filter", lam, T.spectral()), ("filter-eff", lam_p, eff.spectral())]
+    E, E_prime = np.atleast_1d(E), np.atleast_1d(E_prime)
 
     def apply_O(X: np.ndarray) -> np.ndarray:
         return apply_on_block(T.blocks.blocks[s], O_s, X)
 
-    records = []
-    for Ep in np.atleast_1d(E_prime):
-        for Ei in np.atleast_1d(E):
-            for label, rate, sp in variants:
+    lhs = np.empty((len(E_prime), len(E), len(variants)))
+    for v, (_, _, sp) in enumerate(variants):
+        for i, Ei in enumerate(E):
+            parts = sp.images(np.flatnonzero(in_window(sp.eigenvalues, hi=Ei)), apply_O)
+            for j, Ep in enumerate(E_prime):
                 # Ascending eigenvalues: the rows are a suffix, the columns a prefix.
                 above = np.flatnonzero(in_window(sp.eigenvalues, lo=Ep))
-                parts = sp.images(np.flatnonzero(in_window(sp.eigenvalues, hi=Ei)), apply_O)
-                lhs = np.max([top_singular_value(sec.columns(above).conj().T @ Y) for sec, _, Y in parts])
-                records.append(
-                    BoundRecord(
-                        "lemma14.filter",
-                        float(lhs),
-                        4.0 * norm_O * math.exp(-rate * (Ep - Ei)),
-                        {"s": s, "E_prime": float(Ep), "E": float(Ei), "variant": label},
-                    )
-                )
-    return records
+                lhs[j, i, v] = np.max([top_singular_value(sec.columns(above).conj().T @ Y) for sec, _, Y in parts])
+    return [
+        BoundRecord(
+            "lemma14.filter",
+            float(lhs[j, i, v]),
+            4.0 * norm_O * math.exp(-rate * (Ep - Ei)),
+            {"s": s, "E_prime": float(Ep), "E": float(Ei), "variant": label},
+        )
+        for j, Ep in enumerate(E_prime)
+        for i, Ei in enumerate(E)
+        for v, (label, rate, _) in enumerate(variants)
+    ]
 
 
 def commutator_bound_check(T: TruncatedHamiltonian) -> list[BoundRecord]:

@@ -26,7 +26,7 @@ from .spectral import interaction_norm, top_singular_value
 HERMITICITY_ATOL = 1e-12
 # Largest dimensions built: a dense array by `embed_sum` (2 GiB of float64 at
 # n = 14), a CSR Hamiltonian with int32 indices by `assemble_sparse`
-# (`entropy_row` 1275 MiB peak RSS at n = 18 on a 2-vCPU box).
+# (`agsplab entropy` 637 MiB peak RSS at n = 18 on a 2-vCPU box).
 DENSE_DIM_CEILING = 2**14
 SPARSE_DIM_CEILING = 2**18
 
@@ -145,22 +145,22 @@ def _embed_indexing(lattice: LatticeSpec, support: tuple[int, ...]):
     """Index arithmetic for embedding a support-local matrix into 2^n.
 
     Returns (base, offsets): `base` enumerates all configurations of the
-    complement sites (support bits frozen at zero) and `offsets[a]` is the
-    index shift realizing local configuration `a` on the support.
+    complement sites in ascending order (support bits frozen at zero), and
+    `offsets[a]` is the index shift realizing local configuration `a` on the
+    support, the first site listed the most significant (`region_sum` lists
+    them out of order).  Site s is bit n - s of an index.
     """
     n, dim = lattice.n, lattice.dim
-    places = np.array([2 ** (n - s) for s in support], dtype=np.int64)
+    places = [1 << (n - s) for s in support]
     idx = np.arange(dim, dtype=np.int64)
     on_support = np.zeros(dim, dtype=bool)
     for p in places:
-        on_support |= (idx // p) % 2 != 0
+        on_support |= (idx & p) != 0
     base = idx[~on_support]
-    ds = 2 ** len(support)
-    local = np.arange(ds, dtype=np.int64)
-    offsets = np.zeros(ds, dtype=np.int64)
+    local = np.arange(1 << len(support), dtype=np.int64)
+    offsets = np.zeros_like(local)
     for axis, p in enumerate(places):
-        digit = (local // 2 ** (len(support) - 1 - axis)) % 2
-        offsets += digit * p
+        offsets += ((local >> (len(support) - 1 - axis)) & 1) * p
     return base, offsets
 
 
@@ -204,33 +204,65 @@ def assemble_dense(H: Hamiltonian) -> np.ndarray:
 
 
 def assemble_sparse(H: Hamiltonian):
-    """CSR d^n x d^n matrix of the Hamiltonian, from the same scatter as `embed_sum`.
+    """CSR d^n x d^n matrix of the Hamiltonian, written in place from the index source of `embed_sum`.
 
-    Each term's entries, (dim >> |support|) times the nonzeros of its
-    matrix, are copied in term order into one preallocated COO, converted
-    to CSR once.  The peak is that COO plus the CSR: no list of per-term
-    copies and no concatenated second copy.  Duplicate (row, col) entries of
-    different terms are summed by scipy in term order, so entries may differ
-    from `assemble_dense` in the last bit, and a sum that cancels to exactly
-    0 stays stored (the Ising diagonal at popcount n/2 for even n).  A sum
-    of CSR chunks would prune those explicit zeros and store fewer entries.
+    Two passes over the terms; both embed one term at a time
+    (`_embed_indexing`), so no term's index arrays outlive it.  Pass 1
+    counts each row's entries: term t gives row r the nonzeros of row
+    a_t(r) of its matrix, where a_t(r) is r's configuration on the term's
+    support, and `indptr` is their cumulative sum.  Pass 2 writes each
+    term's columns and values at per-row cursors, in term order and, within
+    a row, in the column order of the term's matrix: each row holds the
+    entry sequence that a COO of the concatenated `_scatter` gives it on
+    conversion to CSR.  `sum_duplicates` then sorts and sums each row in
+    place, so the result is that conversion's CSR bit for bit, int32
+    indices included: duplicate (row, col) entries of different terms are
+    summed in the same order (entries may differ from `assemble_dense` in
+    the last bit), and a sum that cancels to exactly 0 stays stored (the
+    Ising diagonal at popcount n/2 for even n).  No COO is held: the peak is
+    the final arrays with their duplicate surplus (the Ising diagonal's n
+    entries per row before they are summed into one).
     """
     dim = H.lattice.dim
     if dim > SPARSE_DIM_CEILING:
         raise DimensionCeilingError(f"sparse dimension {dim} exceeds ceiling {SPARSE_DIM_CEILING}")
     if not H.terms:
         return scipy.sparse.csr_array((dim, dim))
-    sizes = [(dim >> len(t.support)) * np.count_nonzero(t.matrix) for t in H.terms]
     # int32 indices: the ceiling keeps every row and column below 2^18, and the
     # entry count (about 4.5e7 for the Ising chain at n = 18) well below 2^31.
-    total = sum(sizes)
-    rows, cols = np.empty(total, dtype=np.int32), np.empty(total, dtype=np.int32)
-    vals = np.empty(total, dtype=np.result_type(*(t.matrix.dtype for t in H.terms)))
-    stop = 0
-    for (r, c, v), size in zip(_scatter(H.lattice, H.terms), sizes):
-        start, stop = stop, stop + size
-        rows[start:stop], cols[start:stop], vals[start:stop] = r, c, v
-    return scipy.sparse.csr_array((vals, (rows, cols)), shape=(dim, dim))
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    for term in H.terms:
+        per_row = np.bincount(np.nonzero(term.matrix)[0], minlength=len(term.matrix))
+        if np.all(per_row == per_row[0]):
+            indptr[1:] += per_row[0]
+        else:
+            base, offsets = _embed_indexing(H.lattice, term.support)
+            indptr[1:][base[:, None] + offsets] += per_row.astype(np.int32)
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1], dtype=np.result_type(*(t.matrix.dtype for t in H.terms)))
+    # Row r's next free slot is cursor[r] + shift.  A term whose matrix rows all
+    # hold the same number of nonzeros (every Ising term, and every fermion
+    # term when A and B are both nonzero) advances every row alike, so it
+    # moves `shift` alone, and pass 1 adds its count without embedding it.
+    cursor, shift = indptr[:-1].astype(np.intp), 0
+    for term in H.terms:
+        base, offsets = _embed_indexing(H.lattice, term.support)
+        a, b = np.nonzero(term.matrix)
+        per_row = np.bincount(a, minlength=len(offsets))
+        rows = offsets[:, None] + base  # local row a, then ascending rows: monotone writes
+        start = cursor[rows]
+        # The k-th nonzero of local row a goes k places past its row's slot.
+        pos = start[a] + (np.arange(len(a)) - np.searchsorted(a, a) + shift)[:, None]
+        if np.all(per_row == per_row[0]):
+            shift += per_row[0]
+        else:
+            cursor[rows] = start + per_row[:, None]
+        indices[pos] = offsets[b][:, None] + base
+        data[pos] = term.matrix[a, b][:, None]
+    S = scipy.sparse.csr_array((data, indices, indptr), shape=(dim, dim))
+    S.sum_duplicates()
+    return S
 
 
 def region_sum(region: tuple[int, ...], pieces) -> np.ndarray:

@@ -46,9 +46,28 @@ BOUND_REGISTRY: dict[str, str] = {
 }
 
 
+class FrozenContext(dict):
+    """A record's context: a dict that refuses every write, so records can be shared by reference.
+
+    Still a dict, so it compares, prints and serialises (`json.dumps`) as one;
+    it copies and pickles as a new `FrozenContext` of the same items.
+    """
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a record's context is read-only; build a new record with the context it needs")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return FrozenContext, (dict(self),)
+
+
 @dataclass(frozen=True)
 class BoundRecord:
-    """One measured inequality, frozen: holds iff lhs and rhs are finite and lhs <= rhs + slack."""
+    """One measured inequality, frozen: holds iff lhs and rhs are finite and lhs <= rhs + slack.
+
+    `context` is stored as a `FrozenContext` copy of the mapping given.
+    """
 
     bound_id: str
     lhs: float
@@ -59,6 +78,8 @@ class BoundRecord:
     def __post_init__(self):
         if self.bound_id not in BOUND_REGISTRY:
             raise KeyError(f"unregistered bound id: {self.bound_id!r}")
+        if not isinstance(self.context, FrozenContext):
+            object.__setattr__(self, "context", FrozenContext(self.context))
 
     @property
     def holds(self) -> bool:

@@ -186,15 +186,16 @@ class SpectralData:
         parity of the output index, so the sector's own rows).  Returns
         [(sector, rows read, image rows)], the image's columns the sector's
         levels among `positions`.  As in `parity_sectors`, the matrix decides:
-        the split is kept only when every image has as many nonzero entries
-        on the rows read as in all, so that an operator keeping parity gives
-        norms that are the max over the sectors'.  Otherwise, or for a
-        spectrum that is one sector, the one entry holds the whole image of
-        the dense columns, all rows read.
+        the split is kept only when every image is exactly zero on the rows
+        not read (a NaN there counts as nonzero), so that an operator keeping
+        parity gives norms that are the max over the sectors'.  Otherwise, or
+        for a spectrum that is one sector, the one entry holds the whole
+        image of the dense columns, all rows read.
         """
         positions = np.asarray(positions, dtype=np.intp)
         if len(self.sectors) > 1:
             parity = popcount_parity(self.dim)
+            labels = parity if labels is None else labels
             parts = []
             for sec in self.sectors:
                 cols = sec.columns(positions)
@@ -202,11 +203,10 @@ class SpectralData:
                 X[sec.rows] = cols
                 Y = apply(X)
                 del X
-                rows = sec.rows if labels is None else np.flatnonzero(labels == parity[sec.rows[0]])
-                part = Y[rows]
-                if np.count_nonzero(part) != np.count_nonzero(Y):
+                read = labels == parity[sec.rows[0]]
+                if np.any(Y, where=~read[:, None]):
                     break
-                parts.append((sec, rows, part))
+                parts.append((sec, np.flatnonzero(read), Y[read]))
             else:
                 return parts
             levels = np.arange(len(self.eigenvalues))

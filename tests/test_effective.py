@@ -387,6 +387,30 @@ class TestExponentialFilter:
             (r.bound_id, r.context, r.lhs, r.rhs) for r in looped
         ]
 
+    def test_one_image_per_variant_and_E(self, rng, monkeypatch):
+        _, T = make_T(n=8, l=2)
+        eff = build_effective(T, 4.0)
+        e0, width = T.spectral().ground_energy, T.spectral().width
+        s = 1
+        U = dense_eigenvectors(T.block_spectra()[s])
+        O = (U * rng.uniform(-1, 1, size=U.shape[0])) @ U.T
+        E_grid = [e0, e0 + width / 8, e0 + width / 4]
+        E_prime_grid = [e0 + width / 3, e0 + width / 2, e0 + 2 * width / 3]
+        expected = exponential_filter_check(T, s, O, E=E_grid, E_prime=E_prime_grid, eff=eff)
+        images, built = SpectralData.images, []
+
+        def spy(sp, positions, apply, labels=None):
+            built.append((id(sp), tuple(positions)))
+            return images(sp, positions, apply, labels)
+
+        monkeypatch.setattr(SpectralData, "images", spy)
+        recs = exponential_filter_check(T, s, O, E=E_grid, E_prime=E_prime_grid, eff=eff)
+        # 2 variants x 3 E, each read for all 3 E' (18 before); the records are unchanged bit for bit.
+        assert len(built) == len(set(built)) == 2 * len(E_grid)
+        assert [(r.bound_id, r.context, r.lhs, r.rhs) for r in recs] == [
+            (r.bound_id, r.context, r.lhs, r.rhs) for r in expected
+        ]
+
     @pytest.mark.parametrize("case", sorted(LOCAL_CASES))
     def test_window_lhs_matches_full_rotation(self, case, rng):
         T = LOCAL_CASES[case]()

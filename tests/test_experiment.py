@@ -1,6 +1,9 @@
+import copy
 import gc
+import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import weakref
@@ -188,6 +191,42 @@ class TestBoundRecord:
     def test_unregistered_id_rejected(self):
         with pytest.raises(KeyError):
             BoundRecord("not-a-bound", 0.0, 1.0)
+
+    def test_context_is_read_only(self):
+        rec = BoundRecord("weyl", 1.0, 2.0, {"s": 1, "E": 0.5})
+        writes = [
+            lambda c: c.__setitem__("s", 2),
+            lambda c: c.__delitem__("s"),
+            lambda c: c.update(s=2),
+            lambda c: c.setdefault("tau", 1.0),
+            lambda c: c.pop("s"),
+            lambda c: c.popitem(),
+            lambda c: c.clear(),
+            lambda c: c.__ior__({"s": 2}),
+        ]
+        for write in writes:
+            with pytest.raises(TypeError, match="read-only"):
+                write(rec.context)
+        assert rec.context == {"s": 1, "E": 0.5}
+        # A new record is built from a copy: the caller's dict stays writable and unshared.
+        given = {"s": 1}
+        rec = BoundRecord("weyl", 1.0, 2.0, given)
+        given["s"] = 2
+        assert rec.context == {"s": 1}
+
+    def test_context_serialises_as_a_dict(self):
+        ctx = {"variant": "filter", "s": 1, "E": 0.25, "X": (1, 2), "nan": math.nan}
+        rec = BoundRecord("lemma14.filter", 0.5, 1.0, ctx)
+        assert json.dumps(rec.context, sort_keys=True, default=repr) == json.dumps(ctx, sort_keys=True, default=repr)
+        assert repr(rec.context) == repr(ctx) and str(rec) == str(BoundRecord("lemma14.filter", 0.5, 1.0, dict(ctx)))
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))], ids=["deepcopy", "pickle"])
+    def test_context_copies_and_pickles(self, clone):
+        rec = BoundRecord("assumption1", 0.5, 1.0, {"r": 1, "X": (1,), "Y": (3, 4)})
+        twin = clone(rec)
+        assert twin == rec and twin.context is not rec.context
+        with pytest.raises(TypeError, match="read-only"):
+            twin.context["r"] = 2
 
     def test_registry_covers_exactly_expected_ids(self):
         assert set(BOUND_REGISTRY) == EXPECTED_BOUND_IDS

@@ -639,3 +639,22 @@ class TestSectorStorage:
         assert abs(got - np.linalg.norm(image, 2)) <= 1e-12
         got = float(np.max([top_singular_value(sec.columns(above).conj().T @ Y) for sec, _, Y in parts]))
         assert abs(got - np.linalg.norm(V[:, above].conj().T @ image, 2)) <= 1e-12
+
+    @pytest.mark.parametrize("nan_row", ["read", "not-read"])
+    def test_a_nan_counts_as_nonzero_in_the_split_decision(self, rng, nan_row):
+        _, S = sector_case(rng, "split")
+        A = parity_conserving(rng, 32, 32, "real")
+        calls = []
+
+        def apply(X):
+            Y = A @ X
+            if not calls:  # the first sector's image: a NaN on a row of its own parity, or of the other
+                Y[np.flatnonzero(np.any(Y != 0, axis=1) == (nan_row == "read"))[0]] = np.nan
+            calls.append(X.shape)
+            return Y
+
+        parts = S.images(np.arange(11), apply)
+        if nan_row == "read":
+            assert len(parts) == 2 and np.isnan(parts[0][2]).any()
+        else:
+            assert len(parts) == 1 and len(parts[0][1]) == 32 and not np.isnan(parts[0][2]).any()
