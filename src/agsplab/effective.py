@@ -99,7 +99,7 @@ def energy_cutoff(spectrum: SpectralData, tau_s: float) -> np.ndarray:
     Eigenvectors are untouched, eigenvalues become min(E, tau_s), so the
     result commutes with the decomposed matrix exactly.
     """
-    return spectrum.apply_function(lambda w: min(w, tau_s))
+    return spectrum.matrix_of(np.minimum(spectrum.eigenvalues, tau_s))
 
 
 def build_effective(T: TruncatedHamiltonian, tau: float) -> EffectiveHamiltonian:

@@ -293,11 +293,13 @@ def _entropy_row(cfg: ExperimentConfig, state: np.ndarray) -> EntropyRow:
 def entropy_row(cfg: ExperimentConfig) -> EntropyRow:
     """Half-chain (or configured-cut) entropies of the model ground state.
 
-    The ground state comes from Lanczos on the sparse Hamiltonian; no
-    d^n x d^n array is built.
+    The ground state comes from Lanczos on the sparse Hamiltonian, one
+    parity sector at a time (`hamiltonian.sparse_sectors`, index r stored as
+    r >> 1): each sector's CSR is written, solved and dropped before the
+    next, so half the CSR is held, and no d^n x d^n array is built.
     """
     H = build_model(cfg)
-    gs = ground_state(ham.assemble_sparse(H))
+    gs = ground_state(ham.sparse_sectors(H))
     return _entropy_row(cfg, gs.state)
 
 

@@ -21,12 +21,13 @@ import numpy as np
 import scipy.sparse
 
 from .registry import BoundRecord
-from .spectral import interaction_norm, top_singular_value
+from .spectral import interaction_norm, popcount_parity, top_singular_value
 
 HERMITICITY_ATOL = 1e-12
 # Largest dimensions built: a dense array by `embed_sum` (2 GiB of float64 at
-# n = 14), a CSR Hamiltonian with int32 indices by `assemble_sparse`
-# (`agsplab entropy` 637 MiB peak RSS at n = 18 on a 2-vCPU box).
+# n = 14), a CSR Hamiltonian with int32 indices by `assemble_sparse`, one
+# parity sector at a time (`agsplab entropy` on a 2-vCPU box: 123 MiB peak RSS
+# and 5.2 s at n = 16, 356 MiB and 37 s at n = 18).
 DENSE_DIM_CEILING = 2**14
 SPARSE_DIM_CEILING = 2**18
 
@@ -82,6 +83,16 @@ class InteractionTerm:
     def norm(self) -> float:
         """Operator norm of the term, computed on first use and kept."""
         return top_singular_value(self.matrix)
+
+    @cached_property
+    def keeps_parity(self) -> bool:
+        """Whether the term commutes with prod Z, read exactly from its own matrix and kept.
+
+        True iff every nonzero entry (a, b) has popcount(a) = popcount(b) mod 2.
+        """
+        a, b = np.nonzero(self.matrix)
+        parity = popcount_parity(len(self.matrix))
+        return bool(np.all(parity[a] == parity[b]))
 
 
 @dataclass(frozen=True)
@@ -141,26 +152,23 @@ class Hamiltonian:
                 )
 
 
-def _embed_indexing(lattice: LatticeSpec, support: tuple[int, ...]):
+def _embed_indexing(n: int, support: tuple[int, ...]):
     """Index arithmetic for embedding a support-local matrix into 2^n.
 
     Returns (base, offsets): `base` enumerates all configurations of the
     complement sites in ascending order (support bits frozen at zero), and
     `offsets[a]` is the index shift realizing local configuration `a` on the
     support, the first site listed the most significant (`region_sum` lists
-    them out of order).  Site s is bit n - s of an index.
+    them out of order).  Site s is bit n - s of an index.  base[i] is i with
+    a zero bit opened at each support place, so it has the popcount of i.
     """
-    n, dim = lattice.n, lattice.dim
     places = [1 << (n - s) for s in support]
-    idx = np.arange(dim, dtype=np.int64)
-    on_support = np.zeros(dim, dtype=bool)
-    for p in places:
-        on_support |= (idx & p) != 0
-    base = idx[~on_support]
-    local = np.arange(1 << len(support), dtype=np.int64)
-    offsets = np.zeros_like(local)
-    for axis, p in enumerate(places):
-        offsets += ((local >> (len(support) - 1 - axis)) & 1) * p
+    base = np.arange(1 << (n - len(support)), dtype=np.int64)
+    for p in sorted(places):
+        base += base & -p  # open a zero bit at p: the bits from p up move one place left
+    offsets = np.zeros(1, dtype=np.int64)
+    for p in reversed(places):
+        offsets = np.concatenate([offsets, offsets + p])
     return base, offsets
 
 
@@ -187,7 +195,7 @@ def embed_sum(lattice: LatticeSpec, pieces) -> np.ndarray:
 def _scatter(lattice: LatticeSpec, pieces):
     """Flat (rows, cols, values) of each identity-padded piece's nonzero entries."""
     for support, m in pieces:
-        base, offsets = _embed_indexing(lattice, support)
+        base, offsets = _embed_indexing(lattice.n, support)
         a, b = np.nonzero(m)
         rows = (base[:, None] + offsets[a]).ravel()
         cols = (base[:, None] + offsets[b]).ravel()
@@ -203,41 +211,55 @@ def assemble_dense(H: Hamiltonian) -> np.ndarray:
     return embed_sum(H.lattice, H.terms)
 
 
-def assemble_sparse(H: Hamiltonian):
-    """CSR d^n x d^n matrix of the Hamiltonian, written in place from the index source of `embed_sum`.
+def assemble_sparse(H: Hamiltonian, parity: int | None = None):
+    """CSR matrix of the Hamiltonian, or of its popcount-parity sector `parity`, written in place.
 
-    Two passes over the terms; both embed one term at a time
-    (`_embed_indexing`), so no term's index arrays outlive it.  Pass 1
-    counts each row's entries: term t gives row r the nonzeros of row
-    a_t(r) of its matrix, where a_t(r) is r's configuration on the term's
-    support, and `indptr` is their cumulative sum.  Pass 2 writes each
-    term's columns and values at per-row cursors, in term order and, within
-    a row, in the column order of the term's matrix: each row holds the
-    entry sequence that a COO of the concatenated `_scatter` gives it on
-    conversion to CSR.  `sum_duplicates` then sorts and sums each row in
-    place, so the result is that conversion's CSR bit for bit, int32
-    indices included: duplicate (row, col) entries of different terms are
-    summed in the same order (entries may differ from `assemble_dense` in
-    the last bit), and a sum that cancels to exactly 0 stays stored (the
-    Ising diagonal at popcount n/2 for even n).  No COO is held: the peak is
-    the final arrays with their duplicate surplus (the Ising diagonal's n
-    entries per row before they are summed into one).
+    The one sparse writer, from the index source of `embed_sum`.  With
+    `parity` p it writes the block on the indices of parity p, which is all
+    of H there when every term keeps parity (else `ValueError`); each pair
+    {2k, 2k+1} holds one index of each parity, so index r is stored as
+    r >> 1, the order of `spectral`'s dense sectors (`_sector_embedding`).
+
+    Two passes over the terms; both embed one term at a time, so no term's
+    index arrays outlive it.  Pass 1 counts each row's entries: term t gives
+    row r the nonzeros of row a_t(r) of its matrix, where a_t(r) is r's
+    configuration on the term's support, and `indptr` is their cumulative
+    sum.  Pass 2 writes each term's columns and values at per-row cursors,
+    in term order and, within a row, in the column order of the term's
+    matrix: each row holds the entry sequence that a COO of the
+    concatenated `_scatter` gives it on conversion to CSR.  `sum_duplicates`
+    then sorts and sums each row in place, so the result is that
+    conversion's CSR, or its restriction S[rows][:, rows] to the sector, bit
+    for bit, int32 indices included: duplicate (row, col) entries of
+    different terms are summed in the same order (entries may differ from
+    `assemble_dense` in the last bit), and a sum that cancels to exactly 0
+    stays stored (the Ising diagonal at popcount n/2 for even n).  No COO is
+    held: the peak is the final arrays with their duplicate surplus (the
+    Ising diagonal's n entries per row before they are summed into one).
+    `data` and `indices` stay views of those buffers: copying the kept
+    entries out would hold both at once (n=18 `agsplab entropy` on a 2-vCPU
+    box: 356 MiB peak RSS as they are, 566 MiB with the copy).
     """
     dim = H.lattice.dim
     if dim > SPARSE_DIM_CEILING:
         raise DimensionCeilingError(f"sparse dimension {dim} exceeds ceiling {SPARSE_DIM_CEILING}")
+    if parity is not None and not all(term.keeps_parity for term in H.terms):
+        raise ValueError("a parity sector of a Hamiltonian with a term that breaks parity")
+    size = dim if parity is None else dim // 2
     if not H.terms:
-        return scipy.sparse.csr_array((dim, dim))
+        return scipy.sparse.csr_array((size, size))
     # int32 indices: the ceiling keeps every row and column below 2^18, and the
     # entry count (about 4.5e7 for the Ising chain at n = 18) well below 2^31.
-    indptr = np.zeros(dim + 1, dtype=np.int32)
+    indptr = np.zeros(size + 1, dtype=np.int32)
     for term in H.terms:
-        per_row = np.bincount(np.nonzero(term.matrix)[0], minlength=len(term.matrix))
-        if np.all(per_row == per_row[0]):
+        per_row = np.bincount(term.matrix.nonzero()[0], minlength=len(term.matrix))
+        if (per_row == per_row[0]).all():
             indptr[1:] += per_row[0]
         else:
-            base, offsets = _embed_indexing(H.lattice, term.support)
-            indptr[1:][base[:, None] + offsets] += per_row.astype(np.int32)
+            a = np.arange(len(per_row))
+            meets, offsets, comp = _sector_embedding(H.lattice, term.support, parity, a)
+            a = a[meets]
+            indptr[1:][offsets[a, None] + comp] += per_row[a, None].astype(np.int32)
     np.cumsum(indptr, out=indptr)
     indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.empty(indptr[-1], dtype=np.result_type(*(t.matrix.dtype for t in H.terms)))
@@ -247,22 +269,73 @@ def assemble_sparse(H: Hamiltonian):
     # moves `shift` alone, and pass 1 adds its count without embedding it.
     cursor, shift = indptr[:-1].astype(np.intp), 0
     for term in H.terms:
-        base, offsets = _embed_indexing(H.lattice, term.support)
-        a, b = np.nonzero(term.matrix)
-        per_row = np.bincount(a, minlength=len(offsets))
-        rows = offsets[:, None] + base  # local row a, then ascending rows: monotone writes
-        start = cursor[rows]
+        a, b = term.matrix.nonzero()
+        per_row = np.bincount(a, minlength=len(term.matrix))
+        rank = np.arange(len(a)) - a.searchsorted(a)
+        meets, offsets, comp = _sector_embedding(H.lattice, term.support, parity, a)
+        a, b, rank = a[meets], b[meets], rank[meets]
+        rows = offsets[a, None] + comp  # local row a, then ascending rows: monotone writes
         # The k-th nonzero of local row a goes k places past its row's slot.
-        pos = start[a] + (np.arange(len(a)) - np.searchsorted(a, a) + shift)[:, None]
-        if np.all(per_row == per_row[0]):
+        pos = cursor[rows] + (rank + shift)[:, None]
+        if (per_row == per_row[0]).all():
             shift += per_row[0]
         else:
-            cursor[rows] = start + per_row[:, None]
-        indices[pos] = offsets[b][:, None] + base
+            last = rank == per_row[a] - 1
+            cursor[rows[last]] = pos[last] + (1 - shift)
+        indices[pos] = offsets[b, None] + comp
         data[pos] = term.matrix[a, b][:, None]
-    S = scipy.sparse.csr_array((data, indices, indptr), shape=(dim, dim))
+    S = scipy.sparse.csr_array((data, indices, indptr), shape=(size, size))
     S.sum_duplicates()
     return S
+
+
+def _sector_embedding(lattice: LatticeSpec, support: tuple[int, ...], parity: int | None, a: np.ndarray):
+    """Where the local rows `a` of a parity-keeping term land in one sector (`parity` None: the whole space).
+
+    Returns (meets, offsets, comp): a[meets] are the local rows that meet
+    the sector, and the j-th of them, on complement configuration c, lands
+    on row offsets[a] + c for each c in comp[j], ascending (comp is one
+    broadcast row where they share it); its columns b land alike.  A sector
+    stores r as r >> 1, dropping site n, so this is the arithmetic of sites
+    1 .. n-1.  A support without site n embeds there as it is: one of each
+    two complement configurations that differ at site n is in the sector.
+    Otherwise site n, last in the sorted support, is the lowest bit of a,
+    and row c + offsets[a] lies in sector p when c has parity
+    p ^ popcount(a): the complement configurations are split by parity
+    once, and the local row's parity picks its half.  A support that covers
+    the chain has no odd half, so its local rows of the other parity meet
+    no row.
+    """
+    if parity is None:
+        base, offsets = _embed_indexing(lattice.n, support)
+        return slice(None), offsets, base[None, :]
+    if support[-1] != lattice.n:
+        base, offsets = _embed_indexing(lattice.n - 1, support)
+        return slice(None), offsets, base[None, :]
+    base, offsets = _embed_indexing(lattice.n - 1, support[:-1])
+    half = popcount_parity(2 * len(offsets))[a] ^ parity
+    if len(base) == 1:
+        return half == 0, offsets.repeat(2), base[None, :]
+    # base[i] has the popcount of i, and the pair {2j, 2j+1} holds one i of each parity.
+    pair = np.arange(0, len(base), 2)
+    even = popcount_parity(len(base) // 2)
+    return slice(None), offsets.repeat(2), np.stack([base[pair + even], base[pair + 1 - even]])[half]
+
+
+def sparse_sectors(H: Hamiltonian):
+    """The CSR Hamiltonian one popcount-parity sector at a time, as (rows, CSR) pairs.
+
+    When every term keeps parity (`InteractionTerm.keeps_parity`), H is
+    block-diagonal over the even and the odd sector, and each is written
+    (`assemble_sparse`) only when the consumer asks for it; `rows` lists its
+    indices ascending.  Otherwise the one pair is every row and the full CSR.
+    """
+    dim = H.lattice.dim
+    if dim >= 2 and all(term.keeps_parity for term in H.terms):
+        for parity in (0, 1):
+            yield np.flatnonzero(popcount_parity(dim) == parity), assemble_sparse(H, parity)
+    else:
+        yield np.arange(dim), assemble_sparse(H)
 
 
 def region_sum(region: tuple[int, ...], pieces) -> np.ndarray:

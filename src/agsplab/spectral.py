@@ -4,8 +4,11 @@ Everything downstream (gaps, ground states, energy windows, filter
 operators) consumes the `SpectralData` produced here.  Solvers are dense
 LAPACK calls, except that ground states of sparse matrices come from
 Lanczos (`eigsh`); near-degenerate ground states are rejected rather than
-perturbed.  No other module of the package calls an eigensolver or splits
-a matrix into sectors, and this one imports none of them.
+perturbed.  A sparse Hamiltonian reaches `ground_state` one parity sector
+at a time, as `hamiltonian.sparse_sectors` writes it (index r stored as
+r >> 1), and each sector is solved and dropped before the next is written.
+No other module of the package calls an eigensolver
+or splits a matrix into sectors, and this one imports none of them.
 
 `top_singular_value` is the one kernel for operator 2-norms of dense
 blocks, and the matrix decides its path: a square sector block equal to its
@@ -41,6 +44,7 @@ matrix has only those blocks.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -464,33 +468,59 @@ def _pair_classes(index: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np
     return np.flatnonzero(i == j), np.flatnonzero(up), position[j[up] * d + i[up]]
 
 
-def ground_state(M: np.ndarray | SpectralData | scipy.sparse.sparray) -> GroundStateInfo:
+def ground_state(M: np.ndarray | SpectralData | scipy.sparse.sparray | Iterable) -> GroundStateInfo:
     """Lowest eigenpair and gap; rejects gaps at or below `DEGENERACY_THRESHOLD`.
 
-    `M` is a `SpectralData`, a dense array (`eigendecompose`) or a scipy
-    sparse matrix (Lanczos, `eigsh`).  The Lanczos start vector is a
-    fixed-seed Gaussian, which overlaps every eigenvector.  A structured one
-    can miss a whole symmetry sector, and with it the gap or a degeneracy;
-    the constant vector is itself an eigenvector of the Ising chain at zero
-    field.  Non-convergence raises `ArpackNoConvergence`.
+    `M` is a `SpectralData`, a dense array (`eigendecompose`), or sparse:
+    an iterable of (rows, CSR) blocks of a block-diagonal matrix on
+    ascending index sets that together cover every index
+    (`hamiltonian.sparse_sectors`), or one scipy sparse matrix, the one
+    block of every row.  Each block is solved as it arrives, by Lanczos
+    (`eigsh`, two lowest levels) or, at or below ARPACK's k < dim limit,
+    densely, and dropped before the next is asked for; the two lowest
+    levels of the union give the gap.  A block's Lanczos start vector is
+    its rows of one fixed-seed Gaussian over every index (drawn in order,
+    so the first rows[-1] + 1 draws hold them), which overlaps every
+    eigenvector.  A structured one can miss a whole symmetry sector, and
+    with it the gap or a degeneracy; the constant vector is itself an
+    eigenvector of the Ising chain at zero field.  Non-convergence raises
+    `ArpackNoConvergence`.
     """
-    if scipy.sparse.issparse(M) and M.shape[0] > 2:  # ARPACK needs k=2 < dim
-        v0 = np.random.default_rng(0).standard_normal(M.shape[0])
-        w, v = scipy.sparse.linalg.eigsh(M, k=2, which="SA", tol=0, v0=v0)
-        order = np.argsort(w)
-        w, vec = w[order], v[:, order[0]]
+    if isinstance(M, (SpectralData, np.ndarray)):
+        sp = M if isinstance(M, SpectralData) else eigendecompose(M)
+        w, state = sp.eigenvalues[:2], sp.columns([0])[:, 0]
     else:
         if scipy.sparse.issparse(M):
-            M = M.toarray()
-        sp = M if isinstance(M, SpectralData) else eigendecompose(M)
-        w, vec = sp.eigenvalues[:2], sp.columns([0])[:, 0]
+            M = [(np.arange(M.shape[0]), M)]
+        lowest, dim = [], 0  # the two lowest (level, rows, vector) of the sectors so far
+        for rows, S in M:
+            levels, vector = _sector_lowest(rows, S)
+            del S  # the sector's CSR dies here, before the next one is built
+            dim += len(rows)
+            found = [(levels[0], rows, vector)] + [(level, rows, None) for level in levels[1:2]]
+            lowest = sorted(lowest + found, key=lambda t: t[0])[:2]
+        w = np.array([level for level, _, _ in lowest])
+        _, rows, vector = lowest[0]
+        state = np.zeros(dim, dtype=vector.dtype)
+        state[rows] = vector
     gap = float(w[1] - w[0])
     if gap <= DEGENERACY_THRESHOLD:
         raise DegenerateGroundStateError(
             f"gap {gap:g} at or below degeneracy threshold {DEGENERACY_THRESHOLD:g}"
         )
-    vec = vec / np.linalg.norm(vec)
-    return GroundStateInfo(energy=float(w[0]), state=vec, gap=gap)
+    state = state / np.linalg.norm(state)
+    return GroundStateInfo(energy=float(w[0]), state=state, gap=gap)
+
+
+def _sector_lowest(rows: np.ndarray, S) -> tuple[np.ndarray, np.ndarray]:
+    """The (up to) two lowest levels of a sparse sector block and the lowest one's vector, on its rows."""
+    if S.shape[0] > 2:  # ARPACK needs k=2 < dim
+        v0 = np.random.default_rng(0).standard_normal(rows[-1] + 1)[rows]
+        w, v = scipy.sparse.linalg.eigsh(S, k=2, which="SA", tol=0, v0=v0)
+        order = np.argsort(w)
+        return w[order], v[:, order[0]]
+    sp = eigendecompose(S.toarray())
+    return sp.eigenvalues[:2], sp.columns([0])[:, 0]
 
 
 def in_window(w: np.ndarray, lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:

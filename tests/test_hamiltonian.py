@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -76,6 +77,24 @@ class TestLatticeAndTerms:
         monkeypatch.setattr(hamiltonian, "top_singular_value", lambda m: calls.append(m) or 0.5)
         assert t.norm == t.norm == 0.5
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "matrix, keeps",
+        [
+            (np.kron(SIGMA_X, SIGMA_X), True),
+            (np.kron(SIGMA_Y, SIGMA_X), True),
+            (SIGMA_Z, True),
+            (np.kron(SIGMA_PLUS, SIGMA_PLUS.T) + np.kron(SIGMA_PLUS.T, SIGMA_PLUS), True),
+            (SIGMA_X, False),
+            (np.kron(SIGMA_Z, SIGMA_Y), False),
+            # one entry that changes the parity, however small
+            (np.diag([1.0, 2.0, 3.0, 4.0]) + 1e-300 * (np.eye(4, k=1) + np.eye(4, k=-1)), False),
+        ],
+        ids=["xx", "yx", "z", "hop", "x", "zy", "tiny-cross"],
+    )
+    def test_term_keeps_parity_is_read_from_its_matrix(self, matrix, keeps):
+        support = (1,) if len(matrix) == 2 else (1, 2)
+        assert InteractionTerm(support, matrix).keeps_parity is keeps
 
     def test_hamiltonian_validates_supports(self):
         lat = LatticeSpec(n=3)
@@ -312,6 +331,63 @@ class TestAssembleSparse:
         # the final arrays, the Ising diagonal's duplicate surplus (78 entries per row summed to 67
         # at n=12) and one term's index arrays.
         assert peak <= 1.4 * (S.data.nbytes + S.indices.nbytes + S.indptr.nbytes)
+
+    @pytest.mark.parametrize(
+        "family, n, B",
+        [("ising", n, B) for n in (3, 4, 6, 8, 10, 12, 13) for B in (0.0, 2.0)]
+        + [("fermion", n, B) for n in (3, 4, 6, 8, 10) for B in (0.0, 0.5)],
+    )
+    def test_sector_csr_is_bit_identical_to_the_restriction(self, family, n, B):
+        # Each sector is the concatenated build's CSR restricted to the indices of one popcount
+        # parity, explicit zeros and int32 indices included; fermion terms on every site meet each
+        # sector in half their local rows.
+        H = build_long_range_ising(n, 3.0, 1.0, B) if family == "ising" else build_long_range_fermion_chain(n, 3.0, 1.0, B)
+        ref = self.concatenated_csr(H)
+        sectors = list(hamiltonian.sparse_sectors(H))
+        assert len(sectors) == 2
+        parity = spectral.popcount_parity(H.lattice.dim)
+        for p, (rows, S) in enumerate(sectors):
+            np.testing.assert_array_equal(rows, np.flatnonzero(parity == p))
+            restricted = ref[rows][:, rows]
+            assert S.nnz == restricted.nnz and S.data.dtype == restricted.data.dtype
+            np.testing.assert_array_equal(S.indptr, restricted.indptr)
+            np.testing.assert_array_equal(S.indices, restricted.indices)
+            np.testing.assert_array_equal(S.data, restricted.data)
+            assert S.indptr.dtype == S.indices.dtype == np.int32
+        assert sum(S.nnz for _, S in sectors) == ref.nnz  # no entry crosses the sectors
+
+    def test_a_term_that_breaks_parity_leaves_one_sector(self):
+        H = build_long_range_ising(6, 3.0, 1.0, 2.0)
+        H.terms.append(InteractionTerm((3,), 0.4 * SIGMA_X))
+        assert not H.terms[-1].keeps_parity and all(t.keeps_parity for t in H.terms[:-1])
+        [(rows, S)] = hamiltonian.sparse_sectors(H)
+        ref = self.concatenated_csr(H)
+        np.testing.assert_array_equal(rows, np.arange(H.lattice.dim))
+        assert S.nnz == ref.nnz
+        np.testing.assert_array_equal(S.indptr, ref.indptr)
+        np.testing.assert_array_equal(S.indices, ref.indices)
+        np.testing.assert_array_equal(S.data, ref.data)
+        with pytest.raises(ValueError, match="breaks parity"):
+            assemble_sparse(H, 0)
+        dense = spectral.ground_state(assemble_dense(H))
+        sparse = spectral.ground_state(hamiltonian.sparse_sectors(H))
+        assert sparse.energy == pytest.approx(dense.energy, abs=1e-10)
+        assert sparse.gap == pytest.approx(dense.gap, abs=1e-9)
+        assert abs(np.vdot(sparse.state, dense.state)) == pytest.approx(1.0, abs=1e-9)
+
+    def test_first_sector_csr_is_dead_before_the_second_is_built(self, monkeypatch):
+        built, alive_at_build = [], []
+        write = hamiltonian.assemble_sparse
+
+        def spy(H, parity=None):
+            alive_at_build.append([ref() is not None for ref in built])
+            S = write(H, parity)
+            built.extend([weakref.ref(S), weakref.ref(S.data), weakref.ref(S.indices)])
+            return S
+
+        monkeypatch.setattr(hamiltonian, "assemble_sparse", spy)
+        spectral.ground_state(hamiltonian.sparse_sectors(build_long_range_ising(8, 3.0, 1.0, 2.0)))
+        assert alive_at_build == [[], [False, False, False]]
 
     def test_uniform_and_per_row_cursors_interleave(self):
         # Pure-hopping terms (per-row cursors) between field terms (one shared shift), with a

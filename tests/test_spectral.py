@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 
 from agsplab import spectral
 from agsplab.hamiltonian import (
+    Hamiltonian,
+    InteractionTerm,
+    LatticeSpec,
     assemble_dense,
     assemble_sparse,
     build_long_range_fermion_chain,
     build_long_range_ising,
     local_energy_g,
+    sparse_sectors,
 )
 from agsplab.spectral import (
     ENERGY_TIE_TOL,
@@ -81,6 +85,13 @@ class TestEigendecompose:
         assert eigendecompose(-5.0 * PAULI_Z + PAULI_X).norm == pytest.approx(np.sqrt(26.0))
 
 
+def diagonal_chain(n: int) -> Hamiltonian:
+    """Z fields and ferromagnetic ZZ bonds, all coefficients distinct: all-down, then all-up, both even at even n."""
+    fields = [InteractionTerm((i,), (0.05 + 0.01 * i) * PAULI_Z) for i in range(1, n + 1)]
+    bonds = [InteractionTerm((i, i + 1), -(1.0 + 0.1 * i) * np.kron(PAULI_Z, PAULI_Z)) for i in range(1, n)]
+    return Hamiltonian(LatticeSpec(n), fields + bonds)
+
+
 class TestGroundState:
     def test_sigma_z(self):
         info = ground_state(PAULI_Z)
@@ -123,21 +134,42 @@ class TestGroundState:
         "H",
         [
             build_long_range_ising(6, 3.0, 1.0, 2.0),
+            build_long_range_ising(7, 3.0, 1.0, 2.0),
             build_long_range_ising(8, 3.0, 1.0, 2.0),
             build_long_range_ising(8, 3.0, 1.0, 0.7),
             build_long_range_fermion_chain(8, 3.0, 1.0, 0.5),
+            diagonal_chain(6),
         ],
-        ids=["ising-n6-B2", "ising-n8-B2", "ising-n8-B0.7", "fermion-n8"],
+        ids=["ising-n6-B2", "ising-n7-B2", "ising-n8-B2", "ising-n8-B0.7", "fermion-n8", "diagonal-n6"],
     )
     def test_sparse_solve_matches_dense(self, H):
         # The Ising gap is to the odd spin-flip sector: a start vector
-        # confined to one sector would report a wrong gap here.
+        # confined to one sector would report a wrong gap here.  Solved per
+        # parity sector and as the one sector of the full CSR.
         dense = ground_state(assemble_dense(H))
-        sparse = ground_state(assemble_sparse(H))
-        assert sparse.energy == pytest.approx(dense.energy, abs=1e-10)
-        assert sparse.gap == pytest.approx(dense.gap, abs=1e-9)
-        assert abs(np.vdot(sparse.state, dense.state)) == pytest.approx(1.0, abs=1e-9)
-        assert np.linalg.norm(sparse.state) == pytest.approx(1.0, abs=1e-12)
+        for sparse in (ground_state(sparse_sectors(H)), ground_state(assemble_sparse(H))):
+            assert sparse.energy == pytest.approx(dense.energy, abs=1e-10)
+            assert sparse.gap == pytest.approx(dense.gap, abs=1e-9)
+            assert abs(np.vdot(sparse.state, dense.state)) == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(sparse.state) == pytest.approx(1.0, abs=1e-12)
+
+    def test_diagonal_chain_has_its_two_lowest_levels_in_one_sector(self):
+        # So its gap comes from the second level of one sector's solve, not from the other sector.
+        levels = eigendecompose(assemble_dense(diagonal_chain(6)))
+        assert levels.parities()[0] == levels.parities()[1] == 0 and levels.parities()[2] == 1
+
+    def test_odd_ground_state_at_n13_matches_the_full_csr_solve(self):
+        # The field B = 2 favours every spin down, popcount 13: the ground state lies in the odd
+        # sector, which is solved second.  A dense oracle would be a 512 MiB matrix, so
+        # the Lanczos solve of the full CSR (one sector of every row) stands in for it.
+        H = build_long_range_ising(13, 3.0, 1.0, 2.0)
+        full = ground_state(assemble_sparse(H))
+        sectors = ground_state(sparse_sectors(H))
+        even = spectral.popcount_parity(H.lattice.dim) == 0
+        assert not np.any(sectors.state[even])
+        assert sectors.energy == pytest.approx(full.energy, abs=1e-10)
+        assert sectors.gap == pytest.approx(full.gap, abs=1e-9)
+        assert abs(np.vdot(sectors.state, full.state)) == pytest.approx(1.0, abs=1e-9)
 
     def test_sparse_two_dim_input(self):
         # Below ARPACK's k < dim limit the sparse input is solved densely.
@@ -148,9 +180,11 @@ class TestGroundState:
     @pytest.mark.parametrize("n", [4, 6])
     def test_sparse_solve_detects_degeneracy(self, n):
         # B = 0: exact double degeneracy split across parity sectors
-        H = assemble_sparse(build_long_range_ising(n, 3.0, 1.0, 0.0))
+        H = build_long_range_ising(n, 3.0, 1.0, 0.0)
         with pytest.raises(DegenerateGroundStateError):
-            ground_state(H)
+            ground_state(assemble_sparse(H))
+        with pytest.raises(DegenerateGroundStateError):
+            ground_state(sparse_sectors(H))
 
 
 def window_projector(S, mask) -> np.ndarray:
@@ -619,6 +653,10 @@ class TestSectorStorage:
 
         expected = (V * np.array([f(x) for x in w])) @ V.conj().T
         assert np.max(np.abs(S.apply_function(f) - expected)) <= 1e-12
+        # The clamp of `effective.energy_cutoff`: every level above the median set to it.
+        tau = float(np.median(w))
+        clamped = (V * np.minimum(w, tau)) @ V.conj().T
+        assert np.max(np.abs(S.matrix_of(np.minimum(S.eigenvalues, tau)) - clamped)) <= 1e-12
 
     @pytest.mark.parametrize("operator", ["parity-conserving", "cross-entry"])
     @pytest.mark.parametrize("case", ["split", "complex", "cross-entry"])
