@@ -15,7 +15,7 @@ module builds the matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -26,8 +26,9 @@ from .spectral import interaction_norm, popcount_parity, top_singular_value
 HERMITICITY_ATOL = 1e-12
 # Largest dimensions built: a dense array by `embed_sum` (2 GiB of float64 at
 # n = 14), a CSR Hamiltonian with int32 indices by `assemble_sparse`, one
-# parity sector at a time (`agsplab entropy` on a 2-vCPU box: 123 MiB peak RSS
-# and 5.2 s at n = 16, 356 MiB and 37 s at n = 18).
+# parity sector at a time (`agsplab entropy` on a 2-vCPU box, Lanczos asking the
+# second sector for one level: 123 MiB peak RSS and 4.0-4.2 s at n = 16,
+# 353 MiB and 24-25 s at n = 18).
 DENSE_DIM_CEILING = 2**14
 SPARSE_DIM_CEILING = 2**18
 
@@ -328,14 +329,32 @@ def sparse_sectors(H: Hamiltonian):
     When every term keeps parity (`InteractionTerm.keeps_parity`), H is
     block-diagonal over the even and the odd sector, and each is written
     (`assemble_sparse`) only when the consumer asks for it; `rows` lists its
-    indices ascending.  Otherwise the one pair is every row and the full CSR.
+    indices ascending.  The first is the sector of H's lowest diagonal entry
+    (`_diagonal`, dropped before either CSR is written; the first such
+    index on a tie, so a constant diagonal gives even, then odd): the
+    lowest-energy basis configuration predicts the ground sector, and
+    `spectral.ground_state` asks Lanczos for the second level only there,
+    which is exact whichever sector holds the ground state.  Otherwise the
+    one pair is every row and the full CSR.
     """
     dim = H.lattice.dim
     if dim >= 2 and all(term.keeps_parity for term in H.terms):
-        for parity in (0, 1):
+        first = int(popcount_parity(dim)[_diagonal(H).argmin()])  # the diagonal dies here
+        for parity in (first, 1 - first):
             yield np.flatnonzero(popcount_parity(dim) == parity), assemble_sparse(H, parity)
     else:
         yield np.arange(dim), assemble_sparse(H)
+
+
+def _diagonal(H: Hamiltonian) -> np.ndarray:
+    """The diagonal of H, one float64 per basis configuration, summed from each term's own diagonal."""
+    out = np.zeros(H.lattice.dim)
+    for term in H.terms:
+        d = np.diagonal(term.matrix).real
+        if d.any():
+            base, offsets = _embed_indexing(H.lattice.n, term.support)
+            out[base[:, None] + offsets] += d
+    return out
 
 
 def region_sum(region: tuple[int, ...], pieces) -> np.ndarray:
@@ -374,17 +393,30 @@ def build_long_range_ising(n: int, alpha: float, J: float, B: float) -> Hamilton
     return Hamiltonian(lattice, terms, k=2, metadata=meta)
 
 
-def _window_annihilators(w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Jordan-Wigner annihilation operators at the two ends of a w-site window.
+def _window_term(w: int, hop: float, pair: float) -> np.ndarray:
+    """hop a_i a_j^dag + pair a_i a_j + h.c. on the w-site window from site i to site j, w >= 2.
 
-    Convention a_i -> (prod_{j<i} Z_j)(X_i + iY_i)/2; the Z strings of a pair
-    term cancel outside the window, so window-local operators generate the
-    full-chain pair term exactly.
+    Jordan-Wigner convention a_i -> (prod_{k<i} Z_k)(X_i + iY_i)/2; the Z
+    strings of a pair term cancel outside the window, so the window-local
+    matrix is the full-chain pair term exactly.  Each of its parts is a
+    signed partial permutation of the local configurations (site i the first
+    bit, site j the last): a_i a_j^dag takes a column with the first bit set
+    and the last clear to the column with the two swapped, with sign
+    (-1)^popcount(col) from the string of a_j^dag; a_i a_j takes a column
+    with both bits set to the column with both cleared, with sign
+    (-1)^popcount(col - last).  The four parts never share an entry, so each
+    is written straight into one zero matrix, and a zero coefficient writes
+    nothing.
     """
-    eye = np.eye(2)
-    a_left = reduce(np.kron, [SIGMA_PLUS] + [eye] * (w - 1))
-    a_right = reduce(np.kron, [SIGMA_Z] * (w - 1) + [SIGMA_PLUS])
-    return a_left, a_right
+    first, last = 1 << (w - 1), 1
+    col = np.arange(1 << w)
+    odd = popcount_parity(1 << w).astype(bool)
+    m = np.zeros((1 << w, 1 << w))
+    for coeff, kept, shift in ((hop, 0, last - first), (pair, last, -first - last)):
+        if coeff != 0.0:
+            c = col[(col & first != 0) & (col & last == kept)]
+            m[c + shift, c] = m[c, c + shift] = np.where(odd[c - kept], -coeff, coeff)
+    return m
 
 
 def build_long_range_fermion_chain(n: int, alpha: float, A: float, B: float) -> Hamiltonian:
@@ -392,7 +424,7 @@ def build_long_range_fermion_chain(n: int, alpha: float, A: float, B: float) -> 
 
     H = sum_{i<j} r_ij^(-alpha) (A a_i a_j^dag + B a_i a_j + h.c.), with
     uniform couplings A and B, mapped through the Jordan-Wigner string; each
-    pair term is recorded with its full support {i, ..., j}.
+    pair term is recorded with its full support {i, ..., j} (`_window_term`).
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -403,13 +435,9 @@ def build_long_range_fermion_chain(n: int, alpha: float, A: float, B: float) -> 
     if A != 0.0 or B != 0.0:
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                w = j - i + 1
-                a_i, a_j = _window_annihilators(w)
-                hop = A * (a_i @ a_j.conj().T)
-                pair = B * (a_i @ a_j)
-                m = (hop + pair + hop.conj().T + pair.conj().T) / float(j - i) ** alpha
-                terms.append(InteractionTerm(tuple(range(i, j + 1)), m))
-                max_support = max(max_support, w)
+                r_alpha = float(j - i) ** alpha
+                terms.append(InteractionTerm(tuple(range(i, j + 1)), _window_term(j - i + 1, A / r_alpha, B / r_alpha)))
+                max_support = max(max_support, j - i + 1)
     meta = PowerLawMetadata("long_range_fermion", alpha, max(abs(A), abs(B)), 0.0)
     return Hamiltonian(lattice, terms, k=max_support, metadata=meta)
 

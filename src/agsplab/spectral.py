@@ -7,8 +7,15 @@ Lanczos (`eigsh`); near-degenerate ground states are rejected rather than
 perturbed.  A sparse Hamiltonian reaches `ground_state` one parity sector
 at a time, as `hamiltonian.sparse_sectors` writes it (index r stored as
 r >> 1), and each sector is solved and dropped before the next is written.
-No other module of the package calls an eigensolver
-or splits a matrix into sectors, and this one imports none of them.
+Lanczos asks each sector only for the levels the gap reads: two in the
+first, the sector of H's lowest diagonal entry and so the predicted ground
+sector, and one in the other.  That is exact: the two lowest levels of the
+union are E0, the ground sector's lowest, and min(its second, every other
+sector's lowest), so no other sector's second level is ever read.  A
+prediction that misses shows as a one-level solve below the lowest so far,
+and that sector is solved again for two.  No other module of the package
+calls an eigensolver or splits a matrix into sectors, and this one imports
+none of them.
 
 `top_singular_value` is the one kernel for operator 2-norms of dense
 blocks, and the matrix decides its path: a square sector block equal to its
@@ -105,16 +112,11 @@ class SpectralData:
 
     `sectors` holds each parity sector's eigenvectors as its own block
     (`Sector`); the d x d eigenvector matrix, half zeros when M splits, is
-    never formed.  A dense unitary passed as `sectors` is one sector whose
-    rows are every index.
+    never formed.
     """
 
     eigenvalues: np.ndarray
     sectors: tuple[Sector, ...]
-
-    def __post_init__(self):
-        if isinstance(self.sectors, np.ndarray):
-            self.sectors = (Sector(np.arange(self.sectors.shape[0]), np.arange(self.sectors.shape[1]), self.sectors),)
 
     @property
     def dim(self) -> int:
@@ -476,15 +478,22 @@ def ground_state(M: np.ndarray | SpectralData | scipy.sparse.sparray | Iterable)
     ascending index sets that together cover every index
     (`hamiltonian.sparse_sectors`), or one scipy sparse matrix, the one
     block of every row.  Each block is solved as it arrives, by Lanczos
-    (`eigsh`, two lowest levels) or, at or below ARPACK's k < dim limit,
-    densely, and dropped before the next is asked for; the two lowest
-    levels of the union give the gap.  A block's Lanczos start vector is
-    its rows of one fixed-seed Gaussian over every index (drawn in order,
-    so the first rows[-1] + 1 draws hold them), which overlaps every
-    eigenvector.  A structured one can miss a whole symmetry sector, and
-    with it the gap or a degeneracy; the constant vector is itself an
-    eigenvector of the Ising chain at zero field.  Non-convergence raises
-    `ArpackNoConvergence`.
+    (`eigsh`) or, at or below ARPACK's k < dim limit, densely (its two
+    lowest levels), and dropped before the next is asked for; the two lowest
+    levels of the union give the gap.  Lanczos asks the first block for two
+    levels and every later one for its lowest alone: the union's lowest E0
+    lies in some block g, and its second is E1 = min(e1_g, e0_s over
+    s != g), while e1_s >= e0_s >= E1 for every s != g, so only g's second
+    level is read.  `sparse_sectors` yields the sector of H's lowest diagonal entry
+    first, its predicted g.  A later block whose one level lies strictly
+    below the lowest so far is g, and it is solved again for two levels
+    while its CSR is alive (one more solve; never on the dense path).  A
+    block's Lanczos start vector is its rows of one fixed-seed Gaussian over
+    every index (drawn in order, so the first rows[-1] + 1 draws hold them),
+    which overlaps every eigenvector.  A structured one can miss a whole
+    symmetry sector, and with it the gap or a degeneracy; the constant
+    vector is itself an eigenvector of the Ising chain at zero field.
+    Non-convergence raises `ArpackNoConvergence`.
     """
     if isinstance(M, (SpectralData, np.ndarray)):
         sp = M if isinstance(M, SpectralData) else eigendecompose(M)
@@ -494,7 +503,10 @@ def ground_state(M: np.ndarray | SpectralData | scipy.sparse.sparray | Iterable)
             M = [(np.arange(M.shape[0]), M)]
         lowest, dim = [], 0  # the two lowest (level, rows, vector) of the sectors so far
         for rows, S in M:
-            levels, vector = _sector_lowest(rows, S)
+            levels, vector = _sector_lowest(rows, S, k=1 if lowest else 2)
+            # One level of a wider sector, below the lowest so far: it holds the ground state.
+            if len(levels) == 1 < len(rows) and levels[0] < lowest[0][0]:
+                levels, vector = _sector_lowest(rows, S, k=2)
             del S  # the sector's CSR dies here, before the next one is built
             dim += len(rows)
             found = [(levels[0], rows, vector)] + [(level, rows, None) for level in levels[1:2]]
@@ -512,11 +524,18 @@ def ground_state(M: np.ndarray | SpectralData | scipy.sparse.sparray | Iterable)
     return GroundStateInfo(energy=float(w[0]), state=state, gap=gap)
 
 
-def _sector_lowest(rows: np.ndarray, S) -> tuple[np.ndarray, np.ndarray]:
-    """The (up to) two lowest levels of a sparse sector block and the lowest one's vector, on its rows."""
+def _sector_lowest(rows: np.ndarray, S, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest levels of a sparse sector block and the lowest one's vector, on its rows.
+
+    k is 2 where the block's second level may be the gap's (`ground_state`),
+    else 1: on the Ising chain's second sector (n = 10, 12, 13, 16) that
+    takes ARPACK 81, 111, 121 and 161 matrix-vector products in place of
+    163, 235, 289 and 414.  A block of dim <= 2 is solved densely, with its
+    (up to) two lowest levels whatever k.
+    """
     if S.shape[0] > 2:  # ARPACK needs k=2 < dim
         v0 = np.random.default_rng(0).standard_normal(rows[-1] + 1)[rows]
-        w, v = scipy.sparse.linalg.eigsh(S, k=2, which="SA", tol=0, v0=v0)
+        w, v = scipy.sparse.linalg.eigsh(S, k=k, which="SA", tol=0, v0=v0)
         order = np.argsort(w)
         return w[order], v[:, order[0]]
     sp = eigendecompose(S.toarray())

@@ -15,7 +15,7 @@ import pytest
 
 from agsplab.config import ExperimentConfig
 from agsplab.experiment import Pipeline, build_pipeline, run_points
-from agsplab.spectral import in_window, operator_schmidt_rank
+from agsplab.spectral import Sector, SpectralData, in_window, operator_schmidt_rank
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -73,6 +73,12 @@ def dense_eigenvectors(spectrum) -> np.ndarray:
     for sec in spectrum.sectors:
         U[np.ix_(sec.rows, sec.positions)] = sec.vectors
     return U
+
+
+def one_sector_spectrum(eigenvalues: np.ndarray, U: np.ndarray) -> SpectralData:
+    """A decomposition with the d x d eigenvector matrix U as its one sector, every index its rows."""
+    d = U.shape[0]
+    return SpectralData(eigenvalues, (Sector(np.arange(d), np.arange(d), U),))
 
 
 def held_matrices(obj) -> list[np.ndarray]:

@@ -17,7 +17,7 @@ from agsplab.effective import build_effective
 from agsplab.entanglement import schmidt_decompose
 from agsplab.experiment import _agsp_records, build_pipeline
 from agsplab.hamiltonian import assemble_dense, build_long_range_fermion_chain, build_long_range_ising
-from agsplab.spectral import SpectralData, align_phase, numerical_rank, operator_schmidt_rank
+from agsplab.spectral import align_phase, numerical_rank, operator_schmidt_rank
 from agsplab.truncation import decompose_blocks, truncate_interactions
 from conftest import (
     PAULI_X,
@@ -28,6 +28,7 @@ from conftest import (
     dense_power_schmidt_rank,
     kron_chain,
     mp_chebyshev_ratio,
+    one_sector_spectrum,
     oracle_ground_vector,
 )
 
@@ -126,7 +127,7 @@ class TestFilter:
         _, eff = make_eff(n=4, l=1, tau=3.0)
         if field == "complex":
             Q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
-            eff._spectral = SpectralData(np.concatenate([[0.0], np.linspace(1.0, 3.0, 15)]), Q)
+            eff._spectral = one_sector_spectrum(np.concatenate([[0.0], np.linspace(1.0, 3.0, 15)]), Q)
         sp = eff.spectral()
         K = agsp_filter(eff, 5).matrix
         assert np.array_equal(K, K.conj().T)
@@ -404,7 +405,7 @@ class TestBootstrap:
         # lands a phase away from the target, far outside the distance bound.
         _, eff = make_eff(n=4, l=1, tau=3.0)
         Q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
-        eff._spectral = SpectralData(np.concatenate([[0.0], np.linspace(1.0, 3.0, 15)]), Q)
+        eff._spectral = one_sector_spectrum(np.concatenate([[0.0], np.linspace(1.0, 3.0, 15)]), Q)
         fixed = Q[:, 0]
         filt = agsp_filter(eff, 16)
         psi, (mu1, dist) = bootstrap_state(filt, fixed)

@@ -34,6 +34,7 @@ from conftest import (
     dense_energy_dist_lhs,
     dense_filter_lhs,
     kron_embed,
+    one_sector_spectrum,
     unsplit_hermitian_norm,
 )
 
@@ -290,7 +291,7 @@ class TestEnergyDistribution:
         sp = eff.spectral()
         poisoned = dense_eigenvectors(sp)
         poisoned[7, 40] = np.nan
-        eff._spectral = SpectralData(sp.eigenvalues, poisoned)
+        eff._spectral = one_sector_spectrum(sp.eigenvalues, poisoned)
         recs = energy_distribution_check(eff, E_primes, Es)
         assert all(np.isnan(r.lhs) for r in recs if r.bound_id == "prop8.energy-dist-eff")
         assert all(np.isfinite(r.lhs) for r in recs if r.bound_id == "prop8.energy-dist")

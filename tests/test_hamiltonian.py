@@ -1,5 +1,6 @@
 import tracemalloc
 import weakref
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -344,10 +345,10 @@ class TestAssembleSparse:
         H = build_long_range_ising(n, 3.0, 1.0, B) if family == "ising" else build_long_range_fermion_chain(n, 3.0, 1.0, B)
         ref = self.concatenated_csr(H)
         sectors = list(hamiltonian.sparse_sectors(H))
-        assert len(sectors) == 2
         parity = spectral.popcount_parity(H.lattice.dim)
-        for p, (rows, S) in enumerate(sectors):
-            np.testing.assert_array_equal(rows, np.flatnonzero(parity == p))
+        assert sorted(parity[rows[0]] for rows, _ in sectors) == [0, 1]  # either may come first
+        for rows, S in sectors:
+            np.testing.assert_array_equal(rows, np.flatnonzero(parity == parity[rows[0]]))
             restricted = ref[rows][:, rows]
             assert S.nnz == restricted.nnz and S.data.dtype == restricted.data.dtype
             np.testing.assert_array_equal(S.indptr, restricted.indptr)
@@ -388,6 +389,64 @@ class TestAssembleSparse:
         monkeypatch.setattr(hamiltonian, "assemble_sparse", spy)
         spectral.ground_state(hamiltonian.sparse_sectors(build_long_range_ising(8, 3.0, 1.0, 2.0)))
         assert alive_at_build == [[], [False, False, False]]
+
+    @pytest.mark.parametrize(
+        "H, first",
+        [
+            # B = 2 favours every spin down, popcount n: the odd sector first at odd n
+            (build_long_range_ising(7, 3.0, 1.0, 2.0), 1),
+            (build_long_range_ising(13, 3.0, 1.0, 2.0), 1),
+            (build_long_range_ising(8, 3.0, 1.0, 2.0), 0),
+            # a zero diagonal: argmin's first index, 0, is even
+            (build_long_range_fermion_chain(7, 3.0, 1.0, 0.5), 0),
+        ],
+        ids=["ising-n7", "ising-n13", "ising-n8", "fermion-n7"],
+    )
+    def test_first_sector_holds_the_lowest_diagonal_entry(self, H, first):
+        rows, _ = next(hamiltonian.sparse_sectors(H))
+        np.testing.assert_array_equal(rows, np.flatnonzero(spectral.popcount_parity(H.lattice.dim) == first))
+
+    @pytest.mark.parametrize(
+        "H",
+        [
+            build_long_range_ising(6, 3.0, 1.0, 2.0),
+            build_long_range_ising(5, 2.0, -0.7, 0.5),
+            build_long_range_fermion_chain(6, 3.0, 1.0, 0.5),
+            Hamiltonian(
+                LatticeSpec(n=4),
+                [
+                    InteractionTerm((1, 3), np.kron(SIGMA_Z, SIGMA_Z) + 0.3 * np.kron(SIGMA_Y, SIGMA_Y)),
+                    InteractionTerm((2, 3, 4), np.diag(np.arange(8.0)) + 0.1 * np.kron(SIGMA_Y, np.eye(4))),
+                    InteractionTerm((4,), 0.2 * SIGMA_Z),
+                ],
+                k=3,
+            ),
+            Hamiltonian(LatticeSpec(n=3), []),
+        ],
+        ids=["ising-n6", "ising-n5", "fermion-n6", "complex-n4", "empty"],
+    )
+    def test_diagonal_matches_the_dense_diagonal(self, H):
+        d = hamiltonian._diagonal(H)
+        assert d.dtype == np.float64
+        np.testing.assert_allclose(d, np.diagonal(assemble_dense(H)).real, rtol=0, atol=1e-14)
+
+    def test_diagonal_is_dead_before_the_first_sector_is_built(self, monkeypatch):
+        diagonals, alive_at_build = [], []
+        read, write = hamiltonian._diagonal, hamiltonian.assemble_sparse
+
+        def read_spy(H):
+            d = read(H)
+            diagonals.append(weakref.ref(d))
+            return d
+
+        def write_spy(H, parity=None):
+            alive_at_build.append([ref() is not None for ref in diagonals])
+            return write(H, parity)
+
+        monkeypatch.setattr(hamiltonian, "_diagonal", read_spy)
+        monkeypatch.setattr(hamiltonian, "assemble_sparse", write_spy)
+        spectral.ground_state(hamiltonian.sparse_sectors(build_long_range_ising(8, 3.0, 1.0, 2.0)))
+        assert alive_at_build == [[False], [False]]
 
     def test_uniform_and_per_row_cursors_interleave(self):
         # Pure-hopping terms (per-row cursors) between field terms (one shared shift), with a
@@ -664,6 +723,31 @@ class TestFermionChain:
             sum(c) for k in range(n + 1) for c in itertools.combinations(modes, k)
         )
         np.testing.assert_allclose(w, sums, atol=1e-10)
+
+    @staticmethod
+    def kronecker_terms(n, alpha, A, B):
+        """Each (support, matrix) pair term from the Jordan-Wigner operators as Kronecker products."""
+        terms = []
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                w = j - i + 1
+                a_i = reduce(np.kron, [SIGMA_PLUS] + [np.eye(2)] * (w - 1))
+                a_j = reduce(np.kron, [SIGMA_Z] * (w - 1) + [SIGMA_PLUS])
+                hop, pair = A * (a_i @ a_j.conj().T), B * (a_i @ a_j)
+                terms.append((tuple(range(i, j + 1)), (hop + pair + hop.conj().T + pair.conj().T) / float(j - i) ** alpha))
+        return terms
+
+    @pytest.mark.parametrize("A, B", [(1.0, 0.5), (1.0, 0.0), (0.0, 1.0), (0.3, -0.7)])
+    def test_terms_match_the_kronecker_construction(self, A, B):
+        # Written as signed partial permutations, every entry bit for bit, signs of zeros included.
+        for n in range(2, 11):
+            H = build_long_range_fermion_chain(n, 3.0, A, B)
+            oracle = self.kronecker_terms(n, 3.0, A, B)
+            assert [t.support for t in H.terms] == [support for support, _ in oracle]
+            for term, (_, m) in zip(H.terms, oracle):
+                assert term.matrix.dtype == m.dtype
+                assert np.array_equal(term.matrix, m)
+                assert np.array_equal(np.signbit(term.matrix), np.signbit(m))
 
     def test_coupling_table_shape_error(self):
         # The couplings are uniform scalars; a table of any shape is refused.

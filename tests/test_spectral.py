@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,7 @@ from agsplab.spectral import (
     top_singular_value,
     unitary_block_norms,
 )
-from conftest import PAULI_X, PAULI_Z, dense_eigenvectors, held_matrices
+from conftest import PAULI_X, PAULI_Z, dense_eigenvectors, held_matrices, one_sector_spectrum
 
 # Frozen at first run: gap of the n=8, alpha=3, J=1, B=2 chain.
 GAP_N8_A3_J1_B2 = 2.397328047305237
@@ -133,6 +134,8 @@ class TestGroundState:
     @pytest.mark.parametrize(
         "H",
         [
+            build_long_range_ising(1, 3.0, 1.0, 2.0),
+            build_long_range_ising(2, 3.0, 1.0, 2.0),
             build_long_range_ising(6, 3.0, 1.0, 2.0),
             build_long_range_ising(7, 3.0, 1.0, 2.0),
             build_long_range_ising(8, 3.0, 1.0, 2.0),
@@ -140,12 +143,13 @@ class TestGroundState:
             build_long_range_fermion_chain(8, 3.0, 1.0, 0.5),
             diagonal_chain(6),
         ],
-        ids=["ising-n6-B2", "ising-n7-B2", "ising-n8-B2", "ising-n8-B0.7", "fermion-n8", "diagonal-n6"],
+        ids=["ising-n1-B2", "ising-n2-B2", "ising-n6-B2", "ising-n7-B2", "ising-n8-B2", "ising-n8-B0.7", "fermion-n8", "diagonal-n6"],
     )
     def test_sparse_solve_matches_dense(self, H):
         # The Ising gap is to the odd spin-flip sector: a start vector
         # confined to one sector would report a wrong gap here.  Solved per
-        # parity sector and as the one sector of the full CSR.
+        # parity sector and as the one sector of the full CSR; at n = 1 and 2
+        # the sectors (dimension 1 and 2) are solved densely.
         dense = ground_state(assemble_dense(H))
         for sparse in (ground_state(sparse_sectors(H)), ground_state(assemble_sparse(H))):
             assert sparse.energy == pytest.approx(dense.energy, abs=1e-10)
@@ -160,8 +164,9 @@ class TestGroundState:
 
     def test_odd_ground_state_at_n13_matches_the_full_csr_solve(self):
         # The field B = 2 favours every spin down, popcount 13: the ground state lies in the odd
-        # sector, which is solved second.  A dense oracle would be a 512 MiB matrix, so
-        # the Lanczos solve of the full CSR (one sector of every row) stands in for it.
+        # sector, which holds the lowest diagonal entry and so is solved first.  A dense oracle
+        # would be a 512 MiB matrix, so the Lanczos solve of the full CSR (one sector of every
+        # row) stands in for it.
         H = build_long_range_ising(13, 3.0, 1.0, 2.0)
         full = ground_state(assemble_sparse(H))
         sectors = ground_state(sparse_sectors(H))
@@ -170,6 +175,42 @@ class TestGroundState:
         assert sectors.energy == pytest.approx(full.energy, abs=1e-10)
         assert sectors.gap == pytest.approx(full.gap, abs=1e-9)
         assert abs(np.vdot(sectors.state, full.state)) == pytest.approx(1.0, abs=1e-9)
+
+    @staticmethod
+    def spy_eigsh(monkeypatch) -> list[int]:
+        """The k of every `eigsh` call from here on, in order."""
+        asked, eigsh = [], scipy.sparse.linalg.eigsh
+
+        def spy(*args, **kwargs):
+            asked.append(kwargs["k"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+        return asked
+
+    def test_second_sector_is_asked_for_one_level(self, monkeypatch):
+        # Its second level lies above its first, which already bounds the gap.
+        H = build_long_range_ising(10, 3.0, 1.0, 2.0)
+        asked = self.spy_eigsh(monkeypatch)
+        ground_state(sparse_sectors(H))
+        assert asked == [2, 1]
+        asked.clear()
+        ground_state(assemble_sparse(H))  # one block: both levels from it
+        assert asked == [2]
+
+    def test_a_sector_below_the_first_is_solved_again_for_two_levels(self, monkeypatch):
+        # The fermion diagonal is zero, so the even sector is solved first, but at n=10, B=0.5
+        # the ground state is odd: the odd sector's one level lies below the even ground
+        # level, and that sector is solved again for its second level.
+        H = build_long_range_fermion_chain(10, 3.0, 1.0, 0.5)
+        asked = self.spy_eigsh(monkeypatch)
+        sparse = ground_state(sparse_sectors(H))
+        assert asked == [2, 1, 2]
+        assert not np.any(sparse.state[spectral.popcount_parity(H.lattice.dim) == 0])
+        dense = ground_state(assemble_dense(H))
+        assert sparse.energy == pytest.approx(dense.energy, abs=1e-10)
+        assert sparse.gap == pytest.approx(dense.gap, abs=1e-9)
+        assert abs(np.vdot(sparse.state, dense.state)) == pytest.approx(1.0, abs=1e-9)
 
     def test_sparse_two_dim_input(self):
         # Below ARPACK's k < dim limit the sparse input is solved densely.
@@ -608,14 +649,14 @@ def test_non_finite_entry_fails_loudly_through_the_split(kernel, bad, where):
 def sector_case(rng, case: str, dim: int = 32) -> tuple[np.ndarray, SpectralData]:
     """A Hermitian matrix and its decomposition: split in two sectors, or one sector.
 
-    "split" is parity conserving; "complex" is a dense complex unitary passed
-    to `SpectralData`; "cross-entry" is parity conserving but for one pair of
+    "split" is parity conserving; "complex" is a dense complex unitary as the one
+    sector of a `SpectralData`; "cross-entry" is parity conserving but for one pair of
     cross entries, so it does not split.
     """
     if case == "complex":
         Q = random_unitary(rng, dim, "complex")
         w = np.sort(rng.standard_normal(dim))
-        return (Q * w) @ Q.conj().T, SpectralData(w, Q)
+        return (Q * w) @ Q.conj().T, one_sector_spectrum(w, Q)
     M = parity_conserving(rng, dim, dim, "real", hermitian=True)
     if case == "cross-entry":
         M[0, 1] = M[1, 0] = 0.25  # index 0 is even, index 1 odd
