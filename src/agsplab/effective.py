@@ -239,7 +239,19 @@ def _corner_norms(spec: SpectralData, apply, labels: np.ndarray, corners: list[t
     return [float(np.max(values)) for values in zip(*norms)]
 
 
-def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -> list[BoundRecord]:
+def energy_distribution_lhs(T: TruncatedHamiltonian, spec: SpectralData, E_prime_grid, E_grid) -> list[list[float]]:
+    """Per block s, the `energy_distribution_check` lhs on `spec` (T's or a clamp's), E' outer, E inner."""
+    low = [int(in_window(spec.eigenvalues, hi=float(E)).sum()) for E in E_grid]
+    lhs = []
+    for s, sp in enumerate(T.block_spectra()):
+        per_level = T.lattice.dim // len(sp.eigenvalues)
+        first_rows = [per_level * int(in_window(sp.eigenvalues, hi=float(Ep)).sum()) for Ep in E_prime_grid]
+        corners = list(product(first_rows, low))
+        lhs.append(_corner_norms(spec, lambda X: _block_overlap_matrix(T, s, X), _overlap_row_parities(T, s), corners))
+    return lhs
+
+
+def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid, lhs_t=None) -> list[BoundRecord]:
     """Block high-energy leakage of low-energy projectors, plain and clamped.
 
     For every block s and grid pair: ||P^(s)_{>E'} P_{<=E}|| against
@@ -252,7 +264,8 @@ def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -
     overlap is taken per sector of the spectrum, its rows labelled by
     `_overlap_row_parities` (`_corner_norms`), and `unitary_block_norms`
     decides a corner exactly wherever its row and column counts sum past the
-    sector's.
+    sector's (`energy_distribution_lhs`).  The caller may pass the plain lhs
+    as `lhs_t`; a clamp that cuts nothing has T's spectrum, and reuses them.
     """
     T = eff.base
     lam, lam_p = T.lambdas
@@ -263,17 +276,11 @@ def energy_distribution_check(eff: EffectiveHamiltonian, E_prime_grid, E_grid) -
     e_eff0 = spec_e.ground_energy
     block_e0 = T.block_ground_energies()
     E_primes, E_grid = [float(Ep) for Ep in E_prime_grid], [float(E) for E in E_grid]
-    low = [[int(in_window(spec.eigenvalues, hi=E).sum()) for E in E_grid] for spec in (spec_t, spec_e)]
+    lhs_t = energy_distribution_lhs(T, spec_t, E_primes, E_grid) if lhs_t is None else lhs_t
+    lhs_e = lhs_t if spec_e is spec_t else energy_distribution_lhs(T, spec_e, E_primes, E_grid)
     records = []
-    for s, sp in enumerate(T.block_spectra()):
-        per_level = T.lattice.dim // len(sp.eigenvalues)
-        first_rows = [per_level * int(in_window(sp.eigenvalues, hi=Ep).sum()) for Ep in E_primes]
-        labels = _overlap_row_parities(T, s)
-        lhs_t, lhs_e = (
-            _corner_norms(spec, lambda X: _block_overlap_matrix(T, s, X), labels, list(product(first_rows, cols)))
-            for spec, cols in zip((spec_t, spec_e), low)
-        )
-        for (E_prime, E), plain, clamped in zip(product(E_primes, E_grid), lhs_t, lhs_e):
+    for s in range(len(block_e0)):
+        for (E_prime, E), plain, clamped in zip(product(E_primes, E_grid), lhs_t[s], lhs_e[s]):
             context = {"s": s, "E_prime": E_prime, "E": E}
             expo = lam * ((E_prime - block_e0[s]) - (E - e_t0) - 4.0 * g0)
             records.append(BoundRecord("prop8.energy-dist", plain, E_DIST_PREFACTOR * math.exp(-expo), context))
@@ -291,7 +298,8 @@ def effective_difference_check(
     per grid energy; at E = E_t0 this bounds ||H_eff |0_t>||.  The bonds
     cancel exactly, so H_t - H_eff is the sum of the block differences
     h_s - h_s^eff, each applied on its own block, to the eigenvectors of H_t
-    at or below E one sector at a time (`SpectralData.images`).
+    at or below E one sector at a time (`SpectralData.images`).  A clamp
+    that cuts nothing keeps T's blocks: every lhs is 0.
     """
     lam, _ = T.lambdas
     g0 = T.envelope.g0
@@ -302,10 +310,11 @@ def effective_difference_check(
         return sum(apply_on_block(block, h, X) for block, h in diffs)
 
     e_t0 = spec_t.ground_energy
+    uncut = eff.internal_eff is T.internal
     records = []
     for E in E_grid:
-        parts = spec_t.images(np.flatnonzero(in_window(spec_t.eigenvalues, hi=E)), block_differences)
-        lhs = float(np.max([top_singular_value(Y) for _, _, Y in parts]))
+        parts = [] if uncut else spec_t.images(np.flatnonzero(in_window(spec_t.eigenvalues, hi=E)), block_differences)
+        lhs = 0.0 if uncut else float(np.max([top_singular_value(Y) for _, _, Y in parts]))
         rhs = (
             27.0
             * (T.q + 2)
@@ -323,19 +332,17 @@ def exponential_filter_check(
     E,
     E_prime,
     eff: EffectiveHamiltonian,
+    lhs_t: np.ndarray | None = None,
 ) -> list[BoundRecord]:
     """Exponential suppression of block operators between energy sectors.
 
     For a block-s operator commuting with h_s:
     ||P_{>=E'} O_s P_{<=E}|| <= 4 ||O_s|| exp(-lambda (E' - E)), and the
     clamped analogue with lambda' on the spectrum of `eff`.
-    `E` and `E_prime` are scalars or 1-D grids.  Each record forms only its
-    own block V_{>=E'}^dag O_s V_{<=E} of the rotation V^dag O_s V, one
-    sector of the spectrum at a time (`SpectralData.images`), so a grid
-    call and a loop of scalar calls compute the same products.  The image
-    O_s V_{<=E} depends on the variant and E alone: it is formed once and
-    read for every E'.  Records run E' outer, E inner, with variant
-    "filter" before "filter-eff" at each grid pair.
+    `E` and `E_prime` are scalars or 1-D grids (`exponential_filter_lhs`).
+    The caller may pass the plain lhs as `lhs_t`; a clamp that cuts nothing
+    has T's spectrum, and reuses them.  Records run E' outer, E inner, with
+    variant "filter" before "filter-eff" at each grid pair.
     """
     h_s = T.internal[s]
     comm = O_s @ h_s - h_s @ O_s
@@ -344,31 +351,44 @@ def exponential_filter_check(
         raise ValueError("operator does not commute with its block Hamiltonian")
     lam, lam_p = T.lambdas
     norm_O = top_singular_value(O_s)
-    variants = [("filter", lam, T.spectral()), ("filter-eff", lam_p, eff.spectral())]
     E, E_prime = np.atleast_1d(E), np.atleast_1d(E_prime)
-
-    def apply_O(X: np.ndarray) -> np.ndarray:
-        return apply_on_block(T.blocks.blocks[s], O_s, X)
-
-    lhs = np.empty((len(E_prime), len(E), len(variants)))
-    for v, (_, _, sp) in enumerate(variants):
-        for i, Ei in enumerate(E):
-            parts = sp.images(np.flatnonzero(in_window(sp.eigenvalues, hi=Ei)), apply_O)
-            for j, Ep in enumerate(E_prime):
-                # Ascending eigenvalues: the rows are a suffix, the columns a prefix.
-                above = np.flatnonzero(in_window(sp.eigenvalues, lo=Ep))
-                lhs[j, i, v] = np.max([top_singular_value(sec.columns(above).conj().T @ Y) for sec, _, Y in parts])
+    spec_t, spec_e = T.spectral(), eff.spectral()
+    lhs_t = exponential_filter_lhs(T, s, O_s, spec_t, E, E_prime) if lhs_t is None else lhs_t
+    lhs_e = lhs_t if spec_e is spec_t else exponential_filter_lhs(T, s, O_s, spec_e, E, E_prime)
+    variants = [("filter", lam, lhs_t), ("filter-eff", lam_p, lhs_e)]
     return [
         BoundRecord(
             "lemma14.filter",
-            float(lhs[j, i, v]),
+            float(lhs[j, i]),
             4.0 * norm_O * math.exp(-rate * (Ep - Ei)),
             {"s": s, "E_prime": float(Ep), "E": float(Ei), "variant": label},
         )
         for j, Ep in enumerate(E_prime)
         for i, Ei in enumerate(E)
-        for v, (label, rate, _) in enumerate(variants)
+        for label, rate, lhs in variants
     ]
+
+
+def exponential_filter_lhs(T: TruncatedHamiltonian, s: int, O_s: np.ndarray, spec: SpectralData, E, E_prime):
+    """The `exponential_filter_check` lhs on `spec` (T's or a clamp's), indexed [E', E].
+
+    Each entry forms only its own block V_{>=E'}^dag O_s V_{<=E} of V^dag O_s V, one sector
+    at a time (`SpectralData.images`), so a grid and a loop of scalars compute the same
+    products.  The image O_s V_{<=E} is formed once and read for every E'.
+    """
+    E, E_prime = np.atleast_1d(E), np.atleast_1d(E_prime)
+
+    def apply_O(X: np.ndarray) -> np.ndarray:
+        return apply_on_block(T.blocks.blocks[s], O_s, X)
+
+    lhs = np.empty((len(E_prime), len(E)))
+    for i, Ei in enumerate(E):
+        parts = spec.images(np.flatnonzero(in_window(spec.eigenvalues, hi=Ei)), apply_O)
+        for j, Ep in enumerate(E_prime):
+            # Ascending eigenvalues: the rows are a suffix, the columns a prefix.
+            above = np.flatnonzero(in_window(spec.eigenvalues, lo=Ep))
+            lhs[j, i] = np.max([top_singular_value(sec.columns(above).conj().T @ Y) for sec, _, Y in parts])
+    return lhs
 
 
 def commutator_bound_check(T: TruncatedHamiltonian) -> list[BoundRecord]:

@@ -5,17 +5,18 @@ compression, measures every registered inequality, and persists CSV/text
 reports.
 
 Sweep grid points run in one process.  Points that agree on the model
-(family, n, alpha, J, A, B, cut) and on the blocks (q, l) share one
-`Pipeline`: H, its levels, the ground state and its Schmidt decomposition
-at the block cut and the truncations are built once per model, and so are
-the records that read only them (`gap≤2g`, `assumption1`, Lemma 3-4 and
-the ground state's `claim7.mps`) and the entropy row, which every point
-holds by reference (records and rows are frozen).  The stages that read
-tau, m or the seeded rng (Theorem 5, the filter machinery, the AGSP and
-Eckart-Young checks, and every clamp that cuts something) run per point; a
-clamp that cuts nothing is T, with T's spectrum and filter ranks
-(`effective.build_effective`).  Entropy runs solve one ground state per
-model, whatever q and l say.  Results come back in grid order.
+(family, n, alpha, J, A, B, cut) and on the blocks (q, l) form a group with
+one `Pipeline`: H, its levels, the ground state, its Schmidt decomposition
+at the block cut and the truncations.  Once per group run the checks that
+read neither tau nor m (`gap≤2g`, `assumption1`, Lemma 3-4,
+`lemma15.commutator`, `sr.*`, the compression and `claim7.mps` records, and
+the entropy row), and the filter machinery's lhs on T's spectrum; every
+point holds them by reference (records and rows are frozen).  Per point run
+Theorem 5, the clamp at max(taus) and the checks that read it, and the
+Chebyshev, AGSP and sequence checks.  A clamp that cuts nothing is T
+(`effective.build_effective`), so it reuses T's lhs.  Entropy runs solve
+one ground state per model, whatever q and l say.  Results come back in
+grid order.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,15 +70,16 @@ class Pipeline:
     (l, tau)) are built on first use and shared by every check of the point,
     except the Theorem-5 clamps below max(taus), which one check reads once
     (`eff_at`).
-    The sweep points of one model share a pipeline's H, its levels and
-    ground state, the ground state's Schmidt decomposition at the block cut
-    and the truncations, through `dataclasses.replace`, each with its own
-    `cfg` and clamps (see `_verify_group`).  A clamp that cuts nothing takes
-    its spectrum and filter ranks from its truncation, so the points share
-    those too.  The model scalars live with their owners: g and the decay
-    envelope on each truncation (`T.local_g`, `T.envelope`), the gap on
-    `H_levels`.  No check reads an excited eigenvector of H, so H keeps
-    only its levels and its ground vector.
+    The points of a group share a pipeline's H, its levels and ground
+    state, the ground state's Schmidt decomposition at the block cut and the
+    truncations, through `dataclasses.replace`, each with its own `cfg` and
+    clamps; `_verify_group` makes the group's tau-free records and lhs once.
+    A clamp that cuts nothing takes its spectrum and filter ranks from its
+    truncation, so the points share those, and the lhs read on them, too.
+    The model scalars live with their owners: g and the decay envelope on
+    each truncation (`T.local_g`, `T.envelope`), the gap on `H_levels`.  No
+    check reads an excited eigenvector of H, so H keeps only its levels and
+    its ground vector.
     """
 
     cfg: ExperimentConfig
@@ -140,35 +143,45 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     )
 
 
-def _filter_machinery_records(pipe: Pipeline, rng) -> list[BoundRecord]:
+class _SharedLhs(NamedTuple):
+    """The filter machinery's inputs and lhs that read T alone, never tau or m (`_shared_lhs`)."""
+
+    grids: tuple[np.ndarray, np.ndarray]  # (E', E) of `prop8.energy-dist`
+    energy_dist: list[list[float]]  # its lhs on T's spectrum, per block
+    windows: tuple[tuple[float, float], tuple[float, float]]  # (E, E') of `lemma14.filter`
+    diagonals: list[tuple[np.ndarray, np.ndarray]]  # per block, a random diagonal O_s and its lhs on T's spectrum
+
+
+def _shared_lhs(T: trunc.TruncatedHamiltonian, rng) -> _SharedLhs:
+    """The `_SharedLhs` of T, drawing one uniform array per block from `rng` for the random diagonals."""
+    spec = T.spectral()
+    e0, width = spec.ground_energy, spec.width
+    block_specs = T.block_spectra()
+    lo = min(sp.eigenvalues[0] for sp in block_specs)
+    hi = max(sp.eigenvalues[-1] for sp in block_specs)
+    grids = (np.linspace(lo - 0.5, hi + 0.5, 5), np.linspace(e0, e0 + width, 5))
+    windows = ((e0, e0 + width / 4.0), (e0 + width / 3.0, e0 + 2.0 * width / 3.0))
+    diagonals = [sp.matrix_of(rng.uniform(-1.0, 1.0, size=len(sp.eigenvalues))) for sp in block_specs]
+    energy_dist = eff_mod.energy_distribution_lhs(T, spec, *grids)
+    filters = [(O, eff_mod.exponential_filter_lhs(T, s, O, spec, *windows)) for s, O in enumerate(diagonals)]
+    return _SharedLhs(grids, energy_dist, windows, filters)
+
+
+def _filter_machinery_records(pipe: Pipeline, shared: _SharedLhs) -> list[BoundRecord]:
+    """`effnorm`, `prop8.*`, `prop9.diff` and `lemma14.filter` records of the point's clamp at max(taus)."""
     T = pipe.T
     tau_star = max(pipe.cfg.taus)
     eff = pipe.eff_at(tau_star)
     records = [BoundRecord("effnorm", eff.spectral().norm, eff.norm_budget(), {"tau": tau_star})]
-    e0 = T.spectral().ground_energy
-    width = T.spectral().width
-    block_specs = T.block_spectra()
-    lo = min(sp.eigenvalues[0] for sp in block_specs)
-    hi = max(sp.eigenvalues[-1] for sp in block_specs)
-    E_prime_grid = np.linspace(lo - 0.5, hi + 0.5, 5)
-    E_grid = np.linspace(e0, e0 + width, 5)
-    records.extend(eff_mod.energy_distribution_check(eff, E_prime_grid, E_grid))
+    records.extend(eff_mod.energy_distribution_check(eff, *shared.grids, shared.energy_dist))
+    e0, width = T.spectral().ground_energy, T.spectral().width
     records.extend(eff_mod.effective_difference_check(T, eff, np.linspace(e0, e0 + 0.5 * width, 5)))
     for s, tail in enumerate(eff.tail_projectors()):
-        sp = block_specs[s]
-        ops = [] if tail is None else [("clamp-tail", tail)]
-        ops.append(("random-diagonal", sp.matrix_of(rng.uniform(-1.0, 1.0, size=len(sp.eigenvalues)))))
-        for name, O in ops:
-            for rec in eff_mod.exponential_filter_check(
-                T,
-                s,
-                O,
-                E=(e0, e0 + width / 4.0),
-                E_prime=(e0 + width / 3.0, e0 + 2.0 * width / 3.0),
-                eff=eff,
-            ):
+        ops = [] if tail is None else [("clamp-tail", tail, None)]
+        ops.append(("random-diagonal", *shared.diagonals[s]))
+        for name, O, lhs_t in ops:
+            for rec in eff_mod.exponential_filter_check(T, s, O, *shared.windows, eff=eff, lhs_t=lhs_t):
                 records.append(replace(rec, context={**rec.context, "operator": name}))
-    records.extend(eff_mod.commutator_bound_check(T))
     return records
 
 
@@ -194,8 +207,8 @@ def _chebyshev_records(ms) -> list[BoundRecord]:
     return records
 
 
-def _agsp_records(pipe: Pipeline):
-    """Filter quality, bootstrap, and the assembled entropy bound."""
+def _agsp_records(pipe: Pipeline, sr_records: list[BoundRecord]):
+    """Filter quality and the bootstrap, with the group's `sr.*` records (`sr_records`) between them."""
     records = []
     tau_star = max(pipe.cfg.taus)
     eff = pipe.eff_at(tau_star)
@@ -203,8 +216,7 @@ def _agsp_records(pipe: Pipeline):
         filt = agsp_mod.agsp_filter(eff, m)
         epsilon = filt.excited_residual()
         records.append(BoundRecord("agsp.epsilon", epsilon, filt.cheb_bound, {"m": m, "tau": tau_star}))
-    for power in pipe.cfg.sr_powers:
-        records.extend(agsp_mod.schmidt_rank_bound_check(pipe.T, power))
+    records.extend(sr_records)
     m_boot = max(pipe.cfg.ms)
     for _ in range(8):  # double m until the bootstrap precondition holds
         psi, boot_records = agsp_mod.bootstrap_state(agsp_mod.agsp_filter(eff, m_boot), pipe.gs_t)
@@ -330,27 +342,33 @@ def _with_slack(records: list[BoundRecord], slack: float) -> list[BoundRecord]:
 def _verify_group(points: list[ExperimentConfig]) -> list[PointResult]:
     """`verify_point` of grid points with one `_pipeline_key`, the model built once.
 
-    `tolerance` is not sweepable, so one slack serves every point, and the
-    points hold the model records, the MPS records and the entropy row by reference.
+    `tolerance`, `seed` and `sr_powers` are not sweepable, so the group makes the records that
+    read neither tau nor m, and `_shared_lhs`, once: with its one slack and its seeded draws in
+    a single point's order.  Each point holds them by reference in a single point's places.
     """
     shared = build_pipeline(points[0])
-    slack = points[0].tolerance
+    slack, T = points[0].tolerance, shared.T
     model_records = _with_slack(_model_records(shared), slack)
-    # The ground state's MPS records and entropy row read no tau, m or rng either.
+    rng = np.random.default_rng(points[0].seed)
+    lhs = _shared_lhs(T, rng)
+    compression = _with_slack(_compression_records(shared, rng), slack)
+    commutator = _with_slack(eff_mod.commutator_bound_check(T), slack)
+    sr = _with_slack([r for p in points[0].sr_powers for r in agsp_mod.schmidt_rank_bound_check(T, p)], slack)
     mps_records = _with_slack(ent.mps_compression_check(shared.gs_vector, (1, 2, 4, 8, 16)), slack)
     row = _entropy_row(points[0], shared.gs_vector)
     results = []
     for cfg in points:
         # The point's own cfg and clamps; H, its levels, its ground state and the truncations are shared.
         pipe = replace(shared, cfg=cfg, _effs={})
-        rng = np.random.default_rng(cfg.seed)
         records = eff_mod.theorem5_check(pipe.T, cfg.taus, pipe.eff_at)
-        records.extend(_filter_machinery_records(pipe, rng))
+        records.extend(_filter_machinery_records(pipe, lhs))
+        records.extend(commutator)
         records.extend(_chebyshev_records(cfg.ms))
-        agsp_records, psi = _agsp_records(pipe)
+        agsp_records, psi = _agsp_records(pipe, sr)
         records.extend(agsp_records)
         records.extend(_sequence_records(pipe, psi))
-        records.extend(_compression_records(pipe, rng))
+        records.extend(compression)
+        # The group's records already carry `slack`, so `_with_slack` keeps them by reference.
         records = model_records + _with_slack(records, slack) + mps_records
         results.append(PointResult(config=cfg, records=records, entropy_rows=[row]))
     return results

@@ -73,7 +73,8 @@ class InteractionTerm:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"term matrix must be square, got shape {m.shape}")
-        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_ATOL:  # NaN fails too
+        skew = np.conj(m.T)  # the one term-sized temporary: |m - m^dag| is written over it
+        if not np.max(np.abs(np.subtract(m, skew, out=skew), out=skew).real) <= HERMITICITY_ATOL:  # NaN fails too
             raise ValueError("term matrix is not Hermitian to 1e-12")
 
     def __iter__(self):

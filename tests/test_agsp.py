@@ -206,7 +206,7 @@ FERMION_CONFIG = ExperimentConfig(
 def test_every_epsilon_record_matches_the_dense_oracle(cfg):
     """Each `agsp.epsilon` lhs is the dense ||K (1 - |g><g|)|| of its filter."""
     pipe = build_pipeline(cfg)
-    records, _ = _agsp_records(pipe)
+    records, _ = _agsp_records(pipe, [])
     checked = [r for r in records if r.bound_id == "agsp.epsilon"]
     assert [r.context["m"] for r in checked] == cfg.ms
     for r in checked:

@@ -428,10 +428,10 @@ class TestSolveCounts:
             clamps.append(((T.blocks.l, tau), weakref.ref(eff)))
             return eff
 
-        def noting_machinery(pipe, rng):
+        def noting_machinery(pipe, shared):
             gc.collect()
             alive.extend(key for key, ref in clamps if ref() is not None)
-            return machinery(pipe, rng)
+            return machinery(pipe, shared)
 
         monkeypatch.setattr(effective, "build_effective", weakly_collected_build)
         monkeypatch.setattr(experiment, "_filter_machinery_records", noting_machinery)
@@ -593,6 +593,65 @@ class TestSweepSharing:
         for point in points:
             assert record_keys(point) == record_keys(verify_point(point.config))
 
+    @pytest.mark.parametrize("param,values", [("tau", [2.0, 4.0, 6.0]), ("m", [4, 8, 16])], ids=["tau", "m"])
+    def test_shared_lhs_never_cross_spectra(self, monkeypatch, param, values):
+        from agsplab import effective
+
+        def hex_records(point):
+            return [(r.bound_id, *(float(x).hex() for x in (r.lhs, r.rhs, r.slack)), dict(r.context)) for r in point.records]
+
+        cfg = replace(self.CFG, sweep_param=param, sweep_values=values)
+        standalone = [hex_records(verify_point(point)) for point in cfg.grid_points()]
+        built, build = [], effective.build_effective
+
+        def collected_build(T, tau):
+            built.append(build(T, tau))
+            return built[-1]
+
+        monkeypatch.setattr(effective, "build_effective", collected_build)
+        points = run_points(cfg)
+        # Every clamp of the configured l cuts something: each has a spectrum of its own, never T's.
+        main = [eff for eff in built if eff.base.blocks.l == cfg.l]
+        assert len(main) >= len(points) and not any(eff.cuts_nothing() for eff in main)
+        assert [hex_records(p) for p in points] == standalone
+
+    def test_tau_free_checks_run_once_per_group(self, monkeypatch):
+        from agsplab import agsp, effective
+
+        cfg = ExperimentConfig(
+            family="long_range_fermion", n=6, alpha=3.0, A=1.0, B=0.5, q=2, l=2, taus=[2.0], ms=[4, 8, 16],
+            seed=7, sweep_param="tau", sweep_values=[2.0, 4.0, 6.0],
+        )
+        standalone = [record_keys(verify_point(point)) for point in cfg.grid_points()]
+        calls = {"commutator": 0, "corners": 0, "powers": []}
+        commutator, rank_check, corners = (
+            effective.commutator_bound_check, agsp.schmidt_rank_bound_check, effective._corner_norms
+        )
+
+        def counted_commutator(T):
+            calls["commutator"] += 1
+            return commutator(T)
+
+        def counted_rank_check(T, m):
+            calls["powers"].append(m)
+            return rank_check(T, m)
+
+        def counted_corners(*args):
+            calls["corners"] += 1
+            return corners(*args)
+
+        monkeypatch.setattr(effective, "commutator_bound_check", counted_commutator)
+        monkeypatch.setattr(agsp, "schmidt_rank_bound_check", counted_rank_check)
+        monkeypatch.setattr(effective, "_corner_norms", counted_corners)
+        points = run_points(cfg)
+        # Every clamp of the three points cuts nothing, so none reads a spectrum of its own.
+        blocks = len(build_pipeline(cfg).T.block_spectra())
+        assert calls == {"commutator": 1, "corners": blocks, "powers": cfg.sr_powers}
+        assert [record_keys(p) for p in points] == standalone
+        for bid in ("lemma15.commutator", "sr.prop4", "eckart-young"):
+            firsts = [next(r for r in p.records if r.bound_id == bid) for p in points]
+            assert all(r is firsts[0] for r in firsts), bid
+
     def test_returned_record_contexts_are_not_written(self, monkeypatch):
         from agsplab import effective, entanglement
 
@@ -671,8 +730,10 @@ class TestSweepSharing:
         standalone_calls, calls[0] = calls[0], 0
         points = run_points(cfg)
         # The ground state's decompositions are made once, not once per point: at the block
-        # cut, at each of the n-1 = 5 bonds of `claim7.mps` and at the entropy row's cut.
-        assert calls[0] == standalone_calls - 2 * (1 + 5 + 1)
+        # cut, at each of the n-1 = 5 bonds of `claim7.mps` and at the entropy row's cut.  So
+        # are the compression records': the two seeded random states at the block cut, and
+        # the 3 x 3 Eckart-Young checks of those and the ground state at D = 1, 2, 4.
+        assert calls[0] == standalone_calls - 2 * (1 + 5 + 1 + 2 + 9)
         assert [record_keys(p) for p in points] == [record_keys(p) for p in standalone]
         assert [p.entropy_rows for p in points] == [p.entropy_rows for p in standalone]
 

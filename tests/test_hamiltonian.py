@@ -66,6 +66,35 @@ class TestLatticeAndTerms:
         with pytest.raises(ValueError):
             InteractionTerm((1,), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "matrix, hermitian",
+        [
+            (np.array([[0.0, np.nan], [np.nan, 0.0]]), False),
+            (np.array([[0.0, 1j], [1j, 0.0]]), False),
+            (np.array([[0.0, 1.0 + 2e-12], [1.0, 0.0]]), False),
+            (np.array([[0.0, 1j], [-1j, 0.0]]), True),
+            (np.array([[0.0, 1.0 + 5e-13], [1.0, 0.0]]), True),
+        ],
+        ids=["nan", "complex-symmetric", "past-tolerance", "sigma-y", "within-tolerance"],
+    )
+    def test_hermiticity_tolerance_and_nan(self, matrix, hermitian):
+        if hermitian:
+            InteractionTerm((1,), matrix)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                InteractionTerm((1,), matrix)
+
+    def test_hermiticity_check_holds_one_term_sized_temporary(self):
+        m = hamiltonian._window_term(10, 1.0, 0.5)
+        tracemalloc.start()
+        try:
+            InteractionTerm(tuple(range(1, 11)), m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # m - m^dag and its abs as two arrays: 2.00x the term.  One copy of m^dag, overwritten in place: 1.02x.
+        assert peak <= 1.05 * m.nbytes
+
     def test_term_support_sorted_distinct(self):
         with pytest.raises(ValueError):
             InteractionTerm((2, 1), np.eye(4))
