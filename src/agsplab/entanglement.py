@@ -1,6 +1,7 @@
 """Schmidt decompositions, ranks, entanglement entropies, and MPS compression.
 
-`schmidt_decompose` is the one place a state's Schmidt spectrum is computed;
+`schmidt_decompose` is the one place a state's Schmidt spectrum is computed,
+with its vectors or, for a caller that reads only entropies, without them;
 its ranks are counted by `spectral.numerical_rank`, the rule that counts
 every operator Schmidt rank too.  Entropies are in natural-log units
 everywhere.  The compression routine is a single left-to-right sweep of
@@ -26,11 +27,11 @@ ESCALATION_BUDGET = 14
 
 @dataclass
 class SchmidtData:
-    """Descending Schmidt coefficients and vectors of a pure state at a cut."""
+    """Descending Schmidt coefficients and vectors (None if not asked for) of a pure state at a cut."""
 
     coefficients: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
+    left_vectors: np.ndarray | None
+    right_vectors: np.ndarray | None
     cut: int
 
     def reconstruct(self) -> np.ndarray:
@@ -45,14 +46,17 @@ class SchmidtData:
         return float(np.sum(self.coefficients[rank:] ** 2))
 
 
-def schmidt_decompose(state: np.ndarray, cut: int) -> SchmidtData:
-    """Schmidt decomposition of a unit vector across sites [1..cut] | rest."""
+def schmidt_decompose(state: np.ndarray, cut: int, vectors: bool = True) -> SchmidtData:
+    """Schmidt decomposition of a unit vector across sites [1..cut] | rest (coefficients only if not `vectors`)."""
     nrm = np.linalg.norm(state)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"state is not normalized: ||state|| = {nrm:.12g}")
     if state.size % 2**cut != 0:
         raise ValueError(f"cut at {cut} sites does not divide dimension {state.size}")
-    U, mu, Vh = np.linalg.svd(state.reshape(2**cut, -1), full_matrices=False)
+    M = state.reshape(2**cut, -1)
+    if not vectors:
+        return SchmidtData(np.linalg.svd(M, compute_uv=False), None, None, cut)
+    U, mu, Vh = np.linalg.svd(M, full_matrices=False)
     return SchmidtData(coefficients=mu, left_vectors=U, right_vectors=Vh, cut=cut)
 
 

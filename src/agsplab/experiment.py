@@ -289,10 +289,12 @@ def _entropy_row(cfg: ExperimentConfig, state: np.ndarray) -> EntropyRow:
     the state itself, once per model (`_verify_group`).  `bond_dims` is the
     untruncated bond-dimension profile min(2^i, 2^(n-i)), i = 1 .. n-1: the
     bond dimensions of a lossless left-to-right SVD sweep, which depend on
-    the chain alone.
+    the chain alone.  S and S2 read only the coefficients, so the SVD builds
+    no U or V^T: a full one, run on numpy's BLAS threads beside ARPACK's
+    (scipy's), stalled and slowed the next Lanczos solve.
     """
     cut = cfg.cut if cfg.cut is not None else cfg.n // 2
-    sd = ent.schmidt_decompose(state, cut)
+    sd = ent.schmidt_decompose(state, cut, vectors=False)
     return EntropyRow(
         n=cfg.n,
         cut=cut,

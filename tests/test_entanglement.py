@@ -68,32 +68,46 @@ class TestSchmidtDecompose:
         assert np.sum(sd.coefficients**2) == pytest.approx(1.0, abs=1e-10)
 
 
+def entropies(v, cut, vectors):
+    """(S, S2) of v at `cut`; a values-only decomposition must match the full one within 1e-14."""
+    sd = schmidt_decompose(v, cut, vectors=vectors)
+    S, S2 = entropy(sd), renyi2(sd)
+    if not vectors:
+        assert sd.left_vectors is None and sd.right_vectors is None
+        full = schmidt_decompose(v, cut)
+        assert abs(S - entropy(full)) <= 1e-14 and abs(S2 - renyi2(full)) <= 1e-14
+    return S, S2
+
+
 class TestEntropies:
     def test_product_zero(self):
         v = np.kron([1.0, 0.0], [0.0, 1.0])
         assert entropy(schmidt_decompose(v, 1)) == pytest.approx(0.0, abs=1e-12)
         assert renyi2(schmidt_decompose(v, 1)) == pytest.approx(0.0, abs=1e-12)
 
-    def test_bell_ln2(self):
-        sd = schmidt_decompose(BELL, 1)
-        assert entropy(sd) == pytest.approx(math.log(2), abs=1e-12)
-        assert renyi2(sd) == pytest.approx(math.log(2), abs=1e-12)
+    @pytest.mark.parametrize("vectors", [True, False], ids=["full", "values-only"])
+    def test_bell_ln2(self, vectors):
+        S, S2 = entropies(BELL, 1, vectors)
+        assert S == pytest.approx(math.log(2), abs=1e-12)
+        assert S2 == pytest.approx(math.log(2), abs=1e-12)
 
-    def test_ghz_half_cut(self):
-        sd = schmidt_decompose(ghz(4), 2)
-        assert entropy(sd) == pytest.approx(math.log(2), abs=1e-12)
+    @pytest.mark.parametrize("vectors", [True, False], ids=["full", "values-only"])
+    def test_ghz_half_cut(self, vectors):
+        S, _ = entropies(ghz(4), 2, vectors)
+        assert S == pytest.approx(math.log(2), abs=1e-12)
 
     def test_entropy_bounded_by_log_dim(self, rng):
         v = random_state(rng, 64)
         assert 0.0 <= entropy(schmidt_decompose(v, 2)) <= math.log(4) + 1e-12
 
-    def test_density_matrix_cross_check(self, rng):
+    @pytest.mark.parametrize("vectors", [True, False], ids=["full", "values-only"])
+    def test_density_matrix_cross_check(self, rng, vectors):
         for _ in range(3):
             v = random_state(rng, 64)
-            sd = schmidt_decompose(v, 3)
+            S, S2 = entropies(v, 3, vectors)
             rho = reduced_density(v, 3)
-            assert entropy(sd) == pytest.approx(entropy_from_density(rho), abs=1e-9)
-            assert renyi2(sd) == pytest.approx(renyi2_from_density(rho), abs=1e-9)
+            assert S == pytest.approx(entropy_from_density(rho), abs=1e-9)
+            assert S2 == pytest.approx(renyi2_from_density(rho), abs=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=99999))

@@ -720,9 +720,9 @@ class TestSweepSharing:
         calls = [0]
         decompose = entanglement.schmidt_decompose
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[0] += 1
-            return decompose(*args)
+            return decompose(*args, **kwargs)
 
         monkeypatch.setattr(entanglement, "schmidt_decompose", counted)
         cfg = replace(self.CFG, sweep_param="tau", sweep_values=[2.0, 4.0, 6.0])
@@ -1050,6 +1050,29 @@ def test_entropy_row_peaks_below_one_full_csr():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * full_csr
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ExperimentConfig(n=10, alpha=3.0, J=1.0, B=2.0),
+        ExperimentConfig(family="long_range_fermion", n=8, alpha=3.0, A=1.0, B=0.5),
+    ],
+    ids=["ising-n10", "fermion-n8"],
+)
+def test_entropy_row_asks_for_schmidt_coefficients_only(cfg, monkeypatch):
+    # S and S2 read only the coefficients.  A full SVD builds U and V^T on numpy's BLAS
+    # threads, which then contend with ARPACK's (scipy's) in the next Lanczos solve.
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    entropy_row(cfg)
+    assert len(calls) == 1 and calls[0].get("compute_uv") is False
 
 
 @pytest.mark.slow
