@@ -62,28 +62,28 @@ class ChebyshevFilter:
     """Degree-m filter K = V f(w) V^dag of a clamp's spectrum V, w, built by `agsp_filter`.
 
     f = T_m(x)/T_m(x0) (`_filter_values`) has f(E_0) = 1 exactly, so the fixed
-    state is the clamp's ground state.  K is formed on first use.
+    state is the clamp's ground state.  K's sector blocks are formed on first use.
     """
 
     eff: EffectiveHamiltonian
     m: int
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """K itself, a dense matrix of the clamp's dimension, Hermitian to the last bit.
+    def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """K as its (rows, block) sectors, the clamp's, each K'_s = (U_s f_s) U_s^dag kept as (K'_s + K'_s^dag) / 2.
 
-        K is formed per sector of the clamp's spectrum: each block K'_s =
-        (U_s f_s) U_s^dag is written as (K'_s + K'_s^dag) / 2, and every
-        entry between sectors is zero.  Floating-point addition commutes, so
-        entries (i, j) and (j, i) are exact conjugates and a real K is exactly
-        symmetric, which `operator_schmidt_rank` reads.
+        Floating-point addition commutes, so a real K is exactly symmetric, as `operator_schmidt_rank` reads.
         """
         sp = self.eff.spectral()
         vals = _filter_values(self.m, sp.eigenvalues, sp.gap, sp.width)
-        K = np.zeros((sp.dim, sp.dim), dtype=np.result_type(*(sec.vectors for sec in sp.sectors)))
-        for rows, block in sp.function_blocks(vals):
-            K[np.ix_(rows, rows)] = 0.5 * (block + block.conj().T)
-        return K
+        return tuple((rows, 0.5 * (block + block.conj().T)) for rows, block in sp.function_blocks(vals))
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """K v, one sector block at a time."""
+        out = np.zeros(len(v), dtype=np.result_type(v, *(block for _, block in self.blocks)))
+        for rows, block in self.blocks:
+            out[rows] = block @ v[rows]
+        return out
 
     @property
     def fixed_state(self) -> np.ndarray:
@@ -122,7 +122,7 @@ class ChebyshevFilter:
         """
         ranks = self.eff.filter_ranks
         if self.m not in ranks:
-            ranks[self.m] = operator_schmidt_rank(self.matrix, self.eff.base.blocks.cut)
+            ranks[self.m] = operator_schmidt_rank(self.blocks, self.eff.base.blocks.cut)
         return ranks[self.m]
 
 
@@ -306,7 +306,7 @@ def bootstrap_state(filt: ChebyshevFilter, target_gs: np.ndarray):
     # fixed state phase-aligned to the target; bootstrap from the same gauge.
     delta, fixed = filt.drift(target_gs)
     schmidt = schmidt_decompose(fixed, filt.eff.base.blocks.cut)
-    filtered = filt.matrix @ truncate_to_rank(schmidt, 1)
+    filtered = filt.apply(truncate_to_rank(schmidt, 1))
     psi = filtered / np.linalg.norm(filtered)
     mu1 = float(schmidt.coefficients[0])
     distance_bound = epsilon * math.sqrt(2.0 * D) + delta

@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .hamiltonian import region_sum
+from .hamiltonian import Hamiltonian, InteractionTerm, LatticeSpec, assemble_sparse, keeps_parity, region_sum
 from .registry import BoundRecord, vacuous
 from .spectral import (
     ENERGY_TIE_TOL,
@@ -59,13 +59,10 @@ class EffectiveHamiltonian:
     # Operator Schmidt rank of the filter K(m) of this clamp across the block cut, per m; T's if it cuts nothing.
     filter_ranks: dict[int, int] = field(default_factory=dict, repr=False)
 
-    def assemble_dense(self) -> np.ndarray:
-        """Dense H_eff, assembled anew on every call (only `spectral()` needs it)."""
-        return self.base.assemble_dense(self.internal_eff)
-
     def spectral(self) -> SpectralData:
+        """The clamp's spectrum, solved once from its sectors, each written from its pieces and then dropped."""
         if self._spectral is None:
-            self._spectral = eigendecompose(self.assemble_dense())
+            self._spectral = eigendecompose(self.base.sectors(self.internal_eff))
         return self._spectral
 
     def norm_budget(self) -> float:
@@ -398,20 +395,26 @@ def commutator_bound_check(T: TruncatedHamiltonian) -> list[BoundRecord]:
     spans sites drawn from two blocks).  Only the pieces of H_t whose support
     meets the bond's fail to commute with it, and ||A (x) I|| = ||A||, so the
     commutator is formed on the union of those supports, a contiguous
-    region.  Both operators are Hermitian, so with X = bond . local, formed
-    by one `apply_on_block` of the bond on its positions in the region, the
-    commutator is [local, bond] = X^dag - X.
+    region.  Both operators are Hermitian, so with X = bond . local the
+    commutator is [local, bond] = X^dag - X.  When every piece keeps parity
+    both operators, and so X, are block-diagonal over the region's parity
+    sectors: X is formed one sector at a time, the bond's sector block
+    (sparse, from `assemble_sparse`) times the local sum's (`region_sum`),
+    and the norm is the larger of the two sectors' commutator norms.
     """
     records = []
     for s in range(T.q + 1):
         sites = T.bond_support(s)
         near = [(support, m) for support, m in T.pieces() if set(sites).intersection(support)]
         region = tuple(sorted(set(sites).union(*(support for support, _ in near))))
-        local = region_sum(region, near)
-        X = apply_on_block(tuple(region.index(site) + 1 for site in sites), T.bonds[s], local)
-        del local
-        X = X.conj().T - X  # the commutator; the norm below needs it alone
-        lhs = top_singular_value(X)
+        positions = tuple(region.index(site) + 1 for site in sites)
+        bond = Hamiltonian(LatticeSpec(len(region)), [InteractionTerm(positions, T.bonds[s])], k=len(positions))
+        norms = []
+        for parity in (0, 1) if all(keeps_parity(m) for _, m in near) else (None,):
+            X = assemble_sparse(bond, parity) @ region_sum(region, near, parity)
+            norms.append(top_singular_value([X.conj().T - X]))  # the commutator's norm
+            del X
+        lhs = float(np.max(norms))
         rhs = 6.0 * T.local_g * T.k * (2 * T.k) * top_singular_value(T.bonds[s])
         records.append(BoundRecord("lemma15.commutator", lhs, rhs, {"s": s}))
     return records

@@ -248,7 +248,7 @@ def agsp_sequence(
                 if tau < tau_max:
                     tau = min(tau * 1.5, tau_max)
         met = gamma <= target
-        filtered = filt.matrix @ align_phase(fixed, base_state)
+        filtered = filt.apply(align_phase(fixed, base_state))
         psi = filtered / np.linalg.norm(filtered)
         distance = float(np.linalg.norm(psi - ground))
         steps.append(

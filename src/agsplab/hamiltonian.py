@@ -8,8 +8,8 @@ every downstream truncation/filter bound is measured against.
 Site indices are 1-based throughout the public API; distances are
 r_ij = |i - j|.  Every site is a qubit (local dimension 2), and each term
 owns its operator norm (`InteractionTerm.norm`, computed once).  Every norm
-is solved by `spectral` (`top_singular_value`, `interaction_norm`); this
-module builds the matrices.
+is solved by `spectral`; this module builds the matrices, a sum of pieces
+that keep parity straight into its parity sectors (`embed_sectors`).
 """
 
 from __future__ import annotations
@@ -21,14 +21,11 @@ import numpy as np
 import scipy.sparse
 
 from .registry import BoundRecord
-from .spectral import interaction_norm, popcount_parity, top_singular_value
+from .spectral import interaction_norm, parity_halves, popcount_parity, top_singular_value
 
 HERMITICITY_ATOL = 1e-12
 # Largest dimensions built: a dense array by `embed_sum` (2 GiB of float64 at
-# n = 14), a CSR Hamiltonian with int32 indices by `assemble_sparse`, one
-# parity sector at a time (`agsplab entropy` on a 2-vCPU box, Lanczos asking the
-# second sector for one level: 123 MiB peak RSS and 4.0-4.2 s at n = 16,
-# 353 MiB and 24-25 s at n = 18).
+# n = 14), a CSR Hamiltonian with int32 indices by `assemble_sparse`.
 DENSE_DIM_CEILING = 2**14
 SPARSE_DIM_CEILING = 2**18
 
@@ -86,15 +83,15 @@ class InteractionTerm:
         """Operator norm of the term, computed on first use and kept."""
         return top_singular_value(self.matrix)
 
-    @cached_property
-    def keeps_parity(self) -> bool:
-        """Whether the term commutes with prod Z, read exactly from its own matrix and kept.
 
-        True iff every nonzero entry (a, b) has popcount(a) = popcount(b) mod 2.
-        """
-        a, b = np.nonzero(self.matrix)
-        parity = popcount_parity(len(self.matrix))
-        return bool(np.all(parity[a] == parity[b]))
+def keeps_parity(matrix: np.ndarray) -> bool:
+    """Whether a piece commutes with prod Z, read exactly from its own matrix.
+
+    True iff every nonzero entry (a, b) has popcount(a) = popcount(b) mod 2.
+    """
+    a, b = np.nonzero(matrix)
+    parity = popcount_parity(len(matrix))
+    return bool(np.all(parity[a] == parity[b]))
 
 
 @dataclass(frozen=True)
@@ -174,53 +171,67 @@ def _embed_indexing(n: int, support: tuple[int, ...]):
     return base, offsets
 
 
-def embed_sum(lattice: LatticeSpec, pieces) -> np.ndarray:
-    """Dense d^n x d^n sum of identity-padded support-local matrices.
+def embed_sum(lattice: LatticeSpec, pieces, parity: int | None = None) -> np.ndarray:
+    """Dense d^n x d^n sum of identity-padded support-local matrices, or its block on one parity sector.
 
     `pieces` yields (support, matrix) pairs with 1-based sorted supports; an
-    empty support embeds a 1x1 matrix as a multiple of the identity.  Real
-    output whenever every matrix is real.  Pieces are added in order, each
-    by one scatter of its nonzero entries: within a piece, (complement
-    configuration, a, b) -> (row, col) is injective, so no index repeats.
+    empty support embeds a 1x1 matrix as a multiple of the identity.  With
+    `parity` p, every piece keeping parity (else `ValueError`), only the
+    block on the indices of popcount parity p is written, index r at r >> 1.
+    Real output whenever every matrix is real.  Pieces are added in order,
+    each by one scatter of its nonzero entries, injective within a piece, so
+    a sector block equals those rows and columns of the whole sum bit for bit.
     """
     dim = lattice.dim
     if dim > DENSE_DIM_CEILING:
         raise DimensionCeilingError(f"dense dimension {dim} exceeds ceiling {DENSE_DIM_CEILING}")
     pieces = [(tuple(support), np.asarray(m)) for support, m in pieces]
     dtype = np.complex128 if any(np.iscomplexobj(m) for _, m in pieces) else np.float64
-    out = np.zeros((dim, dim), dtype=dtype)
-    for rows, cols, vals in _scatter(lattice, pieces):
+    size = dim if parity is None else dim // 2
+    out = np.zeros((size, size), dtype=dtype)
+    for rows, cols, vals in _scatter(lattice, pieces, parity):
         out[rows, cols] += vals
     return out
 
 
-def _scatter(lattice: LatticeSpec, pieces):
-    """Flat (rows, cols, values) of each identity-padded piece's nonzero entries."""
-    for support, m in pieces:
-        base, offsets = _embed_indexing(lattice.n, support)
-        a, b = np.nonzero(m)
-        rows = (base[:, None] + offsets[a]).ravel()
-        cols = (base[:, None] + offsets[b]).ravel()
-        yield rows, cols, np.tile(m[a, b], len(base))
+def embed_sectors(lattice: LatticeSpec, pieces):
+    """The sum of `pieces` as (rows, block) sectors, each written only when the consumer asks for it.
 
-
-def assemble_dense(H: Hamiltonian) -> np.ndarray:
-    """Dense d^n x d^n matrix of the Hamiltonian (identity-padded terms).
-
-    Real output whenever every term matrix is real; Hermitian to 1e-12 by
-    construction.
+    When every piece keeps parity, the sum is block-diagonal, a fact about
+    its pieces: the even, then the odd sector block (`embed_sum` with
+    `parity`) on its `parity_halves` rows.  Else the whole sum is one sector.
     """
-    return embed_sum(H.lattice, H.terms)
+    pieces = list(pieces)
+    if all(keeps_parity(m) for _, m in pieces):
+        for parity, rows in enumerate(parity_halves(lattice.dim)):
+            yield rows, embed_sum(lattice, pieces, parity)
+    else:
+        yield np.arange(lattice.dim), embed_sum(lattice, pieces)
+
+
+def _scatter(lattice: LatticeSpec, pieces, parity: int | None = None):
+    """Flat (rows, cols, values) of each identity-padded piece's nonzero entries, or of those in sector `parity`.
+
+    The index source of every writer (`_sector_embedding`); a piece with an
+    entry between the sectors has none in a sector (`ValueError`).
+    """
+    for support, m in pieces:
+        if parity is not None and not keeps_parity(m):
+            raise ValueError("a parity sector of a piece that breaks parity")
+        a, b = np.nonzero(m)
+        meets, offsets, comp = _sector_embedding(lattice, support, parity, a)
+        a, b = a[meets], b[meets]
+        rows, cols = offsets[a, None] + comp, offsets[b, None] + comp
+        yield rows.ravel(), cols.ravel(), np.broadcast_to(m[a, b][:, None], rows.shape).ravel()
 
 
 def assemble_sparse(H: Hamiltonian, parity: int | None = None):
     """CSR matrix of the Hamiltonian, or of its popcount-parity sector `parity`, written in place.
 
-    The one sparse writer, from the index source of `embed_sum`.  With
-    `parity` p it writes the block on the indices of parity p, which is all
-    of H there when every term keeps parity (else `ValueError`); each pair
-    {2k, 2k+1} holds one index of each parity, so index r is stored as
-    r >> 1, the order of `spectral`'s dense sectors (`_sector_embedding`).
+    The one sparse writer, from the index source of `embed_sum`
+    (`_sector_embedding`).  With `parity` p it writes the block on the
+    indices of parity p, index r at r >> 1, as `embed_sum` does; every term
+    must keep parity (else `ValueError`).
 
     Two passes over the terms; both embed one term at a time, so no term's
     index arrays outlive it.  Pass 1 counts each row's entries: term t gives
@@ -234,18 +245,17 @@ def assemble_sparse(H: Hamiltonian, parity: int | None = None):
     conversion's CSR, or its restriction S[rows][:, rows] to the sector, bit
     for bit, int32 indices included: duplicate (row, col) entries of
     different terms are summed in the same order (entries may differ from
-    `assemble_dense` in the last bit), and a sum that cancels to exactly 0
+    `embed_sum` in the last bit), and a sum that cancels to exactly 0
     stays stored (the Ising diagonal at popcount n/2 for even n).  No COO is
     held: the peak is the final arrays with their duplicate surplus (the
     Ising diagonal's n entries per row before they are summed into one).
     `data` and `indices` stay views of those buffers: copying the kept
-    entries out would hold both at once (n=18 `agsplab entropy` on a 2-vCPU
-    box: 356 MiB peak RSS as they are, 566 MiB with the copy).
+    entries out would hold both at once (README, `agsplab entropy` at n=18).
     """
     dim = H.lattice.dim
     if dim > SPARSE_DIM_CEILING:
         raise DimensionCeilingError(f"sparse dimension {dim} exceeds ceiling {SPARSE_DIM_CEILING}")
-    if parity is not None and not all(term.keeps_parity for term in H.terms):
+    if parity is not None and not all(keeps_parity(term.matrix) for term in H.terms):
         raise ValueError("a parity sector of a Hamiltonian with a term that breaks parity")
     size = dim if parity is None else dim // 2
     if not H.terms:
@@ -292,26 +302,23 @@ def assemble_sparse(H: Hamiltonian, parity: int | None = None):
 
 
 def _sector_embedding(lattice: LatticeSpec, support: tuple[int, ...], parity: int | None, a: np.ndarray):
-    """Where the local rows `a` of a parity-keeping term land in one sector (`parity` None: the whole space).
+    """Where the local rows `a` of a parity-keeping piece land in one sector (`parity` None: the whole space).
 
     Returns (meets, offsets, comp): a[meets] are the local rows that meet
     the sector, and the j-th of them, on complement configuration c, lands
-    on row offsets[a] + c for each c in comp[j], ascending (comp is one
-    broadcast row where they share it); its columns b land alike.  A sector
-    stores r as r >> 1, dropping site n, so this is the arithmetic of sites
-    1 .. n-1.  A support without site n embeds there as it is: one of each
-    two complement configurations that differ at site n is in the sector.
-    Otherwise site n, last in the sorted support, is the lowest bit of a,
-    and row c + offsets[a] lies in sector p when c has parity
-    p ^ popcount(a): the complement configurations are split by parity
-    once, and the local row's parity picks its half.  A support that covers
-    the chain has no odd half, so its local rows of the other parity meet
-    no row.
+    on row offsets[a] + c for each c in comp[j] (comp is one broadcast row
+    where they share it); its columns b land alike.  A sector stores r as
+    r >> 1, dropping site n, so a support without site n embeds in sites
+    1 .. n-1 as it is.  Otherwise site n, last in the sorted support, is the
+    lowest bit of a, and row c + offsets[a] lies in sector p when c has
+    parity p ^ popcount(a): the local row's parity picks a half of the
+    complement configurations (of the one, c = 0, for a support that covers
+    the chain, so only its local rows of parity p meet the sector).
     """
     if parity is None:
         base, offsets = _embed_indexing(lattice.n, support)
         return slice(None), offsets, base[None, :]
-    if support[-1] != lattice.n:
+    if not support or support[-1] != lattice.n:
         base, offsets = _embed_indexing(lattice.n - 1, support)
         return slice(None), offsets, base[None, :]
     base, offsets = _embed_indexing(lattice.n - 1, support[:-1])
@@ -327,7 +334,7 @@ def _sector_embedding(lattice: LatticeSpec, support: tuple[int, ...], parity: in
 def sparse_sectors(H: Hamiltonian):
     """The CSR Hamiltonian one popcount-parity sector at a time, as (rows, CSR) pairs.
 
-    When every term keeps parity (`InteractionTerm.keeps_parity`), H is
+    When every term keeps parity (`keeps_parity`), H is
     block-diagonal over the even and the odd sector, and each is written
     (`assemble_sparse`) only when the consumer asks for it; `rows` lists its
     indices ascending.  The first is the sector of H's lowest diagonal entry
@@ -339,7 +346,7 @@ def sparse_sectors(H: Hamiltonian):
     one pair is every row and the full CSR.
     """
     dim = H.lattice.dim
-    if dim >= 2 and all(term.keeps_parity for term in H.terms):
+    if dim >= 2 and all(keeps_parity(term.matrix) for term in H.terms):
         first = int(popcount_parity(dim)[_diagonal(H).argmin()])  # the diagonal dies here
         for parity in (first, 1 - first):
             yield np.flatnonzero(popcount_parity(dim) == parity), assemble_sparse(H, parity)
@@ -358,17 +365,22 @@ def _diagonal(H: Hamiltonian) -> np.ndarray:
     return out
 
 
-def region_sum(region: tuple[int, ...], pieces) -> np.ndarray:
-    """Sum of (support, matrix) pieces as a dense matrix on the sites of `region`.
+def region_sum(region: tuple[int, ...], pieces, parity: int | None = None) -> np.ndarray:
+    """Sum of (support, matrix) pieces as a dense matrix on the sites of `region`, or its sector `parity`.
 
     `region` lists distinct sites that contain every piece's support; the
-    result acts on them in their order (1x1 zero if `region` is empty).
+    result acts on them in their order (1x1 zero if `region` is empty), as
+    `embed_sum` writes it.
     """
     if len(region) == 0:
         return np.zeros((1, 1))
+    return embed_sum(LatticeSpec(n=len(region)), _relabel(region, pieces), parity)
+
+
+def _relabel(region: tuple[int, ...], pieces):
+    """`pieces` with each support site replaced by its 1-based position in `region`."""
     pos = {site: p + 1 for p, site in enumerate(region)}
-    sub = LatticeSpec(n=len(region))
-    return embed_sum(sub, ((tuple(pos[s] for s in support), m) for support, m in pieces))
+    return [(tuple(pos[s] for s in support), m) for support, m in pieces]
 
 
 def build_long_range_ising(n: int, alpha: float, J: float, B: float) -> Hamiltonian:
@@ -447,25 +459,50 @@ def block_interaction(
     H: Hamiltonian,
     X: set[int] | tuple[int, ...],
     Y: set[int] | tuple[int, ...],
-) -> tuple[np.ndarray, float]:
-    """Interaction operator between site sets X and Y.
+) -> tuple[list[InteractionTerm], float]:
+    """The terms of the interaction V_{X,Y} between site sets X and Y, and its norm.
 
-    Sums exactly the terms h_Z with Z inside X | Y touching both X and Y;
-    returns the operator on the sites of X, then of Y (each ascending), and
-    its norm: `interaction_norm`, or exactly 0.0 with no solve when no term
-    is picked.
+    V sums exactly the terms h_Z with Z inside X | Y touching both X and Y,
+    on the sites of X, then of Y (each ascending).  Its norm is
+    `interaction_norm` of the two B blocks written from the terms
+    (`_interaction_blocks`), else of V written whole; exactly 0.0 with no
+    solve when no term is picked.
     """
     X, Y = set(X), set(Y)
     if X & Y:
         raise ValueError(f"X and Y overlap: {sorted(X & Y)}")
-    region = X | Y
-    picked = [
-        t
-        for t in H.terms
-        if set(t.support) <= region and set(t.support) & X and set(t.support) & Y
-    ]
-    out = region_sum(tuple(sorted(X)) + tuple(sorted(Y)), picked)
-    return out, interaction_norm(out, len(X)) if picked else 0.0
+    picked = [t for t in H.terms if set(t.support) <= X | Y and set(t.support) & X and set(t.support) & Y]
+    if not picked:
+        return picked, 0.0
+    sites = tuple(sorted(X)) + tuple(sorted(Y))
+    Bs = _interaction_blocks(sites, len(X), picked)
+    return picked, interaction_norm(region_sum(sites, picked) if Bs is None else Bs, len(X))
+
+
+def _interaction_blocks(region: tuple[int, ...], x_sites: int, pieces) -> list[np.ndarray] | None:
+    """`interaction_norm`'s two B blocks of V = `region_sum(region, pieces)`, written from the pieces.
+
+    X is the first `x_sites` sites of `region` (the high bits), Y the rest.
+    The B of even (odd) total parity holds V's entries from (x even, y even
+    (odd)) to x odd, at row (x >> 1) 2^(|Y|-1) + (y >> 1) and the column
+    alike, so each entry is V's bit for bit; rows of even x, the adjoints,
+    are not written.  None when X or Y is empty, or when an entry of some
+    piece keeps the X parity or breaks the total one.
+    """
+    y_sites = len(region) - x_sites
+    if x_sites == 0 or y_sites == 0:
+        return None
+    rows, cols, vals = map(np.concatenate, zip(*_scatter(LatticeSpec(n=len(region)), _relabel(region, pieces))))
+    parity, half, q = popcount_parity(2 ** max(x_sites, y_sites)), 2 ** (y_sites - 1), 2 ** (len(region) - 2)
+    (xr, yr), (xc, yc) = np.divmod(rows, 2 * half), np.divmod(cols, 2 * half)
+    if np.any(parity[xr] == parity[xc]) or np.any(parity[xr] ^ parity[yr] != parity[xc] ^ parity[yc]):
+        return None
+    top = parity[xr] == 1
+    xr, yr, xc, yc = xr[top], yr[top], xc[top], yc[top]
+    B = np.zeros((2, q, q), dtype=vals.dtype)
+    # `np.add.at` adds repeated indices in order: piece by piece, as `embed_sum` does.
+    np.add.at(B, (1 - parity[yr], (xr >> 1) * half + (yr >> 1), (xc >> 1) * half + (yc >> 1)), vals[top])
+    return list(B)
 
 
 def decay_envelope(H: Hamiltonian) -> DecayEnvelope:

@@ -1,51 +1,17 @@
-"""The one module that solves: eigensolves, sector splits, 2-norms and ranks.
+"""The one module that solves: eigensolves, 2-norms and ranks, per parity sector.
 
-Everything downstream (gaps, ground states, energy windows, filter
-operators) consumes the `SpectralData` produced here.  Solvers are dense
-LAPACK calls, except that ground states of sparse matrices come from
-Lanczos (`eigsh`); near-degenerate ground states are rejected rather than
-perturbed.  A sparse Hamiltonian reaches `ground_state` one parity sector
-at a time, as `hamiltonian.sparse_sectors` writes it (index r stored as
-r >> 1), and each sector is solved and dropped before the next is written.
-Lanczos asks each sector only for the levels the gap reads: two in the
-first, the sector of H's lowest diagonal entry and so the predicted ground
-sector, and one in the other.  That is exact: the two lowest levels of the
-union are E0, the ground sector's lowest, and min(its second, every other
-sector's lowest), so no other sector's second level is ever read.  A
-prediction that misses shows as a one-level solve below the lowest so far,
-and that sector is solved again for two.  No other module of the package
-calls an eigensolver or splits a matrix into sectors, and this one imports
-none of them.
-
-`top_singular_value` is the one kernel for operator 2-norms of dense
-blocks, and the matrix decides its path: a square sector block equal to its
-conjugate transpose bit for bit takes max |eigvalsh|, every other block the
-largest eigenvalue of its smaller Gram matrix.  `unitary_block_norms` skips
-it where a corner block of a unitary has norm 1 exactly, and reads every
-other corner as a view.  `numerical_rank` is the one rule that turns
-singular values into a rank, for states and operators alike.
-
-`eigendecompose`, `top_singular_value` and `operator_schmidt_rank` solve on
-the spin-flip parity sectors that `parity_sectors` finds by reading the
-matrix: rows and columns are split by the popcount parity of their index,
-and the split is taken only when both cross blocks are exactly zero.  It is
-then a permutation similarity, so the spectrum is exactly the union of the
-two sectors', at a quarter of the flops of one solve.  Both families
-conserve prod Z, so on the reference config H, H_t, every block h_s, H_eff
-and delta split.  A `SpectralData` keeps each sector's eigenvectors as its
-own block (`Sector`: basis rows, ascending level positions, U_s) and never
-writes them into a d x d array that would be half zeros; a matrix that does
-not split is one sector.  Its readers work per sector: `columns` gives the
-few dense columns that ground states and the clamp's tails need,
-`function_blocks` forms f(M) one sector block at a time (the clamps and the
-filters K), and `images` applies an operator to wide column sets one sector
-at a time and keeps the split only where the image says the operator kept
-parity.  K's Schmidt reshape splits by parity too, and once more by the
-swap of its pair indices, because K is exactly symmetric
-(`operator_schmidt_rank`).  The Assumption-1 interactions V_{X,Y} split
-further: `interaction_norm` solves each on the two D/4 x D/4 blocks that
-flip both the X and the Y parity, through `top_singular_value`, where the
-matrix has only those blocks.
+Everything downstream consumes the `SpectralData` produced here.  Dense
+solves are LAPACK calls, sparse ground states Lanczos (`ground_state`), and
+a near-degenerate ground state is rejected.  No other module calls an
+eigensolver, and this one imports none of the package's.  Both families
+conserve prod Z, whose eigenvalue on a basis index is its popcount parity,
+so `hamiltonian` writes each operator straight into its even and odd
+sectors (index r at r >> 1), and `eigendecompose`, `top_singular_value`
+and `operator_schmidt_rank` take those (rows, block) sectors as they are.
+Only a matrix with no pieces behind it (an image, a Gram matrix, a test's
+dense operator) is split by reading it (`parity_sectors`).  A `SpectralData`
+keeps each sector's eigenvectors as its own block, and its readers work per
+sector.  `numerical_rank` is the one rule that turns singular values into a rank.
 """
 
 from __future__ import annotations
@@ -110,9 +76,8 @@ def _members(levels: np.ndarray, positions: np.ndarray) -> np.ndarray:
 class SpectralData:
     """Eigendecomposition M = sum_s U_s diag(w_s) U_s^dag with the levels w ascending.
 
-    `sectors` holds each parity sector's eigenvectors as its own block
-    (`Sector`); the d x d eigenvector matrix, half zeros when M splits, is
-    never formed.
+    `sectors` holds each sector's eigenvectors as its own block (`Sector`);
+    no d x d eigenvector matrix, half zeros, is formed.
     """
 
     eigenvalues: np.ndarray
@@ -187,16 +152,12 @@ class SpectralData:
         """apply(V) for the eigenvectors V of the levels at the ascending `positions`, per sector.
 
         Each sector's columns go in as full-length columns, zero off its rows,
-        and only that sector's rows of the image come back: the output rows
-        whose parity in `labels` is the sector's (default: the popcount
-        parity of the output index, so the sector's own rows).  Returns
-        [(sector, rows read, image rows)], the image's columns the sector's
-        levels among `positions`.  As in `parity_sectors`, the matrix decides:
-        the split is kept only when every image is exactly zero on the rows
-        not read (a NaN there counts as nonzero), so that an operator keeping
-        parity gives norms that are the max over the sectors'.  Otherwise, or
-        for a spectrum that is one sector, the one entry holds the whole
-        image of the dense columns, all rows read.
+        and only the output rows whose parity in `labels` (default: the
+        popcount parity of the index) is the sector's come back, as [(sector,
+        rows read, image rows)].  As in `parity_sectors`, the image decides:
+        the split is kept only when every image is exactly zero (a NaN is not)
+        on the rows not read, so that norms are the max over the sectors'.
+        Otherwise, or for one sector, the one entry holds the whole image.
         """
         positions = np.asarray(positions, dtype=np.intp)
         if len(self.sectors) > 1:
@@ -242,7 +203,7 @@ def popcount_parity(dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _parity_halves(dim: int) -> tuple[np.ndarray, np.ndarray]:
+def parity_halves(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices 0 .. dim-1 of even and of odd popcount."""
     odd = popcount_parity(dim)
     halves = np.flatnonzero(odd == 0), np.flatnonzero(odd)
@@ -252,48 +213,44 @@ def _parity_halves(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parity_sectors(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Diagonal blocks of a matrix over the popcount parity of its indices.
+    """Diagonal blocks of a matrix over the popcount parity of its indices, found by reading it.
 
-    Returns [(rows, cols, block)] with block = matrix[rows][:, cols].  When
-    both dimensions are powers of two (at least 2) and the two diagonal
-    blocks (even rows x even columns, odd rows x odd columns) hold every
-    nonzero entry, so that both cross blocks are exactly zero, these are the
-    even and the odd sector; otherwise the one entry holds the whole matrix.
-    The cross blocks are never copied: the nonzero counts decide.  A split
-    is a permutation similarity (an equivalence for rectangular input), so
-    eigenvalues and singular values are exactly the union of the sectors'.
-    On the computational basis of qubits the popcount parity is the
-    eigenvalue of prod Z, so every operator that commutes with prod Z (the
-    Ising and fermion families, their blocks, clamps and filters, and the
-    operator-Schmidt reshape of such a filter) splits; a single nonzero cross
-    entry, rounding noise included, does not.
-    A non-finite entry raises `LinAlgError`: LAPACK may return a finite
-    value for it (a NaN on the diagonal can vanish from `eigvalsh`).
+    Returns [(rows, cols, block)] with block = matrix[rows][:, cols]: the
+    even and the odd sector when both dimensions are powers of two (at least
+    2) and the nonzero counts say both cross blocks are exactly zero (they
+    are never copied), otherwise the whole matrix.  A split is a permutation
+    similarity (an equivalence for rectangular input), so eigenvalues and
+    singular values are exactly the union of the sectors'.  A single nonzero
+    cross entry, rounding noise included, keeps the matrix whole.  A
+    non-finite entry raises `LinAlgError`: LAPACK may return a finite value
+    for it (a NaN on the diagonal can vanish from `eigvalsh`).
     """
     if not np.isfinite(matrix).all():
         raise np.linalg.LinAlgError("matrix has a non-finite entry")
     shape = matrix.shape
     if all(m >= 2 and m & (m - 1) == 0 for m in shape):
-        (even_r, odd_r), (even_c, odd_c) = _parity_halves(shape[0]), _parity_halves(shape[1])
+        (even_r, odd_r), (even_c, odd_c) = parity_halves(shape[0]), parity_halves(shape[1])
         sectors = [(r, c, matrix[np.ix_(r, c)]) for r, c in ((even_r, even_c), (odd_r, odd_c))]
         if sum(np.count_nonzero(block) for _, _, block in sectors) == np.count_nonzero(matrix):
             return sectors
     return [(np.arange(shape[0]), np.arange(shape[1]), matrix)]
 
 
-def eigendecompose(M: np.ndarray) -> SpectralData:
-    """Eigendecompose a Hermitian matrix.
+def eigendecompose(M) -> SpectralData:
+    """Eigendecompose a Hermitian matrix, dense or as its sectors.
 
-    Prefers the symmetric real path (the built families are real symmetric).
-    Hermiticity is not checked: `eigh` reads the lower triangle.  Each
-    `parity_sectors` sector of M is solved on its own and kept as its own
-    `Sector`, labelled with the ascending positions of its levels; a matrix
-    that does not split is the one sector.  A non-finite entry raises
-    `LinAlgError`.
+    `M` is a dense array (`parity_sectors`) or an iterable of (rows, block)
+    sectors (`hamiltonian.embed_sectors`), each solved as it arrives (as real
+    below 1e-14 imaginary part; `eigh` reads the lower triangle) and kept as
+    its own `Sector`.  A non-finite dense entry raises `LinAlgError`.
     """
-    if np.iscomplexobj(M) and np.max(np.abs(M.imag)) < 1e-14:
-        M = M.real
-    solved = [(rows, *np.linalg.eigh(block)) for rows, _, block in parity_sectors(M)]
+    sectors = [(rows, b) for rows, _, b in parity_sectors(M)] if isinstance(M, np.ndarray) else M
+    solved = []
+    for rows, block in sectors:
+        if np.iscomplexobj(block) and np.max(np.abs(block.imag)) < 1e-14:
+            block = block.real
+        solved.append((rows, *np.linalg.eigh(block)))
+        del block  # a written sector dies before the next one is written
     w = np.concatenate([w_s for _, w_s, _ in solved])
     order = np.argsort(w, kind="stable")
     position = np.empty_like(order)  # position[j]: ascending position of the j-th sector level
@@ -305,23 +262,24 @@ def eigendecompose(M: np.ndarray) -> SpectralData:
     return SpectralData(eigenvalues=w[order], sectors=tuple(sectors))
 
 
-def top_singular_value(A: np.ndarray) -> float:
-    """Largest singular value (operator 2-norm) of a dense matrix.
+def top_singular_value(A) -> float:
+    """Largest singular value (operator 2-norm) of a dense matrix, or the largest over a list of blocks.
 
-    Solved per parity sector of A (`parity_sectors`), and each sector block
-    decides its path.  A square block equal to its conjugate transpose bit
-    for bit gives max |eigvalsh|.  Any other block gives sqrt of the top
-    `eigvalsh` eigenvalue of its smaller Gram matrix, A^dag A or A A^dag;
-    the relative error is O(machine epsilon) for the top value.  Full
-    `eigvalsh` on purpose: the LAPACK subset drivers (evr, evx) raised
-    errors on some of these Gram matrices.  Empty input gives 0.0;
-    non-finite input, or a Gram matrix that overflows, gives NaN.
+    A dense A is solved per `parity_sectors` block; a list holds the blocks
+    of a matrix zero elsewhere up to a permutation (sectors, B blocks), each
+    solved as it is.  A square block equal to its conjugate transpose bit for
+    bit gives max |eigvalsh|, any other sqrt of the top `eigvalsh` eigenvalue
+    of its smaller Gram matrix (the LAPACK subset drivers raised errors on
+    some).  Empty input gives 0.0; non-finite input, or a Gram overflow, NaN.
     """
-    if A.size == 0:
+    blocks = [b for b in ([A] if isinstance(A, np.ndarray) else A) if b.size]
+    if not blocks:
         return 0.0
-    if not np.isfinite(A).all():
+    if not all(np.isfinite(b).all() for b in blocks):
         return float("nan")
-    return float(np.max([_block_top(block) for _, _, block in parity_sectors(A)]))
+    if isinstance(A, np.ndarray):
+        blocks = [block for _, _, block in parity_sectors(A)]
+    return float(np.max([_block_top(block) for block in blocks]))
 
 
 def _block_top(A: np.ndarray) -> float:
@@ -351,30 +309,30 @@ def unitary_block_norms(W: np.ndarray, corners) -> list[float]:
     return [1.0 if (dim - r) + c > dim else top_singular_value(W[r:, :c]) for r, c in corners]
 
 
-def interaction_norm(V: np.ndarray, x_sites: int) -> float:
+def interaction_norm(V, x_sites: int) -> float:
     """Operator 2-norm of a Hermitian V on the sites of X (the high bits, |X| = `x_sites`), then Y.
 
     If every term flips an odd number of X sites and keeps the total parity,
     each total-parity sector of V, ordered by X parity, is [[0, B], [B^dag, 0]]
-    with eigenvalues exactly +-sigma(B): the norm is the larger
-    `top_singular_value` of the two D/4 x D/4 blocks B.  As in
-    `parity_sectors`, the matrix decides: the adjoint blocks of a Hermitian V
-    hold as many nonzero entries as the B blocks, so the split is taken only
-    when V has exactly twice the nonzero entries of the two B (none outside
-    the four blocks that flip both parities), else `top_singular_value` of
-    V.  The adjoints are never copied.  A non-finite entry raises
-    `LinAlgError` before either path is taken.
+    with eigenvalues exactly +-sigma(B): the norm is the larger 2-norm of
+    the two D/4 x D/4 blocks B, each solved as it is.  `V` is that list of
+    B blocks, written from the terms (`hamiltonian.block_interaction`), or a
+    dense V, which decides by its nonzero counts: B is taken only when V
+    has exactly twice the nonzero entries of the two B, else
+    `top_singular_value` of V.  A non-finite dense entry raises `LinAlgError`.
     """
+    if not isinstance(V, np.ndarray):
+        return top_singular_value(V)
     if not np.isfinite(V).all():
         raise np.linalg.LinAlgError("matrix has a non-finite entry")
     dx, dy = 2**x_sites, V.shape[0] >> x_sites
     if dx >= 2 and dy >= 2:
-        (xe, xo), (ye, yo) = _parity_halves(dx), _parity_halves(dy)
+        (xe, xo), (ye, yo) = parity_halves(dx), parity_halves(dy)
         V4, q = V.reshape(dx, dy, dx, dy), V.shape[0] // 4
         # B of the even and of the odd total-parity sector.
         Bs = [V4[np.ix_(*idx)].reshape(q, q) for idx in ((xo, yo, xe, ye), (xo, ye, xe, yo))]
         if 2 * sum(map(np.count_nonzero, Bs)) == np.count_nonzero(V):
-            return max(top_singular_value(B) for B in Bs)
+            return top_singular_value(Bs)
     return top_singular_value(V)
 
 
@@ -386,55 +344,59 @@ def numerical_rank(svals: np.ndarray) -> int:
     return int(np.sum(svals > max(SR_REL_TOL * np.max(svals, initial=0.0), SR_ABS_TOL)))
 
 
-def operator_schmidt_rank(O: np.ndarray, cut: int) -> int:
+def operator_schmidt_rank(O, cut: int) -> int:
     """Numerical Schmidt rank of an operator across a contiguous cut.
 
-    Reshapes O across the bipartition ((row_L, col_L) x (row_R, col_R)) and
-    counts its singular values by `numerical_rank`.  The reshape keeps
-    popcount parity (popcount(i_L d_L + j_L) = popcount(i_L) + popcount(j_L)
-    for d_L = 2^cut), so the SVD runs per parity sector of the rearranged
-    matrix (`_schmidt_sectors`).  A real O that is exactly symmetric (read by
-    `np.array_equal(O, O.T)`, as every real filter K is) gives a reshape R
-    with R[(j_L, i_L), (j_R, i_R)] = R[(i_L, j_L), (i_R, j_R)]: it maps
-    swap-symmetric pairs to swap-symmetric ones and antisymmetric to
-    antisymmetric, so each sector splits further into those two blocks
-    (`_swap_halves`, Nielsen et al., PRA 67, 052301).  Both splits are
-    orthogonal changes of basis: the singular values are the union of the
-    blocks', at n = 8 four blocks of 72/56/64/64 in place of 2 x 128.  A
-    complex O is never swap-split.  A non-finite entry raises `LinAlgError`.
+    `O` is a dense array (`parity_sectors`) or its (rows, block) sectors (the
+    filters K).  The reshape R[(i_L, j_L), (i_R, j_R)] = O[(i_L, i_R), (j_L, j_R)]
+    keeps popcount parity (popcount(i_L 2^cut + j_L) = popcount(i_L) +
+    popcount(j_L)), so its singular values are taken per sector, gathered
+    from O's (`_schmidt_sectors`), and counted by `numerical_rank`.  A real
+    O with every block equal to its transpose (every real K) maps
+    swap-symmetric pairs (i, j) <-> (j, i) to swap-symmetric ones, so each
+    sector splits further (`_swap_halves`, Nielsen et al., PRA 67, 052301):
+    at n = 8, four blocks of 72/56/64/64 in place of 2 x 128.  A non-finite
+    entry raises `LinAlgError`.
     """
-    dim = O.shape[0]
-    dL = 2**cut
+    sectors = [(rows, b) for rows, _, b in parity_sectors(O)] if isinstance(O, np.ndarray) else list(O)
+    if not all(np.isfinite(b).all() for _, b in sectors):
+        raise np.linalg.LinAlgError("matrix has a non-finite entry")
+    dim, dL = sum(len(rows) for rows, _ in sectors), 2**cut
     if dim % dL != 0:
         raise ValueError(f"cut at {cut} sites does not divide dimension {dim}")
-    sectors = _schmidt_sectors(O, dL, dim // dL)
-    if np.isrealobj(O) and np.array_equal(O, O.T):
-        blocks = [half for rows, cols, b in sectors for half in _swap_halves(b, rows, cols, dL, dim // dL)]
+    if dL in (1, dim):  # R is one row or one column, its one singular value ||O||_F
+        return numerical_rank(np.array([math.sqrt(sum(np.vdot(b, b).real for _, b in sectors))]))
+    reshaped = _schmidt_sectors([b for _, b in sectors], dL, dim // dL)
+    if all(np.isrealobj(b) and np.array_equal(b, b.T) for _, b in sectors):
+        blocks = [half for rows, cols, b in reshaped for half in _swap_halves(b, rows, cols, dL, dim // dL)]
     else:
-        blocks = [b for _, _, b in sectors]
+        blocks = [b for _, _, b in reshaped]
     return numerical_rank(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks]))
 
 
-def _schmidt_sectors(O: np.ndarray, dL: int, dR: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """`parity_sectors` of the Schmidt reshape R[(i_L, j_L), (i_R, j_R)] = O[(i_L, i_R), (j_L, j_R)].
+def _schmidt_sectors(blocks: list[np.ndarray], dL: int, dR: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The parity sectors of the Schmidt reshape of O, from O's even and odd blocks (index r at r >> 1).
 
-    The two diagonal blocks are indexed straight out of O.reshape(d_L, d_R,
-    d_L, d_R), so the reshape itself is never copied.  As in
-    `parity_sectors`, the nonzero counts decide: the split is taken when the
-    blocks hold every nonzero entry of O, and only otherwise is the whole
-    reshape formed.  A non-finite entry raises `LinAlgError`.
+    R's sector p has rows (i_L, j_L) and columns (i_R, j_R) of parity p, its
+    entry in O's sector popcount(i_L) + popcount(i_R): split by those two
+    parities, each part is indexed straight out of one block viewed as
+    (d_L, d_R/2, d_L, d_R/2), as r >> 1 = i_L d_R/2 + (i_R >> 1).  One block,
+    O whole, gives its whole reshape.
     """
-    if not np.isfinite(O).all():
-        raise np.linalg.LinAlgError("matrix has a non-finite entry")
-    O4 = O.reshape(dL, dR, dL, dR)
-    if all(m >= 2 and m & (m - 1) == 0 for m in (dL * dL, dR * dR)):
+    if len(blocks) == 2:
+        views = [b.reshape(dL, dR // 2, dL, dR // 2) for b in blocks]
         sectors = []
-        for rows, cols in zip(_parity_halves(dL * dL), _parity_halves(dR * dR)):
+        for rows, cols in zip(parity_halves(dL * dL), parity_halves(dR * dR)):
             (iL, jL), (iR, jR) = np.divmod(rows, dL), np.divmod(cols, dR)
-            sectors.append((rows, cols, O4[iL[:, None], iR, jL[:, None], jR]))
-        if sum(np.count_nonzero(block) for _, _, block in sectors) == np.count_nonzero(O):
-            return sectors
-    rearranged = O4.transpose(0, 2, 1, 3).reshape(dL * dL, dR * dR)
+            R = np.empty((len(rows), len(cols)), dtype=np.result_type(*blocks))
+            by_left = [np.flatnonzero(popcount_parity(dL)[iL] == a) for a in (0, 1)]
+            by_right = [np.flatnonzero(popcount_parity(dR)[iR] == b) for b in (0, 1)]
+            for a, r in enumerate(by_left):
+                for b, c in enumerate(by_right):
+                    R[np.ix_(r, c)] = views[a ^ b][iL[r, None], iR[c] >> 1, jL[r, None], jR[c] >> 1]
+            sectors.append((rows, cols, R))
+        return sectors
+    rearranged = blocks[0].reshape(dL, dR, dL, dR).transpose(0, 2, 1, 3).reshape(dL * dL, dR * dR)
     return [(np.arange(dL * dL), np.arange(dR * dR), rearranged)]
 
 

@@ -22,7 +22,7 @@ from .hamiltonian import (
     Hamiltonian,
     LatticeSpec,
     decay_envelope,
-    embed_sum,
+    embed_sectors,
     local_energy_g,
     region_sum,
 )
@@ -143,9 +143,9 @@ class TruncatedHamiltonian:
         pieces = list(zip(self.blocks.blocks, internal))
         return pieces + [(self.bond_support(s), bond) for s, bond in enumerate(self.bonds)]
 
-    def assemble_dense(self, internal: list[np.ndarray] | None = None) -> np.ndarray:
-        """Dense sum of `pieces(internal)`."""
-        return embed_sum(self.lattice, self.pieces(internal))
+    def sectors(self, internal: list[np.ndarray] | None = None):
+        """`pieces(internal)` summed into their (rows, block) sectors, one at a time (`embed_sectors`)."""
+        return embed_sectors(self.lattice, self.pieces(internal))
 
     def block_spectra(self) -> list[SpectralData]:
         return self._block_spectra
@@ -204,7 +204,7 @@ def truncate_interactions(H: Hamiltonian, blocks: BlockDecomposition) -> Truncat
     bonds = [region_sum(sites, [H.terms[i] for i in bond_terms[s]]) for s, sites in enumerate(bond_sites)]
     block_spectra = [eigendecompose(h) for h in internal]
     # The raw kept-term sum, in the order of `TruncatedHamiltonian.pieces`.
-    raw = eigendecompose(embed_sum(H.lattice, list(zip(blocks.blocks, internal)) + list(zip(bond_sites, bonds))))
+    raw = eigendecompose(embed_sectors(H.lattice, list(zip(blocks.blocks, internal)) + list(zip(bond_sites, bonds))))
     e0 = raw.ground_energy
     level = (sum(sp.ground_energy for sp in block_spectra) - e0) / (blocks.q + 2)
     shifts = [level - sp.ground_energy for sp in block_spectra]
@@ -233,13 +233,14 @@ def verify_lemma3_4(H: Hamiltonian, T: TruncatedHamiltonian, levels: np.ndarray,
     4*||delta|| >= gap.
 
     delta is the sum of the dropped terms (the block origins and
-    `origin_shift` cancel exactly), assembled from those terms alone.
+    `origin_shift` cancel exactly), written from those terms alone into its
+    parity sectors (`embed_sectors`).
     `levels` are every eigenvalue of H, ascending, and `gs` its ground
     vector (sweeps over l reuse both); no excited eigenvector of H is read.
     H_t's spectrum and ground vector come from `T.spectral()`.
     """
     _, _, dropped = _classify_terms(H, T.blocks)
-    delta_norm = top_singular_value(embed_sum(H.lattice, [H.terms[i] for i in dropped]))
+    delta_norm = top_singular_value([block for _, block in embed_sectors(H.lattice, [H.terms[i] for i in dropped])])
     spec_t = T.spectral().eigenvalues + T.origin_shift
     gap = float(levels[1] - levels[0])
     env = T.envelope

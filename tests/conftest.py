@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from agsplab.config import ExperimentConfig
+from agsplab.effective import EffectiveHamiltonian
 from agsplab.experiment import Pipeline, build_pipeline, run_points
+from agsplab.hamiltonian import embed_sum
 from agsplab.spectral import Sector, SpectralData, in_window, operator_schmidt_rank
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -159,6 +161,33 @@ def bond_tail_weights(state: np.ndarray, D: int) -> list[float]:
     return weights
 
 
+def assemble_dense(H) -> np.ndarray:
+    """The d^n x d^n matrix of a Hamiltonian: `embed_sum` of its terms, which no package check forms."""
+    return embed_sum(H.lattice, H.terms)
+
+
+def dense_operator(op, internal=None) -> np.ndarray:
+    """The d^n x d^n sum of a truncation's pieces (`internal` replacing its blocks), or of a clamp's."""
+    if isinstance(op, EffectiveHamiltonian):
+        op, internal = op.base, op.internal_eff
+    return embed_sum(op.lattice, op.pieces(internal))
+
+
+def dense_of_sectors(sectors) -> np.ndarray:
+    """The matrix of (rows, block) sectors, zero between them."""
+    sectors = list(sectors)
+    dim = sum(len(rows) for rows, _ in sectors)
+    out = np.zeros((dim, dim), dtype=np.result_type(*(block for _, block in sectors)))
+    for rows, block in sectors:
+        out[np.ix_(rows, rows)] = block
+    return out
+
+
+def dense_filter(filt) -> np.ndarray:
+    """A filter's K as one d^n x d^n matrix, from its sector blocks."""
+    return dense_of_sectors(filt.blocks)
+
+
 def chebyshev_matrix_recurrence(filt) -> np.ndarray:
     """A Chebyshev filter re-evaluated by the matrix three-term recurrence.
 
@@ -166,7 +195,7 @@ def chebyshev_matrix_recurrence(filt) -> np.ndarray:
     dense matrix and ground energy; the normalization T_m at the window edge
     comes from numpy's Chebyshev series.
     """
-    H = filt.eff.assemble_dense()
+    H = dense_operator(filt.eff)
     dim = H.shape[0]
     gap, width = filt.gap_eff, filt.width
     H = H - filt.eff.spectral().ground_energy * np.eye(dim)
@@ -181,8 +210,8 @@ def chebyshev_matrix_recurrence(filt) -> np.ndarray:
 
 def dense_epsilon(filt) -> float:
     """epsilon_K = ||K (1 - |g><g|)|| by one unsplit SVD, g the clamp's ground state from an unsplit `eigh`."""
-    g = oracle_ground_vector(filt.eff.assemble_dense())
-    K = filt.matrix
+    g = oracle_ground_vector(dense_operator(filt.eff))
+    K = dense_filter(filt)
     return float(np.linalg.svd(K - np.outer(K @ g, g.conj()), compute_uv=False)[0])
 
 
@@ -194,13 +223,13 @@ def kron_embed(T, sites: tuple[int, ...], op: np.ndarray) -> np.ndarray:
 
 def dense_power_schmidt_rank(T, m: int) -> int:
     """SR(H_t^m) across the block cut from the d^n x d^n power of H_t."""
-    powered = np.linalg.matrix_power(T.assemble_dense(), m)
+    powered = np.linalg.matrix_power(dense_operator(T), m)
     return operator_schmidt_rank(powered, T.blocks.cut)
 
 
 def dense_commutator_norms(T) -> list[float]:
     """||[H_t, h_{s,s+1}]|| of every bond, formed on the full chain."""
-    H = T.assemble_dense()
+    H = dense_operator(T)
     norms = []
     for s, bond in enumerate(T.bonds):
         emb = kron_embed(T, T.bond_support(s), bond)

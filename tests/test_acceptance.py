@@ -19,7 +19,7 @@ from agsplab import entanglement as en
 from agsplab import hamiltonian as ham
 from agsplab import truncation as tr
 from agsplab.spectral import eigendecompose, ground_state
-from conftest import dense_eigenvectors, dense_epsilon, random_state
+from conftest import assemble_dense, dense_eigenvectors, dense_epsilon, random_state
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "area_law_entropies.json")
 TOL = 1e-9
@@ -60,7 +60,7 @@ def test_criterion_2_truncation_suite():
     failures = []
     for n in (8, 10, 12):
         H = ham.build_long_range_ising(n, 3.0, 1.0, 2.0)
-        dense = ham.assemble_dense(H)
+        dense = assemble_dense(H)
         spec = eigendecompose(dense)
         gs = ground_state(spec).state
         for l in (1, 2, 3):

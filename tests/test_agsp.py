@@ -16,15 +16,18 @@ from agsplab.config import ExperimentConfig
 from agsplab.effective import build_effective
 from agsplab.entanglement import schmidt_decompose
 from agsplab.experiment import _agsp_records, build_pipeline
-from agsplab.hamiltonian import assemble_dense, build_long_range_fermion_chain, build_long_range_ising
+from agsplab.hamiltonian import build_long_range_fermion_chain, build_long_range_ising
 from agsplab.spectral import align_phase, numerical_rank, operator_schmidt_rank
 from agsplab.truncation import decompose_blocks, truncate_interactions
 from conftest import (
     PAULI_X,
     REFERENCE_CONFIG,
+    assemble_dense,
     chebyshev_matrix_recurrence,
     dense_eigenvectors,
     dense_epsilon,
+    dense_filter,
+    dense_operator,
     dense_power_schmidt_rank,
     kron_chain,
     mp_chebyshev_ratio,
@@ -101,12 +104,12 @@ class TestFilter:
     def test_degree_zero_is_identity(self):
         _, eff = make_eff()
         filt = agsp_filter(eff, 0)
-        np.testing.assert_allclose(filt.matrix, np.eye(256), atol=1e-12)
+        np.testing.assert_allclose(dense_filter(filt), np.eye(256), atol=1e-12)
 
     def test_fixes_effective_ground_state(self):
         _, eff = make_eff()
         filt = agsp_filter(eff, 6)
-        res = np.linalg.norm(filt.matrix @ filt.fixed_state - filt.fixed_state)
+        res = np.linalg.norm(dense_filter(filt) @ filt.fixed_state - filt.fixed_state)
         assert res <= 1e-10
 
     def test_excited_suppression_bound(self):
@@ -118,7 +121,7 @@ class TestFilter:
         _, eff = make_eff(n=6, l=1, tau=5.0)
         filt = agsp_filter(eff, 5)
         K2 = chebyshev_matrix_recurrence(filt)
-        assert np.max(np.abs(filt.matrix - K2)) <= 1e-8
+        assert np.max(np.abs(dense_filter(filt) - K2)) <= 1e-8
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_matrix_is_hermitian_to_the_last_bit(self, rng, field):
@@ -129,7 +132,7 @@ class TestFilter:
             Q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
             eff._spectral = one_sector_spectrum(np.concatenate([[0.0], np.linspace(1.0, 3.0, 15)]), Q)
         sp = eff.spectral()
-        K = agsp_filter(eff, 5).matrix
+        K = dense_filter(agsp_filter(eff, 5))
         assert np.array_equal(K, K.conj().T)
         assert np.array_equal(K, K.T) == (field == "real")
         vals = _filter_values(5, sp.eigenvalues, sp.gap, sp.width)
@@ -162,11 +165,11 @@ class TestMeasure:
         # projector onto the clamp's ground state, with no residual.
         _, eff = make_eff()
         filt = agsp_filter(eff, 2048)
-        gs = oracle_ground_vector(eff.assemble_dense())
+        gs = oracle_ground_vector(dense_operator(eff))
         delta, fixed = filt.drift(gs)
         assert delta <= 1e-10
         assert filt.excited_residual() <= 1e-10
-        np.testing.assert_allclose(filt.matrix, np.outer(gs, gs), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(dense_filter(filt), np.outer(gs, gs), rtol=0, atol=1e-10)
 
     def test_dense_epsilon_equals_eigenbasis_sup(self):
         _, eff = make_eff()
@@ -188,7 +191,7 @@ class TestMeasure:
         gs = oracle_ground_vector(assemble_dense(H))
         T = truncate_interactions(H, decompose_blocks(n, 2, 2))
         eff = build_effective(T, 6.0)
-        vt = oracle_ground_vector(T.assemble_dense())
+        vt = oracle_ground_vector(dense_operator(T))
         gs_t = align_phase(gs, vt)
         filt = agsp_filter(eff, 6)
         delta, _ = filt.drift(gs)
@@ -222,13 +225,13 @@ class TestOperatorSchmidtRank:
         T, eff = make_eff()
         filt = agsp_filter(eff, 4)
         cut = T.blocks.cut
-        expected = operator_schmidt_rank(filt.matrix, cut)
+        expected = operator_schmidt_rank(dense_filter(filt), cut)
         calls = []
         # Counted at the function that owns the solve: it runs one SVD per parity sector.
         from agsplab import agsp
 
         rank = agsp.operator_schmidt_rank
-        monkeypatch.setattr(agsp, "operator_schmidt_rank", lambda *a, **k: calls.append(a[0].shape) or rank(*a, **k))
+        monkeypatch.setattr(agsp, "operator_schmidt_rank", lambda *a, **k: calls.append(a[0]) or rank(*a, **k))
         assert filt.schmidt_rank() == expected
         assert len(calls) == 1
         assert filt.schmidt_rank() == expected
@@ -360,7 +363,7 @@ def field_only_eff(n=4, tau=3.0):
 class TestBootstrap:
     def test_reference_instance(self):
         T, eff = make_eff()
-        gs_t = oracle_ground_vector(T.assemble_dense())
+        gs_t = oracle_ground_vector(dense_operator(T))
         filt = agsp_filter(eff, 8)
         psi, (mu1, dist) = bootstrap_state(filt, gs_t)
         assert psi is not None
@@ -372,7 +375,7 @@ class TestBootstrap:
 
     def test_precondition_failure_returns_none(self):
         T, eff = make_eff()
-        v = oracle_ground_vector(T.assemble_dense())
+        v = oracle_ground_vector(dense_operator(T))
         filt = agsp_filter(eff, 0)  # identity: epsilon = 1, precondition fails
         assert filt.excited_residual() ** 2 * filt.schmidt_rank() > 0.5
         psi, records = bootstrap_state(filt, v)

@@ -32,7 +32,9 @@ from conftest import (
     dense_commutator_norms,
     dense_eigenvectors,
     dense_energy_dist_lhs,
+    dense_filter,
     dense_filter_lhs,
+    dense_operator,
     kron_embed,
     one_sector_spectrum,
     unsplit_hermitian_norm,
@@ -94,13 +96,13 @@ class TestBuildEffective:
         _, T = make_T()
         width = max(sp.width for sp in T.block_spectra())
         eff = build_effective(T, width + 1.0)
-        np.testing.assert_allclose(eff.assemble_dense(), T.assemble_dense(), atol=1e-10)
+        np.testing.assert_allclose(dense_operator(eff), dense_operator(T), atol=1e-10)
 
     def test_norm_budget(self):
         H, T = make_T(n=8, l=2)
         env = decay_envelope(H)
         eff = build_effective(T, 6.0)
-        norm = unsplit_hermitian_norm(eff.assemble_dense())
+        norm = unsplit_hermitian_norm(dense_operator(eff))
         assert norm <= (T.q + 2) * (6.0 + 2 * env.g0) + 1e-9
 
     def test_gap_of_clamp_below_4g0(self):
@@ -123,7 +125,7 @@ class TestBuildEffective:
             internal=[h + cs * np.eye(h.shape[0]) for h, cs in zip(T.internal, shifts)],
             _block_spectra=[replace(sp, eigenvalues=sp.eigenvalues + cs) for sp, cs in zip(T.block_spectra(), shifts)],
         )
-        np.testing.assert_allclose(unbalanced.assemble_dense(), T.assemble_dense(), atol=1e-12)
+        np.testing.assert_allclose(dense_operator(unbalanced), dense_operator(T), atol=1e-12)
         assert np.max(np.abs(unbalanced.block_ground_energies())) > T.envelope.g0
         with pytest.raises(ValueError, match="exceed g0"):
             build_effective(unbalanced, 4.0)
@@ -144,8 +146,8 @@ class TestBuildEffective:
     def test_clamped_blocks_through_truncated_assembly(self):
         _, T = make_T(n=8, l=2)
         eff = build_effective(T, 3.0)
-        np.testing.assert_array_equal(T.assemble_dense(eff.internal_eff), eff.assemble_dense())
-        assert eff.spectral().norm == pytest.approx(unsplit_hermitian_norm(eff.assemble_dense()), rel=1e-12)
+        np.testing.assert_array_equal(dense_operator(T, eff.internal_eff), dense_operator(eff))
+        assert eff.spectral().norm == pytest.approx(unsplit_hermitian_norm(dense_operator(eff)), rel=1e-12)
 
     def test_internal_commute_with_blocks(self):
         _, T = make_T()
@@ -315,7 +317,7 @@ class TestEffectiveDifference:
         eff = build_effective(T, 1.0)
         spec_t = T.spectral()
         grid = np.linspace(0.0, 0.5 * spec_t.width, 4)
-        diff = T.assemble_dense() - eff.assemble_dense()
+        diff = dense_operator(T) - dense_operator(eff)
         for E, rec in zip(grid, effective_difference_check(T, eff, grid)):
             basis = dense_eigenvectors(spec_t)[:, spec_t.eigenvalues <= E + 1e-9]
             assert rec.lhs == pytest.approx(np.linalg.norm(diff @ basis, 2), abs=1e-12)
@@ -330,7 +332,7 @@ class TestEffectiveDifference:
         assert abs(e0) < 1e-9
         [rec] = effective_difference_check(T, eff, [e0])
         # at E = E_t0 the lhs is exactly ||H_eff |0_t>||
-        direct = np.linalg.norm(eff.assemble_dense() @ dense_eigenvectors(spec_t)[:, 0])
+        direct = np.linalg.norm(dense_operator(eff) @ dense_eigenvectors(spec_t)[:, 0])
         assert rec.lhs == pytest.approx(direct, abs=1e-9)
         assert rec.rhs == pytest.approx(
             27 * (T.q + 2) / lam * math.exp(-lam * (6.0 - 4 * g0)), rel=1e-9
@@ -492,17 +494,17 @@ class TestSectorReaders:
         return eff
 
     def test_filter_matrix(self, clamp):
-        H = clamp.assemble_dense()
+        H = dense_operator(clamp)
         w, V = np.linalg.eigh(H)
-        K = agsp_filter(clamp, 4).matrix
+        K = dense_filter(agsp_filter(clamp, 4))
         assert np.array_equal(K, K.T)
         expected = (V * _filter_values(4, w, w[1] - w[0], w[-1] - w[0])) @ V.T
         assert np.max(np.abs(K - expected)) <= 1e-12
 
     def test_prop9_diff(self, clamp):
         T = clamp.base
-        w, V = np.linalg.eigh(T.assemble_dense())
-        diff = T.assemble_dense() - clamp.assemble_dense()
+        w, V = np.linalg.eigh(dense_operator(T))
+        diff = dense_operator(T) - dense_operator(clamp)
         grid = np.linspace(0.0, 0.5 * (w[-1] - w[0]), 4)
         for E, rec in zip(grid, effective_difference_check(T, clamp, grid)):
             expected = np.linalg.norm(diff @ V[:, in_window(w, hi=E)], 2)
@@ -518,7 +520,7 @@ class TestSectorReaders:
         recs = iter(exponential_filter_check(T, s, O, E=E_grid, E_prime=E_prime_grid, eff=clamp))
         for E_prime in E_prime_grid:
             for E in E_grid:
-                for H in (T.assemble_dense(), clamp.assemble_dense()):
+                for H in (dense_operator(T), dense_operator(clamp)):
                     w, V = np.linalg.eigh(H)
                     rot = V.conj().T @ kron_embed(T, T.blocks.blocks[s], O) @ V
                     block = rot[np.ix_(in_window(w, lo=E_prime), in_window(w, hi=E))]

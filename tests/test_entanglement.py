@@ -18,9 +18,10 @@ from agsplab.entanglement import (
     schmidt_decompose,
     truncate_to_rank,
 )
-from agsplab.hamiltonian import assemble_dense, build_long_range_ising
+from agsplab.hamiltonian import build_long_range_ising
 from agsplab.truncation import decompose_blocks, truncate_interactions
 from conftest import (
+    assemble_dense,
     bond_tail_weights,
     entropy_from_density,
     oracle_ground_vector,

@@ -29,7 +29,7 @@ from agsplab.experiment import (
     write_reports,
 )
 from agsplab.registry import BOUND_REGISTRY, BoundRecord
-from conftest import held_matrices, mp_chebyshev_growth, verify_all
+from conftest import dense_of_sectors, dense_operator, held_matrices, mp_chebyshev_growth, verify_all
 
 # Every registered id, in the order of its first record in `verify_point`.
 BOUND_IDS_IN_ORDER = [
@@ -354,24 +354,26 @@ class TestSolveCounts:
         from agsplab import agsp, effective, spectral
 
         tau_star = max(self.CFG.taus)
-        h_eff = build_pipeline(self.CFG).eff_at(tau_star).assemble_dense()
+        h_eff = dense_operator(build_pipeline(self.CFG).eff_at(tau_star))
         filters, ranks, solves = [], {}, []
         build, rank = agsp.agsp_filter, agsp.operator_schmidt_rank
 
         def counted_build(eff, m):
             filt = build(eff, m)
-            filters.append((filt.matrix, (m, eff.base.blocks.l, eff.tau)))
+            filters.append((filt, (m, eff.base.blocks.l, eff.tau)))
             return filt
 
         def counted_rank(O, *args, **kwargs):
-            for K, key in filters:
-                if O is K:
+            for filt, key in filters:
+                if O is vars(filt).get("blocks"):
                     ranks[key] = ranks.get(key, 0) + 1
             return rank(O, *args, **kwargs)
 
         def counted_solver(solve):
             def wrapped(M, *args, **kwargs):
-                if M.shape == h_eff.shape and np.array_equal(M, h_eff):
+                M = M if isinstance(M, np.ndarray) else list(M)
+                dense = M if isinstance(M, np.ndarray) else dense_of_sectors(M)
+                if dense.shape == h_eff.shape and np.array_equal(dense, h_eff):
                     solves.append(solve.__name__)
                 return solve(M, *args, **kwargs)
 
@@ -402,7 +404,8 @@ class TestSolveCounts:
             return built[-1]
 
         def counted_decompose(M):
-            solved.append(M)
+            M = list(M)
+            solved.append(dense_of_sectors(M))
             return decompose(M)
 
         monkeypatch.setattr(effective, "build_effective", collected_build)
@@ -411,7 +414,7 @@ class TestSolveCounts:
         verify_point(cfg)
         assert [eff.tau for eff in built if eff.cuts_nothing()] == [8.25, 9.5, 10.75, 12.0]
         assert all(eff.spectral() is eff.base.spectral() for eff in built if eff.cuts_nothing())
-        cutting = [eff.assemble_dense() for eff in built if not eff.cuts_nothing()]
+        cutting = [dense_operator(eff) for eff in built if not eff.cuts_nothing()]
         assert len(solved) == len(cutting) == 5
         assert all(np.array_equal(M, H_eff) for M, H_eff in zip(solved, cutting))
 
@@ -487,15 +490,15 @@ class TestSolveCounts:
         sizes = []
         embed = hamiltonian.embed_sum
 
-        def counted_embed(lattice, pieces):
+        def counted_embed(lattice, pieces, *args):
             sizes.append(lattice.n)
-            return embed(lattice, pieces)
+            return embed(lattice, pieces, *args)
 
         def refused(*args, **kwargs):
             raise AssertionError("d^n x d^n matrix requested")
 
         monkeypatch.setattr(hamiltonian, "embed_sum", counted_embed)
-        monkeypatch.setattr(truncation.TruncatedHamiltonian, "assemble_dense", refused)
+        monkeypatch.setattr(truncation.TruncatedHamiltonian, "sectors", refused)
         monkeypatch.setattr(np.linalg, "matrix_power", refused)
         for m in (0, 1, 2, 3):
             agsp.schmidt_rank_bound_check(T, m)
@@ -753,11 +756,12 @@ class TestSweepSharing:
             return built[-1]
 
         def counted_decompose(M):
-            solved.append(M)
+            M = list(M)
+            solved.append(dense_of_sectors(M))
             return decompose(M)
 
         def counted_rank(O, cut):
-            ranked.append(O)
+            ranked.append(dense_of_sectors(O))
             return rank(O, cut)
 
         monkeypatch.setattr(effective, "build_effective", collected_build)
@@ -777,7 +781,7 @@ class TestSweepSharing:
         assert uncut and all(eff.spectral() is eff.base.spectral() for eff in uncut)
         cutting = build_pipeline(cfg.grid_points()[0]).eff_at(3.0, 3)
         assert not cutting.cuts_nothing()
-        assert len(solved) == 1 and np.array_equal(solved[0], cutting.assemble_dense())
+        assert len(solved) == 1 and np.array_equal(solved[0], dense_operator(cutting))
         # One rank per (operator, m): the shared l=2 clamp at m = 4, 16, 32, the
         # shared l=3 one and the cutting one at m = 16.
         assert len(ranked) == 5 and pairwise_distinct(ranked)

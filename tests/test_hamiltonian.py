@@ -18,7 +18,6 @@ from agsplab.hamiltonian import (
     Hamiltonian,
     InteractionTerm,
     LatticeSpec,
-    assemble_dense,
     assemble_sparse,
     block_interaction,
     build_long_range_fermion_chain,
@@ -26,6 +25,7 @@ from agsplab.hamiltonian import (
     contiguous_pair_samples,
     decay_envelope,
     embed_sum,
+    keeps_parity,
     local_energy_g,
     region_sum,
     verify_assumption1,
@@ -36,6 +36,7 @@ from conftest import (
     PAULI_X,
     PAULI_Z,
     REFERENCE_CONFIG,
+    assemble_dense,
     kron_chain,
     oracle_fermion_chain,
     oracle_ising,
@@ -124,7 +125,7 @@ class TestLatticeAndTerms:
     )
     def test_term_keeps_parity_is_read_from_its_matrix(self, matrix, keeps):
         support = (1,) if len(matrix) == 2 else (1, 2)
-        assert InteractionTerm(support, matrix).keeps_parity is keeps
+        assert keeps_parity(InteractionTerm(support, matrix).matrix) is keeps
 
     def test_hamiltonian_validates_supports(self):
         lat = LatticeSpec(n=3)
@@ -389,7 +390,7 @@ class TestAssembleSparse:
     def test_a_term_that_breaks_parity_leaves_one_sector(self):
         H = build_long_range_ising(6, 3.0, 1.0, 2.0)
         H.terms.append(InteractionTerm((3,), 0.4 * SIGMA_X))
-        assert not H.terms[-1].keeps_parity and all(t.keeps_parity for t in H.terms[:-1])
+        assert not keeps_parity(H.terms[-1].matrix) and all(keeps_parity(t.matrix) for t in H.terms[:-1])
         [(rows, S)] = hamiltonian.sparse_sectors(H)
         ref = self.concatenated_csr(H)
         np.testing.assert_array_equal(rows, np.arange(H.lattice.dim))
@@ -498,10 +499,16 @@ class TestAssembleSparse:
         np.testing.assert_array_equal(S.data, ref.data)
 
 
+def dense_interaction(H, X, Y):
+    """V_{X,Y} on the sites of X, then of Y, summed from the terms `block_interaction` picks, and its norm."""
+    terms, norm = block_interaction(H, X, Y)
+    return region_sum(tuple(sorted(X)) + tuple(sorted(Y)), terms), norm
+
+
 class TestBlockInteraction:
     def test_disconnected_sets_zero(self):
         H = build_long_range_ising(4, 2.0, 0.0, 1.0)  # field only
-        V, norm = block_interaction(H, {1}, {3})
+        V, norm = dense_interaction(H, {1}, {3})
         assert norm == 0.0
         np.testing.assert_array_equal(V, np.zeros_like(V))
 
@@ -514,13 +521,13 @@ class TestBlockInteraction:
             raise AssertionError("eigensolve requested")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refused)
-        V, norm = block_interaction(H, {1, 2}, {4, 5})
+        V, norm = dense_interaction(H, {1, 2}, {4, 5})
         assert norm == 0.0
         np.testing.assert_array_equal(V, np.zeros((16, 16)))
 
     def test_n4_example_matrix_and_norm(self):
         H = build_long_range_ising(4, 2.0, 1.0, 0.7)
-        V, norm = block_interaction(H, {1, 2}, {3, 4})
+        V, norm = dense_interaction(H, {1, 2}, {3, 4})
         expected = (
             kron_chain(4, {1: PAULI_X, 3: PAULI_X}) / 4
             + kron_chain(4, {1: PAULI_X, 4: PAULI_X}) / 9
@@ -533,7 +540,7 @@ class TestBlockInteraction:
 
     def test_field_terms_never_included(self):
         H = build_long_range_ising(5, 2.0, 1.0, 3.0)
-        V, _ = block_interaction(H, {1, 2}, {4, 5})  # embedded on sites 1, 2, 4, 5
+        V, _ = dense_interaction(H, {1, 2}, {4, 5})  # embedded on sites 1, 2, 4, 5
         # remove the field by symmetry: V must be traceless pure-XX
         assert abs(np.trace(V)) < 1e-12
         VZ = kron_chain(4, {1: PAULI_Z})
@@ -565,9 +572,9 @@ class TestBlockInteraction:
             H = build_long_range_ising(6, 3.0, 1.0, 1.0)
         else:
             H = build_long_range_fermion_chain(6, 3.0, 1.0, 0.5)
-        V, norm = block_interaction(H, X, Y)
+        V, norm = dense_interaction(H, X, Y)
         # On the sites of X, then of Y: the same operator as on the sorted region, reordered.
-        W, _ = block_interaction(H, Y, X)
+        W, _ = dense_interaction(H, Y, X)
         nx, ny = len(X), len(Y)
         swapped = W.reshape(2**ny, 2**nx, 2**ny, 2**nx).transpose(1, 0, 3, 2).reshape(V.shape)
         np.testing.assert_array_equal(V, swapped)
@@ -591,14 +598,15 @@ class TestInteractionNorm:
     def spy(monkeypatch) -> list:
         calls = []
         full = spectral.top_singular_value
-        monkeypatch.setattr(spectral, "top_singular_value", lambda M: calls.append(M.shape) or full(M))
+        shapes = lambda M: M.shape if isinstance(M, np.ndarray) else [block.shape for block in M]  # noqa: E731
+        monkeypatch.setattr(spectral, "top_singular_value", lambda M: calls.append(shapes(M)) or full(M))
         return calls
 
     def test_block_structure_skips_the_full_solve(self, rng, monkeypatch):
         calls = self.spy(monkeypatch)
         V = x_parity_flipping(rng, 2, 3, "complex")
         assert interaction_norm(V, 2) == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
-        assert calls == [(8, 8), (8, 8)]  # the two B blocks, never the 32 x 32 V
+        assert calls == [[(8, 8), (8, 8)]]  # the two B blocks at once, never the 32 x 32 V
 
     @pytest.mark.parametrize("where", [(0, 0), (0, 1), (3, 7)], ids=["diagonal", "y-flip-only", "x-flip-only"])
     def test_tiny_forbidden_entry_takes_the_full_path(self, rng, monkeypatch, where):
@@ -638,7 +646,7 @@ class TestInteractionNorm:
         records = verify_assumption1(H, decay_envelope(H), pairs)
         assert len(records) == 60
         for (X, Y), rec in zip(pairs, records):
-            V, _ = block_interaction(H, X, Y)
+            V, _ = dense_interaction(H, X, Y)
             assert rec.lhs == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
 
 

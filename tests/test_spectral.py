@@ -11,7 +11,6 @@ from agsplab.hamiltonian import (
     Hamiltonian,
     InteractionTerm,
     LatticeSpec,
-    assemble_dense,
     assemble_sparse,
     build_long_range_fermion_chain,
     build_long_range_ising,
@@ -32,7 +31,7 @@ from agsplab.spectral import (
     top_singular_value,
     unitary_block_norms,
 )
-from conftest import PAULI_X, PAULI_Z, dense_eigenvectors, held_matrices, one_sector_spectrum
+from conftest import PAULI_X, PAULI_Z, assemble_dense, dense_eigenvectors, held_matrices, one_sector_spectrum
 
 # Frozen at first run: gap of the n=8, alpha=3, J=1, B=2 chain.
 GAP_N8_A3_J1_B2 = 2.397328047305237

@@ -6,7 +6,6 @@ from agsplab.hamiltonian import (
     InteractionTerm,
     LatticeSpec,
     PowerLawMetadata,
-    assemble_dense,
     build_long_range_fermion_chain,
     build_long_range_ising,
     decay_envelope,
@@ -17,7 +16,7 @@ from agsplab.truncation import (
     truncate_interactions,
     verify_lemma3_4,
 )
-from conftest import dense_eigenvectors, oracle_ground_vector, unsplit_hermitian_norm
+from conftest import assemble_dense, dense_eigenvectors, dense_operator, oracle_ground_vector, unsplit_hermitian_norm
 
 
 class TestDecomposeBlocks:
@@ -101,10 +100,10 @@ class TestTruncate:
         blocks = decompose_blocks(6, 2, 1)
         T = truncate_interactions(H, blocks)
         assert dropped_terms(H, blocks) == []
-        dense = T.assemble_dense() + T.origin_shift * np.eye(64)
+        dense = dense_operator(T) + T.origin_shift * np.eye(64)
         np.testing.assert_allclose(dense, assemble_dense(H), atol=1e-10)
         # represented operator has its ground energy pinned at zero
-        assert np.linalg.eigvalsh(T.assemble_dense())[0] == pytest.approx(0.0, abs=1e-10)
+        assert np.linalg.eigvalsh(dense_operator(T))[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_dropped_terms_enumeration(self):
         H = build_long_range_ising(6, 3.0, 1.0, 1.0)
@@ -122,7 +121,7 @@ class TestTruncate:
                 abs(owner[t.support[0]] - owner[t.support[1]]) > 1
             )
         ]
-        delta = assemble_dense(H) - (T.assemble_dense() + T.origin_shift * np.eye(64))
+        delta = assemble_dense(H) - (dense_operator(T) + T.origin_shift * np.eye(64))
         # exactly the expected terms are dropped: delta is their sum
         expected_terms = [t for t in H.terms if t.support in expected_dropped]
         np.testing.assert_allclose(delta, assemble_dense(Hamiltonian(H.lattice, expected_terms)), atol=1e-12)
@@ -136,7 +135,7 @@ class TestTruncate:
         H = build_long_range_ising(8, 3.0, 1.0, 2.0)
         env = decay_envelope(H)
         T = truncate_interactions(H, decompose_blocks(8, 2, l))
-        delta = assemble_dense(H) - (T.assemble_dense() + T.origin_shift * np.eye(256))
+        delta = assemble_dense(H) - (dense_operator(T) + T.origin_shift * np.eye(256))
         norm = np.max(np.abs(np.linalg.eigvalsh(delta)))
         assert norm <= env.g0 * 2 * l ** (-env.alpha_bar) + 1e-9
 
@@ -154,10 +153,10 @@ class TestSpectral:
         T = truncate_interactions(H, decompose_blocks(8, 2, l))
         sp = T.spectral()
         assert sp.eigenvalues[0] == 0.0
-        np.testing.assert_allclose(sp.eigenvalues, np.linalg.eigvalsh(T.assemble_dense()), atol=1e-10)
+        np.testing.assert_allclose(sp.eigenvalues, np.linalg.eigvalsh(dense_operator(T)), atol=1e-10)
         # the eigenvectors belong to the represented (origin-shifted) operator
         U = dense_eigenvectors(sp)
-        residual = T.assemble_dense() @ U - U * sp.eigenvalues
+        residual = dense_operator(T) @ U - U * sp.eigenvalues
         assert np.max(np.abs(residual)) <= 1e-10
 
     def test_survives_block_shift(self):
@@ -166,12 +165,12 @@ class TestSpectral:
         blocks = decompose_blocks(8, 2, 1)
         T = truncate_interactions(H, blocks)
         raw = assemble_dense(Hamiltonian(H.lattice, kept_terms(H, blocks)))
-        np.testing.assert_allclose(T.assemble_dense() + T.origin_shift * np.eye(256), raw, atol=1e-12)
+        np.testing.assert_allclose(dense_operator(T) + T.origin_shift * np.eye(256), raw, atol=1e-12)
         sp = T.spectral()
         assert sp.eigenvalues[0] == 0.0
-        np.testing.assert_allclose(sp.eigenvalues, np.linalg.eigvalsh(T.assemble_dense()), atol=1e-10)
+        np.testing.assert_allclose(sp.eigenvalues, np.linalg.eigvalsh(dense_operator(T)), atol=1e-10)
         U = dense_eigenvectors(sp)
-        residual = T.assemble_dense() @ U - U * sp.eigenvalues
+        residual = dense_operator(T) @ U - U * sp.eigenvalues
         assert np.max(np.abs(residual)) <= 1e-10
 
 
@@ -195,7 +194,7 @@ class TestShiftBlockEnergies:
         assert np.all(np.abs(e) <= (T.q + 1) / (T.q + 2) * env.g0 + 1e-9)
         # the represented operator keeps its ground energy at 0
         assert T.spectral().eigenvalues[0] == 0.0
-        np.testing.assert_allclose(T.spectral().eigenvalues, np.linalg.eigvalsh(T.assemble_dense()), atol=1e-10)
+        np.testing.assert_allclose(T.spectral().eigenvalues, np.linalg.eigvalsh(dense_operator(T)), atol=1e-10)
 
     def test_spectrum_invariant(self):
         # balancing moves only the energy origin: the raw truncation's spectrum, less E_t0
@@ -225,7 +224,9 @@ class TestShiftBlockEnergies:
         dims = []
 
         def counted(M):
-            dims.append(M.shape[0])
+            # a dense block, or the whole truncation as its sectors
+            M = M if isinstance(M, np.ndarray) else list(M)
+            dims.append(M.shape[0] if isinstance(M, np.ndarray) else sum(len(rows) for rows, _ in M))
             return eigendecompose(M)
 
         monkeypatch.setattr(truncation, "eigendecompose", counted)
@@ -285,7 +286,7 @@ class TestVerifyLemma34:
     def test_delta_from_dropped_terms_matches_dense_difference(self, H, l):
         # delta = H - H_t(raw), with H_t(raw) = H_t + origin_shift * I
         T = truncate_interactions(H, decompose_blocks(H.lattice.n, 2, l))
-        dense = assemble_dense(H) - T.assemble_dense() - T.origin_shift * np.eye(H.lattice.dim)
+        dense = assemble_dense(H) - dense_operator(T) - T.origin_shift * np.eye(H.lattice.dim)
         _, weyl, _, _ = lemma34_records(H, T)
         delta_norm = weyl.rhs
         assert delta_norm == pytest.approx(float(np.max(np.abs(np.linalg.eigvalsh(dense)))), abs=1e-12)
