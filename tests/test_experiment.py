@@ -471,6 +471,81 @@ class TestSolveCounts:
         assert all(m.shape != (dim, dim) for sp in spectra for m in held_matrices(sp))
         assert read and max(read) < dim
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig(n=8, alpha=3.0, J=1.0, B=2.0, q=2, l=2, taus=[4.0, 6.0], ms=[4, 8], seed=7),
+            ExperimentConfig(family="long_range_fermion", n=6, alpha=3.0, A=1.0, B=0.5, taus=[2.0], ms=[4, 8], seed=7),
+        ],
+        ids=["ising-n8", "fermion-n6"],
+    )
+    def test_no_full_operator_leaves_the_builders(self, monkeypatch, cfg):
+        # Every function and method of the four modules that build operators is
+        # wrapped; what it hands to another module (arrays, inside tuples, lists
+        # and yielded items) must hold no d^n x d^n array.  One piece may be that
+        # large: the bond of a truncation whose two blocks are the chain (q = 2
+        # with empty edges, the AGSP sequence's l = n/2 step at fermion n=6),
+        # which `truncate_interactions` takes from `region_sum` as it takes every
+        # bond.  It is a term of T, not an operator summed from T's pieces.
+        import functools
+        import inspect
+
+        from agsplab import agsp, effective, hamiltonian, truncation
+
+        dim, leaks = 2**cfg.n, []
+        package = [m for name, m in sys.modules.items() if name.startswith("agsplab.")]
+
+        def check(name, caller, value):
+            if isinstance(value, np.ndarray) and value.shape == (dim, dim):
+                leaks.append((name, caller))
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    check(name, caller, item)
+
+        def checked_items(name, caller, items):
+            for item in items:
+                check(name, caller, item)
+                yield item
+
+        def spied(module, name, fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                caller = sys._getframe(1).f_globals.get("__name__")
+                if caller == module.__name__:
+                    return out  # a call inside the module: nothing leaves it
+                if inspect.isgenerator(out):
+                    return checked_items(name, caller, out)
+                check(name, caller, out)
+                return out
+
+            return wrapper
+
+        for module in (hamiltonian, truncation, effective, agsp):
+            for name, obj in list(vars(module).items()):
+                if getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                if inspect.isfunction(obj):
+                    wrapped = spied(module, name, obj)
+                    for target in package:
+                        if vars(target).get(name) is obj:
+                            monkeypatch.setattr(target, name, wrapped)
+                elif inspect.isclass(obj):
+                    for attr, member in list(vars(obj).items()):
+                        if attr.startswith("__"):
+                            continue
+                        if inspect.isfunction(member):
+                            monkeypatch.setattr(obj, attr, spied(module, f"{name}.{attr}", member))
+                        elif isinstance(member, property):
+                            monkeypatch.setattr(obj, attr, property(spied(module, f"{name}.{attr}", member.fget)))
+                        elif isinstance(member, functools.cached_property):
+                            cached = functools.cached_property(spied(module, f"{name}.{attr}", member.func))
+                            cached.__set_name__(obj, attr)
+                            monkeypatch.setattr(obj, attr, cached)
+        verify_point(cfg)
+        assert set(leaks) <= {("region_sum", "agsplab.truncation")}, leaks
+        assert len(leaks) == (cfg.family == "long_range_fermion")
+
     def test_pipeline_holds_no_eigenvector_matrix_of_H(self):
         from agsplab.spectral import SpectralData
 

@@ -24,6 +24,7 @@ from agsplab.hamiltonian import (
     build_long_range_ising,
     contiguous_pair_samples,
     decay_envelope,
+    embed_sectors,
     embed_sum,
     keeps_parity,
     local_energy_g,
@@ -265,6 +266,35 @@ class TestEmbedSum:
         # Raised before any array is allocated.
         with pytest.raises(DimensionCeilingError, match="dense"):
             embed_sum(LatticeSpec(n=15), [((1,), PAULI_Z)])
+
+    @pytest.mark.parametrize(
+        "n, pieces",
+        [
+            (8, build_long_range_ising(8, 3.0, 1.0, 2.0).terms),
+            (7, build_long_range_fermion_chain(7, 3.0, 1.0, 0.5).terms),
+            (5, [((2, 4), 0.3 * np.kron(SIGMA_X, SIGMA_Y)), ((1, 5), np.kron(SIGMA_X, SIGMA_X)), ((3,), SIGMA_Z)]),
+            (5, [((1, 2), np.kron(SIGMA_X, SIGMA_X)), ((3,), 0.4 * SIGMA_X), ((5,), SIGMA_Z)]),
+        ],
+        ids=["ising-n8", "fermion-n7", "complex-piece", "x-field"],
+    )
+    def test_sectors_are_the_restriction_of_the_whole_sum(self, n, pieces):
+        # The oracle is the whole sum, restricted by index parity read from bit strings.
+        lattice = LatticeSpec(n=n)
+        whole = embed_sum(lattice, pieces)
+        sectors = list(embed_sectors(lattice, pieces))
+        if any(not keeps_parity(m) for _, m in pieces):
+            [(rows, block)] = sectors
+            np.testing.assert_array_equal(rows, np.arange(2**n))
+            assert block.dtype == whole.dtype and block.tobytes() == whole.tobytes()
+            with pytest.raises(ValueError, match="breaks parity"):
+                embed_sum(lattice, pieces, 0)
+            return
+        odd = np.array([bin(i).count("1") % 2 for i in range(2**n)])
+        assert [rows.tolist() for rows, _ in sectors] == [np.flatnonzero(odd == p).tolist() for p in (0, 1)]
+        for rows, block in sectors:
+            restricted = whole[np.ix_(rows, rows)]
+            assert block.dtype == whole.dtype and block.tobytes() == restricted.tobytes()  # bit for bit
+        assert not whole[np.ix_(sectors[0][0], sectors[1][0])].any()
 
     def test_region_sum_relabels_and_empty_region(self):
         H = build_long_range_ising(5, 2.0, 1.0, 0.5)
