@@ -18,7 +18,15 @@ from itertools import product
 
 import numpy as np
 
-from .hamiltonian import Hamiltonian, InteractionTerm, LatticeSpec, assemble_sparse, keeps_parity, region_sum
+from .hamiltonian import (
+    Hamiltonian,
+    InteractionTerm,
+    LatticeSpec,
+    assemble_sparse,
+    embed_sectors,
+    keeps_parity,
+    region_sum,
+)
 from .registry import BoundRecord, vacuous
 from .spectral import (
     ENERGY_TIE_TOL,
@@ -62,7 +70,7 @@ class EffectiveHamiltonian:
     def spectral(self) -> SpectralData:
         """The clamp's spectrum, solved once from its sectors, each written from its pieces and then dropped."""
         if self._spectral is None:
-            self._spectral = eigendecompose(self.base.sectors(self.internal_eff))
+            self._spectral = eigendecompose(embed_sectors(self.base.lattice, self.base.pieces(self.internal_eff)))
         return self._spectral
 
     def norm_budget(self) -> float:

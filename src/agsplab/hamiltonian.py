@@ -463,10 +463,10 @@ def block_interaction(
     """The terms of the interaction V_{X,Y} between site sets X and Y, and its norm.
 
     V sums exactly the terms h_Z with Z inside X | Y touching both X and Y,
-    on the sites of X, then of Y (each ascending).  Its norm is
-    `interaction_norm` of the two B blocks written from the terms
-    (`_interaction_blocks`), else of V written whole; exactly 0.0 with no
-    solve when no term is picked.
+    on the sites of X, then of Y (each ascending).  Its norm is the larger
+    of its two B blocks' (`spectral.interaction_norm`), written from the
+    terms (`_interaction_blocks`), else `interaction_norm` of V written
+    whole; exactly 0.0 with no solve when no term is picked.
     """
     X, Y = set(X), set(Y)
     if X & Y:
@@ -476,7 +476,7 @@ def block_interaction(
         return picked, 0.0
     sites = tuple(sorted(X)) + tuple(sorted(Y))
     Bs = _interaction_blocks(sites, len(X), picked)
-    return picked, interaction_norm(region_sum(sites, picked) if Bs is None else Bs, len(X))
+    return picked, interaction_norm(region_sum(sites, picked), len(X)) if Bs is None else top_singular_value(Bs)
 
 
 def _interaction_blocks(region: tuple[int, ...], x_sites: int, pieces) -> list[np.ndarray] | None:

@@ -1,17 +1,17 @@
 """The one module that solves: eigensolves, 2-norms and ranks, per parity sector.
 
 Everything downstream consumes the `SpectralData` produced here.  Dense
-solves are LAPACK calls, sparse ground states Lanczos (`ground_state`), and
-a near-degenerate ground state is rejected.  No other module calls an
+solves are LAPACK calls, sparse ground states Lanczos (`ground_state`); a
+near-degenerate ground state is rejected.  No other module calls an
 eigensolver, and this one imports none of the package's.  Both families
 conserve prod Z, whose eigenvalue on a basis index is its popcount parity,
 so `hamiltonian` writes each operator straight into its even and odd
 sectors (index r at r >> 1), and `eigendecompose`, `top_singular_value`
 and `operator_schmidt_rank` take those (rows, block) sectors as they are.
 Only a matrix with no pieces behind it (an image, a Gram matrix, a test's
-dense operator) is split by reading it (`parity_sectors`).  A `SpectralData`
-keeps each sector's eigenvectors as its own block, and its readers work per
-sector.  `numerical_rank` is the one rule that turns singular values into a rank.
+dense operator) is split by reading it (`parity_sectors`).  Each spectrum
+keeps its sectors' eigenvectors apart (`Sector`), and `numerical_rank` is
+the one rule that turns singular values into a rank.
 """
 
 from __future__ import annotations
@@ -309,20 +309,18 @@ def unitary_block_norms(W: np.ndarray, corners) -> list[float]:
     return [1.0 if (dim - r) + c > dim else top_singular_value(W[r:, :c]) for r, c in corners]
 
 
-def interaction_norm(V, x_sites: int) -> float:
+def interaction_norm(V: np.ndarray, x_sites: int) -> float:
     """Operator 2-norm of a Hermitian V on the sites of X (the high bits, |X| = `x_sites`), then Y.
 
     If every term flips an odd number of X sites and keeps the total parity,
     each total-parity sector of V, ordered by X parity, is [[0, B], [B^dag, 0]]
-    with eigenvalues exactly +-sigma(B): the norm is the larger 2-norm of
-    the two D/4 x D/4 blocks B, each solved as it is.  `V` is that list of
-    B blocks, written from the terms (`hamiltonian.block_interaction`), or a
-    dense V, which decides by its nonzero counts: B is taken only when V
-    has exactly twice the nonzero entries of the two B, else
-    `top_singular_value` of V.  A non-finite dense entry raises `LinAlgError`.
+    with eigenvalues exactly +-sigma(B): the norm is the larger 2-norm of the
+    two D/4 x D/4 blocks B, each solved as it is (`hamiltonian.
+    block_interaction` writes them from the terms).  Here V decides by its
+    nonzero counts: B is taken only when V has exactly twice the nonzero
+    entries of the two B, else `top_singular_value` of V.  A non-finite
+    entry raises `LinAlgError` before either path is taken.
     """
-    if not isinstance(V, np.ndarray):
-        return top_singular_value(V)
     if not np.isfinite(V).all():
         raise np.linalg.LinAlgError("matrix has a non-finite entry")
     dx, dy = 2**x_sites, V.shape[0] >> x_sites

@@ -143,10 +143,6 @@ class TruncatedHamiltonian:
         pieces = list(zip(self.blocks.blocks, internal))
         return pieces + [(self.bond_support(s), bond) for s, bond in enumerate(self.bonds)]
 
-    def sectors(self, internal: list[np.ndarray] | None = None):
-        """`pieces(internal)` summed into their (rows, block) sectors, one at a time (`embed_sectors`)."""
-        return embed_sectors(self.lattice, self.pieces(internal))
-
     def block_spectra(self) -> list[SpectralData]:
         return self._block_spectra
 
@@ -233,8 +229,7 @@ def verify_lemma3_4(H: Hamiltonian, T: TruncatedHamiltonian, levels: np.ndarray,
     4*||delta|| >= gap.
 
     delta is the sum of the dropped terms (the block origins and
-    `origin_shift` cancel exactly), written from those terms alone into its
-    parity sectors (`embed_sectors`).
+    `origin_shift` cancel exactly), written into its sectors from them alone.
     `levels` are every eigenvalue of H, ascending, and `gs` its ground
     vector (sweeps over l reuse both); no excited eigenvector of H is read.
     H_t's spectrum and ground vector come from `T.spectral()`.

@@ -484,39 +484,39 @@ class TestSolveCounts:
         # wrapped; what it hands to another module (arrays, inside tuples, lists
         # and yielded items) must hold no d^n x d^n array.  One piece may be that
         # large: the bond of a truncation whose two blocks are the chain (q = 2
-        # with empty edges, the AGSP sequence's l = n/2 step at fermion n=6),
-        # which `truncate_interactions` takes from `region_sum` as it takes every
-        # bond.  It is a term of T, not an operator summed from T's pieces.
+        # with empty edges, the AGSP sequence's l = n/2 step at fermion n=6).
+        # It is a term of T, not an operator summed from T's pieces.
         import functools
         import inspect
 
         from agsplab import agsp, effective, hamiltonian, truncation
 
-        dim, leaks = 2**cfg.n, []
+        dim, leaks, bonds = 2**cfg.n, [], []
         package = [m for name, m in sys.modules.items() if name.startswith("agsplab.")]
 
-        def check(name, caller, value):
+        def check(name, value):
             if isinstance(value, np.ndarray) and value.shape == (dim, dim):
-                leaks.append((name, caller))
+                leaks.append((name, value))
             elif isinstance(value, (tuple, list)):
                 for item in value:
-                    check(name, caller, item)
+                    check(name, item)
 
-        def checked_items(name, caller, items):
+        def checked_items(name, items):
             for item in items:
-                check(name, caller, item)
+                check(name, item)
                 yield item
 
         def spied(module, name, fn):
             @functools.wraps(fn)
             def wrapper(*args, **kwargs):
                 out = fn(*args, **kwargs)
-                caller = sys._getframe(1).f_globals.get("__name__")
-                if caller == module.__name__:
+                if isinstance(out, truncation.TruncatedHamiltonian):
+                    bonds.extend(out.bonds)
+                if sys._getframe(1).f_globals.get("__name__") == module.__name__:
                     return out  # a call inside the module: nothing leaves it
                 if inspect.isgenerator(out):
-                    return checked_items(name, caller, out)
-                check(name, caller, out)
+                    return checked_items(name, out)
+                check(name, out)
                 return out
 
             return wrapper
@@ -543,8 +543,8 @@ class TestSolveCounts:
                             cached.__set_name__(obj, attr)
                             monkeypatch.setattr(obj, attr, cached)
         verify_point(cfg)
-        assert set(leaks) <= {("region_sum", "agsplab.truncation")}, leaks
-        assert len(leaks) == (cfg.family == "long_range_fermion")
+        assert all(any(array is bond for bond in bonds) for _, array in leaks), [name for name, _ in leaks]
+        assert bool(leaks) == (cfg.family == "long_range_fermion")
 
     def test_pipeline_holds_no_eigenvector_matrix_of_H(self):
         from agsplab.spectral import SpectralData
@@ -573,7 +573,7 @@ class TestSolveCounts:
             raise AssertionError("d^n x d^n matrix requested")
 
         monkeypatch.setattr(hamiltonian, "embed_sum", counted_embed)
-        monkeypatch.setattr(truncation.TruncatedHamiltonian, "sectors", refused)
+        monkeypatch.setattr(truncation, "embed_sectors", refused)
         monkeypatch.setattr(np.linalg, "matrix_power", refused)
         for m in (0, 1, 2, 3):
             agsp.schmidt_rank_bound_check(T, m)
