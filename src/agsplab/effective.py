@@ -24,8 +24,6 @@ from .hamiltonian import (
     LatticeSpec,
     assemble_sparse,
     embed_sectors,
-    keeps_parity,
-    region_sum,
 )
 from .registry import BoundRecord, vacuous
 from .spectral import (
@@ -68,7 +66,7 @@ class EffectiveHamiltonian:
     filter_ranks: dict[int, int] = field(default_factory=dict, repr=False)
 
     def spectral(self) -> SpectralData:
-        """The clamp's spectrum, solved once from its sectors, each written from its pieces and then dropped."""
+        """The clamp's spectrum, solved once from its two sectors written from its pieces; neither is kept."""
         if self._spectral is None:
             self._spectral = eigendecompose(embed_sectors(self.base.lattice, self.base.pieces(self.internal_eff)))
         return self._spectral
@@ -404,22 +402,22 @@ def commutator_bound_check(T: TruncatedHamiltonian) -> list[BoundRecord]:
     meets the bond's fail to commute with it, and ||A (x) I|| = ||A||, so the
     commutator is formed on the union of those supports, a contiguous
     region.  Both operators are Hermitian, so with X = bond . local the
-    commutator is [local, bond] = X^dag - X.  When every piece keeps parity
-    both operators, and so X, are block-diagonal over the region's parity
-    sectors: X is formed one sector at a time, the bond's sector block
-    (sparse, from `assemble_sparse`) times the local sum's (`region_sum`),
-    and the norm is the larger of the two sectors' commutator norms.
+    commutator is [local, bond] = X^dag - X.  Both, and so X, are
+    block-diagonal over the region's parity sectors (`embed_sectors`): X is
+    formed per sector, the bond's CSR block (`assemble_sparse`) times the
+    local one, and the norm is the larger of the two sectors'.
     """
     records = []
     for s in range(T.q + 1):
         sites = T.bond_support(s)
         near = [(support, m) for support, m in T.pieces() if set(sites).intersection(support)]
         region = tuple(sorted(set(sites).union(*(support for support, _ in near))))
-        positions = tuple(region.index(site) + 1 for site in sites)
-        bond = Hamiltonian(LatticeSpec(len(region)), [InteractionTerm(positions, T.bonds[s])], k=len(positions))
+        pos, lattice = {site: p + 1 for p, site in enumerate(region)}, LatticeSpec(len(region))
+        bond = Hamiltonian(lattice, [InteractionTerm(tuple(pos[x] for x in sites), T.bonds[s])], k=len(sites))
+        sectors = embed_sectors(lattice, [(tuple(pos[x] for x in support), m) for support, m in near])
         norms = []
-        for parity in (0, 1) if all(keeps_parity(m) for _, m in near) else (None,):
-            X = assemble_sparse(bond, parity) @ region_sum(region, near, parity)
+        for parity, (_, local) in zip((0, 1) if len(sectors) == 2 else (None,), sectors):
+            X = assemble_sparse(bond, parity) @ local
             norms.append(top_singular_value([X.conj().T - X]))  # the commutator's norm
             del X
         lhs = float(np.max(norms))

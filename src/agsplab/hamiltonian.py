@@ -83,15 +83,15 @@ class InteractionTerm:
         """Operator norm of the term, computed on first use and kept."""
         return top_singular_value(self.matrix)
 
+    @cached_property
+    def keeps_parity(self) -> bool:
+        """Whether the term commutes with prod Z, read exactly from its own matrix and kept.
 
-def keeps_parity(matrix: np.ndarray) -> bool:
-    """Whether a piece commutes with prod Z, read exactly from its own matrix.
-
-    True iff every nonzero entry (a, b) has popcount(a) = popcount(b) mod 2.
-    """
-    a, b = np.nonzero(matrix)
-    parity = popcount_parity(len(matrix))
-    return bool(np.all(parity[a] == parity[b]))
+        True iff every nonzero entry (a, b) has popcount(a) = popcount(b) mod 2.
+        """
+        a, b = np.nonzero(self.matrix)
+        parity = popcount_parity(len(self.matrix))
+        return bool(np.all(parity[a] == parity[b]))
 
 
 @dataclass(frozen=True)
@@ -171,58 +171,61 @@ def _embed_indexing(n: int, support: tuple[int, ...]):
     return base, offsets
 
 
-def embed_sum(lattice: LatticeSpec, pieces, parity: int | None = None) -> np.ndarray:
-    """Dense d^n x d^n sum of identity-padded support-local matrices, or its block on one parity sector.
+def embed_sum(lattice: LatticeSpec, pieces) -> np.ndarray:
+    """Dense d^n x d^n sum of identity-padded support-local matrices.
 
     `pieces` yields (support, matrix) pairs with 1-based sorted supports; an
-    empty support embeds a 1x1 matrix as a multiple of the identity.  With
-    `parity` p, every piece keeping parity (else `ValueError`), only the
-    block on the indices of popcount parity p is written, index r at r >> 1.
-    Real output whenever every matrix is real.  Pieces are added in order,
-    each by one scatter of its nonzero entries, injective within a piece, so
-    a sector block equals those rows and columns of the whole sum bit for bit.
+    empty support embeds a 1x1 matrix as a multiple of the identity.  Real
+    output whenever every matrix is real (`_embed`).
+    """
+    return _embed(lattice, pieces, split=False)[0][1]
+
+
+def embed_sectors(lattice: LatticeSpec, pieces) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The sum of `pieces` as (rows, block) sectors, written straight from the pieces (`_embed`).
+
+    When every entry of every piece keeps the popcount parity, as in both
+    families, the sum is block-diagonal, a fact about its pieces: the even
+    and the odd block, on their `parity_halves` rows.  Else it is one sector.
+    """
+    return _embed(lattice, pieces, split=True)
+
+
+def _embed(lattice: LatticeSpec, pieces, split: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The sum as its two parity sectors (`split`, when every entry keeps parity) or whole, in one pass.
+
+    One `np.add.at` adds every entry of every piece, a repeated index in
+    piece order.  The cached parity table gives an index r its sector, and
+    r >> 1 is its rank there: a sector block is the whole sum's bit for bit.
     """
     dim = lattice.dim
     if dim > DENSE_DIM_CEILING:
         raise DimensionCeilingError(f"dense dimension {dim} exceeds ceiling {DENSE_DIM_CEILING}")
     pieces = [(tuple(support), np.asarray(m)) for support, m in pieces]
     dtype = np.complex128 if any(np.iscomplexobj(m) for _, m in pieces) else np.float64
-    size = dim if parity is None else dim // 2
-    out = np.zeros((size, size), dtype=dtype)
-    for rows, cols, vals in _scatter(lattice, pieces, parity):
-        out[rows, cols] += vals
-    return out
+    rows, cols, vals = map(np.concatenate, zip((np.zeros(0, dtype=np.int64),) * 3, *_scatter(lattice, pieces)))
+    odd = popcount_parity(dim)[rows] if split else None
+    if split and np.array_equal(odd, popcount_parity(dim)[cols]):
+        flat, sectors = (rows >> 1) * (dim // 2) + (cols >> 1), []
+        for parity, sector_rows in enumerate(parity_halves(dim)):
+            out = np.zeros((dim // 2, dim // 2), dtype=dtype)
+            keep = odd == parity
+            np.add.at(out.reshape(-1), flat[keep], vals[keep])
+            sectors.append((sector_rows, out))
+        return sectors
+    out = np.zeros((dim, dim), dtype=dtype)
+    np.add.at(out.reshape(-1), rows * dim + cols, vals)
+    return [(np.arange(dim), out)]
 
 
-def embed_sectors(lattice: LatticeSpec, pieces):
-    """The sum of `pieces` as (rows, block) sectors, each written only when the consumer asks for it.
-
-    When every piece keeps parity, the sum is block-diagonal, a fact about
-    its pieces: the even, then the odd sector block (`embed_sum` with
-    `parity`) on its `parity_halves` rows.  Else the whole sum is one sector.
-    """
-    pieces = list(pieces)
-    if all(keeps_parity(m) for _, m in pieces):
-        for parity, rows in enumerate(parity_halves(lattice.dim)):
-            yield rows, embed_sum(lattice, pieces, parity)
-    else:
-        yield np.arange(lattice.dim), embed_sum(lattice, pieces)
-
-
-def _scatter(lattice: LatticeSpec, pieces, parity: int | None = None):
-    """Flat (rows, cols, values) of each identity-padded piece's nonzero entries, or of those in sector `parity`.
-
-    The index source of every writer (`_sector_embedding`); a piece with an
-    entry between the sectors has none in a sector (`ValueError`).
-    """
+def _scatter(lattice: LatticeSpec, pieces):
+    """Flat (rows, cols, values) of each identity-padded piece's nonzero entries."""
     for support, m in pieces:
-        if parity is not None and not keeps_parity(m):
-            raise ValueError("a parity sector of a piece that breaks parity")
+        base, offsets = _embed_indexing(lattice.n, support)
         a, b = np.nonzero(m)
-        meets, offsets, comp = _sector_embedding(lattice, support, parity, a)
-        a, b = a[meets], b[meets]
-        rows, cols = offsets[a, None] + comp, offsets[b, None] + comp
-        yield rows.ravel(), cols.ravel(), np.broadcast_to(m[a, b][:, None], rows.shape).ravel()
+        rows = (base[:, None] + offsets[a]).ravel()
+        cols = (base[:, None] + offsets[b]).ravel()
+        yield rows, cols, np.tile(m[a, b], len(base))
 
 
 def assemble_sparse(H: Hamiltonian, parity: int | None = None):
@@ -255,7 +258,7 @@ def assemble_sparse(H: Hamiltonian, parity: int | None = None):
     dim = H.lattice.dim
     if dim > SPARSE_DIM_CEILING:
         raise DimensionCeilingError(f"sparse dimension {dim} exceeds ceiling {SPARSE_DIM_CEILING}")
-    if parity is not None and not all(keeps_parity(term.matrix) for term in H.terms):
+    if parity is not None and not all(term.keeps_parity for term in H.terms):
         raise ValueError("a parity sector of a Hamiltonian with a term that breaks parity")
     size = dim if parity is None else dim // 2
     if not H.terms:
@@ -318,7 +321,7 @@ def _sector_embedding(lattice: LatticeSpec, support: tuple[int, ...], parity: in
     if parity is None:
         base, offsets = _embed_indexing(lattice.n, support)
         return slice(None), offsets, base[None, :]
-    if not support or support[-1] != lattice.n:
+    if support[-1] != lattice.n:
         base, offsets = _embed_indexing(lattice.n - 1, support)
         return slice(None), offsets, base[None, :]
     base, offsets = _embed_indexing(lattice.n - 1, support[:-1])
@@ -334,7 +337,7 @@ def _sector_embedding(lattice: LatticeSpec, support: tuple[int, ...], parity: in
 def sparse_sectors(H: Hamiltonian):
     """The CSR Hamiltonian one popcount-parity sector at a time, as (rows, CSR) pairs.
 
-    When every term keeps parity (`keeps_parity`), H is
+    When every term keeps parity (`InteractionTerm.keeps_parity`), H is
     block-diagonal over the even and the odd sector, and each is written
     (`assemble_sparse`) only when the consumer asks for it; `rows` lists its
     indices ascending.  The first is the sector of H's lowest diagonal entry
@@ -346,7 +349,7 @@ def sparse_sectors(H: Hamiltonian):
     one pair is every row and the full CSR.
     """
     dim = H.lattice.dim
-    if dim >= 2 and all(keeps_parity(term.matrix) for term in H.terms):
+    if dim >= 2 and all(term.keeps_parity for term in H.terms):
         first = int(popcount_parity(dim)[_diagonal(H).argmin()])  # the diagonal dies here
         for parity in (first, 1 - first):
             yield np.flatnonzero(popcount_parity(dim) == parity), assemble_sparse(H, parity)
@@ -365,16 +368,15 @@ def _diagonal(H: Hamiltonian) -> np.ndarray:
     return out
 
 
-def region_sum(region: tuple[int, ...], pieces, parity: int | None = None) -> np.ndarray:
-    """Sum of (support, matrix) pieces as a dense matrix on the sites of `region`, or its sector `parity`.
+def region_sum(region: tuple[int, ...], pieces) -> np.ndarray:
+    """Sum of (support, matrix) pieces as a dense matrix on the sites of `region`.
 
     `region` lists distinct sites that contain every piece's support; the
-    result acts on them in their order (1x1 zero if `region` is empty), as
-    `embed_sum` writes it.
+    result acts on them in their order (1x1 zero if `region` is empty).
     """
     if len(region) == 0:
         return np.zeros((1, 1))
-    return embed_sum(LatticeSpec(n=len(region)), _relabel(region, pieces), parity)
+    return embed_sum(LatticeSpec(n=len(region)), _relabel(region, pieces))
 
 
 def _relabel(region: tuple[int, ...], pieces):

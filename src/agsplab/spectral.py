@@ -240,7 +240,7 @@ def eigendecompose(M) -> SpectralData:
     """Eigendecompose a Hermitian matrix, dense or as its sectors.
 
     `M` is a dense array (`parity_sectors`) or an iterable of (rows, block)
-    sectors (`hamiltonian.embed_sectors`), each solved as it arrives (as real
+    sectors (`hamiltonian.embed_sectors`), each solved on its own (as real
     below 1e-14 imaginary part; `eigh` reads the lower triangle) and kept as
     its own `Sector`.  A non-finite dense entry raises `LinAlgError`.
     """
@@ -250,7 +250,6 @@ def eigendecompose(M) -> SpectralData:
         if np.iscomplexobj(block) and np.max(np.abs(block.imag)) < 1e-14:
             block = block.real
         solved.append((rows, *np.linalg.eigh(block)))
-        del block  # a written sector dies before the next one is written
     w = np.concatenate([w_s for _, w_s, _ in solved])
     order = np.argsort(w, kind="stable")
     position = np.empty_like(order)  # position[j]: ascending position of the j-th sector level

@@ -26,7 +26,6 @@ from agsplab.hamiltonian import (
     decay_envelope,
     embed_sectors,
     embed_sum,
-    keeps_parity,
     local_energy_g,
     region_sum,
     verify_assumption1,
@@ -126,7 +125,7 @@ class TestLatticeAndTerms:
     )
     def test_term_keeps_parity_is_read_from_its_matrix(self, matrix, keeps):
         support = (1,) if len(matrix) == 2 else (1, 2)
-        assert keeps_parity(InteractionTerm(support, matrix).matrix) is keeps
+        assert InteractionTerm(support, matrix).keeps_parity is keeps
 
     def test_hamiltonian_validates_supports(self):
         lat = LatticeSpec(n=3)
@@ -268,26 +267,24 @@ class TestEmbedSum:
             embed_sum(LatticeSpec(n=15), [((1,), PAULI_Z)])
 
     @pytest.mark.parametrize(
-        "n, pieces",
+        "n, pieces, split",
         [
-            (8, build_long_range_ising(8, 3.0, 1.0, 2.0).terms),
-            (7, build_long_range_fermion_chain(7, 3.0, 1.0, 0.5).terms),
-            (5, [((2, 4), 0.3 * np.kron(SIGMA_X, SIGMA_Y)), ((1, 5), np.kron(SIGMA_X, SIGMA_X)), ((3,), SIGMA_Z)]),
-            (5, [((1, 2), np.kron(SIGMA_X, SIGMA_X)), ((3,), 0.4 * SIGMA_X), ((5,), SIGMA_Z)]),
+            (8, build_long_range_ising(8, 3.0, 1.0, 2.0).terms, True),
+            (7, build_long_range_fermion_chain(7, 3.0, 1.0, 0.5).terms, True),
+            (5, [((2, 4), 0.3 * np.kron(SIGMA_X, SIGMA_Y)), ((1, 5), np.kron(SIGMA_X, SIGMA_X)), ((3,), SIGMA_Z)], True),
+            (5, [((1, 2), np.kron(SIGMA_X, SIGMA_X)), ((3,), 0.4 * SIGMA_X), ((5,), SIGMA_Z)], False),
         ],
         ids=["ising-n8", "fermion-n7", "complex-piece", "x-field"],
     )
-    def test_sectors_are_the_restriction_of_the_whole_sum(self, n, pieces):
+    def test_sectors_are_the_restriction_of_the_whole_sum(self, n, pieces, split):
         # The oracle is the whole sum, restricted by index parity read from bit strings.
         lattice = LatticeSpec(n=n)
         whole = embed_sum(lattice, pieces)
-        sectors = list(embed_sectors(lattice, pieces))
-        if any(not keeps_parity(m) for _, m in pieces):
+        sectors = embed_sectors(lattice, pieces)
+        if not split:  # a piece that breaks parity: the whole sum, one sector of every row
             [(rows, block)] = sectors
             np.testing.assert_array_equal(rows, np.arange(2**n))
             assert block.dtype == whole.dtype and block.tobytes() == whole.tobytes()
-            with pytest.raises(ValueError, match="breaks parity"):
-                embed_sum(lattice, pieces, 0)
             return
         odd = np.array([bin(i).count("1") % 2 for i in range(2**n)])
         assert [rows.tolist() for rows, _ in sectors] == [np.flatnonzero(odd == p).tolist() for p in (0, 1)]
@@ -420,7 +417,7 @@ class TestAssembleSparse:
     def test_a_term_that_breaks_parity_leaves_one_sector(self):
         H = build_long_range_ising(6, 3.0, 1.0, 2.0)
         H.terms.append(InteractionTerm((3,), 0.4 * SIGMA_X))
-        assert not keeps_parity(H.terms[-1].matrix) and all(keeps_parity(t.matrix) for t in H.terms[:-1])
+        assert not H.terms[-1].keeps_parity and all(t.keeps_parity for t in H.terms[:-1])
         [(rows, S)] = hamiltonian.sparse_sectors(H)
         ref = self.concatenated_csr(H)
         np.testing.assert_array_equal(rows, np.arange(H.lattice.dim))
