@@ -69,8 +69,13 @@ class Pipeline:
     Truncations (per block length l, at the configured cut) and clamps (per
     (l, tau)) are built on first use and shared by every check of the point,
     except the Theorem-5 clamps below max(taus), which one check reads once
-    (`eff_at`).  The points of a group share all but `cfg` and the clamps
-    through `dataclasses.replace` (module docstring).
+    (`eff_at`).
+    The points of a group share a pipeline's H, its levels and ground
+    state, the ground state's Schmidt decomposition at the block cut and the
+    truncations, through `dataclasses.replace`, each with its own `cfg` and
+    clamps; `_verify_group` makes the group's tau-free records and lhs once.
+    A clamp that cuts nothing takes its spectrum and filter ranks from its
+    truncation, so the points share those, and the lhs read on them, too.
     The model scalars live with their owners: g and the decay envelope on
     each truncation (`T.local_g`, `T.envelope`), the gap on `H_levels`.  No
     check reads an excited eigenvector of H, so H keeps only its levels and

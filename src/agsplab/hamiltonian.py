@@ -8,8 +8,10 @@ every downstream truncation/filter bound is measured against.
 Site indices are 1-based throughout the public API; distances are
 r_ij = |i - j|.  Every site is a qubit (local dimension 2), and each term
 owns its operator norm (`InteractionTerm.norm`, computed once).  Every norm
-is solved by `spectral`; this module builds the matrices, a sum of pieces
-that keep parity straight into its parity sectors (`embed_sectors`).
+is solved by `spectral` (`top_singular_value`); this module builds the
+matrices, a sum of pieces that keep parity straight into its parity sectors
+(`embed_sectors`), and the Assumption-1 interactions as their B blocks
+(`_interaction_blocks`).
 """
 
 from __future__ import annotations
@@ -21,11 +23,14 @@ import numpy as np
 import scipy.sparse
 
 from .registry import BoundRecord
-from .spectral import interaction_norm, parity_halves, popcount_parity, top_singular_value
+from .spectral import parity_halves, popcount_parity, top_singular_value
 
 HERMITICITY_ATOL = 1e-12
 # Largest dimensions built: a dense array by `embed_sum` (2 GiB of float64 at
-# n = 14), a CSR Hamiltonian with int32 indices by `assemble_sparse`.
+# n = 14), a CSR Hamiltonian with int32 indices by `assemble_sparse`, one
+# parity sector at a time (`agsplab entropy` on a 2-vCPU box, Lanczos asking the
+# second sector for one level: 123 MiB peak RSS and 4.0-4.2 s at n = 16,
+# 353 MiB and 24-25 s at n = 18).
 DENSE_DIM_CEILING = 2**14
 SPARSE_DIM_CEILING = 2**18
 
@@ -231,10 +236,11 @@ def _scatter(lattice: LatticeSpec, pieces):
 def assemble_sparse(H: Hamiltonian, parity: int | None = None):
     """CSR matrix of the Hamiltonian, or of its popcount-parity sector `parity`, written in place.
 
-    The one sparse writer, from the index source of `embed_sum`
-    (`_sector_embedding`).  With `parity` p it writes the block on the
-    indices of parity p, index r at r >> 1, as `embed_sum` does; every term
-    must keep parity (else `ValueError`).
+    The one sparse writer, from the index source of `embed_sum`.  With
+    `parity` p it writes the block on the indices of parity p, which is all
+    of H there when every term keeps parity (else `ValueError`); each pair
+    {2k, 2k+1} holds one index of each parity, so index r is stored as
+    r >> 1, the order of `spectral`'s dense sectors (`_sector_embedding`).
 
     Two passes over the terms; both embed one term at a time, so no term's
     index arrays outlive it.  Pass 1 counts each row's entries: term t gives
@@ -253,7 +259,8 @@ def assemble_sparse(H: Hamiltonian, parity: int | None = None):
     held: the peak is the final arrays with their duplicate surplus (the
     Ising diagonal's n entries per row before they are summed into one).
     `data` and `indices` stay views of those buffers: copying the kept
-    entries out would hold both at once (README, `agsplab entropy` at n=18).
+    entries out would hold both at once (n=18 `agsplab entropy` on a 2-vCPU
+    box: 356 MiB peak RSS as they are, 566 MiB with the copy).
     """
     dim = H.lattice.dim
     if dim > SPARSE_DIM_CEILING:
@@ -305,18 +312,21 @@ def assemble_sparse(H: Hamiltonian, parity: int | None = None):
 
 
 def _sector_embedding(lattice: LatticeSpec, support: tuple[int, ...], parity: int | None, a: np.ndarray):
-    """Where the local rows `a` of a parity-keeping piece land in one sector (`parity` None: the whole space).
+    """Where the local rows `a` of a parity-keeping term land in one sector (`parity` None: the whole space).
 
     Returns (meets, offsets, comp): a[meets] are the local rows that meet
     the sector, and the j-th of them, on complement configuration c, lands
-    on row offsets[a] + c for each c in comp[j] (comp is one broadcast row
-    where they share it); its columns b land alike.  A sector stores r as
-    r >> 1, dropping site n, so a support without site n embeds in sites
-    1 .. n-1 as it is.  Otherwise site n, last in the sorted support, is the
-    lowest bit of a, and row c + offsets[a] lies in sector p when c has
-    parity p ^ popcount(a): the local row's parity picks a half of the
-    complement configurations (of the one, c = 0, for a support that covers
-    the chain, so only its local rows of parity p meet the sector).
+    on row offsets[a] + c for each c in comp[j], ascending (comp is one
+    broadcast row where they share it); its columns b land alike.  A sector
+    stores r as r >> 1, dropping site n, so this is the arithmetic of sites
+    1 .. n-1.  A support without site n embeds there as it is: one of each
+    two complement configurations that differ at site n is in the sector.
+    Otherwise site n, last in the sorted support, is the lowest bit of a,
+    and row c + offsets[a] lies in sector p when c has parity
+    p ^ popcount(a): the complement configurations are split by parity
+    once, and the local row's parity picks its half.  A support that covers
+    the chain has no odd half, so its local rows of the other parity meet
+    no row.
     """
     if parity is None:
         base, offsets = _embed_indexing(lattice.n, support)
@@ -465,10 +475,10 @@ def block_interaction(
     """The terms of the interaction V_{X,Y} between site sets X and Y, and its norm.
 
     V sums exactly the terms h_Z with Z inside X | Y touching both X and Y,
-    on the sites of X, then of Y (each ascending).  Its norm is the larger
-    of its two B blocks' (`spectral.interaction_norm`), written from the
-    terms (`_interaction_blocks`), else `interaction_norm` of V written
-    whole; exactly 0.0 with no solve when no term is picked.
+    on the sites of X, then of Y (each ascending).  Its norm is the
+    `top_singular_value` of its two B blocks, written from the terms
+    (`_interaction_blocks`), or else of V written whole; exactly 0.0 with no
+    solve when no term is picked.  A sum that overflows gives NaN.
     """
     X, Y = set(X), set(Y)
     if X & Y:
@@ -478,18 +488,22 @@ def block_interaction(
         return picked, 0.0
     sites = tuple(sorted(X)) + tuple(sorted(Y))
     Bs = _interaction_blocks(sites, len(X), picked)
-    return picked, interaction_norm(region_sum(sites, picked), len(X)) if Bs is None else top_singular_value(Bs)
+    return picked, top_singular_value(region_sum(sites, picked) if Bs is None else Bs)
 
 
 def _interaction_blocks(region: tuple[int, ...], x_sites: int, pieces) -> list[np.ndarray] | None:
-    """`interaction_norm`'s two B blocks of V = `region_sum(region, pieces)`, written from the pieces.
+    """The two B blocks of V = `region_sum(region, pieces)` that hold its 2-norm, written from the pieces.
 
     X is the first `x_sites` sites of `region` (the high bits), Y the rest.
-    The B of even (odd) total parity holds V's entries from (x even, y even
-    (odd)) to x odd, at row (x >> 1) 2^(|Y|-1) + (y >> 1) and the column
-    alike, so each entry is V's bit for bit; rows of even x, the adjoints,
-    are not written.  None when X or Y is empty, or when an entry of some
-    piece keeps the X parity or breaks the total one.
+    When every entry of every piece flips the X parity and keeps the total
+    parity, each total-parity sector of V, ordered by X parity, is
+    [[0, B], [B^dag, 0]], whose eigenvalues are exactly +-sigma(B): the norm
+    of V is the larger 2-norm of the two D/4 x D/4 blocks B.  The B of even
+    (odd) total parity holds V's entries from (x even, y even (odd)) to
+    x odd, at row (x >> 1) 2^(|Y|-1) + (y >> 1) and the column alike, so
+    each entry is V's bit for bit; rows of even x, the adjoints, are not
+    written.  None when X or Y is empty, or when an entry of some piece
+    keeps the X parity or breaks the total one.
     """
     y_sites = len(region) - x_sites
     if x_sites == 0 or y_sites == 0:

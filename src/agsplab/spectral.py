@@ -76,8 +76,9 @@ def _members(levels: np.ndarray, positions: np.ndarray) -> np.ndarray:
 class SpectralData:
     """Eigendecomposition M = sum_s U_s diag(w_s) U_s^dag with the levels w ascending.
 
-    `sectors` holds each sector's eigenvectors as its own block (`Sector`);
-    no d x d eigenvector matrix, half zeros, is formed.
+    `sectors` holds each parity sector's eigenvectors as its own block
+    (`Sector`); the d x d eigenvector matrix, half zeros when M splits, is
+    never formed.
     """
 
     eigenvalues: np.ndarray
@@ -152,12 +153,16 @@ class SpectralData:
         """apply(V) for the eigenvectors V of the levels at the ascending `positions`, per sector.
 
         Each sector's columns go in as full-length columns, zero off its rows,
-        and only the output rows whose parity in `labels` (default: the
-        popcount parity of the index) is the sector's come back, as [(sector,
-        rows read, image rows)].  As in `parity_sectors`, the image decides:
-        the split is kept only when every image is exactly zero (a NaN is not)
-        on the rows not read, so that norms are the max over the sectors'.
-        Otherwise, or for one sector, the one entry holds the whole image.
+        and only that sector's rows of the image come back: the output rows
+        whose parity in `labels` is the sector's (default: the popcount
+        parity of the output index, so the sector's own rows).  Returns
+        [(sector, rows read, image rows)], the image's columns the sector's
+        levels among `positions`.  As in `parity_sectors`, the matrix decides:
+        the split is kept only when every image is exactly zero on the rows
+        not read (a NaN there counts as nonzero), so that an operator keeping
+        parity gives norms that are the max over the sectors'.  Otherwise, or
+        for a spectrum that is one sector, the one entry holds the whole
+        image of the dense columns, all rows read.
         """
         positions = np.asarray(positions, dtype=np.intp)
         if len(self.sectors) > 1:
@@ -215,15 +220,21 @@ def parity_halves(dim: int) -> tuple[np.ndarray, np.ndarray]:
 def parity_sectors(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Diagonal blocks of a matrix over the popcount parity of its indices, found by reading it.
 
-    Returns [(rows, cols, block)] with block = matrix[rows][:, cols]: the
-    even and the odd sector when both dimensions are powers of two (at least
-    2) and the nonzero counts say both cross blocks are exactly zero (they
-    are never copied), otherwise the whole matrix.  A split is a permutation
-    similarity (an equivalence for rectangular input), so eigenvalues and
-    singular values are exactly the union of the sectors'.  A single nonzero
-    cross entry, rounding noise included, keeps the matrix whole.  A
-    non-finite entry raises `LinAlgError`: LAPACK may return a finite value
-    for it (a NaN on the diagonal can vanish from `eigvalsh`).
+    Returns [(rows, cols, block)] with block = matrix[rows][:, cols].  When
+    both dimensions are powers of two (at least 2) and the two diagonal
+    blocks (even rows x even columns, odd rows x odd columns) hold every
+    nonzero entry, so that both cross blocks are exactly zero, these are the
+    even and the odd sector; otherwise the one entry holds the whole matrix.
+    The cross blocks are never copied: the nonzero counts decide.  A split
+    is a permutation similarity (an equivalence for rectangular input), so
+    eigenvalues and singular values are exactly the union of the sectors'.
+    On the computational basis of qubits the popcount parity is the
+    eigenvalue of prod Z, so every operator that commutes with prod Z (the
+    Ising and fermion families, their blocks, clamps and filters, and the
+    operator-Schmidt reshape of such a filter) splits; a single nonzero cross
+    entry, rounding noise included, does not.
+    A non-finite entry raises `LinAlgError`: LAPACK may return a finite
+    value for it (a NaN on the diagonal can vanish from `eigvalsh`).
     """
     if not np.isfinite(matrix).all():
         raise np.linalg.LinAlgError("matrix has a non-finite entry")
@@ -242,11 +253,14 @@ def eigendecompose(M) -> SpectralData:
     `M` is a dense array (`parity_sectors`) or an iterable of (rows, block)
     sectors (`hamiltonian.embed_sectors`), each solved on its own (as real
     below 1e-14 imaginary part; `eigh` reads the lower triangle) and kept as
-    its own `Sector`.  A non-finite dense entry raises `LinAlgError`.
+    its own `Sector`.  A non-finite entry raises `LinAlgError`: LAPACK may
+    return a finite value for it (`parity_sectors`).
     """
     sectors = [(rows, b) for rows, _, b in parity_sectors(M)] if isinstance(M, np.ndarray) else M
     solved = []
     for rows, block in sectors:
+        if not np.isfinite(block).all():
+            raise np.linalg.LinAlgError("matrix has a non-finite entry")
         if np.iscomplexobj(block) and np.max(np.abs(block.imag)) < 1e-14:
             block = block.real
         solved.append((rows, *np.linalg.eigh(block)))
@@ -306,31 +320,6 @@ def unitary_block_norms(W: np.ndarray, corners) -> list[float]:
         return [float("nan")] * len(corners)
     dim = W.shape[0]
     return [1.0 if (dim - r) + c > dim else top_singular_value(W[r:, :c]) for r, c in corners]
-
-
-def interaction_norm(V: np.ndarray, x_sites: int) -> float:
-    """Operator 2-norm of a Hermitian V on the sites of X (the high bits, |X| = `x_sites`), then Y.
-
-    If every term flips an odd number of X sites and keeps the total parity,
-    each total-parity sector of V, ordered by X parity, is [[0, B], [B^dag, 0]]
-    with eigenvalues exactly +-sigma(B): the norm is the larger 2-norm of the
-    two D/4 x D/4 blocks B, each solved as it is (`hamiltonian.
-    block_interaction` writes them from the terms).  Here V decides by its
-    nonzero counts: B is taken only when V has exactly twice the nonzero
-    entries of the two B, else `top_singular_value` of V.  A non-finite
-    entry raises `LinAlgError` before either path is taken.
-    """
-    if not np.isfinite(V).all():
-        raise np.linalg.LinAlgError("matrix has a non-finite entry")
-    dx, dy = 2**x_sites, V.shape[0] >> x_sites
-    if dx >= 2 and dy >= 2:
-        (xe, xo), (ye, yo) = parity_halves(dx), parity_halves(dy)
-        V4, q = V.reshape(dx, dy, dx, dy), V.shape[0] // 4
-        # B of the even and of the odd total-parity sector.
-        Bs = [V4[np.ix_(*idx)].reshape(q, q) for idx in ((xo, yo, xe, ye), (xo, ye, xe, yo))]
-        if 2 * sum(map(np.count_nonzero, Bs)) == np.count_nonzero(V):
-            return top_singular_value(Bs)
-    return top_singular_value(V)
 
 
 def numerical_rank(svals: np.ndarray) -> int:

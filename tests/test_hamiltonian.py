@@ -31,7 +31,7 @@ from agsplab.hamiltonian import (
     verify_assumption1,
 )
 from agsplab.experiment import build_model
-from agsplab.spectral import interaction_norm, top_singular_value
+from agsplab.spectral import top_singular_value
 from conftest import (
     PAULI_X,
     PAULI_Z,
@@ -608,6 +608,13 @@ class TestBlockInteraction:
         assert norm == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
 
 
+def interaction_of(terms, x_sites: int, y_sites: int) -> float:
+    """`block_interaction`'s norm for `terms` given as (support, matrix) on sites 1 .. x + y, X the first `x_sites`."""
+    n = x_sites + y_sites
+    H = Hamiltonian(LatticeSpec(n=n), [InteractionTerm(support, m) for support, m in terms], k=n)
+    return block_interaction(H, range(1, x_sites + 1), range(x_sites + 1, n + 1))[1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
@@ -617,23 +624,45 @@ class TestBlockInteraction:
 )
 def test_property_x_parity_norm_matches_unsplit_oracle(seed, x_sites, y_sites, field):
     V = x_parity_flipping(np.random.default_rng(seed), x_sites, y_sites, field)
-    assert interaction_norm(V, x_sites) == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
+    support = tuple(range(1, x_sites + y_sites + 1))
+    assert interaction_of([(support, V)], x_sites, y_sites) == pytest.approx(
+        unsplit_hermitian_norm(V), rel=1e-12, abs=0.0
+    )
 
 
 class TestInteractionNorm:
+    """`block_interaction` takes V's two B blocks from the terms when every term entry allows it, else V whole."""
+
+    SUPPORT = (1, 2, 3, 4)  # X = sites 1, 2 (the high bits), Y = sites 3, 4
+
     @staticmethod
     def spy(monkeypatch) -> list:
         calls = []
-        full = spectral.top_singular_value
+        full = hamiltonian.top_singular_value
         shapes = lambda M: M.shape if isinstance(M, np.ndarray) else [block.shape for block in M]  # noqa: E731
-        monkeypatch.setattr(spectral, "top_singular_value", lambda M: calls.append(shapes(M)) or full(M))
+        monkeypatch.setattr(hamiltonian, "top_singular_value", lambda M: calls.append(shapes(M)) or full(M))
         return calls
 
     def test_block_structure_skips_the_full_solve(self, rng, monkeypatch):
         calls = self.spy(monkeypatch)
         V = x_parity_flipping(rng, 2, 3, "complex")
-        assert interaction_norm(V, 2) == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
+        assert interaction_of([((1, 2, 3, 4, 5), V)], 2, 3) == pytest.approx(
+            unsplit_hermitian_norm(V), rel=1e-12, abs=0.0
+        )
         assert calls == [[(8, 8), (8, 8)]]  # the two B blocks at once, never the 32 x 32 V
+
+    def test_b_blocks_are_the_whole_sums_entries(self, rng):
+        V = x_parity_flipping(rng, 2, 2, "real")
+        B_even, B_odd = hamiltonian._interaction_blocks(self.SUPPORT, 2, [(self.SUPPORT, V / 3), (self.SUPPORT, V)])
+        # Rows: x odd; columns: x even; y of the same parity as x in the even-sector B, of the other in the odd.
+        bits = [format(i, "04b") for i in range(16)]
+        px = np.array([b[:2].count("1") % 2 for b in bits])
+        py = np.array([b[2:].count("1") % 2 for b in bits])
+        W = region_sum(self.SUPPORT, [(self.SUPPORT, V / 3), (self.SUPPORT, V)])
+        for B, y_parity in ((B_even, 0), (B_odd, 1)):
+            rows = np.flatnonzero((px == 1) & (py == 1 - y_parity))
+            cols = np.flatnonzero((px == 0) & (py == y_parity))
+            assert B.tobytes() == W[np.ix_(rows, cols)].tobytes()
 
     @pytest.mark.parametrize("where", [(0, 0), (0, 1), (3, 7)], ids=["diagonal", "y-flip-only", "x-flip-only"])
     def test_tiny_forbidden_entry_takes_the_full_path(self, rng, monkeypatch, where):
@@ -642,30 +671,27 @@ class TestInteractionNorm:
         V = x_parity_flipping(rng, 2, 2, "real")
         V[where] = V[where[::-1]] = 1e-300
         calls = self.spy(monkeypatch)
-        value = interaction_norm(V, 2)
+        value = interaction_of([(self.SUPPORT, V)], 2, 2)
         assert calls == [(16, 16)]
         assert value == top_singular_value(V)
         assert value == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("where", [(5, 0), (4, 1)], ids=["even-sector", "odd-sector"])
-    def test_entry_in_one_adjoint_block_alone_takes_the_full_path(self, rng, monkeypatch, where):
-        # X = 2 high bits, Y = 2 low bits: 5 = 0b0101 and 0 lie in the even
-        # total-parity sector's B, 4 = 0b0100 and 1 in the odd one's.  With the
-        # B entry zeroed, its adjoint entry stands alone; the split is refused.
+    def test_forbidden_entries_that_cancel_in_the_sum_take_the_full_path(self, rng, monkeypatch):
+        # The terms decide, not their sum: V + E and -E sum to V, whose entries all flip both parities.
         V = x_parity_flipping(rng, 2, 2, "real")
-        V[where] = 0.0
+        E = np.zeros_like(V)
+        E[0, 0] = 0.5
         calls = self.spy(monkeypatch)
-        value = interaction_norm(V, 2)
+        value = interaction_of([(self.SUPPORT, V + E), (self.SUPPORT, -E)], 2, 2)
         assert calls == [(16, 16)]
-        assert value == top_singular_value(V)
+        assert value == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("where", [(0, 15), (0, 0)], ids=["in-a-block", "forbidden"])
-    def test_non_finite_entry_raises(self, rng, bad, where):
-        V = x_parity_flipping(rng, 2, 2, "real")
-        V[where] = V[where[::-1]] = bad
-        with pytest.raises(np.linalg.LinAlgError):
-            interaction_norm(V, 2)
+    @pytest.mark.parametrize("field", [SIGMA_X, SIGMA_X + SIGMA_Z], ids=["b-blocks", "whole"])
+    def test_overflowing_sum_gives_nan(self, field):
+        # Each term is finite; their sum is not.  X X flips both parities (the B path); Z Z keeps the X parity.
+        m = 1e308 * np.kron(field, field)
+        with np.errstate(over="ignore"):
+            assert np.isnan(interaction_of([((1, 2), m), ((1, 2), m)], 1, 1))
 
     def test_reference_records_match_the_oracle(self):
         H = build_model(REFERENCE_CONFIG)

@@ -24,9 +24,9 @@ from agsplab.spectral import (
     eigendecompose,
     ground_state,
     in_window,
-    interaction_norm,
     numerical_rank,
     operator_schmidt_rank,
+    parity_halves,
     parity_sectors,
     top_singular_value,
     unitary_block_norms,
@@ -620,11 +620,11 @@ class TestSwapSplit:
 
 
 def _expect_loud(kernel, M):
+    """`M` is a dense matrix or a list of (rows, block) sectors."""
     if kernel == "top_singular_value":
-        assert np.isnan(top_singular_value(M))
+        assert np.isnan(top_singular_value(M if isinstance(M, np.ndarray) else [block for _, block in M]))
         return
     solve = {
-        "interaction": lambda A: interaction_norm(A, 1),
         "eigendecompose": eigendecompose,
         "operator_schmidt_rank": lambda A: operator_schmidt_rank(A, 1),
     }[kernel]
@@ -632,7 +632,7 @@ def _expect_loud(kernel, M):
         solve(M)
 
 
-@pytest.mark.parametrize("kernel", ["interaction", "eigendecompose", "top_singular_value", "operator_schmidt_rank"])
+@pytest.mark.parametrize("kernel", ["eigendecompose", "top_singular_value", "operator_schmidt_rank"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [(0, 0), (3, 3), (1, 1), (2, 2), (0, 1), (3, 2)])
 def test_non_finite_entry_fails_loudly_through_the_split(kernel, bad, where):
@@ -643,6 +643,18 @@ def test_non_finite_entry_fails_loudly_through_the_split(kernel, bad, where):
     M[where] = bad
     M[where[::-1]] = bad
     _expect_loud(kernel, M)
+
+
+@pytest.mark.parametrize("kernel", ["eigendecompose", "top_singular_value", "operator_schmidt_rank"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (3, 3), (1, 1), (2, 2), (0, 3), (1, 2)])
+def test_non_finite_entry_fails_loudly_in_sector_input(kernel, bad, where):
+    # The same diag(1, 2, 3, 4) handed over as its two sectors, as
+    # `hamiltonian.embed_sectors` writes them (a sum that overflows gives inf).
+    M = np.diag([1.0, 2.0, 3.0, 4.0])
+    M[where] = bad
+    M[where[::-1]] = bad
+    _expect_loud(kernel, [(rows, M[np.ix_(rows, rows)]) for rows in parity_halves(4)])
 
 
 def sector_case(rng, case: str, dim: int = 32) -> tuple[np.ndarray, SpectralData]:
