@@ -9,9 +9,7 @@ Site indices are 1-based throughout the public API; distances are
 r_ij = |i - j|.  Every site is a qubit (local dimension 2), and each term
 owns its operator norm (`InteractionTerm.norm`, computed once).  Every norm
 is solved by `spectral` (`top_singular_value`); this module builds the
-matrices, a sum of pieces that keep parity straight into its parity sectors
-(`embed_sectors`), and the Assumption-1 interactions as their B blocks
-(`_interaction_blocks`).
+matrices, a parity-keeping sum straight into its sectors (`embed_sectors`).
 """
 
 from __future__ import annotations

@@ -220,21 +220,15 @@ def parity_halves(dim: int) -> tuple[np.ndarray, np.ndarray]:
 def parity_sectors(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Diagonal blocks of a matrix over the popcount parity of its indices, found by reading it.
 
-    Returns [(rows, cols, block)] with block = matrix[rows][:, cols].  When
-    both dimensions are powers of two (at least 2) and the two diagonal
-    blocks (even rows x even columns, odd rows x odd columns) hold every
-    nonzero entry, so that both cross blocks are exactly zero, these are the
-    even and the odd sector; otherwise the one entry holds the whole matrix.
-    The cross blocks are never copied: the nonzero counts decide.  A split
-    is a permutation similarity (an equivalence for rectangular input), so
-    eigenvalues and singular values are exactly the union of the sectors'.
-    On the computational basis of qubits the popcount parity is the
-    eigenvalue of prod Z, so every operator that commutes with prod Z (the
-    Ising and fermion families, their blocks, clamps and filters, and the
-    operator-Schmidt reshape of such a filter) splits; a single nonzero cross
-    entry, rounding noise included, does not.
-    A non-finite entry raises `LinAlgError`: LAPACK may return a finite
-    value for it (a NaN on the diagonal can vanish from `eigvalsh`).
+    Returns [(rows, cols, block)] with block = matrix[rows][:, cols]: the
+    even and the odd sector when both dimensions are powers of two (at least
+    2) and the nonzero counts say both cross blocks are exactly zero (they
+    are never copied), otherwise the whole matrix.  A split is a permutation
+    similarity (an equivalence for rectangular input), so eigenvalues and
+    singular values are exactly the union of the sectors'.  A single nonzero
+    cross entry, rounding noise included, keeps the matrix whole.  A
+    non-finite entry raises `LinAlgError`: LAPACK may return a finite value
+    for it (a NaN on the diagonal can vanish from `eigvalsh`).
     """
     if not np.isfinite(matrix).all():
         raise np.linalg.LinAlgError("matrix has a non-finite entry")

@@ -634,27 +634,23 @@ def _expect_loud(kernel, M):
 
 @pytest.mark.parametrize("kernel", ["eigendecompose", "top_singular_value", "operator_schmidt_rank"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", [(0, 0), (3, 3), (1, 1), (2, 2), (0, 1), (3, 2)])
-def test_non_finite_entry_fails_loudly_through_the_split(kernel, bad, where):
+@pytest.mark.parametrize(
+    "form, where",
+    [("dense", w) for w in [(0, 0), (3, 3), (1, 1), (2, 2), (0, 1), (3, 2)]]
+    + [("sectors", w) for w in [(0, 0), (1, 1), (0, 3), (1, 2)]],
+)
+def test_non_finite_entry_fails_loudly_through_the_split(kernel, bad, form, where):
     # diag(1, 2, 3, 4): indices 0, 3 form the even sector, 1, 2 the odd one;
     # (0, 1) and (3, 2) are cross entries.  The unsplit `eigvalsh` returns
-    # 4.0 for a NaN at (0, 0); no kernel may return a finite number.
+    # 4.0 for a NaN at (0, 0); no kernel may return a finite number, neither
+    # for the matrix nor for its two sectors as `hamiltonian.embed_sectors`
+    # writes them (a sum of finite terms that overflows gives inf).
     M = np.diag([1.0, 2.0, 3.0, 4.0])
     M[where] = bad
     M[where[::-1]] = bad
+    if form == "sectors":
+        M = [(rows, M[np.ix_(rows, rows)]) for rows in parity_halves(4)]
     _expect_loud(kernel, M)
-
-
-@pytest.mark.parametrize("kernel", ["eigendecompose", "top_singular_value", "operator_schmidt_rank"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", [(0, 0), (3, 3), (1, 1), (2, 2), (0, 3), (1, 2)])
-def test_non_finite_entry_fails_loudly_in_sector_input(kernel, bad, where):
-    # The same diag(1, 2, 3, 4) handed over as its two sectors, as
-    # `hamiltonian.embed_sectors` writes them (a sum that overflows gives inf).
-    M = np.diag([1.0, 2.0, 3.0, 4.0])
-    M[where] = bad
-    M[where[::-1]] = bad
-    _expect_loud(kernel, [(rows, M[np.ix_(rows, rows)]) for rows in parity_halves(4)])
 
 
 def sector_case(rng, case: str, dim: int = 32) -> tuple[np.ndarray, SpectralData]:
