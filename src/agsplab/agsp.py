@@ -229,13 +229,17 @@ def _sum_schmidt_rank(A: np.ndarray, B: np.ndarray) -> int:
 
     Rearranged as in `operator_schmidt_rank`, the operator is P^T Q with P, Q
     the stacked vec(A_w), vec(B_w).  From P^T = Q_P R_P and Q^T = Q_Q R_Q
-    (orthonormal columns) it has the singular values of R_P R_Q^T.
+    (orthonormal columns) it has the singular values of R_P R_Q^T; a
+    non-finite entry (an overflowed H_t^m) raises `LinAlgError` first.
     """
     if len(A) == 0:
         return 0
     r_p = np.linalg.qr(A.reshape(len(A), -1).T, mode="r")
     r_q = np.linalg.qr(B.reshape(len(B), -1).T, mode="r")
-    return numerical_rank(np.linalg.svd(r_p @ r_q.T, compute_uv=False))
+    core = r_p @ r_q.T
+    if not all(np.isfinite(M).all() for M in (A, B, core)):
+        raise np.linalg.LinAlgError("operator sum_w A_w (x) B_w (a power H_t^m) has a non-finite entry")
+    return numerical_rank(np.linalg.svd(core, compute_uv=False))
 
 
 def _power_schmidt_rank(T: TruncatedHamiltonian, m: int) -> int:

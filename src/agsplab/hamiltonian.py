@@ -8,8 +8,8 @@ every downstream truncation/filter bound is measured against.
 Site indices are 1-based throughout the public API; distances are
 r_ij = |i - j|.  Every site is a qubit (local dimension 2), and each term
 owns its operator norm (`InteractionTerm.norm`, computed once).  Every norm
-is solved by `spectral` (`top_singular_value`); this module builds the
-matrices, a parity-keeping sum straight into its sectors (`embed_sectors`).
+is solved by `spectral` (`top_singular_value`, `flip_sum_norm`); this module
+builds the matrices, a parity-keeping sum straight into its sectors.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse
 
 from .registry import BoundRecord
-from .spectral import parity_halves, popcount_parity, top_singular_value
+from .spectral import flip_sum_norm, parity_halves, popcount_parity, top_singular_value
 
 HERMITICITY_ATOL = 1e-12
 # Largest dimensions built: a dense array by `embed_sum` (2 GiB of float64 at
@@ -95,6 +95,12 @@ class InteractionTerm:
         a, b = np.nonzero(self.matrix)
         parity = popcount_parity(len(self.matrix))
         return bool(np.all(parity[a] == parity[b]))
+
+    @cached_property
+    def flip_coefficient(self) -> float | None:
+        """The real c when the matrix is c X (x) ... (x) X (c on the anti-diagonal) bit for bit, else None; kept."""
+        m, c = self.matrix, self.matrix[0, -1]
+        return float(c) if np.isrealobj(m) and np.array_equal(m, c * np.eye(len(m))[::-1]) else None
 
 
 @dataclass(frozen=True)
@@ -473,10 +479,10 @@ def block_interaction(
     """The terms of the interaction V_{X,Y} between site sets X and Y, and its norm.
 
     V sums exactly the terms h_Z with Z inside X | Y touching both X and Y,
-    on the sites of X, then of Y (each ascending).  Its norm is the
-    `top_singular_value` of its two B blocks, written from the terms
-    (`_interaction_blocks`), or else of V written whole; exactly 0.0 with no
-    solve when no term is picked.  A sum that overflows gives NaN.
+    on the sites of X, then of Y (each ascending).  Its norm is `flip_norm`
+    (Ising), else the `top_singular_value` of its two B blocks, written from
+    the terms (`_interaction_blocks`), or of V written whole; exactly 0.0
+    with no solve when no term is picked.  A sum that overflows gives NaN.
     """
     X, Y = set(X), set(Y)
     if X & Y:
@@ -485,8 +491,19 @@ def block_interaction(
     if not picked:
         return picked, 0.0
     sites = tuple(sorted(X)) + tuple(sorted(Y))
-    Bs = _interaction_blocks(sites, len(X), picked)
-    return picked, top_singular_value(region_sum(sites, picked) if Bs is None else Bs)
+    norm = flip_norm(sites, picked)
+    if norm is None:  # a term that is not a flip: the B blocks, or V whole
+        norm = top_singular_value(_interaction_blocks(sites, len(X), picked) or region_sum(sites, picked))
+    return picked, norm
+
+
+def flip_norm(region: tuple[int, ...], terms: list[InteractionTerm]) -> float | None:
+    """Exact norm of the sum of `terms` on `region` when each is a flip (every Ising XX, no fermion term), else None."""
+    coeffs = [t.flip_coefficient for t in terms]
+    if None in coeffs:
+        return None
+    bit = {site: 1 << p for p, site in enumerate(region)}
+    return flip_sum_norm(len(region), [(sum(bit[s] for s in t.support), c) for t, c in zip(terms, coeffs)])
 
 
 def _interaction_blocks(region: tuple[int, ...], x_sites: int, pieces) -> list[np.ndarray] | None:

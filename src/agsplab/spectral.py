@@ -2,7 +2,8 @@
 
 Everything downstream consumes the `SpectralData` produced here.  Dense
 solves are LAPACK calls, sparse ground states Lanczos (`ground_state`); a
-near-degenerate ground state is rejected.  No other module calls an
+near-degenerate ground state is rejected; a sum of bit flips, its exact
+Walsh-Hadamard spectrum (`flip_sum_norm`).  No other module calls an
 eigensolver, and this one imports none of the package's.  Both families
 conserve prod Z, whose eigenvalue on a basis index is its popcount parity,
 so `hamiltonian` writes each operator straight into its even and odd
@@ -296,6 +297,19 @@ def _block_top(A: np.ndarray) -> float:
     if not np.isfinite(gram).all():  # overflow
         return float("nan")
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+
+
+def flip_sum_norm(n: int, flips) -> float:
+    """Operator 2-norm of sum_t c_t X^(mask_t) on n qubits, from its exact spectrum.
+
+    `flips` lists (mask, c) pairs, c X on each site of mask.  They commute,
+    and Walsh-Hadamard state z has eigenvalue sum_t c_t (-1)^popcount(z & mask_t):
+    the norm is the max of its |.| over z.  No pairs give 0.0, a non-finite sum NaN.
+    """
+    masks, coeffs = np.array([m for m, _ in flips], dtype=np.int64), np.array([c for _, c in flips], dtype=float)
+    signs = 1.0 - 2.0 * popcount_parity(2**n)[np.arange(2**n)[:, None] & masks]
+    top = float(np.max(np.abs(signs @ coeffs), initial=0.0))
+    return top if math.isfinite(top) else float("nan")
 
 
 def unitary_block_norms(W: np.ndarray, corners) -> list[float]:

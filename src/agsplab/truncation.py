@@ -23,6 +23,7 @@ from .hamiltonian import (
     LatticeSpec,
     decay_envelope,
     embed_sectors,
+    flip_norm,
     local_energy_g,
     region_sum,
 )
@@ -229,13 +230,15 @@ def verify_lemma3_4(H: Hamiltonian, T: TruncatedHamiltonian, levels: np.ndarray,
     4*||delta|| >= gap.
 
     delta is the sum of the dropped terms (the block origins and
-    `origin_shift` cancel exactly), written into its sectors from them alone.
+    `origin_shift` cancel exactly): `flip_norm`, else solved on its sectors.
     `levels` are every eigenvalue of H, ascending, and `gs` its ground
     vector (sweeps over l reuse both); no excited eigenvector of H is read.
     H_t's spectrum and ground vector come from `T.spectral()`.
     """
-    _, _, dropped = _classify_terms(H, T.blocks)
-    delta_norm = top_singular_value([block for _, block in embed_sectors(H.lattice, [H.terms[i] for i in dropped])])
+    dropped = [H.terms[i] for i in _classify_terms(H, T.blocks)[2]]
+    delta_norm = flip_norm(tuple(range(1, H.lattice.n + 1)), dropped)
+    if delta_norm is None:
+        delta_norm = top_singular_value([block for _, block in embed_sectors(H.lattice, dropped)])
     spec_t = T.spectral().eigenvalues + T.origin_shift
     gap = float(levels[1] - levels[0])
     env = T.envelope

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from agsplab.agsp import (
     _filter_values,
+    _sum_schmidt_rank,
     agsp_filter,
     bootstrap_state,
     chebyshev_T,
@@ -351,6 +352,22 @@ class TestPowerSchmidtRank:
         T, _ = make_eff(n=6)
         with pytest.raises(ValueError, match="non-negative"):
             schmidt_rank_bound_check(T, -1)
+
+    @pytest.mark.parametrize("where", ["A", "B", "product"])
+    def test_non_finite_operator_raises_before_the_svd(self, monkeypatch, where):
+        # An inf entry in either factor, or finite factors whose R_P R_Q^T overflows (an H_t^m near 1e308).
+        A, B = np.ones((2, 4, 4)), np.ones((2, 4, 4))
+        if where == "product":
+            A, B = 1e200 * A, 1e200 * B
+        else:
+            {"A": A, "B": B}[where][1, 2, 3] = np.inf
+
+        def refused(*args, **kwargs):
+            raise AssertionError("SVD of a non-finite matrix")
+
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            _sum_schmidt_rank(A, B)
 
 
 def field_only_eff(n=4, tau=3.0):

@@ -110,22 +110,32 @@ class TestLatticeAndTerms:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "matrix, keeps",
+        "matrix, keeps, flip",
         [
-            (np.kron(SIGMA_X, SIGMA_X), True),
-            (np.kron(SIGMA_Y, SIGMA_X), True),
-            (SIGMA_Z, True),
-            (np.kron(SIGMA_PLUS, SIGMA_PLUS.T) + np.kron(SIGMA_PLUS.T, SIGMA_PLUS), True),
-            (SIGMA_X, False),
-            (np.kron(SIGMA_Z, SIGMA_Y), False),
+            (np.kron(SIGMA_X, SIGMA_X), True, 1.0),
+            (-0.75 * np.kron(SIGMA_X, SIGMA_X), True, -0.75),
+            (0.0 * np.kron(SIGMA_X, SIGMA_X), True, 0.0),
+            (np.kron(SIGMA_Y, SIGMA_X), True, None),
+            (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y), True, None),
+            (np.kron(SIGMA_Z, SIGMA_Z), True, None),
+            (SIGMA_Z, True, None),
+            (np.kron(SIGMA_PLUS, SIGMA_PLUS.T) + np.kron(SIGMA_PLUS.T, SIGMA_PLUS), True, None),
+            (SIGMA_X, False, 1.0),
+            (np.kron(SIGMA_Z, SIGMA_Y), False, None),
+            # a complex matrix, even one with the entries of c X X
+            (0.5 * np.kron(SIGMA_X, SIGMA_X).astype(complex), True, None),
+            # one entry off c X X, however small
+            (0.5 * np.kron(SIGMA_X, SIGMA_X) + np.diag([1e-300, 0.0, 0.0, 0.0]), True, None),
             # one entry that changes the parity, however small
-            (np.diag([1.0, 2.0, 3.0, 4.0]) + 1e-300 * (np.eye(4, k=1) + np.eye(4, k=-1)), False),
+            (np.diag([1.0, 2.0, 3.0, 4.0]) + 1e-300 * (np.eye(4, k=1) + np.eye(4, k=-1)), False, None),
         ],
-        ids=["xx", "yx", "z", "hop", "x", "zy", "tiny-cross"],
+        ids=["xx", "neg-xx", "zero-xx", "yx", "xx+yy", "zz", "z", "hop", "x", "zy", "complex-xx", "tiny-off-xx", "tiny-cross"],
     )
-    def test_term_keeps_parity_is_read_from_its_matrix(self, matrix, keeps):
+    def test_term_keeps_parity_is_read_from_its_matrix(self, matrix, keeps, flip):
         support = (1,) if len(matrix) == 2 else (1, 2)
-        assert InteractionTerm(support, matrix).keeps_parity is keeps
+        term = InteractionTerm(support, matrix)
+        assert term.keeps_parity is keeps
+        assert term.flip_coefficient == flip
 
     def test_hamiltonian_validates_supports(self):
         lat = LatticeSpec(n=3)
@@ -686,12 +696,38 @@ class TestInteractionNorm:
         assert calls == [(16, 16)]
         assert value == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("field", [SIGMA_X, SIGMA_X + SIGMA_Z], ids=["b-blocks", "whole"])
+    @pytest.mark.parametrize("field", [SIGMA_X, SIGMA_Y, SIGMA_X + SIGMA_Z], ids=["flips", "b-blocks", "whole"])
     def test_overflowing_sum_gives_nan(self, field):
-        # Each term is finite; their sum is not.  X X flips both parities (the B path); Z Z keeps the X parity.
+        # Each term is finite; their sum is not.  X X is a flip (`flip_norm`); Y Y flips both parities
+        # (the B path); Z Z keeps the X parity.
         m = 1e308 * np.kron(field, field)
         with np.errstate(over="ignore"):
             assert np.isnan(interaction_of([((1, 2), m), ((1, 2), m)], 1, 1))
+
+    XX, YY = np.kron(SIGMA_X, SIGMA_X), np.kron(SIGMA_Y, SIGMA_Y)
+
+    @pytest.mark.parametrize(
+        "terms, calls",
+        [
+            ([((1, 3), 0.5 * XX), ((2, 4), -0.25 * XX), ((1, 4), 0.0 * XX)], []),
+            ([((1, 3), 0.5 * XX), ((2, 4), -0.25 * YY)], [[(4, 4), (4, 4)]]),
+        ],
+        ids=["flips", "xx+yy"],
+    )
+    def test_flip_terms_alone_take_the_flip_spectrum(self, monkeypatch, terms, calls):
+        # Every term c X X: no 2-norm solve; one term that is not a flip sends all to the B blocks.
+        spied = self.spy(monkeypatch)
+        value = interaction_of(terms, 2, 2)
+        assert spied == calls
+        assert value == pytest.approx(unsplit_hermitian_norm(region_sum(self.SUPPORT, terms)), rel=1e-12, abs=0.0)
+
+    def test_flip_path_matches_the_b_blocks_on_every_pair(self):
+        H = build_long_range_ising(8, 3.0, 1.0, 2.0)
+        for X, Y in contiguous_pair_samples(8):
+            picked, norm = block_interaction(H, X, Y)
+            assert all(t.flip_coefficient is not None for t in picked)
+            blocks = hamiltonian._interaction_blocks(X + Y, len(X), picked)
+            assert norm == pytest.approx(top_singular_value(blocks), rel=1e-13, abs=0.0)
 
     def test_reference_records_match_the_oracle(self):
         H = build_model(REFERENCE_CONFIG)

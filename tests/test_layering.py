@@ -12,7 +12,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "agsplab"
 SOLVERS = {"eigh", "eigvalsh", "eigsh"}
 # Kernels that only `spectral` defines (module level).
-SPECTRAL_KERNELS = {"parity_sectors", "top_singular_value", "operator_schmidt_rank", "numerical_rank"}
+SPECTRAL_KERNELS = {"parity_sectors", "top_singular_value", "flip_sum_norm", "operator_schmidt_rank", "numerical_rank"}
 
 MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 

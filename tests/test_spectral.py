@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agsplab import spectral
@@ -22,6 +22,7 @@ from agsplab.spectral import (
     DegenerateGroundStateError,
     SpectralData,
     eigendecompose,
+    flip_sum_norm,
     ground_state,
     in_window,
     numerical_rank,
@@ -31,7 +32,7 @@ from agsplab.spectral import (
     top_singular_value,
     unitary_block_norms,
 )
-from conftest import PAULI_X, PAULI_Z, assemble_dense, dense_eigenvectors, held_matrices, one_sector_spectrum
+from conftest import PAULI_X, PAULI_Z, assemble_dense, dense_eigenvectors, held_matrices, kron_chain, one_sector_spectrum
 
 # Frozen at first run: gap of the n=8, alpha=3, J=1, B=2 chain.
 GAP_N8_A3_J1_B2 = 2.397328047305237
@@ -309,6 +310,38 @@ class TestTopSingularValue:
         except (ValueError, np.linalg.LinAlgError):
             return
         assert np.isnan(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    flips=st.lists(
+        st.tuples(
+            st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=3, unique=True),
+            st.one_of(st.sampled_from([0.0, -1.0, 0.5]), st.floats(min_value=-3.0, max_value=3.0)),
+        ),
+        max_size=6,
+    ),
+    extra=st.integers(min_value=0, max_value=2),
+)
+# Frustrated: the eigenvalues run from -3 (z = 0) to 1, so the norm needs the |.|.
+@example(flips=[([1, 2], -1.0), ([2, 3], -1.0), ([1, 3], -1.0)], extra=0)
+def test_property_flip_sum_norm_matches_kron_oracle(flips, extra):
+    # Each flip is c X on 1-3 of n <= 8 sites; site s is bit n - s of a mask, as in the Kronecker order.
+    n = min(8, max((max(support) for support, _ in flips), default=1) + extra)
+    oracle = np.zeros((2**n, 2**n))
+    for support, c in flips:
+        oracle += c * kron_chain(n, {s: PAULI_X for s in support})
+    masks = [(sum(1 << (n - s) for s in support), c) for support, c in flips]
+    expected = float(np.max(np.abs(np.linalg.eigvalsh(oracle))))
+    assert flip_sum_norm(n, masks) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "flips", [[(0b11, 1e308), (0b11, 1e308)], [(0b01, 1e308), (0b10, 1e308)], [(0b01, 1e308), (0b01, -np.inf)]]
+)
+def test_flip_sum_norm_of_an_overflowing_sum_is_nan(flips):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(flip_sum_norm(2, flips))
 
 
 @settings(max_examples=80, deadline=None)

@@ -79,6 +79,13 @@ def nearest_neighbor_chain(n, J=1.0, B=0.5):
     return Hamiltonian(LatticeSpec(n=n), terms, metadata=PowerLawMetadata("nearest_neighbor", 3.0, abs(J), abs(B)))
 
 
+def ising_with_yy_tail(n: int) -> Hamiltonian:
+    """The n-site reference Ising chain plus one Y Y term on its end sites: a dropped tail that mixes XX and YY."""
+    H = build_long_range_ising(n, 3.0, 1.0, 2.0)
+    yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+    return Hamiltonian(H.lattice, H.terms + [InteractionTerm((1, n), 0.1 * yy)], metadata=H.metadata)
+
+
 def dropped_terms(H, blocks) -> list:
     """Terms of H that touch more than one block, other than two adjacent ones."""
     owner = {site: s for s, blk in enumerate(blocks.blocks) for site in blk}
@@ -281,6 +288,7 @@ class TestVerifyLemma34:
             (build_long_range_ising(8, 3.0, 1.0, 2.0), 2),
             (build_long_range_ising(9, 2.5, 1.0, 1.0), 2),
             (build_long_range_fermion_chain(8, 3.0, 1.0, 0.5), 2),
+            (ising_with_yy_tail(8), 2),
         ],
     )
     def test_delta_from_dropped_terms_matches_dense_difference(self, H, l):
