@@ -171,7 +171,7 @@ def theorem5_check(T: TruncatedHamiltonian, tau_grid, clamp_at) -> list[BoundRec
         kappa = 0.0
         for block, proj in zip(T.blocks.blocks, clamp.tail_projectors()):
             if proj is not None:
-                kappa += top_singular_value(apply_on_block(block, proj, v_e))
+                kappa += top_singular_value([apply_on_block(block, proj, v_e)])
         kappa_bound = 11.0 * (q + 2) * math.exp(-lam_p * (tau - 8.0 * g0))
         records.append(BoundRecord("thm5.kappa", kappa, kappa_bound, {"tau": tau}))
         if tau >= tau_min:
@@ -317,7 +317,7 @@ def effective_difference_check(
     records = []
     for E in E_grid:
         parts = [] if uncut else spec_t.images(np.flatnonzero(in_window(spec_t.eigenvalues, hi=E)), block_differences)
-        lhs = 0.0 if uncut else float(np.max([top_singular_value(Y) for _, _, Y in parts]))
+        lhs = 0.0 if uncut else float(np.max([top_singular_value([Y]) for _, _, Y in parts]))
         rhs = (
             27.0
             * (T.q + 2)
@@ -390,7 +390,7 @@ def exponential_filter_lhs(T: TruncatedHamiltonian, s: int, O_s: np.ndarray, spe
         for j, Ep in enumerate(E_prime):
             # Ascending eigenvalues: the rows are a suffix, the columns a prefix.
             above = np.flatnonzero(in_window(spec.eigenvalues, lo=Ep))
-            lhs[j, i] = np.max([top_singular_value(sec.columns(above).conj().T @ Y) for sec, _, Y in parts])
+            lhs[j, i] = np.max([top_singular_value([sec.columns(above).conj().T @ Y]) for sec, _, Y in parts])
     return lhs
 
 

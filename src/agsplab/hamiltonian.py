@@ -24,11 +24,11 @@ from .registry import BoundRecord
 from .spectral import flip_sum_norm, parity_halves, popcount_parity, top_singular_value
 
 HERMITICITY_ATOL = 1e-12
-# Largest dimensions built: a dense array by `embed_sum` (2 GiB of float64 at
-# n = 14), a CSR Hamiltonian with int32 indices by `assemble_sparse`, one
-# parity sector at a time (`agsplab entropy` on a 2-vCPU box, Lanczos asking the
-# second sector for one level: 123 MiB peak RSS and 4.0-4.2 s at n = 16,
-# 353 MiB and 24-25 s at n = 18).
+# Largest dimensions built: a dense operator by `embed_sectors` (2 GiB of float64
+# at n = 14 whole, half as two sectors), a CSR Hamiltonian with int32 indices by
+# `assemble_sparse`, one parity sector at a time (`agsplab entropy` on a 2-vCPU
+# box, Lanczos asking the second sector for one level: 123 MiB peak RSS and
+# 4.0-4.2 s at n = 16, 353 MiB and 24-25 s at n = 18).
 DENSE_DIM_CEILING = 2**14
 SPARSE_DIM_CEILING = 2**18
 
@@ -78,13 +78,14 @@ class InteractionTerm:
             raise ValueError("term matrix is not Hermitian to 1e-12")
 
     def __iter__(self):
-        """Unpack as the (support, matrix) piece that `embed_sum` takes."""
+        """Unpack as the (support, matrix) piece that `embed_sectors` takes."""
         return iter((self.support, self.matrix))
 
     @cached_property
     def norm(self) -> float:
-        """Operator norm of the term, computed on first use and kept."""
-        return top_singular_value(self.matrix)
+        """Operator norm of the term, computed on first use and kept: |c| for a flip c X (x) ... (x) X."""
+        c = self.flip_coefficient
+        return top_singular_value(self.matrix) if c is None else abs(c)
 
     @cached_property
     def keeps_parity(self) -> bool:
@@ -180,32 +181,18 @@ def _embed_indexing(n: int, support: tuple[int, ...]):
     return base, offsets
 
 
-def embed_sum(lattice: LatticeSpec, pieces) -> np.ndarray:
-    """Dense d^n x d^n sum of identity-padded support-local matrices.
+def embed_sectors(lattice: LatticeSpec, pieces) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The dense sum of identity-padded support-local `pieces` as (rows, block) sectors: the one dense writer.
 
     `pieces` yields (support, matrix) pairs with 1-based sorted supports; an
-    empty support embeds a 1x1 matrix as a multiple of the identity.  Real
-    output whenever every matrix is real (`_embed`).
-    """
-    return _embed(lattice, pieces, split=False)[0][1]
-
-
-def embed_sectors(lattice: LatticeSpec, pieces) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The sum of `pieces` as (rows, block) sectors, written straight from the pieces (`_embed`).
-
-    When every entry of every piece keeps the popcount parity, as in both
+    empty support embeds a 1x1 matrix as a multiple of the identity.  When
+    every entry of every piece keeps the popcount parity, as in both
     families, the sum is block-diagonal, a fact about its pieces: the even
-    and the odd block, on their `parity_halves` rows.  Else it is one sector.
-    """
-    return _embed(lattice, pieces, split=True)
-
-
-def _embed(lattice: LatticeSpec, pieces, split: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The sum as its two parity sectors (`split`, when every entry keeps parity) or whole, in one pass.
-
-    One `np.add.at` adds every entry of every piece, a repeated index in
-    piece order.  The cached parity table gives an index r its sector, and
-    r >> 1 is its rank there: a sector block is the whole sum's bit for bit.
+    and the odd block, on their `parity_halves` rows.  Else it is one sector,
+    the whole sum on every row.  One `np.add.at` adds every entry of every
+    piece, a repeated index in piece order; the cached parity table gives an
+    index r its sector, and r >> 1 is its rank there, so a sector block is
+    the whole sum's bit for bit.  Real whenever every matrix is real.
     """
     dim = lattice.dim
     if dim > DENSE_DIM_CEILING:
@@ -213,8 +200,8 @@ def _embed(lattice: LatticeSpec, pieces, split: bool) -> list[tuple[np.ndarray, 
     pieces = [(tuple(support), np.asarray(m)) for support, m in pieces]
     dtype = np.complex128 if any(np.iscomplexobj(m) for _, m in pieces) else np.float64
     rows, cols, vals = map(np.concatenate, zip((np.zeros(0, dtype=np.int64),) * 3, *_scatter(lattice, pieces)))
-    odd = popcount_parity(dim)[rows] if split else None
-    if split and np.array_equal(odd, popcount_parity(dim)[cols]):
+    odd = popcount_parity(dim)[rows]
+    if np.array_equal(odd, popcount_parity(dim)[cols]):
         flat, sectors = (rows >> 1) * (dim // 2) + (cols >> 1), []
         for parity, sector_rows in enumerate(parity_halves(dim)):
             out = np.zeros((dim // 2, dim // 2), dtype=dtype)
@@ -240,7 +227,7 @@ def _scatter(lattice: LatticeSpec, pieces):
 def assemble_sparse(H: Hamiltonian, parity: int | None = None):
     """CSR matrix of the Hamiltonian, or of its popcount-parity sector `parity`, written in place.
 
-    The one sparse writer, from the index source of `embed_sum`.  With
+    The one sparse writer, from the index source of `embed_sectors`.  With
     `parity` p it writes the block on the indices of parity p, which is all
     of H there when every term keeps parity (else `ValueError`); each pair
     {2k, 2k+1} holds one index of each parity, so index r is stored as
@@ -258,7 +245,7 @@ def assemble_sparse(H: Hamiltonian, parity: int | None = None):
     conversion's CSR, or its restriction S[rows][:, rows] to the sector, bit
     for bit, int32 indices included: duplicate (row, col) entries of
     different terms are summed in the same order (entries may differ from
-    `embed_sum` in the last bit), and a sum that cancels to exactly 0
+    `embed_sectors` in the last bit), and a sum that cancels to exactly 0
     stays stored (the Ising diagonal at popcount n/2 for even n).  No COO is
     held: the peak is the final arrays with their duplicate surplus (the
     Ising diagonal's n entries per row before they are summed into one).
@@ -383,14 +370,18 @@ def _diagonal(H: Hamiltonian) -> np.ndarray:
 
 
 def region_sum(region: tuple[int, ...], pieces) -> np.ndarray:
-    """Sum of (support, matrix) pieces as a dense matrix on the sites of `region`.
+    """Sum of (support, matrix) pieces as a dense matrix on the sites of `region`, placed from its `embed_sectors`.
 
     `region` lists distinct sites that contain every piece's support; the
     result acts on them in their order (1x1 zero if `region` is empty).
     """
     if len(region) == 0:
         return np.zeros((1, 1))
-    return embed_sum(LatticeSpec(n=len(region)), _relabel(region, pieces))
+    sectors = embed_sectors(LatticeSpec(n=len(region)), _relabel(region, pieces))
+    out = np.zeros((2 ** len(region),) * 2, dtype=sectors[0][1].dtype)
+    for rows, block in sectors:
+        out[np.ix_(rows, rows)] = block
+    return out
 
 
 def _relabel(region: tuple[int, ...], pieces):
@@ -481,8 +472,8 @@ def block_interaction(
     V sums exactly the terms h_Z with Z inside X | Y touching both X and Y,
     on the sites of X, then of Y (each ascending).  Its norm is `flip_norm`
     (Ising), else the `top_singular_value` of its two B blocks, written from
-    the terms (`_interaction_blocks`), or of V written whole; exactly 0.0
-    with no solve when no term is picked.  A sum that overflows gives NaN.
+    the terms (`_interaction_blocks`), or of V's `embed_sectors`; 0.0 with no
+    solve when no term is picked, NaN for a sum that overflows.
     """
     X, Y = set(X), set(Y)
     if X & Y:
@@ -492,8 +483,9 @@ def block_interaction(
         return picked, 0.0
     sites = tuple(sorted(X)) + tuple(sorted(Y))
     norm = flip_norm(sites, picked)
-    if norm is None:  # a term that is not a flip: the B blocks, or V whole
-        norm = top_singular_value(_interaction_blocks(sites, len(X), picked) or region_sum(sites, picked))
+    if norm is None:  # a term that is not a flip: the B blocks, or V's sectors
+        blocks = _interaction_blocks(sites, len(X), picked)
+        norm = top_singular_value(blocks or [b for _, b in embed_sectors(LatticeSpec(len(sites)), _relabel(sites, picked))])
     return picked, norm
 
 
@@ -531,7 +523,7 @@ def _interaction_blocks(region: tuple[int, ...], x_sites: int, pieces) -> list[n
     top = parity[xr] == 1
     xr, yr, xc, yc = xr[top], yr[top], xc[top], yc[top]
     B = np.zeros((2, q, q), dtype=vals.dtype)
-    # `np.add.at` adds repeated indices in order: piece by piece, as `embed_sum` does.
+    # `np.add.at` adds repeated indices in order: piece by piece, as `embed_sectors` does.
     np.add.at(B, (1 - parity[yr], (xr >> 1) * half + (yr >> 1), (xc >> 1) * half + (yc >> 1)), vals[top])
     return list(B)
 

@@ -9,8 +9,10 @@ conserve prod Z, whose eigenvalue on a basis index is its popcount parity,
 so `hamiltonian` writes each operator straight into its even and odd
 sectors (index r at r >> 1), and `eigendecompose`, `top_singular_value`
 and `operator_schmidt_rank` take those (rows, block) sectors as they are.
-Only a matrix with no pieces behind it (an image, a Gram matrix, a test's
-dense operator) is split by reading it (`parity_sectors`).  Each spectrum
+A reader holding one sector's block (a corner, an image) passes it to
+`top_singular_value` as a one-block list.  Only a dense matrix handed in
+whole (a block Hamiltonian or operator, a test's) is split by reading it
+into the same (rows, block) format (`parity_sectors`).  Each spectrum
 keeps its sectors' eigenvectors apart (`Sector`), and `numerical_rank` is
 the one rule that turns singular values into a rank.
 """
@@ -218,28 +220,28 @@ def parity_halves(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return halves
 
 
-def parity_sectors(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def parity_sectors(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Diagonal blocks of a matrix over the popcount parity of its indices, found by reading it.
 
-    Returns [(rows, cols, block)] with block = matrix[rows][:, cols]: the
-    even and the odd sector when both dimensions are powers of two (at least
-    2) and the nonzero counts say both cross blocks are exactly zero (they
-    are never copied), otherwise the whole matrix.  A split is a permutation
-    similarity (an equivalence for rectangular input), so eigenvalues and
-    singular values are exactly the union of the sectors'.  A single nonzero
-    cross entry, rounding noise included, keeps the matrix whole.  A
-    non-finite entry raises `LinAlgError`: LAPACK may return a finite value
-    for it (a NaN on the diagonal can vanish from `eigvalsh`).
+    Returns (rows, block) sectors with block = matrix[rows][:, rows], the
+    format of `hamiltonian.embed_sectors`: the even and the odd sector when
+    the matrix is square, its dimension a power of two (at least 2), and the
+    nonzero counts say both cross blocks are exactly zero (they are never
+    copied); otherwise the whole matrix, any rectangular one included.  A
+    split is a permutation similarity, so eigenvalues and singular values
+    are exactly the union of the sectors'.  A single nonzero cross entry,
+    rounding noise included, keeps the matrix whole.  A non-finite entry
+    raises `LinAlgError`: LAPACK may return a finite value for it (a NaN on
+    the diagonal can vanish from `eigvalsh`).
     """
     if not np.isfinite(matrix).all():
         raise np.linalg.LinAlgError("matrix has a non-finite entry")
-    shape = matrix.shape
-    if all(m >= 2 and m & (m - 1) == 0 for m in shape):
-        (even_r, odd_r), (even_c, odd_c) = parity_halves(shape[0]), parity_halves(shape[1])
-        sectors = [(r, c, matrix[np.ix_(r, c)]) for r, c in ((even_r, even_c), (odd_r, odd_c))]
-        if sum(np.count_nonzero(block) for _, _, block in sectors) == np.count_nonzero(matrix):
+    dim = matrix.shape[0]
+    if matrix.shape == (dim, dim) and dim >= 2 and dim & (dim - 1) == 0:
+        sectors = [(rows, matrix[np.ix_(rows, rows)]) for rows in parity_halves(dim)]
+        if sum(np.count_nonzero(block) for _, block in sectors) == np.count_nonzero(matrix):
             return sectors
-    return [(np.arange(shape[0]), np.arange(shape[1]), matrix)]
+    return [(np.arange(dim), matrix)]
 
 
 def eigendecompose(M) -> SpectralData:
@@ -249,17 +251,19 @@ def eigendecompose(M) -> SpectralData:
     sectors (`hamiltonian.embed_sectors`), each solved on its own (as real
     below 1e-14 imaginary part; `eigh` reads the lower triangle) and kept as
     its own `Sector`.  A non-finite entry raises `LinAlgError`: LAPACK may
-    return a finite value for it (`parity_sectors`).
+    return a finite value for it (`parity_sectors`).  So does a non-finite
+    level from finite entries (the -inf levels of Ising at J = 1e308).
     """
-    sectors = [(rows, b) for rows, _, b in parity_sectors(M)] if isinstance(M, np.ndarray) else M
     solved = []
-    for rows, block in sectors:
+    for rows, block in parity_sectors(M) if isinstance(M, np.ndarray) else M:
         if not np.isfinite(block).all():
             raise np.linalg.LinAlgError("matrix has a non-finite entry")
         if np.iscomplexobj(block) and np.max(np.abs(block.imag)) < 1e-14:
             block = block.real
         solved.append((rows, *np.linalg.eigh(block)))
     w = np.concatenate([w_s for _, w_s, _ in solved])
+    if not np.isfinite(w).all():
+        raise np.linalg.LinAlgError("eigensolve returned a non-finite eigenvalue")
     order = np.argsort(w, kind="stable")
     position = np.empty_like(order)  # position[j]: ascending position of the j-th sector level
     position[order] = np.arange(len(order))
@@ -274,11 +278,12 @@ def top_singular_value(A) -> float:
     """Largest singular value (operator 2-norm) of a dense matrix, or the largest over a list of blocks.
 
     A dense A is solved per `parity_sectors` block; a list holds the blocks
-    of a matrix zero elsewhere up to a permutation (sectors, B blocks), each
-    solved as it is.  A square block equal to its conjugate transpose bit for
-    bit gives max |eigvalsh|, any other sqrt of the top `eigvalsh` eigenvalue
-    of its smaller Gram matrix (the LAPACK subset drivers raised errors on
-    some).  Empty input gives 0.0; non-finite input, or a Gram overflow, NaN.
+    of a matrix zero elsewhere up to a permutation (sectors, B blocks, one
+    held block), each solved as it is.  A square block equal to its conjugate
+    transpose bit for bit gives max |eigvalsh|, any other sqrt of the top
+    `eigvalsh` eigenvalue of its smaller Gram matrix (the LAPACK subset
+    drivers raised errors on some).  Empty input gives 0.0; non-finite
+    input, or a Gram overflow, NaN.
     """
     blocks = [b for b in ([A] if isinstance(A, np.ndarray) else A) if b.size]
     if not blocks:
@@ -286,7 +291,7 @@ def top_singular_value(A) -> float:
     if not all(np.isfinite(b).all() for b in blocks):
         return float("nan")
     if isinstance(A, np.ndarray):
-        blocks = [block for _, _, block in parity_sectors(A)]
+        blocks = [block for _, block in parity_sectors(A)]
     return float(np.max([_block_top(block) for block in blocks]))
 
 
@@ -327,7 +332,7 @@ def unitary_block_norms(W: np.ndarray, corners) -> list[float]:
     if not np.isfinite(W).all():
         return [float("nan")] * len(corners)
     dim = W.shape[0]
-    return [1.0 if (dim - r) + c > dim else top_singular_value(W[r:, :c]) for r, c in corners]
+    return [1.0 if (dim - r) + c > dim else top_singular_value([W[r:, :c]]) for r, c in corners]
 
 
 def numerical_rank(svals: np.ndarray) -> int:
@@ -352,7 +357,7 @@ def operator_schmidt_rank(O, cut: int) -> int:
     at n = 8, four blocks of 72/56/64/64 in place of 2 x 128.  A non-finite
     entry raises `LinAlgError`.
     """
-    sectors = [(rows, b) for rows, _, b in parity_sectors(O)] if isinstance(O, np.ndarray) else list(O)
+    sectors = parity_sectors(O) if isinstance(O, np.ndarray) else list(O)
     if not all(np.isfinite(b).all() for _, b in sectors):
         raise np.linalg.LinAlgError("matrix has a non-finite entry")
     dim, dL = sum(len(rows) for rows, _ in sectors), 2**cut
@@ -427,7 +432,7 @@ def _pair_classes(index: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np
 
 
 def ground_state(M: np.ndarray | SpectralData | scipy.sparse.sparray | Iterable) -> GroundStateInfo:
-    """Lowest eigenpair and gap; rejects gaps at or below `DEGENERACY_THRESHOLD`.
+    """Lowest eigenpair and gap; rejects gaps at or below `DEGENERACY_THRESHOLD`, and NaN.
 
     `M` is a `SpectralData`, a dense array (`eigendecompose`), or sparse:
     an iterable of (rows, CSR) blocks of a block-diagonal matrix on
@@ -472,7 +477,7 @@ def ground_state(M: np.ndarray | SpectralData | scipy.sparse.sparray | Iterable)
         state = np.zeros(dim, dtype=vector.dtype)
         state[rows] = vector
     gap = float(w[1] - w[0])
-    if gap <= DEGENERACY_THRESHOLD:
+    if not gap > DEGENERACY_THRESHOLD:  # a NaN gap too
         raise DegenerateGroundStateError(
             f"gap {gap:g} at or below degeneracy threshold {DEGENERACY_THRESHOLD:g}"
         )

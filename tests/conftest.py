@@ -16,7 +16,7 @@ import pytest
 from agsplab.config import ExperimentConfig
 from agsplab.effective import EffectiveHamiltonian
 from agsplab.experiment import Pipeline, build_pipeline, run_points
-from agsplab.hamiltonian import embed_sum
+from agsplab.hamiltonian import region_sum
 from agsplab.spectral import Sector, SpectralData, in_window, operator_schmidt_rank
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -161,16 +161,21 @@ def bond_tail_weights(state: np.ndarray, D: int) -> list[float]:
     return weights
 
 
+def chain_sum(lattice, pieces) -> np.ndarray:
+    """The d^n x d^n sum of (support, matrix) pieces on the whole chain: `region_sum` over every site."""
+    return region_sum(tuple(range(1, lattice.n + 1)), pieces)
+
+
 def assemble_dense(H) -> np.ndarray:
-    """The d^n x d^n matrix of a Hamiltonian: `embed_sum` of its terms, which no package check forms."""
-    return embed_sum(H.lattice, H.terms)
+    """The d^n x d^n matrix of a Hamiltonian, which no package check forms."""
+    return chain_sum(H.lattice, H.terms)
 
 
 def dense_operator(op, internal=None) -> np.ndarray:
     """The d^n x d^n sum of a truncation's pieces (`internal` replacing its blocks), or of a clamp's."""
     if isinstance(op, EffectiveHamiltonian):
         op, internal = op.base, op.internal_eff
-    return embed_sum(op.lattice, op.pieces(internal))
+    return chain_sum(op.lattice, op.pieces(internal))
 
 
 def dense_of_sectors(sectors) -> np.ndarray:

@@ -29,7 +29,7 @@ from agsplab.experiment import (
     write_reports,
 )
 from agsplab.registry import BOUND_REGISTRY, BoundRecord
-from conftest import dense_of_sectors, dense_operator, held_matrices, mp_chebyshev_growth, verify_all
+from conftest import REFERENCE_CONFIG, dense_of_sectors, dense_operator, held_matrices, mp_chebyshev_growth, verify_all
 
 # Every registered id, in the order of its first record in `verify_point`.
 BOUND_IDS_IN_ORDER = [
@@ -471,6 +471,32 @@ class TestSolveCounts:
         assert all(m.shape != (dim, dim) for sp in spectra for m in held_matrices(sp))
         assert read and max(read) < dim
 
+    def test_held_sectors_are_not_split_again(self, monkeypatch):
+        # The corners of a sector's unitary, the filter products, the clamping-error
+        # images and the kappa images are each read as the one block they are: none
+        # reaches `parity_sectors`.  The reads left are ||O_s|| of the dense block
+        # operators in `exponential_filter_check`.
+        import inspect
+
+        from agsplab import effective, experiment, spectral
+
+        cfg = replace(REFERENCE_CONFIG, n=8)
+        pipe = build_pipeline(cfg)
+        T = pipe.T  # built, with its block spectra, before the spy
+        callers, split = [], spectral.parity_sectors
+
+        def spied(matrix):
+            callers.append({frame.function for frame in inspect.stack(context=0)})
+            return split(matrix)
+
+        monkeypatch.setattr(spectral, "parity_sectors", spied)
+        shared = experiment._shared_lhs(T, np.random.default_rng(cfg.seed))
+        experiment._filter_machinery_records(pipe, shared)
+        effective.theorem5_check(T, cfg.taus, pipe.eff_at)
+        readers = {"unitary_block_norms", "exponential_filter_lhs", "effective_difference_check", "theorem5_check"}
+        assert [names & readers for names in callers if names & readers] == []
+        assert callers and all("exponential_filter_check" in names for names in callers)
+
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -563,16 +589,16 @@ class TestSolveCounts:
 
         T = build_pipeline(self.CFG).T
         sizes = []
-        embed = hamiltonian.embed_sum
+        embed = hamiltonian.embed_sectors
 
-        def counted_embed(lattice, pieces, *args):
+        def counted_embed(lattice, pieces):
             sizes.append(lattice.n)
-            return embed(lattice, pieces, *args)
+            return embed(lattice, pieces)
 
         def refused(*args, **kwargs):
             raise AssertionError("d^n x d^n matrix requested")
 
-        monkeypatch.setattr(hamiltonian, "embed_sum", counted_embed)
+        monkeypatch.setattr(hamiltonian, "embed_sectors", counted_embed)
         monkeypatch.setattr(truncation, "embed_sectors", refused)
         monkeypatch.setattr(np.linalg, "matrix_power", refused)
         for m in (0, 1, 2, 3):

@@ -25,7 +25,6 @@ from agsplab.hamiltonian import (
     contiguous_pair_samples,
     decay_envelope,
     embed_sectors,
-    embed_sum,
     local_energy_g,
     region_sum,
     verify_assumption1,
@@ -37,6 +36,7 @@ from conftest import (
     PAULI_Z,
     REFERENCE_CONFIG,
     assemble_dense,
+    chain_sum,
     kron_chain,
     oracle_fermion_chain,
     oracle_ising,
@@ -103,7 +103,7 @@ class TestLatticeAndTerms:
             InteractionTerm((1, 1), np.eye(4))
 
     def test_term_norm_is_computed_once(self, monkeypatch):
-        t = InteractionTerm((1, 2), -0.5 * np.kron(PAULI_X, PAULI_X))
+        t = InteractionTerm((1,), -0.5 * PAULI_Z)  # not a flip: its norm is solved
         calls = []
         monkeypatch.setattr(hamiltonian, "top_singular_value", lambda m: calls.append(m) or 0.5)
         assert t.norm == t.norm == 0.5
@@ -136,6 +136,10 @@ class TestLatticeAndTerms:
         term = InteractionTerm(support, matrix)
         assert term.keeps_parity is keeps
         assert term.flip_coefficient == flip
+        # A flip's norm is |c|, the value the solver gives bit for bit; any other term's is solved.
+        assert term.norm == pytest.approx(np.linalg.norm(matrix, 2), rel=1e-14, abs=0.0)
+        if flip is not None:
+            assert term.norm == abs(flip) == float(np.max(np.abs(np.linalg.eigvalsh(matrix))))
 
     def test_hamiltonian_validates_supports(self):
         lat = LatticeSpec(n=3)
@@ -255,26 +259,34 @@ def _pieces(draw):
     return n, pieces
 
 
-class TestEmbedSum:
+def _whole_sum(n: int, pieces) -> np.ndarray:
+    """The d^n x d^n sum with no sectors: each piece's entries added in piece order, as `embed_sectors` adds them."""
+    rows, cols, vals = map(np.concatenate, zip(*hamiltonian._scatter(LatticeSpec(n=n), pieces)))
+    out = np.zeros((2**n, 2**n), dtype=vals.dtype)
+    np.add.at(out.reshape(-1), rows * 2**n + cols, vals)
+    return out
+
+
+class TestRegionSum:
     @settings(max_examples=60, deadline=None)
     @given(case=_pieces())
     def test_property_matches_elementary_kron_oracle(self, case):
         n, pieces = case
-        got = embed_sum(LatticeSpec(n=n), pieces)
+        got = chain_sum(LatticeSpec(n=n), pieces)
         assert np.iscomplexobj(got) == any(np.iscomplexobj(m) for _, m in pieces)
         np.testing.assert_allclose(got, _elementary_oracle(n, pieces), rtol=0, atol=1e-12)
 
     def test_noncontiguous_support_and_identity_piece(self):
         m = np.arange(1.0, 65.0).reshape(8, 8)
         pieces = [((1, 3, 6), m), ((), np.array([[2.5]]))]
-        got = embed_sum(LatticeSpec(n=6), pieces)
+        got = chain_sum(LatticeSpec(n=6), pieces)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, _elementary_oracle(6, pieces).real)
 
     def test_dimension_ceiling(self):
         # Raised before any array is allocated.
         with pytest.raises(DimensionCeilingError, match="dense"):
-            embed_sum(LatticeSpec(n=15), [((1,), PAULI_Z)])
+            chain_sum(LatticeSpec(n=15), [((1,), PAULI_Z)])
 
     @pytest.mark.parametrize(
         "n, pieces, split",
@@ -289,8 +301,10 @@ class TestEmbedSum:
     def test_sectors_are_the_restriction_of_the_whole_sum(self, n, pieces, split):
         # The oracle is the whole sum, restricted by index parity read from bit strings.
         lattice = LatticeSpec(n=n)
-        whole = embed_sum(lattice, pieces)
+        whole = _whole_sum(n, pieces)
         sectors = embed_sectors(lattice, pieces)
+        placed = chain_sum(lattice, pieces)  # `region_sum` places the sectors: the whole sum bit for bit
+        assert placed.dtype == whole.dtype and placed.tobytes() == whole.tobytes()
         if not split:  # a piece that breaks parity: the whole sum, one sector of every row
             [(rows, block)] = sectors
             np.testing.assert_array_equal(rows, np.arange(2**n))
@@ -641,7 +655,7 @@ def test_property_x_parity_norm_matches_unsplit_oracle(seed, x_sites, y_sites, f
 
 
 class TestInteractionNorm:
-    """`block_interaction` takes V's two B blocks from the terms when every term entry allows it, else V whole."""
+    """`block_interaction` takes V's two B blocks from the terms when every term entry allows it, else V's sectors."""
 
     SUPPORT = (1, 2, 3, 4)  # X = sites 1, 2 (the high bits), Y = sites 3, 4
 
@@ -674,15 +688,21 @@ class TestInteractionNorm:
             cols = np.flatnonzero((px == 0) & (py == y_parity))
             assert B.tobytes() == W[np.ix_(rows, cols)].tobytes()
 
-    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (3, 7)], ids=["diagonal", "y-flip-only", "x-flip-only"])
-    def test_tiny_forbidden_entry_takes_the_full_path(self, rng, monkeypatch, where):
+    @pytest.mark.parametrize(
+        "where, sectors",
+        [((0, 0), [(8, 8), (8, 8)]), ((0, 1), [(16, 16)]), ((3, 7), [(16, 16)])],
+        ids=["diagonal", "y-flip-only", "x-flip-only"],
+    )
+    def test_tiny_forbidden_entry_takes_the_full_path(self, rng, monkeypatch, where, sectors):
         # X = 2 high bits, Y = 2 low bits: index 1 flips only a Y bit of 0,
-        # and 7 = 0b0111 flips only an X bit of 3 = 0b0011.
+        # and 7 = 0b0111 flips only an X bit of 3 = 0b0011.  The diagonal
+        # entry keeps the total parity, so V's two sectors; the flips break
+        # it, so V whole.
         V = x_parity_flipping(rng, 2, 2, "real")
         V[where] = V[where[::-1]] = 1e-300
         calls = self.spy(monkeypatch)
         value = interaction_of([(self.SUPPORT, V)], 2, 2)
-        assert calls == [(16, 16)]
+        assert calls == [sectors]
         assert value == top_singular_value(V)
         assert value == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
 
@@ -693,7 +713,7 @@ class TestInteractionNorm:
         E[0, 0] = 0.5
         calls = self.spy(monkeypatch)
         value = interaction_of([(self.SUPPORT, V + E), (self.SUPPORT, -E)], 2, 2)
-        assert calls == [(16, 16)]
+        assert calls == [[(8, 8), (8, 8)]]  # V's two sectors: E keeps the total parity
         assert value == pytest.approx(unsplit_hermitian_norm(V), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("field", [SIGMA_X, SIGMA_Y, SIGMA_X + SIGMA_Z], ids=["flips", "b-blocks", "whole"])

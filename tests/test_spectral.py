@@ -14,6 +14,7 @@ from agsplab.hamiltonian import (
     assemble_sparse,
     build_long_range_fermion_chain,
     build_long_range_ising,
+    embed_sectors,
     local_energy_g,
     sparse_sectors,
 )
@@ -72,6 +73,14 @@ class TestEigendecompose:
             eigendecompose(H)
             np.testing.assert_array_equal(H, copy)
 
+    def test_levels_that_overflow_raise(self):
+        # Ising n=6 at J = 1e308: every sector entry is finite, but LAPACK returns levels of -inf.
+        H = build_long_range_ising(6, 3.0, 1e308, 2.0)
+        sectors = embed_sectors(H.lattice, H.terms)
+        assert all(np.isfinite(block).all() for _, block in sectors)
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite eigenvalue"):
+            eigendecompose(sectors)
+
     def test_eigenvalues_ascending(self, rng):
         M = rng.standard_normal((16, 16))
         M = M + M.T
@@ -116,6 +125,12 @@ class TestGroundState:
         M = np.kron(PAULI_X, PAULI_X)
         with pytest.raises(DegenerateGroundStateError):
             ground_state(M)
+
+    def test_nan_gap_rejected(self):
+        # Every comparison with NaN is False, so `gap <= threshold` would let this gap through.
+        S = one_sector_spectrum(np.array([0.0, np.nan, 1.0, 2.0]), np.eye(4))
+        with pytest.raises(DegenerateGroundStateError, match="nan"):
+            ground_state(S)
 
     def test_gap_below_2g_on_instances(self):
         for n, B in [(4, 0.5), (6, 2.0), (5, 1.0)]:
@@ -454,6 +469,11 @@ def parity_conserving(rng, rows: int, cols: int, field: str, hermitian: bool = F
     return A * (popcount_parity(rows)[:, None] == popcount_parity(cols)[None, :])
 
 
+def keeps_parity(A: np.ndarray) -> bool:
+    """Whether every nonzero entry of A joins a row and a column of equal popcount parity."""
+    return not np.any(A * (popcount_parity(A.shape[0])[:, None] != popcount_parity(A.shape[1])[None, :]))
+
+
 def unsplit_gram_top(A: np.ndarray) -> float:
     """`top_singular_value` without the split: the Gram kernel on the whole matrix."""
     gram = A.conj().T @ A if A.shape[0] >= A.shape[1] else A @ A.conj().T
@@ -499,13 +519,14 @@ def test_property_split_spectrum_matches_unsplit_oracle(seed, log_dim, field):
     field=st.sampled_from(["real", "complex"]),
 )
 def test_property_split_singular_values_match_unsplit_oracle(seed, log_rows, log_cols, field):
+    # Only a square matrix is split; a rectangular one comes back whole.
     rng = np.random.default_rng(seed)
     A = parity_conserving(rng, 2**log_rows, 2**log_cols, field)
     sectors = parity_sectors(A)
-    assert len(sectors) == 2
-    for rows, cols, block in sectors:
-        assert np.array_equal(block, A[np.ix_(rows, cols)])
-    split = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for _, _, b in sectors]))[::-1]
+    assert len(sectors) == (2 if log_rows == log_cols else 1)
+    for rows, block in sectors:
+        assert np.array_equal(block, A[np.ix_(rows, rows)] if len(sectors) == 2 else A)
+    split = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for _, b in sectors]))[::-1]
     expected = np.linalg.svd(A, compute_uv=False)
     assert np.max(np.abs(split - expected)) <= 1e-12
     assert abs(top_singular_value(A) - expected[0]) <= 1e-12
@@ -535,14 +556,14 @@ def test_property_split_schmidt_rank_matches_unsplit_oracle(seed, n, words, fiel
         # A Hermitian O is symmetric exactly when it is real: always for a real
         # field, and for a complex one when n = 2 makes both factors diagonal.
         assert np.array_equal(O, O.T) == (field == "real" or not O.imag.any())
-    assert len(parity_sectors(schmidt_reshape(O, cut))) == 2
+    assert keeps_parity(schmidt_reshape(O, cut))
     assert operator_schmidt_rank(O, cut) == unsplit_schmidt_rank(O, cut)
 
 
 class TestParitySectors:
     def test_sector_indices_are_popcount_parity(self):
         parity = popcount_parity(16)
-        (even_r, _, _), (odd_r, _, _) = parity_sectors(np.eye(16))
+        (even_r, _), (odd_r, _) = parity_sectors(np.eye(16))
         assert np.array_equal(even_r, np.flatnonzero(parity == 0))
         assert np.array_equal(odd_r, np.flatnonzero(parity == 1))
 
@@ -577,7 +598,7 @@ class TestParitySectors:
         # `cross` is the (row, column) parity of the one nonzero cross block.
         # Only a non-Hermitian matrix can have one, so this is the case that
         # tells a check of both cross blocks from a check of one.
-        A = parity_conserving(rng, 8, 16, "real")
+        A = parity_conserving(rng, 16, 16, "real")
         A[cross] = 1.0  # index 0 has parity 0, index 1 parity 1
         assert len(parity_sectors(A)) == 1
         assert top_singular_value(A) == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], rel=1e-12)
